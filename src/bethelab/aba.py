@@ -7,9 +7,13 @@ chain,
 
 a 2x2 matrix in the auxiliary spin-1/2 space with operator entries A, B,
 C, D.  States are sparse maps from spin strings over (U, 0, D) to exact
-scalars; operators are never materialised as 3^N x 3^N matrices, only the
-operator-on-vector sweep is implemented (auxiliary space contracted site
-by site, O(3^N * N) scalar work).
+scalars; operators are never materialised as 3^N x 3^N matrices.  One
+kernel, `sweep`, applies a row of R-matrices to a whole vector: it carries
+every state through the chain one site at a time together with its
+auxiliary index, merging equal (auxiliary, state) entries after each site
+(O(3^N * N) scalar work).  The monodromy entries, the T2 trace and the
+singlet's beta operator in `spinchain` differ only in their tables and
+auxiliary boundary indices.
 
 With twist angle pi the transfer matrices are
 
@@ -52,6 +56,10 @@ class PoleEncountered(ZeroDivisionError):
 class RedundantFactorZero(ZeroDivisionError):
     """A factor [q w_j / w_k] of the common divisor vanishes
     (inhomogeneities sit on the singular lattice q * w_k)."""
+
+
+class IrrationalComponent(ArithmeticError):
+    """A renormalised component kept an s- or i-part (bug guard)."""
 
 
 SPIN_CHARS = "U0D"
@@ -222,16 +230,39 @@ def vacuum_d(z, params: ModelParams) -> Scalar:
     return acc
 
 
-_AUX = {"A": (0, 0), "B": (0, 1), "C": (1, 0), "D": (1, 1)}
+_AUX = {"A": (0, 0), "B": (1, 0), "C": (0, 1), "D": (1, 1)}  # (a_in, a_out)
 _SECTOR_SHIFT = {"A": 0, "D": 0, "B": -1, "C": 1}
+
+
+def sweep(tables, v: StateVector, a_in: int, a_out: int) -> dict:
+    """Contract a row of R-matrices against every state of v at once.
+
+    Starts from {(a_in, key): amp}; for j = 1..N applies the transition
+    table tables[j-1] {(aux, site): [(aux', site', weight), ...]} to site
+    j of every partial state, merging equal (aux, key) entries and
+    dropping zeros after each site.  Returns {key: amp} over the entries
+    whose auxiliary index leaves as a_out.
+    """
+    cur = {(a_in, key): amp for key, amp in v.entries.items()}
+    for j, table in enumerate(tables):
+        nxt = {}
+        for (a, key), val in cur.items():
+            head, tail = key[:j], key[j + 1:]
+            for ao, so, wgt in table[(a, key[j])]:
+                nk = (ao, head + (so,) + tail)
+                nv = val * wgt
+                acc = nxt.get(nk)
+                nxt[nk] = nv if acc is None else acc + nv
+        cur = {k: x for k, x in nxt.items() if x}
+    return {key: val for (a, key), val in cur.items() if a == a_out}
 
 
 def monodromy_apply(which: str, z, params: ModelParams,
                     v: StateVector) -> StateVector:
     """Apply a monodromy entry A, B, C or D at spectral parameter z.
 
-    Sweeps sites 1..N contracting the two-dimensional auxiliary space
-    exactly; B lowers the magnetisation by one, C raises it.
+    One sweep over sites 1..N contracting the two-dimensional auxiliary
+    space exactly; B lowers the magnetisation by one, C raises it.
     """
     if which not in _AUX:
         raise ValueError("which must be one of A, B, C, D")
@@ -240,29 +271,11 @@ def monodromy_apply(which: str, z, params: ModelParams,
     z = params.coerce(z)
     if z.is_zero():
         raise ZeroInverse("spectral parameter must be nonzero")
-    a_out, a_in = _AUX[which]
     inv_q = params.sc(1 / params.q)
     tables = [params.r12_table(z * inv_q * params.sc(w).inv())
               for w in params.w]
-    out = {}
-    for key, amp in v.entries.items():
-        cur = {(a_in, ()): amp}
-        for j, site in enumerate(key):
-            table = tables[j]
-            nxt = {}
-            for (a, prefix), val in cur.items():
-                for ao, so, wgt in table[(a, site)]:
-                    nk = (ao, prefix + (so,))
-                    nv = val * wgt
-                    acc = nxt.get(nk)
-                    nxt[nk] = nv if acc is None else acc + nv
-            cur = {k: x for k, x in nxt.items() if x}
-        for (a, prefix), val in cur.items():
-            if a == a_out:
-                acc = out.get(prefix)
-                out[prefix] = val if acc is None else acc + val
     sector = None if v.sector is None else v.sector + _SECTOR_SHIFT[which]
-    return StateVector(v.n, out, sector)
+    return StateVector(v.n, sweep(tables, v, *_AUX[which]), sector)
 
 
 def bethe_vector(params: ModelParams) -> StateVector:
@@ -299,27 +312,11 @@ def transfer2_apply(z, params: ModelParams, v: StateVector) -> StateVector:
         raise ZeroInverse("spectral parameter must be nonzero")
     tables = [params.r22_table(z * params.sc(w).inv()) for w in params.w]
     omega = (-1, 1, -1) if params.twist == "pi" else (1, 1, 1)
-    out = {}
-    for key, amp in v.entries.items():
-        for a0 in range(3):
-            cur = {(a0, ()): amp}
-            for j, site in enumerate(key):
-                table = tables[j]
-                nxt = {}
-                for (a, prefix), val in cur.items():
-                    for ao, so, wgt in table[(a, site)]:
-                        nk = (ao, prefix + (so,))
-                        nv = val * wgt
-                        acc = nxt.get(nk)
-                        nxt[nk] = nv if acc is None else acc + nv
-                cur = {k: x for k, x in nxt.items() if x}
-            for (a, prefix), val in cur.items():
-                if a == a0:
-                    if omega[a0] == -1:
-                        val = -val
-                    acc = out.get(prefix)
-                    out[prefix] = val if acc is None else acc + val
-    return StateVector(v.n, out, v.sector)
+    out = StateVector(v.n, {}, v.sector)
+    for a0, sign in enumerate(omega):
+        trace = StateVector(v.n, sweep(tables, v, a0, a0), v.sector)
+        out = out + trace if sign == 1 else out - trace
+    return out
 
 
 def theta2(z, params: ModelParams) -> Scalar:
@@ -385,12 +382,14 @@ def renorm_divisor(params: ModelParams) -> Scalar:
 
 def renormalised_vector(params: ModelParams) -> StateVector:
     """Bethe vector divided by its redundant overall factor; components
-    are rational (s- and i-free), which is asserted."""
+    are rational (s- and i-free), which is checked."""
     if params._renorm_cache is None:
         inv = renorm_divisor(params).inv()
         v = bethe_vector(params).scale(inv)
         for key, val in v.entries.items():
-            assert val.is_rational(), f"component {state_str(key)} not rational"
+            if not val.is_rational():
+                raise IrrationalComponent(
+                    f"component {state_str(key)} not rational")
         params._renorm_cache = v
     return params._renorm_cache
 

@@ -75,10 +75,6 @@ class Asm:
     def __repr__(self):
         return f"Asm({list(map(list, self.entries))})"
 
-    def to_json(self):
-        return [list(row) for row in self.entries]
-
-
 def _check_size(n: int):
     if not 1 <= n <= MAX_SIZE:
         raise SizeLimitExceeded(f"n must be between 1 and {MAX_SIZE}")
@@ -209,10 +205,6 @@ class GenPoly:
                 var = "t" if k == 1 else f"t^{k}"
                 terms.append(var if c == 1 else f"{c}{var}")
         return "+".join(terms)
-
-    def to_json(self):
-        return {"n": self.n, "coeffs": list(self.coeffs)}
-
 
 def gen_poly(n: int) -> GenPoly:
     """A_n(t): coefficient k counts the ASMs with exactly k entries -1."""

@@ -9,7 +9,7 @@ Bareiss elimination.
 
 from __future__ import annotations
 
-from bethelab.field import Scalar, SingularSystem
+from bethelab.field import Scalar
 
 
 def zeros(n: int, m: int, d):
@@ -24,8 +24,8 @@ def identity(n: int, d):
 
 
 def mat_mul(a, b):
-    n, k, m = len(a), len(b), len(b[0])
-    assert len(a[0]) == k
+    if len(a[0]) != len(b):
+        raise ValueError(f"inner dimensions differ: {len(a[0])} vs {len(b)}")
     bt = list(zip(*b))
     out = []
     for row in a:
@@ -41,8 +41,12 @@ def mat_mul(a, b):
     return out
 
 
-def mat_add(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+def mat_add(*ms):
+    """Entrywise sum of one or more equally shaped matrices."""
+    out = ms[0]
+    for m in ms[1:]:
+        out = [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(out, m)]
+    return out
 
 
 def mat_sub(a, b):
@@ -59,16 +63,11 @@ def mat_eq(a, b) -> bool:
     return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
 
 
-def mat_is_zero(a) -> bool:
-    return all(x.is_zero() for row in a for x in row)
-
-
 def transpose(a):
     return [list(col) for col in zip(*a)]
 
 
 def kron(a, b):
-    nb, mb = len(b), len(b[0])
     out = []
     for ra in a:
         for rb in b:
@@ -132,26 +131,7 @@ def kernel_dimension(a) -> int:
     return len(a[0]) - rank(a)
 
 
-def solve_dense(a, rhs):
-    """Solve a single system A x = rhs exactly."""
-    from bethelab.field import solve_exact
-
-    try:
-        return solve_exact(a, [list(rhs)])[0]
-    except SingularSystem:
-        raise
-
-
 # -- sparse helpers for tensor-space identities ------------------------
-
-
-def sp_from_dense(a) -> dict:
-    out = {}
-    for i, row in enumerate(a):
-        r = {j: x for j, x in enumerate(row) if not x.is_zero()}
-        if r:
-            out[i] = r
-    return out
 
 
 def sp_mul(a: dict, b: dict) -> dict:
@@ -174,10 +154,6 @@ def sp_mul(a: dict, b: dict) -> dict:
     return out
 
 
-def sp_eq(a: dict, b: dict) -> bool:
-    return a == b
-
-
 def sp_embed_pair(op, dims, sa: int, sb: int) -> dict:
     """Embed a two-site operator into the tensor product of `dims` spaces.
 
@@ -188,7 +164,6 @@ def sp_embed_pair(op, dims, sa: int, sb: int) -> dict:
     strides = [1] * n
     for k in range(n - 2, -1, -1):
         strides[k] = strides[k + 1] * dims[k + 1]
-    total = strides[0] * dims[0]
     db = dims[sb]
     others = [k for k in range(n) if k not in (sa, sb)]
 
@@ -216,5 +191,4 @@ def sp_embed_pair(op, dims, sa: int, sb: int) -> dict:
         del fixed[k]
 
     rec(0, {})
-    assert total == strides[0] * dims[0]
     return out

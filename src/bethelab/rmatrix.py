@@ -103,7 +103,9 @@ class RMat:
 
     def __init__(self, dim_left: int, dim_right: int, entries):
         n = dim_left * dim_right
-        assert len(entries) == n and all(len(r) == n for r in entries)
+        if len(entries) != n or any(len(r) != n for r in entries):
+            raise ValueError(f"a {dim_left}x{dim_right} pair operator "
+                             f"needs {n}x{n} entries")
         self.dim_left = dim_left
         self.dim_right = dim_right
         self.entries = entries
@@ -130,7 +132,8 @@ class RMat:
 
     def braided(self) -> "RMat":
         """P R (check-R): <a b|PR|c d> = <b a|R|c d>; needs dim_left == dim_right."""
-        assert self.dim_left == self.dim_right
+        if self.dim_left != self.dim_right:
+            raise ValueError("braiding needs equal factor dimensions")
         dl = self.dim_left
         out = [[None] * (dl * dl) for _ in range(dl * dl)]
         for a in range(dl):
@@ -166,9 +169,6 @@ class RMat:
                             col.append((lo, ro, w))
                 table[(li, ri)] = col
         return table
-
-    def to_json(self) -> list:
-        return [[x.to_json_dict() for x in row] for row in self.entries]
 
 
 def r11(z, q) -> RMat:
@@ -278,7 +278,7 @@ def check_ybe(m: int, n: int, p: int, z, w, q) -> bool:
     r23_ = linalg.sp_embed_pair(r_mn(n, p, w, vw).entries, dims, 1, 2)
     lhs = linalg.sp_mul(linalg.sp_mul(r12_, r13_), r23_)
     rhs = linalg.sp_mul(linalg.sp_mul(r23_, r13_), r12_)
-    return linalg.sp_eq(lhs, rhs)
+    return lhs == rhs
 
 
 def inversion_check(z, q) -> bool:

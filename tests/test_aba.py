@@ -8,6 +8,7 @@ from bethelab.aba import (
     DOWN,
     UP,
     ZERO,
+    IrrationalComponent,
     ModelParams,
     PoleEncountered,
     RedundantFactorZero,
@@ -193,6 +194,13 @@ def test_renormalised_divisor_zero_raises():
     q = RAT(2)
     with pytest.raises(RedundantFactorZero):
         renormalised_vector(ModelParams(2, q, [RAT(2), RAT(4)]))  # w2 = q w1
+
+
+def test_renormalised_irrational_component_raises():
+    p = params_n(2)
+    p._bethe_cache = StateVector(2, {state_from_str("UD"): p.vw.s}, 0)
+    with pytest.raises(IrrationalComponent):  # the divisor is rational
+        renormalised_vector(p)
 
 
 # ---------------------------------------------------------------------

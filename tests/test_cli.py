@@ -1,7 +1,10 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
+import bethelab
 from bethelab.cli import main
 
 
@@ -126,9 +129,11 @@ def test_out_file_and_emit_alias(capsys, tmp_path):
 
 
 def test_console_script_entry_point():
+    # the child imports the same bethelab as this process
+    src = str(Path(bethelab.__file__).resolve().parents[1])
     proc = subprocess.run(
         [sys.executable, "-m", "bethelab.cli", "asm", "count", "--n", "3"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src))
     assert proc.returncode == 0
     assert json.loads(proc.stdout) == {"n": 3, "count": 7}
 
@@ -140,3 +145,31 @@ def test_env_cap(monkeypatch, capsys):
     monkeypatch.setenv("BETHE_LAB_MAX_N", "7")
     code, _ = run_cli(["asm", "count", "--n", "7"], capsys)
     assert code == 0
+
+
+def test_detform_draws_avoid_pole_lattice(capsys):
+    # at these seeds zeta or the second w used to land on q w or w / q
+    for seed in ("520050772", "564280344"):
+        code, out = run_cli(["verify", "--suite", "all", "--n", "4",
+                             "--seed", seed], capsys)
+        assert code == 0, out
+        assert json.loads(out)["pass"] is True
+
+
+def test_failed_check_records_elapsed_time(monkeypatch):
+    import time
+
+    from bethelab import cli
+
+    def slow_failure():
+        time.sleep(0.02)
+        raise ArithmeticError("boom")
+
+    monkeypatch.setitem(cli.SUITES, "asm",
+                        lambda params, rng: [("asm.slow", {}, slow_failure)])
+    params, rng = cli.resolve_params(cli.build_parser().parse_args(
+        ["verify", "--suite", "asm", "--n", "2"]))
+    (rec,) = cli.run_suite("asm", params, rng)
+    assert rec["pass"] is False
+    assert rec["error"] == "ArithmeticError('boom')"
+    assert rec["elapsed_ms"] >= 20.0

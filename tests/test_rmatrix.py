@@ -9,6 +9,7 @@ from bethelab.rmatrix import (
     DOWN,
     UP,
     ZERO,
+    RMat,
     VertexWeights,
     check_fusion_r22,
     check_ybe,
@@ -147,6 +148,15 @@ def test_bad_q_rejected():
         VertexWeights(1)
     with pytest.raises(ValueError):
         VertexWeights(0)
+
+
+def test_shape_guards_raise():
+    with pytest.raises(ValueError):
+        RMat(2, 3, r22(RAT(3), VW).entries)  # 9x9 entries for a 6x6 operator
+    with pytest.raises(ValueError):
+        r12(RAT(3), VW).braided()  # factors C^2 and C^3
+    with pytest.raises(ValueError):
+        linalg.mat_mul(r12(RAT(3), VW).entries, r22(RAT(3), VW).entries)
 
 
 def test_bareiss_determinant_matches_cofactor():

@@ -186,6 +186,15 @@ def test_singlet_normalisation_audit():
         assert report["pass"], report
 
 
+def test_normalisation_audit_rejects_excess_degree():
+    # m = 2 allows degree floor(1/4) = 0 in x^2; 2 + x^2 has degree 1
+    phi, key = singlet(4), distinguished_component_key(4)
+    bad = StateVector(4, {**phi.entries, key: HalfPowerPoly.x_poly([2, 0, 1])})
+    report = singlet_normalisation_audit(bad)
+    assert report["degree_ok"] is False
+    assert report["pass"] is False
+
+
 def test_hamiltonian_annihilates_singlet_symbolic():
     for n in (2, 3, 4):
         assert hamiltonian_apply_poly(singlet(n)).is_zero()

@@ -1,0 +1,198 @@
+"""Differential tests of the whole-vector auxiliary sweep.
+
+The oracle is the per-key contraction the sweep replaced: each basis
+state is carried through the chain on its own, with its own auxiliary
+index, and only the finished states are summed.  The sweep instead
+advances every state one site at a time and merges equal partial states
+after each site, so vectors are chosen whose partial states merge and
+cancel.
+"""
+
+import random
+
+import pytest
+
+from helpers import draw_q, draw_w
+
+from bethelab.aba import (
+    ModelParams,
+    StateVector,
+    bethe_vector,
+    monodromy_apply,
+    transfer2_apply,
+)
+from bethelab.field import RAT, HalfPowerPoly, Scalar
+from bethelab.rmatrix import r12, r22
+from bethelab.spinchain import _rho_colmap, beta_apply
+
+AUX = {"A": (0, 0), "B": (1, 0), "C": (0, 1), "D": (1, 1)}  # (a_in, a_out)
+SECTOR_SHIFT = {"A": 0, "B": -1, "C": 1, "D": 0}
+
+
+def per_key_sweep(tables, v, a_in, a_out):
+    """Reference contraction, one basis state at a time."""
+    out = {}
+    for key, amp in v.entries.items():
+        cur = {(a_in, ()): amp}
+        for site, table in zip(key, tables):
+            nxt = {}
+            for (a, prefix), val in cur.items():
+                for ao, so, wgt in table[(a, site)]:
+                    nk = (ao, prefix + (so,))
+                    nv = val * wgt
+                    acc = nxt.get(nk)
+                    nxt[nk] = nv if acc is None else acc + nv
+            cur = {k: x for k, x in nxt.items() if x}
+        for (a, prefix), val in cur.items():
+            if a == a_out:
+                acc = out.get(prefix)
+                out[prefix] = val if acc is None else acc + val
+    return out
+
+
+def oracle_monodromy(which, z, params, v):
+    tables = [r12(z / params.sc(params.q * w), params.vw).column_map()
+              for w in params.w]
+    sector = None if v.sector is None else v.sector + SECTOR_SHIFT[which]
+    return StateVector(v.n, per_key_sweep(tables, v, *AUX[which]), sector)
+
+
+def oracle_transfer2(z, params, v):
+    tables = [r22(z / params.sc(w), params.vw).column_map() for w in params.w]
+    omega = (-1, 1, -1) if params.twist == "pi" else (1, 1, 1)
+    out = StateVector(v.n, {}, v.sector)
+    for a0, sign in enumerate(omega):
+        part = StateVector(v.n, per_key_sweep(tables, v, a0, a0), v.sector)
+        out = out + part.scale(sign)
+    return out
+
+
+def oracle_beta(v):
+    out = per_key_sweep([_rho_colmap()] * v.n, v, 1, 0)
+    return StateVector(v.n, out, None if v.sector is None else v.sector - 1)
+
+
+def random_scalar(rng, params):
+    parts = [RAT(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(4)]
+    for k in rng.sample(range(1, 4), rng.randint(0, 3)):
+        parts[k] = RAT(0)
+    return Scalar(*parts, d=params.d)
+
+
+def random_keys(rng, n, count):
+    """Keys sharing tails, so partial states coincide after early sites."""
+    tails = [tuple(rng.randint(0, 2) for _ in range(n - 1))
+             for _ in range(max(1, count // 3))]
+    return {(rng.randint(0, 2),) + rng.choice(tails) for _ in range(count)}
+
+
+def random_vector(rng, params, count):
+    return StateVector(params.n, {k: random_scalar(rng, params)
+                                  for k in random_keys(rng, params.n, count)})
+
+
+def partial_states(tables, head, a_in):
+    """{(aux, prefix): weight} after the sites of `head`, unit amplitude."""
+    cur = {(a_in, ()): 1}
+    for site, table in zip(head, tables):
+        nxt = {}
+        for (a, prefix), val in cur.items():
+            for ao, so, wgt in table[(a, site)]:
+                nk = (ao, prefix + (so,))
+                nxt[nk] = nxt.get(nk, 0) + wgt * val
+        cur = {k: x for k, x in nxt.items() if x}
+    return cur
+
+
+def cancelling_vector(rng, tables, n, a_in, one):
+    """Two states, differing in sites 1 and 2, whose contributions to one
+    partial state after site 2 cancel exactly; needs n >= 2."""
+    tail = tuple(rng.randint(0, 2) for _ in range(n - 2))
+    heads = [(s1, s2) for s1 in range(3) for s2 in range(3)]
+    rng.shuffle(heads)
+    for h1 in heads:
+        for h2 in heads:
+            p1 = partial_states(tables, h1, a_in)
+            p2 = partial_states(tables, h2, a_in)
+            common = sorted(set(p1) & set(p2)) if h1 != h2 else []
+            if common:
+                c = one * rng.randint(1, 9)
+                return StateVector(n, {h1 + tail: c * p2[common[0]],
+                                       h2 + tail: -c * p1[common[0]]})
+    raise AssertionError("no pair of states shares a partial state")
+
+
+def model(rng, n, twist="pi"):
+    q = draw_q(rng)
+    return ModelParams(n, q, draw_w(rng, n, q), twist)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_monodromy_matches_per_key_oracle(n):
+    rng = random.Random(100 + n)
+    for _ in range(3):
+        p = model(rng, n)
+        z = p.sc(RAT(rng.randint(1, 97), rng.randint(1, 97)))
+        vecs = [random_vector(rng, p, count) for count in (2, 5, 9)]
+        vecs.append(bethe_vector(p))
+        for which, (a_in, _) in AUX.items():
+            tables = [r12(z / p.sc(p.q * w), p.vw).column_map() for w in p.w]
+            cancel = ([cancelling_vector(rng, tables, n, a_in, p.vw.one)]
+                      if n >= 2 else [])
+            for v in vecs + cancel:
+                assert monodromy_apply(which, z, p, v) \
+                    == oracle_monodromy(which, z, p, v)
+
+
+def test_cancelling_vector_really_cancels():
+    """The constructed pair loses a partial state to cancellation after
+    site 2, so the merge-and-drop step of the sweep is exercised."""
+    rng = random.Random(7)
+    p = model(rng, 3)
+    z = p.sc(RAT(5, 3))
+    tables = [r12(z / p.sc(p.q * w), p.vw).column_map() for w in p.w]
+    for a_in in (0, 1):
+        v = cancelling_vector(rng, tables, 3, a_in, p.vw.one)
+        merged = {}
+        for key, amp in v.entries.items():
+            for k, wgt in partial_states(tables, key[:2], a_in).items():
+                merged[k] = merged.get(k, 0) + amp * wgt
+        assert any(not x for x in merged.values())
+
+
+@pytest.mark.parametrize("twist", ["pi", "0"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_transfer2_matches_per_key_oracle(n, twist):
+    rng = random.Random(200 + n)
+    for _ in range(2):
+        p = model(rng, n, twist)
+        z = p.sc(RAT(rng.randint(1, 97), rng.randint(1, 97)))
+        tables = [r22(z / p.sc(w), p.vw).column_map() for w in p.w]
+        vecs = [random_vector(rng, p, count) for count in (3, 8)]
+        if n >= 2:
+            vecs += [cancelling_vector(rng, tables, n, a0, p.vw.one)
+                     for a0 in range(3)]
+        if twist == "pi":
+            vecs.append(bethe_vector(p))
+        for v in vecs:
+            assert transfer2_apply(z, p, v) == oracle_transfer2(z, p, v)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_beta_matches_per_key_oracle(n):
+    rng = random.Random(300 + n)
+    rho = _rho_colmap()
+    one = HalfPowerPoly.const(1)
+    vecs = [StateVector(n, {(0,) * n: one}, sector=n)]
+    for count in (3, 7):
+        vecs.append(StateVector(n, {
+            k: HalfPowerPoly([rng.randint(-5, 5) for _ in range(4)])
+            for k in random_keys(rng, n, count)}))
+    if n >= 2:
+        vecs += [cancelling_vector(rng, [rho] * n, n, a_in, one)
+                 for a_in in (0, 1)]
+    for v in vecs:
+        for _ in range(2):
+            got, want = beta_apply(v), oracle_beta(v)
+            assert got == want and got.sector == want.sector
+            v = got
