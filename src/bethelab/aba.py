@@ -63,6 +63,7 @@ class IrrationalComponent(ArithmeticError):
 
 
 SPIN_CHARS = "U0D"
+OMEGA = (-1, 1, -1)  # the diagonal twist at angle pi on (U, 0, D)
 
 
 def state_str(key) -> str:
@@ -91,12 +92,11 @@ class StateVector:
     polynomials in the homogeneous symbolic mode).  Zero values are never
     stored."""
 
-    __slots__ = ("n", "entries", "sector")
+    __slots__ = ("n", "entries")
 
-    def __init__(self, n: int, entries=None, sector=None):
+    def __init__(self, n: int, entries=None):
         self.n = n
         self.entries = {k: v for k, v in (entries or {}).items() if v}
-        self.sector = sector
 
     def __bool__(self):
         return bool(self.entries)
@@ -111,8 +111,7 @@ class StateVector:
         return self.entries.items()
 
     def scale(self, c) -> "StateVector":
-        return StateVector(self.n, {k: c * v for k, v in self.entries.items()},
-                           self.sector)
+        return StateVector(self.n, {k: c * v for k, v in self.entries.items()})
 
     def __add__(self, other: "StateVector") -> "StateVector":
         if self.n != other.n:
@@ -121,8 +120,7 @@ class StateVector:
         for k, v in other.entries.items():
             w = out.get(k)
             out[k] = v if w is None else w + v
-        sector = self.sector if self.sector == other.sector else None
-        return StateVector(self.n, out, sector)
+        return StateVector(self.n, out)
 
     def __sub__(self, other: "StateVector") -> "StateVector":
         return self + other.scale(-1)
@@ -171,6 +169,7 @@ class ModelParams:
         self._r22_tables = {}
         self._bethe_cache = None
         self._renorm_cache = None
+        self._laurent_cache = {}
 
     def with_w(self, w, twist=None) -> "ModelParams":
         return ModelParams(len(tuple(w)), self.q, w,
@@ -208,8 +207,7 @@ class ModelParams:
 
 def vacuum(params: ModelParams) -> StateVector:
     """Reference state |all-up>, annihilated by C(z)."""
-    return StateVector(params.n, {(UP,) * params.n: params.vw.one},
-                       sector=params.n)
+    return StateVector(params.n, {(UP,) * params.n: params.vw.one})
 
 
 def vacuum_a(z, params: ModelParams) -> Scalar:
@@ -231,7 +229,6 @@ def vacuum_d(z, params: ModelParams) -> Scalar:
 
 
 _AUX = {"A": (0, 0), "B": (1, 0), "C": (0, 1), "D": (1, 1)}  # (a_in, a_out)
-_SECTOR_SHIFT = {"A": 0, "D": 0, "B": -1, "C": 1}
 
 
 def sweep(tables, v: StateVector, a_in: int, a_out: int) -> dict:
@@ -274,8 +271,7 @@ def monodromy_apply(which: str, z, params: ModelParams,
     inv_q = params.sc(1 / params.q)
     tables = [params.r12_table(z * inv_q * params.sc(w).inv())
               for w in params.w]
-    sector = None if v.sector is None else v.sector + _SECTOR_SHIFT[which]
-    return StateVector(v.n, sweep(tables, v, *_AUX[which]), sector)
+    return StateVector(v.n, sweep(tables, v, *_AUX[which]))
 
 
 def bethe_vector(params: ModelParams) -> StateVector:
@@ -311,10 +307,10 @@ def transfer2_apply(z, params: ModelParams, v: StateVector) -> StateVector:
     if z.is_zero():
         raise ZeroInverse("spectral parameter must be nonzero")
     tables = [params.r22_table(z * params.sc(w).inv()) for w in params.w]
-    omega = (-1, 1, -1) if params.twist == "pi" else (1, 1, 1)
-    out = StateVector(v.n, {}, v.sector)
+    omega = OMEGA if params.twist == "pi" else (1, 1, 1)
+    out = StateVector(v.n)
     for a0, sign in enumerate(omega):
-        trace = StateVector(v.n, sweep(tables, v, a0, a0), v.sector)
+        trace = StateVector(v.n, sweep(tables, v, a0, a0))
         out = out + trace if sign == 1 else out - trace
     return out
 
@@ -397,8 +393,8 @@ def renormalised_vector(params: ModelParams) -> StateVector:
 # -- local gates and the twisted shift ---------------------------------
 
 
-def apply_two_site(colmap: dict, v: StateVector, i: int, j: int,
-                   sector_shift: int = 0) -> StateVector:
+def apply_two_site(colmap: dict, v: StateVector, i: int,
+                   j: int) -> StateVector:
     """Apply a two-site gate (column transition table) on site positions
     i, j (0-based, i is the gate's left factor)."""
     out = {}
@@ -411,8 +407,7 @@ def apply_two_site(colmap: dict, v: StateVector, i: int, j: int,
             nv = amp * wgt
             acc = out.get(nk)
             out[nk] = nv if acc is None else acc + nv
-    sector = None if v.sector is None else v.sector + sector_shift
-    return StateVector(v.n, out, sector)
+    return StateVector(v.n, out)
 
 
 def rhat22_table(u, params: ModelParams) -> dict:
@@ -420,27 +415,24 @@ def rhat22_table(u, params: ModelParams) -> dict:
     return r22(params.coerce(u), params.vw).braided().column_map()
 
 
-_OMEGA_SIGN = (-1, 1, -1)  # diag twist at angle pi on (U, 0, D)
-
-
 def s_prime_apply(v: StateVector, twist: str = "pi") -> StateVector:
     """Twisted translation S' = S Omega_N: apply Omega on the last site,
     then shift every site one step to the right (site N wraps to 1)."""
     out = {}
     for key, amp in v.entries.items():
-        if twist == "pi" and _OMEGA_SIGN[key[-1]] == -1:
+        if twist == "pi" and OMEGA[key[-1]] == -1:
             amp = -amp
         out[(key[-1],) + key[:-1]] = amp
-    return StateVector(v.n, out, v.sector)
+    return StateVector(v.n, out)
 
 
 def s_prime_inverse_apply(v: StateVector, twist: str = "pi") -> StateVector:
     out = {}
     for key, amp in v.entries.items():
-        if twist == "pi" and _OMEGA_SIGN[key[0]] == -1:
+        if twist == "pi" and OMEGA[key[0]] == -1:
             amp = -amp
         out[key[1:] + (key[0],)] = amp
-    return StateVector(v.n, out, v.sector)
+    return StateVector(v.n, out)
 
 
 def singlet_pair_tensor(v: StateVector, params: ModelParams) -> StateVector:
@@ -451,8 +443,7 @@ def singlet_pair_tensor(v: StateVector, params: ModelParams) -> StateVector:
         out[(UP, DOWN) + key] = amp
         out[(DOWN, UP) + key] = amp
         out[(ZERO, ZERO) + key] = -amp
-    return StateVector(v.n + 2, out,
-                       None if v.sector is None else v.sector)
+    return StateVector(v.n + 2, out)
 
 
 # -- exchange / cyclic / recurrence / asymptotics ----------------------
@@ -526,26 +517,38 @@ def admissible_points(params: ModelParams, j: int, count: int):
     return points
 
 
-def vector_laurent_coefficients(params: ModelParams, j: int, low: int,
-                                width: int, surplus: int = 2):
-    """Interpolate every component of |psi~> as a Laurent polynomial in
-    w_j on the assumed support [low, low + width]; surplus samples verify
-    the support assumption.  Returns {key: LaurentPoly}."""
-    pts = admissible_points(params, j, width + 1 + surplus)
-    vecs = []
-    keys = set()
-    for t in pts:
-        w = list(params.w)
-        w[j - 1] = t
-        vec = renormalised_vector(params.with_w(w))
-        vecs.append(vec)
-        keys.update(vec.entries)
-    keys = sorted(keys)
+def laurent_components(sample, pts, params: ModelParams, low: int,
+                       width: int) -> dict:
+    """Interpolate every component of the vectors sample(t), t in pts, as a
+    Laurent polynomial in t on the support [low, low + width]; a component
+    missing from a sample counts as zero there.  Returns {key: LaurentPoly}
+    over the sorted union of the sampled keys."""
+    vecs = [sample(t) for t in pts]
+    keys = sorted(set().union(*(vec.entries for vec in vecs)))
     zero = Scalar(0, d=params.d)
     rows = [[vec.entries.get(k, zero) for vec in vecs] for k in keys]
     polys = laurent_interpolate_many([params.sc(t) for t in pts], rows,
                                      low, width)
     return dict(zip(keys, polys))
+
+
+def vector_laurent_coefficients(params: ModelParams, j: int, low: int,
+                                width: int, surplus: int = 2):
+    """Interpolate every component of |psi~> as a Laurent polynomial in
+    w_j on the assumed support [low, low + width]; surplus samples verify
+    the support assumption.  Returns {key: LaurentPoly}, memoised on
+    params."""
+    memo = (j, low, width, surplus)
+    if memo not in params._laurent_cache:
+        def sample(t):
+            w = list(params.w)
+            w[j - 1] = t
+            return renormalised_vector(params.with_w(w))
+
+        pts = admissible_points(params, j, width + 1 + surplus)
+        params._laurent_cache[memo] = laurent_components(sample, pts, params,
+                                                         low, width)
+    return params._laurent_cache[memo]
 
 
 def asymptotic_check(j: int, direction, params: ModelParams) -> bool:
@@ -618,5 +621,4 @@ def spin_reversal_apply(v: StateVector) -> StateVector:
     """Flip U <-> D on every site."""
     flip = {UP: DOWN, ZERO: ZERO, DOWN: UP}
     out = {tuple(flip[c] for c in key): amp for key, amp in v.entries.items()}
-    sector = None if v.sector is None else -v.sector
-    return StateVector(v.n, out, sector)
+    return StateVector(v.n, out)

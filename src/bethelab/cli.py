@@ -16,8 +16,12 @@ coincident w, the singular lattices w_j = q^{+-1,+-2} w_k, and for the
 determinant checks the pole lattices zeta = q^{-1,0,1} w).  With a fixed
 seed and configuration the JSON output is byte-identical across runs;
 checks always appear sorted by name.  Exit codes: 0 all checks pass,
-1 at least one failed, 2 configuration error.  The environment variable
-BETHE_LAB_MAX_N caps sizes (default 6).
+1 at least one failed, 2 configuration error (including a size beyond
+the cap), 3 singular input (a pole or a singular linear system at the
+requested parameters), 4 internal failure (the traceback goes to
+stderr).  The environment variable BETHE_LAB_MAX_N caps sizes (default
+6); commands that enumerate ASMs are also capped at asm.MAX_SIZE, and
+every size is checked before any work starts.
 """
 
 from __future__ import annotations
@@ -28,9 +32,10 @@ import os
 import random
 import sys
 import time
+import traceback
 
 from bethelab import aba, asm, detform, spinchain
-from bethelab.field import RAT, brk, is_rational_square, rat_str
+from bethelab.field import RAT, SingularSystem, brk, is_rational_square, rat_str
 from bethelab.rmatrix import (
     check_fusion_r22,
     check_ybe,
@@ -113,14 +118,23 @@ def max_n_cap() -> int:
     return int(os.environ.get("BETHE_LAB_MAX_N", "6"))
 
 
-def resolve_params(args, need_w=True):
-    """Build ModelParams from flags, drawing anything missing from the seed."""
-    n = args.n
+def asm_cap() -> int:
+    """The size cap of commands that enumerate ASMs."""
+    return min(max_n_cap(), asm.MAX_SIZE)
+
+
+def check_n(n, cap: int) -> int:
+    """--n as given, once it lies in [1, cap]."""
     if n is None or n < 1:
         raise ConfigError("--n must be a positive integer")
-    if n > max_n_cap():
-        raise ConfigError(f"--n exceeds the cap {max_n_cap()} "
-                          "(override with BETHE_LAB_MAX_N)")
+    if n > cap:
+        raise ConfigError(f"--n exceeds the cap {cap}")
+    return n
+
+
+def resolve_params(args, need_w=True):
+    """Build ModelParams from flags, drawing anything missing from the seed."""
+    n = check_n(args.n, max_n_cap())
     rng = random.Random(args.seed)
     q = parse_rat(args.q) if args.q else draw_q(rng)
     if args.w:
@@ -376,10 +390,16 @@ def emit(records_or_obj, fmt: str, out_path):
 # -- subcommands ----------------------------------------------------------
 
 
+# suites whose checks enumerate ASMs
+ASM_SUITES = ("asm", "detform", "spinchain", "all")
+
+
 def cmd_verify(args) -> int:
-    params, rng = resolve_params(args)
     if args.suite not in set(SUITES) | {"all"}:
         raise ConfigError(f"unknown suite {args.suite!r}")
+    if args.suite in ASM_SUITES:
+        check_n(args.n, asm_cap())
+    params, rng = resolve_params(args)
     records = run_suite(args.suite, params, rng)
     emit(records, args.format, args.out)
     return 0 if all(r["pass"] for r in records) else 1
@@ -393,11 +413,7 @@ def cmd_vector(args) -> int:
 
 
 def cmd_singlet(args) -> int:
-    n = args.n
-    if n is None or n < 1:
-        raise ConfigError("--n must be a positive integer")
-    if n > max_n_cap():
-        raise ConfigError(f"--n exceeds the cap {max_n_cap()}")
+    n = check_n(args.n, max_n_cap())
     phi = spinchain.singlet(n)
     comps = [{"state": aba.state_str(k), "value": v.to_json_dict()}
              for k, v in sorted(phi.entries.items())]
@@ -407,9 +423,11 @@ def cmd_singlet(args) -> int:
 
 
 def cmd_ikdet(args) -> int:
+    check_n(args.n, asm_cap())
     params, rng = resolve_params(args)
     zeta = (parse_w_list(args.zeta) if args.zeta
-            else draw_distinct(rng, params.n, avoid=params.w))
+            else draw_distinct(rng, params.n,
+                               avoid=_pole_lattice(params.w, params.q)))
     if len(zeta) != params.n:
         raise ConfigError("--zeta must list exactly n rationals")
     z_ik = detform.ik_or_asm_sum(zeta, params.w, params)
@@ -420,11 +438,7 @@ def cmd_ikdet(args) -> int:
 
 
 def cmd_asm(args) -> int:
-    n = args.n
-    if n is None or n < 1:
-        raise ConfigError("--n must be a positive integer")
-    if n > min(max_n_cap(), asm.MAX_SIZE):
-        raise ConfigError(f"--n exceeds the cap")
+    n = check_n(args.n, asm_cap())
     if args.action == "count":
         emit({"n": n, "count": asm.gen_poly(n).total()}, args.format, args.out)
     else:
@@ -488,12 +502,15 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except ConfigError as exc:
+    except (ConfigError, asm.SizeLimitExceeded) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, ZeroDivisionError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+    except (ZeroDivisionError, SingularSystem) as exc:
+        print(f"singular input: {exc}", file=sys.stderr)
+        return 3
+    except Exception:  # a bug, never to be reported as the user's input
+        traceback.print_exc()
+        return 4
 
 
 if __name__ == "__main__":

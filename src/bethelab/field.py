@@ -128,10 +128,6 @@ class Scalar:
     # -- constructors -------------------------------------------------
 
     @staticmethod
-    def rational(r, d) -> "Scalar":
-        return Scalar(as_rat(r), d=d)
-
-    @staticmethod
     def s_unit(d) -> "Scalar":
         return Scalar(0, 1, d=d)
 

@@ -10,11 +10,14 @@ A_13 = A_23 = x - 1, and anisotropy x = q + 1/q.  The boundary bond is
 twisted by the rotation diag(-1, 1, -1) about the 3-axis: s^1 and s^2 at
 site N+1 = 1 flip sign.
 
-The spin-1 generators s^1, s^2 carry 1/sqrt(2), but every bond term is a
-product of an even number of them, so the gate is assembled from the
-doubled matrices sqrt(2) s^1, sqrt(2) s^2 over the Gaussian rationals and
-the imaginary parts are asserted to cancel entrywise; the result is a pair
-of rational 9 x 9 gate polynomials in x (bulk and boundary).
+The bond is built over the rationals from the real matrices
+R_1 = sqrt(2) s^1, R_2 = -i sqrt(2) s^2 and R_3 = s^3.  Every bond term
+carries its spin factors in pairs, so s^a (x) s^a = c_a R_a (x) R_a,
+(s^a)^2 = c_a R_a^2 and (s^a s^b) (x) (s^a s^b) = c_a c_b (R_a R_b) (x)
+(R_a R_b) with c = (1/2, -1/2, 1); the result is a 9 x 9 matrix of
+rational polynomials in x.  The boundary bond is the bulk bond conjugated
+by Omega = diag(-1, 1, -1) on its wrapped right-hand site: its entry
+<lo ro|h|li ri> carries the sign Omega[ro] Omega[ri].
 
 The zero-energy state is built in a symbolic half-power mode: the single
 spin-flip operator
@@ -29,10 +32,14 @@ alternating sign matrices.
 
 from __future__ import annotations
 
+from functools import cache
+
 from bethelab.aba import (
+    OMEGA,
     ModelParams,
     StateVector,
     apply_two_site,
+    laurent_components,
     magnetisation,
     s_prime_apply,
     s_prime_inverse_apply,
@@ -46,14 +53,9 @@ from bethelab.field import (
     Scalar,
     as_rat,
     brk,
-    laurent_interpolate_many,
 )
 from bethelab.linalg import kernel_dimension, kron, mat_add, mat_mul, mat_scale
-from bethelab.rmatrix import DOWN, UP, ZERO, VertexWeights, r12
-
-
-class ImaginaryResidue(ArithmeticError):
-    """The assembled operator kept a nonzero imaginary part (bug guard)."""
+from bethelab.rmatrix import DOWN, UP, ZERO, RMat, VertexWeights, r12
 
 
 class NonIntegerCoefficient(ArithmeticError):
@@ -65,151 +67,58 @@ class OddSupportResidue(ArithmeticError):
     half-power division."""
 
 
-# a fixed internal scalar session: the gate entries are rational, any
-# valid d works for the assembly
+# a fixed internal scalar session for the rho table: any valid d works
 _ASSEMBLY_VW = VertexWeights(RAT(2))
 
-
-def doubled_spin_matrices(vw: VertexWeights):
-    """sqrt(2) s^1, sqrt(2) s^2 and s^3 over the Gaussian rationals.
-
-    Commutators rescale accordingly: [S1, S2] = 2i S3, [S2, S3] = i S1,
-    [S3, S1] = i S2.
-    """
-    o, one, i = vw.zero, vw.one, vw.i
-    s1 = [[o, one, o], [one, o, one], [o, one, o]]
-    s2 = [[o, -i, o], [i, o, -i], [o, i, o]]
-    s3 = [[one, o, o], [o, o, o], [o, o, -one]]
-    return s1, s2, s3
+# R_1, R_2, R_3 on (U, 0, D) and the factors c_a of the module docstring
+_SPIN = (((0, 1, 0), (1, 0, 1), (0, 1, 0)),
+         ((0, -1, 0), (1, 0, -1), (0, 1, 0)),
+         ((1, 0, 0), (0, 0, 0), (0, 0, -1)))
+_C = (RAT(1, 2), RAT(-1, 2), RAT(1))
+# couplings as coefficients in x: J_3 = x^2/2 - 1, A_13 = A_23 = x - 1
+_J = ((1,), (1,), (-1, 0, RAT(1, 2)))
+_A = ((_J[0], (1,), (-1, 1)),
+      ((1,), _J[1], (-1, 1)),
+      ((-1, 1), (-1, 1), _J[2]))
 
 
-def _rationalize(m):
-    out = []
-    for row in m:
-        r = []
-        for x in row:
-            if not x.is_rational():
-                raise ImaginaryResidue(f"gate entry {x!r} is not rational")
-            r.append(x.a)
-        out.append(r)
+def bond_gate():
+    """The bulk bond h(x) of the module docstring as a 9 x 9 matrix of
+    polynomials in x (HalfPowerPoly entries of even support), rows and
+    columns indexed by 3 * left + right."""
+    spin = [[[HalfPowerPoly.const(c) for c in row] for row in m]
+            for m in _SPIN]
+    eye = [[HalfPowerPoly.const(int(i == j)) for j in range(3)]
+           for i in range(3)]
+    terms = []
+    for a, ra in enumerate(spin):
+        pair = mat_add(kron(ra, ra), mat_scale(kron(mat_mul(ra, ra), eye), 2))
+        terms.append(mat_scale(pair, HalfPowerPoly.x_poly(_J[a]) * _C[a]))
+        for b, rb in enumerate(spin):
+            rab = mat_mul(ra, rb)
+            coupling = HalfPowerPoly.x_poly(_A[a][b]) * (-_C[a] * _C[b])
+            terms.append(mat_scale(kron(rab, rab), coupling))
+    return mat_add(*terms)
+
+
+@cache
+def _bond_tables():
+    """Transition tables of the bulk bond and of the boundary bond, the
+    bulk bond conjugated by Omega on its wrapped right-hand site."""
+    bulk = RMat(3, 3, bond_gate()).column_map()
+    boundary = {(li, ri): [(lo, ro, w * (OMEGA[ro] * OMEGA[ri]))
+                           for lo, ro, w in col]
+                for (li, ri), col in bulk.items()}
+    return bulk, boundary
+
+
+def _evaluated(table, x, d):
+    """A polynomial transition table at the rational point x, as Scalars."""
+    out = {}
+    for key, col in table.items():
+        vals = [(lo, ro, w.eval_x(x)) for lo, ro, w in col]
+        out[key] = [(lo, ro, Scalar(c, d=d)) for lo, ro, c in vals if c]
     return out
-
-
-def _bond_gate_polynomials():
-    """Rational 9x9 matrices (h0, h1, h2, t0, t1, t2): the bulk gate
-    h0 + h1 x + h2 x^2 and the twisted boundary gate t0 + t1 x + t2 x^2."""
-    vw = _ASSEMBLY_VW
-    s1, s2, s3 = doubled_spin_matrices(vw)
-    half = vw.sc(RAT(1, 2))
-    eye = [[vw.one if i == j else vw.zero for j in range(3)] for i in range(3)]
-
-    t_pair = {1: mat_scale(kron(s1, s1), half),
-              2: mat_scale(kron(s2, s2), half),
-              3: kron(s3, s3)}
-    onsite = {1: mat_scale(kron(mat_mul(s1, s1), eye), half),
-              2: mat_scale(kron(mat_mul(s2, s2), eye), half),
-              3: kron(mat_mul(s3, s3), eye)}
-    # (s^a s^b) (x) (s^a s^b) with the 1/sqrt(2) factors squared away
-    fsq = {1: RAT(1, 2), 2: RAT(1, 2), 3: RAT(1)}
-    quart = {}
-    for a in (1, 2, 3):
-        for b in (1, 2, 3):
-            sab = mat_mul((s1, s2, s3)[a - 1], (s1, s2, s3)[b - 1])
-            quart[(a, b)] = mat_scale(kron(sab, sab), vw.sc(fsq[a] * fsq[b]))
-
-    cross = mat_add(quart[(1, 3)], quart[(3, 1)], quart[(2, 3)], quart[(3, 2)])
-    minus_one = vw.sc(-1)
-    # bulk: h0 + h1 x + h2 x^2 with J3 = x^2/2 - 1, A13 = A23 = x - 1
-    h0 = mat_add(t_pair[1], mat_scale(onsite[1], vw.sc(2)),
-                 t_pair[2], mat_scale(onsite[2], vw.sc(2)),
-                 mat_scale(t_pair[3], minus_one),
-                 mat_scale(onsite[3], vw.sc(-2)),
-                 mat_scale(quart[(1, 1)], minus_one),
-                 mat_scale(quart[(2, 2)], minus_one),
-                 quart[(3, 3)],
-                 mat_scale(quart[(1, 2)], minus_one),
-                 mat_scale(quart[(2, 1)], minus_one),
-                 cross)
-    h1 = mat_scale(cross, minus_one)
-    h2 = mat_add(mat_scale(t_pair[3], half), onsite[3],
-                 mat_scale(quart[(3, 3)], vw.sc(RAT(-1, 2))))
-    # boundary: s^1, s^2 on the wrapped site flip sign
-    t0 = mat_add(mat_scale(t_pair[1], minus_one),
-                 mat_scale(onsite[1], vw.sc(2)),
-                 mat_scale(t_pair[2], minus_one),
-                 mat_scale(onsite[2], vw.sc(2)),
-                 mat_scale(t_pair[3], minus_one),
-                 mat_scale(onsite[3], vw.sc(-2)),
-                 mat_scale(quart[(1, 1)], minus_one),
-                 mat_scale(quart[(2, 2)], minus_one),
-                 quart[(3, 3)],
-                 mat_scale(quart[(1, 2)], minus_one),
-                 mat_scale(quart[(2, 1)], minus_one),
-                 mat_scale(cross, minus_one))
-    t1 = cross
-    t2 = h2
-    return tuple(_rationalize(m) for m in (h0, h1, h2, t0, t1, t2))
-
-
-_GATES = None
-
-
-def bond_gate_polynomials():
-    global _GATES
-    if _GATES is None:
-        _GATES = _bond_gate_polynomials()
-    return _GATES
-
-
-def _colmap_from_dense(mat, ring_zero_test=lambda x: not x):
-    table = {}
-    for li in range(3):
-        for ri in range(3):
-            col = []
-            j = 3 * li + ri
-            for lo in range(3):
-                for ro in range(3):
-                    w = mat[3 * lo + ro][j]
-                    if not ring_zero_test(w):
-                        col.append((lo, ro, w))
-            table[(li, ri)] = col
-    return table
-
-
-_NUMERIC_GATE_CACHE = {}
-_POLY_GATE_CACHE = None
-
-
-def _numeric_gates(q, d):
-    key = (q, d)
-    gates = _NUMERIC_GATE_CACHE.get(key)
-    if gates is None:
-        h0, h1, h2, t0, t1, t2 = bond_gate_polynomials()
-        x = q + 1 / q
-        x2 = x * x
-
-        def combine(m0, m1, m2):
-            out = [[Scalar(m0[i][j] + x * m1[i][j] + x2 * m2[i][j], d=d)
-                    for j in range(9)] for i in range(9)]
-            return _colmap_from_dense(out)
-
-        gates = (combine(h0, h1, h2), combine(t0, t1, t2))
-        _NUMERIC_GATE_CACHE[key] = gates
-    return gates
-
-
-def _poly_gates():
-    global _POLY_GATE_CACHE
-    if _POLY_GATE_CACHE is None:
-        h0, h1, h2, t0, t1, t2 = bond_gate_polynomials()
-
-        def combine(m0, m1, m2):
-            out = [[HalfPowerPoly((m0[i][j], 0, m1[i][j], 0, m2[i][j]))
-                    for j in range(9)] for i in range(9)]
-            return _colmap_from_dense(out)
-
-        _POLY_GATE_CACHE = (combine(h0, h1, h2), combine(t0, t1, t2))
-    return _POLY_GATE_CACHE
 
 
 def _apply_gates(v: StateVector, bulk, boundary) -> StateVector:
@@ -227,15 +136,14 @@ def hamiltonian_apply(v: StateVector, q) -> StateVector:
     q = as_rat(q)
     sample = next(iter(v.entries.values()), None)
     d = sample.d if sample is not None else VertexWeights(q).d
-    bulk, boundary = _numeric_gates(q, d)
+    bulk, boundary = (_evaluated(t, q + 1 / q, d) for t in _bond_tables())
     return _apply_gates(v, bulk, boundary)
 
 
 def hamiltonian_apply_poly(v: StateVector) -> StateVector:
     """Apply the twisted Hamiltonian symbolically to a vector with
     half-power polynomial entries (exact in x)."""
-    bulk, boundary = _poly_gates()
-    return _apply_gates(v, bulk, boundary)
+    return _apply_gates(v, *_bond_tables())
 
 
 def twisted_translation_apply(v: StateVector) -> StateVector:
@@ -282,9 +190,7 @@ def beta_apply(v: StateVector) -> StateVector:
     if _RHO_TABLE is None:
         _RHO_TABLE = _rho_colmap()
     # the auxiliary enters as down (1) and leaves as up (0)
-    out = sweep([_RHO_TABLE] * v.n, v, 1, 0)
-    sector = None if v.sector is None else v.sector - 1
-    return StateVector(v.n, out, sector)
+    return StateVector(v.n, sweep([_RHO_TABLE] * v.n, v, 1, 0))
 
 
 def singlet(n: int) -> StateVector:
@@ -292,7 +198,7 @@ def singlet(n: int) -> StateVector:
     is a polynomial in x with integer coefficients (asserted)."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    v = StateVector(n, {(UP,) * n: HalfPowerPoly.const(1)}, sector=n)
+    v = StateVector(n, {(UP,) * n: HalfPowerPoly.const(1)})
     for _ in range(n):
         v = beta_apply(v)
     out = {}
@@ -306,7 +212,7 @@ def singlet(n: int) -> StateVector:
         if not p.has_integer_coeffs():
             raise NonIntegerCoefficient(f"component {key}: {p!r}")
         out[key] = p
-    return StateVector(n, out, sector=0)
+    return StateVector(n, out)
 
 
 def singlet_norm(state: StateVector) -> HalfPowerPoly:
@@ -382,24 +288,21 @@ def log_derivative_hamiltonian_apply(v: StateVector, q) -> StateVector:
     params = ModelParams(n, q, [RAT(1)] * n)
     width = 4 * n
     pts = [RAT(t) for t in range(2, 2 + width + 3)]
-    vecs = [transfer2_apply(params.sc(t), params, v) for t in pts]
-    keys = sorted(set().union(*[set(u.entries) for u in vecs]))
-    zero = Scalar(0, d=params.d)
-    rows = [[u.entries.get(k, zero) for u in vecs] for k in keys]
-    polys = laurent_interpolate_many([params.sc(t) for t in pts], rows,
-                                     -2 * n, width)
+    polys = laurent_components(
+        lambda t: transfer2_apply(params.sc(t), params, v), pts, params,
+        -2 * n, width)
     deriv = {}
-    for key, poly in zip(keys, polys):
+    for key, poly in polys.items():
         if poly.is_zero():
             continue
-        acc = zero
+        acc = Scalar(0, d=params.d)
         for k in range(poly.low, poly.top() + 1):
             c = poly.coefficient_or_zero(k, params.d)
             if not c.is_zero():
                 acc = acc + params.sc(k) * c
         if not acc.is_zero():
             deriv[key] = acc
-    dv = s_prime_inverse_apply(StateVector(n, deriv, v.sector), "pi")
+    dv = s_prime_inverse_apply(StateVector(n, deriv), "pi")
     bq, bq2 = brk(q), brk(q * q)
     scale = params.sc(bq2 / (2 * (bq * bq2) ** n))
     return v.scale(params.sc(n)) + dv.scale(scale)
@@ -419,7 +322,7 @@ def transfer1_zero_kernel_dimension(n: int, q, z=None) -> int:
     cols = []
     for key in basis:
         image = transfer1_apply(z, params,
-                                StateVector(n, {key: params.vw.one}, 0))
+                                StateVector(n, {key: params.vw.one}))
         col = [Scalar(0, d=params.d)] * len(basis)
         for k, val in image.entries.items():
             col[index[k]] = val

@@ -70,7 +70,7 @@ def test_monodromy_single_site_b():
     p = params_n(1, w=[RAT(1)])
     v = monodromy_apply("B", p.sc(p.w[0]), p, vacuum(p))
     assert v.entries == {(ZERO,): p.vw.s}
-    assert v.sector == 0
+    assert all(magnetisation(k) == 0 for k in v.entries)
 
 
 def test_vacuum_eigenvalues_and_c_annihilation():
@@ -198,7 +198,7 @@ def test_renormalised_divisor_zero_raises():
 
 def test_renormalised_irrational_component_raises():
     p = params_n(2)
-    p._bethe_cache = StateVector(2, {state_from_str("UD"): p.vw.s}, 0)
+    p._bethe_cache = StateVector(2, {state_from_str("UD"): p.vw.s})
     with pytest.raises(IrrationalComponent):  # the divisor is rational
         renormalised_vector(p)
 
@@ -332,6 +332,29 @@ def test_asymptotic_relations():
         for j in range(1, n + 1):
             assert asymptotic_check(j, "inf", p)
             assert asymptotic_check(j, "zero", p)
+
+
+def test_asymptotic_directions_share_the_sample_vectors(monkeypatch):
+    from collections import Counter
+
+    from bethelab import aba
+
+    calls = Counter()
+    build = aba.renormalised_vector
+
+    def counting(params):
+        calls[params.w] += 1
+        return build(params)
+
+    monkeypatch.setattr(aba, "renormalised_vector", counting)
+    rng = random.Random(2025)
+    q = draw_q(rng)
+    p = ModelParams(3, q, draw_w(rng, 3, q))
+    assert asymptotic_check(1, "inf", p)
+    assert asymptotic_check(1, "zero", p)
+    samples = [w for w in calls if len(w) == 3 and w[1:] == p.w[1:]]
+    assert len(samples) == 2 * (3 - 1) + 3
+    assert all(calls[w] == 1 for w in samples)
 
 
 def test_scattering_relation():

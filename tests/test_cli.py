@@ -173,3 +173,38 @@ def test_failed_check_records_elapsed_time(monkeypatch):
     assert rec["pass"] is False
     assert rec["error"] == "ArithmeticError('boom')"
     assert rec["elapsed_ms"] >= 20.0
+
+
+def test_pole_in_input_exits_3(capsys):
+    # zeta_1 = w_1 / q is a pole of the Izergin-Korepin determinant
+    code = main(["ikdet", "--n", "2", "--q", "2/1", "--w", "1/1,3/1",
+                 "--zeta", "1/2,5/1"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("singular input: ")
+
+
+def test_internal_failure_exits_4(monkeypatch, capsys):
+    from bethelab import cli
+
+    def broken(args):
+        raise KeyError("internal")
+
+    monkeypatch.setattr(cli, "cmd_vector", broken)
+    code = main(["vector", "--n", "1", "--q", "2/1", "--w", "1/1"])
+    err = capsys.readouterr().err
+    assert code == 4
+    assert "Traceback" in err and "KeyError: 'internal'" in err
+
+
+def test_size_beyond_asm_cap_fails_before_work(monkeypatch, capsys):
+    from bethelab import asm, spinchain
+
+    def never(n):
+        raise AssertionError("singlet built before the size check")
+
+    monkeypatch.setenv("BETHE_LAB_MAX_N", str(asm.MAX_SIZE + 1))
+    monkeypatch.setattr(spinchain, "singlet", never)
+    code, _ = run_cli(["verify", "--suite", "spinchain",
+                       "--n", str(asm.MAX_SIZE + 1)], capsys)
+    assert code == 2

@@ -8,13 +8,13 @@ from bethelab.aba import (
     state_from_str,
 )
 from bethelab.field import RAT, HalfPowerPoly, Scalar
-from bethelab.linalg import mat_eq, transpose
+from bethelab import spinchain
+from bethelab.linalg import kron, mat_add, mat_eq, mat_mul, mat_scale, transpose
 from bethelab.rmatrix import DOWN, UP, ZERO, VertexWeights
 from bethelab.spinchain import (
     beta_apply,
-    bond_gate_polynomials,
+    bond_gate,
     distinguished_component_key,
-    doubled_spin_matrices,
     hamiltonian_apply,
     hamiltonian_apply_poly,
     hamiltonian_dense,
@@ -55,10 +55,91 @@ def random_scalar_vector(rng, n, d, terms=4):
 # spin operators and the gate
 # ---------------------------------------------------------------------
 
-def test_doubled_spin_commutators():
-    vw = VertexWeights(RAT(2))
+ORACLE_VW = VertexWeights(RAT(2))
+
+
+def doubled_spin_matrices(vw):
+    """sqrt(2) s^1, sqrt(2) s^2 and s^3 over the Gaussian rationals.
+
+    Commutators rescale accordingly: [S1, S2] = 2i S3, [S2, S3] = i S1,
+    [S3, S1] = i S2.
+    """
+    o, one, i = vw.zero, vw.one, vw.i
+    s1 = [[o, one, o], [one, o, one], [o, one, o]]
+    s2 = [[o, -i, o], [i, o, -i], [o, i, o]]
+    s3 = [[one, o, o], [o, o, o], [o, o, -one]]
+    return s1, s2, s3
+
+
+def gaussian_gate_oracle():
+    """Rational 9x9 matrices (h0, h1, h2, t0, t1, t2): the bulk bond
+    h0 + h1 x + h2 x^2 and the twisted boundary bond t0 + t1 x + t2 x^2,
+    assembled over the Gaussian rationals from the doubled spin matrices
+    with the boundary bond typed out on its own; the imaginary parts must
+    cancel entrywise."""
+    vw = ORACLE_VW
     s1, s2, s3 = doubled_spin_matrices(vw)
-    from bethelab.linalg import mat_scale
+    half = vw.sc(RAT(1, 2))
+    eye = [[vw.one if i == j else vw.zero for j in range(3)] for i in range(3)]
+
+    t_pair = {1: mat_scale(kron(s1, s1), half),
+              2: mat_scale(kron(s2, s2), half),
+              3: kron(s3, s3)}
+    onsite = {1: mat_scale(kron(mat_mul(s1, s1), eye), half),
+              2: mat_scale(kron(mat_mul(s2, s2), eye), half),
+              3: kron(mat_mul(s3, s3), eye)}
+    # (s^a s^b) (x) (s^a s^b) with the 1/sqrt(2) factors squared away
+    fsq = {1: RAT(1, 2), 2: RAT(1, 2), 3: RAT(1)}
+    quart = {}
+    for a in (1, 2, 3):
+        for b in (1, 2, 3):
+            sab = mat_mul((s1, s2, s3)[a - 1], (s1, s2, s3)[b - 1])
+            quart[(a, b)] = mat_scale(kron(sab, sab), vw.sc(fsq[a] * fsq[b]))
+
+    cross = mat_add(quart[(1, 3)], quart[(3, 1)], quart[(2, 3)], quart[(3, 2)])
+    minus_one = vw.sc(-1)
+    # bulk: J3 = x^2/2 - 1, A13 = A23 = x - 1
+    h0 = mat_add(t_pair[1], mat_scale(onsite[1], vw.sc(2)),
+                 t_pair[2], mat_scale(onsite[2], vw.sc(2)),
+                 mat_scale(t_pair[3], minus_one),
+                 mat_scale(onsite[3], vw.sc(-2)),
+                 mat_scale(quart[(1, 1)], minus_one),
+                 mat_scale(quart[(2, 2)], minus_one),
+                 quart[(3, 3)],
+                 mat_scale(quart[(1, 2)], minus_one),
+                 mat_scale(quart[(2, 1)], minus_one),
+                 cross)
+    h1 = mat_scale(cross, minus_one)
+    h2 = mat_add(mat_scale(t_pair[3], half), onsite[3],
+                 mat_scale(quart[(3, 3)], vw.sc(RAT(-1, 2))))
+    # boundary: s^1, s^2 on the wrapped site flip sign
+    t0 = mat_add(mat_scale(t_pair[1], minus_one),
+                 mat_scale(onsite[1], vw.sc(2)),
+                 mat_scale(t_pair[2], minus_one),
+                 mat_scale(onsite[2], vw.sc(2)),
+                 mat_scale(t_pair[3], minus_one),
+                 mat_scale(onsite[3], vw.sc(-2)),
+                 mat_scale(quart[(1, 1)], minus_one),
+                 mat_scale(quart[(2, 2)], minus_one),
+                 quart[(3, 3)],
+                 mat_scale(quart[(1, 2)], minus_one),
+                 mat_scale(quart[(2, 1)], minus_one),
+                 mat_scale(cross, minus_one))
+    out = []
+    for m in (h0, h1, h2, t0, cross, h2):
+        assert all(x.is_rational() for row in m for x in row)
+        out.append([[x.to_rat() for x in row] for row in m])
+    return tuple(out)
+
+
+def oracle_polynomials(m0, m1, m2):
+    return [[HalfPowerPoly.x_poly([m0[i][j], m1[i][j], m2[i][j]])
+             for j in range(9)] for i in range(9)]
+
+
+def test_doubled_spin_commutators():
+    vw = ORACLE_VW
+    s1, s2, s3 = doubled_spin_matrices(vw)
 
     i2 = vw.i + vw.i
     assert mat_eq(mat_comm(s1, s2), mat_scale(s3, i2))
@@ -66,11 +147,37 @@ def test_doubled_spin_commutators():
     assert mat_eq(mat_comm(s3, s1), mat_scale(s2, vw.i))
 
 
+def test_real_spin_matrices_reproduce_doubled_ones():
+    # R_1 = S_1, i R_2 = S_2, R_3 = S_3; c_a = (S_a (x) S_a)/(2 R_a (x) R_a)
+    # for a = 1, 2 and c_3 = 1
+    vw = ORACLE_VW
+    real = [[[vw.sc(c) for c in row] for row in m] for m in spinchain._SPIN]
+    phases = (vw.one, vw.i, vw.one)
+    halves = (RAT(1, 2), RAT(1, 2), RAT(1))
+    for r, phase, half, c, s in zip(real, phases, halves, spinchain._C,
+                                    doubled_spin_matrices(vw)):
+        assert mat_eq(mat_scale(r, phase), s)
+        assert mat_eq(mat_scale(kron(s, s), vw.sc(half)),
+                      mat_scale(kron(r, r), vw.sc(c)))
+
+
 def test_gate_assembly_is_real():
-    h0, h1, h2, t0, t1, t2 = bond_gate_polynomials()
-    assert h0[0][0] == RAT(0)  # UU diagonal of the constant part
-    for m in (h0, h1, h2, t0, t1, t2):
-        assert len(m) == 9 and all(len(r) == 9 for r in m)
+    h0, h1, h2, _, _, _ = gaussian_gate_oracle()
+    gate = bond_gate()
+    assert len(gate) == 9 and all(len(r) == 9 for r in gate)
+    assert all(p.is_even_support() for row in gate for p in row)
+    assert gate == oracle_polynomials(h0, h1, h2)
+
+
+def test_boundary_bond_is_omega_conjugate():
+    _, _, _, t0, t1, t2 = gaussian_gate_oracle()
+    want = oracle_polynomials(t0, t1, t2)
+    _, boundary = spinchain._bond_tables()
+    got = [[HalfPowerPoly() for _ in range(9)] for _ in range(9)]
+    for (li, ri), col in boundary.items():
+        for lo, ro, w in col:
+            got[3 * lo + ro][3 * li + ri] = w
+    assert got == want
 
 
 def test_hamiltonian_symmetric_small():
@@ -107,9 +214,10 @@ def test_hamiltonian_commutes_with_twisted_translation():
 # ---------------------------------------------------------------------
 
 def test_beta_single_site():
-    v = StateVector(1, {(UP,): HalfPowerPoly.const(1)}, sector=1)
+    v = StateVector(1, {(UP,): HalfPowerPoly.const(1)})
     got = beta_apply(v)
     assert got.entries == {(ZERO,): HalfPowerPoly.y_power(1)}
+    assert all(magnetisation(k) == 0 for k in got.entries)
 
 
 def test_rho_action_on_up_down_pair():
@@ -117,11 +225,12 @@ def test_rho_action_on_up_down_pair():
     # single-site chain starting from auxiliary 'up' cannot be read
     # directly, so check through the table of beta on |D>: the only
     # nonzero path flips the auxiliary at the site
-    v = StateVector(1, {(DOWN,): HalfPowerPoly.const(1)}, sector=-1)
+    v = StateVector(1, {(DOWN,): HalfPowerPoly.const(1)})
     assert beta_apply(v).is_zero()  # D cannot be lowered
-    w = StateVector(1, {(ZERO,): HalfPowerPoly.const(1)}, sector=0)
+    w = StateVector(1, {(ZERO,): HalfPowerPoly.const(1)})
     got = beta_apply(w)
     assert got.entries == {(DOWN,): HalfPowerPoly.y_power(1)}
+    assert all(magnetisation(k) == -1 for k in got.entries)
 
 
 def test_beta_output_odd_support():

@@ -18,6 +18,7 @@ from bethelab.aba import (
     ModelParams,
     StateVector,
     bethe_vector,
+    magnetisation,
     monodromy_apply,
     transfer2_apply,
 )
@@ -26,7 +27,7 @@ from bethelab.rmatrix import r12, r22
 from bethelab.spinchain import _rho_colmap, beta_apply
 
 AUX = {"A": (0, 0), "B": (1, 0), "C": (0, 1), "D": (1, 1)}  # (a_in, a_out)
-SECTOR_SHIFT = {"A": 0, "B": -1, "C": 1, "D": 0}
+MAGNETISATION_SHIFT = {"A": 0, "B": -1, "C": 1, "D": 0}
 
 
 def per_key_sweep(tables, v, a_in, a_out):
@@ -53,23 +54,28 @@ def per_key_sweep(tables, v, a_in, a_out):
 def oracle_monodromy(which, z, params, v):
     tables = [r12(z / params.sc(params.q * w), params.vw).column_map()
               for w in params.w]
-    sector = None if v.sector is None else v.sector + SECTOR_SHIFT[which]
-    return StateVector(v.n, per_key_sweep(tables, v, *AUX[which]), sector)
+    return StateVector(v.n, per_key_sweep(tables, v, *AUX[which]))
 
 
 def oracle_transfer2(z, params, v):
     tables = [r22(z / params.sc(w), params.vw).column_map() for w in params.w]
     omega = (-1, 1, -1) if params.twist == "pi" else (1, 1, 1)
-    out = StateVector(v.n, {}, v.sector)
+    out = StateVector(v.n)
     for a0, sign in enumerate(omega):
-        part = StateVector(v.n, per_key_sweep(tables, v, a0, a0), v.sector)
+        part = StateVector(v.n, per_key_sweep(tables, v, a0, a0))
         out = out + part.scale(sign)
     return out
 
 
 def oracle_beta(v):
-    out = per_key_sweep([_rho_colmap()] * v.n, v, 1, 0)
-    return StateVector(v.n, out, None if v.sector is None else v.sector - 1)
+    return StateVector(v.n, per_key_sweep([_rho_colmap()] * v.n, v, 1, 0))
+
+
+def shifts_magnetisation(v, image, shift):
+    """Every key of image has the magnetisation of some key of v plus
+    shift."""
+    allowed = {magnetisation(k) + shift for k in v.entries}
+    return all(magnetisation(k) in allowed for k in image.entries)
 
 
 def random_scalar(rng, params):
@@ -140,8 +146,9 @@ def test_monodromy_matches_per_key_oracle(n):
             cancel = ([cancelling_vector(rng, tables, n, a_in, p.vw.one)]
                       if n >= 2 else [])
             for v in vecs + cancel:
-                assert monodromy_apply(which, z, p, v) \
-                    == oracle_monodromy(which, z, p, v)
+                got = monodromy_apply(which, z, p, v)
+                assert got == oracle_monodromy(which, z, p, v)
+                assert shifts_magnetisation(v, got, MAGNETISATION_SHIFT[which])
 
 
 def test_cancelling_vector_really_cancels():
@@ -183,7 +190,7 @@ def test_beta_matches_per_key_oracle(n):
     rng = random.Random(300 + n)
     rho = _rho_colmap()
     one = HalfPowerPoly.const(1)
-    vecs = [StateVector(n, {(0,) * n: one}, sector=n)]
+    vecs = [StateVector(n, {(0,) * n: one})]
     for count in (3, 7):
         vecs.append(StateVector(n, {
             k: HalfPowerPoly([rng.randint(-5, 5) for _ in range(4)])
@@ -194,5 +201,5 @@ def test_beta_matches_per_key_oracle(n):
     for v in vecs:
         for _ in range(2):
             got, want = beta_apply(v), oracle_beta(v)
-            assert got == want and got.sector == want.sector
+            assert got == want and shifts_magnetisation(v, got, -1)
             v = got
