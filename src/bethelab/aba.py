@@ -170,6 +170,7 @@ class ModelParams:
         self._bethe_cache = None
         self._renorm_cache = None
         self._laurent_cache = {}
+        self._reduced_cache = {}
 
     def with_w(self, w, twist=None) -> "ModelParams":
         return ModelParams(len(tuple(w)), self.q, w,
@@ -576,7 +577,9 @@ def asymptotic_check(j: int, direction, params: ModelParams) -> bool:
         prod = prod * (1 / w if to_inf else w)
     sign = (-1) ** (n - j) if to_inf else (-1) ** (j - 1)
     factor = params.sc(sign * prod)
-    sub = renormalised_vector(params.with_w(others))
+    if j not in params._reduced_cache:
+        params._reduced_cache[j] = renormalised_vector(params.with_w(others))
+    sub = params._reduced_cache[j]
     for key, poly in polys.items():
         coeff = poly.coefficient_or_zero(order, params.d)
         if key[j - 1] != ZERO:

@@ -15,15 +15,21 @@ boundaries, out on the top/bottom).  With the vertex classes
     type 5: W> Sv E< N^      type 6: W< S^ E> Nv     (c-class, weight [q^2])
 
 (absolute arrow directions on the west/south/east/north edges), the entry
-dictionary is +1 <-> type 5, -1 <-> type 6, 0 <-> types 1-4.  The brute
-partition function sums, over all ASMs, the product of vertex weights at
-spectral parameter z = zeta_row / w_col; it is the independent oracle for
-the Izergin-Korepin determinant, and at the homogeneous point it reduces
-to [q]^(n(n-1)) [q^2]^n A_n(x^2) with A_n the minus-weight generating
-polynomial.
+dictionary is +1 <-> type 5, -1 <-> type 6, 0 <-> types 1-4.  ASM sums
+are a row transfer over the monotone-triangle states: a row is one
+interlacing step, which fixes its vertex types and its -1 entries, so a
+product of row weights is summed with one running sum per state.  The
+partition function, weighted at spectral parameter z = zeta_row / w_col,
+is the independent oracle for the Izergin-Korepin determinant; at the
+homogeneous point it reduces to [q]^(n(n-1)) [q^2]^n A_n(x^2) with A_n
+the minus-weight generating polynomial.
 """
 
 from __future__ import annotations
+
+from functools import cache, reduce
+from itertools import product
+from operator import mul
 
 from bethelab.field import RAT, Scalar, as_rat
 from bethelab.rmatrix import VertexWeights
@@ -80,55 +86,48 @@ def _check_size(n: int):
         raise SizeLimitExceeded(f"n must be between 1 and {MAX_SIZE}")
 
 
+@cache
+def _successors(a, n: int):
+    """The states after a, in increasing order: strictly increasing
+    tuples b over range(n), one longer than a, interlacing it as
+    b_1 <= a_1 <= b_2 <= ... <= a_k <= b_{k+1}."""
+    ranges = (range(lo, hi + 1) for lo, hi in zip((0,) + a, a + (n - 1,)))
+    return tuple(b for b in product(*ranges)
+                 if all(x < y for x, y in zip(b, b[1:])))
+
+
 def generate_asms(n: int):
     """Yield every n x n ASM exactly once (monotone-triangle backtracking).
 
     States are the sorted tuples of columns whose partial sum is 1; row i
-    transitions interlace the previous state.
+    goes from one state to an interlacing successor.
     """
     _check_size(n)
 
-    def successors(a):
-        """All strictly increasing tuples b (len(a)+1) interlacing a:
-        b_1 <= a_1 <= b_2 <= ... <= a_k <= b_{k+1}."""
-        k = len(a)
-        out = []
-
-        def rec(pos, prev, acc):
-            if pos == k + 1:
-                out.append(tuple(acc))
-                return
-            lo = max(prev + 1, a[pos - 1] if pos > 0 else 0)
-            hi = a[pos] if pos < k else n - 1
-            for b in range(lo, hi + 1):
-                acc.append(b)
-                rec(pos + 1, b, acc)
-                acc.pop()
-
-        rec(0, -1, [])
-        return out
-
-    def rows_from_chain(chain):
-        rows = []
-        prev = [0] * n
-        for state in chain[1:]:
-            cur = [0] * n
-            for c in state:
-                cur[c] = 1
-            rows.append(tuple(cur[j] - prev[j] for j in range(n)))
-            prev = cur
-        return rows
-
     def walk(chain):
         if len(chain) == n + 1:
-            yield Asm(rows_from_chain(chain))
+            yield Asm([[(j in b) - (j in a) for j in range(n)]
+                       for a, b in zip(chain, chain[1:])])
             return
-        for nxt in successors(chain[-1]):
-            chain.append(nxt)
-            yield from walk(chain)
-            chain.pop()
+        for b in _successors(chain[-1], n):
+            yield from walk(chain + [b])
 
     yield from walk([()])
+
+
+def _row_transfer(n: int, row_weight, one):
+    """Sum, over the chains of states () -> ... -> (0, ..., n-1), that is
+    over the n x n ASMs, of the product of row_weight(i, a, b) over the
+    rows i: a -> b, keeping one running sum per state."""
+    layer = {(): one}
+    for i in range(n):
+        nxt = {}
+        for a, acc in layer.items():
+            for b in _successors(a, n):
+                term = acc * row_weight(i, a, b)
+                nxt[b] = nxt[b] + term if b in nxt else term
+        layer = nxt
+    return layer[tuple(range(n))]
 
 
 def count_asms_by_columns(n: int) -> int:
@@ -136,7 +135,6 @@ def count_asms_by_columns(n: int) -> int:
     scanning column by column and testing candidate columns directly
     against the alternation rules."""
     _check_size(n)
-    from itertools import product
 
     def ok_column(col, state):
         for x, s in zip(col, state):
@@ -207,15 +205,18 @@ class GenPoly:
         return "+".join(terms)
 
 def gen_poly(n: int) -> GenPoly:
-    """A_n(t): coefficient k counts the ASMs with exactly k entries -1."""
+    """A_n(t): coefficient k counts the ASMs with exactly k entries -1.
+
+    The row a -> b holds |a - b| entries -1.  The row transfer runs over
+    integers at t = 2^bits, wide enough that no coefficient (below
+    3^(n^2), the number of {-1, 0, 1} matrices) spills into the next.
+    """
     _check_size(n)
-    counts = []
-    for a in generate_asms(n):
-        k = a.minus_count()
-        while len(counts) <= k:
-            counts.append(0)
-        counts[k] += 1
-    return GenPoly(n, counts)
+    bits = 2 * n * n
+    total = _row_transfer(
+        n, lambda i, a, b: 1 << bits * len(set(a) - set(b)), 1)
+    mask = (1 << bits) - 1
+    return GenPoly(n, [(total >> bits * k) & mask for k in range(n * n)])
 
 
 # -- the ASM <-> DWBC bijection -----------------------------------------
@@ -281,27 +282,30 @@ class DwbcConfig:
         return f"DwbcConfig({list(map(list, self.types))})"
 
 
+def _row_types(a, b, n: int):
+    """Vertex types along the row whose column-partial-sum state goes from
+    a to b: the edge above cell j points down iff j is in a, the edge
+    below iff j is in b, and the edge right of it points right iff the
+    row's prefix sum, of the entries [j in b] - [j in a], is 0."""
+    types, row_sum, west = [], 0, "r"
+    for j in range(n):
+        row_sum += (j in b) - (j in a)
+        east = "r" if row_sum == 0 else "l"
+        types.append(_EDGES_TO_TYPE[(west, "d" if j in b else "u", east,
+                                     "d" if j in a else "u")])
+        west = east
+    return tuple(types)
+
+
 def asm_to_dwbc(a: Asm) -> DwbcConfig:
-    """Map an ASM to its six-vertex configuration via partial sums: the
-    edge right of cell (i, j) points right iff the row prefix sum is 0,
-    the edge below points down iff the column prefix sum is 1."""
-    n = a.n
-    rows = a.entries
-    types = []
-    col_sum = [0] * n
-    for i in range(n):
-        row_sum = 0
-        row_types = []
-        for j in range(n):
-            west = "r" if row_sum == 0 else "l"
-            north = "d" if col_sum[j] == 1 else "u"
-            row_sum += rows[i][j]
-            col_sum[j] += rows[i][j]
-            east = "r" if row_sum == 0 else "l"
-            south = "d" if col_sum[j] == 1 else "u"
-            row_types.append(_EDGES_TO_TYPE[(west, south, east, north)])
-        types.append(row_types)
-    return DwbcConfig(types)
+    """Map an ASM to its six-vertex configuration, row by row through the
+    states of its column partial sums."""
+    states, col_sum = [()], [0] * a.n
+    for row in a.entries:
+        col_sum = [s + x for s, x in zip(col_sum, row)]
+        states.append(tuple(j for j, s in enumerate(col_sum) if s))
+    return DwbcConfig([_row_types(s, t, a.n)
+                       for s, t in zip(states, states[1:])])
 
 
 def dwbc_to_asm(c: DwbcConfig) -> Asm:
@@ -324,7 +328,7 @@ def vertex_count_audit(a: Asm):
 
 
 def dwbc_partition_brute(zeta, w, q) -> Scalar:
-    """Domain-wall partition function by exhaustive ASM enumeration.
+    """Domain-wall partition function by the row transfer.
 
     The vertex in row i, column j carries spectral parameter
     z = zeta_i / w_j and weight [q z], [q / z] or [q^2] by class.
@@ -337,21 +341,12 @@ def dwbc_partition_brute(zeta, w, q) -> Scalar:
         raise ValueError("zeta and w must have equal length")
     _check_size(n)
     qs = vw.sc(vw.q)
-    a_w = [[vw.bracket(qs * zi * wj.inv()) for wj in ws] for zi in zs]
-    b_w = [[vw.bracket(qs * wj * zi.inv()) for wj in ws] for zi in zs]
-    c_w = vw.bq2
-    total = vw.zero
-    for asm in generate_asms(n):
-        config = asm_to_dwbc(asm)
-        term = vw.one
-        for i in range(n):
-            for j in range(n):
-                t = config.types[i][j]
-                if t in A_CLASS:
-                    term = term * a_w[i][j]
-                elif t in B_CLASS:
-                    term = term * b_w[i][j]
-                else:
-                    term = term * c_w
-        total = total + term
-    return total
+
+    def cell(z):  # the weight of each vertex type at spectral parameter z
+        wa, wb = vw.bracket(qs * z), vw.bracket(qs * z.inv())
+        return {t: wa if t in A_CLASS else wb if t in B_CLASS else vw.bq2
+                for t in VERTEX_EDGES}
+
+    cells = [[cell(zi * wj.inv()) for wj in ws] for zi in zs]
+    return _row_transfer(n, lambda i, a, b: reduce(mul, (
+        cells[i][j][t] for j, t in enumerate(_row_types(a, b, n)))), vw.one)

@@ -6,7 +6,7 @@ Subcommands:
     vector   --n --q --w          dump the Bethe vector as JSON
     singlet  --n                  dump the homogeneous singlet components
     ikdet    --n [--q --seed]     Izergin-Korepin vs. brute partition sum
-    asm      {count,genpoly} --n  ASM enumeration
+    asm      {count,genpoly} --n  ASM counts
 
 Rationals are written p/r on the command line (e.g. --q 5/2,
 --w 1/1,3/2,7/3).  Random parameters are drawn with numerators and
@@ -20,7 +20,7 @@ checks always appear sorted by name.  Exit codes: 0 all checks pass,
 the cap), 3 singular input (a pole or a singular linear system at the
 requested parameters), 4 internal failure (the traceback goes to
 stderr).  The environment variable BETHE_LAB_MAX_N caps sizes (default
-6); commands that enumerate ASMs are also capped at asm.MAX_SIZE, and
+6); commands that compute ASM sums are also capped at asm.MAX_SIZE, and
 every size is checked before any work starts.
 """
 
@@ -33,9 +33,11 @@ import random
 import sys
 import time
 import traceback
+from functools import cache
 
 from bethelab import aba, asm, detform, spinchain
 from bethelab.field import RAT, SingularSystem, brk, is_rational_square, rat_str
+from bethelab.field import HalfPowerPoly
 from bethelab.rmatrix import (
     check_fusion_r22,
     check_ybe,
@@ -119,7 +121,7 @@ def max_n_cap() -> int:
 
 
 def asm_cap() -> int:
-    """The size cap of commands that enumerate ASMs."""
+    """The size cap of commands that compute ASM sums."""
     return min(max_n_cap(), asm.MAX_SIZE)
 
 
@@ -132,7 +134,7 @@ def check_n(n, cap: int) -> int:
     return n
 
 
-def resolve_params(args, need_w=True):
+def resolve_params(args):
     """Build ModelParams from flags, drawing anything missing from the seed."""
     n = check_n(args.n, max_n_cap())
     rng = random.Random(args.seed)
@@ -141,10 +143,8 @@ def resolve_params(args, need_w=True):
         w = parse_w_list(args.w)
         if len(w) != n:
             raise ConfigError("--w must list exactly n rationals")
-    elif need_w:
-        w = draw_w(rng, n, q)
     else:
-        w = (RAT(1),) * n
+        w = draw_w(rng, n, q)
     try:
         return aba.ModelParams(n, q, w), rng
     except ValueError as exc:
@@ -197,14 +197,15 @@ def checks_rmatrix(params, rng):
 def checks_aba(params, rng):
     out = []
     ps = _param_str(params)
-    psi = aba.bethe_vector(params)
     zs = [params.sc(draw_z(rng)) for _ in range(3)]
 
     def eigen_t2():
+        psi = aba.bethe_vector(params)
         return all(aba.transfer2_apply(z, params, psi)
                    == psi.scale(aba.theta2(z, params)) for z in zs)
 
     def eigen_t1():
+        psi = aba.bethe_vector(params)
         return all(aba.transfer1_apply(z, params, psi).is_zero() for z in zs)
 
     def residuals():
@@ -227,9 +228,10 @@ def checks_aba(params, rng):
                     lambda j=j: aba.scattering_check(j, params)))
     if params.n == 1:
         out.append(("aba.bethe_vector_components", ps,
-                    lambda: aba.bethe_vector(params).entries
-                    == {(1,): params.vw.s},
-                    {"value": aba.bethe_vector(params).to_json_dict(params)}))
+                    lambda: (aba.bethe_vector(params).entries
+                             == {(1,): params.vw.s},
+                             {"value": aba.bethe_vector(params)
+                              .to_json_dict(params)})))
     return out
 
 
@@ -269,21 +271,31 @@ def checks_detform(params, rng):
 
 def checks_asm(params, rng):
     n = params.n
-    out = []
-    poly = asm.gen_poly(n)
-    out.append(("asm.counts_match_independent_generator", {"n": n},
-                lambda: poly.total() == asm.count_asms_by_columns(n),
-                {"value": poly.total()}))
-    out.append(("asm.gen_poly", {"n": n},
-                lambda: poly.degree() <= ((n - 1) ** 2) // 4,
-                {"value": str(poly)}))
-    out.append(("asm.bijection_roundtrip", {"n": n},
-                lambda: all(asm.dwbc_to_asm(asm.asm_to_dwbc(a)) == a
-                            for a in asm.generate_asms(n))))
-    out.append(("asm.vertex_count_audit", {"n": n},
-                lambda: all(asm.vertex_count_audit(a)
-                            for a in asm.generate_asms(n))))
-    return out
+    poly = cache(lambda: asm.gen_poly(n))
+
+    @cache
+    def walk():
+        """Both bijection tests on every ASM, in one pass: whether each
+        roundtrip holds, and whether each vertex-count audit passes."""
+        roundtrip = audit = True
+        for a in asm.generate_asms(n):
+            roundtrip = roundtrip and asm.dwbc_to_asm(asm.asm_to_dwbc(a)) == a
+            try:
+                audit = audit and bool(asm.vertex_count_audit(a))
+            except AssertionError:
+                audit = False
+        return roundtrip, audit
+
+    return [
+        ("asm.counts_match_independent_generator", {"n": n},
+         lambda: (poly().total() == asm.count_asms_by_columns(n),
+                  {"value": poly().total()})),
+        ("asm.gen_poly", {"n": n},
+         lambda: (poly().degree() <= ((n - 1) ** 2) // 4,
+                  {"value": str(poly())})),
+        ("asm.bijection_roundtrip", {"n": n}, lambda: walk()[0]),
+        ("asm.vertex_count_audit", {"n": n}, lambda: walk()[1]),
+    ]
 
 
 def checks_spinchain(params, rng):
@@ -291,35 +303,36 @@ def checks_spinchain(params, rng):
     q = params.q
     out = []
     ps = {"n": n, "q": rat_str(q)}
-    if n >= 2:
-        phi = spinchain.singlet(n)
-        out.append(("spinchain.hamiltonian_annihilates_singlet", ps,
-                    lambda: spinchain.hamiltonian_apply_poly(phi).is_zero()))
-        out.append(("spinchain.twisted_translation_eigenvector", ps,
-                    lambda: spinchain.twisted_translation_apply(phi)
-                    == (phi if n % 2 == 1 else phi.scale(-1))))
-        norm = spinchain.singlet_norm(phi)
+    phi = cache(lambda: spinchain.singlet(n))
+
+    def sum_rule():
+        norm = spinchain.singlet_norm(phi())
         want = asm.gen_poly(n)
         coeffs = [0] * (4 * want.degree() + 1)
-        for k, c in enumerate(want.coeffs):
-            coeffs[4 * k] = c
-        from bethelab.field import HalfPowerPoly
+        coeffs[::4] = want.coeffs
+        return norm == HalfPowerPoly(coeffs), {"value": norm.to_json_dict()}
 
-        out.append(("spinchain.sum_rule_norm_equals_genpoly", ps,
-                    lambda: norm == HalfPowerPoly(coeffs),
-                    {"value": norm.to_json_dict()}))
-        audit = spinchain.singlet_normalisation_audit(phi)
-        out.append(("spinchain.normalisation_audit", ps,
-                    lambda: audit["pass"], {"value": audit}))
+    def audit():
+        report = spinchain.singlet_normalisation_audit(phi())
+        return report["pass"], {"value": report}
+
+    def probe():
+        dim = spinchain.transfer1_zero_kernel_dimension(n, q)
+        warn = "zero eigenspace not one-dimensional at this q"
+        return True, {"value": dim, **({"warning": warn} if dim != 1 else {})}
+
+    if n >= 2:
+        out.append(("spinchain.hamiltonian_annihilates_singlet", ps,
+                    lambda: spinchain.hamiltonian_apply_poly(phi()).is_zero()))
+        out.append(("spinchain.twisted_translation_eigenvector", ps,
+                    lambda: spinchain.twisted_translation_apply(phi())
+                    == (phi() if n % 2 == 1 else phi().scale(-1))))
+        out.append(("spinchain.sum_rule_norm_equals_genpoly", ps, sum_rule))
+        out.append(("spinchain.normalisation_audit", ps, audit))
     out.append(("spinchain.homogeneous_consistency", ps,
                 lambda: spinchain.homogeneous_consistency_check(n, q)))
     if n <= 3 and n >= 2:
-        dim = spinchain.transfer1_zero_kernel_dimension(n, q)
-        extra = {"value": dim}
-        if dim != 1:
-            extra["warning"] = "zero eigenspace not one-dimensional at this q"
-        out.append(("spinchain.uniqueness_probe_logged", ps,
-                    lambda: True, extra))
+        out.append(("spinchain.uniqueness_probe_logged", ps, probe))
     return out
 
 
@@ -338,11 +351,13 @@ def run_suite(suite: str, params, rng):
     for nm in names:
         specs.extend(SUITES[nm](params, rng))
     records = []
-    for name, ps, fn, *extra in specs:
-        fields = dict(extra[0]) if extra else {}
+    for name, ps, fn in specs:
+        fields = {}
         t0 = time.perf_counter()
         try:
             passed = fn()
+            if isinstance(passed, tuple):  # (verdict, extra record fields)
+                passed, fields = passed
         except Exception as exc:  # a failing identity is a failed check
             passed = False
             fields["error"] = repr(exc)
@@ -390,7 +405,7 @@ def emit(records_or_obj, fmt: str, out_path):
 # -- subcommands ----------------------------------------------------------
 
 
-# suites whose checks enumerate ASMs
+# suites whose checks compute ASM sums
 ASM_SUITES = ("asm", "detform", "spinchain", "all")
 
 
@@ -439,12 +454,10 @@ def cmd_ikdet(args) -> int:
 
 def cmd_asm(args) -> int:
     n = check_n(args.n, asm_cap())
-    if args.action == "count":
-        emit({"n": n, "count": asm.gen_poly(n).total()}, args.format, args.out)
-    else:
-        poly = asm.gen_poly(n)
-        emit({"n": n, "coeffs": list(poly.coeffs), "poly": str(poly)},
-             args.format, args.out)
+    poly = asm.gen_poly(n)
+    emit({"n": n, "count": poly.total()} if args.action == "count"
+         else {"n": n, "coeffs": list(poly.coeffs), "poly": str(poly)},
+         args.format, args.out)
     return 0
 
 
@@ -487,7 +500,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="comma-separated rationals for the row parameters")
     pik.set_defaults(fn=cmd_ikdet)
 
-    pa = sub.add_parser("asm", help="alternating sign matrix enumeration")
+    pa = sub.add_parser("asm", help="alternating sign matrix counts")
     pa.add_argument("action", choices=("count", "genpoly"))
     common(pa, w_flags=False)
     pa.set_defaults(fn=cmd_asm)

@@ -67,9 +67,6 @@ class OddSupportResidue(ArithmeticError):
     half-power division."""
 
 
-# a fixed internal scalar session for the rho table: any valid d works
-_ASSEMBLY_VW = VertexWeights(RAT(2))
-
 # R_1, R_2, R_3 on (U, 0, D) and the factors c_a of the module docstring
 _SPIN = (((0, 1, 0), (1, 0, 1), (0, 1, 0)),
          ((0, -1, 0), (1, 0, -1), (0, 1, 0)),
@@ -155,42 +152,25 @@ def twisted_translation_apply(v: StateVector) -> StateVector:
 # -- the homogeneous-limit singlet --------------------------------------
 
 
-def _rho_colmap():
+@cache
+def _rho_table():
     """Transition table of rho(x) = R12(1/q)/[q] in half-power form: the
-    bracket entries become 1, -1 and the flips carry y = x^(1/2)."""
-    vw = _ASSEMBLY_VW
-    m = r12(vw.sc(vw.q).inv(), vw)
-    table = {}
+    bracket entries become 1, -1 and the flips carry y = x^(1/2).  Any
+    valid scalar session gives the same table; q = 2 is used."""
+    vw = VertexWeights(RAT(2))
     y = HalfPowerPoly.y_power(1)
-    for a in range(2):
-        for s in range(3):
-            col = []
-            for ao in range(2):
-                for so in range(3):
-                    w = m.entry(ao, so, a, s)
-                    if w.is_zero():
-                        continue
-                    if w == vw.s:
-                        col.append((ao, so, y))
-                    else:
-                        col.append((ao, so,
-                                    HalfPowerPoly.const((w / vw.bq).to_rat())))
-            table[(a, s)] = col
-    return table
-
-
-_RHO_TABLE = None
+    return {key: [(lo, ro, y if w == vw.s
+                   else HalfPowerPoly.const((w / vw.bq).to_rat()))
+                  for lo, ro, w in col]
+            for key, col in r12(vw.sc(vw.q).inv(), vw).column_map().items()}
 
 
 def beta_apply(v: StateVector) -> StateVector:
     """One sweep of rho(x) across the chain with auxiliary boundary
     <up| ... |down>; lowers the magnetisation by one and multiplies every
     component by y times a polynomial in x (odd half-power support)."""
-    global _RHO_TABLE
-    if _RHO_TABLE is None:
-        _RHO_TABLE = _rho_colmap()
     # the auxiliary enters as down (1) and leaves as up (0)
-    return StateVector(v.n, sweep([_RHO_TABLE] * v.n, v, 1, 0))
+    return StateVector(v.n, sweep([_rho_table()] * v.n, v, 1, 0))
 
 
 def singlet(n: int) -> StateVector:

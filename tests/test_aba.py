@@ -355,6 +355,8 @@ def test_asymptotic_directions_share_the_sample_vectors(monkeypatch):
     samples = [w for w in calls if len(w) == 3 and w[1:] == p.w[1:]]
     assert len(samples) == 2 * (3 - 1) + 3
     assert all(calls[w] == 1 for w in samples)
+    # the reduced (N-1)-site vector at w = (w2, w3) is built once too
+    assert calls[p.w[1:]] == 1
 
 
 def test_scattering_relation():

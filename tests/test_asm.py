@@ -5,9 +5,13 @@ import pytest
 
 from helpers import draw_q, draw_distinct
 
+from bethelab import asm
 from bethelab.asm import (
+    A_CLASS,
+    B_CLASS,
     Asm,
     DwbcConfig,
+    GenPoly,
     InvalidConfig,
     SizeLimitExceeded,
     asm_to_dwbc,
@@ -32,6 +36,30 @@ def asm_total_product_formula(n: int) -> int:
         den *= math.factorial(n + j)
     assert num % den == 0
     return num // den
+
+
+def dwbc_partition_enumerated(zeta, w, vw):
+    """The domain-wall partition function summed ASM by ASM, each through
+    its vertex configuration: the oracle for the row transfer."""
+    zs = [vw.coerce(z) for z in zeta]
+    ws = [vw.coerce(x) for x in w]
+    n = len(zs)
+    qs = vw.sc(vw.q)
+    total = vw.zero
+    for a in generate_asms(n):
+        config = asm_to_dwbc(a)
+        term = vw.one
+        for i in range(n):
+            for j in range(n):
+                t = config.types[i][j]
+                if t in A_CLASS:
+                    term = term * vw.bracket(qs * zs[i] * ws[j].inv())
+                elif t in B_CLASS:
+                    term = term * vw.bracket(qs * ws[j] * zs[i].inv())
+                else:
+                    term = term * vw.bq2
+        total = total + term
+    return total
 
 
 def test_counts_small():
@@ -186,3 +214,41 @@ def test_partition_matches_ik_shape_n2():
     term_id = c2 * brk(q * w[1] / zeta[0]) * brk(q * w[0] / zeta[1])
     term_anti = c2 * brk(q * zeta[0] / w[0]) * brk(q * zeta[1] / w[1])
     assert got == vw.sc(term_id + term_anti)
+
+
+def test_gen_poly_is_the_minus_count_histogram():
+    for n in range(1, 7):
+        hist = [0] * n * n
+        for a in generate_asms(n):
+            hist[a.minus_count()] += 1
+        assert gen_poly(n) == GenPoly(n, hist)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_partition_transfer_matches_enumeration(n):
+    rng = random.Random(700 + n)
+    q = draw_q(rng)
+    vw = VertexWeights(q)
+    zeta = draw_distinct(rng, n)
+    w = draw_distinct(rng, n, avoid=zeta)
+    ones = [RAT(1)] * n
+    # a repeated zeta, where ik_determinant raises CoincidentParameters
+    # and ik_or_asm_sum falls back here, with one zeta equal to a w
+    coincident = ([zeta[0]] * n, [zeta[0]] + list(w[1:]))
+    for z, x in ((zeta, w), (ones, ones), coincident):
+        assert dwbc_partition_brute(z, x, vw) == \
+            dwbc_partition_enumerated(z, x, vw)
+
+
+def test_asm_sums_do_not_enumerate(monkeypatch):
+    def refuse(n):
+        raise AssertionError("ASM sums must not enumerate")
+
+    monkeypatch.setattr(asm, "generate_asms", refuse)
+    assert gen_poly(5).coeffs == (120, 200, 94, 14, 1)
+    vw = VertexWeights(RAT(3, 2))
+    ones = [RAT(1)] * 4
+    x = RAT(3, 2) + RAT(2, 3)
+    want = brk(RAT(3, 2)) ** 12 * brk(RAT(9, 4)) ** 4 * \
+        (24 + 16 * x ** 2 + 2 * x ** 4)
+    assert dwbc_partition_brute(ones, ones, vw) == vw.sc(want)

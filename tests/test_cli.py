@@ -208,3 +208,45 @@ def test_size_beyond_asm_cap_fails_before_work(monkeypatch, capsys):
     code, _ = run_cli(["verify", "--suite", "spinchain",
                        "--n", str(asm.MAX_SIZE + 1)], capsys)
     assert code == 2
+
+
+def test_verify_all_walks_the_asms_once(monkeypatch, capsys):
+    # the two bijection checks share one pass; no ASM sum enumerates
+    from bethelab import asm
+
+    calls = []
+    generate = asm.generate_asms
+
+    def counting(n):
+        calls.append(n)
+        return generate(n)
+
+    monkeypatch.setattr(asm, "generate_asms", counting)
+    code, _ = run_cli(["verify", "--suite", "all", "--n", "4"], capsys)
+    assert code == 0
+    assert calls == [4]
+
+
+def test_suites_leave_their_work_to_the_timed_checks(monkeypatch):
+    # building the check list computes nothing that a check's elapsed_ms
+    # would leave out; only the seeded draws happen up front
+    from bethelab import aba, asm, cli, spinchain
+
+    def refuse(*args):
+        raise RuntimeError("built before any check was timed")
+
+    for mod, name in ((aba, "bethe_vector"), (asm, "gen_poly"),
+                      (asm, "generate_asms"), (spinchain, "singlet"),
+                      (spinchain, "singlet_norm"),
+                      (spinchain, "singlet_normalisation_audit"),
+                      (spinchain, "transfer1_zero_kernel_dimension")):
+        monkeypatch.setattr(mod, name, refuse)
+    for n in ("1", "3"):
+        params, rng = cli.resolve_params(cli.build_parser().parse_args(
+            ["verify", "--suite", "all", "--n", n]))
+        for suite, build in cli.SUITES.items():
+            assert build(params, rng), suite
+    # the work fails inside the checks, each recording its own failure
+    records = cli.run_suite("asm", params, rng)
+    assert len(records) == 4
+    assert all("built before" in rec["error"] for rec in records)

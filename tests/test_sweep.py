@@ -24,7 +24,7 @@ from bethelab.aba import (
 )
 from bethelab.field import RAT, HalfPowerPoly, Scalar
 from bethelab.rmatrix import r12, r22
-from bethelab.spinchain import _rho_colmap, beta_apply
+from bethelab.spinchain import _rho_table, beta_apply
 
 AUX = {"A": (0, 0), "B": (1, 0), "C": (0, 1), "D": (1, 1)}  # (a_in, a_out)
 MAGNETISATION_SHIFT = {"A": 0, "B": -1, "C": 1, "D": 0}
@@ -68,7 +68,7 @@ def oracle_transfer2(z, params, v):
 
 
 def oracle_beta(v):
-    return StateVector(v.n, per_key_sweep([_rho_colmap()] * v.n, v, 1, 0))
+    return StateVector(v.n, per_key_sweep([_rho_table()] * v.n, v, 1, 0))
 
 
 def shifts_magnetisation(v, image, shift):
@@ -188,7 +188,7 @@ def test_transfer2_matches_per_key_oracle(n, twist):
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_beta_matches_per_key_oracle(n):
     rng = random.Random(300 + n)
-    rho = _rho_colmap()
+    rho = _rho_table()
     one = HalfPowerPoly.const(1)
     vecs = [StateVector(n, {(0,) * n: one})]
     for count in (3, 7):
