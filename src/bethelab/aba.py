@@ -15,6 +15,15 @@ auxiliary index, merging equal (auxiliary, state) entries after each site
 singlet's beta operator in `spinchain` differ only in their tables and
 auxiliary boundary indices.
 
+The monodromy entries and T2 run the sweep fraction-free.  With d =
+[q][q^2] = u/v in lowest terms, t = v s squares to the integer u v, and
+each transition table is stored once per spectral argument as integer
+weights a + b t + c i + e t i (field.IntScalar) over one integer
+denominator D.  `monodromy_apply` and `transfer2_apply` write the input
+vector over one common denominator, sweep on integers (T2 sums its three
+Omega-signed traces there too), and convert back to Scalars once on
+return, dividing by the input's denominator times the product of the D.
+
 With twist angle pi the transfer matrices are
 
     T1(z) = i (A(z) - D(z)),
@@ -40,7 +49,9 @@ from bethelab.field import (
     ZeroInverse,
     as_rat,
     brk,
+    from_integer,
     laurent_interpolate_many,
+    to_integers,
 )
 from bethelab.rmatrix import DOWN, UP, ZERO, VertexWeights, r12, r22
 
@@ -77,14 +88,6 @@ def state_from_str(s: str):
 def magnetisation(key) -> int:
     """#up - #down for a spin string with codes U=0, 0=1, D=2."""
     return len(key) - sum(key)
-
-
-def state_index(key) -> int:
-    """Base-3 index, site 1 most significant."""
-    idx = 0
-    for c in key:
-        idx = 3 * idx + c
-    return idx
 
 
 class StateVector:
@@ -147,7 +150,7 @@ class ModelParams:
     """Chain size, anisotropy q, inhomogeneities w and the twist.
 
     Carries the scalar session (d = [q][q^2]) and caches of R-matrix
-    transition tables keyed by their spectral argument.
+    transition tables over Z[t, i] keyed by their spectral argument.
     """
 
     def __init__(self, n: int, q, w, twist: str = "pi"):
@@ -189,21 +192,32 @@ class ModelParams:
     def _key(self, u: Scalar):
         return (u.a, u.b, u.c, u.e)
 
-    def r12_table(self, u: Scalar) -> dict:
+    def r12_table(self, u: Scalar):
+        """(table, D): the transition table of r12(u) with IntScalar
+        weights over the one denominator D."""
         k = self._key(u)
         t = self._r12_tables.get(k)
         if t is None:
-            t = r12(u, self.vw).column_map()
-            self._r12_tables[k] = t
+            t = self._r12_tables[k] = _integer_table(r12(u, self.vw), self.d)
         return t
 
-    def r22_table(self, u: Scalar) -> dict:
+    def r22_table(self, u: Scalar):
+        """(table, D) for r22(u), as r12_table."""
         k = self._key(u)
         t = self._r22_tables.get(k)
         if t is None:
-            t = r22(u, self.vw).column_map()
-            self._r22_tables[k] = t
+            t = self._r22_tables[k] = _integer_table(r22(u, self.vw), self.d)
         return t
+
+
+def _integer_table(rmat, d):
+    """Column transition table of an RMat with every weight written over
+    Z[t, i], and their common denominator."""
+    cols = rmat.column_map()
+    nums, den = to_integers([w for col in cols.values() for *_, w in col], d)
+    it = iter(nums)
+    return {key: [(ao, so, next(it)) for ao, so, _ in col]
+            for key, col in cols.items()}, den
 
 
 def vacuum(params: ModelParams) -> StateVector:
@@ -255,6 +269,28 @@ def sweep(tables, v: StateVector, a_in: int, a_out: int) -> dict:
     return {key: val for (a, key), val in cur.items() if a == a_out}
 
 
+def _signed_sweeps(tables, v: StateVector, params: ModelParams,
+                   bounds) -> StateVector:
+    """sum of sign * sweep(v, a_in, a_out) over the (a_in, a_out, sign) in
+    bounds, run over Z[t, i]: v is written once over one denominator, the
+    tables are (table, D) pairs, the signed sum is taken on integers, and
+    the result is divided once by v's denominator times every D."""
+    nums, den = to_integers(v.entries.values(), params.d)
+    ints = StateVector(v.n, dict(zip(v.entries, nums)))
+    for _, d_j in tables:
+        den *= d_j
+    rows = [table for table, _ in tables]
+    out = {}
+    for a_in, a_out, sign in bounds:
+        for key, x in sweep(rows, ints, a_in, a_out).items():
+            if sign < 0:
+                x = -x
+            acc = out.get(key)
+            out[key] = x if acc is None else acc + x
+    return StateVector(v.n, {key: from_integer(x, den, params.d)
+                             for key, x in out.items() if x})
+
+
 def monodromy_apply(which: str, z, params: ModelParams,
                     v: StateVector) -> StateVector:
     """Apply a monodromy entry A, B, C or D at spectral parameter z.
@@ -272,7 +308,7 @@ def monodromy_apply(which: str, z, params: ModelParams,
     inv_q = params.sc(1 / params.q)
     tables = [params.r12_table(z * inv_q * params.sc(w).inv())
               for w in params.w]
-    return StateVector(v.n, sweep(tables, v, *_AUX[which]))
+    return _signed_sweeps(tables, v, params, [(*_AUX[which], 1)])
 
 
 def bethe_vector(params: ModelParams) -> StateVector:
@@ -309,11 +345,8 @@ def transfer2_apply(z, params: ModelParams, v: StateVector) -> StateVector:
         raise ZeroInverse("spectral parameter must be nonzero")
     tables = [params.r22_table(z * params.sc(w).inv()) for w in params.w]
     omega = OMEGA if params.twist == "pi" else (1, 1, 1)
-    out = StateVector(v.n)
-    for a0, sign in enumerate(omega):
-        trace = StateVector(v.n, sweep(tables, v, a0, a0))
-        out = out + trace if sign == 1 else out - trace
-    return out
+    return _signed_sweeps(tables, v, params,
+                          [(a0, a0, sign) for a0, sign in enumerate(omega)])
 
 
 def theta2(z, params: ModelParams) -> Scalar:
@@ -618,10 +651,3 @@ def scattering_check(j: int, params: ModelParams) -> bool:
         cur = apply_two_site(table, cur, k - 1, k)
     rhs = cur.scale(params.vw.bq * params.vw.bq2)
     return lhs == rhs and lhs == eig
-
-
-def spin_reversal_apply(v: StateVector) -> StateVector:
-    """Flip U <-> D on every site."""
-    flip = {UP: DOWN, ZERO: ZERO, DOWN: UP}
-    out = {tuple(flip[c] for c in key): amp for key, amp in v.entries.items()}
-    return StateVector(v.n, out)

@@ -279,11 +279,9 @@ def checks_asm(params, rng):
         roundtrip holds, and whether each vertex-count audit passes."""
         roundtrip = audit = True
         for a in asm.generate_asms(n):
-            roundtrip = roundtrip and asm.dwbc_to_asm(asm.asm_to_dwbc(a)) == a
-            try:
-                audit = audit and bool(asm.vertex_count_audit(a))
-            except AssertionError:
-                audit = False
+            config = asm.asm_to_dwbc(a)
+            roundtrip = roundtrip and asm.dwbc_to_asm(config) == a
+            audit = audit and asm.vertex_count_audit(a, config)
         return roundtrip, audit
 
     return [

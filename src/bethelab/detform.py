@@ -239,34 +239,3 @@ def simple_component_direct(params: ModelParams) -> Scalar:
         key = (UP,) * (n // 2) + (1,) + (DOWN,) * (n // 2)
     val = renormalised_vector(params).entries.get(key)
     return val if val is not None else Scalar(0, d=params.d)
-
-
-def component_from_b_reduction(params: ModelParams) -> Scalar:
-    """System-size reduction of the even simple component: the length-n
-    matrix element
-
-        <all-down| prod_{j=1..2n} B(w_j | w_{n+1}..w_{2n}) |all-up>
-
-    times prod_{j,k<=n} [w_j/(q w_k)] / ( ([q][q^2])^n prod_{j<k} [q w_j/w_k] ).
-    """
-    if params.n % 2 != 0:
-        raise ValueError("size reduction applies to N = 2n")
-    n = params.n // 2
-    vw = params.vw
-    w = params.w
-    small = ModelParams(n, params.q, w[n:], params.twist)
-    v = vacuum(small)
-    for z in w:
-        v = monodromy_apply("B", small.sc(z), small, v)
-    amp = v.entries.get((DOWN,) * n)
-    if amp is None:
-        amp = Scalar(0, d=params.d)
-    num = vw.one
-    for j in range(2 * n):
-        for k in range(n):
-            num = num * vw.sc(brk(w[j] / (params.q * w[k])))
-    den = vw.sc((brk(params.q) * brk(params.q * params.q)) ** n)
-    for j in range(2 * n):
-        for k in range(j + 1, 2 * n):
-            den = den * vw.sc(brk(params.q * w[j] / w[k]))
-    return num / den * amp

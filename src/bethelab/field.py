@@ -14,6 +14,11 @@ with rational a, b, c, e.  For d that is not a rational square (and -d not
 one either) this is a field, so every nonzero element is invertible and all
 divisions are exact.
 
+For the hot contraction loops the same ring is written fraction-free:
+with d = u/v in lowest terms, t = v*s satisfies t**2 = u*v, an integer,
+and an element is an IntScalar a + b*t + c*i + e*t*i with integer
+coefficients over one shared integer denominator.
+
 The module also provides the half-power polynomial ring Q[y] with the
 reading y = x^(1/2) (used for the homogeneous-limit states, whose entries
 are x^(k/2) times integer polynomials), centred Laurent polynomials with
@@ -23,6 +28,8 @@ algebra system.
 """
 
 from __future__ import annotations
+
+from math import lcm
 
 try:
     from gmpy2 import mpq as RAT
@@ -215,9 +222,6 @@ class Scalar:
 
     __rmul__ = __mul__
 
-    def conj_s(self) -> "Scalar":
-        return Scalar(self.a, -self.b, self.c, -self.e, d=self.d)
-
     def conj_i(self) -> "Scalar":
         return Scalar(self.a, self.b, -self.c, -self.e, d=self.d)
 
@@ -226,7 +230,8 @@ class Scalar:
             raise DivisionByZero("inverse of zero scalar")
         if self.is_rational():
             return Scalar(1 / self.a, d=self.d)
-        # 1/x = conj_i(x) * conj_s(n) / (n * conj_s(n)), n = x * conj_i(x) in Q(s)
+        # 1/x = conj_i(x) * (u - v s) / (u^2 - v^2 d), where
+        # n = x * conj_i(x) = u + v s lies in Q(s)
         ci = self.conj_i()
         n = self * ci
         u, v = n.a, n.b
@@ -305,6 +310,81 @@ class Scalar:
     def from_json_dict(obj: dict) -> "Scalar":
         return Scalar(RAT(obj["a"]), RAT(obj["b"]), RAT(obj["c"]),
                       RAT(obj["e"]), d=RAT(obj["d"]))
+
+
+class IntScalar:
+    """Numerator a + b*t + c*i + e*t*i over Z[t, i] with t**2 = m.
+
+    Write the session constant in lowest terms, d = u/v with v > 0; then
+    t = v*s and m = u*v, so every Scalar of that session is an IntScalar
+    over a positive integer denominator (`to_integers`, `from_integer`).
+    Products and sums stay in Python ints: no rational is built and no
+    session is checked, so every operand must carry the same m.  Only
+    what the sweeps in `aba` need is defined: *, +, negation and truth.
+    """
+
+    __slots__ = ("a", "b", "c", "e", "m")
+
+    def __init__(self, a, b, c, e, m):
+        self.a = a
+        self.b = b
+        self.c = c
+        self.e = e
+        self.m = m
+
+    def __bool__(self) -> bool:
+        return bool(self.a or self.b or self.c or self.e)
+
+    def __add__(self, o):
+        return IntScalar(self.a + o.a, self.b + o.b, self.c + o.c,
+                         self.e + o.e, self.m)
+
+    def __neg__(self):
+        return IntScalar(-self.a, -self.b, -self.c, -self.e, self.m)
+
+    def __mul__(self, o):
+        a, b, c, e, m = self.a, self.b, self.c, self.e, self.m
+        A, B, C, E = o.a, o.b, o.c, o.e
+        # fast paths: transition weights are mostly rational or pure t
+        if not (C or E):
+            if not B:
+                return IntScalar(a * A, b * A, c * A, e * A, m)
+            if not A:
+                return IntScalar(b * B * m, a * B, e * B * m, c * B, m)
+        return IntScalar(
+            a * A + (b * B - e * E) * m - c * C,
+            a * B + b * A - c * E - e * C,
+            a * C + c * A + (b * E + e * B) * m,
+            a * E + e * A + b * C + c * B,
+            m,
+        )
+
+
+def to_integers(values, d):
+    """Write Scalars of session d over their least common denominator.
+
+    Returns ([IntScalar, ...], D) with D a positive int, such that
+    from_integer(x, D, d) gives back each value in order.
+    """
+    v = d.denominator
+    m = d.numerator * v
+    parts = []
+    for x in values:
+        if x.d is not d and x.d != d:
+            raise SessionMismatch(
+                f"session constants differ: {x.d} vs {d}")
+        # most weights are rational, so skip dividing zero s-parts
+        parts.append((x.a, x.b and x.b / v, x.c, x.e and x.e / v))
+    den = lcm(*[r.denominator for p in parts for r in p])
+    return [IntScalar(*[r.numerator * (den // r.denominator) for r in p], m)
+            for p in parts], den
+
+
+def from_integer(x: IntScalar, den: int, d) -> Scalar:
+    """The Scalar x / den of session d, with t = v*s for d = u/v."""
+    v = d.denominator
+    return Scalar(RAT(x.a, den), RAT(x.b * v, den), RAT(x.c, den),
+                  RAT(x.e * v, den), d=d)
 
 
 def brk(r) -> RAT:

@@ -310,22 +310,3 @@ def transfer1_zero_kernel_dimension(n: int, q, z=None) -> int:
     matrix = [[cols[j][i] for j in range(len(basis))]
               for i in range(len(basis))]
     return kernel_dimension(matrix)
-
-
-def hamiltonian_dense(n: int, q):
-    """H as an exact dense matrix on all 3^n states (small n only)."""
-    from itertools import product
-
-    q = as_rat(q)
-    d = VertexWeights(q).d
-    basis = list(product((0, 1, 2), repeat=n))
-    index = {key: i for i, key in enumerate(basis)}
-    dim = len(basis)
-    zero = Scalar(0, d=d)
-    mat = [[zero] * dim for _ in range(dim)]
-    one = Scalar(1, d=d)
-    for j, key in enumerate(basis):
-        image = hamiltonian_apply(StateVector(n, {key: one}), q)
-        for k, val in image.entries.items():
-            mat[index[k]][j] = val
-    return mat

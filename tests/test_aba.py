@@ -24,9 +24,7 @@ from bethelab.aba import (
     renormalised_vector,
     s_prime_apply,
     scattering_check,
-    spin_reversal_apply,
     state_from_str,
-    state_index,
     state_str,
     theta2,
     transfer1_apply,
@@ -57,6 +55,21 @@ def random_vector(rng, params, n_terms=4):
 # ---------------------------------------------------------------------
 # basics
 # ---------------------------------------------------------------------
+
+def state_index(key) -> int:
+    """Base-3 index, site 1 most significant."""
+    idx = 0
+    for c in key:
+        idx = 3 * idx + c
+    return idx
+
+
+def spin_reversal_apply(v: StateVector) -> StateVector:
+    """Flip U <-> D on every site."""
+    flip = {UP: DOWN, ZERO: ZERO, DOWN: UP}
+    out = {tuple(flip[c] for c in key): amp for key, amp in v.entries.items()}
+    return StateVector(v.n, out)
+
 
 def test_state_helpers():
     key = state_from_str("U0D")

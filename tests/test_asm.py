@@ -137,25 +137,46 @@ def test_identity_maps_to_diagonal_c_vertices():
     assert sum(t == 5 for row in config.types for t in row) == 3
 
 
+def vertex_counts(config):
+    """(fives, sixes, others) of a six-vertex configuration."""
+    flat = [t for row in config.types for t in row]
+    fives, sixes = flat.count(5), flat.count(6)
+    return fives, sixes, len(flat) - fives - sixes
+
+
 def test_displayed_four_by_four_example():
     # the 4x4 matrix with a single -1 paired with its vertex configuration
     a = Asm([[0, 1, 0, 0], [1, -1, 0, 1], [0, 1, 0, 0], [0, 0, 1, 0]])
-    k, fives, others = vertex_count_audit(a)
-    assert (k, fives, others) == (1, 5, 10)
+    config = asm_to_dwbc(a)
+    assert a.minus_count() == 1
+    assert vertex_counts(config) == (5, 1, 10)
+    assert vertex_count_audit(a, config) is True
 
 
 def test_vertex_count_identities():
     for n in (1, 2, 3, 4):
         for a in generate_asms(n):
-            k, fives, others = vertex_count_audit(a)
-            assert fives == n + k
-            assert others == n * n - n - 2 * k
+            config = asm_to_dwbc(a)
+            k = a.minus_count()
+            assert vertex_count_audit(a, config) is True
+            assert vertex_counts(config) == (n + k, k, n * n - n - 2 * k)
 
 
 def test_permutation_matrix_counts():
     perm = Asm([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
-    k, fives, others = vertex_count_audit(perm)
-    assert (k, fives, others) == (0, 3, 6)
+    config = asm_to_dwbc(perm)
+    assert vertex_counts(config) == (3, 0, 6)
+    assert vertex_count_audit(perm, config) is True
+
+
+def test_vertex_count_audit_rejects_a_corrupted_config():
+    # each 3x3 ASM against the configuration of another with a different
+    # number of -1 entries: a verdict of False, never an exception
+    asms = list(generate_asms(3))
+    ident = next(a for a in asms if a.minus_count() == 0)
+    minus = next(a for a in asms if a.minus_count() == 1)
+    assert vertex_count_audit(ident, asm_to_dwbc(minus)) is False
+    assert vertex_count_audit(minus, asm_to_dwbc(ident)) is False
 
 
 def test_invalid_config_rejected():

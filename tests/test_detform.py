@@ -4,12 +4,17 @@ import pytest
 
 from helpers import draw_q, draw_w, draw_distinct
 
-from bethelab.aba import ModelParams, PoleEncountered, transfer1_apply
+from bethelab.aba import (
+    ModelParams,
+    PoleEncountered,
+    monodromy_apply,
+    transfer1_apply,
+    vacuum,
+)
 from bethelab.asm import dwbc_partition_brute
 from bethelab.detform import (
     CoincidentParameters,
     brute_scalar_product,
-    component_from_b_reduction,
     f_fn,
     g_fn,
     ik_determinant,
@@ -22,8 +27,8 @@ from bethelab.detform import (
     simple_component_odd,
     slavnov,
 )
-from bethelab.field import RAT, brk
-from bethelab.rmatrix import VertexWeights
+from bethelab.field import RAT, Scalar, brk
+from bethelab.rmatrix import DOWN, VertexWeights
 
 
 def draw_params(rng, n, twist="pi"):
@@ -210,6 +215,35 @@ def test_simple_component_homogeneous_values():
                       * gen_poly(n // 2).eval_at(x * x))
         assert got == expect
         assert got == simple_component_direct(p)
+
+
+def component_from_b_reduction(params):
+    """System-size reduction of the even simple component: the length-n
+    matrix element
+
+        <all-down| prod_{j=1..2n} B(w_j | w_{n+1}..w_{2n}) |all-up>
+
+    times prod_{j,k<=n} [w_j/(q w_k)] / ( ([q][q^2])^n prod_{j<k} [q w_j/w_k] ).
+    """
+    n = params.n // 2
+    vw = params.vw
+    w = params.w
+    small = ModelParams(n, params.q, w[n:], params.twist)
+    v = vacuum(small)
+    for z in w:
+        v = monodromy_apply("B", small.sc(z), small, v)
+    amp = v.entries.get((DOWN,) * n)
+    if amp is None:
+        amp = Scalar(0, d=params.d)
+    num = vw.one
+    for j in range(2 * n):
+        for k in range(n):
+            num = num * vw.sc(brk(w[j] / (params.q * w[k])))
+    den = vw.sc((brk(params.q) * brk(params.q * params.q)) ** n)
+    for j in range(2 * n):
+        for k in range(j + 1, 2 * n):
+            den = den * vw.sc(brk(params.q * w[j] / w[k]))
+    return num / den * amp
 
 
 def test_component_from_b_reduction():

@@ -1,12 +1,16 @@
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from bethelab.field import (
     RAT,
     DivisionByZero,
     HalfPowerPoly,
     InconsistentSamples,
+    IntScalar,
     LaurentPoly,
     Scalar,
     SessionMismatch,
@@ -14,10 +18,12 @@ from bethelab.field import (
     ZeroInverse,
     bracket,
     brk,
+    from_integer,
     is_rational_square,
     laurent_interpolate,
     rat_str,
     solve_exact,
+    to_integers,
     validate_session_constant,
 )
 
@@ -135,6 +141,62 @@ def test_json_roundtrip():
     assert obj["a"] == "1/2" and obj["d"] == "45/8"
     assert Scalar.from_json_dict(obj) == x
     assert rat_str(RAT(-3, 4)) == "-3/4"
+
+
+# ---------------------------------------------------------------------
+# integer numerators over Z[t, i], t = v s
+# ---------------------------------------------------------------------
+
+PROPERTY = settings(deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def sessions(draw):
+    """Valid session constants d of either sign, denominators up to 10^3."""
+    d = RAT(draw(st.integers(-10 ** 4, 10 ** 4).filter(bool)),
+            draw(st.integers(1, 10 ** 3)))
+    assume(not is_rational_square(d) and not is_rational_square(-d))
+    return d
+
+
+# each part is often zero, so rational, pure-s and mixed elements all occur
+PARTS = st.tuples(*[st.one_of(st.just(Fraction(0)),
+                              st.fractions(max_denominator=10 ** 4))] * 4)
+
+
+@PROPERTY
+@given(sessions(), st.lists(PARTS, max_size=6))
+def test_integer_numerators_round_trip(d, parts):
+    xs = [Scalar(*p, d=d) for p in parts]
+    nums, den = to_integers(xs, d)
+    assert isinstance(den, int) and den > 0 and len(nums) == len(xs)
+    assert all(isinstance(x, IntScalar) for x in nums)
+    assert [from_integer(x, den, d) for x in nums] == xs
+    assert [bool(x) for x in nums] == [bool(x) for x in xs]
+
+
+@PROPERTY
+@given(sessions(), PARTS, PARTS)
+def test_integer_products_and_sums_match_scalar(d, p, r):
+    x, y = Scalar(*p, d=d), Scalar(*r, d=d)
+    (nx,), dx = to_integers([x], d)
+    (ny,), dy = to_integers([y], d)
+    assert from_integer(nx * ny, dx * dy, d) == x * y
+    assert from_integer(-nx, dx, d) == -x
+    (nx, ny), den = to_integers([x, y], d)
+    assert from_integer(nx + ny, den, d) == x + y
+
+
+def test_integer_unit_t_squares_to_uv():
+    (t,), den = to_integers([sc(0, 1)], D)  # s = t / 8 with d = 45/8
+    assert (t.b, den) == (1, 8)
+    sq = t * t
+    assert (sq.a, sq.b, sq.c, sq.e) == (45 * 8, 0, 0, 0)
+
+
+def test_integer_numerators_check_the_session():
+    with pytest.raises(SessionMismatch):
+        to_integers([sc(1), sc(2, d=RAT(7))], D)
 
 
 def test_session_constant_validation():

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 from helpers import draw_q
@@ -17,7 +18,6 @@ from bethelab.spinchain import (
     distinguished_component_key,
     hamiltonian_apply,
     hamiltonian_apply_poly,
-    hamiltonian_dense,
     homogeneous_consistency_check,
     log_derivative_hamiltonian_apply,
     singlet,
@@ -178,6 +178,21 @@ def test_boundary_bond_is_omega_conjugate():
         for lo, ro, w in col:
             got[3 * lo + ro][3 * li + ri] = w
     assert got == want
+
+
+def hamiltonian_dense(n: int, q):
+    """H as an exact dense matrix on all 3^n states (small n only)."""
+    d = VertexWeights(q).d
+    basis = list(itertools.product((0, 1, 2), repeat=n))
+    index = {key: i for i, key in enumerate(basis)}
+    zero = Scalar(0, d=d)
+    mat = [[zero] * len(basis) for _ in basis]
+    one = Scalar(1, d=d)
+    for j, key in enumerate(basis):
+        image = hamiltonian_apply(StateVector(n, {key: one}), q)
+        for k, val in image.entries.items():
+            mat[index[k]][j] = val
+    return mat
 
 
 def test_hamiltonian_symmetric_small():

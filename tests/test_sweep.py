@@ -2,10 +2,14 @@
 
 The oracle is the per-key contraction the sweep replaced: each basis
 state is carried through the chain on its own, with its own auxiliary
-index, and only the finished states are summed.  The sweep instead
-advances every state one site at a time and merges equal partial states
-after each site, so vectors are chosen whose partial states merge and
-cancel.
+index, and only the finished states are summed, all on Scalars with
+Scalar transition tables.  The sweep instead advances every state one
+site at a time and merges equal partial states after each site, so
+vectors are chosen whose partial states merge and cancel.
+`monodromy_apply` and `transfer2_apply` run the sweep on integer
+numerators over Z[t, i] (field.IntScalar); the same sweep is also run
+here on the Scalar tables themselves, and `beta_apply` runs it on
+HalfPowerPoly entries.
 """
 
 import random
@@ -20,9 +24,10 @@ from bethelab.aba import (
     bethe_vector,
     magnetisation,
     monodromy_apply,
+    sweep,
     transfer2_apply,
 )
-from bethelab.field import RAT, HalfPowerPoly, Scalar
+from bethelab.field import RAT, HalfPowerPoly, Scalar, SessionMismatch
 from bethelab.rmatrix import r12, r22
 from bethelab.spinchain import _rho_table, beta_apply
 
@@ -136,11 +141,12 @@ def model(rng, n, twist="pi"):
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_monodromy_matches_per_key_oracle(n):
     rng = random.Random(100 + n)
-    for _ in range(3):
-        p = model(rng, n)
+    for twist in ("pi", "0", "pi"):
+        p = model(rng, n, twist)
         z = p.sc(RAT(rng.randint(1, 97), rng.randint(1, 97)))
         vecs = [random_vector(rng, p, count) for count in (2, 5, 9)]
-        vecs.append(bethe_vector(p))
+        if twist == "pi":
+            vecs.append(bethe_vector(p))
         for which, (a_in, _) in AUX.items():
             tables = [r12(z / p.sc(p.q * w), p.vw).column_map() for w in p.w]
             cancel = ([cancelling_vector(rng, tables, n, a_in, p.vw.one)]
@@ -149,6 +155,34 @@ def test_monodromy_matches_per_key_oracle(n):
                 got = monodromy_apply(which, z, p, v)
                 assert got == oracle_monodromy(which, z, p, v)
                 assert shifts_magnetisation(v, got, MAGNETISATION_SHIFT[which])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_scalar_sweep_matches_per_key_oracle(n):
+    """The one kernel on Scalar entries and Scalar tables, for every
+    auxiliary boundary pair of both rows."""
+    rng = random.Random(400 + n)
+    p = model(rng, n)
+    z = p.sc(RAT(rng.randint(1, 97), rng.randint(1, 97)))
+    rows = {2: [r12(z / p.sc(p.q * w), p.vw).column_map() for w in p.w],
+            3: [r22(z / p.sc(w), p.vw).column_map() for w in p.w]}
+    vecs = [random_vector(rng, p, count) for count in (3, 8)]
+    for dim, tables in rows.items():
+        for a_in in range(dim):
+            for a_out in range(dim):
+                for v in vecs:
+                    assert sweep(tables, v, a_in, a_out) == \
+                        per_key_sweep(tables, v, a_in, a_out)
+
+
+def test_vector_from_another_session_is_rejected():
+    p = ModelParams(2, RAT(2), [RAT(1), RAT(3)])
+    other = ModelParams(2, RAT(3), [RAT(1), RAT(3)])
+    v = StateVector(2, {(0, 0): other.vw.one})
+    with pytest.raises(SessionMismatch):
+        monodromy_apply("B", p.sc(RAT(5, 3)), p, v)
+    with pytest.raises(SessionMismatch):
+        transfer2_apply(p.sc(RAT(5, 3)), p, v)
 
 
 def test_cancelling_vector_really_cancels():
