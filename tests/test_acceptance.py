@@ -180,15 +180,17 @@ def test_criterion_07_simple_components():
 
 def test_criterion_08_asm_combinatorics():
     assert str(asm.gen_poly(3)) == "6+t"
-    for n in range(1, 7):
+    for n in range(1, 9):
         poly = asm.gen_poly(n)
         assert poly.total() == asm.count_asms_by_columns(n)
         assert poly.degree() <= ((n - 1) ** 2) // 4
+        assert asm.bijection_by_rows(n) == (True, True)
     for n in range(1, 6):
         for a in asm.generate_asms(n):
             assert asm.vertex_count_audit(a, asm.asm_to_dwbc(a))
-    report(8, "A_3(t) = 6+t, generator-vs-generator counts for n <= 6, "
-              "degree bounds and vertex-count identities")
+    report(8, "A_3(t) = 6+t, generator-vs-generator counts and degree bounds "
+              "for n <= 8, the bijection and vertex-count identities on "
+              "every row transition for n <= 8 and on every ASM for n <= 5")
 
 
 def test_criterion_09_homogeneous_singlet():
@@ -205,7 +207,7 @@ def test_criterion_09_homogeneous_singlet():
         aba.state_from_str("0UD"): -one,
         aba.state_from_str("000"): x,
     }
-    for n in range(1, 7):
+    for n in range(1, 9):
         phi = spinchain.singlet(n)  # integer coefficients asserted inside
         norm = spinchain.singlet_norm(phi)
         want = asm.gen_poly(n)
@@ -221,8 +223,9 @@ def test_criterion_09_homogeneous_singlet():
             assert comp.x_coeffs()[0] == math.factorial(m)
     elapsed = time.perf_counter() - t0
     assert elapsed < 120.0, f"runtime {elapsed:.1f}s exceeds 2min"
-    report(9, f"singlet components, integrality, norm sum rule and "
-              f"distinguished components for n <= 6 ({elapsed:.2f}s)")
+    report(9, f"singlet components, integrality, norm sum rule, "
+              f"normalisation audit and distinguished components for "
+              f"n <= 8 ({elapsed:.2f}s)")
 
 
 def test_criterion_10_spin_chain_closure():

@@ -1,5 +1,7 @@
+import inspect
 import math
 import random
+import textwrap
 
 import pytest
 
@@ -13,8 +15,8 @@ from bethelab.asm import (
     DwbcConfig,
     GenPoly,
     InvalidConfig,
-    SizeLimitExceeded,
     asm_to_dwbc,
+    bijection_by_rows,
     count_asms_by_columns,
     dwbc_partition_brute,
     dwbc_to_asm,
@@ -108,10 +110,10 @@ def test_unique_generation():
 
 
 def test_size_guard():
-    with pytest.raises(SizeLimitExceeded):
-        list(generate_asms(8))
-    with pytest.raises(SizeLimitExceeded):
-        gen_poly(0)
+    for fn in (lambda n: list(generate_asms(n)), gen_poly,
+               count_asms_by_columns, bijection_by_rows):
+        with pytest.raises(ValueError):
+            fn(0)
 
 
 def test_asm_validation():
@@ -273,3 +275,72 @@ def test_asm_sums_do_not_enumerate(monkeypatch):
     want = brk(RAT(3, 2)) ** 12 * brk(RAT(9, 4)) ** 4 * \
         (24 + 16 * x ** 2 + 2 * x ** 4)
     assert dwbc_partition_brute(ones, ones, vw) == vw.sc(want)
+
+
+def whole_asm_verdicts(n):
+    """The two bijection checks ASM by ASM: the reference for
+    bijection_by_rows."""
+    roundtrip = audit = True
+    for a in generate_asms(n):
+        config = asm_to_dwbc(a)
+        roundtrip = roundtrip and dwbc_to_asm(config) == a
+        audit = audit and vertex_count_audit(a, config)
+    return roundtrip, audit
+
+
+def test_bijection_by_rows_matches_the_whole_asm_checks():
+    for n in range(1, 7):
+        assert bijection_by_rows(n) == whole_asm_verdicts(n) == (True, True)
+
+
+def test_row_transitions_are_the_rows_of_the_asms():
+    for n in range(1, 9):
+        edges = [(a, b) for _i, a, b in asm._transitions(n)]
+        assert len(edges) == len(set(edges)) == (3 ** n - 1) // 2
+        if n <= 5:
+            rows = set()
+            for m in generate_asms(n):
+                col_sum, state = [0] * n, ()
+                for row in m.entries:
+                    col_sum = [s + x for s, x in zip(col_sum, row)]
+                    nxt = tuple(j for j, s in enumerate(col_sum) if s)
+                    rows.add((state, nxt))
+                    state = nxt
+            assert rows == set(edges)
+
+
+ROW_TYPES = asm._row_types
+
+
+def last_cell_5_6_swapped(a, b, n):
+    *rest, last = ROW_TYPES(a, b, n)
+    return (*rest, {5: 6, 6: 5}.get(last, last))
+
+
+def mutant_row_types(old, new):
+    """asm._row_types with one piece of its source replaced."""
+    source = textwrap.dedent(inspect.getsource(ROW_TYPES))
+    assert old in source
+    namespace = dict(vars(asm))
+    exec(source.replace(old, new), namespace)
+    return namespace["_row_types"]
+
+
+def verdicts_or_failure(check, n):
+    """check(n), or (False, False) when it raises: verify records a check
+    that raises as failed."""
+    try:
+        return check(n)
+    except (InvalidConfig, KeyError):
+        return False, False
+
+
+@pytest.mark.parametrize("mutant", [
+    last_cell_5_6_swapped,
+    mutant_row_types('"d" if j in a else "u"', '"d" if j in b else "u"'),
+], ids=["types_5_6_swapped_in_last_cell", "north_edge_read_from_b"])
+def test_a_corrupted_row_fails_both_bijection_checks(monkeypatch, mutant):
+    monkeypatch.setattr(asm, "_row_types", mutant)
+    for n in (2, 3, 4):
+        assert verdicts_or_failure(bijection_by_rows, n) == (False, False)
+        assert verdicts_or_failure(whole_asm_verdicts, n) == (False, False)

@@ -102,7 +102,7 @@ def test_ikdet_record(capsys):
 def test_asm_count_and_genpoly(capsys):
     code, out = run_cli(["asm", "count", "--n", "4"], capsys)
     assert code == 0
-    assert json.loads(out) == {"n": 4, "count": 42}
+    assert out == '{\n  "count": 42,\n  "n": 4\n}\n'
     code, out = run_cli(["asm", "genpoly", "--n", "4"], capsys)
     assert code == 0
     body = json.loads(out)
@@ -142,9 +142,29 @@ def test_env_cap(monkeypatch, capsys):
     monkeypatch.setenv("BETHE_LAB_MAX_N", "2")
     code, _ = run_cli(["verify", "--suite", "asm", "--n", "3"], capsys)
     assert code == 2
-    monkeypatch.setenv("BETHE_LAB_MAX_N", "7")
-    code, _ = run_cli(["asm", "count", "--n", "7"], capsys)
+    monkeypatch.setenv("BETHE_LAB_MAX_N", "8")
+    code, out = run_cli(["asm", "genpoly", "--n", "8"], capsys)
     assert code == 0
+    assert sum(json.loads(out)["coeffs"]) == 10850216
+    code, out = run_cli(["verify", "--suite", "asm", "--n", "8"], capsys)
+    assert code == 0, out
+
+
+def test_bad_env_cap_is_a_config_error(monkeypatch, capsys):
+    for value in ("abc", "", "0", "-3", "2.5"):
+        monkeypatch.setenv("BETHE_LAB_MAX_N", value)
+        assert main(["asm", "count", "--n", "3"]) == 2
+        err = capsys.readouterr().err
+        assert err == ("config error: BETHE_LAB_MAX_N must be a positive "
+                       f"integer, not {value!r}\n")
+
+
+def test_format_is_a_verify_flag(capsys):
+    for argv in (["vector", "--n", "2", "--seed", "1"], ["singlet", "--n", "2"],
+                 ["ikdet", "--n", "2"], ["asm", "count", "--n", "3"]):
+        for fmt in ("csv", "text"):
+            code, out = run_cli(argv + ["--format", fmt], capsys)
+            assert (code, out) == (2, ""), argv
 
 
 def test_detform_draws_avoid_pole_lattice(capsys):
@@ -197,34 +217,28 @@ def test_internal_failure_exits_4(monkeypatch, capsys):
     assert "Traceback" in err and "KeyError: 'internal'" in err
 
 
-def test_size_beyond_asm_cap_fails_before_work(monkeypatch, capsys):
-    from bethelab import asm, spinchain
+def test_size_beyond_cap_fails_before_work(monkeypatch, capsys):
+    from bethelab import spinchain
 
     def never(n):
         raise AssertionError("singlet built before the size check")
 
-    monkeypatch.setenv("BETHE_LAB_MAX_N", str(asm.MAX_SIZE + 1))
+    monkeypatch.setenv("BETHE_LAB_MAX_N", "5")
     monkeypatch.setattr(spinchain, "singlet", never)
-    code, _ = run_cli(["verify", "--suite", "spinchain",
-                       "--n", str(asm.MAX_SIZE + 1)], capsys)
+    code, _ = run_cli(["verify", "--suite", "spinchain", "--n", "6"], capsys)
     assert code == 2
 
 
-def test_verify_all_walks_the_asms_once(monkeypatch, capsys):
-    # the two bijection checks share one pass; no ASM sum enumerates
+def test_verify_all_enumerates_no_asms(monkeypatch, capsys):
+    # the bijection is checked on row transitions, not ASM by ASM
     from bethelab import asm
 
-    calls = []
-    generate = asm.generate_asms
+    def refuse(n):
+        raise AssertionError("verify enumerated the ASMs")
 
-    def counting(n):
-        calls.append(n)
-        return generate(n)
-
-    monkeypatch.setattr(asm, "generate_asms", counting)
-    code, _ = run_cli(["verify", "--suite", "all", "--n", "4"], capsys)
-    assert code == 0
-    assert calls == [4]
+    monkeypatch.setattr(asm, "generate_asms", refuse)
+    code, out = run_cli(["verify", "--suite", "all", "--n", "4"], capsys)
+    assert code == 0, out
 
 
 def test_suites_leave_their_work_to_the_timed_checks(monkeypatch):
@@ -236,7 +250,7 @@ def test_suites_leave_their_work_to_the_timed_checks(monkeypatch):
         raise RuntimeError("built before any check was timed")
 
     for mod, name in ((aba, "bethe_vector"), (asm, "gen_poly"),
-                      (asm, "generate_asms"), (spinchain, "singlet"),
+                      (asm, "bijection_by_rows"), (spinchain, "singlet"),
                       (spinchain, "singlet_norm"),
                       (spinchain, "singlet_normalisation_audit"),
                       (spinchain, "transfer1_zero_kernel_dimension")):
