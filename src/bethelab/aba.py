@@ -23,6 +23,7 @@ denominator D.  `monodromy_apply` and `transfer2_apply` write the input
 vector over one common denominator, sweep on integers (T2 sums its three
 Omega-signed traces there too), and convert back to Scalars once on
 return, dividing by the input's denominator times the product of the D.
+For a product of entries, as in `bethe_vector`, it converts just once.
 
 With twist angle pi the transfer matrices are
 
@@ -269,31 +270,36 @@ def sweep(tables, v: StateVector, a_in: int, a_out: int) -> dict:
     return {key: val for (a, key), val in cur.items() if a == a_out}
 
 
-def _signed_sweeps(tables, v: StateVector, params: ModelParams,
+def _signed_sweeps(rows, v: StateVector, params: ModelParams,
                    bounds) -> StateVector:
-    """sum of sign * sweep(v, a_in, a_out) over the (a_in, a_out, sign) in
-    bounds, run over Z[t, i]: v is written once over one denominator, the
-    tables are (table, D) pairs, the signed sum is taken on integers, and
-    the result is divided once by v's denominator times every D."""
+    """For each row of (table, D) pairs in turn, replace v by the sum of
+    sign * sweep(v, a_in, a_out) over the (a_in, a_out, sign) in bounds,
+    all over Z[t, i]: v is written once over one denominator, the signed
+    sums are taken on integers, and the result is divided once by v's
+    denominator times every D."""
     nums, den = to_integers(v.entries.values(), params.d)
     ints = StateVector(v.n, dict(zip(v.entries, nums)))
-    for _, d_j in tables:
-        den *= d_j
-    rows = [table for table, _ in tables]
-    out = {}
-    for a_in, a_out, sign in bounds:
-        for key, x in sweep(rows, ints, a_in, a_out).items():
-            if sign < 0:
-                x = -x
-            acc = out.get(key)
-            out[key] = x if acc is None else acc + x
+    for tables in rows:
+        out = {}
+        for a_in, a_out, sign in bounds:
+            for key, x in sweep([t for t, _ in tables], ints, a_in,
+                                a_out).items():
+                if sign < 0:
+                    x = -x
+                acc = out.get(key)
+                out[key] = x if acc is None else acc + x
+        ints = StateVector(v.n, out)
+        for _, d_j in tables:
+            den *= d_j
     return StateVector(v.n, {key: from_integer(x, den, params.d)
-                             for key, x in out.items() if x})
+                             for key, x in ints.entries.items()})
 
 
 def monodromy_apply(which: str, z, params: ModelParams,
                     v: StateVector) -> StateVector:
-    """Apply a monodromy entry A, B, C or D at spectral parameter z.
+    """Apply a monodromy entry A, B, C or D at spectral parameter z; for a
+    list z = [z_1, ..., z_k], apply the product which(z_k) ... which(z_1),
+    with v converted to integers and back once for all k sweeps.
 
     One sweep over sites 1..N contracting the two-dimensional auxiliary
     space exactly; B lowers the magnetisation by one, C raises it.
@@ -302,13 +308,15 @@ def monodromy_apply(which: str, z, params: ModelParams,
         raise ValueError("which must be one of A, B, C, D")
     if v.n != params.n:
         raise DimensionMismatch(f"vector has {v.n} sites, model {params.n}")
-    z = params.coerce(z)
-    if z.is_zero():
-        raise ZeroInverse("spectral parameter must be nonzero")
     inv_q = params.sc(1 / params.q)
-    tables = [params.r12_table(z * inv_q * params.sc(w).inv())
-              for w in params.w]
-    return _signed_sweeps(tables, v, params, [(*_AUX[which], 1)])
+    rows = []
+    for x in (z if isinstance(z, list) else [z]):
+        x = params.coerce(x)
+        if x.is_zero():
+            raise ZeroInverse("spectral parameter must be nonzero")
+        rows.append([params.r12_table(x * inv_q * params.sc(w).inv())
+                     for w in params.w])
+    return _signed_sweeps(rows, v, params, [(*_AUX[which], 1)])
 
 
 def bethe_vector(params: ModelParams) -> StateVector:
@@ -318,10 +326,8 @@ def bethe_vector(params: ModelParams) -> StateVector:
     if params.twist != "pi":
         raise ValueError("the explicit Bethe vector exists at twist pi")
     if params._bethe_cache is None:
-        v = vacuum(params)
-        for w in params.w:
-            v = monodromy_apply("B", params.sc(w), params, v)
-        params._bethe_cache = v
+        params._bethe_cache = monodromy_apply(
+            "B", [params.sc(w) for w in params.w], params, vacuum(params))
     return params._bethe_cache
 
 
@@ -345,7 +351,7 @@ def transfer2_apply(z, params: ModelParams, v: StateVector) -> StateVector:
         raise ZeroInverse("spectral parameter must be nonzero")
     tables = [params.r22_table(z * params.sc(w).inv()) for w in params.w]
     omega = OMEGA if params.twist == "pi" else (1, 1, 1)
-    return _signed_sweeps(tables, v, params,
+    return _signed_sweeps([tables], v, params,
                           [(a0, a0, sign) for a0, sign in enumerate(omega)])
 
 

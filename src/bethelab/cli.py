@@ -3,9 +3,9 @@
 Subcommands:
 
     verify   --suite {rmatrix,aba,detform,asm,spinchain,all} [--n --q --w --seed]
-    vector   --n --q --w          dump the Bethe vector as JSON
+    vector   --n [--q --w --seed] dump the Bethe vector as JSON
     singlet  --n                  dump the homogeneous singlet components
-    ikdet    --n [--q --seed]     Izergin-Korepin vs. brute partition sum
+    ikdet    --n [--q --w --seed --zeta]  determinant vs. brute partition sum
     asm      {count,genpoly} --n  ASM counts
 
 Rationals are written p/r on the command line (e.g. --q 5/2,
@@ -445,11 +445,11 @@ def build_parser() -> argparse.ArgumentParser:
                     "nineteen-vertex model")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, w_flags=True):
+    def common(p, drawn=True):
         p.add_argument("--n", type=int, required=True)
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default=None)
-        if w_flags:
+        if drawn:
+            p.add_argument("--seed", type=int, default=0)
             p.add_argument("--q", default=None, help="rational p/r")
             p.add_argument("--w", default=None,
                            help="comma-separated rationals p1/r1,p2/r2,...")
@@ -467,7 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
     pvec.set_defaults(fn=cmd_vector)
 
     ps = sub.add_parser("singlet", help="dump the homogeneous singlet")
-    common(ps, w_flags=False)
+    common(ps, drawn=False)
     ps.add_argument("--emit", default=None, help="output path (alias of --out)")
     ps.set_defaults(fn=cmd_singlet)
 
@@ -479,7 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pa = sub.add_parser("asm", help="alternating sign matrix counts")
     pa.add_argument("action", choices=("count", "genpoly"))
-    common(pa, w_flags=False)
+    common(pa, drawn=False)
     pa.set_defaults(fn=cmd_asm)
     return parser
 

@@ -106,11 +106,8 @@ def slavnov(roots, zeta, params: ModelParams) -> Scalar:
 
 def brute_scalar_product(roots, zeta, params: ModelParams) -> Scalar:
     """<vac| prod_j C(roots_j) prod_j B(zeta_j) |vac> by operator sweeps."""
-    v = vacuum(params)
-    for z in reversed(list(zeta)):
-        v = monodromy_apply("B", z, params, v)
-    for z in reversed(list(roots)):
-        v = monodromy_apply("C", z, params, v)
+    v = monodromy_apply("B", list(reversed(zeta)), params, vacuum(params))
+    v = monodromy_apply("C", list(reversed(roots)), params, v)
     amp = v.entries.get((UP,) * params.n)
     return amp if amp is not None else Scalar(0, d=params.d)
 

@@ -20,8 +20,9 @@ and an element is an IntScalar a + b*t + c*i + e*t*i with integer
 coefficients over one shared integer denominator.
 
 The module also provides the half-power polynomial ring Q[y] with the
-reading y = x^(1/2) (used for the homogeneous-limit states, whose entries
-are x^(k/2) times integer polynomials), centred Laurent polynomials with
+reading y = x^(1/2) (the returned form of the homogeneous-limit states,
+x^(k/2) times integer polynomials), their Kronecker packing into one int
+at y = 2^bits (`pack`, `unpack`), centred Laurent polynomials with
 Scalar coefficients, and exact Laurent interpolation from point samples,
 which is how degree widths and derivatives are extracted without a symbolic
 algebra system.
@@ -387,6 +388,27 @@ def from_integer(x: IntScalar, den: int, d) -> Scalar:
                   RAT(x.e * v, den), d=d)
 
 
+def pack(coeffs, bits: int) -> int:
+    """sum_k c_k y^k at y = 2^bits, for ints c_k listed lowest first."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = (acc << bits) + c
+    return acc
+
+
+def unpack(value: int, bits: int) -> list:
+    """The balanced base-2^bits digits of value, lowest first: the c_k
+    that `pack` took to value whenever every c_k lies in
+    [-2^(bits-1), 2^(bits-1))."""
+    half, mask = 1 << (bits - 1), (1 << bits) - 1
+    out = []
+    while value:
+        digit = ((value + half) & mask) - half
+        out.append(digit)
+        value = (value - digit) >> bits
+    return out
+
+
 def brk(r) -> RAT:
     """Rational bracket [r] = r - 1/r."""
     r = as_rat(r)
@@ -446,15 +468,8 @@ class HalfPowerPoly:
     def __bool__(self):
         return bool(self.coeffs)
 
-    def degree(self) -> int:
-        """Top power of y (-1 for the zero polynomial)."""
-        return len(self.coeffs) - 1
-
     def is_even_support(self) -> bool:
         return all(c == 0 for c in self.coeffs[1::2])
-
-    def is_odd_support(self) -> bool:
-        return all(c == 0 for c in self.coeffs[0::2])
 
     def has_integer_coeffs(self) -> bool:
         return all(c.denominator == 1 for c in self.coeffs)
@@ -469,19 +484,8 @@ class HalfPowerPoly:
             a[k] = a[k] + c
         return HalfPowerPoly(a)
 
-    __radd__ = __add__
-
     def __neg__(self):
         return HalfPowerPoly(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return other
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def _coerce(self, other):
         if isinstance(other, HalfPowerPoly):
@@ -506,12 +510,6 @@ class HalfPowerPoly:
         return HalfPowerPoly(out)
 
     __rmul__ = __mul__
-
-    def shift_down(self, k: int) -> "HalfPowerPoly":
-        """Exact division by y**k."""
-        if any(c != 0 for c in self.coeffs[:k]):
-            raise ValueError(f"not divisible by y^{k}: {self!r}")
-        return HalfPowerPoly(self.coeffs[k:])
 
     def eval_x(self, x):
         """Evaluate an even-support element at the rational point x."""

@@ -19,20 +19,28 @@ rational polynomials in x.  The boundary bond is the bulk bond conjugated
 by Omega = diag(-1, 1, -1) on its wrapped right-hand site: its entry
 <lo ro|h|li ri> carries the sign Omega[ro] Omega[ri].
 
-The zero-energy state is built in a symbolic half-power mode: the single
-spin-flip operator
+The zero-energy state is built from the single spin-flip operator
 
     beta(x) = <up| rho_N(x) ... rho_1(x) |down>,   rho = R12(1/q) / [q],
 
-weights every spin flip by x^(1/2), and the singlet is
-x^(-N/2) beta(x)^N |all-up>, a vector of integer polynomials in x.  Its
-square norm and distinguished component reproduce the weighted counts of
-alternating sign matrices.
+whose bracket entries are 1 and -1 and whose flips carry y = x^(1/2);
+the singlet is x^(-N/2) beta(x)^N |all-up>, a vector of integer
+polynomials in x.  Its square norm and distinguished component reproduce
+the weighted counts of alternating sign matrices.
+
+The singlet, its norm and the symbolic H v run on packed ints (Kronecker
+substitution): an integer polynomial sum_k c_k y^k becomes sum_k c_k
+2^(bits k), and the unchanged sweep and gate code multiply and add plain
+ints.  Balanced base-2^bits digits unpack a result exactly when every
+|c_k| < 2^(bits-1); each function derives its bits from an l1 bound (the
+sum of |c| over all coefficients) and states it.  HalfPowerPoly stays the
+form every function returns.
 """
 
 from __future__ import annotations
 
 from functools import cache
+from math import ceil, lcm
 
 from bethelab.aba import (
     OMEGA,
@@ -53,13 +61,15 @@ from bethelab.field import (
     Scalar,
     as_rat,
     brk,
+    pack,
+    unpack,
 )
 from bethelab.linalg import kernel_dimension, kron, mat_add, mat_mul, mat_scale
 from bethelab.rmatrix import DOWN, UP, ZERO, RMat, VertexWeights, r12
 
 
 class NonIntegerCoefficient(ArithmeticError):
-    """A singlet component failed the integer-coefficient guarantee."""
+    """A table weight that must be an integer polynomial is not one."""
 
 
 class OddSupportResidue(ArithmeticError):
@@ -139,8 +149,18 @@ def hamiltonian_apply(v: StateVector, q) -> StateVector:
 
 def hamiltonian_apply_poly(v: StateVector) -> StateVector:
     """Apply the twisted Hamiltonian symbolically to a vector with
-    half-power polynomial entries (exact in x)."""
-    return _apply_gates(v, *_bond_tables())
+    half-power polynomial entries (exact in x), on packed ints over one
+    common denominator.  Bound: a bond multiplies the l1 norm by at most
+    G, the largest column l1 weight of the bond tables, and H sums N
+    bonds, so every coefficient of H v is at most N G |v|_1."""
+    ints, den = _integer_vector(v)
+    tables = _bond_tables()
+    norm = sum(abs(c) for cs in ints.values() for c in cs)
+    bits = (v.n * max(map(_column_l1, tables)) * norm).bit_length() + 1
+    packed = StateVector(v.n, {k: pack(cs, bits) for k, cs in ints.items()})
+    out = _apply_gates(packed, *(_packed(t, bits) for t in tables))
+    return StateVector(v.n, {key: _unpacked(x, bits, den)
+                             for key, x in out.entries.items()})
 
 
 def twisted_translation_apply(v: StateVector) -> StateVector:
@@ -165,42 +185,81 @@ def _rho_table():
             for key, col in r12(vw.sc(vw.q).inv(), vw).column_map().items()}
 
 
+def _column_l1(table) -> int:
+    """The largest sum of |c| over the coefficients of a column's weights."""
+    return ceil(max(sum(abs(c) for *_, w in col for c in w.coeffs)
+                    for col in table.values()))
+
+
+def _packed(table, bits: int) -> dict:
+    """A polynomial transition table with every weight packed at
+    y = 2^bits; a weight that is not an integer polynomial raises."""
+    if not all(w.has_integer_coeffs() for col in table.values()
+               for *_, w in col):
+        raise NonIntegerCoefficient(f"not an integer table: {table!r}")
+    return {key: [(lo, ro, pack([int(c) for c in w.coeffs], bits))
+                  for lo, ro, w in col] for key, col in table.items()}
+
+
+def _integer_vector(v: StateVector):
+    """({key: [int, ...]}, den): v's coefficients over their lcm."""
+    den = lcm(*(c.denominator for p in v.entries.values() for c in p.coeffs))
+    return {key: [c.numerator * (den // c.denominator) for c in p.coeffs]
+            for key, p in v.entries.items()}, den
+
+
+def _unpacked(value: int, bits: int, den: int) -> HalfPowerPoly:
+    return HalfPowerPoly([RAT(c, den) for c in unpack(value, bits)])
+
+
+@cache
+def _packed_rho(n: int):
+    """(table, bits): rho packed for the n-site singlet.  Bound: each site
+    of a sweep multiplies a vector's l1 norm by at most L = _column_l1(rho),
+    so the n sweeps of n sites take |all-up> to a vector whose every
+    coefficient is at most L^(n^2) in absolute value."""
+    rho = _rho_table()
+    bits = (_column_l1(rho) ** (n * n)).bit_length() + 1
+    return _packed(rho, bits), bits
+
+
 def beta_apply(v: StateVector) -> StateVector:
     """One sweep of rho(x) across the chain with auxiliary boundary
-    <up| ... |down>; lowers the magnetisation by one and multiplies every
-    component by y times a polynomial in x (odd half-power support)."""
+    <up| ... |down>, on components packed as by `_packed_rho(v.n)`;
+    lowers the magnetisation by one and multiplies every component by y
+    times a polynomial in x (odd half-power support)."""
     # the auxiliary enters as down (1) and leaves as up (0)
-    return StateVector(v.n, sweep([_rho_table()] * v.n, v, 1, 0))
+    return StateVector(v.n, sweep([_packed_rho(v.n)[0]] * v.n, v, 1, 0))
 
 
 def singlet(n: int) -> StateVector:
-    """The zero-energy state x^(-N/2) beta(x)^N |all-up>: every component
-    is a polynomial in x with integer coefficients (asserted)."""
+    """The zero-energy state x^(-N/2) beta(x)^N |all-up>, swept on packed
+    ints and unpacked once: every component is y^N times a polynomial in
+    x with integer coefficients (checked)."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    v = StateVector(n, {(UP,) * n: HalfPowerPoly.const(1)})
+    v = StateVector(n, {(UP,) * n: 1})
     for _ in range(n):
         v = beta_apply(v)
-    out = {}
-    for key, val in v.entries.items():
-        try:
-            p = val.shift_down(n)
-        except ValueError as exc:
-            raise OddSupportResidue(str(exc)) from exc
-        if not p.is_even_support():
-            raise OddSupportResidue(f"component {key} has odd support")
-        if not p.has_integer_coeffs():
-            raise NonIntegerCoefficient(f"component {key}: {p!r}")
-        out[key] = p
-    return StateVector(n, out)
+    bits = _packed_rho(n)[1]
+    out = {key: unpack(val, bits) for key, val in v.entries.items()}
+    if any(any(cs[:n]) or any(cs[n + 1::2]) for cs in out.values()):
+        raise OddSupportResidue(f"component not y^{n} times a polynomial in x")
+    return StateVector(n, {key: HalfPowerPoly(cs[n:])
+                           for key, cs in out.items()})
 
 
 def singlet_norm(state: StateVector) -> HalfPowerPoly:
-    """Square norm under the real pairing: sum of squared components."""
-    acc = HalfPowerPoly()
-    for val in state.entries.values():
-        acc = acc + val * val
-    return acc
+    """Square norm under the real pairing: the sum of squared components,
+    on packed ints.  Bound: over the common denominator, K components of
+    at most l coefficients, each at most M in absolute value, give
+    coefficients that sum at most K l products, so at most K l M^2."""
+    ints, den = _integer_vector(state)
+    top = max((abs(c) for cs in ints.values() for c in cs), default=0)
+    bound = len(ints) * max(map(len, ints.values()), default=0) * top * top
+    bits = bound.bit_length() + 1
+    return _unpacked(sum(pack(cs, bits) ** 2 for cs in ints.values()), bits,
+                     den * den)
 
 
 def distinguished_component_key(n: int):

@@ -230,7 +230,7 @@ def test_criterion_09_homogeneous_singlet():
 
 def test_criterion_10_spin_chain_closure():
     rng = random.Random(SEED + 10)
-    for n in range(2, 6):
+    for n in range(2, 9):
         phi = spinchain.singlet(n)
         assert spinchain.hamiltonian_apply_poly(phi).is_zero()
         got = spinchain.twisted_translation_apply(phi)
@@ -246,14 +246,14 @@ def test_criterion_10_spin_chain_closure():
             for n in (2, 3)}
     print(f"  [logged] zero-eigenspace dimensions (uniqueness probe): {dims}")
     report(10, "H annihilates the singlet, twisted translation eigenvalue "
-               "(-1)^(N+1) for N=2..5, log-derivative form matches for N <= 3")
+               "(-1)^(N+1) for N=2..8, log-derivative form matches for N <= 3")
 
 
 def test_criterion_11_regime_consistency():
     rng = random.Random(SEED + 11)
-    for n in range(1, 6):
+    for n in range(1, 7):
         for _ in range(3):
             q = draw_q(rng)
             assert spinchain.homogeneous_consistency_check(n, q)
     report(11, "renormalised vector at w = 1 equals [q]^(N(N-1)/2) times "
-               "the singlet at x = q + 1/q for N <= 5")
+               "the singlet at x = q + 1/q for N <= 6")

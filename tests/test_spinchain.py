@@ -1,6 +1,9 @@
 import itertools
 import random
 
+import pytest
+
+import halfpower_oracle as oracle
 from helpers import draw_q
 
 from bethelab.aba import (
@@ -13,6 +16,8 @@ from bethelab import spinchain
 from bethelab.linalg import kron, mat_add, mat_eq, mat_mul, mat_scale, transpose
 from bethelab.rmatrix import DOWN, UP, ZERO, VertexWeights
 from bethelab.spinchain import (
+    NonIntegerCoefficient,
+    OddSupportResidue,
     beta_apply,
     bond_gate,
     distinguished_component_key,
@@ -228,9 +233,16 @@ def test_hamiltonian_commutes_with_twisted_translation():
 # beta and the singlet
 # ---------------------------------------------------------------------
 
+def packed_beta(v):
+    """beta_apply on a HalfPowerPoly vector, packed at the base the
+    n-site singlet uses and unpacked again (small coefficients only)."""
+    bits = spinchain._packed_rho(v.n)[1]
+    return oracle.unpacked(beta_apply(oracle.packed(v, bits)), bits)
+
+
 def test_beta_single_site():
     v = StateVector(1, {(UP,): HalfPowerPoly.const(1)})
-    got = beta_apply(v)
+    got = packed_beta(v)
     assert got.entries == {(ZERO,): HalfPowerPoly.y_power(1)}
     assert all(magnetisation(k) == 0 for k in got.entries)
 
@@ -241,9 +253,9 @@ def test_rho_action_on_up_down_pair():
     # directly, so check through the table of beta on |D>: the only
     # nonzero path flips the auxiliary at the site
     v = StateVector(1, {(DOWN,): HalfPowerPoly.const(1)})
-    assert beta_apply(v).is_zero()  # D cannot be lowered
+    assert packed_beta(v).is_zero()  # D cannot be lowered
     w = StateVector(1, {(ZERO,): HalfPowerPoly.const(1)})
-    got = beta_apply(w)
+    got = packed_beta(w)
     assert got.entries == {(DOWN,): HalfPowerPoly.y_power(1)}
     assert all(magnetisation(k) == -1 for k in got.entries)
 
@@ -254,8 +266,8 @@ def test_beta_output_odd_support():
         for _ in range(3):
             key = tuple(rng.randint(0, 2) for _ in range(n))
             v = StateVector(n, {key: HalfPowerPoly.const(1)})
-            for val in beta_apply(v).entries.values():
-                assert val.is_odd_support()
+            for val in packed_beta(v).entries.values():
+                assert oracle.is_odd_support(val)
 
 
 def test_singlet_n1():
@@ -277,6 +289,35 @@ def test_singlet_n3_components():
         state_from_str("000"): x,
     }
     assert phi.entries == want
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_packed_singlet_and_norm_match_the_halfpower_path(n):
+    phi = singlet(n)
+    assert phi == oracle.singlet(n)
+    assert singlet_norm(phi) == oracle.norm(phi)
+
+
+def test_norm_of_rational_components():
+    v = StateVector(2, {(UP, DOWN): HalfPowerPoly((RAT(1, 2), 0, -3)),
+                        (DOWN, UP): HalfPowerPoly((0, RAT(-2, 3)))})
+    assert singlet_norm(v) == oracle.norm(v)
+    assert singlet_norm(StateVector(2)) == HalfPowerPoly()
+
+
+def test_singlet_guards_are_typed(monkeypatch):
+    rho = spinchain._rho_table()
+    half = {key: [(lo, ro, w * RAT(1, 2)) for lo, ro, w in col]
+            for key, col in rho.items()}
+    with pytest.raises(NonIntegerCoefficient):
+        spinchain._packed(half, 8)
+    # flips weighted 1 instead of y leave no factor y^n to divide out
+    flat = {key: [(lo, ro, HalfPowerPoly.const(1) if len(w.coeffs) == 2 else w)
+                  for lo, ro, w in col] for key, col in rho.items()}
+    monkeypatch.setattr(spinchain, "_packed_rho",
+                        lambda n: (spinchain._packed(flat, 8), 8))
+    with pytest.raises(OddSupportResidue):
+        singlet(2)
 
 
 def test_singlet_magnetisation_zero():
@@ -322,6 +363,32 @@ def test_normalisation_audit_rejects_excess_degree():
 def test_hamiltonian_annihilates_singlet_symbolic():
     for n in (2, 3, 4):
         assert hamiltonian_apply_poly(singlet(n)).is_zero()
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_packed_hamiltonian_matches_the_halfpower_gates(n):
+    """On random vectors whose image is not zero, so that a packed H that
+    lost terms or returned zero fails."""
+    rng = random.Random(49 + n)
+    for terms in (1, 4, 9):
+        v = random_poly_vector(rng, n, terms)
+        want = oracle.hamiltonian(v)
+        assert not want.is_zero()
+        assert hamiltonian_apply_poly(v) == want
+
+
+def test_packed_hamiltonian_on_wide_and_rational_coefficients():
+    rng = random.Random(50)
+    for n in (2, 3, 4):
+        for den in (1, 7, 12):
+            v = StateVector(n, {
+                tuple(rng.randint(0, 2) for _ in range(n)): HalfPowerPoly(
+                    [RAT(rng.randint(-10 ** 6, 10 ** 6), den)
+                     for _ in range(rng.randint(1, 6))])
+                for _ in range(5)})
+            want = oracle.hamiltonian(v)
+            assert not want.is_zero()
+            assert hamiltonian_apply_poly(v) == want
 
 
 def test_hamiltonian_annihilates_singlet_numeric():

@@ -9,13 +9,15 @@ vectors are chosen whose partial states merge and cancel.
 `monodromy_apply` and `transfer2_apply` run the sweep on integer
 numerators over Z[t, i] (field.IntScalar); the same sweep is also run
 here on the Scalar tables themselves, and `beta_apply` runs it on
-HalfPowerPoly entries.
+polynomials packed into Python ints, checked against the per-key
+contraction on HalfPowerPoly entries packed the same way.
 """
 
 import random
 
 import pytest
 
+import halfpower_oracle
 from helpers import draw_q, draw_w
 
 from bethelab.aba import (
@@ -26,10 +28,11 @@ from bethelab.aba import (
     monodromy_apply,
     sweep,
     transfer2_apply,
+    vacuum,
 )
 from bethelab.field import RAT, HalfPowerPoly, Scalar, SessionMismatch
 from bethelab.rmatrix import r12, r22
-from bethelab.spinchain import _rho_table, beta_apply
+from bethelab.spinchain import _packed_rho, _rho_table, beta_apply
 
 AUX = {"A": (0, 0), "B": (1, 0), "C": (0, 1), "D": (1, 1)}  # (a_in, a_out)
 MAGNETISATION_SHIFT = {"A": 0, "B": -1, "C": 1, "D": 0}
@@ -110,7 +113,7 @@ def partial_states(tables, head, a_in):
         for (a, prefix), val in cur.items():
             for ao, so, wgt in table[(a, site)]:
                 nk = (ao, prefix + (so,))
-                nxt[nk] = nxt.get(nk, 0) + wgt * val
+                nxt[nk] = wgt * val + nxt.get(nk, 0)
         cur = {k: x for k, x in nxt.items() if x}
     return cur
 
@@ -221,8 +224,11 @@ def test_transfer2_matches_per_key_oracle(n, twist):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_beta_matches_per_key_oracle(n):
+    """Packing is a ring map, so the packed images must agree exactly
+    whatever the size of the coefficients."""
     rng = random.Random(300 + n)
     rho = _rho_table()
+    bits = _packed_rho(n)[1]
     one = HalfPowerPoly.const(1)
     vecs = [StateVector(n, {(0,) * n: one})]
     for count in (3, 7):
@@ -233,7 +239,25 @@ def test_beta_matches_per_key_oracle(n):
         vecs += [cancelling_vector(rng, [rho] * n, n, a_in, one)
                  for a_in in (0, 1)]
     for v in vecs:
+        packed = halfpower_oracle.packed(v, bits)
         for _ in range(2):
-            got, want = beta_apply(v), oracle_beta(v)
-            assert got == want and shifts_magnetisation(v, got, -1)
-            v = got
+            got, v = beta_apply(packed), oracle_beta(v)
+            assert got == halfpower_oracle.packed(v, bits)
+            assert shifts_magnetisation(packed, got, -1)
+            packed = got
+
+
+@pytest.mark.parametrize("twist", ["pi", "0"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_bethe_vector_is_the_chain_of_b(n, twist):
+    """bethe_vector sweeps all its B on one integer vector; B does not
+    see the twist, so the chain of single B applications at either twist
+    must give the same vector."""
+    rng = random.Random(500 + n)
+    for _ in range(2):
+        p = model(rng, n, twist)
+        v = vacuum(p)
+        for w in p.w:
+            v = monodromy_apply("B", p.sc(w), p, v)
+        assert bethe_vector(p.with_w(p.w, "pi")) == v
+        assert monodromy_apply("B", [p.sc(w) for w in p.w], p, vacuum(p)) == v
