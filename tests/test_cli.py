@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import bethelab
 from bethelab.cli import main
 
@@ -12,6 +14,23 @@ def run_cli(args, capsys):
     code = main(args)
     out = capsys.readouterr().out
     return code, out
+
+
+GOLDEN = Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize("args, name", [
+    (["verify", "--suite", "all", "--n", "4", "--seed", "1"],
+     "verify_all_n4_seed1.txt"),
+    (["vector", "--n", "3", "--seed", "3"], "vector_n3_seed3.txt"),
+    (["singlet", "--n", "4"], "singlet_n4.txt"),
+])
+def test_output_matches_golden_file(args, name, capsys):
+    """A refactor keeps every report byte for byte: the files were written
+    by these same commands and hold only exact values, no timings."""
+    code, out = run_cli(args, capsys)
+    assert code == 0
+    assert out == (GOLDEN / name).read_text()
 
 
 def test_verify_asm_n3(capsys):
