@@ -30,7 +30,7 @@ algebra system.
 
 from __future__ import annotations
 
-from math import lcm
+from math import isqrt, lcm
 
 try:
     from gmpy2 import mpq as RAT
@@ -38,7 +38,6 @@ except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
     from fractions import Fraction as RAT
 
 RAT_ZERO = RAT(0)
-RAT_ONE = RAT(1)
 
 
 class SessionMismatch(ValueError):
@@ -89,14 +88,8 @@ def is_rational_square(r) -> bool:
     if r < 0:
         return False
     p, q = int(r.numerator), int(r.denominator)
-    sp, sq = _isqrt(p), _isqrt(q)
+    sp, sq = isqrt(p), isqrt(q)
     return sp * sp == p and sq * sq == q
-
-
-def _isqrt(n: int) -> int:
-    from math import isqrt
-
-    return isqrt(n)
 
 
 def validate_session_constant(d) -> RAT:
@@ -153,10 +146,6 @@ class Scalar:
 
     def is_rational(self) -> bool:
         return not (self.b or self.c or self.e)
-
-    def is_real(self) -> bool:
-        """True when the i-part vanishes (element of Q(s))."""
-        return not (self.c or self.e)
 
     def to_rat(self) -> RAT:
         if not self.is_rational():
@@ -306,11 +295,6 @@ class Scalar:
         return {"a": rat_str(self.a), "b": rat_str(self.b),
                 "c": rat_str(self.c), "e": rat_str(self.e),
                 "d": rat_str(self.d)}
-
-    @staticmethod
-    def from_json_dict(obj: dict) -> "Scalar":
-        return Scalar(RAT(obj["a"]), RAT(obj["b"]), RAT(obj["c"]),
-                      RAT(obj["e"]), d=RAT(obj["d"]))
 
 
 class IntScalar:

@@ -1,26 +1,17 @@
-"""Exact dense and sparse matrix helpers over Q(s, i).
+"""Exact dense and sparse matrix helpers.
 
-Dense matrices are plain lists of Scalar rows; they stay small (at most
-12x12 for the fusion block check).  Triple-tensor-space identities such as
-the Yang-Baxter equation are checked with a sparse dict-of-rows product so
-the 27-dimensional space costs nothing.  Determinants use fraction-free
+Dense matrices are plain lists of rows, Scalars or HalfPowerPolys; they
+stay small (the 9x9 Hamiltonian bond and the Bareiss and rank inputs of
+`detform` and `spinchain`).  The R-matrix identities on pair and triple
+tensor spaces multiply sparse dict-of-rows matrices with `sp_mul`, so the
+27-dimensional Yang-Baxter space costs nothing; `rmatrix.RMat.embedded`
+writes a pair operator in that form.  Determinants use fraction-free
 Bareiss elimination.
 """
 
 from __future__ import annotations
 
 from bethelab.field import Scalar
-
-
-def zeros(n: int, m: int, d):
-    z = Scalar(0, d=d)
-    return [[z] * m for _ in range(n)]
-
-
-def identity(n: int, d):
-    z = Scalar(0, d=d)
-    one = Scalar(1, d=d)
-    return [[one if i == j else z for j in range(n)] for i in range(n)]
 
 
 def mat_mul(a, b):
@@ -49,22 +40,8 @@ def mat_add(*ms):
     return out
 
 
-def mat_sub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
 def mat_scale(a, c):
     return [[c * x for x in row] for row in a]
-
-
-def mat_eq(a, b) -> bool:
-    if len(a) != len(b) or len(a[0]) != len(b[0]):
-        return False
-    return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
-
-
-def transpose(a):
-    return [list(col) for col in zip(*a)]
 
 
 def kron(a, b):
@@ -131,10 +108,12 @@ def kernel_dimension(a) -> int:
     return len(a[0]) - rank(a)
 
 
-# -- sparse helpers for tensor-space identities ------------------------
+# -- sparse product for tensor-space identities -------------------------
 
 
 def sp_mul(a: dict, b: dict) -> dict:
+    """Product of sparse {row: {column: entry}} matrices; zero entries and
+    empty rows are dropped."""
     out = {}
     for i, arow in a.items():
         acc = {}
@@ -151,44 +130,4 @@ def sp_mul(a: dict, b: dict) -> dict:
         acc = {j: v for j, v in acc.items() if not v.is_zero()}
         if acc:
             out[i] = acc
-    return out
-
-
-def sp_embed_pair(op, dims, sa: int, sb: int) -> dict:
-    """Embed a two-site operator into the tensor product of `dims` spaces.
-
-    `op` is dense of shape (dims[sa]*dims[sb])^2 with the sa factor as the
-    left (slow) index; identity on every other factor.  Returns sparse.
-    """
-    n = len(dims)
-    strides = [1] * n
-    for k in range(n - 2, -1, -1):
-        strides[k] = strides[k + 1] * dims[k + 1]
-    db = dims[sb]
-    others = [k for k in range(n) if k not in (sa, sb)]
-
-    out = {}
-
-    def rec(idx, fixed):
-        if idx == len(others):
-            base = sum(strides[k] * v for k, v in fixed.items())
-            for ia in range(dims[sa]):
-                for ib in range(db):
-                    row_full = base + strides[sa] * ia + strides[sb] * ib
-                    r = {}
-                    for ja in range(dims[sa]):
-                        for jb in range(db):
-                            w = op[ia * db + ib][ja * db + jb]
-                            if not w.is_zero():
-                                r[base + strides[sa] * ja + strides[sb] * jb] = w
-                    if r:
-                        out[row_full] = r
-            return
-        k = others[idx]
-        for v in range(dims[k]):
-            fixed[k] = v
-            rec(idx + 1, fixed)
-        del fixed[k]
-
-    rec(0, {})
     return out

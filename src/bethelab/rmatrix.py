@@ -4,11 +4,13 @@ Basis conventions (fixed for the whole package):
 
 - spin-1/2 space C^2 ordered (up, down); spin-1 space C^3 ordered
   (U, 0, D) for (up, zero, down), encoded 0, 1, 2;
-- a two-site operator on V_left x V_right uses the flattened index
-  dim_right * left + right;
 - matrix element <out_left out_right| R |in_left in_right>, where for a
   vertex picture the in pair is (west, south) and the out pair is
-  (east, north): pictures are read from south-west to north-east.
+  (east, north): pictures are read from south-west to north-east; an
+  RMat stores it under the key (out_left, out_right, in_left, in_right);
+- where a two-site operator on V_left x V_right is flattened (the sparse
+  embeddings of `RMat.embedded`, the dense Hamiltonian bond) the index is
+  dim_right * left + right.
 
 The nineteen-vertex weight table of R(z) = r22(z), with U/0/D for the
 spin components and entries <aux' site'|R|aux site>:
@@ -50,8 +52,19 @@ r22(z) and lower scalar [z/q][q^2 z].
 
 from __future__ import annotations
 
+from itertools import product
+from math import prod
+
 from bethelab import linalg
-from bethelab.field import RAT, Scalar, ZeroInverse, as_rat, brk, validate_session_constant
+from bethelab.field import (
+    RAT,
+    Scalar,
+    SessionMismatch,
+    ZeroInverse,
+    as_rat,
+    brk,
+    validate_session_constant,
+)
 
 UP, ZERO, DOWN = 0, 1, 2  # spin-1 components U, 0, D
 
@@ -80,7 +93,8 @@ class VertexWeights:
     def coerce(self, z) -> Scalar:
         if isinstance(z, Scalar):
             if z.d != self.d:
-                raise ValueError("scalar from a different session")
+                raise SessionMismatch(
+                    f"session constants differ: {z.d} vs {self.d}")
             return z
         return self.sc(z)
 
@@ -97,123 +111,121 @@ class VertexWeights:
 
 
 class RMat:
-    """Dense operator on a pair of sites, entries in Q(s, i)."""
+    """Operator on a pair of sites V_left x V_right, stored as its nonzero
+    weights {(lo, ro, li, ri): <lo ro| R |li ri>} in ascending key order.
 
-    __slots__ = ("dim_left", "dim_right", "entries")
+    A key that is not stored is a zero weight, and `entry` then returns
+    `zero`.  The weights are Scalars for the R-matrices of this module;
+    any ring with truth for nonzero works (the Hamiltonian bond in
+    `spinchain` uses HalfPowerPoly).
+    """
 
-    def __init__(self, dim_left: int, dim_right: int, entries):
-        n = dim_left * dim_right
-        if len(entries) != n or any(len(r) != n for r in entries):
-            raise ValueError(f"a {dim_left}x{dim_right} pair operator "
-                             f"needs {n}x{n} entries")
+    __slots__ = ("dim_left", "dim_right", "weights", "zero")
+
+    def __init__(self, dim_left: int, dim_right: int, weights: dict, zero):
+        if not all(0 <= lo < dim_left and 0 <= li < dim_left
+                   and 0 <= ro < dim_right and 0 <= ri < dim_right
+                   for lo, ro, li, ri in weights):
+            raise ValueError(f"a weight lies outside the {dim_left}x"
+                             f"{dim_right} pair space")
         self.dim_left = dim_left
         self.dim_right = dim_right
-        self.entries = entries
+        self.weights = {k: weights[k] for k in sorted(weights) if weights[k]}
+        self.zero = zero
 
-    def idx(self, left: int, right: int) -> int:
-        return self.dim_right * left + right
+    def entry(self, lo, ro, li, ri):
+        return self.weights.get((lo, ro, li, ri), self.zero)
 
-    def entry(self, lo, ro, li, ri) -> Scalar:
-        return self.entries[self.idx(lo, ro)][self.idx(li, ri)]
+    def _relabelled(self, dim_left, dim_right, key) -> "RMat":
+        return RMat(dim_left, dim_right,
+                    {key(*k): w for k, w in self.weights.items()}, self.zero)
 
     def is_symmetric(self) -> bool:
-        return linalg.mat_eq(self.entries, linalg.transpose(self.entries))
+        return self.weights == self._relabelled(
+            self.dim_left, self.dim_right,
+            lambda lo, ro, li, ri: (li, ri, lo, ro)).weights
 
     def swapped(self) -> "RMat":
         """P R P: the same operator with the tensor factors exchanged."""
-        dl, dr = self.dim_left, self.dim_right
-        out = [[None] * (dl * dr) for _ in range(dl * dr)]
-        for lo in range(dl):
-            for ro in range(dr):
-                for li in range(dl):
-                    for ri in range(dr):
-                        out[dl * ro + lo][dl * ri + li] = self.entry(lo, ro, li, ri)
-        return RMat(dr, dl, out)
+        return self._relabelled(self.dim_right, self.dim_left,
+                                lambda lo, ro, li, ri: (ro, lo, ri, li))
 
     def braided(self) -> "RMat":
         """P R (check-R): <a b|PR|c d> = <b a|R|c d>; needs dim_left == dim_right."""
         if self.dim_left != self.dim_right:
             raise ValueError("braiding needs equal factor dimensions")
-        dl = self.dim_left
-        out = [[None] * (dl * dl) for _ in range(dl * dl)]
-        for a in range(dl):
-            for b in range(dl):
-                for c in range(dl):
-                    for dd in range(dl):
-                        out[dl * a + b][dl * c + dd] = self.entry(b, a, c, dd)
-        return RMat(dl, dl, out)
+        return self._relabelled(self.dim_left, self.dim_right,
+                                lambda lo, ro, li, ri: (ro, lo, li, ri))
 
     def transpose_right(self) -> "RMat":
         """Partial transpose on the right factor."""
-        dl, dr = self.dim_left, self.dim_right
-        out = [[None] * (dl * dr) for _ in range(dl * dr)]
-        for lo in range(dl):
-            for ro in range(dr):
-                for li in range(dl):
-                    for ri in range(dr):
-                        out[self.idx(lo, ro)][self.idx(li, ri)] = \
-                            self.entry(lo, ri, li, ro)
-        return RMat(dl, dr, out)
+        return self._relabelled(self.dim_left, self.dim_right,
+                                lambda lo, ro, li, ri: (lo, ri, li, ro))
 
     def column_map(self) -> dict:
-        """Sparse transition table {(li, ri): [(lo, ro, weight), ...]}."""
-        table = {}
-        dl, dr = self.dim_left, self.dim_right
-        for li in range(dl):
-            for ri in range(dr):
-                col = []
-                for lo in range(dl):
-                    for ro in range(dr):
-                        w = self.entry(lo, ro, li, ri)
-                        if not w.is_zero():
-                            col.append((lo, ro, w))
-                table[(li, ri)] = col
+        """Transition table {(li, ri): [(lo, ro, weight), ...]}: every
+        column, empty ones too, with its weights in ascending (lo, ro)."""
+        table = {(li, ri): [] for li in range(self.dim_left)
+                 for ri in range(self.dim_right)}
+        for (lo, ro, li, ri), w in self.weights.items():
+            table[(li, ri)].append((lo, ro, w))
         return table
+
+    def embedded(self, dims, sa: int, sb: int) -> dict:
+        """This operator on factors sa (left) and sb (right) of the tensor
+        product of spaces of dimensions `dims`, the identity on every other
+        factor, as sparse rows {row: {column: weight}} for linalg.sp_mul."""
+        strides = [prod(dims[k + 1:]) for k in range(len(dims))]
+        others = [k for k in range(len(dims)) if k not in (sa, sb)]
+        sta, stb = strides[sa], strides[sb]
+        out = {}
+        for rest in product(*(range(dims[k]) for k in others)):
+            base = sum(strides[k] * v for k, v in zip(others, rest))
+            for (lo, ro, li, ri), w in self.weights.items():
+                row = out.setdefault(base + sta * lo + stb * ro, {})
+                row[base + sta * li + stb * ri] = w
+        return out
+
+
+def _session(q) -> VertexWeights:
+    return q if isinstance(q, VertexWeights) else VertexWeights(q)
 
 
 def r11(z, q) -> RMat:
-    """Six-vertex R-matrix on C^2 x C^2.
+    """Six-vertex R-matrix on C^2 x C^2, spin-1/2 up = 0 and down = 1.
 
     Degenerates to B P+ at z = q (B = diag([q^2], 2[q], 2[q], [q^2])) and
     to -2[q] P- at z = 1/q.
     """
-    vw = q if isinstance(q, VertexWeights) else VertexWeights(q)
+    vw = _session(q)
     z = vw.coerce(z)
-    o = vw.zero
-    bz = vw.bqz(0, z)
-    bqz = vw.bqz(1, z)
-    bq = vw.bq
-    return RMat(2, 2, [
-        [bqz, o, o, o],
-        [o, bz, bq, o],
-        [o, bq, bz, o],
-        [o, o, o, bqz],
-    ])
+    bz, bqz, bq = vw.bqz(0, z), vw.bqz(1, z), vw.bq
+    return RMat(2, 2, {
+        (0, 0, 0, 0): bqz, (1, 1, 1, 1): bqz,
+        (0, 1, 0, 1): bz, (1, 0, 1, 0): bz,
+        (0, 1, 1, 0): bq, (1, 0, 0, 1): bq,
+    }, vw.zero)
 
 
 def r12(z, q) -> RMat:
     """Mixed R-matrix on C^2 x C^3, symmetric, with the square roots of
     [q][q^2] carried by the extension symbol s."""
-    vw = q if isinstance(q, VertexWeights) else VertexWeights(q)
+    vw = _session(q)
     z = vw.coerce(z)
-    o = vw.zero
-    s = vw.s
-    bz = vw.bqz(0, z)
-    bqz = vw.bqz(1, z)
-    bq2z = vw.bqz(2, z)
-    return RMat(2, 3, [
-        [bq2z, o, o, o, o, o],
-        [o, bqz, o, s, o, o],
-        [o, o, bz, o, s, o],
-        [o, s, o, bz, o, o],
-        [o, o, s, o, bqz, o],
-        [o, o, o, o, o, bq2z],
-    ])
+    bz, bqz, bq2z, s = vw.bqz(0, z), vw.bqz(1, z), vw.bqz(2, z), vw.s
+    U, Z, D = UP, ZERO, DOWN
+    return RMat(2, 3, {
+        (0, U, 0, U): bq2z, (1, D, 1, D): bq2z,
+        (0, Z, 0, Z): bqz, (1, Z, 1, Z): bqz,
+        (0, D, 0, D): bz, (1, U, 1, U): bz,
+        (0, Z, 1, U): s, (1, U, 0, Z): s,
+        (0, D, 1, Z): s, (1, Z, 0, D): s,
+    }, vw.zero)
 
 
 def r22(z, q) -> RMat:
     """Nineteen-vertex R-matrix on C^3 x C^3 from the weight table above."""
-    vw = q if isinstance(q, VertexWeights) else VertexWeights(q)
+    vw = _session(q)
     z = vw.coerce(z)
     w1 = vw.bqz(1, z) * vw.bqz(2, z)      # [qz][q^2 z]
     w2 = vw.bqz(-1, z) * vw.bqz(0, z)     # [z/q][z]
@@ -223,23 +235,18 @@ def r22(z, q) -> RMat:
     w6 = vw.bq2 * vw.bqz(0, z)            # [q^2][z]
     w7 = w4 + w3                          # [z][qz] + [q][q^2]
     U, Z, D = UP, ZERO, DOWN
-    ent = {
-        ((U, U), (U, U)): w1, ((D, D), (D, D)): w1,
-        ((U, D), (U, D)): w2, ((D, U), (D, U)): w2,
-        ((D, U), (U, D)): w3, ((U, D), (D, U)): w3,
-        ((Z, U), (Z, U)): w4, ((Z, D), (Z, D)): w4,
-        ((U, Z), (U, Z)): w4, ((D, Z), (D, Z)): w4,
-        ((U, Z), (Z, U)): w5, ((D, Z), (Z, D)): w5,
-        ((Z, D), (D, Z)): w5, ((Z, U), (U, Z)): w5,
-        ((Z, Z), (D, U)): w6, ((Z, Z), (U, D)): w6,
-        ((U, D), (Z, Z)): w6, ((D, U), (Z, Z)): w6,
-        ((Z, Z), (Z, Z)): w7,
-    }
-    o = vw.zero
-    mat = [[o] * 9 for _ in range(9)]
-    for (out_pair, in_pair), wgt in ent.items():
-        mat[3 * out_pair[0] + out_pair[1]][3 * in_pair[0] + in_pair[1]] = wgt
-    return RMat(3, 3, mat)
+    return RMat(3, 3, {
+        (U, U, U, U): w1, (D, D, D, D): w1,
+        (U, D, U, D): w2, (D, U, D, U): w2,
+        (D, U, U, D): w3, (U, D, D, U): w3,
+        (Z, U, Z, U): w4, (Z, D, Z, D): w4,
+        (U, Z, U, Z): w4, (D, Z, D, Z): w4,
+        (U, Z, Z, U): w5, (D, Z, Z, D): w5,
+        (Z, D, D, Z): w5, (Z, U, U, Z): w5,
+        (Z, Z, D, U): w6, (Z, Z, U, D): w6,
+        (U, D, Z, Z): w6, (D, U, Z, Z): w6,
+        (Z, Z, Z, Z): w7,
+    }, vw.zero)
 
 
 def r_mn(m: int, n: int, z, q) -> RMat:
@@ -255,7 +262,7 @@ def r_mn(m: int, n: int, z, q) -> RMat:
     if (m, n) == (1, 2):
         return r12(z, q)
     if (m, n) == (2, 1):
-        vw = q if isinstance(q, VertexWeights) else VertexWeights(q)
+        vw = _session(q)
         return r12(vw.coerce(z) / vw.sc(vw.q), vw).swapped()
     if (m, n) == (2, 2):
         return r22(z, q)
@@ -273,9 +280,9 @@ def check_ybe(m: int, n: int, p: int, z, w, q) -> bool:
     if z.is_zero() or w.is_zero():
         raise ZeroInverse("spectral parameters must be nonzero")
     dims = [m + 1, n + 1, p + 1]
-    r12_ = linalg.sp_embed_pair(r_mn(m, n, z / w, vw).entries, dims, 0, 1)
-    r13_ = linalg.sp_embed_pair(r_mn(m, p, z, vw).entries, dims, 0, 2)
-    r23_ = linalg.sp_embed_pair(r_mn(n, p, w, vw).entries, dims, 1, 2)
+    r12_ = r_mn(m, n, z / w, vw).embedded(dims, 0, 1)
+    r13_ = r_mn(m, p, z, vw).embedded(dims, 0, 2)
+    r23_ = r_mn(n, p, w, vw).embedded(dims, 1, 2)
     lhs = linalg.sp_mul(linalg.sp_mul(r12_, r13_), r23_)
     rhs = linalg.sp_mul(linalg.sp_mul(r23_, r13_), r12_)
     return lhs == rhs
@@ -285,146 +292,100 @@ def inversion_check(z, q) -> bool:
     """R(z) R(1/z) = [q/z][q^2 z] [qz][q^2/z] Id on C^3 x C^3."""
     vw = VertexWeights(q)
     z = vw.coerce(z)
-    prod = linalg.mat_mul(r22(z, vw).entries, r22(z.inv(), vw).entries)
+    lhs = linalg.sp_mul(r22(z, vw).embedded([3, 3], 0, 1),
+                        r22(z.inv(), vw).embedded([3, 3], 0, 1))
     rz = vw.bracket(vw.sc(vw.q) / z) * vw.bqz(2, z)
     rzi = vw.bqz(1, z) * vw.bracket(vw.sc(vw.q * vw.q) / z)
-    return linalg.mat_eq(prod, linalg.mat_scale(linalg.identity(9, vw.d), rz * rzi))
+    c = rz * rzi
+    return lhs == {k: {k: c} for k in range(9) if c}
 
 
-def singlet_pair_vector(vw: VertexWeights):
-    """|s> = |UD> + |DU> - |00> on C^3 x C^3, as a length-9 column."""
-    v = [vw.zero] * 9
-    v[3 * UP + DOWN] = vw.one
-    v[3 * DOWN + UP] = vw.one
-    v[3 * ZERO + ZERO] = -vw.one
-    return v
+def singlet_pair_vector(vw: VertexWeights) -> dict:
+    """|s> = |UD> + |DU> - |00> on C^3 x C^3, as {(left, right): coeff}."""
+    return {(UP, DOWN): vw.one, (ZERO, ZERO): -vw.one, (DOWN, UP): vw.one}
 
 
 def rank_one_check(q) -> bool:
-    """r22(1/q) = [q][q^2] |s><s| and every 2x2 minor vanishes."""
+    """r22(1/q) = [q][q^2] |s><s|.
+
+    The entries settle the rank too: an outer product of the nonzero
+    vector |s> with itself has rank one, so no minor is evaluated.
+    """
     vw = VertexWeights(q)
-    m = r22(vw.sc(vw.q).inv(), vw).entries
     s = singlet_pair_vector(vw)
     w3 = vw.bq * vw.bq2
-    for a in range(9):
-        for b in range(9):
-            if m[a][b] != w3 * s[a] * s[b]:
-                return False
-    for a in range(9):
-        for b in range(a + 1, 9):
-            for c in range(9):
-                for dd in range(c + 1, 9):
-                    if not (m[a][c] * m[b][dd] - m[a][dd] * m[b][c]).is_zero():
-                        return False
-    return True
+    want = {o + i: w3 * so * si for o, so in s.items() for i, si in s.items()}
+    return r22(vw.sc(vw.q).inv(), vw).weights == want
 
 
 def magnetisation_pattern_check(z, q) -> bool:
-    """Entries of r22 vanish unless out and in pairs carry equal spin."""
-    mag = {UP: 1, ZERO: 0, DOWN: -1}
-    m = r22(z, q)
-    for lo in range(3):
-        for ro in range(3):
-            for li in range(3):
-                for ri in range(3):
-                    if mag[lo] + mag[ro] != mag[li] + mag[ri]:
-                        if not m.entry(lo, ro, li, ri).is_zero():
-                            return False
-    return True
+    """Entries of r22 vanish unless out and in pairs carry equal spin.
+
+    With U, 0, D coded 0, 1, 2 a site's spin is 1 minus its code, so equal
+    spin is an equal sum of codes."""
+    return all(lo + ro == li + ri for lo, ro, li, ri in r22(z, q).weights)
 
 
 def permutation_check(z, q) -> bool:
     """r22(1) = [q][q^2] P."""
     vw = VertexWeights(q)
-    m = r22(vw.one, vw)
     w3 = vw.bq * vw.bq2
-    for a in range(3):
-        for b in range(3):
-            for c in range(3):
-                for dd in range(3):
-                    want = w3 if (a, b) == (dd, c) else vw.zero
-                    if m.entry(a, b, c, dd) != want:
-                        return False
-    return True
+    return r22(vw.one, vw).weights == {(a, b, b, a): w3 for a in range(3)
+                                       for b in range(3)}
 
 
 # -- fusion of two mixed R-matrices into the nineteen-vertex one -------
-
-
-def _fused_pair_product(z, vw: VertexWeights) -> list:
-    """R13(z/q) R23(z) on C^2 x C^2 x C^3 (dense 12x12)."""
-    dims = [2, 2, 3]
-    a13 = linalg.sp_embed_pair(r12(z / vw.sc(vw.q), vw).entries, dims, 0, 2)
-    a23 = linalg.sp_embed_pair(r12(z, vw).entries, dims, 1, 2)
-    prod = linalg.sp_mul(a13, a23)
-    out = linalg.zeros(12, 12, vw.d)
-    for i, row in prod.items():
-        for j, x in row.items():
-            out[i][j] = x
-    return out
 
 
 def check_fusion_r22(z, q) -> bool:
     """Gauge-free equivalent of the fusion decomposition (see module doc)."""
     vw = VertexWeights(q)
     z = vw.coerce(z)
-    y = _fused_pair_product(z, vw)
-    half = vw.sc(RAT(1, 2))
+    # Y = R13(z/q) R23(z) on C^2 x C^2 x C^3, row 3 * pair + alpha with
+    # pair = 2 * (first spin) + (second spin)
+    dims = [2, 2, 3]
+    y = linalg.sp_mul(r12(z / vw.sc(vw.q), vw).embedded(dims, 0, 2),
+                      r12(z, vw).embedded(dims, 1, 2))
+    one, half = vw.one, vw.sc(RAT(1, 2))
+
+    def block(rows, cols, alpha, beta):
+        """sum of wr wc <pr alpha| Y |pc beta> over weighted pairs pr, pc."""
+        acc = vw.zero
+        for pr, wr in rows:
+            y_row = y.get(3 * pr + alpha, {})
+            for pc, wc in cols:
+                x = y_row.get(3 * pc + beta)
+                if x is not None:
+                    acc = acc + wr * wc * x
+        return acc
 
     # unnormalised symmetric embedding iota and projection pi on C^2 x C^2
     # (first two factors); sym labels U, 0, D with parity kappa(0) = 1
-    iota = {UP: [(0, vw.one)], ZERO: [(1, vw.one), (2, vw.one)],
-            DOWN: [(3, vw.one)]}
-    pi = {UP: [(0, vw.one)], ZERO: [(1, half), (2, half)],
-          DOWN: [(3, vw.one)]}
+    iota = {UP: [(0, one)], ZERO: [(1, one), (2, one)], DOWN: [(3, one)]}
+    pi = {UP: [(0, one)], ZERO: [(1, half), (2, half)], DOWN: [(3, one)]}
     kappa = {UP: 0, ZERO: 1, DOWN: 0}
 
     target = r22(z, vw)
-    for i in (UP, ZERO, DOWN):
-        for alpha in range(3):
-            for j in (UP, ZERO, DOWN):
-                for beta in range(3):
-                    c = vw.zero
-                    for pair_o, wo in pi[i]:
-                        for pair_i, wi in iota[j]:
-                            c = c + wo * wi * y[3 * pair_o + alpha][3 * pair_i + beta]
-                    t = target.entry(i, alpha, j, beta)
-                    dk = kappa[i] - kappa[j]
-                    if dk == 0:
-                        if c != t:
-                            return False
-                    elif dk == 1:
-                        if vw.s * c != vw.bq * t:
-                            return False
-                    else:
-                        if vw.s * c != vw.bq2 * t:
-                            return False
+    for i, alpha, j, beta in product((UP, ZERO, DOWN), range(3), repeat=2):
+        c = block(pi[i], iota[j], alpha, beta)
+        t = target.entry(i, alpha, j, beta)
+        dk = kappa[i] - kappa[j]
+        if dk == 0:
+            if c != t:
+                return False
+        elif vw.s * c != (vw.bq if dk == 1 else vw.bq2) * t:
+            return False
 
     # antisymmetric row: P- Y P+ = 0 and P- Y P- = [z/q][q^2 z] P-
     scalar = vw.bqz(-1, z) * vw.bqz(2, z)
-    anti = [vw.zero, vw.one, -vw.one, vw.zero]  # ud - du (unnormalised)
-    for alpha in range(3):
-        # row extraction <anti, alpha| Y with the 1/2 normalisation
-        row = [vw.zero] * 12
-        for jj in range(12):
-            row[jj] = half * (y[3 * 1 + alpha][jj] - y[3 * 2 + alpha][jj])
-        # against symmetric columns: must vanish
-        for j in (UP, ZERO, DOWN):
-            for beta in range(3):
-                acc = vw.zero
-                for pair_i, wi in iota[j]:
-                    acc = acc + wi * row[3 * pair_i + beta]
-                if not acc.is_zero():
-                    return False
-        # against the antisymmetric column: scalar block
-        for beta in range(3):
-            acc = vw.zero
-            for pair_i, wi in enumerate(anti):
-                if not wi.is_zero():
-                    acc = acc + wi * row[3 * pair_i + beta]
-            want = scalar if beta == alpha else vw.zero
-            if acc != want:
-                return False
+    anti_row = [(1, half), (2, -half)]  # <ud - du| with the 1/2 normalisation
+    anti_col = [(1, one), (2, -one)]    # |ud - du>, unnormalised
+    for alpha, beta in product(range(3), repeat=2):
+        if any(block(anti_row, iota[j], alpha, beta) for j in iota):
+            return False
+        if block(anti_row, anti_col, alpha, beta) != (
+                scalar if beta == alpha else vw.zero):
+            return False
     return True
 
 
@@ -440,11 +401,10 @@ def crossing_transpose_check(z, q) -> bool:
     """
     vw = VertexWeights(q)
     z = vw.coerce(z)
-    lhs = r12(z, vw).transpose_right().entries
-    inner = r12((z * vw.sc(vw.q * vw.q)).inv(), vw).entries
-    i_ = vw.i
-    sigma2 = [[vw.zero, -i_], [i_, vw.zero]]
-    conj = linalg.kron(sigma2, linalg.identity(3, vw.d))
-    rhs = linalg.mat_scale(linalg.mat_mul(conj, linalg.mat_mul(inner, conj)),
-                           -vw.one)
-    return linalg.mat_eq(lhs, rhs)
+    lhs = r12(z, vw).transpose_right().embedded([2, 3], 0, 1)
+    inner = r12((z * vw.sc(vw.q * vw.q)).inv(), vw).embedded([2, 3], 0, 1)
+    # sigma2 x 1 = [[0, -i], [i, 0]] x 1 on C^2 x C^3, and its negative
+    conj = {3 * a + k: {3 * (1 - a) + k: vw.i if a else -vw.i}
+            for a in range(2) for k in range(3)}
+    neg = {r: {c: -w for c, w in row.items()} for r, row in conj.items()}
+    return lhs == linalg.sp_mul(linalg.sp_mul(conj, inner), neg)

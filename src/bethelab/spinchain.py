@@ -112,7 +112,10 @@ def bond_gate():
 def _bond_tables():
     """Transition tables of the bulk bond and of the boundary bond, the
     bulk bond conjugated by Omega on its wrapped right-hand site."""
-    bulk = RMat(3, 3, bond_gate()).column_map()
+    gate = bond_gate()
+    bulk = RMat(3, 3, {(a // 3, a % 3, b // 3, b % 3): gate[a][b]
+                       for a in range(9) for b in range(9)},
+                HalfPowerPoly()).column_map()
     boundary = {(li, ri): [(lo, ro, w * (OMEGA[ro] * OMEGA[ri]))
                            for lo, ro, w in col]
                 for (li, ri), col in bulk.items()}

@@ -2,9 +2,13 @@ import itertools
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+import dense_rmatrix_oracle as dense
 
 from bethelab import linalg
-from bethelab.field import RAT, Scalar
+from bethelab.field import RAT, Scalar, SessionMismatch
 from bethelab.rmatrix import (
     DOWN,
     UP,
@@ -20,6 +24,7 @@ from bethelab.rmatrix import (
     r11,
     r12,
     r22,
+    r_mn,
     rank_one_check,
     singlet_pair_vector,
 )
@@ -30,8 +35,9 @@ VW = VertexWeights(Q)
 
 def test_r11_at_z_one():
     m = r11(VW.one, VW)
-    assert m.entries[0][0] == VW.sc(RAT(3, 2))  # [q] at q=2
-    assert m.entries[1][1].is_zero()            # [1] = 0
+    assert m.entry(0, 0, 0, 0) == VW.sc(RAT(3, 2))  # [q] at q=2
+    assert m.entry(0, 1, 0, 1).is_zero()            # [1] = 0
+    assert (0, 1, 0, 1) not in m.weights            # and is not stored
     assert m.entry(0, 1, 1, 0) == VW.bq
 
 
@@ -40,15 +46,15 @@ def test_r11_symmetric_projector_point():
     m = r11(VW.sc(Q), VW)
     bq2 = VW.bq2
     bq = VW.bq
-    assert m.entries[0][0] == bq2
-    assert m.entries[3][3] == bq2
-    for a, b in itertools.product((1, 2), repeat=2):
-        assert m.entries[a][b] == bq
+    assert m.entry(0, 0, 0, 0) == bq2
+    assert m.entry(1, 1, 1, 1) == bq2
+    for out, in_ in itertools.product(((0, 1), (1, 0)), repeat=2):
+        assert m.entry(*out, *in_) == bq
     # z = 1/q: (-2[q]) P-
     m = r11(VW.sc(Q).inv(), VW)
-    assert m.entries[0][0].is_zero() and m.entries[3][3].is_zero()
-    assert m.entries[1][1] == -bq and m.entries[2][2] == -bq
-    assert m.entries[1][2] == bq and m.entries[2][1] == bq
+    assert m.entry(0, 0, 0, 0).is_zero() and m.entry(1, 1, 1, 1).is_zero()
+    assert m.entry(0, 1, 0, 1) == -bq and m.entry(1, 0, 1, 0) == -bq
+    assert m.entry(0, 1, 1, 0) == bq and m.entry(1, 0, 0, 1) == bq
 
 
 def test_r12_flip_entry_is_s():
@@ -61,7 +67,7 @@ def test_r12_flip_entry_is_s():
 def test_r12_first_entry_at_inverse_q():
     # z = 1/q, q = 2: the (1,1) entry [q^2 z] = [q] = 3/2
     m = r12(VW.sc(Q).inv(), VW)
-    assert m.entries[0][0] == VW.sc(RAT(3, 2))
+    assert m.entry(0, UP, 0, UP) == VW.sc(RAT(3, 2))
 
 
 def test_r12_symmetric():
@@ -91,10 +97,10 @@ def test_r22_permutation_point():
 def test_r22_rank_one_point():
     assert rank_one_check(Q)
     # and the image is spanned by |s>
-    m = r22(VW.sc(Q).inv(), VW).entries
+    m = r22(VW.sc(Q).inv(), VW)
     s = singlet_pair_vector(VW)
     w3 = VW.bq * VW.bq2
-    assert m[3 * UP + DOWN][3 * ZERO + ZERO] == -w3 * s[3 * UP + DOWN] * VW.one
+    assert m.entry(UP, DOWN, ZERO, ZERO) == -w3 * s[UP, DOWN]
 
 
 def test_inversion_relation():
@@ -152,11 +158,19 @@ def test_bad_q_rejected():
 
 def test_shape_guards_raise():
     with pytest.raises(ValueError):
-        RMat(2, 3, r22(RAT(3), VW).entries)  # 9x9 entries for a 6x6 operator
+        RMat(2, 3, r22(RAT(3), VW).weights, VW.zero)  # spin-1 left factor
     with pytest.raises(ValueError):
         r12(RAT(3), VW).braided()  # factors C^2 and C^3
     with pytest.raises(ValueError):
-        linalg.mat_mul(r12(RAT(3), VW).entries, r22(RAT(3), VW).entries)
+        linalg.mat_mul([[VW.one] * 2], [[VW.one] * 2])  # 1x2 times 1x2
+
+
+def test_coerce_rejects_a_scalar_of_another_session():
+    other = VertexWeights(RAT(3))
+    with pytest.raises(SessionMismatch):
+        VW.coerce(other.one)
+    with pytest.raises(SessionMismatch):
+        r22(other.sc(RAT(5)), VW)
 
 
 def test_bareiss_determinant_matches_cofactor():
@@ -177,3 +191,53 @@ def test_bareiss_determinant_matches_cofactor():
             return acc
 
         assert linalg.det_bareiss(m) == cofactor(m)
+
+
+# ---------------------------------------------------------------------
+# the sparse weights against the dense grids they replaced
+
+
+@st.composite
+def sessions_and_points(draw):
+    """A valid rational q with its session, and a nonzero rational z that
+    is often 1, q or 1/q, where some weights vanish."""
+    q = RAT(draw(st.integers(-9, 9).filter(bool)), draw(st.integers(1, 9)))
+    try:
+        vw = VertexWeights(q)
+    except ValueError:  # q^4 = 1, or [q][q^2] a square in Q(i)
+        assume(False)
+    z = draw(st.one_of(
+        st.sampled_from([RAT(1), q, 1 / q, q * q, 1 / (q * q)]),
+        st.builds(RAT, st.integers(-12, 12).filter(bool),
+                  st.integers(1, 12))))
+    return vw, vw.sc(z)
+
+
+def _dense_pairs(vw, z):
+    pairs = [(r11(z, vw), dense.r11(z, vw)),
+             (r12(z, vw), dense.r12(z, vw)),
+             (r22(z, vw), dense.r22(z, vw)),
+             (r_mn(2, 1, z, vw), dense.r21(z, vw))]
+    pairs += [(sparse.swapped(), ref.swapped()) for sparse, ref in pairs[:3]]
+    pairs += [(sparse.transpose_right(), ref.transpose_right())
+              for sparse, ref in pairs[:4]]
+    pairs += [(sparse.braided(), ref.braided())
+              for sparse, ref in (pairs[0], pairs[2])]
+    return pairs
+
+
+@settings(deadline=None, derandomize=True, database=None, max_examples=60)
+@given(sessions_and_points())
+def test_sparse_weights_match_the_dense_grids(point):
+    vw, z = point
+    for sparse, ref in _dense_pairs(vw, z):
+        assert (sparse.dim_left, sparse.dim_right) == \
+            (ref.dim_left, ref.dim_right)
+        for lo, li in itertools.product(range(ref.dim_left), repeat=2):
+            for ro, ri in itertools.product(range(ref.dim_right), repeat=2):
+                assert sparse.entry(lo, ro, li, ri) == \
+                    ref.entry(lo, ro, li, ri), (lo, ro, li, ri)
+        assert all(sparse.weights.values())
+        # same columns, same weights, in the same order
+        assert list(sparse.column_map().items()) == \
+            list(ref.column_map().items())
