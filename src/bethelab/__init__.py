@@ -18,7 +18,7 @@ no floating point anywhere.  Submodules:
 - cli:       batch verification front end
 """
 
-from bethelab.field import RAT, Scalar, HalfPowerPoly, LaurentPoly, bracket, brk
+from bethelab.field import RAT, Scalar, HalfPowerPoly, LaurentPoly, brk
 
-__all__ = ["RAT", "Scalar", "HalfPowerPoly", "LaurentPoly", "bracket", "brk"]
+__all__ = ["RAT", "Scalar", "HalfPowerPoly", "LaurentPoly", "brk"]
 __version__ = "0.1.0"

@@ -15,15 +15,17 @@ auxiliary index, merging equal (auxiliary, state) entries after each site
 singlet's beta operator in `spinchain` differ only in their tables and
 auxiliary boundary indices.
 
-The monodromy entries and T2 run the sweep fraction-free.  With d =
-[q][q^2] = u/v in lowest terms, t = v s squares to the integer u v, and
-each transition table is stored once per spectral argument as integer
-weights a + b t + c i + e t i (field.IntScalar) over one integer
-denominator D.  `monodromy_apply` and `transfer2_apply` write the input
-vector over one common denominator, sweep on integers (T2 sums its three
-Omega-signed traces there too), and convert back to Scalars once on
-return, dividing by the input's denominator times the product of the D.
-For a product of entries, as in `bethe_vector`, it converts just once.
+The monodromy entries and T2 sweep plain ints.  The mixed R-matrix
+carries s = sqrt([q][q^2]) only on its four spin-flip weights, which the
+gauge K = diag(1, s) on its auxiliary factor turns into 1 and [q][q^2];
+so every table is rational, stored once per session and spectral
+argument as ints over one denominator D, and the gauged entries read A,
+B/s, s C and D.  The input vector is split into its four rational parts
+(the coefficients of 1, s, i and s i), which rational tables never mix;
+each nonzero part is swept on ints, and the result is divided once by
+the input's denominator times the product of the D (once for a whole
+product of entries, as in `bethe_vector`), then multiplied by s^k for k
+B's or by s^-k for k C's.
 
 With twist angle pi the transfer matrices are
 
@@ -44,17 +46,17 @@ relations that are verified here exactly.
 
 from __future__ import annotations
 
+from math import lcm, prod
+
 from bethelab.field import (
     RAT,
     Scalar,
     ZeroInverse,
     as_rat,
     brk,
-    from_integer,
     laurent_interpolate_many,
-    to_integers,
 )
-from bethelab.rmatrix import DOWN, UP, ZERO, VertexWeights, r12, r22
+from bethelab.rmatrix import DOWN, UP, ZERO, _session, r12, r22
 
 
 class DimensionMismatch(ValueError):
@@ -74,16 +76,16 @@ class IrrationalComponent(ArithmeticError):
     """A renormalised component kept an s- or i-part (bug guard)."""
 
 
+class IrrationalWeight(ArithmeticError):
+    """A transition weight is not rational in the gauge of the sweeps."""
+
+
 SPIN_CHARS = "U0D"
 OMEGA = (-1, 1, -1)  # the diagonal twist at angle pi on (U, 0, D)
 
 
 def state_str(key) -> str:
     return "".join(SPIN_CHARS[c] for c in key)
-
-
-def state_from_str(s: str):
-    return tuple(SPIN_CHARS.index(ch) for ch in s)
 
 
 def magnetisation(key) -> int:
@@ -150,8 +152,9 @@ class StateVector:
 class ModelParams:
     """Chain size, anisotropy q, inhomogeneities w and the twist.
 
-    Carries the scalar session (d = [q][q^2]) and caches of R-matrix
-    transition tables over Z[t, i] keyed by their spectral argument.
+    Carries the scalar session (d = [q][q^2]); q may be given as that
+    session, a VertexWeights, whose memo then holds the transition tables
+    of every ModelParams that shares it.
     """
 
     def __init__(self, n: int, q, w, twist: str = "pi"):
@@ -165,19 +168,17 @@ class ModelParams:
         if any(x == 0 for x in w):
             raise ValueError("inhomogeneities must be nonzero")
         self.n = n
-        self.q = as_rat(q)
+        self.vw = _session(q)
+        self.q = self.vw.q
         self.w = w
         self.twist = twist
-        self.vw = VertexWeights(q)
-        self._r12_tables = {}
-        self._r22_tables = {}
         self._bethe_cache = None
         self._renorm_cache = None
         self._laurent_cache = {}
         self._reduced_cache = {}
 
     def with_w(self, w, twist=None) -> "ModelParams":
-        return ModelParams(len(tuple(w)), self.q, w,
+        return ModelParams(len(tuple(w)), self.vw, w,
                            twist if twist is not None else self.twist)
 
     def sc(self, r) -> Scalar:
@@ -190,35 +191,48 @@ class ModelParams:
     def d(self):
         return self.vw.d
 
-    def _key(self, u: Scalar):
-        return (u.a, u.b, u.c, u.e)
+    def _table(self, kind: str, u: Scalar, build):
+        """The session's memo of build(), keyed by kind and u."""
+        key = (kind, u.a, u.b, u.c, u.e)
+        t = self.vw.tables.get(key)
+        if t is None:
+            t = self.vw.tables[key] = build()
+        return t
 
     def r12_table(self, u: Scalar):
-        """(table, D): the transition table of r12(u) with IntScalar
-        weights over the one denominator D."""
-        k = self._key(u)
-        t = self._r12_tables.get(k)
-        if t is None:
-            t = self._r12_tables[k] = _integer_table(r12(u, self.vw), self.d)
-        return t
+        """(table, D): the transition table of K r12(u) K^-1, with K =
+        diag(1, s) on the auxiliary factor, as ints over one denominator
+        D.  The flip weights <0 .|R|1 .> = s and <1 .|R|0 .> = s become 1
+        and [q][q^2]; every other weight is rational already."""
+        return self._table("r12", u,
+                           lambda: _int_table(r12(u, self.vw), self.d))
 
     def r22_table(self, u: Scalar):
-        """(table, D) for r22(u), as r12_table."""
-        k = self._key(u)
-        t = self._r22_tables.get(k)
-        if t is None:
-            t = self._r22_tables[k] = _integer_table(r22(u, self.vw), self.d)
-        return t
+        """(table, D) for r22(u), whose weights are rational already."""
+        return self._table("r22", u, lambda: _int_table(r22(u, self.vw)))
 
 
-def _integer_table(rmat, d):
-    """Column transition table of an RMat with every weight written over
-    Z[t, i], and their common denominator."""
-    cols = rmat.column_map()
-    nums, den = to_integers([w for col in cols.values() for *_, w in col], d)
-    it = iter(nums)
-    return {key: [(ao, so, next(it)) for ao, so, _ in col]
-            for key, col in cols.items()}, den
+def _gauged(w: Scalar, ao: int, ai: int, d):
+    """The weight w = <ao .|R|ai .> as a rational: w itself, or with d
+    given and ao != ai, the gauged flip weight (w = b s becomes b for
+    0 <- 1 and b d for 1 <- 0)."""
+    if d is None or ao == ai:
+        if w.is_rational():
+            return w.a
+    elif not (w.a or w.c or w.e):
+        return w.b if ao == 0 else w.b * d
+    raise IrrationalWeight(f"<{ao} .|R|{ai} .> = {w!r}")
+
+
+def _int_table(rmat, d=None):
+    """(table, D): the column transition table of rmat, gauged by
+    K = diag(1, s), s^2 = d, on its left factor when d is given, with
+    every weight an int over their least common denominator D."""
+    cols = {key: [(ao, so, _gauged(w, ao, key[0], d)) for ao, so, w in col]
+            for key, col in rmat.column_map().items()}
+    den = lcm(*(r.denominator for col in cols.values() for *_, r in col))
+    return {key: [(ao, so, r.numerator * (den // r.denominator))
+                  for ao, so, r in col] for key, col in cols.items()}, den
 
 
 def vacuum(params: ModelParams) -> StateVector:
@@ -273,36 +287,45 @@ def sweep(tables, v: StateVector, a_in: int, a_out: int) -> dict:
 def _signed_sweeps(rows, v: StateVector, params: ModelParams,
                    bounds) -> StateVector:
     """For each row of (table, D) pairs in turn, replace v by the sum of
-    sign * sweep(v, a_in, a_out) over the (a_in, a_out, sign) in bounds,
-    all over Z[t, i]: v is written once over one denominator, the signed
-    sums are taken on integers, and the result is divided once by v's
-    denominator times every D."""
-    nums, den = to_integers(v.entries.values(), params.d)
-    ints = StateVector(v.n, dict(zip(v.entries, nums)))
-    for tables in rows:
-        out = {}
-        for a_in, a_out, sign in bounds:
-            for key, x in sweep([t for t, _ in tables], ints, a_in,
-                                a_out).items():
-                if sign < 0:
-                    x = -x
-                acc = out.get(key)
-                out[key] = x if acc is None else acc + x
-        ints = StateVector(v.n, out)
-        for _, d_j in tables:
-            den *= d_j
-    return StateVector(v.n, {key: from_integer(x, den, params.d)
-                             for key, x in ints.entries.items()})
+    sign * sweep(v, a_in, a_out) over the (a_in, a_out, sign) in bounds.
+
+    The tables are rational, so the four rational parts of v (the
+    coefficients of 1, s, i and s i) never mix: v is written over one
+    common denominator, each nonzero part goes through every row on
+    plain ints, and the result is divided once by v's denominator times
+    every D."""
+    for x in v.entries.values():
+        params.coerce(x)  # raises SessionMismatch for another session
+    parts = list(zip(*((x.a, x.b, x.c, x.e) for x in v.entries.values())))
+    den = lcm(*(r.denominator for part in parts for r in part))
+    sweeps = [[t for t, _ in tables] for tables in rows]
+    out = {}
+    for k, part in enumerate(parts):
+        cur = {key: r.numerator * (den // r.denominator)
+               for key, r in zip(v.entries, part) if r}
+        for tables in sweeps:
+            ints, cur = StateVector(v.n, cur), {}
+            for a_in, a_out, sign in bounds:
+                for key, x in sweep(tables, ints, a_in, a_out).items():
+                    cur[key] = cur.get(key, 0) + sign * x
+        for key, x in cur.items():
+            if x:
+                out.setdefault(key, [0, 0, 0, 0])[k] = x
+    den *= prod(d_j for tables in rows for _, d_j in tables)
+    return StateVector(v.n, {key: Scalar(*(RAT(x, den) for x in xs),
+                                         d=params.d)
+                             for key, xs in out.items()})
 
 
 def monodromy_apply(which: str, z, params: ModelParams,
                     v: StateVector) -> StateVector:
     """Apply a monodromy entry A, B, C or D at spectral parameter z; for a
     list z = [z_1, ..., z_k], apply the product which(z_k) ... which(z_1),
-    with v converted to integers and back once for all k sweeps.
+    with v split into rational parts and recombined once for all k sweeps.
 
     One sweep over sites 1..N contracting the two-dimensional auxiliary
-    space exactly; B lowers the magnetisation by one, C raises it.
+    space exactly; B lowers the magnetisation by one, C raises it.  Undoing
+    the gauge of `r12_table` multiplies each B by s and each C by 1/s.
     """
     if which not in _AUX:
         raise ValueError("which must be one of A, B, C, D")
@@ -316,7 +339,10 @@ def monodromy_apply(which: str, z, params: ModelParams,
             raise ZeroInverse("spectral parameter must be nonzero")
         rows.append([params.r12_table(x * inv_q * params.sc(w).inv())
                      for w in params.w])
-    return _signed_sweeps(rows, v, params, [(*_AUX[which], 1)])
+    a_in, a_out = _AUX[which]
+    out = _signed_sweeps(rows, v, params, [(a_in, a_out, 1)])
+    k = len(rows) * (a_in - a_out)
+    return out.scale(params.vw.s ** k) if k else out
 
 
 def bethe_vector(params: ModelParams) -> StateVector:
@@ -463,15 +489,6 @@ def s_prime_apply(v: StateVector, twist: str = "pi") -> StateVector:
         if twist == "pi" and OMEGA[key[-1]] == -1:
             amp = -amp
         out[(key[-1],) + key[:-1]] = amp
-    return StateVector(v.n, out)
-
-
-def s_prime_inverse_apply(v: StateVector, twist: str = "pi") -> StateVector:
-    out = {}
-    for key, amp in v.entries.items():
-        if twist == "pi" and OMEGA[key[0]] == -1:
-            amp = -amp
-        out[key[1:] + (key[0],)] = amp
     return StateVector(v.n, out)
 
 

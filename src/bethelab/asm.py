@@ -32,7 +32,7 @@ from functools import cache, reduce
 from itertools import accumulate, combinations, product
 from operator import mul
 
-from bethelab.field import RAT, Scalar, as_rat
+from bethelab.field import Scalar
 from bethelab.rmatrix import VertexWeights
 
 class InvalidConfig(ValueError):
@@ -167,13 +167,6 @@ class GenPoly:
 
     def degree(self) -> int:
         return len(self.coeffs) - 1
-
-    def eval_at(self, t):
-        t = as_rat(t)
-        acc = RAT(0)
-        for c in reversed(self.coeffs):
-            acc = acc * t + c
-        return acc
 
     def __eq__(self, other):
         return (isinstance(other, GenPoly) and self.n == other.n

@@ -14,10 +14,8 @@ with rational a, b, c, e.  For d that is not a rational square (and -d not
 one either) this is a field, so every nonzero element is invertible and all
 divisions are exact.
 
-For the hot contraction loops the same ring is written fraction-free:
-with d = u/v in lowest terms, t = v*s satisfies t**2 = u*v, an integer,
-and an element is an IntScalar a + b*t + c*i + e*t*i with integer
-coefficients over one shared integer denominator.
+The sweeps of `aba` never see this ring: they carry each of the four
+rational parts of a vector on plain ints (see the `aba` docstring).
 
 The module also provides the half-power polynomial ring Q[y] with the
 reading y = x^(1/2) (the returned form of the homogeneous-limit states,
@@ -30,7 +28,7 @@ algebra system.
 
 from __future__ import annotations
 
-from math import isqrt, lcm
+from math import isqrt
 
 try:
     from gmpy2 import mpq as RAT
@@ -297,81 +295,6 @@ class Scalar:
                 "d": rat_str(self.d)}
 
 
-class IntScalar:
-    """Numerator a + b*t + c*i + e*t*i over Z[t, i] with t**2 = m.
-
-    Write the session constant in lowest terms, d = u/v with v > 0; then
-    t = v*s and m = u*v, so every Scalar of that session is an IntScalar
-    over a positive integer denominator (`to_integers`, `from_integer`).
-    Products and sums stay in Python ints: no rational is built and no
-    session is checked, so every operand must carry the same m.  Only
-    what the sweeps in `aba` need is defined: *, +, negation and truth.
-    """
-
-    __slots__ = ("a", "b", "c", "e", "m")
-
-    def __init__(self, a, b, c, e, m):
-        self.a = a
-        self.b = b
-        self.c = c
-        self.e = e
-        self.m = m
-
-    def __bool__(self) -> bool:
-        return bool(self.a or self.b or self.c or self.e)
-
-    def __add__(self, o):
-        return IntScalar(self.a + o.a, self.b + o.b, self.c + o.c,
-                         self.e + o.e, self.m)
-
-    def __neg__(self):
-        return IntScalar(-self.a, -self.b, -self.c, -self.e, self.m)
-
-    def __mul__(self, o):
-        a, b, c, e, m = self.a, self.b, self.c, self.e, self.m
-        A, B, C, E = o.a, o.b, o.c, o.e
-        # fast paths: transition weights are mostly rational or pure t
-        if not (C or E):
-            if not B:
-                return IntScalar(a * A, b * A, c * A, e * A, m)
-            if not A:
-                return IntScalar(b * B * m, a * B, e * B * m, c * B, m)
-        return IntScalar(
-            a * A + (b * B - e * E) * m - c * C,
-            a * B + b * A - c * E - e * C,
-            a * C + c * A + (b * E + e * B) * m,
-            a * E + e * A + b * C + c * B,
-            m,
-        )
-
-
-def to_integers(values, d):
-    """Write Scalars of session d over their least common denominator.
-
-    Returns ([IntScalar, ...], D) with D a positive int, such that
-    from_integer(x, D, d) gives back each value in order.
-    """
-    v = d.denominator
-    m = d.numerator * v
-    parts = []
-    for x in values:
-        if x.d is not d and x.d != d:
-            raise SessionMismatch(
-                f"session constants differ: {x.d} vs {d}")
-        # most weights are rational, so skip dividing zero s-parts
-        parts.append((x.a, x.b and x.b / v, x.c, x.e and x.e / v))
-    den = lcm(*[r.denominator for p in parts for r in p])
-    return [IntScalar(*[r.numerator * (den // r.denominator) for r in p], m)
-            for p in parts], den
-
-
-def from_integer(x: IntScalar, den: int, d) -> Scalar:
-    """The Scalar x / den of session d, with t = v*s for d = u/v."""
-    v = d.denominator
-    return Scalar(RAT(x.a, den), RAT(x.b * v, den), RAT(x.c, den),
-                  RAT(x.e * v, den), d=d)
-
-
 def pack(coeffs, bits: int) -> int:
     """sum_k c_k y^k at y = 2^bits, for ints c_k listed lowest first."""
     acc = 0
@@ -401,27 +324,18 @@ def brk(r) -> RAT:
     return r - 1 / r
 
 
-def bracket(z: Scalar) -> Scalar:
-    """[z] = z - z^(-1) for an invertible scalar."""
-    if not isinstance(z, Scalar):
-        raise TypeError("bracket expects a Scalar; use brk() for rationals")
-    if z.is_zero():
-        raise ZeroInverse("bracket of zero")
-    return z - z.inv()
-
-
 class HalfPowerPoly:
     """Polynomial in y over Q, read through y**2 = x.
 
-    Coefficients are stored ascending in powers of y; trailing zeros are
-    stripped.  Elements supported on even powers only are ordinary
-    polynomials in x.
+    Coefficients are stored ascending in powers of y, an int as that int
+    and any other value as a rational; trailing zeros are stripped.
+    Elements supported on even powers only are ordinary polynomials in x.
     """
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        cs = [as_rat(c) for c in coeffs]
+        cs = [c if type(c) is int else as_rat(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -571,12 +485,6 @@ class LaurentPoly:
         if self.is_zero():
             raise ValueError("zero polynomial has no top degree")
         return self.low + len(self.coeffs) - 1
-
-    def degree_width(self) -> int:
-        """Top degree minus low degree; 0 for the zero polynomial."""
-        if self.is_zero():
-            return 0
-        return len(self.coeffs) - 1
 
     def coefficient(self, k: int) -> Scalar:
         if self.is_zero() or not (self.low <= k <= self.top()):

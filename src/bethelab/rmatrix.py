@@ -71,7 +71,8 @@ UP, ZERO, DOWN = 0, 1, 2  # spin-1 components U, 0, D
 
 class VertexWeights:
     """Session data for one rational anisotropy q: the constant d = [q][q^2],
-    scalar constructors and bracket helpers shared by all R-matrices."""
+    scalar constructors and bracket helpers shared by all R-matrices, and
+    `tables`, the memo of transition tables built for this q."""
 
     def __init__(self, q):
         q = as_rat(q)
@@ -86,6 +87,7 @@ class VertexWeights:
         self.i = Scalar.i_unit(self.d)
         self.bq = self.sc(brk(q))
         self.bq2 = self.sc(brk(q * q))
+        self.tables = {}
 
     def sc(self, r) -> Scalar:
         return Scalar(as_rat(r), d=self.d)
@@ -139,11 +141,6 @@ class RMat:
     def _relabelled(self, dim_left, dim_right, key) -> "RMat":
         return RMat(dim_left, dim_right,
                     {key(*k): w for k, w in self.weights.items()}, self.zero)
-
-    def is_symmetric(self) -> bool:
-        return self.weights == self._relabelled(
-            self.dim_left, self.dim_right,
-            lambda lo, ro, li, ri: (li, ri, lo, ro)).weights
 
     def swapped(self) -> "RMat":
         """P R P: the same operator with the tensor factors exchanged."""

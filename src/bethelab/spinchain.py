@@ -47,13 +47,10 @@ from bethelab.aba import (
     ModelParams,
     StateVector,
     apply_two_site,
-    laurent_components,
     magnetisation,
     s_prime_apply,
-    s_prime_inverse_apply,
     sweep,
     transfer1_apply,
-    transfer2_apply,
 )
 from bethelab.field import (
     RAT,
@@ -122,15 +119,6 @@ def _bond_tables():
     return bulk, boundary
 
 
-def _evaluated(table, x, d):
-    """A polynomial transition table at the rational point x, as Scalars."""
-    out = {}
-    for key, col in table.items():
-        vals = [(lo, ro, w.eval_x(x)) for lo, ro, w in col]
-        out[key] = [(lo, ro, Scalar(c, d=d)) for lo, ro, c in vals if c]
-    return out
-
-
 def _apply_gates(v: StateVector, bulk, boundary) -> StateVector:
     if v.n < 2:
         raise ValueError("the twisted chain needs at least two sites")
@@ -138,16 +126,6 @@ def _apply_gates(v: StateVector, bulk, boundary) -> StateVector:
     for j in range(1, v.n - 1):
         out = out + apply_two_site(bulk, v, j, j + 1)
     return out + apply_two_site(boundary, v, v.n - 1, 0)
-
-
-def hamiltonian_apply(v: StateVector, q) -> StateVector:
-    """Apply the twisted Hamiltonian at rational anisotropy x = q + 1/q
-    to a vector with Scalar entries."""
-    q = as_rat(q)
-    sample = next(iter(v.entries.values()), None)
-    d = sample.d if sample is not None else VertexWeights(q).d
-    bulk, boundary = (_evaluated(t, q + 1 / q, d) for t in _bond_tables())
-    return _apply_gates(v, bulk, boundary)
 
 
 def hamiltonian_apply_poly(v: StateVector) -> StateVector:
@@ -212,7 +190,9 @@ def _integer_vector(v: StateVector):
 
 
 def _unpacked(value: int, bits: int, den: int) -> HalfPowerPoly:
-    return HalfPowerPoly([RAT(c, den) for c in unpack(value, bits)])
+    """The packed polynomial over den; a whole coefficient stays an int."""
+    return HalfPowerPoly([c // den if c % den == 0 else RAT(c, den)
+                          for c in unpack(value, bits)])
 
 
 @cache
@@ -318,36 +298,6 @@ def homogeneous_consistency_check(n: int, q) -> bool:
         if v.entries[key] != params.sc(scale * poly.eval_x(x)):
             return False
     return True
-
-
-def log_derivative_hamiltonian_apply(v: StateVector, q) -> StateVector:
-    """The Hamiltonian through the transfer matrix: N plus [q^2]/2 times
-    the logarithmic derivative of T2 at z = 1 in the homogeneous model,
-    with d/dz extracted by exact Laurent interpolation in z (the support
-    of z -> T2(z) v is contained in [-2N, 2N])."""
-    n = v.n
-    q = as_rat(q)
-    params = ModelParams(n, q, [RAT(1)] * n)
-    width = 4 * n
-    pts = [RAT(t) for t in range(2, 2 + width + 3)]
-    polys = laurent_components(
-        lambda t: transfer2_apply(params.sc(t), params, v), pts, params,
-        -2 * n, width)
-    deriv = {}
-    for key, poly in polys.items():
-        if poly.is_zero():
-            continue
-        acc = Scalar(0, d=params.d)
-        for k in range(poly.low, poly.top() + 1):
-            c = poly.coefficient_or_zero(k, params.d)
-            if not c.is_zero():
-                acc = acc + params.sc(k) * c
-        if not acc.is_zero():
-            deriv[key] = acc
-    dv = s_prime_inverse_apply(StateVector(n, deriv), "pi")
-    bq, bq2 = brk(q), brk(q * q)
-    scale = params.sc(bq2 / (2 * (bq * bq2) ** n))
-    return v.scale(params.sc(n)) + dv.scale(scale)
 
 
 def transfer1_zero_kernel_dimension(n: int, q, z=None) -> int:

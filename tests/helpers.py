@@ -1,4 +1,93 @@
 """Shared test utilities: the seeded admissible-parameter draws are the
-canonical ones from the CLI module."""
+canonical ones from the CLI module; the rest are small readers of package
+objects and the Scalar form of the twisted Hamiltonian, which only tests
+use."""
 
+from bethelab.aba import (
+    OMEGA,
+    SPIN_CHARS,
+    ModelParams,
+    StateVector,
+    laurent_components,
+    transfer2_apply,
+)
 from bethelab.cli import draw_distinct, draw_q, draw_w, draw_z  # noqa: F401
+from bethelab.field import RAT, Scalar, as_rat, brk
+from bethelab.rmatrix import VertexWeights
+from bethelab.spinchain import _apply_gates, _bond_tables
+
+
+def state_from_str(s: str):
+    return tuple(SPIN_CHARS.index(ch) for ch in s)
+
+
+def degree_width(poly) -> int:
+    """Top degree minus low degree of a LaurentPoly; 0 for zero."""
+    return 0 if poly.is_zero() else len(poly.coeffs) - 1
+
+
+def eval_at(genpoly, t):
+    """A_n(t) at the rational t."""
+    t = as_rat(t)
+    acc = RAT(0)
+    for c in reversed(genpoly.coeffs):
+        acc = acc * t + c
+    return acc
+
+
+def s_prime_inverse_apply(v: StateVector, twist: str = "pi") -> StateVector:
+    out = {}
+    for key, amp in v.entries.items():
+        if twist == "pi" and OMEGA[key[0]] == -1:
+            amp = -amp
+        out[key[1:] + (key[0],)] = amp
+    return StateVector(v.n, out)
+
+
+def evaluated(table, x, d):
+    """A polynomial transition table at the rational point x, as Scalars."""
+    out = {}
+    for key, col in table.items():
+        vals = [(lo, ro, w.eval_x(x)) for lo, ro, w in col]
+        out[key] = [(lo, ro, Scalar(c, d=d)) for lo, ro, c in vals if c]
+    return out
+
+
+def hamiltonian_apply(v: StateVector, q) -> StateVector:
+    """Apply the twisted Hamiltonian at rational anisotropy x = q + 1/q
+    to a vector with Scalar entries."""
+    q = as_rat(q)
+    sample = next(iter(v.entries.values()), None)
+    d = sample.d if sample is not None else VertexWeights(q).d
+    bulk, boundary = (evaluated(t, q + 1 / q, d) for t in _bond_tables())
+    return _apply_gates(v, bulk, boundary)
+
+
+def log_derivative_hamiltonian_apply(v: StateVector, q) -> StateVector:
+    """The Hamiltonian through the transfer matrix: N plus [q^2]/2 times
+    the logarithmic derivative of T2 at z = 1 in the homogeneous model,
+    with d/dz extracted by exact Laurent interpolation in z (the support
+    of z -> T2(z) v is contained in [-2N, 2N])."""
+    n = v.n
+    q = as_rat(q)
+    params = ModelParams(n, q, [RAT(1)] * n)
+    width = 4 * n
+    pts = [RAT(t) for t in range(2, 2 + width + 3)]
+    polys = laurent_components(
+        lambda t: transfer2_apply(params.sc(t), params, v), pts, params,
+        -2 * n, width)
+    deriv = {}
+    for key, poly in polys.items():
+        if poly.is_zero():
+            continue
+        acc = Scalar(0, d=params.d)
+        for k in range(poly.low, poly.top() + 1):
+            c = poly.coefficient_or_zero(k, params.d)
+            if not c.is_zero():
+                acc = acc + params.sc(k) * c
+        if not acc.is_zero():
+            deriv[key] = acc
+    dv = s_prime_inverse_apply(StateVector(n, deriv), "pi")
+    bq, bq2 = brk(q), brk(q * q)
+    scale = params.sc(bq2 / (2 * (bq * bq2) ** n))
+    return v.scale(params.sc(n)) + dv.scale(scale)

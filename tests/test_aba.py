@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from helpers import draw_q, draw_w, draw_z
+from helpers import degree_width, draw_q, draw_w, draw_z, state_from_str
 
 from bethelab.aba import (
     DOWN,
@@ -24,7 +24,6 @@ from bethelab.aba import (
     renormalised_vector,
     s_prime_apply,
     scattering_check,
-    state_from_str,
     state_str,
     theta2,
     transfer1_apply,
@@ -35,7 +34,7 @@ from bethelab.aba import (
     vector_laurent_coefficients,
 )
 from bethelab.field import RAT, Scalar, brk
-from bethelab.rmatrix import r22
+from bethelab.rmatrix import RMat, r22
 
 
 def params_n(n, q=RAT(2), w=None, twist="pi"):
@@ -137,6 +136,22 @@ def test_transfer2_single_site_against_partial_trace():
                 assert acc.is_zero()
             else:
                 assert acc == want
+
+
+def test_with_w_child_builds_none_of_its_parents_tables(monkeypatch):
+    """A transition table depends only on q and its spectral argument, so
+    a child made by with_w reuses every table its parent built: here all
+    of them, since permuting w keeps the set of ratios w_k / w_j."""
+    p = params_n(3)
+    z = p.sc(RAT(5, 3))
+    transfer2_apply(z, p, bethe_vector(p))
+    builds = []
+    column_map = RMat.column_map
+    monkeypatch.setattr(RMat, "column_map",
+                        lambda rmat: builds.append(rmat) or column_map(rmat))
+    for child in (p.with_w(p.w), p.with_w(p.w[1:] + p.w[:1])):
+        transfer2_apply(z, child, bethe_vector(child))
+    assert builds == []
 
 
 def test_bethe_vector_n1():
@@ -393,7 +408,7 @@ def test_degree_width_bound_and_attainment():
         p = ModelParams(n, q, draw_w(rng, n, q))
         for j in range(1, n + 1):
             polys = vector_laurent_coefficients(p, j, -(n - 1), 2 * (n - 1))
-            widths = [poly.degree_width() for poly in polys.values()
+            widths = [degree_width(poly) for poly in polys.values()
                       if not poly.is_zero()]
             assert max(widths) == 2 * (n - 1)
 

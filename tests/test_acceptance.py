@@ -11,7 +11,16 @@ import math
 import random
 import time
 
-from helpers import draw_distinct, draw_q, draw_w, draw_z
+from helpers import (
+    degree_width,
+    draw_distinct,
+    draw_q,
+    draw_w,
+    draw_z,
+    hamiltonian_apply,
+    log_derivative_hamiltonian_apply,
+    state_from_str,
+)
 
 from bethelab import aba, asm, detform, spinchain
 from bethelab.aba import ModelParams, StateVector
@@ -136,7 +145,7 @@ def test_criterion_05_degree_width():
                 if poly.is_zero():
                     continue
                 assert poly.low >= -(n - 1) and poly.top() <= n - 1
-                widths.append(poly.degree_width())
+                widths.append(degree_width(poly))
             assert max(widths) == 2 * (n - 1)
     report(5, "componentwise degree width within 2(N-1) and attained, N <= 4")
 
@@ -199,13 +208,13 @@ def test_criterion_09_homogeneous_singlet():
     one = HalfPowerPoly.const(1)
     x = HalfPowerPoly.x_poly([0, 1])
     assert phi3.entries == {
-        aba.state_from_str("U0D"): one,
-        aba.state_from_str("D0U"): one,
-        aba.state_from_str("DU0"): -one,
-        aba.state_from_str("0DU"): -one,
-        aba.state_from_str("UD0"): -one,
-        aba.state_from_str("0UD"): -one,
-        aba.state_from_str("000"): x,
+        state_from_str("U0D"): one,
+        state_from_str("D0U"): one,
+        state_from_str("DU0"): -one,
+        state_from_str("0DU"): -one,
+        state_from_str("UD0"): -one,
+        state_from_str("0UD"): -one,
+        state_from_str("000"): x,
     }
     for n in range(1, 9):
         phi = spinchain.singlet(n)  # integer coefficients asserted inside
@@ -240,8 +249,8 @@ def test_criterion_10_spin_chain_closure():
         params = ModelParams(n, q, [RAT(1)] * n)
         for _ in range(2):
             v = random_sparse_vector(rng, params, terms=3)
-            assert spinchain.log_derivative_hamiltonian_apply(v, q) == \
-                spinchain.hamiltonian_apply(v, q)
+            assert log_derivative_hamiltonian_apply(v, q) == \
+                hamiltonian_apply(v, q)
     dims = {n: spinchain.transfer1_zero_kernel_dimension(n, draw_q(rng))
             for n in (2, 3)}
     print(f"  [logged] zero-eigenspace dimensions (uniqueness probe): {dims}")

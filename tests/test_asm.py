@@ -5,7 +5,7 @@ import textwrap
 
 import pytest
 
-from helpers import draw_q, draw_distinct
+from helpers import draw_q, draw_distinct, eval_at
 
 from bethelab import asm
 from bethelab.asm import (
@@ -203,7 +203,7 @@ def test_partition_homogeneous_matches_genpoly():
         x = q + 1 / q
         ones = [RAT(1)] * n
         want = brk(q) ** (n * (n - 1)) * brk(q * q) ** n * \
-            gen_poly(n).eval_at(x * x)
+            eval_at(gen_poly(n), x * x)
         assert dwbc_partition_brute(ones, ones, vw) == vw.sc(want)
 
 

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from helpers import draw_q, draw_w, draw_distinct
+from helpers import draw_q, draw_w, draw_distinct, eval_at
 
 from bethelab.aba import (
     ModelParams,
@@ -168,7 +168,7 @@ def test_partition_homogeneous_sum_rule():
         q = RAT(2)
         p = ModelParams(n, q, [RAT(1)] * n)
         x = q + 1 / q
-        want = brk(q) ** (n * (n - 1)) * gen_poly(n).eval_at(x * x)
+        want = brk(q) ** (n * (n - 1)) * eval_at(gen_poly(n), x * x)
         assert partition_Z(p) == p.sc(want)
 
 
@@ -212,7 +212,7 @@ def test_simple_component_homogeneous_values():
         got = simple_component_even(p) if n % 2 == 0 else \
             simple_component_odd(p)
         expect = p.sc(brk(q) ** (n * (n - 1) // 2)
-                      * gen_poly(n // 2).eval_at(x * x))
+                      * eval_at(gen_poly(n // 2), x * x))
         assert got == expect
         assert got == simple_component_direct(p)
 

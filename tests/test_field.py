@@ -1,5 +1,4 @@
 import random
-from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
@@ -10,25 +9,22 @@ from bethelab.field import (
     DivisionByZero,
     HalfPowerPoly,
     InconsistentSamples,
-    IntScalar,
     LaurentPoly,
     Scalar,
     SessionMismatch,
     SingularSystem,
     ZeroInverse,
-    bracket,
     brk,
-    from_integer,
     is_rational_square,
     laurent_interpolate,
     pack,
     rat_str,
     solve_exact,
-    to_integers,
     unpack,
     validate_session_constant,
 )
 from halfpower_oracle import is_odd_support, shift_down
+from helpers import degree_width
 
 D = RAT(45, 8)  # [q][q^2] at q = 2
 
@@ -48,19 +44,11 @@ def random_scalar(rng, d=D):
 # bracket
 # ---------------------------------------------------------------------
 
-def test_bracket_fixed_points():
-    assert bracket(sc(1)) == sc(0)
-    assert bracket(sc(-1)) == sc(0)
-
-
 def test_bracket_two():
-    assert bracket(sc(2)) == sc(RAT(3, 2))
     assert brk(RAT(2)) == RAT(3, 2)
 
 
 def test_bracket_zero_raises():
-    with pytest.raises(ZeroInverse):
-        bracket(sc(0))
     with pytest.raises(ZeroInverse):
         brk(0)
 
@@ -145,62 +133,6 @@ def test_json_roundtrip():
     back = [RAT(obj[k]) for k in "abce"]
     assert Scalar(*back, d=RAT(obj["d"])) == x
     assert rat_str(RAT(-3, 4)) == "-3/4"
-
-
-# ---------------------------------------------------------------------
-# integer numerators over Z[t, i], t = v s
-# ---------------------------------------------------------------------
-
-PROPERTY = settings(deadline=None, derandomize=True, database=None)
-
-
-@st.composite
-def sessions(draw):
-    """Valid session constants d of either sign, denominators up to 10^3."""
-    d = RAT(draw(st.integers(-10 ** 4, 10 ** 4).filter(bool)),
-            draw(st.integers(1, 10 ** 3)))
-    assume(not is_rational_square(d) and not is_rational_square(-d))
-    return d
-
-
-# each part is often zero, so rational, pure-s and mixed elements all occur
-PARTS = st.tuples(*[st.one_of(st.just(Fraction(0)),
-                              st.fractions(max_denominator=10 ** 4))] * 4)
-
-
-@PROPERTY
-@given(sessions(), st.lists(PARTS, max_size=6))
-def test_integer_numerators_round_trip(d, parts):
-    xs = [Scalar(*p, d=d) for p in parts]
-    nums, den = to_integers(xs, d)
-    assert isinstance(den, int) and den > 0 and len(nums) == len(xs)
-    assert all(isinstance(x, IntScalar) for x in nums)
-    assert [from_integer(x, den, d) for x in nums] == xs
-    assert [bool(x) for x in nums] == [bool(x) for x in xs]
-
-
-@PROPERTY
-@given(sessions(), PARTS, PARTS)
-def test_integer_products_and_sums_match_scalar(d, p, r):
-    x, y = Scalar(*p, d=d), Scalar(*r, d=d)
-    (nx,), dx = to_integers([x], d)
-    (ny,), dy = to_integers([y], d)
-    assert from_integer(nx * ny, dx * dy, d) == x * y
-    assert from_integer(-nx, dx, d) == -x
-    (nx, ny), den = to_integers([x, y], d)
-    assert from_integer(nx + ny, den, d) == x + y
-
-
-def test_integer_unit_t_squares_to_uv():
-    (t,), den = to_integers([sc(0, 1)], D)  # s = t / 8 with d = 45/8
-    assert (t.b, den) == (1, 8)
-    sq = t * t
-    assert (sq.a, sq.b, sq.c, sq.e) == (45 * 8, 0, 0, 0)
-
-
-def test_integer_numerators_check_the_session():
-    with pytest.raises(SessionMismatch):
-        to_integers([sc(1), sc(2, d=RAT(7))], D)
 
 
 def test_session_constant_validation():
@@ -320,7 +252,7 @@ def test_unpack_edge_values():
 def test_laurent_normalization_and_width():
     p = LaurentPoly(-2, [sc(0), sc(1), sc(0), sc(3), sc(0)])
     assert p.low == -1 and p.top() == 1
-    assert p.degree_width() == 2
+    assert degree_width(p) == 2
     z = sc(RAT(5, 3))
     assert p.evaluate(z) == z.inv() + sc(3) * z
 
@@ -338,9 +270,9 @@ def test_interpolate_recovers_bracket():
 def test_interpolate_zero_and_constant():
     pts = [sc(1), sc(2), sc(3)]
     zero = laurent_interpolate([(p, sc(0)) for p in pts], -1, 2)
-    assert zero.is_zero() and zero.degree_width() == 0
+    assert zero.is_zero() and degree_width(zero) == 0
     const = laurent_interpolate([(p, sc(RAT(7, 3))) for p in pts], -1, 2)
-    assert const.low == 0 and const.degree_width() == 0
+    assert const.low == 0 and degree_width(const) == 0
 
 
 def test_interpolate_roundtrip_random():

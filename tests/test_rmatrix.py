@@ -33,6 +33,12 @@ Q = RAT(2)
 VW = VertexWeights(Q)
 
 
+def is_symmetric(rmat) -> bool:
+    """<lo ro|R|li ri> = <li ri|R|lo ro> for every stored weight."""
+    return rmat.weights == {(li, ri, lo, ro): w for (lo, ro, li, ri), w
+                            in rmat.weights.items()}
+
+
 def test_r11_at_z_one():
     m = r11(VW.one, VW)
     assert m.entry(0, 0, 0, 0) == VW.sc(RAT(3, 2))  # [q] at q=2
@@ -72,12 +78,12 @@ def test_r12_first_entry_at_inverse_q():
 
 def test_r12_symmetric():
     for zr in (RAT(3), RAT(5, 7), RAT(1, 4)):
-        assert r12(VW.sc(zr), VW).is_symmetric()
+        assert is_symmetric(r12(VW.sc(zr), VW))
 
 
 def test_r22_is_symmetric_and_conserving():
     for zr in (RAT(3), RAT(4, 5)):
-        assert r22(VW.sc(zr), VW).is_symmetric()
+        assert is_symmetric(r22(VW.sc(zr), VW))
         assert magnetisation_pattern_check(VW.sc(zr), VW.q)
 
 

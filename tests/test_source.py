@@ -1,6 +1,7 @@
 """Rules on the package source itself."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import bethelab
@@ -14,3 +15,36 @@ def test_no_assert_statements_in_the_package():
              for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def _names(tree):
+    """Every identifier a module uses: names, attributes, imported names,
+    and the parts of "module:qualname" strings."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.asname or node.name
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            mod, sep, qualname = node.value.partition(":")
+            if sep and mod.isidentifier():
+                yield from qualname.split(".")
+
+
+def test_every_module_level_definition_has_a_user():
+    """A function or class of the package that nothing in the package or
+    the benchmark names, outside its own body, is dead code or a
+    test-only helper."""
+    root = Path(bethelab.__file__).parent
+    bench = root.parent.parent / "perfbench"
+    paths = sorted(root.rglob("*.py")) + sorted(bench.glob("*.py"))
+    statements = [(path, node, set(_names(node))) for path in paths
+                  for node in ast.parse(path.read_text()).body]
+    users = Counter(name for *_, names in statements for name in names)
+    unused = [f"{path.name}:{node.name}" for path, node, names in statements
+              if path.parent == root
+              and isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and users[node.name] == (node.name in names)]
+    assert unused == []

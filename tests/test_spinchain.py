@@ -4,13 +4,14 @@ import random
 import pytest
 
 import halfpower_oracle as oracle
-from helpers import draw_q
-
-from bethelab.aba import (
-    StateVector,
-    magnetisation,
+from helpers import (
+    draw_q,
+    hamiltonian_apply,
+    log_derivative_hamiltonian_apply,
     state_from_str,
 )
+
+from bethelab.aba import StateVector, magnetisation
 from bethelab.field import RAT, HalfPowerPoly, Scalar
 from bethelab import spinchain
 from bethelab.linalg import kron, mat_add, mat_mul, mat_scale
@@ -21,10 +22,8 @@ from bethelab.spinchain import (
     beta_apply,
     bond_gate,
     distinguished_component_key,
-    hamiltonian_apply,
     hamiltonian_apply_poly,
     homogeneous_consistency_check,
-    log_derivative_hamiltonian_apply,
     singlet,
     singlet_norm,
     singlet_normalisation_audit,
@@ -295,6 +294,16 @@ def test_packed_singlet_and_norm_match_the_halfpower_path(n):
     phi = singlet(n)
     assert phi == oracle.singlet(n)
     assert singlet_norm(phi) == oracle.norm(phi)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_singlet_coefficients_are_ints(n):
+    """The packed digits are stored as they unpack: no Fraction is built
+    for an integer coefficient."""
+    phi = singlet(n)
+    assert all(type(c) is int for p in phi.entries.values() for c in p.coeffs)
+    assert all(type(c) is int for c in singlet_norm(phi).coeffs)
+    assert phi == oracle.singlet(n)
 
 
 def test_norm_of_rational_components():

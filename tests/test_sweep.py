@@ -6,11 +6,16 @@ index, and only the finished states are summed, all on Scalars with
 Scalar transition tables.  The sweep instead advances every state one
 site at a time and merges equal partial states after each site, so
 vectors are chosen whose partial states merge and cancel.
-`monodromy_apply` and `transfer2_apply` run the sweep on integer
-numerators over Z[t, i] (field.IntScalar); the same sweep is also run
-here on the Scalar tables themselves, and `beta_apply` runs it on
-polynomials packed into Python ints, checked against the per-key
-contraction on HalfPowerPoly entries packed the same way.
+`monodromy_apply` and `transfer2_apply` run the sweep on plain ints:
+on tables gauged by K = diag(1, s) on the auxiliary factor, on each of
+the four rational parts of the vector (the coefficients of 1, s, i and
+s i), with B and C restored by s^k and s^-k.  The random vectors carry
+all four parts, so the comparisons with the Scalar oracle cover the part
+split and the s^k factor; the gauged table itself is checked against
+K r12 K^-1.  The same sweep is also run here on the Scalar tables
+themselves, and `beta_apply` runs it on polynomials packed into Python
+ints, checked against the per-key contraction on HalfPowerPoly entries
+packed the same way.
 """
 
 import random
@@ -20,7 +25,9 @@ import pytest
 import halfpower_oracle
 from helpers import draw_q, draw_w
 
+from bethelab import aba
 from bethelab.aba import (
+    IrrationalWeight,
     ModelParams,
     StateVector,
     bethe_vector,
@@ -31,7 +38,7 @@ from bethelab.aba import (
     vacuum,
 )
 from bethelab.field import RAT, HalfPowerPoly, Scalar, SessionMismatch
-from bethelab.rmatrix import r12, r22
+from bethelab.rmatrix import UP, ZERO, RMat, r12, r22
 from bethelab.spinchain import _packed_rho, _rho_table, beta_apply
 
 AUX = {"A": (0, 0), "B": (1, 0), "C": (0, 1), "D": (1, 1)}  # (a_in, a_out)
@@ -176,6 +183,46 @@ def test_scalar_sweep_matches_per_key_oracle(n):
                 for v in vecs:
                     assert sweep(tables, v, a_in, a_out) == \
                         per_key_sweep(tables, v, a_in, a_out)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_r12_table_is_r12_in_the_rational_gauge(sign):
+    """r12_table(u) over its D is K r12(u) K^-1, K = diag(1, s) on the
+    auxiliary factor, weight by weight, at seeded rational u, for the
+    session constant d of either sign (q < 0 flips the sign of d)."""
+    rng = random.Random(600 + sign)
+    for _ in range(4):
+        p = ModelParams(1, sign * draw_q(rng), [RAT(1)])
+        assert (p.d > 0) == (sign > 0)
+        k = [p.vw.one, p.vw.s]
+        for _ in range(3):
+            u = p.sc(RAT(rng.choice((-1, 1)) * rng.randint(1, 97),
+                         rng.randint(1, 97)))
+            table, den = p.r12_table(u)
+            assert all(type(x) is int for col in table.values()
+                       for *_, x in col)
+            got = {(lo, ro, li, ri): p.sc(RAT(x, den))
+                   for (li, ri), col in table.items() for lo, ro, x in col}
+            assert got == {(lo, ro, li, ri): k[lo] * w * k[li].inv()
+                           for (lo, ro, li, ri), w
+                           in r12(u, p.vw).weights.items()}
+
+
+def test_weights_that_are_not_rational_in_the_gauge_raise(monkeypatch):
+    p = ModelParams(2, RAT(2), [RAT(1), RAT(3)])
+    # an s in the spectral argument makes the diagonal weights irrational
+    with pytest.raises(IrrationalWeight):
+        monodromy_apply("A", p.vw.s, p, vacuum(p))
+    with pytest.raises(IrrationalWeight):
+        transfer2_apply(p.vw.s, p, vacuum(p))
+    # a flip weight must be a pure multiple of s: add a 1-, i- or s i-part
+    vw = p.vw
+    for extra in (vw.one, vw.i, vw.s * vw.i):
+        flip = {(0, ZERO, 1, UP): vw.s + extra}
+        monkeypatch.setattr(aba, "r12", lambda u, vw, flip=flip: RMat(
+            2, 3, {**r12(u, vw).weights, **flip}, vw.zero))
+        with pytest.raises(IrrationalWeight):
+            p.r12_table(p.sc(RAT(5, 3)))
 
 
 def test_vector_from_another_session_is_rejected():
