@@ -6,26 +6,21 @@ chain,
     T_a(z) = R_{a,N}(z/(q w_N)) ... R_{a,1}(z/(q w_1)),
 
 a 2x2 matrix in the auxiliary spin-1/2 space with operator entries A, B,
-C, D.  States are sparse maps from spin strings over (U, 0, D) to exact
-scalars; operators are never materialised as 3^N x 3^N matrices.  One
-kernel, `sweep`, applies a row of R-matrices to a whole vector: it carries
-every state through the chain one site at a time together with its
-auxiliary index, merging equal (auxiliary, state) entries after each site
-(O(3^N * N) scalar work).  The monodromy entries, the T2 trace and the
-singlet's beta operator in `spinchain` differ only in their tables and
-auxiliary boundary indices.
+C, D.  Operators are never materialised as 3^N x 3^N matrices: one
+kernel, `sweep`, applies a row of R-matrices to a whole sparse vector.
+The monodromy entries, the T2 trace and the singlet's beta operator in
+`spinchain` differ only in their tables and auxiliary boundary indices.
 
-The monodromy entries and T2 sweep plain ints.  The mixed R-matrix
-carries s = sqrt([q][q^2]) only on its four spin-flip weights, which the
-gauge K = diag(1, s) on its auxiliary factor turns into 1 and [q][q^2];
-so every table is rational, stored once per session and spectral
-argument as ints over one denominator D, and the gauged entries read A,
-B/s, s C and D.  The input vector is split into its four rational parts
-(the coefficients of 1, s, i and s i), which rational tables never mix;
-each nonzero part is swept on ints, and the result is divided once by
-the input's denominator times the product of the D (once for a whole
-product of entries, as in `bethe_vector`), then multiplied by s^k for k
-B's or by s^-k for k C's.
+The model's vectors (ModelVector) live on plain ints: the nonzero
+rational parts of their values (the coefficients of 1, s, i and s i; in
+practice one) over one common denominator.  Every operator here has
+rational weights stored as ints over one denominator, so it maps each
+part alone and its denominator joins the vector's.  For the mixed
+R-matrix, whose four spin-flip weights carry s = sqrt([q][q^2]), that
+takes the gauge K = diag(1, s) on its auxiliary factor, in which the
+entries read A, B/s, s C and D.  Rescaling by a rational multiplies
+numerators and denominator, by s or i it moves a part; Scalars are built
+only to read a value out.
 
 With twist angle pi the transfer matrices are
 
@@ -46,21 +41,21 @@ relations that are verified here exactly.
 
 from __future__ import annotations
 
-from math import lcm, prod
+from itertools import count as naturals, islice
+from math import gcd, lcm, prod
 
 from bethelab.field import (
     RAT,
     Scalar,
+    SessionMismatch,
     ZeroInverse,
     as_rat,
     brk,
     laurent_interpolate_many,
+    rat_str,
 )
+from bethelab.linalg import DimensionMismatch, StateVector
 from bethelab.rmatrix import DOWN, UP, ZERO, _session, r12, r22
-
-
-class DimensionMismatch(ValueError):
-    """Vector length does not match the model size."""
 
 
 class PoleEncountered(ZeroDivisionError):
@@ -76,10 +71,6 @@ class IrrationalComponent(ArithmeticError):
     """A renormalised component kept an s- or i-part (bug guard)."""
 
 
-class IrrationalWeight(ArithmeticError):
-    """A transition weight is not rational in the gauge of the sweeps."""
-
-
 SPIN_CHARS = "U0D"
 OMEGA = (-1, 1, -1)  # the diagonal twist at angle pi on (U, 0, D)
 
@@ -93,60 +84,95 @@ def magnetisation(key) -> int:
     return len(key) - sum(key)
 
 
-class StateVector:
-    """Sparse state on N spin-1 sites; values are Scalars (or half-power
-    polynomials in the homogeneous symbolic mode).  Zero values are never
-    stored."""
+class ModelVector:
+    """A state of the model on plain ints: sum_g u_g parts[g] / den over
+    the units u_g = 1, s, i, s i (g = 0..3, a Scalar's order: bit 0 of g
+    is the power of s, bit 1 that of i), each part a nonzero StateVector
+    of ints, in lowest terms: equal vectors have equal parts and den."""
 
-    __slots__ = ("n", "entries")
+    __slots__ = ("n", "d", "den", "parts", "_entries")
 
-    def __init__(self, n: int, entries=None):
-        self.n = n
-        self.entries = {k: v for k, v in (entries or {}).items() if v}
+    def __init__(self, n: int, d, den: int, parts: dict):
+        parts = {g: p for g, p in parts.items() if p}
+        common = gcd(den, *(x for p in parts.values()
+                            for x in p.entries.values()))
+        self.n, self.d, self.den, self._entries = n, d, den // common, None
+        self.parts = {g: StateVector(n, {k: x // common for k, x
+                                         in p.entries.items()})
+                      for g, p in parts.items()} if common > 1 else parts
 
-    def __bool__(self):
-        return bool(self.entries)
+    @property
+    def entries(self) -> dict:
+        """{key: Scalar} of the nonzero components, built on first use."""
+        if self._entries is None:
+            coeffs = {}
+            for g, p in self.parts.items():
+                for key, x in p.entries.items():
+                    coeffs.setdefault(key, [0] * 4)[g] = RAT(x, self.den)
+            self._entries = {key: Scalar(*cs, d=self.d)
+                             for key, cs in coeffs.items()}
+        return self._entries
 
     def is_zero(self) -> bool:
-        return not self.entries
+        return not self.parts
 
-    def get(self, key):
-        return self.entries.get(tuple(key))
+    def rational(self) -> StateVector:
+        """The numerators of a vector whose values are all rational."""
+        if set(self.parts) - {0}:
+            raise IrrationalComponent("a component has an s- or i-part")
+        return self.parts.get(0, StateVector(self.n))
 
-    def items(self):
-        return self.entries.items()
+    def map(self, fn, den: int = 1) -> "ModelVector":
+        """The image under an operator with rational weights: fn takes an
+        int part to its image times den."""
+        return ModelVector(self.n, self.d, self.den * den,
+                           {g: fn(p) for g, p in self.parts.items()})
 
-    def scale(self, c) -> "StateVector":
-        return StateVector(self.n, {k: c * v for k, v in self.entries.items()})
+    def scale(self, c) -> "ModelVector":
+        """c times the vector, c an int, rational or Scalar: part g moves
+        to the parts h of the Scalar u_g c, times their coefficients."""
+        moved = {g: Scalar(*(int(k == g) for k in range(4)), d=self.d) * c
+                 for g in self.parts}
+        rs = {(g, h): r for g, x in moved.items()
+              for h, r in enumerate((x.a, x.b, x.c, x.e)) if r}
+        den = lcm(*(r.denominator for r in rs.values()))
+        return ModelVector(self.n, self.d, self.den * den, {h: sum(
+            (self.parts[g].scale(int(r * den))
+             for (g, k), r in rs.items() if k == h), StateVector(self.n))
+            for h in range(4)})
 
-    def __add__(self, other: "StateVector") -> "StateVector":
-        if self.n != other.n:
-            raise DimensionMismatch("adding vectors of different length")
-        out = dict(self.entries)
-        for k, v in other.entries.items():
-            w = out.get(k)
-            out[k] = v if w is None else w + v
-        return StateVector(self.n, out)
-
-    def __sub__(self, other: "StateVector") -> "StateVector":
-        return self + other.scale(-1)
+    def __add__(self, other: "ModelVector") -> "ModelVector":
+        _check_model(other, self.n, self.d)
+        den = lcm(self.den, other.den)
+        return ModelVector(self.n, self.d, den, {g: sum(
+            (v.parts[g].scale(den // v.den)
+             for v in (self, other) if g in v.parts), StateVector(self.n))
+            for g in range(4)})
 
     def __eq__(self, other):
-        if not isinstance(other, StateVector):
+        if not isinstance(other, ModelVector):
             return NotImplemented
-        return self.n == other.n and self.entries == other.entries
-
-    def __repr__(self):
-        parts = [f"{state_str(k)}: {v!r}"
-                 for k, v in sorted(self.entries.items())]
-        return f"StateVector(n={self.n}, {{{', '.join(parts)}}})"
+        return ((self.n, self.d, self.den, self.parts)
+                == (other.n, other.d, other.den, other.parts))
 
     def to_json_dict(self, params: "ModelParams") -> dict:
         comps = [{"state": state_str(k), "value": v.to_json_dict()}
                  for k, v in sorted(self.entries.items())]
-        return {"n": self.n, "q": f"{params.q.numerator}/{params.q.denominator}",
-                "w": [f"{w.numerator}/{w.denominator}" for w in params.w],
-                "twist": params.twist, "components": comps}
+        return {"n": self.n, "q": rat_str(params.q), "twist": params.twist,
+                "w": [rat_str(w) for w in params.w], "components": comps}
+
+
+def _check_model(v: ModelVector, n: int, d):
+    if v.n != n:
+        raise DimensionMismatch(f"vector has {v.n} sites, model {n}")
+    if v.d != d:
+        raise SessionMismatch(f"session constants differ: {v.d} vs {d}")
+
+
+def basis_vector(params: "ModelParams", key) -> ModelVector:
+    """The basis state |key> of the model."""
+    return ModelVector(params.n, params.d, 1,
+                       {0: StateVector(params.n, {tuple(key): 1})})
 
 
 class ModelParams:
@@ -205,57 +231,31 @@ class ModelParams:
         D.  The flip weights <0 .|R|1 .> = s and <1 .|R|0 .> = s become 1
         and [q][q^2]; every other weight is rational already."""
         return self._table("r12", u,
-                           lambda: _int_table(r12(u, self.vw), self.d))
+                           lambda: r12(u, self.vw).int_column_map(self.d))
 
     def r22_table(self, u: Scalar):
         """(table, D) for r22(u), whose weights are rational already."""
-        return self._table("r22", u, lambda: _int_table(r22(u, self.vw)))
+        return self._table("r22", u,
+                           lambda: r22(u, self.vw).int_column_map())
 
 
-def _gauged(w: Scalar, ao: int, ai: int, d):
-    """The weight w = <ao .|R|ai .> as a rational: w itself, or with d
-    given and ao != ai, the gauged flip weight (w = b s becomes b for
-    0 <- 1 and b d for 1 <- 0)."""
-    if d is None or ao == ai:
-        if w.is_rational():
-            return w.a
-    elif not (w.a or w.c or w.e):
-        return w.b if ao == 0 else w.b * d
-    raise IrrationalWeight(f"<{ao} .|R|{ai} .> = {w!r}")
-
-
-def _int_table(rmat, d=None):
-    """(table, D): the column transition table of rmat, gauged by
-    K = diag(1, s), s^2 = d, on its left factor when d is given, with
-    every weight an int over their least common denominator D."""
-    cols = {key: [(ao, so, _gauged(w, ao, key[0], d)) for ao, so, w in col]
-            for key, col in rmat.column_map().items()}
-    den = lcm(*(r.denominator for col in cols.values() for *_, r in col))
-    return {key: [(ao, so, r.numerator * (den // r.denominator))
-                  for ao, so, r in col] for key, col in cols.items()}, den
-
-
-def vacuum(params: ModelParams) -> StateVector:
+def vacuum(params: ModelParams) -> ModelVector:
     """Reference state |all-up>, annihilated by C(z)."""
-    return StateVector(params.n, {(UP,) * params.n: params.vw.one})
+    return basis_vector(params, (UP,) * params.n)
 
 
 def vacuum_a(z, params: ModelParams) -> Scalar:
     """Eigenvalue of A(z) on the reference state: prod_j [q z / w_j]."""
     z = params.coerce(z)
-    acc = params.vw.one
-    for w in params.w:
-        acc = acc * params.vw.bracket(z * params.sc(params.q / w))
-    return acc
+    return prod((params.vw.bracket(z * params.sc(params.q / w))
+                 for w in params.w), start=params.vw.one)
 
 
 def vacuum_d(z, params: ModelParams) -> Scalar:
     """Eigenvalue of D(z) on the reference state: prod_j [z / (q w_j)]."""
     z = params.coerce(z)
-    acc = params.vw.one
-    for w in params.w:
-        acc = acc * params.vw.bracket(z * params.sc(1 / (params.q * w)))
-    return acc
+    return prod((params.vw.bracket(z * params.sc(1 / (params.q * w)))
+                 for w in params.w), start=params.vw.one)
 
 
 _AUX = {"A": (0, 0), "B": (1, 0), "C": (0, 1), "D": (1, 1)}  # (a_in, a_out)
@@ -284,44 +284,30 @@ def sweep(tables, v: StateVector, a_in: int, a_out: int) -> dict:
     return {key: val for (a, key), val in cur.items() if a == a_out}
 
 
-def _signed_sweeps(rows, v: StateVector, params: ModelParams,
-                   bounds) -> StateVector:
+def _signed_sweeps(rows, v: ModelVector, params: ModelParams, bounds):
     """For each row of (table, D) pairs in turn, replace v by the sum of
     sign * sweep(v, a_in, a_out) over the (a_in, a_out, sign) in bounds.
-
-    The tables are rational, so the four rational parts of v (the
-    coefficients of 1, s, i and s i) never mix: v is written over one
-    common denominator, each nonzero part goes through every row on
-    plain ints, and the result is divided once by v's denominator times
-    every D."""
-    for x in v.entries.values():
-        params.coerce(x)  # raises SessionMismatch for another session
-    parts = list(zip(*((x.a, x.b, x.c, x.e) for x in v.entries.values())))
-    den = lcm(*(r.denominator for part in parts for r in part))
+    The tables are rational, so each int part of v goes through every
+    row on its own and v's denominator gains the product of every D."""
     sweeps = [[t for t, _ in tables] for tables in rows]
-    out = {}
-    for k, part in enumerate(parts):
-        cur = {key: r.numerator * (den // r.denominator)
-               for key, r in zip(v.entries, part) if r}
+
+    def run(part: StateVector) -> StateVector:
         for tables in sweeps:
-            ints, cur = StateVector(v.n, cur), {}
+            cur = {}
             for a_in, a_out, sign in bounds:
-                for key, x in sweep(tables, ints, a_in, a_out).items():
+                for key, x in sweep(tables, part, a_in, a_out).items():
                     cur[key] = cur.get(key, 0) + sign * x
-        for key, x in cur.items():
-            if x:
-                out.setdefault(key, [0, 0, 0, 0])[k] = x
-    den *= prod(d_j for tables in rows for _, d_j in tables)
-    return StateVector(v.n, {key: Scalar(*(RAT(x, den) for x in xs),
-                                         d=params.d)
-                             for key, xs in out.items()})
+            part = StateVector(part.n, cur)
+        return part
+
+    _check_model(v, params.n, params.d)
+    return v.map(run, prod(d_j for tables in rows for _, d_j in tables))
 
 
-def monodromy_apply(which: str, z, params: ModelParams,
-                    v: StateVector) -> StateVector:
+def monodromy_apply(which: str, z, params: ModelParams, v: ModelVector):
     """Apply a monodromy entry A, B, C or D at spectral parameter z; for a
-    list z = [z_1, ..., z_k], apply the product which(z_k) ... which(z_1),
-    with v split into rational parts and recombined once for all k sweeps.
+    list z = [z_1, ..., z_k], apply the product which(z_k) ... which(z_1)
+    in one pass over v's int parts.
 
     One sweep over sites 1..N contracting the two-dimensional auxiliary
     space exactly; B lowers the magnetisation by one, C raises it.  Undoing
@@ -329,8 +315,6 @@ def monodromy_apply(which: str, z, params: ModelParams,
     """
     if which not in _AUX:
         raise ValueError("which must be one of A, B, C, D")
-    if v.n != params.n:
-        raise DimensionMismatch(f"vector has {v.n} sites, model {params.n}")
     inv_q = params.sc(1 / params.q)
     rows = []
     for x in (z if isinstance(z, list) else [z]):
@@ -345,7 +329,7 @@ def monodromy_apply(which: str, z, params: ModelParams,
     return out.scale(params.vw.s ** k) if k else out
 
 
-def bethe_vector(params: ModelParams) -> StateVector:
+def bethe_vector(params: ModelParams) -> ModelVector:
     """prod_{j=1..N} B(w_j) |all-up>: the eigenvector at the explicit
     Bethe roots z_k = w_k (twist pi); lives in the zero-magnetisation
     sector."""
@@ -357,21 +341,19 @@ def bethe_vector(params: ModelParams) -> StateVector:
     return params._bethe_cache
 
 
-def transfer1_apply(z, params: ModelParams, v: StateVector) -> StateVector:
+def transfer1_apply(z, params: ModelParams, v: ModelVector) -> ModelVector:
     """Twisted six-vertex-auxiliary transfer matrix: i(A - D) at twist pi,
     A + D at twist 0."""
     av = monodromy_apply("A", z, params, v)
     dv = monodromy_apply("D", z, params, v)
     if params.twist == "0":
         return av + dv
-    return (av - dv).scale(params.vw.i)
+    return (av + dv.scale(-1)).scale(params.vw.i)
 
 
-def transfer2_apply(z, params: ModelParams, v: StateVector) -> StateVector:
+def transfer2_apply(z, params: ModelParams, v: ModelVector) -> ModelVector:
     """Nineteen-vertex transfer matrix with the diagonal twist
     Omega = diag(-1, 1, -1) (twist pi) or the identity (twist 0)."""
-    if v.n != params.n:
-        raise DimensionMismatch(f"vector has {v.n} sites, model {params.n}")
     z = params.coerce(z)
     if z.is_zero():
         raise ZeroInverse("spectral parameter must be nonzero")
@@ -386,11 +368,10 @@ def theta2(z, params: ModelParams) -> Scalar:
     z = params.coerce(z)
     if z.is_zero():
         raise ZeroInverse("spectral parameter must be nonzero")
-    acc = params.vw.one
-    q = params.q
-    for w in params.w:
-        acc = acc * params.vw.bracket(params.sc(q * w) * z.inv())
-        acc = acc * params.vw.bracket(z * params.sc(q * q / w))
+    q, vw = params.q, params.vw
+    acc = prod((vw.bracket(params.sc(q * w) * z.inv())
+                * vw.bracket(z * params.sc(q * q / w)) for w in params.w),
+               start=vw.one)
     return acc if params.n % 2 == 1 else -acc
 
 
@@ -442,16 +423,12 @@ def renorm_divisor(params: ModelParams) -> Scalar:
     return acc
 
 
-def renormalised_vector(params: ModelParams) -> StateVector:
+def renormalised_vector(params: ModelParams) -> ModelVector:
     """Bethe vector divided by its redundant overall factor; components
     are rational (s- and i-free), which is checked."""
     if params._renorm_cache is None:
-        inv = renorm_divisor(params).inv()
-        v = bethe_vector(params).scale(inv)
-        for key, val in v.entries.items():
-            if not val.is_rational():
-                raise IrrationalComponent(
-                    f"component {state_str(key)} not rational")
+        v = bethe_vector(params).scale(renorm_divisor(params).inv())
+        v.rational()
         params._renorm_cache = v
     return params._renorm_cache
 
@@ -476,9 +453,18 @@ def apply_two_site(colmap: dict, v: StateVector, i: int,
     return StateVector(v.n, out)
 
 
-def rhat22_table(u, params: ModelParams) -> dict:
-    """Transition table of the braided nineteen-vertex matrix P R(u)."""
-    return r22(params.coerce(u), params.vw).braided().column_map()
+def rhat22_table(u, params: ModelParams):
+    """(table, D): the transition table of the braided nineteen-vertex
+    matrix P R(u) as ints over one denominator D."""
+    u = params.coerce(u)
+    return params._table(
+        "rhat22", u, lambda: r22(u, params.vw).braided().int_column_map())
+
+
+def rhat22_apply(u, params, v: ModelVector, i: int, j: int) -> ModelVector:
+    """P R(u) on site positions i, j of v (0-based, i the left factor)."""
+    table, den = rhat22_table(u, params)
+    return v.map(lambda part: apply_two_site(table, part, i, j), den)
 
 
 def s_prime_apply(v: StateVector, twist: str = "pi") -> StateVector:
@@ -492,9 +478,8 @@ def s_prime_apply(v: StateVector, twist: str = "pi") -> StateVector:
     return StateVector(v.n, out)
 
 
-def singlet_pair_tensor(v: StateVector, params: ModelParams) -> StateVector:
+def singlet_pair_tensor(v: StateVector) -> StateVector:
     """|s> (x) v with |s> = |UD> + |DU> - |00> prepended on two new sites."""
-    one = params.vw.one
     out = {}
     for key, amp in v.entries.items():
         out[(UP, DOWN) + key] = amp
@@ -511,22 +496,19 @@ def exchange_check(j: int, params: ModelParams) -> bool:
        = [q w_{j+1}/w_j][q^2 w_j/w_{j+1}] |psi~(..., w_{j+1}, w_j, ...)>."""
     if not 1 <= j < params.n:
         raise ValueError("need 1 <= j < N")
-    w = params.w
-    vw = params.vw
-    u = params.sc(w[j - 1] / w[j])
-    lhs = apply_two_site(rhat22_table(u, params),
-                         renormalised_vector(params), j - 1, j)
+    w, q = params.w, params.q
+    lhs = rhat22_apply(params.sc(w[j - 1] / w[j]), params,
+                       renormalised_vector(params), j - 1, j)
     swapped = list(w)
     swapped[j - 1], swapped[j] = swapped[j], swapped[j - 1]
-    factor = vw.sc(brk(params.q * w[j] / w[j - 1])) * \
-        vw.sc(brk(params.q * params.q * w[j - 1] / w[j]))
+    factor = brk(q * w[j] / w[j - 1]) * brk(q * q * w[j - 1] / w[j])
     rhs = renormalised_vector(params.with_w(swapped)).scale(factor)
     return lhs == rhs
 
 
 def cyclic_check(params: ModelParams) -> bool:
     """S' |psi~(w_1, ..., w_N)> = (-1)^(N+1) |psi~(w_N, w_1, ..., w_{N-1})>."""
-    lhs = s_prime_apply(renormalised_vector(params))
+    lhs = renormalised_vector(params).map(s_prime_apply)
     rotated = (params.w[-1],) + params.w[:-1]
     rhs = renormalised_vector(params.with_w(rotated))
     if params.n % 2 == 0:
@@ -554,8 +536,9 @@ def recurrence_check(params: ModelParams) -> bool:
         factor = factor * vw.sc(brk(params.q * w[0] / wj))
         factor = factor * vw.sc(brk(params.q * params.q * wj / w[0]))
     sub = renormalised_vector(params.with_w(w[2:]))
-    rhs = singlet_pair_tensor(sub, params).scale(factor)
-    return lhs == rhs
+    rhs = ModelVector(params.n, sub.d, sub.den, {
+        g: singlet_pair_tensor(p) for g, p in sub.parts.items()})
+    return lhs == rhs.scale(factor)
 
 
 def admissible_points(params: ModelParams, j: int, count: int):
@@ -564,47 +547,29 @@ def admissible_points(params: ModelParams, j: int, count: int):
     q = params.q
     others = [w for k, w in enumerate(params.w) if k != j - 1]
     excluded = {w / q for w in others} | {q * w for w in others}
-    points = []
-    m = 1
-    while len(points) < count:
-        t = RAT(m, 1)
-        if t not in excluded and t not in points:
-            points.append(t)
-        m += 1
-    return points
-
-
-def laurent_components(sample, pts, params: ModelParams, low: int,
-                       width: int) -> dict:
-    """Interpolate every component of the vectors sample(t), t in pts, as a
-    Laurent polynomial in t on the support [low, low + width]; a component
-    missing from a sample counts as zero there.  Returns {key: LaurentPoly}
-    over the sorted union of the sampled keys."""
-    vecs = [sample(t) for t in pts]
-    keys = sorted(set().union(*(vec.entries for vec in vecs)))
-    zero = Scalar(0, d=params.d)
-    rows = [[vec.entries.get(k, zero) for vec in vecs] for k in keys]
-    polys = laurent_interpolate_many([params.sc(t) for t in pts], rows,
-                                     low, width)
-    return dict(zip(keys, polys))
+    return list(islice((t for t in map(RAT, naturals(1))
+                        if t not in excluded), count))
 
 
 def vector_laurent_coefficients(params: ModelParams, j: int, low: int,
                                 width: int, surplus: int = 2):
     """Interpolate every component of |psi~> as a Laurent polynomial in
-    w_j on the assumed support [low, low + width]; surplus samples verify
-    the support assumption.  Returns {key: LaurentPoly}, memoised on
+    w_j on the assumed support [low, low + width] from width + 1 + surplus
+    samples, the surplus verifying the support; a component missing from
+    a sample is zero there.  Returns {key: LaurentPoly} with rational
+    coefficients over the sorted union of the sampled keys, memoised on
     params."""
     memo = (j, low, width, surplus)
     if memo not in params._laurent_cache:
-        def sample(t):
-            w = list(params.w)
-            w[j - 1] = t
-            return renormalised_vector(params.with_w(w))
-
         pts = admissible_points(params, j, width + 1 + surplus)
-        params._laurent_cache[memo] = laurent_components(sample, pts, params,
-                                                         low, width)
+        vecs = [renormalised_vector(params.with_w(
+            params.w[:j - 1] + (t,) + params.w[j:])) for t in pts]
+        den = lcm(*(v.den for v in vecs))
+        nums = [(v.rational().entries, den // v.den) for v in vecs]
+        keys = sorted(set().union(*(ints for ints, _ in nums)))
+        rows = [[ints.get(k, 0) * f for ints, f in nums] for k in keys]
+        params._laurent_cache[memo] = dict(zip(keys, laurent_interpolate_many(
+            pts, rows, low, width, den)))
     return params._laurent_cache[memo]
 
 
@@ -628,24 +593,18 @@ def asymptotic_check(j: int, direction, params: ModelParams) -> bool:
     polys = vector_laurent_coefficients(params, j, -(n - 1), width)
     order = n - 1 if to_inf else -(n - 1)
     others = [w for k, w in enumerate(params.w) if k != j - 1]
-    prod = RAT(1)
-    for w in others:
-        prod = prod * (1 / w if to_inf else w)
-    sign = (-1) ** (n - j) if to_inf else (-1) ** (j - 1)
-    factor = params.sc(sign * prod)
     if j not in params._reduced_cache:
         params._reduced_cache[j] = renormalised_vector(params.with_w(others))
     sub = params._reduced_cache[j]
+    factor = prod((1 / w if to_inf else w for w in others),
+                  start=RAT((-1) ** (n - j if to_inf else j - 1), sub.den))
+    want = sub.rational().entries
     for key, poly in polys.items():
-        coeff = poly.coefficient_or_zero(order, params.d)
+        coeff = poly.coefficient(order)
         if key[j - 1] != ZERO:
-            if not coeff.is_zero():
+            if coeff:
                 return False
-            continue
-        reduced = key[:j - 1] + key[j:]
-        want = sub.entries.get(reduced)
-        want = factor * want if want is not None else Scalar(0, d=params.d)
-        if coeff != want:
+        elif coeff != factor * want.get(key[:j - 1] + key[j:], 0):
             return False
     return True
 
@@ -666,11 +625,10 @@ def scattering_check(j: int, params: ModelParams) -> bool:
     eig = psi.scale(theta2(params.sc(wj), params))
     cur = psi
     for k in range(j, params.n):  # Rhat_{k,k+1}(w_j / w_{k+1}), ascending k
-        table = rhat22_table(params.sc(wj / params.w[k]), params)
-        cur = apply_two_site(table, cur, k - 1, k)
-    cur = s_prime_apply(cur, params.twist)
+        cur = rhat22_apply(params.sc(wj / params.w[k]), params, cur, k - 1, k)
+    cur = cur.map(lambda part: s_prime_apply(part, params.twist))
     for k in range(1, j):
-        table = rhat22_table(params.sc(wj / params.w[k - 1]), params)
-        cur = apply_two_site(table, cur, k - 1, k)
+        cur = rhat22_apply(params.sc(wj / params.w[k - 1]), params, cur,
+                           k - 1, k)
     rhs = cur.scale(params.vw.bq * params.vw.bq2)
     return lhs == rhs and lhs == eig

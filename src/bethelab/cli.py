@@ -20,7 +20,7 @@ checks always appear sorted by name.  Exit codes: 0 all checks pass,
 the cap), 3 singular input (a pole or a singular linear system at the
 requested parameters), 4 internal failure (the traceback goes to
 stderr).  The environment variable BETHE_LAB_MAX_N, a positive integer
-(default 6), is the one cap on --n, checked before any work starts.
+(default 8), is the one cap on --n, checked before any work starts.
 `verify` writes its report as JSON, CSV or text (--format); the other
 subcommands always write JSON.
 """
@@ -118,7 +118,7 @@ def parse_w_list(text: str):
 
 
 def max_n_cap() -> int:
-    text = os.environ.get("BETHE_LAB_MAX_N", "6")
+    text = os.environ.get("BETHE_LAB_MAX_N", "8")
     if not text.strip().isdecimal() or int(text) < 1:
         raise ConfigError(f"BETHE_LAB_MAX_N must be a positive integer, "
                           f"not {text!r}")

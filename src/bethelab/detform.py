@@ -32,7 +32,7 @@ from bethelab.aba import (
     vacuum_d,
 )
 from bethelab.asm import dwbc_partition_brute
-from bethelab.field import Scalar, brk
+from bethelab.field import RAT, Scalar, brk
 from bethelab.linalg import det_bareiss
 from bethelab.rmatrix import DOWN, UP, VertexWeights
 
@@ -108,8 +108,7 @@ def brute_scalar_product(roots, zeta, params: ModelParams) -> Scalar:
     """<vac| prod_j C(roots_j) prod_j B(zeta_j) |vac> by operator sweeps."""
     v = monodromy_apply("B", list(reversed(zeta)), params, vacuum(params))
     v = monodromy_apply("C", list(reversed(roots)), params, v)
-    amp = v.entries.get((UP,) * params.n)
-    return amp if amp is not None else Scalar(0, d=params.d)
+    return v.entries.get((UP,) * params.n, params.vw.zero)
 
 
 def ik_determinant(zeta, w, params: ModelParams) -> Scalar:
@@ -163,14 +162,10 @@ def partition_Z(params: ModelParams) -> Scalar:
     """Square norm Z(w) = sum_sigma psi~_sigma(1/w) psi~_sigma(w) of the
     renormalised vector under the real (bilinear) pairing."""
     v = renormalised_vector(params)
-    inverted = params.with_w(tuple(1 / x for x in params.w))
-    vi = renormalised_vector(inverted)
-    acc = Scalar(0, d=params.d)
-    for key, val in v.entries.items():
-        other = vi.entries.get(key)
-        if other is not None:
-            acc = acc + val * other
-    return acc
+    vi = renormalised_vector(params.with_w(tuple(1 / x for x in params.w)))
+    other = vi.rational().entries
+    acc = sum(x * other.get(key, 0) for key, x in v.rational().entries.items())
+    return params.sc(RAT(acc, v.den * vi.den))
 
 
 def partition_Z_via_ik(params: ModelParams) -> Scalar:
@@ -234,5 +229,5 @@ def simple_component_direct(params: ModelParams) -> Scalar:
         key = (UP,) * (n // 2) + (DOWN,) * (n // 2)
     else:
         key = (UP,) * (n // 2) + (1,) + (DOWN,) * (n // 2)
-    val = renormalised_vector(params).entries.get(key)
-    return val if val is not None else Scalar(0, d=params.d)
+    v = renormalised_vector(params)
+    return params.sc(RAT(v.rational().entries.get(key, 0), v.den))

@@ -14,21 +14,19 @@ with rational a, b, c, e.  For d that is not a rational square (and -d not
 one either) this is a field, so every nonzero element is invertible and all
 divisions are exact.
 
-The sweeps of `aba` never see this ring: they carry each of the four
-rational parts of a vector on plain ints (see the `aba` docstring).
-
 The module also provides the half-power polynomial ring Q[y] with the
 reading y = x^(1/2) (the returned form of the homogeneous-limit states,
 x^(k/2) times integer polynomials), their Kronecker packing into one int
-at y = 2^bits (`pack`, `unpack`), centred Laurent polynomials with
-Scalar coefficients, and exact Laurent interpolation from point samples,
-which is how degree widths and derivatives are extracted without a symbolic
-algebra system.
+at y = 2^bits (`pack`, `unpack`), centred Laurent polynomials, and exact
+Laurent interpolation on ints from samples at rational points (one int
+dot product a coefficient), which is how degree widths and asymptotic
+coefficients are extracted without a symbolic algebra system.
 """
 
 from __future__ import annotations
 
-from math import isqrt
+from math import isqrt, lcm
+from operator import mul
 
 try:
     from gmpy2 import mpq as RAT
@@ -455,7 +453,8 @@ class HalfPowerPoly:
 
 
 class LaurentPoly:
-    """Laurent polynomial with Scalar coefficients and explicit low degree.
+    """Laurent polynomial with exact coefficients (rationals or Scalars)
+    and explicit low degree.
 
     Normalized so the first and last stored coefficients are nonzero;
     the zero polynomial stores no coefficients.
@@ -465,10 +464,10 @@ class LaurentPoly:
 
     def __init__(self, low: int, coeffs):
         cs = list(coeffs)
-        while cs and cs[0].is_zero():
+        while cs and not cs[0]:
             cs.pop(0)
             low += 1
-        while cs and cs[-1].is_zero():
+        while cs and not cs[-1]:
             cs.pop()
         if not cs:
             low = 0
@@ -486,38 +485,20 @@ class LaurentPoly:
             raise ValueError("zero polynomial has no top degree")
         return self.low + len(self.coeffs) - 1
 
-    def coefficient(self, k: int) -> Scalar:
+    def coefficient(self, k: int):
+        """The coefficient of z^k, 0 outside the support."""
         if self.is_zero() or not (self.low <= k <= self.top()):
-            raise ValueError("coefficient outside support; polynomial may be zero")
+            return 0
         return self.coeffs[k - self.low]
-
-    def coefficient_or_zero(self, k: int, d) -> Scalar:
-        if self.is_zero() or not (self.low <= k <= self.low + len(self.coeffs) - 1):
-            return Scalar(0, d=d)
-        return self.coeffs[k - self.low]
-
-    def evaluate(self, z: Scalar) -> Scalar:
-        if self.is_zero():
-            return Scalar(0, d=z.d)
-        acc = Scalar(0, d=z.d)
-        for c in reversed(self.coeffs):
-            acc = acc * z + c
-        return acc * z ** self.low
 
     def __eq__(self, other):
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         return self.low == other.low and self.coeffs == other.coeffs
 
-    def __repr__(self):
-        if self.is_zero():
-            return "LaurentPoly(0)"
-        ts = [f"({c!r})*z^{self.low + k}" for k, c in enumerate(self.coeffs)]
-        return "LaurentPoly(" + " + ".join(ts) + ")"
-
 
 def solve_exact(matrix, rhs_columns):
-    """Solve A x = b over Q(s, i) for several right-hand sides at once.
+    """Solve A x = b over Q or Q(s, i) for several right-hand sides at once.
 
     Gaussian elimination with exact division; raises SingularSystem when A
     is singular.  `rhs_columns` is a list of columns; returns the list of
@@ -531,14 +512,14 @@ def solve_exact(matrix, rhs_columns):
     if any(len(col) != n for col in bs):
         raise ValueError("right-hand side length mismatch")
     for col in range(n):
-        piv = next((r for r in range(col, n) if not a[r][col].is_zero()), None)
+        piv = next((r for r in range(col, n) if a[r][col]), None)
         if piv is None:
             raise SingularSystem(f"singular at column {col}")
         if piv != col:
             a[col], a[piv] = a[piv], a[col]
             for b in bs:
                 b[col], b[piv] = b[piv], b[col]
-        inv = a[col][col].inv()
+        inv = 1 / a[col][col]
         a[col] = [x * inv for x in a[col]]
         for b in bs:
             b[col] = b[col] * inv
@@ -546,7 +527,7 @@ def solve_exact(matrix, rhs_columns):
             if r == col:
                 continue
             f = a[r][col]
-            if f.is_zero():
+            if not f:
                 continue
             a[r] = [x - f * y for x, y in zip(a[r], a[col])]
             for b in bs:
@@ -555,40 +536,45 @@ def solve_exact(matrix, rhs_columns):
 
 
 def laurent_interpolate(samples, low_degree: int, width: int) -> LaurentPoly:
-    """Reconstruct the unique Laurent polynomial of known support.
-
-    `samples` is a list of (point, value) Scalar pairs; the polynomial is
-    assumed supported on [low_degree, low_degree + width].  The first
-    width+1 samples determine it by an exact linear solve; any surplus
-    samples are consistency checks and raise InconsistentSamples on
-    mismatch (that signals the assumed support was wrong).
-    """
-    results = laurent_interpolate_many(
-        [p for p, _ in samples], [[v for _, v in samples]], low_degree, width)
-    return results[0]
+    """The Laurent polynomial on [low_degree, low_degree + width] through
+    the (point, value) rational pairs of `samples`: the first width + 1
+    fix it, any surplus ones check it (see `laurent_interpolate_many`)."""
+    return laurent_interpolate_many([p for p, _ in samples],
+                                    [[as_rat(v) for _, v in samples]],
+                                    low_degree, width)[0]
 
 
 def laurent_interpolate_many(points, value_rows, low_degree: int,
-                             width: int):
-    """Shared-points interpolation for many value sequences at once."""
-    m = width + 1
-    if len(points) < m:
-        raise ValueError(f"need at least {m} samples, got {len(points)}")
-    for p in points:
-        if p.is_zero():
-            raise SingularSystem("sample point zero is not allowed")
-    if len({(p.a, p.b, p.c, p.e) for p in points}) != len(points):
+                             width: int, den: int = 1):
+    """Interpolate many sequences sampled at the same rational points, each
+    row holding its values over den (ints, or rationals), into LaurentPolys.
+
+    The P points fix a Laurent polynomial on [low_degree, low_degree + P -
+    1]; the inverse Vandermonde matrix, cleared to ints over one
+    denominator, makes each coefficient one int dot product with a row.
+    Coefficients above low_degree + width must vanish, else the assumed
+    support is wrong and InconsistentSamples is raised.
+    """
+    m = len(points)
+    if m < width + 1:
+        raise ValueError(f"need at least {width + 1} samples, got {m}")
+    points = [as_rat(p) for p in points]
+    if not all(points):
+        raise SingularSystem("sample point zero is not allowed")
+    if len(set(points)) != m:
         raise SingularSystem("sample points must be pairwise distinct")
-    head = points[:m]
-    matrix = [[p ** (low_degree + k) for k in range(m)] for p in head]
-    cols = [list(vr[:m]) for vr in value_rows]
-    sols = solve_exact(matrix, cols)
+    cols = solve_exact([[p ** (low_degree + k) for k in range(m)]
+                        for p in points], [[int(r == c) for r in range(m)]
+                                           for c in range(m)])
+    vden = lcm(*(x.denominator for col in cols for x in col))
+    inverse = [[col[k].numerator * (vden // col[k].denominator)
+                for col in cols] for k in range(m)]
     polys = []
-    for sol, row in zip(sols, value_rows):
-        poly = LaurentPoly(low_degree, sol)
-        for p, v in zip(points[m:], row[m:]):
-            if poly.evaluate(p) != v:
-                raise InconsistentSamples(
-                    "surplus sample disagrees; assumed support is wrong")
-        polys.append(poly)
+    for row in value_rows:
+        coeffs = [sum(map(mul, vk, row)) for vk in inverse]
+        if any(coeffs[width + 1:]):
+            raise InconsistentSamples(
+                "surplus sample disagrees; assumed support is wrong")
+        polys.append(LaurentPoly(low_degree, [RAT(c, vden * den)
+                                              for c in coeffs]))
     return polys

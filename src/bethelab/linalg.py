@@ -2,16 +2,62 @@
 
 Dense matrices are plain lists of rows, Scalars or HalfPowerPolys; they
 stay small (the 9x9 Hamiltonian bond and the Bareiss and rank inputs of
-`detform` and `spinchain`).  The R-matrix identities on pair and triple
-tensor spaces multiply sparse dict-of-rows matrices with `sp_mul`, so the
-27-dimensional Yang-Baxter space costs nothing; `rmatrix.RMat.embedded`
-writes a pair operator in that form.  Determinants use fraction-free
-Bareiss elimination.
+`detform` and `spinchain`).  `StateVector` is the sparse vector every
+operator of `aba` and `spinchain` acts on.  The R-matrix identities on
+pair and triple tensor spaces multiply sparse dict-of-rows matrices with
+`sp_mul`, so the 27-dimensional Yang-Baxter space costs nothing;
+`rmatrix.RMat.embedded` writes a pair operator in that form.
+Determinants use fraction-free Bareiss elimination.
 """
 
 from __future__ import annotations
 
 from bethelab.field import Scalar
+
+
+class DimensionMismatch(ValueError):
+    """Vector length does not match the model size."""
+
+
+class StateVector:
+    """Sparse state on N spin-1 sites, keyed by spin strings (codes 0, 1, 2
+    for U, 0, D), over any ring: ints (the parts of an `aba.ModelVector`,
+    packed polynomials), half-power polynomials or Scalars.  Zero values
+    are never stored."""
+
+    __slots__ = ("n", "entries")
+
+    def __init__(self, n: int, entries=None):
+        self.n = n
+        self.entries = {k: v for k, v in (entries or {}).items() if v}
+
+    def __bool__(self):
+        return bool(self.entries)
+
+    def is_zero(self) -> bool:
+        return not self.entries
+
+    def scale(self, c) -> "StateVector":
+        return StateVector(self.n, {k: c * v for k, v in self.entries.items()})
+
+    def __add__(self, other: "StateVector") -> "StateVector":
+        if self.n != other.n:
+            raise DimensionMismatch("adding vectors of different length")
+        out = dict(self.entries)
+        for k, v in other.entries.items():
+            w = out.get(k)
+            out[k] = v if w is None else w + v
+        return StateVector(self.n, out)
+
+    def __eq__(self, other):
+        if not isinstance(other, StateVector):
+            return NotImplemented
+        return self.n == other.n and self.entries == other.entries
+
+    def __repr__(self):
+        parts = [f"{''.join('U0D'[c] for c in k)}: {v!r}"
+                 for k, v in sorted(self.entries.items())]
+        return f"StateVector(n={self.n}, {{{', '.join(parts)}}})"
 
 
 def mat_mul(a, b):

@@ -53,7 +53,7 @@ r22(z) and lower scalar [z/q][q^2 z].
 from __future__ import annotations
 
 from itertools import product
-from math import prod
+from math import lcm, prod
 
 from bethelab import linalg
 from bethelab.field import (
@@ -112,6 +112,22 @@ class VertexWeights:
         return self.bracket(z * self.sc(self.q ** k) if k else z)
 
 
+class IrrationalWeight(ArithmeticError):
+    """A transition weight is not rational in the gauge of the sweeps."""
+
+
+def _gauged(w: Scalar, ao: int, ai: int, d):
+    """The weight w = <ao .|R|ai .> as a rational: w itself, or with d
+    given and ao != ai, the gauged flip weight (w = b s becomes b for
+    0 <- 1 and b d for 1 <- 0)."""
+    if d is None or ao == ai:
+        if w.is_rational():
+            return w.a
+    elif not (w.a or w.c or w.e):
+        return w.b if ao == 0 else w.b * d
+    raise IrrationalWeight(f"<{ao} .|R|{ai} .> = {w!r}")
+
+
 class RMat:
     """Operator on a pair of sites V_left x V_right, stored as its nonzero
     weights {(lo, ro, li, ri): <lo ro| R |li ri>} in ascending key order.
@@ -167,6 +183,16 @@ class RMat:
         for (lo, ro, li, ri), w in self.weights.items():
             table[(li, ri)].append((lo, ro, w))
         return table
+
+    def int_column_map(self, d=None):
+        """(table, D): `column_map`, gauged by K = diag(1, s), s^2 = d, on
+        the left factor when d is given, with every weight an int over
+        their least common denominator D."""
+        cols = {key: [(ao, so, _gauged(w, ao, key[0], d)) for ao, so, w in col]
+                for key, col in self.column_map().items()}
+        den = lcm(*(r.denominator for col in cols.values() for *_, r in col))
+        return {key: [(ao, so, r.numerator * (den // r.denominator))
+                      for ao, so, r in col] for key, col in cols.items()}, den
 
     def embedded(self, dims, sa: int, sb: int) -> dict:
         """This operator on factors sa (left) and sb (right) of the tensor

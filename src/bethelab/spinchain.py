@@ -47,6 +47,7 @@ from bethelab.aba import (
     ModelParams,
     StateVector,
     apply_two_site,
+    basis_vector,
     magnetisation,
     s_prime_apply,
     sweep,
@@ -55,7 +56,6 @@ from bethelab.aba import (
 from bethelab.field import (
     RAT,
     HalfPowerPoly,
-    Scalar,
     as_rat,
     brk,
     pack,
@@ -289,15 +289,12 @@ def homogeneous_consistency_check(n: int, q) -> bool:
     q = as_rat(q)
     params = ModelParams(n, q, [RAT(1)] * n)
     v = renormalised_vector(params)
+    ints = v.rational().entries
     phi = singlet(n)
     x = q + 1 / q
-    scale = brk(q) ** (n * (n - 1) // 2)
-    if set(v.entries) != set(phi.entries):
-        return False
-    for key, poly in phi.entries.items():
-        if v.entries[key] != params.sc(scale * poly.eval_x(x)):
-            return False
-    return True
+    scale = brk(q) ** (n * (n - 1) // 2) * v.den
+    return set(ints) == set(phi.entries) and all(
+        ints[key] == scale * p.eval_x(x) for key, p in phi.entries.items())
 
 
 def transfer1_zero_kernel_dimension(n: int, q, z=None) -> int:
@@ -310,15 +307,7 @@ def transfer1_zero_kernel_dimension(n: int, q, z=None) -> int:
     z = params.sc(z if z is not None else RAT(3, 2))
     basis = [key for key in product((0, 1, 2), repeat=n)
              if magnetisation(key) == 0]
-    index = {key: i for i, key in enumerate(basis)}
-    cols = []
-    for key in basis:
-        image = transfer1_apply(z, params,
-                                StateVector(n, {key: params.vw.one}))
-        col = [Scalar(0, d=params.d)] * len(basis)
-        for k, val in image.entries.items():
-            col[index[k]] = val
-        cols.append(col)
-    matrix = [[cols[j][i] for j in range(len(basis))]
-              for i in range(len(basis))]
-    return kernel_dimension(matrix)
+    images = [transfer1_apply(z, params, basis_vector(params, key)).entries
+              for key in basis]
+    return kernel_dimension([[image.get(k, params.vw.zero) for image in images]
+                             for k in basis])

@@ -3,12 +3,13 @@ canonical ones from the CLI module; the rest are small readers of package
 objects and the Scalar form of the twisted Hamiltonian, which only tests
 use."""
 
+from scalar_oracle import laurent_components, model
+
 from bethelab.aba import (
     OMEGA,
     SPIN_CHARS,
     ModelParams,
     StateVector,
-    laurent_components,
     transfer2_apply,
 )
 from bethelab.cli import draw_distinct, draw_q, draw_w, draw_z  # noqa: F401
@@ -74,19 +75,14 @@ def log_derivative_hamiltonian_apply(v: StateVector, q) -> StateVector:
     width = 4 * n
     pts = [RAT(t) for t in range(2, 2 + width + 3)]
     polys = laurent_components(
-        lambda t: transfer2_apply(params.sc(t), params, v), pts, params,
-        -2 * n, width)
+        lambda t: transfer2_apply(params.sc(t), params, model(v, params)),
+        pts, params, -2 * n, width)
     deriv = {}
     for key, poly in polys.items():
-        if poly.is_zero():
-            continue
         acc = Scalar(0, d=params.d)
-        for k in range(poly.low, poly.top() + 1):
-            c = poly.coefficient_or_zero(k, params.d)
-            if not c.is_zero():
-                acc = acc + params.sc(k) * c
-        if not acc.is_zero():
-            deriv[key] = acc
+        for k, c in enumerate(poly.coeffs, poly.low):
+            acc = acc + params.sc(k) * c
+        deriv[key] = acc
     dv = s_prime_inverse_apply(StateVector(n, deriv), "pi")
     bq, bq2 = brk(q), brk(q * q)
     scale = params.sc(bq2 / (2 * (bq * bq2) ** n))

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from helpers import degree_width, draw_q, draw_w, draw_z, state_from_str
+from scalar_oracle import model
 
 from bethelab.aba import (
     DOWN,
@@ -14,6 +15,7 @@ from bethelab.aba import (
     RedundantFactorZero,
     StateVector,
     asymptotic_check,
+    basis_vector,
     bethe_equations_residual,
     bethe_vector,
     cyclic_check,
@@ -48,7 +50,7 @@ def random_vector(rng, params, n_terms=4):
     for _ in range(n_terms):
         key = tuple(rng.randint(0, 2) for _ in range(params.n))
         entries[key] = params.sc(RAT(rng.randint(-9, 9), rng.randint(1, 9)))
-    return StateVector(params.n, entries)
+    return model(StateVector(params.n, entries), params)
 
 
 # ---------------------------------------------------------------------
@@ -63,11 +65,11 @@ def state_index(key) -> int:
     return idx
 
 
-def spin_reversal_apply(v: StateVector) -> StateVector:
+def spin_reversal_apply(v):
     """Flip U <-> D on every site."""
     flip = {UP: DOWN, ZERO: ZERO, DOWN: UP}
-    out = {tuple(flip[c] for c in key): amp for key, amp in v.entries.items()}
-    return StateVector(v.n, out)
+    return v.map(lambda part: StateVector(part.n, {
+        tuple(flip[c] for c in key): x for key, x in part.entries.items()}))
 
 
 def test_state_helpers():
@@ -124,7 +126,7 @@ def test_transfer2_single_site_against_partial_trace():
     m = r22(z * p.sc(p.w[0]).inv(), p.vw)
     omega = (-1, 1, -1)
     for site in range(3):
-        basis = StateVector(1, {(site,): p.vw.one})
+        basis = basis_vector(p, (site,))
         got = transfer2_apply(z, p, basis)
         for out in range(3):
             acc = Scalar(0, d=p.d)
@@ -179,9 +181,9 @@ def test_transfer2_homogeneous_at_unit_argument_is_twisted_shift():
         scale = p.sc((brk(q) * brk(q * q)) ** n)
         for _ in range(3):
             key = tuple(rng.randint(0, 2) for _ in range(n))
-            v = StateVector(n, {key: p.vw.one})
+            v = basis_vector(p, key)
             assert transfer2_apply(p.vw.one, p, v) == \
-                s_prime_apply(v).scale(scale)
+                v.map(s_prime_apply).scale(scale)
 
 
 def test_renormalised_n3_closed_form():
@@ -226,7 +228,7 @@ def test_renormalised_divisor_zero_raises():
 
 def test_renormalised_irrational_component_raises():
     p = params_n(2)
-    p._bethe_cache = StateVector(2, {state_from_str("UD"): p.vw.s})
+    p._bethe_cache = model(StateVector(2, {state_from_str("UD"): p.vw.s}), p)
     with pytest.raises(IrrationalComponent):  # the divisor is rational
         renormalised_vector(p)
 

@@ -24,6 +24,8 @@ GOLDEN = Path(__file__).parent / "data"
      "verify_all_n4_seed1.txt"),
     (["vector", "--n", "3", "--seed", "3"], "vector_n3_seed3.txt"),
     (["singlet", "--n", "4"], "singlet_n4.txt"),
+    (["verify", "--suite", "all", "--n", "5", "--seed", "2"],
+     "verify_all_n5_seed2.txt"),
 ])
 def test_output_matches_golden_file(args, name, capsys):
     """A refactor keeps every report byte for byte: the files were written
@@ -178,6 +180,16 @@ def test_env_cap(monkeypatch, capsys):
     assert sum(json.loads(out)["coeffs"]) == 10850216
     code, out = run_cli(["verify", "--suite", "asm", "--n", "8"], capsys)
     assert code == 0, out
+    # unset, the cap is 8: n = 9 is refused before any ASM is counted
+    monkeypatch.delenv("BETHE_LAB_MAX_N")
+    code, out = run_cli(["asm", "count", "--n", "8"], capsys)
+    assert (code, json.loads(out)["count"]) == (0, 10850216)
+
+    def never(n):
+        raise AssertionError("gen_poly ran before the size check")
+
+    monkeypatch.setattr(bethelab.asm, "gen_poly", never)
+    assert run_cli(["asm", "count", "--n", "9"], capsys) == (2, "")
 
 
 def test_bad_env_cap_is_a_config_error(monkeypatch, capsys):

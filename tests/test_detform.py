@@ -274,6 +274,8 @@ def test_left_kernel_orthogonality():
     # <psi~(1/w)| is a left zero-eigenvector of T1, so it annihilates the
     # image of T1: every other transfer eigenvector is orthogonal to the
     # Bethe state.
+    from scalar_oracle import model
+
     from bethelab.aba import StateVector, renormalised_vector
 
     rng = random.Random(625)
@@ -285,7 +287,7 @@ def test_left_kernel_orthogonality():
             entries = {tuple(rng.randint(0, 2) for _ in range(n)):
                        p.sc(RAT(rng.randint(-5, 5), rng.randint(1, 5)))
                        for _ in range(4)}
-            u = StateVector(n, entries)
+            u = model(StateVector(n, entries), p)
             z = p.sc(RAT(rng.randint(1, 30), rng.randint(1, 30)))
             tu = transfer1_apply(z, p, u)
             acc = p.sc(0)

@@ -1,0 +1,193 @@
+"""Differential tests of the model's int vectors against the Scalar oracle.
+
+`aba.ModelVector` keeps the rational parts of a vector (the coefficients
+of 1, s, i and s i) as ints over one denominator, and `field` interpolates
+on ints.  `scalar_oracle` is the same algebra on Scalar entries, as the
+package computed it before.  For N <= 5, at both twists and on random
+vectors carrying all four parts, every int operation must agree with the
+oracle exactly: reading the parts back as Scalars, rescaling, sums, the
+braided two-site gate, the twisted shift and Laurent interpolation.
+"""
+
+import random
+
+import pytest
+
+import scalar_oracle
+from helpers import draw_q, draw_w
+from scalar_oracle import model
+
+from bethelab.aba import (
+    ModelParams,
+    StateVector,
+    admissible_points,
+    renormalised_vector,
+    rhat22_apply,
+    s_prime_apply,
+    vector_laurent_coefficients,
+)
+from bethelab.field import (
+    RAT,
+    InconsistentSamples,
+    LaurentPoly,
+    Scalar,
+    laurent_interpolate_many,
+)
+
+SIZES = [1, 2, 3, 4, 5]
+
+
+def params_for(rng, n, twist):
+    q = draw_q(rng)
+    return ModelParams(n, q, draw_w(rng, n, q), twist)
+
+
+def random_rat(rng):
+    return RAT(rng.randint(-9, 9), rng.randint(1, 9))
+
+
+def random_scalar(rng, params):
+    """All four parts nonzero unless drawn zero."""
+    return Scalar(*(random_rat(rng) for _ in range(4)), d=params.d)
+
+
+def random_vector(rng, params, count=6):
+    """A StateVector of four-part Scalars on random keys."""
+    return StateVector(params.n, {
+        tuple(rng.randint(0, 2) for _ in range(params.n)):
+        random_scalar(rng, params) for _ in range(count)})
+
+
+def factors(rng, params):
+    """Rescaling factors: ints, rationals, every unit times a rational,
+    zero and random four-part Scalars."""
+    vw = params.vw
+    units = [vw.one, vw.s, vw.i, vw.s * vw.i]
+    return ([-1, 3, random_rat(rng), 0]
+            + [u * params.sc(random_rat(rng)) for u in units]
+            + [random_scalar(rng, params) for _ in range(3)])
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_parts_read_back_as_the_scalars_in_lowest_terms(n):
+    rng = random.Random(700 + n)
+    p = params_for(rng, n, "pi")
+    for _ in range(4):
+        v = random_vector(rng, p)
+        got = model(v, p)
+        assert got.entries == v.entries
+        assert got.den == scalar_oracle.split(v)[0]
+        assert set(got.parts) == set(scalar_oracle.split(v)[1])
+
+
+@pytest.mark.parametrize("twist", ["pi", "0"])
+@pytest.mark.parametrize("n", SIZES)
+def test_rescaling_matches_scalar_rescaling(n, twist):
+    rng = random.Random(710 + n)
+    p = params_for(rng, n, twist)
+    for _ in range(3):
+        v = random_vector(rng, p)
+        for c in factors(rng, p):
+            got = model(v, p).scale(c)
+            assert got.entries == v.scale(c).entries
+            assert got == model(v.scale(c), p)
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_sums_match_scalar_sums(n):
+    rng = random.Random(720 + n)
+    p = params_for(rng, n, "pi")
+    for _ in range(4):
+        a, b = random_vector(rng, p), random_vector(rng, p)
+        assert (model(a, p) + model(b, p)).entries == (a + b).entries
+        assert (model(a, p) + model(a.scale(-1), p)).is_zero()
+
+
+@pytest.mark.parametrize("twist", ["pi", "0"])
+@pytest.mark.parametrize("n", SIZES[1:])
+def test_gate_matches_scalar_gate(n, twist):
+    """P R22(u) on every adjacent pair and on the wrapped pair (N, 1), on
+    random four-part vectors and, at twist pi, the renormalised vector."""
+    rng = random.Random(730 + n)
+    p = params_for(rng, n, twist)
+    vecs = [random_vector(rng, p, 8) for _ in range(2)]
+    if twist == "pi":
+        vecs.append(StateVector(n, renormalised_vector(p).entries))
+    pairs = [(i, i + 1) for i in range(n - 1)] + [(n - 1, 0)]
+    for v in vecs:
+        for i, j in pairs:
+            u = p.sc(RAT(rng.randint(1, 97), rng.randint(1, 97)))
+            got = rhat22_apply(u, p, model(v, p), i, j)
+            assert got.entries == scalar_oracle.gate(u, p, v, i, j).entries
+
+
+@pytest.mark.parametrize("twist", ["pi", "0"])
+@pytest.mark.parametrize("n", SIZES)
+def test_shift_on_parts_matches_shift_on_scalars(n, twist):
+    rng = random.Random(740 + n)
+    p = params_for(rng, n, twist)
+    v = random_vector(rng, p)
+    got = model(v, p).map(lambda part: s_prime_apply(part, twist))
+    assert got.entries == s_prime_apply(v, twist).entries
+
+
+def test_int_interpolation_matches_scalar_interpolation():
+    rng = random.Random(750)
+    p = ModelParams(1, RAT(2), [RAT(1)])
+    for _ in range(10):
+        low, width = rng.randint(-4, 0), rng.randint(0, 6)
+        points = [RAT(t) for t in rng.sample(
+            [t for t in range(-12, 13) if t], width + 3)]
+        rows = [[random_rat(rng) for _ in range(width + 1)] for _ in range(3)]
+        polys = [LaurentPoly(low, cs) for cs in rows]
+        values = [[scalar_oracle.evaluate(poly, t) for t in points]
+                  for poly in polys]
+        got = laurent_interpolate_many(points, values, low, width)
+        want = scalar_oracle.laurent_interpolate_many(
+            [p.sc(t) for t in points], [[p.sc(x) for x in row]
+                                        for row in values], low, width)
+        assert got == polys
+        assert [[p.sc(c) for c in g.coeffs] for g in got] == \
+            [list(w.coeffs) for w in want]
+        assert [g.low for g in got if g.coeffs] == \
+            [w.low for w in want if w.coeffs]
+
+
+def test_support_too_small_raises_on_both_paths():
+    """z - 1/z + z^2 sampled at five points cannot live on [-1, 1]."""
+    p = ModelParams(1, RAT(2), [RAT(1)])
+    points = [RAT(t) for t in (1, 2, 3, 5, 7)]
+    values = [t - 1 / t + t * t for t in points]
+    with pytest.raises(InconsistentSamples):
+        laurent_interpolate_many(points, [values], -1, 2)
+    with pytest.raises(InconsistentSamples):
+        scalar_oracle.laurent_interpolate_many(
+            [p.sc(t) for t in points], [[p.sc(x) for x in values]], -1, 2)
+    # the whole support [-1, 2] is found from the same samples
+    poly = laurent_interpolate_many(points, [values], -1, 3)[0]
+    assert poly == LaurentPoly(-1, [-1, 0, 1, 1])
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_vector_coefficients_match_scalar_interpolation(n):
+    """Every component of the renormalised vector, interpolated in w_j on
+    ints, equals the Scalar interpolation of the same samples; one degree
+    less of support leaves a top coefficient that the surplus samples
+    expose."""
+    rng = random.Random(760 + n)
+    p = params_for(rng, n, "pi")
+    low, width = -(n - 1), 2 * (n - 1)
+    for j in range(1, n + 1):
+        def sample(t, j=j):
+            return renormalised_vector(
+                p.with_w(p.w[:j - 1] + (t,) + p.w[j:]))
+
+        got = vector_laurent_coefficients(p, j, low, width)
+        want = scalar_oracle.laurent_components(
+            sample, admissible_points(p, j, width + 3), p, low, width)
+        assert set(got) == set(want)
+        for key, poly in got.items():
+            assert [p.sc(c) for c in poly.coeffs] == list(want[key].coeffs)
+            assert poly.low == want[key].low
+        with pytest.raises(InconsistentSamples):
+            vector_laurent_coefficients(p, j, low, width - 1)

@@ -24,10 +24,10 @@ import pytest
 
 import halfpower_oracle
 from helpers import draw_q, draw_w
+from scalar_oracle import model as model_vector
 
 from bethelab import aba
 from bethelab.aba import (
-    IrrationalWeight,
     ModelParams,
     StateVector,
     bethe_vector,
@@ -38,7 +38,7 @@ from bethelab.aba import (
     vacuum,
 )
 from bethelab.field import RAT, HalfPowerPoly, Scalar, SessionMismatch
-from bethelab.rmatrix import UP, ZERO, RMat, r12, r22
+from bethelab.rmatrix import UP, ZERO, IrrationalWeight, RMat, r12, r22
 from bethelab.spinchain import _packed_rho, _rho_table, beta_apply
 
 AUX = {"A": (0, 0), "B": (1, 0), "C": (0, 1), "D": (1, 1)}  # (a_in, a_out)
@@ -69,7 +69,8 @@ def per_key_sweep(tables, v, a_in, a_out):
 def oracle_monodromy(which, z, params, v):
     tables = [r12(z / params.sc(params.q * w), params.vw).column_map()
               for w in params.w]
-    return StateVector(v.n, per_key_sweep(tables, v, *AUX[which]))
+    return model_vector(
+        StateVector(v.n, per_key_sweep(tables, v, *AUX[which])), params)
 
 
 def oracle_transfer2(z, params, v):
@@ -79,7 +80,7 @@ def oracle_transfer2(z, params, v):
     for a0, sign in enumerate(omega):
         part = StateVector(v.n, per_key_sweep(tables, v, a0, a0))
         out = out + part.scale(sign)
-    return out
+    return model_vector(out, params)
 
 
 def oracle_beta(v):
@@ -108,8 +109,9 @@ def random_keys(rng, n, count):
 
 
 def random_vector(rng, params, count):
-    return StateVector(params.n, {k: random_scalar(rng, params)
-                                  for k in random_keys(rng, params.n, count)})
+    return model_vector(StateVector(params.n, {
+        k: random_scalar(rng, params)
+        for k in random_keys(rng, params.n, count)}), params)
 
 
 def partial_states(tables, head, a_in):
@@ -159,7 +161,8 @@ def test_monodromy_matches_per_key_oracle(n):
             vecs.append(bethe_vector(p))
         for which, (a_in, _) in AUX.items():
             tables = [r12(z / p.sc(p.q * w), p.vw).column_map() for w in p.w]
-            cancel = ([cancelling_vector(rng, tables, n, a_in, p.vw.one)]
+            cancel = ([model_vector(cancelling_vector(rng, tables, n, a_in,
+                                                      p.vw.one), p)]
                       if n >= 2 else [])
             for v in vecs + cancel:
                 got = monodromy_apply(which, z, p, v)
@@ -228,7 +231,7 @@ def test_weights_that_are_not_rational_in_the_gauge_raise(monkeypatch):
 def test_vector_from_another_session_is_rejected():
     p = ModelParams(2, RAT(2), [RAT(1), RAT(3)])
     other = ModelParams(2, RAT(3), [RAT(1), RAT(3)])
-    v = StateVector(2, {(0, 0): other.vw.one})
+    v = model_vector(StateVector(2, {(0, 0): other.vw.one}), other)
     with pytest.raises(SessionMismatch):
         monodromy_apply("B", p.sc(RAT(5, 3)), p, v)
     with pytest.raises(SessionMismatch):
@@ -261,7 +264,8 @@ def test_transfer2_matches_per_key_oracle(n, twist):
         tables = [r22(z / p.sc(w), p.vw).column_map() for w in p.w]
         vecs = [random_vector(rng, p, count) for count in (3, 8)]
         if n >= 2:
-            vecs += [cancelling_vector(rng, tables, n, a0, p.vw.one)
+            vecs += [model_vector(cancelling_vector(rng, tables, n, a0,
+                                                    p.vw.one), p)
                      for a0 in range(3)]
         if twist == "pi":
             vecs.append(bethe_vector(p))
