@@ -11,16 +11,16 @@ kernel, `sweep`, applies a row of R-matrices to a whole sparse vector.
 The monodromy entries, the T2 trace and the singlet's beta operator in
 `spinchain` differ only in their tables and auxiliary boundary indices.
 
-The model's vectors (ModelVector) live on plain ints: the nonzero
-rational parts of their values (the coefficients of 1, s, i and s i; in
-practice one) over one common denominator.  Every operator here has
-rational weights stored as ints over one denominator, so it maps each
-part alone and its denominator joins the vector's.  For the mixed
-R-matrix, whose four spin-flip weights carry s = sqrt([q][q^2]), that
-takes the gauge K = diag(1, s) on its auxiliary factor, in which the
-entries read A, B/s, s C and D.  Rescaling by a rational multiplies
-numerators and denominator, by s or i it moves a part; Scalars are built
-only to read a value out.
+The model's vectors (ModelVector) live on plain ints: every value the
+model computes is one rational times one of the units 1, s, i, s i, so a
+vector is one unit (its grade) times ints over one common denominator.
+Every operator here has rational weights stored as ints over one
+denominator, so it maps the ints and its denominator joins the vector's.
+For the mixed R-matrix, whose four spin-flip weights carry s =
+sqrt([q][q^2]), that takes the gauge K = diag(1, s) on its auxiliary
+factor, in which the entries read A, B/s, s C and D.  Rescaling by a
+rational times a unit multiplies numerators and denominator and moves the
+grade; Scalars are built only to read a value out.
 
 With twist angle pi the transfer matrices are
 
@@ -46,6 +46,7 @@ from math import gcd, lcm, prod
 
 from bethelab.field import (
     RAT,
+    MixedGrades,
     Scalar,
     SessionMismatch,
     ZeroInverse,
@@ -85,75 +86,80 @@ def magnetisation(key) -> int:
 
 
 class ModelVector:
-    """A state of the model on plain ints: sum_g u_g parts[g] / den over
-    the units u_g = 1, s, i, s i (g = 0..3, a Scalar's order: bit 0 of g
-    is the power of s, bit 1 that of i), each part a nonzero StateVector
-    of ints, in lowest terms: equal vectors have equal parts and den."""
+    """A state of the model on plain ints: u_grade part / den, with part
+    a StateVector of ints and u_grade one of the units 1, s, i, s i
+    (grade 0..3, as for a Scalar), in lowest terms: equal vectors have
+    equal part, den and grade, and the zero vector has den 1 and grade 0.
+    Every value the model computes is homogeneous, so one grade serves a
+    whole vector; a sum of nonzero vectors of different grades raises
+    MixedGrades."""
 
-    __slots__ = ("n", "d", "den", "parts", "_entries")
+    __slots__ = ("n", "d", "den", "part", "grade", "_entries")
 
-    def __init__(self, n: int, d, den: int, parts: dict):
-        parts = {g: p for g, p in parts.items() if p}
-        common = gcd(den, *(x for p in parts.values()
-                            for x in p.entries.values()))
-        self.n, self.d, self.den, self._entries = n, d, den // common, None
-        self.parts = {g: StateVector(n, {k: x // common for k, x
-                                         in p.entries.items()})
-                      for g, p in parts.items()} if common > 1 else parts
+    def __init__(self, d, den: int, part: StateVector, grade: int = 0):
+        common = gcd(den, *part.entries.values())
+        if common > 1:
+            part = StateVector(part.n, {k: x // common
+                                        for k, x in part.entries.items()})
+        self.n, self.d, self.den, self.part = part.n, d, den // common, part
+        self.grade, self._entries = grade if part else 0, None
 
     @property
     def entries(self) -> dict:
         """{key: Scalar} of the nonzero components, built on first use."""
         if self._entries is None:
-            coeffs = {}
-            for g, p in self.parts.items():
-                for key, x in p.entries.items():
-                    coeffs.setdefault(key, [0] * 4)[g] = RAT(x, self.den)
-            self._entries = {key: Scalar(*cs, d=self.d)
-                             for key, cs in coeffs.items()}
+            self._entries = {key: Scalar.graded(RAT(x, self.den), self.grade,
+                                                self.d)
+                             for key, x in self.part.entries.items()}
         return self._entries
 
     def is_zero(self) -> bool:
-        return not self.parts
+        return not self.part
 
     def rational(self) -> StateVector:
         """The numerators of a vector whose values are all rational."""
-        if set(self.parts) - {0}:
+        if self.grade:
             raise IrrationalComponent("a component has an s- or i-part")
-        return self.parts.get(0, StateVector(self.n))
+        return self.part
 
     def map(self, fn, den: int = 1) -> "ModelVector":
-        """The image under an operator with rational weights: fn takes an
+        """The image under an operator with rational weights: fn takes the
         int part to its image times den."""
-        return ModelVector(self.n, self.d, self.den * den,
-                           {g: fn(p) for g, p in self.parts.items()})
+        return ModelVector(self.d, self.den * den, fn(self.part), self.grade)
 
     def scale(self, c) -> "ModelVector":
-        """c times the vector, c an int, rational or Scalar: part g moves
-        to the parts h of the Scalar u_g c, times their coefficients."""
-        moved = {g: Scalar(*(int(k == g) for k in range(4)), d=self.d) * c
-                 for g in self.parts}
-        rs = {(g, h): r for g, x in moved.items()
-              for h, r in enumerate((x.a, x.b, x.c, x.e)) if r}
-        den = lcm(*(r.denominator for r in rs.values()))
-        return ModelVector(self.n, self.d, self.den * den, {h: sum(
-            (self.parts[g].scale(int(r * den))
-             for (g, k), r in rs.items() if k == h), StateVector(self.n))
-            for h in range(4)})
+        """c times the vector, c an int, rational or Scalar r u_h: the
+        grade moves to grade xor h, and the numerators take r, times d
+        where both units carry s and -1 where both carry i."""
+        if isinstance(c, Scalar):
+            if c.d != self.d:
+                raise SessionMismatch(
+                    f"session constants differ: {c.d} vs {self.d}")
+            r, h = c.r, c.g
+        else:
+            r, h = as_rat(c), 0
+        if self.grade & h & 1:
+            r = r * self.d
+        if self.grade & h & 2:
+            r = -r
+        return ModelVector(self.d, self.den * r.denominator,
+                           self.part.scale(r.numerator), self.grade ^ h)
 
     def __add__(self, other: "ModelVector") -> "ModelVector":
         _check_model(other, self.n, self.d)
+        if self.grade != other.grade and self.part and other.part:
+            raise MixedGrades(f"vectors of grades {self.grade} and "
+                              f"{other.grade} added")
         den = lcm(self.den, other.den)
-        return ModelVector(self.n, self.d, den, {g: sum(
-            (v.parts[g].scale(den // v.den)
-             for v in (self, other) if g in v.parts), StateVector(self.n))
-            for g in range(4)})
+        return ModelVector(self.d, den, self.part.scale(den // self.den)
+                           + other.part.scale(den // other.den),
+                           self.grade | other.grade)
 
     def __eq__(self, other):
         if not isinstance(other, ModelVector):
             return NotImplemented
-        return ((self.n, self.d, self.den, self.parts)
-                == (other.n, other.d, other.den, other.parts))
+        return ((self.d, self.den, self.grade, self.part)
+                == (other.d, other.den, other.grade, other.part))
 
     def to_json_dict(self, params: "ModelParams") -> dict:
         comps = [{"state": state_str(k), "value": v.to_json_dict()}
@@ -163,6 +169,8 @@ class ModelVector:
 
 
 def _check_model(v: ModelVector, n: int, d):
+    if not isinstance(v, ModelVector):
+        raise TypeError(f"expected a ModelVector, got {type(v).__name__}")
     if v.n != n:
         raise DimensionMismatch(f"vector has {v.n} sites, model {n}")
     if v.d != d:
@@ -171,8 +179,7 @@ def _check_model(v: ModelVector, n: int, d):
 
 def basis_vector(params: "ModelParams", key) -> ModelVector:
     """The basis state |key> of the model."""
-    return ModelVector(params.n, params.d, 1,
-                       {0: StateVector(params.n, {tuple(key): 1})})
+    return ModelVector(params.d, 1, StateVector(params.n, {tuple(key): 1}))
 
 
 class ModelParams:
@@ -219,7 +226,7 @@ class ModelParams:
 
     def _table(self, kind: str, u: Scalar, build):
         """The session's memo of build(), keyed by kind and u."""
-        key = (kind, u.a, u.b, u.c, u.e)
+        key = (kind, u.r, u.g)
         t = self.vw.tables.get(key)
         if t is None:
             t = self.vw.tables[key] = build()
@@ -287,8 +294,8 @@ def sweep(tables, v: StateVector, a_in: int, a_out: int) -> dict:
 def _signed_sweeps(rows, v: ModelVector, params: ModelParams, bounds):
     """For each row of (table, D) pairs in turn, replace v by the sum of
     sign * sweep(v, a_in, a_out) over the (a_in, a_out, sign) in bounds.
-    The tables are rational, so each int part of v goes through every
-    row on its own and v's denominator gains the product of every D."""
+    The tables are rational, so v's ints go through every row and v's
+    denominator gains the product of every D."""
     sweeps = [[t for t, _ in tables] for tables in rows]
 
     def run(part: StateVector) -> StateVector:
@@ -307,7 +314,7 @@ def _signed_sweeps(rows, v: ModelVector, params: ModelParams, bounds):
 def monodromy_apply(which: str, z, params: ModelParams, v: ModelVector):
     """Apply a monodromy entry A, B, C or D at spectral parameter z; for a
     list z = [z_1, ..., z_k], apply the product which(z_k) ... which(z_1)
-    in one pass over v's int parts.
+    in one pass over v's ints.
 
     One sweep over sites 1..N contracting the two-dimensional auxiliary
     space exactly; B lowers the magnetisation by one, C raises it.  Undoing
@@ -536,9 +543,7 @@ def recurrence_check(params: ModelParams) -> bool:
         factor = factor * vw.sc(brk(params.q * w[0] / wj))
         factor = factor * vw.sc(brk(params.q * params.q * wj / w[0]))
     sub = renormalised_vector(params.with_w(w[2:]))
-    rhs = ModelVector(params.n, sub.d, sub.den, {
-        g: singlet_pair_tensor(p) for g, p in sub.parts.items()})
-    return lhs == rhs.scale(factor)
+    return lhs == sub.map(singlet_pair_tensor).scale(factor)
 
 
 def admissible_points(params: ModelParams, j: int, count: int):

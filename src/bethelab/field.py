@@ -6,13 +6,14 @@ All computations in this package run over the ring
 
 where the session constant d is a fixed rational (in model computations
 d = [q][q^2] with [z] = z - 1/z, so that the square roots appearing in the
-mixed R-matrix become the symbol s).  Elements are stored as
-
-    a + b*s + c*i + e*s*i
-
-with rational a, b, c, e.  For d that is not a rational square (and -d not
-one either) this is a field, so every nonzero element is invertible and all
-divisions are exact.
+mixed R-matrix become the symbol s).  Every value the package computes is
+homogeneous, one rational times one of the units 1, s, i, s*i, so a Scalar
+is stored as r * s^k * i^l with rational r and grade g = k + 2 l in 0..3.
+A sum of nonzero values of different grades raises MixedGrades, an
+internal error (exit 4 in the CLI).  For d that is not a rational square
+(and -d not one either) this is a field and the grades are independent, so
+every nonzero element is invertible, all divisions are exact and equality
+is decided grade by grade.
 
 The module also provides the half-power polynomial ring Q[y] with the
 reading y = x^(1/2) (the returned form of the homogeneous-limit states,
@@ -46,6 +47,11 @@ class ZeroInverse(ZeroDivisionError):
 
 class DivisionByZero(ZeroDivisionError):
     """Exact division by a zero scalar."""
+
+
+class MixedGrades(ArithmeticError):
+    """A sum of nonzero values of different grades, or a Scalar built from
+    two nonzero parts: never computed by the package, so a bug."""
 
 
 class SingularSystem(ValueError):
@@ -104,80 +110,95 @@ def validate_session_constant(d) -> RAT:
 
 
 class Scalar:
-    """Element a + b*s + c*i + e*s*i of Q(s, i) with s**2 = d.
+    """Homogeneous element r * s^k * i^l of Q(s, i), s**2 = d, stored as
+    the rational r and the grade g = k + 2 l in 0..3 (zero has grade 0).
 
-    Immutable.  Binary operations require equal session constants; ints and
-    rationals coerce to the constant of the other operand.
+    Immutable.  The four-argument constructor takes the coefficients of 1,
+    s, i and s i, at most one of them nonzero.  Binary operations require
+    equal session constants; ints and rationals coerce to the constant of
+    the other operand.
     """
 
-    __slots__ = ("a", "b", "c", "e", "d")
+    __slots__ = ("r", "g", "d")
 
     def __init__(self, a=0, b=0, c=0, e=0, *, d):
-        object.__setattr__(self, "a", as_rat(a))
-        object.__setattr__(self, "b", as_rat(b))
-        object.__setattr__(self, "c", as_rat(c))
-        object.__setattr__(self, "e", as_rat(e))
-        object.__setattr__(self, "d", as_rat(d))
+        parts = [(g, x) for g, x in enumerate((a, b, c, e)) if x]
+        if len(parts) > 1:
+            raise MixedGrades(f"parts of grades {[g for g, _ in parts]}")
+        g, r = parts[0] if parts else (0, 0)
+        _set_r(self, as_rat(r))
+        _set_g(self, g)
+        _set_d(self, as_rat(d))
 
     def __setattr__(self, *_):
         raise AttributeError("Scalar is immutable")
 
-    # -- constructors -------------------------------------------------
-
     @staticmethod
-    def s_unit(d) -> "Scalar":
-        return Scalar(0, 1, d=d)
-
-    @staticmethod
-    def i_unit(d) -> "Scalar":
-        return Scalar(0, 0, 1, d=d)
+    def graded(r, g: int, d) -> "Scalar":
+        """r * u_g over the units u_g = 1, s, i, s i, for a rational r
+        of the rational type and a session constant d validated already."""
+        x = _new(Scalar)
+        _set_r(x, r)
+        _set_g(x, g if r else 0)
+        _set_d(x, d)
+        return x
 
     # -- predicates ---------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not (self.a or self.b or self.c or self.e)
+        return not self.r
 
     def __bool__(self) -> bool:
-        return not self.is_zero()
+        return bool(self.r)
 
     def is_rational(self) -> bool:
-        return not (self.b or self.c or self.e)
+        return not self.g
 
     def to_rat(self) -> RAT:
-        if not self.is_rational():
+        if self.g:
             raise ValueError(f"{self!r} is not rational")
-        return self.a
+        return self.r
+
+    def parts(self) -> tuple:
+        """The coefficients (a, b, c, e) of 1, s, i and s i."""
+        return tuple(self.r if g == self.g else RAT_ZERO for g in range(4))
 
     # -- arithmetic ---------------------------------------------------
 
     def _coerce(self, other):
-        if isinstance(other, Scalar):
+        if type(other) is Scalar:
             if self.d is not other.d and self.d != other.d:
                 raise SessionMismatch(
                     f"session constants differ: {self.d} vs {other.d}")
             return other
         if isinstance(other, (int, RAT)):
-            return Scalar(other, d=self.d)
+            return Scalar.graded(as_rat(other), 0, self.d)
         return NotImplemented
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        return Scalar(self.a + o.a, self.b + o.b, self.c + o.c,
-                      self.e + o.e, d=self.d)
+        if self.g == o.g:
+            return Scalar.graded(self.r + o.r, self.g, self.d)
+        if not o.r:
+            return self
+        if not self.r:
+            return o
+        raise MixedGrades(f"{self!r} + {o!r}")
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Scalar(-self.a, -self.b, -self.c, -self.e, d=self.d)
+        return Scalar.graded(-self.r, self.g, self.d)
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        return Scalar(self.a - o.a, self.b - o.b, self.c - o.c,
-                      self.e - o.e, d=self.d)
+        if self.g == o.g:
+            return Scalar.graded(self.r - o.r, self.g, self.d)
+        return self + -o
 
     def __rsub__(self, other):
         return (-self) + other
@@ -186,58 +207,39 @@ class Scalar:
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        a, b, c, e = self.a, self.b, self.c, self.e
-        A, B, C, E = o.a, o.b, o.c, o.e
-        # fast paths: purely rational and s-only factors dominate in practice
-        if not (c or e):
-            if not (C or E):
-                if not b and not B:
-                    return Scalar(a * A, d=self.d)
-                d = self.d
-                return Scalar(a * A + b * B * d, a * B + b * A, d=self.d)
-            if not b:
-                return Scalar(a * A, a * B, a * C, a * E, d=self.d)
-        d = self.d
-        return Scalar(
-            a * A + (b * B - e * E) * d - c * C,
-            a * B + b * A - c * E - e * C,
-            a * C + c * A + (b * E + e * B) * d,
-            a * E + e * A + b * C + c * B,
-            d=self.d,
-        )
+        r = self.r * o.r
+        both = self.g & o.g
+        if both & 1:
+            r = r * self.d
+        if both & 2:
+            r = -r
+        return Scalar.graded(r, self.g ^ o.g, self.d)
 
     __rmul__ = __mul__
 
-    def conj_i(self) -> "Scalar":
-        return Scalar(self.a, self.b, -self.c, -self.e, d=self.d)
-
     def inv(self) -> "Scalar":
-        if self.is_zero():
+        """1 / (r s^k i^l) = r^-1 d^-k (-1)^l s^k i^l."""
+        if not self.r:
             raise DivisionByZero("inverse of zero scalar")
-        if self.is_rational():
-            return Scalar(1 / self.a, d=self.d)
-        # 1/x = conj_i(x) * (u - v s) / (u^2 - v^2 d), where
-        # n = x * conj_i(x) = u + v s lies in Q(s)
-        ci = self.conj_i()
-        n = self * ci
-        u, v = n.a, n.b
-        norm = u * u - v * v * self.d
-        if norm == 0:
-            raise DivisionByZero("scalar has zero norm; d admits zero divisors")
-        m = Scalar(u / norm, -v / norm, d=self.d)
-        return ci * m
+        r = 1 / self.r
+        if self.g & 1:
+            r = r / self.d
+        if self.g & 2:
+            r = -r
+        return Scalar.graded(r, self.g, self.d)
 
     def __truediv__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        if o.is_zero():
+        if not o.r:
             raise DivisionByZero("division by zero scalar")
-        if o.is_rational():
-            r = o.a
-            return Scalar(self.a / r, self.b / r, self.c / r, self.e / r,
-                          d=self.d)
-        return self * o.inv()
+        r, only = self.r / o.r, o.g & ~self.g  # x * o.inv() in one step
+        if only & 1:
+            r = r / self.d
+        if only & 2:
+            r = -r
+        return Scalar.graded(r, self.g ^ o.g, self.d)
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
@@ -246,51 +248,42 @@ class Scalar:
         return o / self
 
     def __pow__(self, n: int) -> "Scalar":
-        if n < 0:
-            return self.inv() ** (-n)
-        result = Scalar(1, d=self.d)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        """x^n = r^n d^(k m) (-1)^(l m) u_g^(n mod 2), m = n // 2."""
+        x = self if n >= 0 else self.inv()
+        n = abs(n)
+        r = x.r ** n
+        if x.g & 1:
+            r = r * x.d ** (n // 2)
+        if x.g & 2 and n & 2:
+            r = -r
+        return Scalar.graded(r, x.g if n & 1 else 0, x.d)
 
     # -- comparison / hashing ------------------------------------------
 
     def __eq__(self, other):
         if isinstance(other, (int, RAT)):
-            return self.is_rational() and self.a == other
+            return not self.g and self.r == other
         if not isinstance(other, Scalar):
             return NotImplemented
         if self.d != other.d:
             raise SessionMismatch(
                 f"session constants differ: {self.d} vs {other.d}")
-        return (self.a == other.a and self.b == other.b
-                and self.c == other.c and self.e == other.e)
+        return self.g == other.g and self.r == other.r
 
     def __hash__(self):
-        return hash((self.a, self.b, self.c, self.e, self.d))
-
-    # -- I/O ------------------------------------------------------------
+        return hash((self.r, self.g, self.d))
 
     def __repr__(self):
-        parts = []
-        if self.a or self.is_zero():
-            parts.append(str(self.a))
-        if self.b:
-            parts.append(f"{self.b}*s")
-        if self.c:
-            parts.append(f"{self.c}*i")
-        if self.e:
-            parts.append(f"{self.e}*s*i")
-        return f"Scalar({' + '.join(parts)} | d={self.d})"
+        unit = ("", "*s", "*i", "*s*i")[self.g]
+        return f"Scalar({self.r}{unit} | d={self.d})"
 
     def to_json_dict(self) -> dict:
-        return {"a": rat_str(self.a), "b": rat_str(self.b),
-                "c": rat_str(self.c), "e": rat_str(self.e),
+        return {**dict(zip("abce", map(rat_str, self.parts()))),
                 "d": rat_str(self.d)}
+
+
+_new = object.__new__
+_set_r, _set_g, _set_d = Scalar.r.__set__, Scalar.g.__set__, Scalar.d.__set__
 
 
 def pack(coeffs, bits: int) -> int:

@@ -83,14 +83,14 @@ class VertexWeights:
         self.d = validate_session_constant(qq)
         self.zero = Scalar(0, d=self.d)
         self.one = Scalar(1, d=self.d)
-        self.s = Scalar.s_unit(self.d)
-        self.i = Scalar.i_unit(self.d)
+        self.s = Scalar(0, 1, d=self.d)
+        self.i = Scalar(0, 0, 1, d=self.d)
         self.bq = self.sc(brk(q))
         self.bq2 = self.sc(brk(q * q))
         self.tables = {}
 
     def sc(self, r) -> Scalar:
-        return Scalar(as_rat(r), d=self.d)
+        return Scalar.graded(as_rat(r), 0, self.d)
 
     def coerce(self, z) -> Scalar:
         if isinstance(z, Scalar):
@@ -103,8 +103,8 @@ class VertexWeights:
     def bracket(self, z: Scalar) -> Scalar:
         if z.is_zero():
             raise ZeroInverse("bracket of zero spectral parameter")
-        if z.is_rational():
-            return self.sc(brk(z.a))
+        if not z.g:
+            return self.sc(brk(z.r))
         return z - z.inv()
 
     def bqz(self, k: int, z: Scalar) -> Scalar:
@@ -121,10 +121,10 @@ def _gauged(w: Scalar, ao: int, ai: int, d):
     given and ao != ai, the gauged flip weight (w = b s becomes b for
     0 <- 1 and b d for 1 <- 0)."""
     if d is None or ao == ai:
-        if w.is_rational():
-            return w.a
-    elif not (w.a or w.c or w.e):
-        return w.b if ao == 0 else w.b * d
+        if not w.g:
+            return w.r
+    elif w.g == 1:
+        return w.r if ao == 0 else w.r * d
     raise IrrationalWeight(f"<{ao} .|R|{ai} .> = {w!r}")
 
 

@@ -1,9 +1,15 @@
-"""The model's vector operations on Scalar entries: the reference the
-int-part vectors of `aba` (ModelVector) are tested against, for small N.
+"""References for the package's graded arithmetic and int vectors.
 
-Every value here is a Scalar of Q(s, i) and every step is Scalar
-arithmetic, as the package computed before its vectors moved to ints:
-the four-part split of a vector over one common denominator, the braided
+`FourPart` is the general arithmetic of Q(s, i): an element a + b s +
+c i + e s i with its four rational coefficients, the sixteen-term
+product, the inverse through the norm of x times its i-conjugate, and
+powers by repeated squaring.  The package stores every value as one
+rational and one grade; the tests check that arithmetic against this one.
+
+The rest is the model's vector algebra on Scalar entries, as the package
+computed it before its vectors moved to ints, the reference the int
+vectors of `aba` (ModelVector) are tested against for small N: the split
+of a single-grade vector over one common denominator, the braided
 two-site gate with Scalar weights, rescaling and exact Laurent
 interpolation by a Scalar linear solve, whose surplus samples are checked
 by evaluating the interpolant.
@@ -13,37 +19,178 @@ from math import lcm
 
 from bethelab.aba import ModelVector, StateVector
 from bethelab.field import (
+    RAT,
+    DivisionByZero,
     InconsistentSamples,
     LaurentPoly,
+    MixedGrades,
     Scalar,
+    SessionMismatch,
     SingularSystem,
+    as_rat,
     solve_exact,
 )
 from bethelab.rmatrix import r22
 
 
+class FourPart:
+    """Element a + b*s + c*i + e*s*i of Q(s, i) with s**2 = d."""
+
+    __slots__ = ("a", "b", "c", "e", "d")
+
+    def __init__(self, a=0, b=0, c=0, e=0, *, d):
+        self.a, self.b, self.c, self.e = map(as_rat, (a, b, c, e))
+        self.d = as_rat(d)
+
+    @staticmethod
+    def of(x: Scalar) -> "FourPart":
+        return FourPart(*x.parts(), d=x.d)
+
+    def parts(self) -> tuple:
+        return self.a, self.b, self.c, self.e
+
+    def summands(self) -> list:
+        """The nonzero graded Scalars whose sum this is."""
+        return [Scalar(*(x if h == g else 0 for h in range(4)), d=self.d)
+                for g, x in enumerate(self.parts()) if x]
+
+    def is_zero(self) -> bool:
+        return not any(self.parts())
+
+    def is_rational(self) -> bool:
+        return not (self.b or self.c or self.e)
+
+    def to_rat(self):
+        if not self.is_rational():
+            raise ValueError(f"{self!r} is not rational")
+        return self.a
+
+    def _coerce(self, other):
+        if isinstance(other, FourPart):
+            if self.d != other.d:
+                raise SessionMismatch(
+                    f"session constants differ: {self.d} vs {other.d}")
+            return other
+        if isinstance(other, (int, RAT)):
+            return FourPart(other, d=self.d)
+        return NotImplemented
+
+    def __add__(self, other):
+        o = self._coerce(other)
+        if o is NotImplemented:
+            return o
+        return FourPart(*(x + y for x, y in zip(self.parts(), o.parts())),
+                        d=self.d)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return FourPart(*(-x for x in self.parts()), d=self.d)
+
+    def __sub__(self, other):
+        return self + -self._coerce(other)
+
+    def __mul__(self, other):
+        o = self._coerce(other)
+        if o is NotImplemented:
+            return o
+        a, b, c, e = self.parts()
+        A, B, C, E = o.parts()
+        d = self.d
+        return FourPart(
+            a * A + (b * B - e * E) * d - c * C,
+            a * B + b * A - c * E - e * C,
+            a * C + c * A + (b * E + e * B) * d,
+            a * E + e * A + b * C + c * B,
+            d=d,
+        )
+
+    __rmul__ = __mul__
+
+    def conj_i(self) -> "FourPart":
+        return FourPart(self.a, self.b, -self.c, -self.e, d=self.d)
+
+    def inv(self) -> "FourPart":
+        """1/x = conj_i(x) (u - v s) / (u^2 - v^2 d), where x conj_i(x) =
+        u + v s lies in Q(s)."""
+        if self.is_zero():
+            raise DivisionByZero("inverse of zero scalar")
+        ci = self.conj_i()
+        n = self * ci
+        u, v = n.a, n.b
+        norm = u * u - v * v * self.d
+        if norm == 0:
+            raise DivisionByZero("zero norm; d admits zero divisors")
+        return ci * FourPart(u / norm, -v / norm, d=self.d)
+
+    def __truediv__(self, other):
+        o = self._coerce(other)
+        if o is NotImplemented:
+            return o
+        return self * o.inv()
+
+    def __pow__(self, n: int) -> "FourPart":
+        if n < 0:
+            return self.inv() ** (-n)
+        result, base = FourPart(1, d=self.d), self
+        while n:
+            if n & 1:
+                result = result * base
+            base = base * base
+            n >>= 1
+        return result
+
+    def __eq__(self, other):
+        if isinstance(other, (int, RAT)):
+            return self.is_rational() and self.a == other
+        if not isinstance(other, FourPart):
+            return NotImplemented
+        if self.d != other.d:
+            raise SessionMismatch(
+                f"session constants differ: {self.d} vs {other.d}")
+        return self.parts() == other.parts()
+
+    def __hash__(self):
+        return hash((self.parts(), self.d))
+
+    def __repr__(self):
+        return f"FourPart({', '.join(map(str, self.parts()))} | d={self.d})"
+
+    def to_json_dict(self) -> dict:
+        return {**{k: f"{x.numerator}/{x.denominator}"
+                   for k, x in zip("abce", self.parts())},
+                "d": f"{self.d.numerator}/{self.d.denominator}"}
+
+
 def split(v: StateVector):
-    """(den, parts): v's four rational parts (coefficients of 1, s, i and
-    s i) as {key: int} numerators over their least common denominator,
-    the nonzero parts only, keyed by part index 0..3."""
-    xs = {key: (x.a, x.b, x.c, x.e) for key, x in v.entries.items()}
-    den = lcm(*(r.denominator for rs in xs.values() for r in rs))
-    parts = {}
-    for g in range(4):
-        part = {key: rs[g].numerator * (den // rs[g].denominator)
-                for key, rs in xs.items() if rs[g]}
-        if part:
-            parts[g] = part
-    return den, parts
+    """(den, grade, nums): a vector of Scalars of one grade as {key: int}
+    numerators over their least common denominator."""
+    grades = {x.g for x in v.entries.values()}
+    if len(grades) > 1:
+        raise MixedGrades(f"a vector with grades {sorted(grades)}")
+    den = lcm(*(x.r.denominator for x in v.entries.values()))
+    return den, grades.pop() if grades else 0, {
+        key: x.r.numerator * (den // x.r.denominator)
+        for key, x in v.entries.items()}
+
+
+def summands(v: StateVector) -> dict:
+    """{grade: StateVector}: the single-grade vectors of Scalars whose sum
+    is v, a vector of FourPart entries."""
+    out = {}
+    for key, x in v.entries.items():
+        for y in x.summands():
+            out.setdefault(y.g, {})[key] = y
+    return {g: StateVector(v.n, entries) for g, entries in out.items()}
 
 
 def model(v: StateVector, params) -> ModelVector:
-    """The ModelVector of params' model with the Scalar entries of v."""
+    """The ModelVector of params' model with the Scalar entries of v, all
+    of one grade."""
     for x in v.entries.values():
         params.coerce(x)  # raises SessionMismatch for another session
-    den, parts = split(v)
-    return ModelVector(v.n, params.d, den,
-                       {g: StateVector(v.n, p) for g, p in parts.items()})
+    den, grade, nums = split(v)
+    return ModelVector(params.d, den, StateVector(v.n, nums), grade)
 
 
 def gate(u, params, v: StateVector, i: int, j: int) -> StateVector:
@@ -79,7 +226,7 @@ def laurent_interpolate_many(points, value_rows, low_degree: int,
         raise ValueError(f"need at least {m} samples, got {len(points)}")
     if any(p.is_zero() for p in points):
         raise SingularSystem("sample point zero is not allowed")
-    if len({(p.a, p.b, p.c, p.e) for p in points}) != len(points):
+    if len(set(points)) != len(points):
         raise SingularSystem("sample points must be pairwise distinct")
     matrix = [[p ** (low_degree + k) for k in range(m)] for p in points[:m]]
     sols = solve_exact(matrix, [list(row[:m]) for row in value_rows])

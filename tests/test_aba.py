@@ -110,6 +110,20 @@ def test_b_operators_commute_on_random_vectors():
     assert b12 == b21
 
 
+def test_operators_reject_anything_but_a_model_vector():
+    """A StateVector of Scalars, the old input form, is a TypeError that
+    names ModelVector."""
+    p = params_n(2)
+    z = p.sc(RAT(3, 7))
+    v = StateVector(2, {(UP, UP): p.vw.one})
+    for apply in (lambda: transfer1_apply(z, p, v),
+                  lambda: transfer2_apply(z, p, v),
+                  lambda: monodromy_apply("B", z, p, v),
+                  lambda: vacuum(p) + v):
+        with pytest.raises(TypeError, match="ModelVector"):
+            apply()
+
+
 def test_transfer2_commute_on_random_vectors():
     rng = random.Random(56)
     p = params_n(2)

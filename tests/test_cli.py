@@ -259,6 +259,39 @@ def test_internal_failure_exits_4(monkeypatch, capsys):
     assert "Traceback" in err and "KeyError: 'internal'" in err
 
 
+def _sum_of_two_grades():
+    from bethelab.field import RAT
+    from bethelab.rmatrix import VertexWeights
+
+    vw = VertexWeights(RAT(2))
+    return vw.one + vw.s
+
+
+def test_mixed_grades_exits_4(monkeypatch, capsys):
+    """A value outside the homogeneous elements is a bug: exit 4 with the
+    traceback, never a config error (2) or a singular input (3)."""
+    from bethelab import cli
+
+    monkeypatch.setattr(cli, "cmd_vector", lambda args: _sum_of_two_grades())
+    code = main(["vector", "--n", "1", "--q", "2/1", "--w", "1/1"])
+    err = capsys.readouterr().err
+    assert code == 4
+    assert "Traceback" in err and "MixedGrades" in err
+
+
+def test_mixed_grades_in_a_check_fails_that_check(monkeypatch):
+    from bethelab import cli
+
+    monkeypatch.setitem(cli.SUITES, "asm", lambda params, rng: [
+        ("asm.mixed", {}, _sum_of_two_grades), ("asm.fine", {}, lambda: True)])
+    params, rng = cli.resolve_params(cli.build_parser().parse_args(
+        ["verify", "--suite", "asm", "--n", "2"]))
+    fine, mixed = cli.run_suite("asm", params, rng)  # sorted by name
+    assert mixed["check"] == "asm.mixed" and mixed["pass"] is False
+    assert mixed["error"].startswith("MixedGrades(")
+    assert fine["pass"] is True
+
+
 def test_size_beyond_cap_fails_before_work(monkeypatch, capsys):
     from bethelab import spinchain
 

@@ -10,6 +10,7 @@ from bethelab.field import (
     HalfPowerPoly,
     InconsistentSamples,
     LaurentPoly,
+    MixedGrades,
     Scalar,
     SessionMismatch,
     SingularSystem,
@@ -25,7 +26,7 @@ from bethelab.field import (
 )
 from halfpower_oracle import is_odd_support, shift_down
 from helpers import degree_width
-from scalar_oracle import evaluate
+from scalar_oracle import FourPart, evaluate
 
 D = RAT(45, 8)  # [q][q^2] at q = 2
 
@@ -34,11 +35,15 @@ def sc(a=0, b=0, c=0, e=0, d=D):
     return Scalar(a, b, c, e, d=d)
 
 
-def random_scalar(rng, d=D):
+def fp(a=0, b=0, c=0, e=0, d=D):
+    return FourPart(a, b, c, e, d=d)
+
+
+def random_four_part(rng, d=D):
     def r():
         return RAT(rng.randint(-9, 9), rng.randint(1, 9))
 
-    return Scalar(r(), r(), r(), r(), d=d)
+    return FourPart(r(), r(), r(), r(), d=d)
 
 
 # ---------------------------------------------------------------------
@@ -55,33 +60,41 @@ def test_bracket_zero_raises():
 
 
 # ---------------------------------------------------------------------
-# Scalar arithmetic
+# Scalar arithmetic; the four-part tests run on the FourPart oracle
 # ---------------------------------------------------------------------
 
 def test_s_squared_is_d():
-    s = Scalar.s_unit(D)
+    s = sc(0, 1)
     assert s * s == sc(D)
 
 
 def test_i_squared_is_minus_one():
-    i = Scalar.i_unit(D)
+    i = sc(0, 0, 1)
     assert i * i == sc(-1)
 
 
 def test_one_plus_s_times_one_minus_s():
-    one = sc(1)
-    s = Scalar.s_unit(D)
-    assert (one + s) * (one - s) == sc(1 - D)
-    assert (one + s) * (one - s) == sc(RAT(-37, 8))
+    one = fp(1)
+    s = fp(0, 1)
+    assert (one + s) * (one - s) == fp(1 - D)
+    assert (one + s) * (one - s) == fp(RAT(-37, 8))
+    with pytest.raises(MixedGrades):
+        _ = sc(1) + sc(0, 1)
 
 
 def test_session_mismatch_raises():
-    x = sc(1, 1)
-    y = Scalar(1, 1, d=RAT(7))
+    x = fp(1, 1)
+    y = FourPart(1, 1, d=RAT(7))
     with pytest.raises(SessionMismatch):
         _ = x + y
     with pytest.raises(SessionMismatch):
         _ = x * y
+    for g in range(4):
+        x, y = sc(*(g * [0] + [1])), Scalar(*(g * [0] + [1]), d=RAT(7))
+        with pytest.raises(SessionMismatch):
+            _ = x + y
+        with pytest.raises(SessionMismatch):
+            _ = x * y
 
 
 def test_division_by_zero_raises():
@@ -94,26 +107,26 @@ def test_division_by_zero_raises():
 def test_field_axioms_random():
     rng = random.Random(20240405)
     for _ in range(60):
-        x = random_scalar(rng)
-        y = random_scalar(rng)
-        z = random_scalar(rng)
+        x = random_four_part(rng)
+        y = random_four_part(rng)
+        z = random_four_part(rng)
         assert (x + y) + z == x + (y + z)
         assert (x * y) * z == x * (y * z)
         assert x * (y + z) == x * y + x * z
         assert x * y == y * x
         if not x.is_zero():
-            assert x * x.inv() == sc(1)
+            assert x * x.inv() == fp(1)
             assert (y / x) * x == y
 
 
 def test_inverse_mixed_components():
-    x = sc(RAT(1, 2), RAT(2, 3), RAT(-3, 5), RAT(1, 7))
-    assert x * x.inv() == sc(1)
+    x = fp(RAT(1, 2), RAT(2, 3), RAT(-3, 5), RAT(1, 7))
+    assert x * x.inv() == fp(1)
 
 
 def test_pow():
-    x = sc(2, 1)
-    assert x ** 0 == sc(1)
+    x = fp(2, 1)
+    assert x ** 0 == fp(1)
     assert x ** 3 == x * x * x
     assert x ** -2 == (x * x).inv()
 
@@ -121,19 +134,74 @@ def test_pow():
 def test_rational_roundtrip_and_reality():
     x = sc(RAT(5, 3))
     assert x.is_rational() and x.to_rat() == RAT(5, 3)
-    y = sc(1, 2)
+    y = fp(1, 2)
     assert not (y.c or y.e) and not y.is_rational()  # in Q(s), not Q
     with pytest.raises(ValueError):
         y.to_rat()
+    with pytest.raises(ValueError):
+        sc(0, 2).to_rat()
 
 
 def test_json_roundtrip():
-    x = sc(RAT(1, 2), RAT(-2, 3), RAT(4, 5), RAT(0))
+    x = fp(RAT(1, 2), RAT(-2, 3), RAT(4, 5), RAT(0))
     obj = x.to_json_dict()
     assert obj["a"] == "1/2" and obj["d"] == "45/8"
     back = [RAT(obj[k]) for k in "abce"]
-    assert Scalar(*back, d=RAT(obj["d"])) == x
+    assert FourPart(*back, d=RAT(obj["d"])) == x
     assert rat_str(RAT(-3, 4)) == "-3/4"
+    for y in x.summands():
+        obj = y.to_json_dict()
+        assert obj == FourPart.of(y).to_json_dict()
+        assert Scalar(*(RAT(obj[k]) for k in "abce"), d=RAT(obj["d"])) == y
+
+
+def test_two_nonzero_parts_raise_mixed_grades():
+    with pytest.raises(MixedGrades):
+        sc(1, 1)
+    with pytest.raises(MixedGrades):
+        sc(0, 0, 1, 1)
+    assert not issubclass(MixedGrades, (ValueError, ZeroDivisionError))
+
+
+@st.composite
+def graded_scalars(draw, d):
+    """A homogeneous r s^k i^l, zero among them, in every grade."""
+    r = RAT(draw(st.integers(-30, 30)), draw(st.integers(1, 30)))
+    g = draw(st.integers(0, 3))
+    return Scalar(*(g * [0] + [r]), d=d)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([D, -D, RAT(-7, 3), RAT(2)]).flatmap(
+    lambda d: st.tuples(graded_scalars(d), graded_scalars(d),
+                        st.integers(-4, 4))))
+def test_graded_arithmetic_matches_four_part_oracle(case):
+    """Graded *, +, -, /, inv and ** agree with the four-part oracle on
+    homogeneous inputs of all four grades and both signs of d; a sum of
+    nonzero values of different grades raises MixedGrades."""
+    x, y, n = case
+    ox, oy = FourPart.of(x), FourPart.of(y)
+    assert FourPart.of(x * y) == ox * oy
+    assert FourPart.of(-x) == -ox
+    if x.g == y.g or x.is_zero() or y.is_zero():
+        assert FourPart.of(x + y) == ox + oy
+        assert FourPart.of(x - y) == ox - oy
+    else:
+        with pytest.raises(MixedGrades):
+            _ = x + y
+        with pytest.raises(MixedGrades):
+            _ = x - y
+    if y.is_zero():
+        with pytest.raises(DivisionByZero):
+            _ = x / y
+    else:
+        assert FourPart.of(x / y) == ox / oy
+        assert FourPart.of(y.inv()) == oy.inv()
+    if n >= 0 or not x.is_zero():
+        assert FourPart.of(x ** n) == ox ** n
+    assert (x == y) == (ox == oy)
+    if x == y:
+        assert hash(x) == hash(y)
 
 
 def test_session_constant_validation():

@@ -1,12 +1,14 @@
 """Differential tests of the model's int vectors against the Scalar oracle.
 
-`aba.ModelVector` keeps the rational parts of a vector (the coefficients
-of 1, s, i and s i) as ints over one denominator, and `field` interpolates
-on ints.  `scalar_oracle` is the same algebra on Scalar entries, as the
-package computed it before.  For N <= 5, at both twists and on random
-vectors carrying all four parts, every int operation must agree with the
-oracle exactly: reading the parts back as Scalars, rescaling, sums, the
-braided two-site gate, the twisted shift and Laurent interpolation.
+`aba.ModelVector` keeps a vector as one grade (the unit 1, s, i or s i)
+times ints over one denominator, and `field` interpolates on ints.
+`scalar_oracle` is the same algebra on Scalar entries, as the package
+computed it before.  For N <= 5, at both twists and on random vectors
+carrying all four parts, every int operation must agree with the oracle
+exactly: reading the ints back as Scalars, rescaling, sums, the braided
+two-site gate, the twisted shift and Laurent interpolation.  A random
+four-part vector is the sum of up to four single-grade vectors, and the
+operators are linear, so each summand is compared on its own.
 """
 
 import random
@@ -15,7 +17,7 @@ import pytest
 
 import scalar_oracle
 from helpers import draw_q, draw_w
-from scalar_oracle import model
+from scalar_oracle import FourPart, model, summands
 
 from bethelab.aba import (
     ModelParams,
@@ -30,7 +32,7 @@ from bethelab.field import (
     RAT,
     InconsistentSamples,
     LaurentPoly,
-    Scalar,
+    MixedGrades,
     laurent_interpolate_many,
 )
 
@@ -46,26 +48,28 @@ def random_rat(rng):
     return RAT(rng.randint(-9, 9), rng.randint(1, 9))
 
 
-def random_scalar(rng, params):
+def random_four_part(rng, params):
     """All four parts nonzero unless drawn zero."""
-    return Scalar(*(random_rat(rng) for _ in range(4)), d=params.d)
+    return FourPart(*(random_rat(rng) for _ in range(4)), d=params.d)
 
 
 def random_vector(rng, params, count=6):
-    """A StateVector of four-part Scalars on random keys."""
-    return StateVector(params.n, {
+    """The single-grade summands {grade: StateVector of Scalars} of a
+    vector of four-part values on random keys."""
+    return summands(StateVector(params.n, {
         tuple(rng.randint(0, 2) for _ in range(params.n)):
-        random_scalar(rng, params) for _ in range(count)})
+        random_four_part(rng, params) for _ in range(count)}))
 
 
 def factors(rng, params):
     """Rescaling factors: ints, rationals, every unit times a rational,
-    zero and random four-part Scalars."""
+    zero and the graded summands of random four-part values."""
     vw = params.vw
     units = [vw.one, vw.s, vw.i, vw.s * vw.i]
     return ([-1, 3, random_rat(rng), 0]
             + [u * params.sc(random_rat(rng)) for u in units]
-            + [random_scalar(rng, params) for _ in range(3)])
+            + [c for _ in range(3)
+               for c in random_four_part(rng, params).summands()])
 
 
 @pytest.mark.parametrize("n", SIZES)
@@ -73,11 +77,12 @@ def test_parts_read_back_as_the_scalars_in_lowest_terms(n):
     rng = random.Random(700 + n)
     p = params_for(rng, n, "pi")
     for _ in range(4):
-        v = random_vector(rng, p)
-        got = model(v, p)
-        assert got.entries == v.entries
-        assert got.den == scalar_oracle.split(v)[0]
-        assert set(got.parts) == set(scalar_oracle.split(v)[1])
+        for g, v in random_vector(rng, p).items():
+            got = model(v, p)
+            den, grade, _ = scalar_oracle.split(v)
+            assert got.entries == v.entries
+            assert got.den == den
+            assert got.grade == grade == g
 
 
 @pytest.mark.parametrize("twist", ["pi", "0"])
@@ -86,11 +91,12 @@ def test_rescaling_matches_scalar_rescaling(n, twist):
     rng = random.Random(710 + n)
     p = params_for(rng, n, twist)
     for _ in range(3):
-        v = random_vector(rng, p)
+        vs = random_vector(rng, p).values()
         for c in factors(rng, p):
-            got = model(v, p).scale(c)
-            assert got.entries == v.scale(c).entries
-            assert got == model(v.scale(c), p)
+            for v in vs:
+                got = model(v, p).scale(c)
+                assert got.entries == v.scale(c).entries
+                assert got == model(v.scale(c), p)
 
 
 @pytest.mark.parametrize("n", SIZES)
@@ -99,18 +105,25 @@ def test_sums_match_scalar_sums(n):
     p = params_for(rng, n, "pi")
     for _ in range(4):
         a, b = random_vector(rng, p), random_vector(rng, p)
-        assert (model(a, p) + model(b, p)).entries == (a + b).entries
-        assert (model(a, p) + model(a.scale(-1), p)).is_zero()
+        for g in set(a) & set(b):
+            assert (model(a[g], p) + model(b[g], p)).entries == \
+                (a[g] + b[g]).entries
+        for g, v in a.items():
+            assert (model(v, p) + model(v.scale(-1), p)).is_zero()
+            for h in set(b) - {g}:
+                with pytest.raises(MixedGrades):
+                    model(v, p) + model(b[h], p)
 
 
 @pytest.mark.parametrize("twist", ["pi", "0"])
 @pytest.mark.parametrize("n", SIZES[1:])
 def test_gate_matches_scalar_gate(n, twist):
     """P R22(u) on every adjacent pair and on the wrapped pair (N, 1), on
-    random four-part vectors and, at twist pi, the renormalised vector."""
+    the summands of random four-part vectors and, at twist pi, the
+    renormalised vector."""
     rng = random.Random(730 + n)
     p = params_for(rng, n, twist)
-    vecs = [random_vector(rng, p, 8) for _ in range(2)]
+    vecs = [v for _ in range(2) for v in random_vector(rng, p, 8).values()]
     if twist == "pi":
         vecs.append(StateVector(n, renormalised_vector(p).entries))
     pairs = [(i, i + 1) for i in range(n - 1)] + [(n - 1, 0)]
@@ -126,9 +139,9 @@ def test_gate_matches_scalar_gate(n, twist):
 def test_shift_on_parts_matches_shift_on_scalars(n, twist):
     rng = random.Random(740 + n)
     p = params_for(rng, n, twist)
-    v = random_vector(rng, p)
-    got = model(v, p).map(lambda part: s_prime_apply(part, twist))
-    assert got.entries == s_prime_apply(v, twist).entries
+    for v in random_vector(rng, p).values():
+        got = model(v, p).map(lambda part: s_prime_apply(part, twist))
+        assert got.entries == s_prime_apply(v, twist).entries
 
 
 def test_int_interpolation_matches_scalar_interpolation():

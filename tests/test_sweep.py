@@ -7,15 +7,16 @@ Scalar transition tables.  The sweep instead advances every state one
 site at a time and merges equal partial states after each site, so
 vectors are chosen whose partial states merge and cancel.
 `monodromy_apply` and `transfer2_apply` run the sweep on plain ints:
-on tables gauged by K = diag(1, s) on the auxiliary factor, on each of
-the four rational parts of the vector (the coefficients of 1, s, i and
-s i), with B and C restored by s^k and s^-k.  The random vectors carry
-all four parts, so the comparisons with the Scalar oracle cover the part
-split and the s^k factor; the gauged table itself is checked against
-K r12 K^-1.  The same sweep is also run here on the Scalar tables
-themselves, and `beta_apply` runs it on polynomials packed into Python
-ints, checked against the per-key contraction on HalfPowerPoly entries
-packed the same way.
+on tables gauged by K = diag(1, s) on the auxiliary factor, on the ints
+of a vector of one grade (the unit 1, s, i or s i), with B and C
+restored by s^k and s^-k.  The random vectors carry all four parts: each
+is the sum of up to four single-grade vectors, and the operators are
+linear, so each summand is compared with the Scalar oracle on its own,
+which covers every grade and the s^k factor; the gauged table itself is
+checked against K r12 K^-1.  The same sweep is also run here on the
+Scalar tables themselves, and `beta_apply` runs it on polynomials packed
+into Python ints, checked against the per-key contraction on
+HalfPowerPoly entries packed the same way.
 """
 
 import random
@@ -24,6 +25,7 @@ import pytest
 
 import halfpower_oracle
 from helpers import draw_q, draw_w
+from scalar_oracle import FourPart, summands
 from scalar_oracle import model as model_vector
 
 from bethelab import aba
@@ -37,7 +39,7 @@ from bethelab.aba import (
     transfer2_apply,
     vacuum,
 )
-from bethelab.field import RAT, HalfPowerPoly, Scalar, SessionMismatch
+from bethelab.field import RAT, HalfPowerPoly, SessionMismatch
 from bethelab.rmatrix import UP, ZERO, IrrationalWeight, RMat, r12, r22
 from bethelab.spinchain import _packed_rho, _rho_table, beta_apply
 
@@ -94,11 +96,11 @@ def shifts_magnetisation(v, image, shift):
     return all(magnetisation(k) in allowed for k in image.entries)
 
 
-def random_scalar(rng, params):
+def random_four_part(rng, params):
     parts = [RAT(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(4)]
     for k in rng.sample(range(1, 4), rng.randint(0, 3)):
         parts[k] = RAT(0)
-    return Scalar(*parts, d=params.d)
+    return FourPart(*parts, d=params.d)
 
 
 def random_keys(rng, n, count):
@@ -108,10 +110,12 @@ def random_keys(rng, n, count):
     return {(rng.randint(0, 2),) + rng.choice(tails) for _ in range(count)}
 
 
-def random_vector(rng, params, count):
-    return model_vector(StateVector(params.n, {
-        k: random_scalar(rng, params)
-        for k in random_keys(rng, params.n, count)}), params)
+def random_vectors(rng, params, count):
+    """The single-grade summands, as ModelVectors, of a vector of
+    four-part values."""
+    return [model_vector(v, params) for v in summands(StateVector(
+        params.n, {k: random_four_part(rng, params)
+                   for k in random_keys(rng, params.n, count)})).values()]
 
 
 def partial_states(tables, head, a_in):
@@ -156,7 +160,8 @@ def test_monodromy_matches_per_key_oracle(n):
     for twist in ("pi", "0", "pi"):
         p = model(rng, n, twist)
         z = p.sc(RAT(rng.randint(1, 97), rng.randint(1, 97)))
-        vecs = [random_vector(rng, p, count) for count in (2, 5, 9)]
+        vecs = [v for count in (2, 5, 9)
+                for v in random_vectors(rng, p, count)]
         if twist == "pi":
             vecs.append(bethe_vector(p))
         for which, (a_in, _) in AUX.items():
@@ -179,7 +184,7 @@ def test_scalar_sweep_matches_per_key_oracle(n):
     z = p.sc(RAT(rng.randint(1, 97), rng.randint(1, 97)))
     rows = {2: [r12(z / p.sc(p.q * w), p.vw).column_map() for w in p.w],
             3: [r22(z / p.sc(w), p.vw).column_map() for w in p.w]}
-    vecs = [random_vector(rng, p, count) for count in (3, 8)]
+    vecs = [v for count in (3, 8) for v in random_vectors(rng, p, count)]
     for dim, tables in rows.items():
         for a_in in range(dim):
             for a_out in range(dim):
@@ -218,12 +223,14 @@ def test_weights_that_are_not_rational_in_the_gauge_raise(monkeypatch):
         monodromy_apply("A", p.vw.s, p, vacuum(p))
     with pytest.raises(IrrationalWeight):
         transfer2_apply(p.vw.s, p, vacuum(p))
-    # a flip weight must be a pure multiple of s: add a 1-, i- or s i-part
+    # a flip weight must be a multiple of s, a diagonal weight rational:
+    # a flip of grade 1, i or s i, or a diagonal of grade s, i or s i
     vw = p.vw
-    for extra in (vw.one, vw.i, vw.s * vw.i):
-        flip = {(0, ZERO, 1, UP): vw.s + extra}
-        monkeypatch.setattr(aba, "r12", lambda u, vw, flip=flip: RMat(
-            2, 3, {**r12(u, vw).weights, **flip}, vw.zero))
+    wrong = ([{(0, ZERO, 1, UP): x} for x in (vw.one, vw.i, vw.s * vw.i)]
+             + [{(0, UP, 0, UP): x} for x in (vw.s, vw.i, vw.s * vw.i)])
+    for weights in wrong:
+        monkeypatch.setattr(aba, "r12", lambda u, vw, weights=weights: RMat(
+            2, 3, {**r12(u, vw).weights, **weights}, vw.zero))
         with pytest.raises(IrrationalWeight):
             p.r12_table(p.sc(RAT(5, 3)))
 
@@ -262,7 +269,7 @@ def test_transfer2_matches_per_key_oracle(n, twist):
         p = model(rng, n, twist)
         z = p.sc(RAT(rng.randint(1, 97), rng.randint(1, 97)))
         tables = [r22(z / p.sc(w), p.vw).column_map() for w in p.w]
-        vecs = [random_vector(rng, p, count) for count in (3, 8)]
+        vecs = [v for count in (3, 8) for v in random_vectors(rng, p, count)]
         if n >= 2:
             vecs += [model_vector(cancelling_vector(rng, tables, n, a0,
                                                     p.vw.one), p)
