@@ -268,6 +268,22 @@ def vacuum_d(z, params: ModelParams) -> Scalar:
 _AUX = {"A": (0, 0), "B": (1, 0), "C": (0, 1), "D": (1, 1)}  # (a_in, a_out)
 
 
+def _compiled(table, shift: int) -> dict:
+    """The table's columns for the site at bits shift, shift + 1 of an
+    int-coded state: {aux | spin << 2: [(delta, weight), ...]}, delta the
+    change of the code.  A code outside 0..3 raises ValueError."""
+    out, codes = {}, 0
+    for (a, s), col in table.items():
+        codes |= a | s
+        out[a | s << 2] = pairs = []
+        for ao, so, w in col:
+            codes |= ao | so
+            pairs.append((ao - a + (so - s << shift), w))
+    if not 0 <= codes < 4:  # the or of ints in 0..3 stays in 0..3
+        raise ValueError(f"a table code is not in 0..3: {table!r}")
+    return out
+
+
 def sweep(tables, v: StateVector, a_in: int, a_out: int) -> dict:
     """Contract a row of R-matrices against every state of v at once.
 
@@ -275,20 +291,27 @@ def sweep(tables, v: StateVector, a_in: int, a_out: int) -> dict:
     table tables[j-1] {(aux, site): [(aux', site', weight), ...]} to site
     j of every partial state, merging equal (aux, key) entries and
     dropping zeros after each site.  Returns {key: amp} over the entries
-    whose auxiliary index leaves as a_out.
+    whose auxiliary index leaves as a_out.  A partial state is coded as
+    one int, aux in bits 0-1 and the spin of site j in bits 2j, 2j+1, so
+    a transition adds an int (`_compiled`); keys are decoded on exit.
     """
-    cur = {(a_in, key): amp for key, amp in v.entries.items()}
+    if not 0 <= a_in | a_out < 4:
+        raise ValueError(f"auxiliary codes {a_in}, {a_out} not in 0..3")
+    cur = {sum(s << 2 * j for j, s in enumerate(key)) << 2 | a_in: amp
+           for key, amp in v.entries.items()}
     for j, table in enumerate(tables):
+        cols, shift = _compiled(table, 2 * j + 2), 2 * j
         nxt = {}
-        for (a, key), val in cur.items():
-            head, tail = key[:j], key[j + 1:]
-            for ao, so, wgt in table[(a, key[j])]:
-                nk = (ao, head + (so,) + tail)
+        for code, val in cur.items():
+            for delta, wgt in cols[code >> shift & 12 | code & 3]:
+                nk = code + delta
                 nv = val * wgt
                 acc = nxt.get(nk)
                 nxt[nk] = nv if acc is None else acc + nv
         cur = {k: x for k, x in nxt.items() if x}
-    return {key: val for (a, key), val in cur.items() if a == a_out}
+    shifts = range(2, 2 * v.n + 2, 2)
+    return {tuple(code >> s & 3 for s in shifts): val
+            for code, val in cur.items() if code & 3 == a_out}
 
 
 def _signed_sweeps(rows, v: ModelVector, params: ModelParams, bounds):
@@ -311,6 +334,16 @@ def _signed_sweeps(rows, v: ModelVector, params: ModelParams, bounds):
     return v.map(run, prod(d_j for tables in rows for _, d_j in tables))
 
 
+def _monodromy_rows(z, params: ModelParams) -> list:
+    """The row of gauged r12 tables of z, or of each z of a list."""
+    zs = [params.coerce(x) for x in (z if isinstance(z, list) else [z])]
+    if any(x.is_zero() for x in zs):
+        raise ZeroInverse("spectral parameter must be nonzero")
+    inv_q = params.sc(1 / params.q)
+    return [[params.r12_table(x * inv_q * params.sc(w).inv())
+             for w in params.w] for x in zs]
+
+
 def monodromy_apply(which: str, z, params: ModelParams, v: ModelVector):
     """Apply a monodromy entry A, B, C or D at spectral parameter z; for a
     list z = [z_1, ..., z_k], apply the product which(z_k) ... which(z_1)
@@ -322,14 +355,7 @@ def monodromy_apply(which: str, z, params: ModelParams, v: ModelVector):
     """
     if which not in _AUX:
         raise ValueError("which must be one of A, B, C, D")
-    inv_q = params.sc(1 / params.q)
-    rows = []
-    for x in (z if isinstance(z, list) else [z]):
-        x = params.coerce(x)
-        if x.is_zero():
-            raise ZeroInverse("spectral parameter must be nonzero")
-        rows.append([params.r12_table(x * inv_q * params.sc(w).inv())
-                     for w in params.w])
+    rows = _monodromy_rows(z, params)
     a_in, a_out = _AUX[which]
     out = _signed_sweeps(rows, v, params, [(a_in, a_out, 1)])
     k = len(rows) * (a_in - a_out)
@@ -350,12 +376,11 @@ def bethe_vector(params: ModelParams) -> ModelVector:
 
 def transfer1_apply(z, params: ModelParams, v: ModelVector) -> ModelVector:
     """Twisted six-vertex-auxiliary transfer matrix: i(A - D) at twist pi,
-    A + D at twist 0."""
-    av = monodromy_apply("A", z, params, v)
-    dv = monodromy_apply("D", z, params, v)
-    if params.twist == "0":
-        return av + dv
-    return (av + dv.scale(-1)).scale(params.vw.i)
+    A + D at twist 0, as one signed trace of the monodromy row."""
+    zero_twist = params.twist == "0"
+    out = _signed_sweeps(_monodromy_rows(z, params), v, params,
+                         [(0, 0, 1), (1, 1, 1 if zero_twist else -1)])
+    return out if zero_twist else out.scale(params.vw.i)
 
 
 def transfer2_apply(z, params: ModelParams, v: ModelVector) -> ModelVector:

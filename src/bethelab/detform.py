@@ -22,6 +22,8 @@ points are evaluated through the alternating-sign-matrix sum instead
 
 from __future__ import annotations
 
+from functools import cache
+
 from bethelab.aba import (
     ModelParams,
     PoleEncountered,
@@ -67,6 +69,8 @@ def slavnov(roots, zeta, params: ModelParams) -> Scalar:
     is a legitimate value (orthogonal states), not an error.
     """
     vw = params.vw
+    f = cache(lambda z, w: f_fn(z, w, vw))  # once per pair, on first use
+    g = cache(lambda z, w: g_fn(z, w, vw))
     zs = [params.coerce(z) for z in roots]
     cs = [params.coerce(z) for z in zeta]
     n = len(zs)
@@ -79,10 +83,10 @@ def slavnov(roots, zeta, params: ModelParams) -> Scalar:
     for j in range(n):
         for k in range(j):
             # k < j pairs: g(z_j, z_k) g(zeta_k, zeta_j)
-            pref = pref * g_fn(zs[j], zs[k], vw) * g_fn(cs[k], cs[j], vw)
+            pref = pref * g(zs[j], zs[k]) * g(cs[k], cs[j])
     for j in range(n):
         for k in range(n):
-            pref = pref * f_fn(zs[j], cs[k], vw) / g_fn(zs[j], cs[k], vw)
+            pref = pref * f(zs[j], cs[k]) / g(zs[j], cs[k])
     ratio = []  # a(zeta_k)/d(zeta_k) * prod_m f(zeta_k, z_m)/f(z_m, zeta_k)
     for k in range(n):
         dk = vacuum_d(cs[k], params)
@@ -90,16 +94,16 @@ def slavnov(roots, zeta, params: ModelParams) -> Scalar:
             raise PoleEncountered("d(zeta_k) = 0")
         r = vacuum_a(cs[k], params) / dk
         for m in range(n):
-            r = r * f_fn(cs[k], zs[m], vw) / f_fn(zs[m], cs[k], vw)
+            r = r * f(cs[k], zs[m]) / f(zs[m], cs[k])
         ratio.append(r)
     matrix = []
     for j in range(n):
         row = []
         for k in range(n):
-            gjk = g_fn(zs[j], cs[k], vw)
-            gkj = g_fn(cs[k], zs[j], vw)
-            row.append(phase * gjk * gjk / f_fn(zs[j], cs[k], vw)
-                       - gkj * gkj / f_fn(cs[k], zs[j], vw) * ratio[k])
+            gjk = g(zs[j], cs[k])
+            gkj = g(cs[k], zs[j])
+            row.append(phase * gjk * gjk / f(zs[j], cs[k])
+                       - gkj * gkj / f(cs[k], zs[j]) * ratio[k])
         matrix.append(row)
     return pref * det_bareiss(matrix)
 

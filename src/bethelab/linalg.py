@@ -63,19 +63,9 @@ class StateVector:
 def mat_mul(a, b):
     if len(a[0]) != len(b):
         raise ValueError(f"inner dimensions differ: {len(a[0])} vs {len(b)}")
-    bt = list(zip(*b))
-    out = []
-    for row in a:
-        out_row = []
-        for col in bt:
-            acc = None
-            for x, y in zip(row, col):
-                if x.is_zero() or y.is_zero():
-                    continue
-                acc = x * y if acc is None else acc + x * y
-            out_row.append(acc if acc is not None else row[0] * 0)
-        out.append(out_row)
-    return out
+    zero = a[0][0] * 0
+    return [[sum((x * y for x, y in zip(row, col) if x and y), zero)
+             for col in zip(*b)] for row in a]
 
 
 def mat_add(*ms):
@@ -146,12 +136,6 @@ def rank(a) -> int:
         if r == rows:
             break
     return r
-
-
-def kernel_dimension(a) -> int:
-    if not a:
-        return 0
-    return len(a[0]) - rank(a)
 
 
 # -- sparse product for tensor-space identities -------------------------

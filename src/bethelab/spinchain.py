@@ -10,14 +10,14 @@ A_13 = A_23 = x - 1, and anisotropy x = q + 1/q.  The boundary bond is
 twisted by the rotation diag(-1, 1, -1) about the 3-axis: s^1 and s^2 at
 site N+1 = 1 flip sign.
 
-The bond is built over the rationals from the real matrices
-R_1 = sqrt(2) s^1, R_2 = -i sqrt(2) s^2 and R_3 = s^3.  Every bond term
-carries its spin factors in pairs, so s^a (x) s^a = c_a R_a (x) R_a,
-(s^a)^2 = c_a R_a^2 and (s^a s^b) (x) (s^a s^b) = c_a c_b (R_a R_b) (x)
-(R_a R_b) with c = (1/2, -1/2, 1); the result is a 9 x 9 matrix of
-rational polynomials in x.  The boundary bond is the bulk bond conjugated
-by Omega = diag(-1, 1, -1) on its wrapped right-hand site: its entry
-<lo ro|h|li ri> carries the sign Omega[ro] Omega[ri].
+The bond is built on ints from the real matrices R_1 = sqrt(2) s^1,
+R_2 = -i sqrt(2) s^2 and R_3 = s^3.  Every bond term carries its spin
+factors in pairs, so s^a (x) s^a = c_a R_a (x) R_a, (s^a)^2 = c_a R_a^2
+and (s^a s^b) (x) (s^a s^b) = c_a c_b (R_a R_b) (x) (R_a R_b) with
+c = (1/2, -1/2, 1).  As 2c, 2J and 2A are integral, 8 h(x) = H_0 + H_1 x
++ H_2 x^2 with three int 9 x 9 matrices H_k.  The boundary bond is the
+bulk bond conjugated by Omega = diag(-1, 1, -1) on its wrapped right-hand
+site: its entry <lo ro|h|li ri> flips sign where Omega[ro] != Omega[ri].
 
 The zero-energy state is built from the single spin-flip operator
 
@@ -61,7 +61,7 @@ from bethelab.field import (
     pack,
     unpack,
 )
-from bethelab.linalg import kernel_dimension, kron, mat_add, mat_mul, mat_scale
+from bethelab.linalg import kron, mat_add, mat_mul, mat_scale, rank
 from bethelab.rmatrix import DOWN, UP, ZERO, RMat, VertexWeights, r12
 
 
@@ -74,35 +74,37 @@ class OddSupportResidue(ArithmeticError):
     half-power division."""
 
 
-# R_1, R_2, R_3 on (U, 0, D) and the factors c_a of the module docstring
+# R_1, R_2, R_3 on (U, 0, D), 2 c_a and the couplings 2 J_a and 2 A_ab as
+# int coefficients in x: 2 J_3 = x^2 - 2, 2 A_13 = 2 A_23 = 2x - 2
 _SPIN = (((0, 1, 0), (1, 0, 1), (0, 1, 0)),
          ((0, -1, 0), (1, 0, -1), (0, 1, 0)),
          ((1, 0, 0), (0, 0, 0), (0, 0, -1)))
-_C = (RAT(1, 2), RAT(-1, 2), RAT(1))
-# couplings as coefficients in x: J_3 = x^2/2 - 1, A_13 = A_23 = x - 1
-_J = ((1,), (1,), (-1, 0, RAT(1, 2)))
-_A = ((_J[0], (1,), (-1, 1)),
-      ((1,), _J[1], (-1, 1)),
-      ((-1, 1), (-1, 1), _J[2]))
+_C2 = (1, -1, 2)
+_J2 = ((2,), (2,), (-2, 0, 1))
+_A2 = ((_J2[0], (2,), (-2, 2)),
+       ((2,), _J2[1], (-2, 2)),
+       ((-2, 2), (-2, 2), _J2[2]))
 
 
 def bond_gate():
     """The bulk bond h(x) of the module docstring as a 9 x 9 matrix of
     polynomials in x (HalfPowerPoly entries of even support), rows and
-    columns indexed by 3 * left + right."""
-    spin = [[[HalfPowerPoly.const(c) for c in row] for row in m]
-            for m in _SPIN]
-    eye = [[HalfPowerPoly.const(int(i == j)) for j in range(3)]
-           for i in range(3)]
+    columns indexed by 3 * left + right: each term of 8 h(x) is an int
+    matrix times an int polynomial, summed into H_0, H_1 and H_2, whose
+    entries over 8 become HalfPowerPolys only at the end."""
+    eye = [[int(i == j) for j in range(3)] for i in range(3)]
     terms = []
-    for a, ra in enumerate(spin):
+    for a, ra in enumerate(_SPIN):
         pair = mat_add(kron(ra, ra), mat_scale(kron(mat_mul(ra, ra), eye), 2))
-        terms.append(mat_scale(pair, HalfPowerPoly.x_poly(_J[a]) * _C[a]))
-        for b, rb in enumerate(spin):
+        terms.append((mat_scale(pair, 2 * _C2[a]), _J2[a]))
+        for b, rb in enumerate(_SPIN):
             rab = mat_mul(ra, rb)
-            coupling = HalfPowerPoly.x_poly(_A[a][b]) * (-_C[a] * _C[b])
-            terms.append(mat_scale(kron(rab, rab), coupling))
-    return mat_add(*terms)
+            terms.append((mat_scale(kron(rab, rab), -_C2[a] * _C2[b]),
+                          _A2[a][b]))
+    h = [mat_add(*(mat_scale(m, cs[k]) for m, cs in terms if k < len(cs)))
+         for k in range(3)]
+    return [[HalfPowerPoly.x_poly([RAT(m[i][j], 8) for m in h])
+             for j in range(9)] for i in range(9)]
 
 
 @cache
@@ -113,7 +115,7 @@ def _bond_tables():
     bulk = RMat(3, 3, {(a // 3, a % 3, b // 3, b % 3): gate[a][b]
                        for a in range(9) for b in range(9)},
                 HalfPowerPoly()).column_map()
-    boundary = {(li, ri): [(lo, ro, w * (OMEGA[ro] * OMEGA[ri]))
+    boundary = {(li, ri): [(lo, ro, w if OMEGA[ro] == OMEGA[ri] else -w)
                            for lo, ro, w in col]
                 for (li, ri), col in bulk.items()}
     return bulk, boundary
@@ -309,5 +311,5 @@ def transfer1_zero_kernel_dimension(n: int, q, z=None) -> int:
              if magnetisation(key) == 0]
     images = [transfer1_apply(z, params, basis_vector(params, key)).entries
               for key in basis]
-    return kernel_dimension([[image.get(k, params.vw.zero) for image in images]
-                             for k in basis])
+    return len(basis) - rank([[image.get(k, params.vw.zero)
+                               for image in images] for k in basis])

@@ -157,11 +157,11 @@ def test_real_spin_matrices_reproduce_doubled_ones():
     real = [[[vw.sc(c) for c in row] for row in m] for m in spinchain._SPIN]
     phases = (vw.one, vw.i, vw.one)
     halves = (RAT(1, 2), RAT(1, 2), RAT(1))
-    for r, phase, half, c, s in zip(real, phases, halves, spinchain._C,
-                                    doubled_spin_matrices(vw)):
+    for r, phase, half, c2, s in zip(real, phases, halves, spinchain._C2,
+                                     doubled_spin_matrices(vw)):
         assert mat_scale(r, phase) == s
         assert (mat_scale(kron(s, s), vw.sc(half))
-                == mat_scale(kron(r, r), vw.sc(c)))
+                == mat_scale(kron(r, r), vw.sc(RAT(c2, 2))))
 
 
 def test_gate_assembly_is_real():
@@ -181,6 +181,26 @@ def test_boundary_bond_is_omega_conjugate():
         for lo, ro, w in col:
             got[3 * lo + ro][3 * li + ri] = w
     assert got == want
+
+
+def test_bond_and_hamiltonian_make_no_halfpower_products(monkeypatch):
+    """The bond is summed on int matrices and H v runs on packed ints, so
+    neither multiplies two HalfPowerPolys (the traced counter of such
+    products stays at 0 for this path)."""
+    calls = []
+    mul = HalfPowerPoly.__mul__
+
+    def counting(self, other):
+        calls.append(other)
+        return mul(self, other)
+
+    monkeypatch.setattr(HalfPowerPoly, "__mul__", counting)
+    monkeypatch.setattr(HalfPowerPoly, "__rmul__", counting)
+    spinchain._bond_tables.__wrapped__()
+    hamiltonian_apply_poly(singlet(4))
+    assert calls == []
+    HalfPowerPoly.const(2) * 3
+    assert len(calls) == 1
 
 
 def hamiltonian_dense(n: int, q):

@@ -193,6 +193,57 @@ def test_scalar_sweep_matches_per_key_oracle(n):
                         per_key_sweep(tables, v, a_in, a_out)
 
 
+@pytest.mark.parametrize("n", [5, 6, 7, 8])
+def test_int_coded_sweep_matches_per_key_oracle_on_long_chains(n):
+    """Codes of sites 5..8 sit in bits 10..17 of a partial state: one
+    seeded int vector through the int tables of both rows, for every
+    auxiliary boundary pair."""
+    rng = random.Random(700 + n)
+    p = model(rng, n)
+    z = p.sc(RAT(rng.randint(1, 97), rng.randint(1, 97)))
+    rows = {2: [p.r12_table(z / p.sc(p.q * w))[0] for w in p.w],
+            3: [p.r22_table(z / p.sc(w))[0] for w in p.w]}
+    v = StateVector(n, {k: rng.choice((-1, 1)) * rng.randint(1, 99)
+                        for k in random_keys(rng, n, 12)})
+    for dim, tables in rows.items():
+        for a_in in range(dim):
+            for a_out in range(dim):
+                got = sweep(tables, v, a_in, a_out)
+                assert got == per_key_sweep(tables, v, a_in, a_out)
+                assert got and all(type(x) is int for x in got.values())
+
+
+def test_int_coded_sweep_on_halfpower_entries():
+    """The ring-generic merge on HalfPowerPoly tables and entries."""
+    rng = random.Random(750)
+    n = 5
+    tables = [_rho_table()] * n
+    v = StateVector(n, {k: HalfPowerPoly([rng.randint(-5, 5)
+                                          for _ in range(3)])
+                        for k in random_keys(rng, n, 10)})
+    v = StateVector(n, sweep(tables, v, 1, 0))
+    for a_in, a_out in ((1, 0), (0, 0), (1, 1), (0, 1)):
+        assert sweep(tables, v, a_in, a_out) == \
+            per_key_sweep(tables, v, a_in, a_out)
+
+
+@pytest.mark.parametrize("column, transitions", [
+    ((4, 0), []), ((0, 4), [(0, 0, 1)]), ((0, 0), [(4, 0, 1)]),
+    ((0, 0), [(0, 5, 1)]), ((-1, 0), [(0, 0, 1)]), ((0, 0), [(0, -1, 1)])])
+def test_table_code_outside_two_bits_raises(column, transitions):
+    table = {(a, s): [(a, s, 1)] for a in range(2) for s in range(3)}
+    table[column] = transitions
+    with pytest.raises(ValueError):
+        sweep([table, table], StateVector(2, {(0, 0): 1}), 0, 0)
+
+
+@pytest.mark.parametrize("a_in, a_out", [(4, 0), (0, 4), (-1, 0)])
+def test_auxiliary_boundary_outside_two_bits_raises(a_in, a_out):
+    table = {(a, s): [(a, s, 1)] for a in range(2) for s in range(3)}
+    with pytest.raises(ValueError):
+        sweep([table], StateVector(1, {(0,): 1}), a_in, a_out)
+
+
 @pytest.mark.parametrize("sign", [1, -1])
 def test_r12_table_is_r12_in_the_rational_gauge(sign):
     """r12_table(u) over its D is K r12(u) K^-1, K = diag(1, s) on the
