@@ -74,6 +74,7 @@ class IrrationalComponent(ArithmeticError):
 
 SPIN_CHARS = "U0D"
 OMEGA = (-1, 1, -1)  # the diagonal twist at angle pi on (U, 0, D)
+_SURPLUS_SAMPLES = 2  # interpolation samples beyond the support's width + 1
 
 
 def state_str(key) -> str:
@@ -268,20 +269,23 @@ def vacuum_d(z, params: ModelParams) -> Scalar:
 _AUX = {"A": (0, 0), "B": (1, 0), "C": (0, 1), "D": (1, 1)}  # (a_in, a_out)
 
 
-def _compiled(table, shift: int) -> dict:
-    """The table's columns for the site at bits shift, shift + 1 of an
-    int-coded state: {aux | spin << 2: [(delta, weight), ...]}, delta the
-    change of the code.  A code outside 0..3 raises ValueError."""
-    out, codes = {}, 0
-    for (a, s), col in table.items():
-        codes |= a | s
-        out[a | s << 2] = pairs = []
-        for ao, so, w in col:
-            codes |= ao | so
-            pairs.append((ao - a + (so - s << shift), w))
-    if not 0 <= codes < 4:  # the or of ints in 0..3 stays in 0..3
-        raise ValueError(f"a table code is not in 0..3: {table!r}")
-    return out
+def _compiled(tables) -> list:
+    """A row's tables, table j - 1 as its columns for site j at bits 2j,
+    2j + 1 of an int-coded state: {aux | spin << 2: [(delta, weight), ...]},
+    delta the change of the code; a code outside 0..3 raises ValueError."""
+    row = []
+    for j, table in enumerate(tables, 1):
+        out, codes = {}, 0
+        for (a, s), col in table.items():
+            codes |= a | s
+            out[a | s << 2] = pairs = []
+            for ao, so, w in col:
+                codes |= ao | so
+                pairs.append((ao - a + (so - s << 2 * j), w))
+        if not 0 <= codes < 4:  # the or of ints in 0..3 stays in 0..3
+            raise ValueError(f"a table code is not in 0..3: {table!r}")
+        row.append(out)
+    return row
 
 
 def sweep(tables, v: StateVector, a_in: int, a_out: int) -> dict:
@@ -295,12 +299,17 @@ def sweep(tables, v: StateVector, a_in: int, a_out: int) -> dict:
     one int, aux in bits 0-1 and the spin of site j in bits 2j, 2j+1, so
     a transition adds an int (`_compiled`); keys are decoded on exit.
     """
+    return _compiled_sweep(_compiled(tables), v, a_in, a_out)
+
+
+def _compiled_sweep(row, v: StateVector, a_in: int, a_out: int) -> dict:
+    """`sweep` on a row compiled by `_compiled`."""
     if not 0 <= a_in | a_out < 4:
         raise ValueError(f"auxiliary codes {a_in}, {a_out} not in 0..3")
     cur = {sum(s << 2 * j for j, s in enumerate(key)) << 2 | a_in: amp
            for key, amp in v.entries.items()}
-    for j, table in enumerate(tables):
-        cols, shift = _compiled(table, 2 * j + 2), 2 * j
+    for j, cols in enumerate(row):
+        shift = 2 * j
         nxt = {}
         for code, val in cur.items():
             for delta, wgt in cols[code >> shift & 12 | code & 3]:
@@ -315,22 +324,22 @@ def sweep(tables, v: StateVector, a_in: int, a_out: int) -> dict:
 
 
 def _signed_sweeps(rows, v: ModelVector, params: ModelParams, bounds):
-    """For each row of (table, D) pairs in turn, replace v by the sum of
-    sign * sweep(v, a_in, a_out) over the (a_in, a_out, sign) in bounds.
-    The tables are rational, so v's ints go through every row and v's
-    denominator gains the product of every D."""
-    sweeps = [[t for t, _ in tables] for tables in rows]
+    """For each row of (table, D) pairs in turn, compiled once, replace v
+    by the sum of sign * sweep(v, a_in, a_out) over the (a_in, a_out,
+    sign) in bounds.  The tables are rational, so v's ints go through
+    every row and v's denominator gains the product of every D."""
+    _check_model(v, params.n, params.d)
+    compiled = [_compiled([t for t, _ in tables]) for tables in rows]
 
     def run(part: StateVector) -> StateVector:
-        for tables in sweeps:
+        for row in compiled:
             cur = {}
             for a_in, a_out, sign in bounds:
-                for key, x in sweep(tables, part, a_in, a_out).items():
+                for key, x in _compiled_sweep(row, part, a_in, a_out).items():
                     cur[key] = cur.get(key, 0) + sign * x
             part = StateVector(part.n, cur)
         return part
 
-    _check_model(v, params.n, params.d)
     return v.map(run, prod(d_j for tables in rows for _, d_j in tables))
 
 
@@ -582,16 +591,15 @@ def admissible_points(params: ModelParams, j: int, count: int):
 
 
 def vector_laurent_coefficients(params: ModelParams, j: int, low: int,
-                                width: int, surplus: int = 2):
+                                width: int):
     """Interpolate every component of |psi~> as a Laurent polynomial in
-    w_j on the assumed support [low, low + width] from width + 1 + surplus
-    samples, the surplus verifying the support; a component missing from
-    a sample is zero there.  Returns {key: LaurentPoly} with rational
-    coefficients over the sorted union of the sampled keys, memoised on
-    params."""
-    memo = (j, low, width, surplus)
+    w_j on the assumed support [low, low + width] from width + 1 samples
+    and the surplus ones that verify the support; a component missing
+    from a sample is zero there.  Returns {key: LaurentPoly} with rational
+    coefficients over the sorted union of the sampled keys, memoised."""
+    memo = (j, low, width)
     if memo not in params._laurent_cache:
-        pts = admissible_points(params, j, width + 1 + surplus)
+        pts = admissible_points(params, j, width + 1 + _SURPLUS_SAMPLES)
         vecs = [renormalised_vector(params.with_w(
             params.w[:j - 1] + (t,) + params.w[j:])) for t in pts]
         den = lcm(*(v.den for v in vecs))

@@ -36,7 +36,8 @@ from bethelab.aba import (
 from bethelab.asm import dwbc_partition_brute
 from bethelab.field import RAT, Scalar, brk
 from bethelab.linalg import det_bareiss
-from bethelab.rmatrix import DOWN, UP, VertexWeights
+from bethelab.rmatrix import UP, VertexWeights
+from bethelab.spinchain import distinguished_component_key
 
 
 class CoincidentParameters(ZeroDivisionError):
@@ -69,41 +70,41 @@ def slavnov(roots, zeta, params: ModelParams) -> Scalar:
     is a legitimate value (orthogonal states), not an error.
     """
     vw = params.vw
-    f = cache(lambda z, w: f_fn(z, w, vw))  # once per pair, on first use
-    g = cache(lambda z, w: g_fn(z, w, vw))
     zs = [params.coerce(z) for z in roots]
     cs = [params.coerce(z) for z in zeta]
     n = len(zs)
     if len(cs) != n:
         raise ValueError("roots and zeta must have equal length")
+    args = zs + cs  # f, g memo keys: root j is j, zeta_k is n + k
+    f = cache(lambda a, b: f_fn(args[a], args[b], vw))
+    g = cache(lambda a, b: g_fn(args[a], args[b], vw))
     phase = -vw.one if params.twist == "pi" else vw.one
+    ds = [vacuum_d(c, params) for c in cs]
     pref = vw.one
     for j in range(n):
-        pref = pref * vacuum_d(zs[j], params) * vacuum_d(cs[j], params)
-    for j in range(n):
+        pref = pref * vacuum_d(zs[j], params) * ds[j]
         for k in range(j):
             # k < j pairs: g(z_j, z_k) g(zeta_k, zeta_j)
-            pref = pref * g(zs[j], zs[k]) * g(cs[k], cs[j])
+            pref = pref * g(j, k) * g(n + k, n + j)
     for j in range(n):
         for k in range(n):
-            pref = pref * f(zs[j], cs[k]) / g(zs[j], cs[k])
+            pref = pref * f(j, n + k) / g(j, n + k)
     ratio = []  # a(zeta_k)/d(zeta_k) * prod_m f(zeta_k, z_m)/f(z_m, zeta_k)
     for k in range(n):
-        dk = vacuum_d(cs[k], params)
-        if dk.is_zero():
+        if ds[k].is_zero():
             raise PoleEncountered("d(zeta_k) = 0")
-        r = vacuum_a(cs[k], params) / dk
+        r = vacuum_a(cs[k], params) / ds[k]
         for m in range(n):
-            r = r * f(cs[k], zs[m]) / f(zs[m], cs[k])
+            r = r * f(n + k, m) / f(m, n + k)
         ratio.append(r)
     matrix = []
     for j in range(n):
         row = []
         for k in range(n):
-            gjk = g(zs[j], cs[k])
-            gkj = g(cs[k], zs[j])
-            row.append(phase * gjk * gjk / f(zs[j], cs[k])
-                       - gkj * gkj / f(cs[k], zs[j]) * ratio[k])
+            gjk = g(j, n + k)
+            gkj = g(n + k, j)
+            row.append(phase * gjk * gjk / f(j, n + k)
+                       - gkj * gkj / f(n + k, j) * ratio[k])
         matrix.append(row)
     return pref * det_bareiss(matrix)
 
@@ -228,10 +229,6 @@ def simple_component_odd(params: ModelParams) -> Scalar:
 
 def simple_component_direct(params: ModelParams) -> Scalar:
     """The same component read off the renormalised vector itself."""
-    n = params.n
-    if n % 2 == 0:
-        key = (UP,) * (n // 2) + (DOWN,) * (n // 2)
-    else:
-        key = (UP,) * (n // 2) + (1,) + (DOWN,) * (n // 2)
     v = renormalised_vector(params)
+    key = distinguished_component_key(params.n)
     return params.sc(RAT(v.rational().entries.get(key, 0), v.den))

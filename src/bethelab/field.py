@@ -15,11 +15,11 @@ internal error (exit 4 in the CLI).  For d that is not a rational square
 every nonzero element is invertible, all divisions are exact and equality
 is decided grade by grade.
 
-The module also provides the half-power polynomial ring Q[y] with the
-reading y = x^(1/2) (the returned form of the homogeneous-limit states,
-x^(k/2) times integer polynomials), their Kronecker packing into one int
-at y = 2^bits (`pack`, `unpack`), centred Laurent polynomials, and exact
-Laurent interpolation on ints from samples at rational points (one int
+The module also provides the half-power polynomial ring Q[y], y = x^(1/2)
+(the form of `spinchain`'s homogeneous-limit inputs and results), Kronecker
+packing of integer polynomials into one int at 2^bits (`pack`, `unpack`),
+Gauss-Jordan row reduction (`row_reduce`), centred Laurent polynomials, and
+exact Laurent interpolation on ints from samples at rational points (one int
 dot product a coefficient), which is how degree widths and asymptotic
 coefficients are extracted without a symbolic algebra system.
 """
@@ -287,7 +287,7 @@ _set_r, _set_g, _set_d = Scalar.r.__set__, Scalar.g.__set__, Scalar.d.__set__
 
 
 def pack(coeffs, bits: int) -> int:
-    """sum_k c_k y^k at y = 2^bits, for ints c_k listed lowest first."""
+    """sum_k c_k u^k at u = 2^bits, for ints c_k listed lowest first."""
     acc = 0
     for c in reversed(coeffs):
         acc = (acc << bits) + c
@@ -339,17 +339,12 @@ class HalfPowerPoly:
         return HalfPowerPoly((as_rat(r),))
 
     @staticmethod
-    def y_power(k: int, coeff=1) -> "HalfPowerPoly":
-        return HalfPowerPoly((RAT_ZERO,) * k + (as_rat(coeff),))
-
-    @staticmethod
     def x_poly(x_coeffs) -> "HalfPowerPoly":
         """Build from coefficients in x (placed at even y powers)."""
         cs = []
         for c in x_coeffs:
-            cs.append(as_rat(c))
-            cs.append(RAT_ZERO)
-        return HalfPowerPoly(cs[:-1] if cs else ())
+            cs += (c, 0)
+        return HalfPowerPoly(cs)
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -402,11 +397,9 @@ class HalfPowerPoly:
 
     def eval_x(self, x):
         """Evaluate an even-support element at the rational point x."""
-        if not self.is_even_support():
-            raise ValueError("odd y-support; not a polynomial in x")
         x = as_rat(x)
         acc = RAT_ZERO
-        for c in reversed(self.coeffs[0::2]):
+        for c in reversed(self.x_coeffs()):
             acc = acc * x + c
         return acc
 
@@ -490,42 +483,48 @@ class LaurentPoly:
         return self.low == other.low and self.coeffs == other.coeffs
 
 
+def row_reduce(rows):
+    """Gauss-Jordan elimination with exact division over Q or Q(s, i):
+    (the reduced rows, the pivot column of each nonzero row), every
+    pivot 1 and the only nonzero entry of its column."""
+    m = [list(row) for row in rows]
+    pivots = []
+    for col in range(len(m[0]) if m else 0):
+        r = len(pivots)
+        if r == len(m):
+            break
+        piv = next((i for i in range(r, len(m)) if m[i][col]), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        inv = 1 / m[r][col]
+        m[r] = [x * inv if x else x for x in m[r]]
+        for i, row in enumerate(m):
+            f = row[col]
+            if f and i != r:
+                m[i] = [x - f * y if y else x for x, y in zip(row, m[r])]
+        pivots.append(col)
+    return m, pivots
+
+
 def solve_exact(matrix, rhs_columns):
     """Solve A x = b over Q or Q(s, i) for several right-hand sides at once.
 
-    Gaussian elimination with exact division; raises SingularSystem when A
-    is singular.  `rhs_columns` is a list of columns; returns the list of
-    solution columns in the same order.
+    Reduces [A | B]; raises SingularSystem, naming the first column
+    without a pivot, when A is singular.  `rhs_columns` is a list of
+    columns; returns the list of solution columns in the same order.
     """
     n = len(matrix)
     if any(len(row) != n for row in matrix):
         raise ValueError("matrix must be square")
-    a = [list(row) for row in matrix]
-    bs = [list(col) for col in rhs_columns]
-    if any(len(col) != n for col in bs):
+    if any(len(col) != n for col in rhs_columns):
         raise ValueError("right-hand side length mismatch")
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col]), None)
-        if piv is None:
-            raise SingularSystem(f"singular at column {col}")
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            for b in bs:
-                b[col], b[piv] = b[piv], b[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for b in bs:
-            b[col] = b[col] * inv
-        for r in range(n):
-            if r == col:
-                continue
-            f = a[r][col]
-            if not f:
-                continue
-            a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-            for b in bs:
-                b[r] = b[r] - f * b[col]
-    return bs
+    rows, pivots = row_reduce([list(row) + [b[r] for b in rhs_columns]
+                               for r, row in enumerate(matrix)])
+    col = next((k for k, p in enumerate(pivots) if p != k), len(pivots))
+    if col < n:
+        raise SingularSystem(f"singular at column {col}")
+    return [[row[n + j] for row in rows] for j in range(len(rhs_columns))]
 
 
 def laurent_interpolate(samples, low_degree: int, width: int) -> LaurentPoly:

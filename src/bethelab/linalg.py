@@ -1,13 +1,14 @@
 """Exact dense and sparse matrix helpers.
 
-Dense matrices are plain lists of rows, Scalars or HalfPowerPolys; they
-stay small (the 9x9 Hamiltonian bond and the Bareiss and rank inputs of
-`detform` and `spinchain`).  `StateVector` is the sparse vector every
-operator of `aba` and `spinchain` acts on.  The R-matrix identities on
-pair and triple tensor spaces multiply sparse dict-of-rows matrices with
-`sp_mul`, so the 27-dimensional Yang-Baxter space costs nothing;
-`rmatrix.RMat.embedded` writes a pair operator in that form.
-Determinants use fraction-free Bareiss elimination.
+Dense matrices are plain lists of rows, ints or Scalars; they stay small
+(the int 9x9 matrices of the Hamiltonian bond and the Bareiss inputs of
+`detform`).  `StateVector` is the sparse vector every operator of `aba`
+and `spinchain` acts on.  The R-matrix identities on pair and triple
+tensor spaces multiply sparse dict-of-rows matrices with `sp_mul`, so the
+27-dimensional Yang-Baxter space costs nothing; `rmatrix.RMat.embedded`
+writes a pair operator in that form.  Determinants use fraction-free
+Bareiss elimination; exact row reduction, for solves and kernel
+dimensions, is `field.row_reduce`.
 """
 
 from __future__ import annotations
@@ -112,30 +113,6 @@ def det_bareiss(a) -> Scalar:
         prev = m[k][k]
     det = m[n - 1][n - 1]
     return det if sign == 1 else -det
-
-
-def rank(a) -> int:
-    """Rank by exact Gaussian elimination (matrix may be rectangular)."""
-    if not a:
-        return 0
-    m = [list(row) for row in a]
-    rows, cols = len(m), len(m[0])
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, rows) if not m[i][c].is_zero()), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = m[r][c].inv()
-        m[r] = [x * inv for x in m[r]]
-        for i in range(rows):
-            if i != r and not m[i][c].is_zero():
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        r += 1
-        if r == rows:
-            break
-    return r
 
 
 # -- sparse product for tensor-space identities -------------------------

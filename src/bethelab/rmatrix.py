@@ -133,9 +133,7 @@ class RMat:
     weights {(lo, ro, li, ri): <lo ro| R |li ri>} in ascending key order.
 
     A key that is not stored is a zero weight, and `entry` then returns
-    `zero`.  The weights are Scalars for the R-matrices of this module;
-    any ring with truth for nonzero works (the Hamiltonian bond in
-    `spinchain` uses HalfPowerPoly).
+    `zero`.  The weights are Scalars.
     """
 
     __slots__ = ("dim_left", "dim_right", "weights", "zero")

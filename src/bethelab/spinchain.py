@@ -23,24 +23,31 @@ The zero-energy state is built from the single spin-flip operator
 
     beta(x) = <up| rho_N(x) ... rho_1(x) |down>,   rho = R12(1/q) / [q],
 
-whose bracket entries are 1 and -1 and whose flips carry y = x^(1/2);
-the singlet is x^(-N/2) beta(x)^N |all-up>, a vector of integer
-polynomials in x.  Its square norm and distinguished component reproduce
-the weighted counts of alternating sign matrices.
+whose bracket entries are 1 and -1 and whose flips carry s/[q] = y =
+x^(1/2).  In the gauge K = diag(1, y) on rho's auxiliary index (0 = up,
+1 = down), as `aba` gauges s, a flip weighs x where it raises that index
+and 1 where it lowers it, so <up| K rho_N ... rho_1 K^-1 |down> = y^-1
+beta(x), and the singlet x^(-N/2) beta(x)^N |all-up>, integer
+polynomials in x, is N gauged sweeps of |all-up>.  Its square norm and
+distinguished component reproduce the weighted counts of alternating
+sign matrices.
 
 The singlet, its norm and the symbolic H v run on packed ints (Kronecker
-substitution): an integer polynomial sum_k c_k y^k becomes sum_k c_k
+substitution): an integer polynomial sum_k c_k u^k becomes sum_k c_k
 2^(bits k), and the unchanged sweep and gate code multiply and add plain
-ints.  Balanced base-2^bits digits unpack a result exactly when every
-|c_k| < 2^(bits-1); each function derives its bits from an l1 bound (the
-sum of |c| over all coefficients) and states it.  HalfPowerPoly stays the
-form every function returns.
+ints.  The singlet packs at u = x; the norm and H v take any
+HalfPowerPoly vector at u = y, with H's bond tables, in x = y^2, at
+2^(2 bits).  Balanced base-2^bits digits unpack a result exactly when
+every |c_k| < 2^(bits-1); each function derives its bits from an l1
+bound (the sum of |c| over all coefficients) and states it.  The tables
+are int lists in x; HalfPowerPoly is only the form of inputs and results.
 """
 
 from __future__ import annotations
 
 from functools import cache
-from math import ceil, lcm
+from itertools import product
+from math import factorial, lcm
 
 from bethelab.aba import (
     OMEGA,
@@ -49,29 +56,27 @@ from bethelab.aba import (
     apply_two_site,
     basis_vector,
     magnetisation,
+    renormalised_vector,
     s_prime_apply,
     sweep,
     transfer1_apply,
 )
+from bethelab.asm import gen_poly
 from bethelab.field import (
     RAT,
     HalfPowerPoly,
     as_rat,
     brk,
     pack,
+    row_reduce,
     unpack,
 )
-from bethelab.linalg import kron, mat_add, mat_mul, mat_scale, rank
-from bethelab.rmatrix import DOWN, UP, ZERO, RMat, VertexWeights, r12
+from bethelab.linalg import kron, mat_add, mat_mul, mat_scale
+from bethelab.rmatrix import DOWN, UP, ZERO, VertexWeights, r12
 
 
 class NonIntegerCoefficient(ArithmeticError):
     """A table weight that must be an integer polynomial is not one."""
-
-
-class OddSupportResidue(ArithmeticError):
-    """A singlet component failed to be a polynomial in x after the
-    half-power division."""
 
 
 # R_1, R_2, R_3 on (U, 0, D), 2 c_a and the couplings 2 J_a and 2 A_ab as
@@ -87,11 +92,9 @@ _A2 = ((_J2[0], (2,), (-2, 2)),
 
 
 def bond_gate():
-    """The bulk bond h(x) of the module docstring as a 9 x 9 matrix of
-    polynomials in x (HalfPowerPoly entries of even support), rows and
-    columns indexed by 3 * left + right: each term of 8 h(x) is an int
-    matrix times an int polynomial, summed into H_0, H_1 and H_2, whose
-    entries over 8 become HalfPowerPolys only at the end."""
+    """[H_0, H_1, H_2], the int 9 x 9 matrices of 8 h(x) = H_0 + H_1 x +
+    H_2 x^2 for the bulk bond, indexed by 3 * left + right: each term of
+    8 h(x) is an int matrix times an int polynomial."""
     eye = [[int(i == j) for j in range(3)] for i in range(3)]
     terms = []
     for a, ra in enumerate(_SPIN):
@@ -101,22 +104,26 @@ def bond_gate():
             rab = mat_mul(ra, rb)
             terms.append((mat_scale(kron(rab, rab), -_C2[a] * _C2[b]),
                           _A2[a][b]))
-    h = [mat_add(*(mat_scale(m, cs[k]) for m, cs in terms if k < len(cs)))
-         for k in range(3)]
-    return [[HalfPowerPoly.x_poly([RAT(m[i][j], 8) for m in h])
-             for j in range(9)] for i in range(9)]
+    return [mat_add(*(mat_scale(m, cs[k]) for m, cs in terms if k < len(cs)))
+            for k in range(3)]
 
 
 @cache
 def _bond_tables():
     """Transition tables of the bulk bond and of the boundary bond, the
-    bulk bond conjugated by Omega on its wrapped right-hand site."""
-    gate = bond_gate()
-    bulk = RMat(3, 3, {(a // 3, a % 3, b // 3, b % 3): gate[a][b]
-                       for a in range(9) for b in range(9)},
-                HalfPowerPoly()).column_map()
-    boundary = {(li, ri): [(lo, ro, w if OMEGA[ro] == OMEGA[ri] else -w)
-                           for lo, ro, w in col]
+    bulk bond conjugated by Omega on its wrapped right-hand site, every
+    weight the ints [c_0, c_1, c_2] of h(x) = c_0 + c_1 x + c_2 x^2."""
+    hs = bond_gate()
+    if any(c % 8 for h in hs for row in h for c in row):
+        raise NonIntegerCoefficient("8 h(x) has an entry not divisible by 8")
+    pairs = list(product(range(3), repeat=2))  # ascending, as in column_map
+    bulk = {}
+    for li, ri in pairs:
+        col = [(lo, ro, [h[3 * lo + ro][3 * li + ri] // 8 for h in hs])
+               for lo, ro in pairs]
+        bulk[li, ri] = [(lo, ro, cs) for lo, ro, cs in col if any(cs)]
+    boundary = {(li, ri): [(lo, ro, cs if OMEGA[ro] == OMEGA[ri]
+                            else [-c for c in cs]) for lo, ro, cs in col]
                 for (li, ri), col in bulk.items()}
     return bulk, boundary
 
@@ -131,17 +138,16 @@ def _apply_gates(v: StateVector, bulk, boundary) -> StateVector:
 
 
 def hamiltonian_apply_poly(v: StateVector) -> StateVector:
-    """Apply the twisted Hamiltonian symbolically to a vector with
-    half-power polynomial entries (exact in x), on packed ints over one
-    common denominator.  Bound: a bond multiplies the l1 norm by at most
-    G, the largest column l1 weight of the bond tables, and H sums N
-    bonds, so every coefficient of H v is at most N G |v|_1."""
+    """H v, exact in x, for half-power polynomial entries, on ints over one
+    common denominator packed at y = 2^bits.  Bound: a bond multiplies
+    the l1 norm by at most G, the largest column l1 weight of the bond
+    tables, and H sums N bonds, so every coefficient is at most N G |v|_1."""
     ints, den = _integer_vector(v)
     tables = _bond_tables()
     norm = sum(abs(c) for cs in ints.values() for c in cs)
     bits = (v.n * max(map(_column_l1, tables)) * norm).bit_length() + 1
     packed = StateVector(v.n, {k: pack(cs, bits) for k, cs in ints.items()})
-    out = _apply_gates(packed, *(_packed(t, bits) for t in tables))
+    out = _apply_gates(packed, *(_packed(t, 2 * bits) for t in tables))
     return StateVector(v.n, {key: _unpacked(x, bits, den)
                              for key, x in out.entries.items()})
 
@@ -157,31 +163,31 @@ def twisted_translation_apply(v: StateVector) -> StateVector:
 
 @cache
 def _rho_table():
-    """Transition table of rho(x) = R12(1/q)/[q] in half-power form: the
-    bracket entries become 1, -1 and the flips carry y = x^(1/2).  Any
-    valid scalar session gives the same table; q = 2 is used."""
+    """K rho(x) K^-1 as int lists in x: [1] or [-1] for a bracket weight
+    w/[q]; for a flip, w/[q] = (w/s) y, [0, w/s] where it raises the
+    auxiliary index, else [w/s].  Every valid q gives this table; q = 2."""
     vw = VertexWeights(RAT(2))
-    y = HalfPowerPoly.y_power(1)
-    return {key: [(lo, ro, y if w == vw.s
-                   else HalfPowerPoly.const((w / vw.bq).to_rat()))
-                  for lo, ro, w in col]
-            for key, col in r12(vw.sc(vw.q).inv(), vw).column_map().items()}
+    table = r12(vw.sc(vw.q).inv(), vw).column_map()
+    for (ai, _), col in table.items():
+        for k, (ao, so, w) in enumerate(col):
+            r = (w / (vw.s if ao != ai else vw.bq)).to_rat()
+            if r.denominator != 1:
+                raise NonIntegerCoefficient(f"<{ao} .|rho|{ai} .> weighs {r}")
+            col[k] = (ao, so, [0, r.numerator] if ao > ai else [r.numerator])
+    return table
 
 
 def _column_l1(table) -> int:
     """The largest sum of |c| over the coefficients of a column's weights."""
-    return ceil(max(sum(abs(c) for *_, w in col for c in w.coeffs)
-                    for col in table.values()))
+    return max(sum(abs(c) for *_, w in col for c in w)
+               for col in table.values())
 
 
 def _packed(table, bits: int) -> dict:
-    """A polynomial transition table with every weight packed at
-    y = 2^bits; a weight that is not an integer polynomial raises."""
-    if not all(w.has_integer_coeffs() for col in table.values()
-               for *_, w in col):
-        raise NonIntegerCoefficient(f"not an integer table: {table!r}")
-    return {key: [(lo, ro, pack([int(c) for c in w.coeffs], bits))
-                  for lo, ro, w in col] for key, col in table.items()}
+    """An int polynomial transition table with every weight packed at
+    2^bits."""
+    return {key: [(lo, ro, pack(w, bits)) for lo, ro, w in col]
+            for key, col in table.items()}
 
 
 def _integer_vector(v: StateVector):
@@ -199,45 +205,41 @@ def _unpacked(value: int, bits: int, den: int) -> HalfPowerPoly:
 
 @cache
 def _packed_rho(n: int):
-    """(table, bits): rho packed for the n-site singlet.  Bound: each site
-    of a sweep multiplies a vector's l1 norm by at most L = _column_l1(rho),
-    so the n sweeps of n sites take |all-up> to a vector whose every
-    coefficient is at most L^(n^2) in absolute value."""
+    """(table, bits): rho packed at x = 2^bits for the n-site singlet.
+    Bound: each site of a sweep multiplies a vector's l1 norm by at most
+    L = _column_l1(rho), so the n sweeps of n sites take |all-up> to a
+    vector whose every coefficient is at most L^(n^2) in absolute value."""
     rho = _rho_table()
     bits = (_column_l1(rho) ** (n * n)).bit_length() + 1
     return _packed(rho, bits), bits
 
 
 def beta_apply(v: StateVector) -> StateVector:
-    """One sweep of rho(x) across the chain with auxiliary boundary
-    <up| ... |down>, on components packed as by `_packed_rho(v.n)`;
-    lowers the magnetisation by one and multiplies every component by y
-    times a polynomial in x (odd half-power support)."""
+    """y^-1 beta(x) on components packed at x = 2^bits as by
+    `_packed_rho(v.n)`: one sweep of the gauged rho with auxiliary
+    boundary <up| ... |down>, lowering the magnetisation by one."""
     # the auxiliary enters as down (1) and leaves as up (0)
     return StateVector(v.n, sweep([_packed_rho(v.n)[0]] * v.n, v, 1, 0))
 
 
 def singlet(n: int) -> StateVector:
-    """The zero-energy state x^(-N/2) beta(x)^N |all-up>, swept on packed
-    ints and unpacked once: every component is y^N times a polynomial in
-    x with integer coefficients (checked)."""
+    """The zero-energy state x^(-N/2) beta(x)^N |all-up> = (y^-1
+    beta(x))^N |all-up>, swept on ints packed at x = 2^bits and unpacked
+    once into integer polynomials in x."""
     if n < 1:
         raise ValueError("n must be at least 1")
     v = StateVector(n, {(UP,) * n: 1})
     for _ in range(n):
         v = beta_apply(v)
     bits = _packed_rho(n)[1]
-    out = {key: unpack(val, bits) for key, val in v.entries.items()}
-    if any(any(cs[:n]) or any(cs[n + 1::2]) for cs in out.values()):
-        raise OddSupportResidue(f"component not y^{n} times a polynomial in x")
-    return StateVector(n, {key: HalfPowerPoly(cs[n:])
-                           for key, cs in out.items()})
+    return StateVector(n, {key: HalfPowerPoly.x_poly(unpack(val, bits))
+                           for key, val in v.entries.items()})
 
 
 def singlet_norm(state: StateVector) -> HalfPowerPoly:
     """Square norm under the real pairing: the sum of squared components,
-    on packed ints.  Bound: over the common denominator, K components of
-    at most l coefficients, each at most M in absolute value, give
+    packed at y = 2^bits.  Bound: over the common denominator, K components
+    of at most l coefficients, each at most M in absolute value, give
     coefficients that sum at most K l products, so at most K l M^2."""
     ints, den = _integer_vector(state)
     top = max((abs(c) for cs in ints.values() for c in cs), default=0)
@@ -257,14 +259,9 @@ def singlet_normalisation_audit(state: StateVector) -> dict:
     """Check the distinguished component against the weighted ASM count:
     it must equal A_m(x^2) for m = floor(n/2), with constant term m! and
     degree floor((m-1)^2/4) in x^2."""
-    from math import factorial
-
-    from bethelab.asm import gen_poly
-
     n = state.n
     m = n // 2
-    comp = state.entries.get(distinguished_component_key(n))
-    comp = comp if comp is not None else HalfPowerPoly()
+    comp = state.entries.get(distinguished_component_key(n), HalfPowerPoly())
     want = gen_poly(m)
     x_coeffs = comp.x_coeffs()
     got_t = tuple(x_coeffs[0::2])  # even x powers = powers of t = x^2
@@ -286,8 +283,6 @@ def singlet_normalisation_audit(state: StateVector) -> dict:
 def homogeneous_consistency_check(n: int, q) -> bool:
     """The renormalised vector at w = (1, ..., 1) equals
     [q]^(N(N-1)/2) times the singlet evaluated at x = q + 1/q."""
-    from bethelab.aba import renormalised_vector
-
     q = as_rat(q)
     params = ModelParams(n, q, [RAT(1)] * n)
     v = renormalised_vector(params)
@@ -302,8 +297,6 @@ def homogeneous_consistency_check(n: int, q) -> bool:
 def transfer1_zero_kernel_dimension(n: int, q, z=None) -> int:
     """Dimension of the kernel of T1(z) on the zero-magnetisation sector
     of the homogeneous twisted chain (the uniqueness probe; expected 1)."""
-    from itertools import product
-
     q = as_rat(q)
     params = ModelParams(n, q, [RAT(1)] * n)
     z = params.sc(z if z is not None else RAT(3, 2))
@@ -311,5 +304,6 @@ def transfer1_zero_kernel_dimension(n: int, q, z=None) -> int:
              if magnetisation(key) == 0]
     images = [transfer1_apply(z, params, basis_vector(params, key)).entries
               for key in basis]
-    return len(basis) - rank([[image.get(k, params.vw.zero)
-                               for image in images] for k in basis])
+    _, pivots = row_reduce([[image.get(k, params.vw.zero) for image in images]
+                            for k in basis])
+    return len(basis) - len(pivots)

@@ -2,15 +2,39 @@
 packed-integer singlet, norm and Hamiltonian of `spinchain` are tested
 against, for small n.
 
-Every step is polynomial arithmetic over Q[y], y = x^(1/2): the rho table
-and the bond tables are used as `spinchain` builds them, unpacked, and the
-sweep and gate code are the same.
+Every step is polynomial arithmetic over Q[y], y = x^(1/2), with no
+gauge: rho carries y on its flips, so beta(x) maps polynomials in x to y
+times polynomials in x, and the singlet is beta(x)^n |all-up> divided by
+y^n, checked to be an integer polynomial in x.  The bond tables are the
+int ones of `spinchain`, written as polynomials in x; the sweep and gate
+code are the same.
 """
 
+from functools import cache
+
 from bethelab.aba import StateVector, sweep
-from bethelab.field import HalfPowerPoly, pack, unpack
-from bethelab.rmatrix import UP
-from bethelab.spinchain import _apply_gates, _bond_tables, _rho_table
+from bethelab.field import HalfPowerPoly, RAT, pack, unpack
+from bethelab.rmatrix import UP, VertexWeights, r12
+from bethelab.spinchain import _apply_gates, _bond_tables
+
+
+@cache
+def rho_table():
+    """Transition table of rho(x) = R12(1/q)/[q] in half-power form: the
+    bracket entries become 1, -1 and the flips carry y = x^(1/2).  Any
+    valid scalar session gives the same table; q = 2 is used."""
+    vw = VertexWeights(RAT(2))
+    y = HalfPowerPoly((0, 1))
+    return {key: [(lo, ro, y if w == vw.s
+                   else HalfPowerPoly.const((w / vw.bq).to_rat()))
+                  for lo, ro, w in col]
+            for key, col in r12(vw.sc(vw.q).inv(), vw).column_map().items()}
+
+
+def x_table(table):
+    """An int-list transition table with its weights as polynomials in x."""
+    return {key: [(lo, ro, HalfPowerPoly.x_poly(w)) for lo, ro, w in col]
+            for key, col in table.items()}
 
 
 def shift_down(p: HalfPowerPoly, k: int) -> HalfPowerPoly:
@@ -20,23 +44,30 @@ def shift_down(p: HalfPowerPoly, k: int) -> HalfPowerPoly:
     return HalfPowerPoly(p.coeffs[k:])
 
 
+def divided(v: StateVector, k: int) -> StateVector:
+    """v divided by y**k, component by component."""
+    return StateVector(v.n, {key: shift_down(p, k)
+                             for key, p in v.entries.items()})
+
+
 def is_odd_support(p: HalfPowerPoly) -> bool:
     return all(c == 0 for c in p.coeffs[0::2])
 
 
 def beta(v: StateVector) -> StateVector:
-    return StateVector(v.n, sweep([_rho_table()] * v.n, v, 1, 0))
+    return StateVector(v.n, sweep([rho_table()] * v.n, v, 1, 0))
 
 
+@cache
 def singlet(n: int) -> StateVector:
     v = StateVector(n, {(UP,) * n: HalfPowerPoly.const(1)})
     for _ in range(n):
         v = beta(v)
-    out = {key: shift_down(p, n) for key, p in v.entries.items()}
+    out = divided(v, n)
     if not all(p.is_even_support() and p.has_integer_coeffs()
-               for p in out.values()):
+               for p in out.entries.values()):
         raise ValueError("the singlet is not an integer polynomial in x")
-    return StateVector(n, out)
+    return out
 
 
 def norm(state: StateVector) -> HalfPowerPoly:
@@ -47,7 +78,7 @@ def norm(state: StateVector) -> HalfPowerPoly:
 
 
 def hamiltonian(v: StateVector) -> StateVector:
-    return _apply_gates(v, *_bond_tables())
+    return _apply_gates(v, *map(x_table, _bond_tables()))
 
 
 def packed(v: StateVector, bits: int) -> StateVector:
@@ -60,4 +91,17 @@ def packed(v: StateVector, bits: int) -> StateVector:
 
 def unpacked(v: StateVector, bits: int) -> StateVector:
     return StateVector(v.n, {key: HalfPowerPoly(unpack(x, bits))
+                             for key, x in v.entries.items()})
+
+
+def x_packed(v: StateVector, bits: int) -> StateVector:
+    """v's integer polynomials in x packed at x = 2^bits."""
+    if not all(p.is_even_support() for p in v.entries.values()):
+        raise ValueError("only polynomials in x pack at x")
+    return packed(StateVector(v.n, {key: HalfPowerPoly(p.x_coeffs())
+                                    for key, p in v.entries.items()}), bits)
+
+
+def x_unpacked(v: StateVector, bits: int) -> StateVector:
+    return StateVector(v.n, {key: HalfPowerPoly.x_poly(unpack(x, bits))
                              for key, x in v.entries.items()})

@@ -46,10 +46,12 @@ def s_prime_inverse_apply(v: StateVector, twist: str = "pi") -> StateVector:
 
 
 def evaluated(table, x, d):
-    """A polynomial transition table at the rational point x, as Scalars."""
+    """A transition table of int coefficient lists in x at the rational
+    point x, as Scalars."""
     out = {}
     for key, col in table.items():
-        vals = [(lo, ro, w.eval_x(x)) for lo, ro, w in col]
+        vals = [(lo, ro, sum(c * x ** k for k, c in enumerate(w)))
+                for lo, ro, w in col]
         out[key] = [(lo, ro, Scalar(c, d=d)) for lo, ro, c in vals if c]
     return out
 

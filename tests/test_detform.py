@@ -107,6 +107,21 @@ def test_slavnov_reduction_to_ik():
 # Izergin-Korepin determinant
 # ---------------------------------------------------------------------
 
+@pytest.mark.parametrize("zeta0, message", [
+    (RAT(3), "f(z, w) has a pole at w = +-z"),  # zeta_1 = w_1
+    (RAT(15, 2), "d(zeta_k) = 0"),  # zeta_1 = q w_1
+])
+def test_slavnov_pole_messages(zeta0, message):
+    """The first pole met, f's at zeta_k = +-w_j or d's at zeta_k =
+    +-q w_j, names itself."""
+    p = ModelParams(3, RAT(5, 2), [RAT(3), RAT(7, 5), RAT(11, 4)])
+    roots = [p.sc(x) for x in p.w]
+    zeta = [p.sc(z) for z in (zeta0, RAT(13, 3), RAT(17, 6))]
+    with pytest.raises(PoleEncountered) as err:
+        slavnov(roots, zeta, p)
+    assert str(err.value) == message
+
+
 def test_ik_n1_is_c_weight():
     p = ModelParams(1, RAT(2), [RAT(3)])
     assert ik_determinant([RAT(7)], [RAT(3)], p) == p.vw.bq2

@@ -20,6 +20,7 @@ from bethelab.field import (
     laurent_interpolate,
     pack,
     rat_str,
+    row_reduce,
     solve_exact,
     unpack,
     validate_session_constant,
@@ -221,7 +222,7 @@ def test_session_constant_validation():
 # ---------------------------------------------------------------------
 
 def test_halfpoly_y_times_y_is_x():
-    y = HalfPowerPoly.y_power(1)
+    y = HalfPowerPoly((0, 1))
     assert y * y == HalfPowerPoly((0, 0, 1))
     assert (y * y).is_even_support()
 
@@ -233,7 +234,7 @@ def test_halfpoly_identity():
 
 
 def test_halfpoly_difference_of_squares():
-    y = HalfPowerPoly.y_power(1)
+    y = HalfPowerPoly((0, 1))
     one = HalfPowerPoly.const(1)
     assert (y + one) * (y + -one) == HalfPowerPoly((-1, 0, 1))  # x - 1
 
@@ -377,3 +378,30 @@ def test_interpolate_surplus_mismatch_raises():
 def test_solve_exact_singular():
     with pytest.raises(SingularSystem):
         solve_exact([[sc(1), sc(2)], [sc(2), sc(4)]], [[sc(1), sc(1)]])
+
+
+def test_solve_exact_names_the_first_column_without_a_pivot():
+    # column 1 is twice column 0; the right-hand side takes a pivot there
+    a = [[RAT(1), RAT(2), RAT(0)], [RAT(3), RAT(6), RAT(1)],
+         [RAT(2), RAT(4), RAT(5)]]
+    with pytest.raises(SingularSystem, match="singular at column 1$"):
+        solve_exact(a, [[1, 0, 0]])
+    assert solve_exact([[RAT(0), RAT(2)], [RAT(3), RAT(1)]],
+                       [[2, 7], [0, 3]]) == [[2, 1], [1, 0]]
+
+
+def test_row_reduce_rank_and_pivots():
+    """Rank and pivot columns of a rectangular matrix over Q(s, i)."""
+    d = RAT(6)
+    s, i, one = Scalar(0, 1, d=d), Scalar(0, 0, 1, d=d), Scalar(1, d=d)
+    zero = Scalar(0, d=d)
+    rows = [[zero, s, i, one],
+            [zero, s * s, s * i, s],
+            [zero, zero, one, i]]
+    reduced, pivots = row_reduce(rows)
+    assert pivots == [1, 2]
+    assert [r[c] for r, c in zip(reduced, pivots)] == [one, one]
+    assert all(not r[c] for c in pivots for k, r in enumerate(reduced)
+               if k != pivots.index(c))
+    assert not any(reduced[2])
+    assert row_reduce([]) == ([], [])

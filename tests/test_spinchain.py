@@ -12,13 +12,12 @@ from helpers import (
 )
 
 from bethelab.aba import StateVector, magnetisation
+from bethelab import cli, spinchain
 from bethelab.field import RAT, HalfPowerPoly, Scalar
-from bethelab import spinchain
 from bethelab.linalg import kron, mat_add, mat_mul, mat_scale
-from bethelab.rmatrix import DOWN, UP, ZERO, VertexWeights
+from bethelab.rmatrix import DOWN, UP, ZERO, RMat, VertexWeights, r12
 from bethelab.spinchain import (
     NonIntegerCoefficient,
-    OddSupportResidue,
     beta_apply,
     bond_gate,
     distinguished_component_key,
@@ -135,9 +134,19 @@ def gaussian_gate_oracle():
     return tuple(out)
 
 
-def oracle_polynomials(m0, m1, m2):
-    return [[HalfPowerPoly.x_poly([m0[i][j], m1[i][j], m2[i][j]])
-             for j in range(9)] for i in range(9)]
+def table_as_dense(table):
+    """The 9x9 matrices of the coefficients of 1, x and x^2 of a bond
+    table of int coefficient lists; checks each column's order."""
+    dense = [[[0] * 9 for _ in range(9)] for _ in range(3)]
+    for (li, ri), col in table.items():
+        assert [(lo, ro) for lo, ro, _ in col] == sorted(
+            (lo, ro) for lo, ro, _ in col)
+        for lo, ro, w in col:
+            assert len(w) == 3 and any(w)
+            assert all(type(c) is int for c in w)
+            for k, c in enumerate(w):
+                dense[k][3 * lo + ro][3 * li + ri] = c
+    return dense
 
 
 def test_doubled_spin_commutators():
@@ -167,26 +176,31 @@ def test_real_spin_matrices_reproduce_doubled_ones():
 def test_gate_assembly_is_real():
     h0, h1, h2, _, _, _ = gaussian_gate_oracle()
     gate = bond_gate()
-    assert len(gate) == 9 and all(len(r) == 9 for r in gate)
-    assert all(p.is_even_support() for row in gate for p in row)
-    assert gate == oracle_polynomials(h0, h1, h2)
+    assert len(gate) == 3
+    assert all(len(m) == 9 and all(len(r) == 9 for r in m) for m in gate)
+    assert all(type(c) is int for m in gate for row in m for c in row)
+    assert [mat_scale(m, RAT(1, 8)) for m in gate] == [h0, h1, h2]
+
+
+def test_bulk_bond_table_is_the_gate():
+    h0, h1, h2, _, _, _ = gaussian_gate_oracle()
+    bulk, _ = spinchain._bond_tables()
+    assert set(bulk) == {(li, ri) for li in range(3) for ri in range(3)}
+    assert table_as_dense(bulk) == [h0, h1, h2]
 
 
 def test_boundary_bond_is_omega_conjugate():
     _, _, _, t0, t1, t2 = gaussian_gate_oracle()
-    want = oracle_polynomials(t0, t1, t2)
     _, boundary = spinchain._bond_tables()
-    got = [[HalfPowerPoly() for _ in range(9)] for _ in range(9)]
-    for (li, ri), col in boundary.items():
-        for lo, ro, w in col:
-            got[3 * lo + ro][3 * li + ri] = w
-    assert got == want
+    assert set(boundary) == {(li, ri) for li in range(3) for ri in range(3)}
+    assert table_as_dense(boundary) == [t0, t1, t2]
 
 
-def test_bond_and_hamiltonian_make_no_halfpower_products(monkeypatch):
+def test_bond_and_hamiltonian_make_no_halfpower_products(monkeypatch,
+                                                         capsys):
     """The bond is summed on int matrices and H v runs on packed ints, so
-    neither multiplies two HalfPowerPolys (the traced counter of such
-    products stays at 0 for this path)."""
+    neither multiplies two HalfPowerPolys, and neither does the spin-chain
+    suite of `verify` (the traced counter of such products stays at 0)."""
     calls = []
     mul = HalfPowerPoly.__mul__
 
@@ -197,7 +211,10 @@ def test_bond_and_hamiltonian_make_no_halfpower_products(monkeypatch):
     monkeypatch.setattr(HalfPowerPoly, "__mul__", counting)
     monkeypatch.setattr(HalfPowerPoly, "__rmul__", counting)
     spinchain._bond_tables.__wrapped__()
+    spinchain._rho_table.__wrapped__()
     hamiltonian_apply_poly(singlet(4))
+    assert cli.main(["verify", "--suite", "spinchain", "--n", "4"]) == 0
+    assert '"pass": true' in capsys.readouterr().out
     assert calls == []
     HalfPowerPoly.const(2) * 3
     assert len(calls) == 1
@@ -252,16 +269,20 @@ def test_hamiltonian_commutes_with_twisted_translation():
 # ---------------------------------------------------------------------
 
 def packed_beta(v):
-    """beta_apply on a HalfPowerPoly vector, packed at the base the
-    n-site singlet uses and unpacked again (small coefficients only)."""
+    """beta_apply on a vector of polynomials in x, packed at x = 2^bits as
+    for the n-site singlet and unpacked again (small coefficients only):
+    y^-1 beta(x) v, checked to be the oracle's beta(v) divided by y."""
     bits = spinchain._packed_rho(v.n)[1]
-    return oracle.unpacked(beta_apply(oracle.packed(v, bits)), bits)
+    got = oracle.x_unpacked(beta_apply(oracle.x_packed(v, bits)), bits)
+    assert got == oracle.divided(oracle.beta(v), 1)
+    return got
 
 
 def test_beta_single_site():
     v = StateVector(1, {(UP,): HalfPowerPoly.const(1)})
     got = packed_beta(v)
-    assert got.entries == {(ZERO,): HalfPowerPoly.y_power(1)}
+    assert oracle.beta(v).entries == {(ZERO,): HalfPowerPoly((0, 1))}
+    assert got.entries == {(ZERO,): HalfPowerPoly.const(1)}
     assert all(magnetisation(k) == 0 for k in got.entries)
 
 
@@ -274,18 +295,22 @@ def test_rho_action_on_up_down_pair():
     assert packed_beta(v).is_zero()  # D cannot be lowered
     w = StateVector(1, {(ZERO,): HalfPowerPoly.const(1)})
     got = packed_beta(w)
-    assert got.entries == {(DOWN,): HalfPowerPoly.y_power(1)}
+    assert oracle.beta(w).entries == {(DOWN,): HalfPowerPoly((0, 1))}
+    assert got.entries == {(DOWN,): HalfPowerPoly.const(1)}
     assert all(magnetisation(k) == -1 for k in got.entries)
 
 
 def test_beta_output_odd_support():
+    """beta(x) maps polynomials in x to y times polynomials in x, so
+    beta_apply's y^-1 beta(x) is exact."""
     rng = random.Random(44)
     for n in (2, 3):
         for _ in range(3):
             key = tuple(rng.randint(0, 2) for _ in range(n))
             v = StateVector(n, {key: HalfPowerPoly.const(1)})
-            for val in packed_beta(v).entries.values():
+            for val in oracle.beta(v).entries.values():
                 assert oracle.is_odd_support(val)
+            packed_beta(v)
 
 
 def test_singlet_n1():
@@ -309,7 +334,7 @@ def test_singlet_n3_components():
     assert phi.entries == want
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8])
 def test_packed_singlet_and_norm_match_the_halfpower_path(n):
     phi = singlet(n)
     assert phi == oracle.singlet(n)
@@ -334,18 +359,23 @@ def test_norm_of_rational_components():
 
 
 def test_singlet_guards_are_typed(monkeypatch):
-    rho = spinchain._rho_table()
-    half = {key: [(lo, ro, w * RAT(1, 2)) for lo, ro, w in col]
-            for key, col in rho.items()}
+    """An entry of 8 h(x) not divisible by 8 raises, and so does a weight
+    of rho that is not an integer (polynomial): halving the bracket
+    weights, or the flip weights, of r12."""
+    hs = bond_gate()
+    hs[1][3][1] += 4  # 8 h(x) would carry x/2 at <0U|h|U0>
+    monkeypatch.setattr(spinchain, "bond_gate", lambda: hs)
     with pytest.raises(NonIntegerCoefficient):
-        spinchain._packed(half, 8)
-    # flips weighted 1 instead of y leave no factor y^n to divide out
-    flat = {key: [(lo, ro, HalfPowerPoly.const(1) if len(w.coeffs) == 2 else w)
-                  for lo, ro, w in col] for key, col in rho.items()}
-    monkeypatch.setattr(spinchain, "_packed_rho",
-                        lambda n: (spinchain._packed(flat, 8), 8))
-    with pytest.raises(OddSupportResidue):
-        singlet(2)
+        spinchain._bond_tables.__wrapped__()
+    for flips in (False, True):
+        def halved(z, vw, flips=flips):
+            weights = r12(z, vw).weights
+            return RMat(2, 3, {k: w * RAT(1, 2) if (k[0] != k[2]) == flips
+                               else w for k, w in weights.items()}, vw.zero)
+
+        monkeypatch.setattr(spinchain, "r12", halved)
+        with pytest.raises(NonIntegerCoefficient):
+            spinchain._rho_table.__wrapped__()
 
 
 def test_singlet_magnetisation_zero():

@@ -14,9 +14,10 @@ is the sum of up to four single-grade vectors, and the operators are
 linear, so each summand is compared with the Scalar oracle on its own,
 which covers every grade and the s^k factor; the gauged table itself is
 checked against K r12 K^-1.  The same sweep is also run here on the
-Scalar tables themselves, and `beta_apply` runs it on polynomials packed
-into Python ints, checked against the per-key contraction on
-HalfPowerPoly entries packed the same way.
+Scalar tables themselves, and `beta_apply` runs it on polynomials in x
+packed into Python ints, in the gauge K = diag(1, y) of `spinchain`:
+its image is checked against the per-key contraction of the ungauged
+rho on HalfPowerPoly entries, divided by y once for each sweep.
 """
 
 import random
@@ -42,6 +43,8 @@ from bethelab.aba import (
 from bethelab.field import RAT, HalfPowerPoly, SessionMismatch
 from bethelab.rmatrix import UP, ZERO, IrrationalWeight, RMat, r12, r22
 from bethelab.spinchain import _packed_rho, _rho_table, beta_apply
+
+RHO = halfpower_oracle.rho_table()  # rho in y = x^(1/2), without the gauge
 
 AUX = {"A": (0, 0), "B": (1, 0), "C": (0, 1), "D": (1, 1)}  # (a_in, a_out)
 MAGNETISATION_SHIFT = {"A": 0, "B": -1, "C": 1, "D": 0}
@@ -86,7 +89,7 @@ def oracle_transfer2(z, params, v):
 
 
 def oracle_beta(v):
-    return StateVector(v.n, per_key_sweep([_rho_table()] * v.n, v, 1, 0))
+    return StateVector(v.n, per_key_sweep([RHO] * v.n, v, 1, 0))
 
 
 def shifts_magnetisation(v, image, shift):
@@ -217,7 +220,7 @@ def test_int_coded_sweep_on_halfpower_entries():
     """The ring-generic merge on HalfPowerPoly tables and entries."""
     rng = random.Random(750)
     n = 5
-    tables = [_rho_table()] * n
+    tables = [RHO] * n
     v = StateVector(n, {k: HalfPowerPoly([rng.randint(-5, 5)
                                           for _ in range(3)])
                         for k in random_keys(rng, n, 10)})
@@ -312,6 +315,25 @@ def test_cancelling_vector_really_cancels():
         assert any(not x for x in merged.values())
 
 
+def test_signed_sweeps_compile_each_row_once(monkeypatch):
+    """T2 traces three auxiliary bounds and T1 two, each on one compiled
+    row: one compilation of the N-site row per call."""
+    rows = []
+    compiled = aba._compiled
+
+    def counting(tables):
+        rows.append(len(tables))
+        return compiled(tables)
+
+    p = ModelParams(3, RAT(5, 2), [RAT(3), RAT(7, 5), RAT(11, 4)])
+    psi = bethe_vector(p)
+    monkeypatch.setattr(aba, "_compiled", counting)
+    for apply in (transfer2_apply, aba.transfer1_apply):
+        rows.clear()
+        apply(p.sc(RAT(2)), p, psi)
+        assert rows == [3]
+
+
 @pytest.mark.parametrize("twist", ["pi", "0"])
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_transfer2_matches_per_key_oracle(n, twist):
@@ -334,24 +356,26 @@ def test_transfer2_matches_per_key_oracle(n, twist):
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_beta_matches_per_key_oracle(n):
     """Packing is a ring map, so the packed images must agree exactly
-    whatever the size of the coefficients."""
+    whatever the size of the coefficients: after k gauged sweeps of
+    polynomials in x, the oracle's k ungauged ones divided by y^k."""
     rng = random.Random(300 + n)
-    rho = _rho_table()
+    rho = halfpower_oracle.x_table(_rho_table())
     bits = _packed_rho(n)[1]
     one = HalfPowerPoly.const(1)
     vecs = [StateVector(n, {(0,) * n: one})]
     for count in (3, 7):
         vecs.append(StateVector(n, {
-            k: HalfPowerPoly([rng.randint(-5, 5) for _ in range(4)])
+            k: HalfPowerPoly.x_poly([rng.randint(-5, 5) for _ in range(4)])
             for k in random_keys(rng, n, count)}))
     if n >= 2:
         vecs += [cancelling_vector(rng, [rho] * n, n, a_in, one)
                  for a_in in (0, 1)]
     for v in vecs:
-        packed = halfpower_oracle.packed(v, bits)
-        for _ in range(2):
+        packed = halfpower_oracle.x_packed(v, bits)
+        for k in (1, 2):
             got, v = beta_apply(packed), oracle_beta(v)
-            assert got == halfpower_oracle.packed(v, bits)
+            assert got == halfpower_oracle.x_packed(
+                halfpower_oracle.divided(v, k), bits)
             assert shifts_magnetisation(packed, got, -1)
             packed = got
 
