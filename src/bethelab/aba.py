@@ -218,22 +218,19 @@ class ModelParams:
     def sc(self, r) -> Scalar:
         return self.vw.sc(r)
 
-    def coerce(self, z) -> Scalar:
-        return self.vw.coerce(z)
-
     @property
     def d(self):
         return self.vw.d
 
-    def _table(self, kind: str, u: Scalar, build):
+    def _table(self, kind: str, u: RAT, build):
         """The session's memo of build(), keyed by kind and u."""
-        key = (kind, u.r, u.g)
+        key = (kind, u)
         t = self.vw.tables.get(key)
         if t is None:
             t = self.vw.tables[key] = build()
         return t
 
-    def r12_table(self, u: Scalar):
+    def r12_table(self, u: RAT):
         """(table, D): the transition table of K r12(u) K^-1, with K =
         diag(1, s) on the auxiliary factor, as ints over one denominator
         D.  The flip weights <0 .|R|1 .> = s and <1 .|R|0 .> = s become 1
@@ -241,7 +238,7 @@ class ModelParams:
         return self._table("r12", u,
                            lambda: r12(u, self.vw).int_column_map(self.d))
 
-    def r22_table(self, u: Scalar):
+    def r22_table(self, u: RAT):
         """(table, D) for r22(u), whose weights are rational already."""
         return self._table("r22", u,
                            lambda: r22(u, self.vw).int_column_map())
@@ -252,18 +249,16 @@ def vacuum(params: ModelParams) -> ModelVector:
     return basis_vector(params, (UP,) * params.n)
 
 
-def vacuum_a(z, params: ModelParams) -> Scalar:
+def vacuum_a(z, params: ModelParams) -> RAT:
     """Eigenvalue of A(z) on the reference state: prod_j [q z / w_j]."""
-    z = params.coerce(z)
-    return prod((params.vw.bracket(z * params.sc(params.q / w))
-                 for w in params.w), start=params.vw.one)
+    z = params.vw.rat(z)
+    return prod(brk(params.q * z / w) for w in params.w)
 
 
-def vacuum_d(z, params: ModelParams) -> Scalar:
+def vacuum_d(z, params: ModelParams) -> RAT:
     """Eigenvalue of D(z) on the reference state: prod_j [z / (q w_j)]."""
-    z = params.coerce(z)
-    return prod((params.vw.bracket(z * params.sc(1 / (params.q * w)))
-                 for w in params.w), start=params.vw.one)
+    z = params.vw.rat(z)
+    return prod(brk(z / (params.q * w)) for w in params.w)
 
 
 _AUX = {"A": (0, 0), "B": (1, 0), "C": (0, 1), "D": (1, 1)}  # (a_in, a_out)
@@ -345,12 +340,11 @@ def _signed_sweeps(rows, v: ModelVector, params: ModelParams, bounds):
 
 def _monodromy_rows(z, params: ModelParams) -> list:
     """The row of gauged r12 tables of z, or of each z of a list."""
-    zs = [params.coerce(x) for x in (z if isinstance(z, list) else [z])]
-    if any(x.is_zero() for x in zs):
+    zs = [params.vw.rat(x) for x in (z if isinstance(z, list) else [z])]
+    if not all(zs):
         raise ZeroInverse("spectral parameter must be nonzero")
-    inv_q = params.sc(1 / params.q)
-    return [[params.r12_table(x * inv_q * params.sc(w).inv())
-             for w in params.w] for x in zs]
+    return [[params.r12_table(x / (params.q * w)) for w in params.w]
+            for x in zs]
 
 
 def monodromy_apply(which: str, z, params: ModelParams, v: ModelVector):
@@ -379,7 +373,7 @@ def bethe_vector(params: ModelParams) -> ModelVector:
         raise ValueError("the explicit Bethe vector exists at twist pi")
     if params._bethe_cache is None:
         params._bethe_cache = monodromy_apply(
-            "B", [params.sc(w) for w in params.w], params, vacuum(params))
+            "B", list(params.w), params, vacuum(params))
     return params._bethe_cache
 
 
@@ -395,73 +389,65 @@ def transfer1_apply(z, params: ModelParams, v: ModelVector) -> ModelVector:
 def transfer2_apply(z, params: ModelParams, v: ModelVector) -> ModelVector:
     """Nineteen-vertex transfer matrix with the diagonal twist
     Omega = diag(-1, 1, -1) (twist pi) or the identity (twist 0)."""
-    z = params.coerce(z)
-    if z.is_zero():
+    z = params.vw.rat(z)
+    if not z:
         raise ZeroInverse("spectral parameter must be nonzero")
-    tables = [params.r22_table(z * params.sc(w).inv()) for w in params.w]
+    tables = [params.r22_table(z / w) for w in params.w]
     omega = OMEGA if params.twist == "pi" else (1, 1, 1)
     return _signed_sweeps([tables], v, params,
                           [(a0, a0, sign) for a0, sign in enumerate(omega)])
 
 
-def theta2(z, params: ModelParams) -> Scalar:
+def theta2(z, params: ModelParams) -> RAT:
     """(-1)^(N+1) prod_j [q w_j / z][q^2 z / w_j], the simple eigenvalue."""
-    z = params.coerce(z)
-    if z.is_zero():
+    z = params.vw.rat(z)
+    if not z:
         raise ZeroInverse("spectral parameter must be nonzero")
-    q, vw = params.q, params.vw
-    acc = prod((vw.bracket(params.sc(q * w) * z.inv())
-                * vw.bracket(z * params.sc(q * q / w)) for w in params.w),
-               start=vw.one)
+    q = params.q
+    acc = prod(brk(q * w / z) * brk(q * q * z / w) for w in params.w)
     return acc if params.n % 2 == 1 else -acc
 
 
 def bethe_equations_residual(roots, params: ModelParams):
     """LHS - RHS of each Bethe equation at the given roots (n = N roots,
     twist read from params: the right side carries e^{-i phi})."""
-    zs = [params.coerce(z) for z in roots]
-    if any(z.is_zero() for z in zs):
+    zs = [params.vw.rat(z) for z in roots]
+    if not all(zs):
         raise ZeroInverse("roots must be nonzero")
-    q = params.sc(params.q)
-    qi = q.inv()
-    phase = params.vw.one if params.twist == "0" else -params.vw.one
+    q = params.q
     residuals = []
     for k, zk in enumerate(zs):
-        lhs = params.vw.one
+        lhs = RAT(1)
         for w in params.w:
-            wi = params.sc(w).inv()
-            den = params.vw.bracket(qi * zk * wi)
-            if den.is_zero():
+            den = brk(zk / (q * w))
+            if not den:
                 raise PoleEncountered("denominator bracket [z_k/(q w_j)] = 0")
-            lhs = lhs * params.vw.bracket(q * zk * wi) / den
-        rhs = phase
+            lhs = lhs * brk(q * zk / w) / den
+        rhs = RAT(1 if params.twist == "0" else -1)
         for j, zj in enumerate(zs):
             if j == k:
                 continue
-            den = params.vw.bracket(qi * zk * zj.inv())
-            if den.is_zero():
+            den = brk(zk / (q * zj))
+            if not den:
                 raise PoleEncountered("denominator bracket [z_k/(q z_j)] = 0")
-            rhs = rhs * params.vw.bracket(q * zk * zj.inv()) / den
-        residuals.append(lhs - rhs)
+            rhs = rhs * brk(q * zk / zj) / den
+        residuals.append(params.sc(lhs - rhs))
     return residuals
 
 
 def renorm_divisor(params: ModelParams) -> Scalar:
     """([q][q^2])^(N/2) prod_{j<k} [q w_j / w_k] as an exact scalar; for
     odd N the half-integer power is s^N = ([q][q^2])^((N-1)/2) s."""
-    vw = params.vw
     n = params.n
-    acc = vw.sc((brk(params.q) * brk(params.q * params.q)) ** (n // 2))
-    if n % 2 == 1:
-        acc = acc * vw.s
+    acc = params.d ** (n // 2)
     for j in range(n):
         for k in range(j + 1, n):
             f = brk(params.q * params.w[j] / params.w[k])
             if f == 0:
                 raise RedundantFactorZero(
                     f"[q w_{j + 1}/w_{k + 1}] = 0: w on the singular lattice")
-            acc = acc * vw.sc(f)
-    return acc
+            acc = acc * f
+    return Scalar.graded(acc, n % 2, params.d)
 
 
 def renormalised_vector(params: ModelParams) -> ModelVector:
@@ -497,7 +483,7 @@ def apply_two_site(colmap: dict, v: StateVector, i: int,
 def rhat22_table(u, params: ModelParams):
     """(table, D): the transition table of the braided nineteen-vertex
     matrix P R(u) as ints over one denominator D."""
-    u = params.coerce(u)
+    u = params.vw.rat(u)
     return params._table(
         "rhat22", u, lambda: r22(u, params.vw).braided().int_column_map())
 
@@ -538,7 +524,7 @@ def exchange_check(j: int, params: ModelParams) -> bool:
     if not 1 <= j < params.n:
         raise ValueError("need 1 <= j < N")
     w, q = params.w, params.q
-    lhs = rhat22_apply(params.sc(w[j - 1] / w[j]), params,
+    lhs = rhat22_apply(w[j - 1] / w[j], params,
                        renormalised_vector(params), j - 1, j)
     swapped = list(w)
     swapped[j - 1], swapped[j] = swapped[j], swapped[j - 1]
@@ -569,23 +555,21 @@ def recurrence_check(params: ModelParams) -> bool:
     w = params.w
     pinned = (w[0], w[0] / params.q) + w[2:]
     lhs = renormalised_vector(params.with_w(pinned))
-    vw = params.vw
-    factor = vw.bq
-    if params.n % 2 == 1:
-        factor = -factor
+    q = params.q
+    factor = -brk(q) if params.n % 2 == 1 else brk(q)
     for wj in w[2:]:
-        factor = factor * vw.sc(brk(params.q * w[0] / wj))
-        factor = factor * vw.sc(brk(params.q * params.q * wj / w[0]))
+        factor = factor * brk(q * w[0] / wj) * brk(q * q * wj / w[0])
     sub = renormalised_vector(params.with_w(w[2:]))
     return lhs == sub.map(singlet_pair_tensor).scale(factor)
 
 
 def admissible_points(params: ModelParams, j: int, count: int):
     """Deterministic stream of sample values for w_j that keep every
-    renormalisation factor [q w_a / w_b] nonzero."""
+    renormalisation factor [q w_a / w_b] nonzero: t = +-w/q and t = +-q w
+    for the other w make [q t/w] or [q w/t] a bracket of +-1."""
     q = params.q
-    others = [w for k, w in enumerate(params.w) if k != j - 1]
-    excluded = {w / q for w in others} | {q * w for w in others}
+    excluded = {s * f * w for k, w in enumerate(params.w) if k != j - 1
+                for f in (q, 1 / q) for s in (1, -1)}
     return list(islice((t for t in map(RAT, naturals(1))
                         if t not in excluded), count))
 
@@ -659,14 +643,13 @@ def scattering_check(j: int, params: ModelParams) -> bool:
         raise ValueError("site index out of range")
     psi = bethe_vector(params)
     wj = params.w[j - 1]
-    lhs = transfer2_apply(params.sc(wj), params, psi)
-    eig = psi.scale(theta2(params.sc(wj), params))
+    lhs = transfer2_apply(wj, params, psi)
+    eig = psi.scale(theta2(wj, params))
     cur = psi
     for k in range(j, params.n):  # Rhat_{k,k+1}(w_j / w_{k+1}), ascending k
-        cur = rhat22_apply(params.sc(wj / params.w[k]), params, cur, k - 1, k)
+        cur = rhat22_apply(wj / params.w[k], params, cur, k - 1, k)
     cur = cur.map(lambda part: s_prime_apply(part, params.twist))
     for k in range(1, j):
-        cur = rhat22_apply(params.sc(wj / params.w[k - 1]), params, cur,
-                           k - 1, k)
-    rhs = cur.scale(params.vw.bq * params.vw.bq2)
+        cur = rhat22_apply(wj / params.w[k - 1], params, cur, k - 1, k)
+    rhs = cur.scale(params.d)
     return lhs == rhs and lhs == eig

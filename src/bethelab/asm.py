@@ -32,7 +32,7 @@ from functools import cache, reduce
 from itertools import accumulate, combinations, product
 from operator import mul
 
-from bethelab.field import Scalar
+from bethelab.field import RAT, brk, inv
 from bethelab.rmatrix import VertexWeights
 
 class InvalidConfig(ValueError):
@@ -337,26 +337,26 @@ def bijection_by_rows(n: int):
     return roundtrip, audit
 
 
-def dwbc_partition_brute(zeta, w, q) -> Scalar:
+def dwbc_partition_brute(zeta, w, q) -> RAT:
     """Domain-wall partition function by the row transfer.
 
     The vertex in row i, column j carries spectral parameter
     z = zeta_i / w_j and weight [q z], [q / z] or [q^2] by class.
     """
     vw = q if isinstance(q, VertexWeights) else VertexWeights(q)
-    zs = [vw.coerce(z) for z in zeta]
-    ws = [vw.coerce(x) for x in w]
+    zs = [vw.rat(z) for z in zeta]
+    ws = [vw.rat(x) for x in w]
     n = len(zs)
     if len(ws) != n:
         raise ValueError("zeta and w must have equal length")
     _check_size(n)
-    qs = vw.sc(vw.q)
+    q, fc = vw.q, brk(vw.q * vw.q)
 
     def cell(z):  # the weight of each vertex type at spectral parameter z
-        wa, wb = vw.bracket(qs * z), vw.bracket(qs * z.inv())
-        return {t: wa if t in A_CLASS else wb if t in B_CLASS else vw.bq2
+        wa, wb = brk(q * z), brk(q / z)
+        return {t: wa if t in A_CLASS else wb if t in B_CLASS else fc
                 for t in VERTEX_EDGES}
 
-    cells = [[cell(zi * wj.inv()) for wj in ws] for zi in zs]
+    cells = [[cell(zi * inv(wj)) for wj in ws] for zi in zs]
     return _row_transfer(n, lambda i, a, b: reduce(mul, (
-        cells[i][j][t] for j, t in enumerate(_row_types(a, b, n)))), vw.one)
+        cells[i][j][t] for j, t in enumerate(_row_types(a, b, n)))), RAT(1))

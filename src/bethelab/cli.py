@@ -198,7 +198,7 @@ def checks_rmatrix(params, rng):
 def checks_aba(params, rng):
     out = []
     ps = _param_str(params)
-    zs = [params.sc(draw_z(rng)) for _ in range(3)]
+    zs = [draw_z(rng) for _ in range(3)]
 
     def eigen_t2():
         psi = aba.bethe_vector(params)
@@ -210,8 +210,7 @@ def checks_aba(params, rng):
         return all(aba.transfer1_apply(z, params, psi).is_zero() for z in zs)
 
     def residuals():
-        res = aba.bethe_equations_residual(
-            [params.sc(x) for x in params.w], params)
+        res = aba.bethe_equations_residual(params.w, params)
         return all(r.is_zero() for r in res)
 
     out.append(("aba.transfer2_eigenvalue", ps, eigen_t2))
@@ -241,14 +240,12 @@ def checks_detform(params, rng):
     ps = _param_str(params)
     zeta = draw_distinct(rng, params.n,
                          avoid=_pole_lattice(params.w, params.q))
-    roots = [params.sc(x) for x in params.w]
-    zs = [params.sc(z) for z in zeta]
-    slavnov = cache(lambda: detform.slavnov(roots, zs, params))
+    slavnov = cache(lambda: detform.slavnov(params.w, zeta, params))
 
     out.append(("detform.slavnov_vs_operator_oracle",
                 dict(ps, zeta=[rat_str(z) for z in zeta]),
                 lambda: slavnov()
-                == detform.brute_scalar_product(roots, zs, params)))
+                == detform.brute_scalar_product(params.w, zeta, params)))
     out.append(("detform.slavnov_reduction_to_ik",
                 dict(ps, zeta=[rat_str(z) for z in zeta]),
                 lambda: slavnov()
@@ -426,7 +423,8 @@ def cmd_ikdet(args) -> int:
         raise ConfigError("--zeta must list exactly n rationals")
     z_ik = detform.ik_or_asm_sum(zeta, params.w, params)
     z_direct = asm.dwbc_partition_brute(zeta, params.w, params.vw)
-    emit({"Z_IK": z_ik.to_json_dict(), "Z_direct": z_direct.to_json_dict(),
+    emit({"Z_IK": params.sc(z_ik).to_json_dict(),
+          "Z_direct": params.sc(z_direct).to_json_dict(),
           "match": z_ik == z_direct}, "json", args.out)
     return 0
 

@@ -17,7 +17,8 @@ where Z_IK is the Izergin-Korepin determinant for the six-vertex model
 with domain-wall boundaries and weights fa(z) = [q z], fb(z) = [q / z],
 fc(z) = [q^2].  Coincident parameters make the determinant singular; those
 points are evaluated through the alternating-sign-matrix sum instead
-(never by a limit).
+(never by a limit).  Spectral parameters are anything `VertexWeights.rat`
+takes, and every value here is a rational.
 """
 
 from __future__ import annotations
@@ -34,9 +35,9 @@ from bethelab.aba import (
     vacuum_d,
 )
 from bethelab.asm import dwbc_partition_brute
-from bethelab.field import RAT, Scalar, brk
+from bethelab.field import RAT, DivisionByZero, brk, inv
 from bethelab.linalg import det_bareiss
-from bethelab.rmatrix import UP, VertexWeights
+from bethelab.rmatrix import UP
 from bethelab.spinchain import distinguished_component_key
 
 
@@ -45,23 +46,30 @@ class CoincidentParameters(ZeroDivisionError):
     the ASM-sum route must be used instead."""
 
 
-def f_fn(z: Scalar, w: Scalar, vw: VertexWeights) -> Scalar:
-    """f(z, w) = [q w / z] / [w / z]."""
-    den = vw.bracket(w * z.inv())
-    if den.is_zero():
+def f_fn(z, w, q) -> RAT:
+    """f(z, w) = [q w / z] / [w / z] at rationals z, w and q."""
+    den = brk(w * inv(z))
+    if not den:
         raise PoleEncountered("f(z, w) has a pole at w = +-z")
-    return vw.bracket(vw.sc(vw.q) * w * z.inv()) / den
+    return brk(q * w / z) / den
 
 
-def g_fn(z: Scalar, w: Scalar, vw: VertexWeights) -> Scalar:
-    """g(z, w) = [q] / [w / z]."""
-    den = vw.bracket(w * z.inv())
-    if den.is_zero():
+def g_fn(z, w, q) -> RAT:
+    """g(z, w) = [q] / [w / z] at rationals z, w and q."""
+    den = brk(w * inv(z))
+    if not den:
         raise PoleEncountered("g(z, w) has a pole at w = +-z")
-    return vw.bq / den
+    return brk(q) / den
 
 
-def slavnov(roots, zeta, params: ModelParams) -> Scalar:
+def _divide(a, b) -> RAT:
+    """a / b; b = 0 is a pole of Slavnov's formula (zeta_k = +-q^(+-1) z_m)."""
+    if not b:
+        raise DivisionByZero("division by zero scalar")
+    return a / b
+
+
+def slavnov(roots, zeta, params: ModelParams) -> RAT:
     """Slavnov determinant for <vac| prod C(roots) prod B(zeta) |vac>.
 
     `roots` must solve the Bethe equations at the twist of `params`
@@ -69,18 +77,17 @@ def slavnov(roots, zeta, params: ModelParams) -> Scalar:
     arbitrary but entrywise distinct from the roots.  A zero determinant
     is a legitimate value (orthogonal states), not an error.
     """
-    vw = params.vw
-    zs = [params.coerce(z) for z in roots]
-    cs = [params.coerce(z) for z in zeta]
+    zs = [params.vw.rat(z) for z in roots]
+    cs = [params.vw.rat(z) for z in zeta]
     n = len(zs)
     if len(cs) != n:
         raise ValueError("roots and zeta must have equal length")
     args = zs + cs  # f, g memo keys: root j is j, zeta_k is n + k
-    f = cache(lambda a, b: f_fn(args[a], args[b], vw))
-    g = cache(lambda a, b: g_fn(args[a], args[b], vw))
-    phase = -vw.one if params.twist == "pi" else vw.one
+    f = cache(lambda a, b: f_fn(args[a], args[b], params.q))
+    g = cache(lambda a, b: g_fn(args[a], args[b], params.q))
+    phase = -1 if params.twist == "pi" else 1
     ds = [vacuum_d(c, params) for c in cs]
-    pref = vw.one
+    pref = RAT(1)
     for j in range(n):
         pref = pref * vacuum_d(zs[j], params) * ds[j]
         for k in range(j):
@@ -91,11 +98,11 @@ def slavnov(roots, zeta, params: ModelParams) -> Scalar:
             pref = pref * f(j, n + k) / g(j, n + k)
     ratio = []  # a(zeta_k)/d(zeta_k) * prod_m f(zeta_k, z_m)/f(z_m, zeta_k)
     for k in range(n):
-        if ds[k].is_zero():
+        if not ds[k]:
             raise PoleEncountered("d(zeta_k) = 0")
         r = vacuum_a(cs[k], params) / ds[k]
         for m in range(n):
-            r = r * f(n + k, m) / f(m, n + k)
+            r = _divide(r * f(n + k, m), f(m, n + k))
         ratio.append(r)
     matrix = []
     for j in range(n):
@@ -104,57 +111,58 @@ def slavnov(roots, zeta, params: ModelParams) -> Scalar:
             gjk = g(j, n + k)
             gkj = g(n + k, j)
             row.append(phase * gjk * gjk / f(j, n + k)
-                       - gkj * gkj / f(n + k, j) * ratio[k])
+                       - _divide(gkj * gkj, f(n + k, j)) * ratio[k])
         matrix.append(row)
     return pref * det_bareiss(matrix)
 
 
-def brute_scalar_product(roots, zeta, params: ModelParams) -> Scalar:
-    """<vac| prod_j C(roots_j) prod_j B(zeta_j) |vac> by operator sweeps."""
+def brute_scalar_product(roots, zeta, params: ModelParams) -> RAT:
+    """<vac| prod_j C(roots_j) prod_j B(zeta_j) |vac> by operator sweeps:
+    zero unless there are as many C's as B's, whose powers of s cancel."""
     v = monodromy_apply("B", list(reversed(zeta)), params, vacuum(params))
     v = monodromy_apply("C", list(reversed(roots)), params, v)
-    return v.entries.get((UP,) * params.n, params.vw.zero)
+    return RAT(v.part.entries.get((UP,) * params.n, 0), v.den)
 
 
-def ik_determinant(zeta, w, params: ModelParams) -> Scalar:
+def ik_determinant(zeta, w, params: ModelParams) -> RAT:
     """Izergin-Korepin determinant Z_IK(zeta; w):
 
         prod_{j,k} fa(zeta_j/w_k) fb(zeta_j/w_k)
         / prod_{j<k} [zeta_j/zeta_k][w_k/w_j]
         * det( fc / (fa fb) (zeta_j/w_k) ).
     """
-    vw = params.vw
-    zs = [params.coerce(z) for z in zeta]
-    ws = [params.coerce(x) for x in w]
+    zs = [params.vw.rat(z) for z in zeta]
+    ws = [params.vw.rat(x) for x in w]
     n = len(zs)
     if len(ws) != n:
         raise ValueError("zeta and w must have equal length")
-    qs = vw.sc(vw.q)
-    den = vw.one
+    q = params.q
+    den = RAT(1)
     for j in range(n):
         for k in range(j + 1, n):
-            bz = vw.bracket(zs[j] * zs[k].inv())
-            bw = vw.bracket(ws[k] * ws[j].inv())
-            if bz.is_zero() or bw.is_zero():
+            bz = brk(zs[j] * inv(zs[k]))
+            bw = brk(ws[k] * inv(ws[j]))
+            if not bz or not bw:
                 raise CoincidentParameters(
                     "coincident zeta or w; use the ASM-sum route")
             den = den * bz * bw
-    pref = vw.one
+    fc = brk(q * q)
+    pref = RAT(1)
     matrix = []
     for j in range(n):
         row = []
         for k in range(n):
-            fa = vw.bracket(qs * zs[j] * ws[k].inv())
-            fb = vw.bracket(qs * ws[k] * zs[j].inv())
-            if fa.is_zero() or fb.is_zero():
+            fa = brk(q * zs[j] * inv(ws[k]))
+            fb = brk(q * ws[k] / zs[j])
+            if not fa or not fb:
                 raise PoleEncountered("fa or fb vanishes where divided")
             pref = pref * fa * fb
-            row.append(vw.bq2 / (fa * fb))
+            row.append(fc / (fa * fb))
         matrix.append(row)
     return pref / den * det_bareiss(matrix)
 
 
-def ik_or_asm_sum(zeta, w, params: ModelParams) -> Scalar:
+def ik_or_asm_sum(zeta, w, params: ModelParams) -> RAT:
     """Z_IK through the determinant, or the exact ASM sum when parameters
     coincide (the determinant formula is singular there)."""
     try:
@@ -163,32 +171,32 @@ def ik_or_asm_sum(zeta, w, params: ModelParams) -> Scalar:
         return dwbc_partition_brute(zeta, w, params.vw)
 
 
-def partition_Z(params: ModelParams) -> Scalar:
+def partition_Z(params: ModelParams) -> RAT:
     """Square norm Z(w) = sum_sigma psi~_sigma(1/w) psi~_sigma(w) of the
     renormalised vector under the real (bilinear) pairing."""
     v = renormalised_vector(params)
     vi = renormalised_vector(params.with_w(tuple(1 / x for x in params.w)))
     other = vi.rational().entries
     acc = sum(x * other.get(key, 0) for key, x in v.rational().entries.items())
-    return params.sc(RAT(acc, v.den * vi.den))
+    return RAT(acc, v.den * vi.den)
 
 
-def partition_Z_via_ik(params: ModelParams) -> Scalar:
+def partition_Z_via_ik(params: ModelParams) -> RAT:
     """[q^2]^(-N) Z_IK(w; w), the determinant route to the same sum rule."""
-    scale = params.vw.bq2 ** params.n
+    scale = brk(params.q * params.q) ** params.n
     return ik_or_asm_sum(params.w, params.w, params) / scale
 
 
-def scalar_product_reduction_rhs(zeta, params: ModelParams) -> Scalar:
+def scalar_product_reduction_rhs(zeta, params: ModelParams) -> RAT:
     """(-1)^N prod_j d(w_j) * Z_IK(zeta; w): the closed form of the
     on-shell scalar product S_N."""
     acc = ik_or_asm_sum(zeta, params.w, params)
     for w in params.w:
-        acc = acc * vacuum_d(params.sc(w), params)
+        acc = acc * vacuum_d(w, params)
     return acc if params.n % 2 == 0 else -acc
 
 
-def simple_component_even(params: ModelParams) -> Scalar:
+def simple_component_even(params: ModelParams) -> RAT:
     """Closed form of the component psi~_{U...U D...D} for N = 2n:
 
         ([q]/[q^2])^n prod_{j<k<=n} [q w_k/w_j]
@@ -197,38 +205,36 @@ def simple_component_even(params: ModelParams) -> Scalar:
     if params.n % 2 != 0:
         raise ValueError("even-length component needs N = 2n")
     n = params.n // 2
-    vw = params.vw
-    acc = (vw.bq / vw.bq2) ** n
-    w = params.w
+    q, w = params.q, params.w
+    acc = (brk(q) / brk(q * q)) ** n
     for block in (w[:n], w[n:]):
         for j in range(n):
             for k in range(j + 1, n):
-                acc = acc * vw.sc(brk(params.q * block[k] / block[j]))
+                acc = acc * brk(q * block[k] / block[j])
     return acc * ik_or_asm_sum(w[:n], w[n:], params)
 
 
-def simple_component_odd(params: ModelParams) -> Scalar:
+def simple_component_odd(params: ModelParams) -> RAT:
     """Closed form of psi~_{U...U 0 D...D} for N = 2n+1: strip the middle
     site's factors and reduce to the even formula without w_{n+1}."""
     if params.n % 2 != 1:
         raise ValueError("odd-length component needs N = 2n+1")
     n = params.n // 2
-    vw = params.vw
-    w = params.w
+    q, w = params.q, params.w
     mid = w[n]
-    acc = vw.one
+    acc = RAT(1)
     for j in range(n):
-        acc = acc * vw.sc(brk(params.q * mid / w[j]))
+        acc = acc * brk(q * mid / w[j])
     for j in range(n + 1, 2 * n + 1):
-        acc = acc * vw.sc(brk(params.q * w[j] / mid))
+        acc = acc * brk(q * w[j] / mid)
     if n == 0:
         return acc
     reduced = params.with_w(w[:n] + w[n + 1:])
     return acc * simple_component_even(reduced)
 
 
-def simple_component_direct(params: ModelParams) -> Scalar:
+def simple_component_direct(params: ModelParams) -> RAT:
     """The same component read off the renormalised vector itself."""
     v = renormalised_vector(params)
     key = distinguished_component_key(params.n)
-    return params.sc(RAT(v.rational().entries.get(key, 0), v.den))
+    return RAT(v.rational().entries.get(key, 0), v.den)

@@ -1,19 +1,21 @@
 """Exact scalar arithmetic for the vertex-model engine.
 
-All computations in this package run over the ring
+Spectral parameters, their brackets [z] = z - 1/z (`brk`) and the closed
+forms built from them are rationals.  What can carry a square root or i
+(R-matrix weights, the model's vectors) lives in the ring
 
     Q(s, i),   s**2 = d,   i**2 = -1,
 
 where the session constant d is a fixed rational (in model computations
-d = [q][q^2] with [z] = z - 1/z, so that the square roots appearing in the
-mixed R-matrix become the symbol s).  Every value the package computes is
-homogeneous, one rational times one of the units 1, s, i, s*i, so a Scalar
-is stored as r * s^k * i^l with rational r and grade g = k + 2 l in 0..3.
-A sum of nonzero values of different grades raises MixedGrades, an
-internal error (exit 4 in the CLI).  For d that is not a rational square
-(and -d not one either) this is a field and the grades are independent, so
-every nonzero element is invertible, all divisions are exact and equality
-is decided grade by grade.
+d = [q][q^2], so that the square roots appearing in the mixed R-matrix
+become the symbol s).  Every such value is homogeneous, one rational times
+one of the units 1, s, i, s*i, so a Scalar is stored as r * s^k * i^l
+with rational r and grade g = k + 2 l in 0..3.  A sum of nonzero values
+of different grades raises MixedGrades, an internal error (exit 4 in the
+CLI).  For d that is not a rational square (and -d not one either) this
+is a field and the grades are independent, so every nonzero element is
+invertible, all divisions are exact and equality is decided grade by
+grade.
 
 The module also provides the half-power polynomial ring Q[y], y = x^(1/2)
 (the form of `spinchain`'s homogeneous-limit inputs and results), Kronecker
@@ -150,9 +152,6 @@ class Scalar:
 
     def __bool__(self) -> bool:
         return bool(self.r)
-
-    def is_rational(self) -> bool:
-        return not self.g
 
     def to_rat(self) -> RAT:
         if self.g:
@@ -311,8 +310,15 @@ def brk(r) -> RAT:
     """Rational bracket [r] = r - 1/r."""
     r = as_rat(r)
     if r == 0:
-        raise ZeroInverse("bracket of zero")
+        raise ZeroInverse("bracket of zero spectral parameter")
     return r - 1 / r
+
+
+def inv(r) -> RAT:
+    """1 / r for a rational r, raising DivisionByZero as Scalar.inv does."""
+    if not r:
+        raise DivisionByZero("inverse of zero scalar")
+    return 1 / r
 
 
 class HalfPowerPoly:

@@ -1,19 +1,17 @@
 """Exact dense and sparse matrix helpers.
 
-Dense matrices are plain lists of rows, ints or Scalars; they stay small
-(the int 9x9 matrices of the Hamiltonian bond and the Bareiss inputs of
-`detform`).  `StateVector` is the sparse vector every operator of `aba`
-and `spinchain` acts on.  The R-matrix identities on pair and triple
-tensor spaces multiply sparse dict-of-rows matrices with `sp_mul`, so the
-27-dimensional Yang-Baxter space costs nothing; `rmatrix.RMat.embedded`
-writes a pair operator in that form.  Determinants use fraction-free
-Bareiss elimination; exact row reduction, for solves and kernel
-dimensions, is `field.row_reduce`.
+Dense matrices are plain lists of rows of ints, rationals or Scalars;
+they stay small (the int 9x9 matrices of the Hamiltonian bond and the
+rational Bareiss inputs of `detform`).  `StateVector` is the sparse vector
+every operator of `aba` and `spinchain` acts on.  The R-matrix identities
+on pair and triple tensor spaces multiply sparse dict-of-rows matrices
+with `sp_mul`, so the 27-dimensional Yang-Baxter space costs nothing;
+`rmatrix.RMat.embedded` writes a pair operator in that form.  Determinants
+use fraction-free Bareiss elimination over any field; exact row
+reduction, for solves and kernel dimensions, is `field.row_reduce`.
 """
 
 from __future__ import annotations
-
-from bethelab.field import Scalar
 
 
 class DimensionMismatch(ValueError):
@@ -89,27 +87,24 @@ def kron(a, b):
     return out
 
 
-def det_bareiss(a) -> Scalar:
-    """Fraction-free determinant of a square Scalar matrix."""
+def det_bareiss(a):
+    """Fraction-free determinant of a square matrix over a field (rationals
+    or Scalars): every division by the previous pivot is exact."""
     n = len(a)
     if n == 0:
         raise ValueError("empty matrix")
     m = [list(row) for row in a]
-    d = m[0][0].d
-    sign = 1
-    prev = Scalar(1, d=d)
+    sign, prev = 1, 1
     for k in range(n - 1):
-        if m[k][k].is_zero():
-            piv = next((r for r in range(k + 1, n) if not m[r][k].is_zero()),
-                       None)
+        if not m[k][k]:
+            piv = next((r for r in range(k + 1, n) if m[r][k]), None)
             if piv is None:
-                return Scalar(0, d=d)
+                return m[k][k]
             m[k], m[piv] = m[piv], m[k]
             sign = -sign
         for i in range(k + 1, n):
             for j in range(k + 1, n):
                 m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) / prev
-            m[i][k] = Scalar(0, d=d)
         prev = m[k][k]
     det = m[n - 1][n - 1]
     return det if sign == 1 else -det

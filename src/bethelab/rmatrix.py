@@ -101,9 +101,7 @@ class VertexWeights:
         return self.sc(z)
 
     def bracket(self, z: Scalar) -> Scalar:
-        if z.is_zero():
-            raise ZeroInverse("bracket of zero spectral parameter")
-        if not z.g:
+        if not z.g:  # zero included: brk raises ZeroInverse
             return self.sc(brk(z.r))
         return z - z.inv()
 
@@ -111,9 +109,19 @@ class VertexWeights:
         """[q^k z] as a Scalar."""
         return self.bracket(z * self.sc(self.q ** k) if k else z)
 
+    def rat(self, z) -> RAT:
+        """The spectral parameter z (an int, "p/q", a rational or a Scalar
+        of this session, else SessionMismatch) as a rational."""
+        if not isinstance(z, Scalar):
+            return as_rat(z)
+        if self.coerce(z).g:
+            raise IrrationalWeight(f"spectral parameter {z!r} is not rational")
+        return z.r
+
 
 class IrrationalWeight(ArithmeticError):
-    """A transition weight is not rational in the gauge of the sweeps."""
+    """A spectral parameter with an s- or i-part, or a transition weight
+    that is not rational in the gauge of the sweeps."""
 
 
 def _gauged(w: Scalar, ao: int, ai: int, d):

@@ -299,11 +299,12 @@ def transfer1_zero_kernel_dimension(n: int, q, z=None) -> int:
     of the homogeneous twisted chain (the uniqueness probe; expected 1)."""
     q = as_rat(q)
     params = ModelParams(n, q, [RAT(1)] * n)
-    z = params.sc(z if z is not None else RAT(3, 2))
+    z = z if z is not None else RAT(3, 2)
     basis = [key for key in product((0, 1, 2), repeat=n)
              if magnetisation(key) == 0]
-    images = [transfer1_apply(z, params, basis_vector(params, key)).entries
-              for key in basis]
-    _, pivots = row_reduce([[image.get(k, params.vw.zero) for image in images]
+    # i times ints over a denominator: column scalings keep the rank
+    images = [transfer1_apply(z, params, basis_vector(params, key))
+              .part.entries for key in basis]
+    _, pivots = row_reduce([[RAT(image.get(k, 0)) for image in images]
                             for k in basis])
     return len(basis) - len(pivots)

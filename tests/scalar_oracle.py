@@ -188,7 +188,7 @@ def model(v: StateVector, params) -> ModelVector:
     """The ModelVector of params' model with the Scalar entries of v, all
     of one grade."""
     for x in v.entries.values():
-        params.coerce(x)  # raises SessionMismatch for another session
+        params.vw.coerce(x)  # raises SessionMismatch for another session
     den, grade, nums = split(v)
     return ModelVector(params.d, den, StateVector(v.n, nums), grade)
 
@@ -196,7 +196,7 @@ def model(v: StateVector, params) -> ModelVector:
 def gate(u, params, v: StateVector, i: int, j: int) -> StateVector:
     """P R22(u) on site positions i, j (0-based, i the left factor),
     weight by weight from the braided matrix's stored Scalar weights."""
-    weights = r22(params.coerce(u), params.vw).braided().weights
+    weights = r22(params.vw.coerce(u), params.vw).braided().weights
     out = {}
     for key, amp in v.entries.items():
         for (lo, ro, li, ri), w in weights.items():

@@ -254,7 +254,7 @@ def test_renormalised_irrational_component_raises():
 def test_theta2_examples():
     p = params_n(1, w=[RAT(4, 7)])
     assert theta2(p.sc(p.w[0]), p) == p.sc(brk(RAT(2)) * brk(RAT(4)))
-    assert theta2(p.sc(2 * p.w[0]), p).is_zero()  # z = q w_1
+    assert theta2(p.sc(2 * p.w[0]), p) == 0  # z = q w_1
     p2 = ModelParams(2, RAT(2), [RAT(1), RAT(1)])
     assert theta2(p2.sc(RAT(1)), p2) == p2.sc(RAT(-2025, 64))
 
@@ -369,11 +369,17 @@ def test_recurrence_relation():
 
 
 def test_asymptotic_relations():
+    """At drawn parameters, and with a negative w, where the sampled w_j
+    must avoid -w/q and -q w too."""
     rng = random.Random(2023)
+    models = []
     for n in (2, 3):
         q = draw_q(rng)
-        p = ModelParams(n, q, draw_w(rng, n, q))
-        for j in range(1, n + 1):
+        models.append(ModelParams(n, q, draw_w(rng, n, q)))
+    models.append(ModelParams(2, RAT(2), [RAT(3), RAT(-2)]))
+    models.append(ModelParams(3, RAT(5, 2), [RAT(3), RAT(-5, 2), RAT(7)]))
+    for p in models:
+        for j in range(1, p.n + 1):
             assert asymptotic_check(j, "inf", p)
             assert asymptotic_check(j, "zero", p)
 

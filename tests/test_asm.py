@@ -24,7 +24,7 @@ from bethelab.asm import (
     generate_asms,
     vertex_count_audit,
 )
-from bethelab.field import RAT, brk
+from bethelab.field import RAT, DivisionByZero, ZeroInverse, brk
 from bethelab.rmatrix import VertexWeights
 
 
@@ -193,6 +193,16 @@ def test_partition_n1():
     vw = VertexWeights(RAT(2))
     z = dwbc_partition_brute([RAT(3)], [RAT(5)], vw)
     assert z == vw.bq2
+
+
+@pytest.mark.parametrize("zeta, w, error, message", [
+    ([0, 2], [1, 3], ZeroInverse, "bracket of zero spectral parameter"),
+    ([1, 2], [0, 3], DivisionByZero, "inverse of zero scalar"),
+])
+def test_partition_zero_parameter_names_itself(zeta, w, error, message):
+    with pytest.raises(error) as err:
+        dwbc_partition_brute(zeta, w, RAT(2))
+    assert type(err.value) is error and str(err.value) == message
 
 
 def test_partition_homogeneous_matches_genpoly():

@@ -246,6 +246,16 @@ def test_pole_in_input_exits_3(capsys):
     assert err.startswith("singular input: ")
 
 
+@pytest.mark.parametrize("zeta, message", [
+    ("0/1,2/1", "bracket of zero spectral parameter"),  # [zeta_1 / zeta_2]
+    ("2/1,0/1", "inverse of zero scalar"),  # zeta_1 / zeta_2
+])
+def test_zero_spectral_parameter_exits_3(zeta, message, capsys):
+    code = main(["ikdet", "--n", "2", "--seed", "1", "--zeta", zeta])
+    assert code == 3
+    assert capsys.readouterr().err == f"singular input: {message}\n"
+
+
 def test_internal_failure_exits_4(monkeypatch, capsys):
     from bethelab import cli
 

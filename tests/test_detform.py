@@ -27,8 +27,8 @@ from bethelab.detform import (
     simple_component_odd,
     slavnov,
 )
-from bethelab.field import RAT, Scalar, brk
-from bethelab.rmatrix import DOWN, VertexWeights
+from bethelab.field import RAT, DivisionByZero, Scalar, brk
+from bethelab.rmatrix import DOWN
 
 
 def draw_params(rng, n, twist="pi"):
@@ -47,27 +47,26 @@ def draw_zeta(rng, params):
 # ---------------------------------------------------------------------
 
 def test_f_example():
-    vw = VertexWeights(RAT(2))
-    assert f_fn(vw.sc(2), vw.sc(1), vw).is_zero()  # numerator [q w/z] = [1]
+    assert f_fn(RAT(2), RAT(1), RAT(2)) == 0  # numerator [q w/z] = [1]
 
 
 def test_g_example():
-    vw = VertexWeights(RAT(2))
-    assert g_fn(vw.sc(1), vw.sc(2), vw) == vw.one  # [q]/[2] = 1 at q = 2
+    assert g_fn(RAT(1), RAT(2), RAT(2)) == 1  # [q]/[2] = 1 at q = 2
 
 
 def test_fg_pole():
-    vw = VertexWeights(RAT(2))
     with pytest.raises(PoleEncountered):
-        f_fn(vw.sc(3), vw.sc(3), vw)
+        f_fn(RAT(3), RAT(3), RAT(2))
     with pytest.raises(PoleEncountered):
-        g_fn(vw.sc(3), vw.sc(-3), vw)
+        g_fn(RAT(3), RAT(-3), RAT(2))
 
 
 def test_f_product_generic():
-    vw = VertexWeights(RAT(2))
-    val = f_fn(vw.sc(3), vw.sc(5), vw) * f_fn(vw.sc(5), vw.sc(3), vw)
-    assert val.is_rational()
+    # f(z, w) f(w, z) = -[q w/z][q z/w] / [w/z]^2 = -(91/30)(11/30)/(16/15)^2
+    q, z, w = RAT(2), RAT(3), RAT(5)
+    val = f_fn(z, w, q) * f_fn(w, z, q)
+    assert val == RAT(-1001, 1024)
+    assert val == -brk(q * w / z) * brk(q * z / w) / brk(w / z) ** 2
 
 
 # ---------------------------------------------------------------------
@@ -120,6 +119,16 @@ def test_slavnov_pole_messages(zeta0, message):
     with pytest.raises(PoleEncountered) as err:
         slavnov(roots, zeta, p)
     assert str(err.value) == message
+
+
+def test_slavnov_zero_divisor_f():
+    """At zeta_1 = w_1 / q the factor f(w_1, zeta_1) = [1] / [1/q] that the
+    formula divides by is zero."""
+    p = ModelParams(3, RAT(5, 2), [RAT(3), RAT(7, 5), RAT(11, 4)])
+    zeta = [RAT(6, 5), RAT(13, 3), RAT(17, 6)]
+    with pytest.raises(DivisionByZero) as err:
+        slavnov(p.w, zeta, p)
+    assert str(err.value) == "division by zero scalar"
 
 
 def test_ik_n1_is_c_weight():
@@ -280,9 +289,9 @@ def test_orthogonality_on_ik_variety():
     zeta = [RAT(2, 9), RAT(31, 82)]
     roots = [p.sc(w) for w in p.w]
     zs = [p.sc(z) for z in zeta]
-    assert ik_determinant(zeta, p.w, p).is_zero()
-    assert slavnov(roots, zs, p).is_zero()
-    assert brute_scalar_product(roots, zs, p).is_zero()
+    assert ik_determinant(zeta, p.w, p) == 0
+    assert slavnov(roots, zs, p) == 0
+    assert brute_scalar_product(roots, zs, p) == 0
 
 
 def test_left_kernel_orthogonality():
@@ -311,3 +320,48 @@ def test_left_kernel_orthogonality():
                 if other is not None:
                     acc = acc + val * other
             assert acc.is_zero()
+
+
+# ---------------------------------------------------------------------
+# the closed forms run on rationals
+# ---------------------------------------------------------------------
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_closed_forms_make_no_scalar_products(n, monkeypatch):
+    """The vacuum eigenvalues, theta2, the determinants, the DWBC oracle
+    and the sum-rule and simple-component closed forms multiply and divide
+    rationals only.  Each runs once first, so that the session's R-matrix
+    tables (whose weights are Scalars) are built outside the count."""
+    from bethelab.aba import theta2, vacuum_a, vacuum_d
+
+    rng = random.Random(626 + n)
+    p = draw_params(rng, n)
+    zeta = draw_zeta(rng, p)
+    coincident = (zeta[0],) + zeta[:-1]
+    simple = simple_component_even if n % 2 == 0 else simple_component_odd
+    runs = [lambda: theta2(zeta[0], p), lambda: vacuum_a(zeta[0], p),
+            lambda: vacuum_d(zeta[0], p),
+            lambda: slavnov(p.w, zeta, p),
+            lambda: ik_determinant(zeta, p.w, p),
+            lambda: ik_or_asm_sum(zeta, p.w, p),
+            lambda: ik_or_asm_sum(coincident, p.w, p),
+            lambda: dwbc_partition_brute(zeta, p.w, p.vw),
+            lambda: partition_Z(p), lambda: partition_Z_via_ik(p),
+            lambda: simple(p)]
+    for run in runs:
+        run()
+    calls = []
+
+    def counted(name):
+        op = getattr(Scalar, name)
+
+        def wrapper(*args):
+            calls.append(name)
+            return op(*args)
+        return wrapper
+
+    for name in ("__mul__", "__rmul__", "__truediv__", "__rtruediv__"):
+        monkeypatch.setattr(Scalar, name, counted(name))
+    values = [run() for run in runs]
+    assert calls == []
+    assert not any(isinstance(v, Scalar) for v in values)

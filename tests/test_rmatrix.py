@@ -13,6 +13,7 @@ from bethelab.rmatrix import (
     DOWN,
     UP,
     ZERO,
+    IrrationalWeight,
     RMat,
     VertexWeights,
     check_fusion_r22,
@@ -179,24 +180,50 @@ def test_coerce_rejects_a_scalar_of_another_session():
         r22(other.sc(RAT(5)), VW)
 
 
+def test_rat_takes_a_rational_spectral_parameter():
+    for z, want in ((3, RAT(3)), ("3/4", RAT(3, 4)), (RAT(3, 4), RAT(3, 4)),
+                    (VW.sc(RAT(3, 4)), RAT(3, 4))):
+        got = VW.rat(z)
+        assert type(got) is RAT and got == want
+    for unit in (VW.s, VW.i, VW.s * VW.i):
+        with pytest.raises(IrrationalWeight):
+            VW.rat(RAT(3, 4) * unit)
+    with pytest.raises(SessionMismatch):
+        VW.rat(VertexWeights(RAT(3)).sc(RAT(3, 4)))
+
+
+def _cofactor(a):
+    if len(a) == 1:
+        return a[0][0]
+    acc = 0
+    for j in range(len(a)):
+        minor = [row[:j] + row[j + 1:] for row in a[1:]]
+        term = a[0][j] * _cofactor(minor)
+        acc = acc + term if j % 2 == 0 else acc - term
+    return acc
+
+
 def test_bareiss_determinant_matches_cofactor():
+    """On random rational matrices, with RAT and with Scalar entries, on
+    a matrix whose zero leading pivot forces a row swap, and on two
+    singular ones."""
     rng = random.Random(5)
-    d = VW.d
-    for n in (2, 3, 4):
-        m = [[Scalar(RAT(rng.randint(-5, 5), rng.randint(1, 4)), d=d)
-              for _ in range(n)] for _ in range(n)]
-
-        def cofactor(a):
-            if len(a) == 1:
-                return a[0][0]
-            acc = Scalar(0, d=d)
-            for j in range(len(a)):
-                minor = [row[:j] + row[j + 1:] for row in a[1:]]
-                term = a[0][j] * cofactor(minor)
-                acc = acc + term if j % 2 == 0 else acc - term
-            return acc
-
-        assert linalg.det_bareiss(m) == cofactor(m)
+    mats = [[[RAT(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n)]
+             for _ in range(n)] for n in (2, 3, 4)]
+    mats.append([[RAT(0), RAT(2), RAT(1)], [RAT(3, 2), RAT(1), RAT(-1)],
+                 [RAT(1), RAT(5), RAT(2, 3)]])
+    for rows in ([[1, 2, 3], [2, 4, 6], [-1, RAT(1, 2), 7]],
+                 [[1, 2, 3], [2, 4, 5], [3, 6, 1]]):  # no pivot in column 2
+        mats.append([[RAT(x) for x in row] for row in rows])
+    for m in mats:
+        want = _cofactor(m)
+        assert linalg.det_bareiss(m) == want
+        sm = [[VW.sc(x) for x in row] for row in m]
+        got = linalg.det_bareiss(sm)
+        assert isinstance(got, Scalar) and got == VW.sc(want)
+    assert linalg.det_bareiss(mats[-3]) == RAT(5, 2)
+    assert linalg.det_bareiss(mats[-2]) == 0
+    assert linalg.det_bareiss(mats[-1]) == 0
 
 
 # ---------------------------------------------------------------------

@@ -48,3 +48,13 @@ def test_every_module_level_definition_has_a_user():
               and isinstance(node, (ast.FunctionDef, ast.ClassDef))
               and users[node.name] == (node.name in names)]
     assert unused == []
+
+
+def test_determinant_modules_name_no_scalar():
+    """The determinants, the DWBC oracle and the dense helpers compute on
+    rationals: only values that can carry s or i are Scalars."""
+    root = Path(bethelab.__file__).parent
+    found = [name for name in ("linalg", "detform", "asm")
+             if "Scalar" in set(_names(ast.parse(
+                 (root / f"{name}.py").read_text())))]
+    assert found == []

@@ -129,7 +129,7 @@ def gaussian_gate_oracle():
                  mat_scale(cross, minus_one))
     out = []
     for m in (h0, h1, h2, t0, cross, h2):
-        assert all(x.is_rational() for row in m for x in row)
+        assert all(not x.g for row in m for x in row)
         out.append([[x.to_rat() for x in row] for row in m])
     return tuple(out)
 
