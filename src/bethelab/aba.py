@@ -37,6 +37,27 @@ The renormalised vector divides out the common factor
 centred Laurent polynomials of degree width at most 2(N-1) in each w_j,
 and it satisfies exchange, cyclic-shift, recurrence and asymptotic
 relations that are verified here exactly.
+
+Parity lemma: every power of w_j in a component psi~_sigma has the parity
+of N - 1 + [sigma_j != 0].  Proof, for the lattice of the B(w_k) rows and
+site columns whose weights sum to psi_sigma:
+
+1. Only row j (B(w_j), u = w_j/(q w_l)) and column j (site j, u =
+   w_k/(q w_j)) depend on w_j, and not at their crossing, where u = 1/q.
+   There a weight that keeps the auxiliary spin is a bracket [c w_j^+-1],
+   odd in w_j, and a gauged flip is 1 or [q][q^2], even.
+2. A flip toggles the auxiliary spin and moves the site spin one step.
+   B(w_j) takes the auxiliary from down to up, so row j holds an odd
+   number of flips; site j goes from U to sigma_j, so column j holds
+   [sigma_j = 0] flips mod 2.  The crossing counts in both, so the
+   2(N - 1) vertices off it hold 1 + [sigma_j = 0] flips and [sigma_j !=
+   0] odd brackets mod 2: psi_sigma has parity [sigma_j != 0] in w_j.
+3. The divisor holds N - 1 odd brackets in w_j, [q w_j/w_k] or [q w_k/
+   w_j], so psi~_sigma(-w_j) = (-1)^(N - 1 + [sigma_j != 0])
+   psi~_sigma(w_j).
+
+So a component is w_j^lo times a polynomial in w_j^2, and positive
+samples of w_j interpolate it in w_j^2 (`vector_laurent_coefficients`).
 """
 
 from __future__ import annotations
@@ -46,6 +67,7 @@ from math import gcd, lcm, prod
 
 from bethelab.field import (
     RAT,
+    LaurentPoly,
     MixedGrades,
     Scalar,
     SessionMismatch,
@@ -74,7 +96,7 @@ class IrrationalComponent(ArithmeticError):
 
 SPIN_CHARS = "U0D"
 OMEGA = (-1, 1, -1)  # the diagonal twist at angle pi on (U, 0, D)
-_SURPLUS_SAMPLES = 2  # interpolation samples beyond the support's width + 1
+_SURPLUS_SAMPLES = 2  # samples beyond the larger parity class's size
 
 
 def state_str(key) -> str:
@@ -577,21 +599,40 @@ def admissible_points(params: ModelParams, j: int, count: int):
 def vector_laurent_coefficients(params: ModelParams, j: int, low: int,
                                 width: int):
     """Interpolate every component of |psi~> as a Laurent polynomial in
-    w_j on the assumed support [low, low + width] from width + 1 samples
-    and the surplus ones that verify the support; a component missing
-    from a sample is zero there.  Returns {key: LaurentPoly} with rational
-    coefficients over the sorted union of the sampled keys, memoised."""
+    w_j on the assumed support [low, low + width]; a component missing
+    from a sample is zero there.  By the parity lemma (module docstring) a
+    component of parity class e is w_j^lo_e times a polynomial in w_j^2,
+    lo_e the lowest power of parity e in the support: each class is
+    interpolated in w_j^2 from its size + 1 samples at positive w_j, and
+    the surplus ones verify the support and the parity.  Returns {key:
+    LaurentPoly} with rational coefficients over the sorted union of the
+    sampled keys, memoised."""
     memo = (j, low, width)
     if memo not in params._laurent_cache:
-        pts = admissible_points(params, j, width + 1 + _SURPLUS_SAMPLES)
+        classes = [(lo, (low + width - lo) // 2 + 1)
+                   for lo in (low + (low - e) % 2 for e in (0, 1))]
+        pts = admissible_points(params, j, max(size for _, size in classes)
+                                + _SURPLUS_SAMPLES)
         vecs = [renormalised_vector(params.with_w(
             params.w[:j - 1] + (t,) + params.w[j:])) for t in pts]
         den = lcm(*(v.den for v in vecs))
         nums = [(v.rational().entries, den // v.den) for v in vecs]
         keys = sorted(set().union(*(ints for ints, _ in nums)))
-        rows = [[ints.get(k, 0) * f for ints, f in nums] for k in keys]
-        params._laurent_cache[memo] = dict(zip(keys, laurent_interpolate_many(
-            pts, rows, low, width, den)))
+        squares = [t * t for t in pts]
+        polys = {}
+        for e, (lo, size) in enumerate(classes):
+            lifts = [t ** -lo * f for t, (_, f) in zip(pts, nums)]
+            # ints wherever lo <= 0, as on every window that reaches w_j^-1
+            lifts = [c.numerator if c.denominator == 1 else c for c in lifts]
+            group = [k for k in keys
+                     if (params.n - 1 + (k[j - 1] != ZERO)) % 2 == e]
+            rows = [[ints.get(k, 0) * c for (ints, _), c in zip(nums, lifts)]
+                    for k in group]
+            for k, poly in zip(group, laurent_interpolate_many(
+                    squares, rows, 0, size - 1, den)):
+                polys[k] = LaurentPoly(lo + 2 * poly.low, [
+                    c for x in poly.coeffs for c in (x, 0)])
+        params._laurent_cache[memo] = {k: polys[k] for k in keys}
     return params._laurent_cache[memo]
 
 

@@ -28,6 +28,7 @@ coefficients are extracted without a symbolic algebra system.
 
 from __future__ import annotations
 
+from functools import cache
 from math import isqrt, lcm
 from operator import mul
 
@@ -542,6 +543,21 @@ def laurent_interpolate(samples, low_degree: int, width: int) -> LaurentPoly:
                                     low_degree, width)[0]
 
 
+@cache
+def _inverse_vandermonde(points: tuple, low_degree: int):
+    """(inverse, vden): the inverse of the Vandermonde matrix
+    [p^(low_degree + k)] of the points, cleared to int rows over one
+    denominator; one solve per point set and low degree, kept for the
+    life of the process (tuples, so no caller can alter the shared rows)."""
+    m = len(points)
+    cols = solve_exact([[p ** (low_degree + k) for k in range(m)]
+                        for p in points], [[int(r == c) for r in range(m)]
+                                           for c in range(m)])
+    vden = lcm(*(x.denominator for col in cols for x in col))
+    return tuple(tuple(col[k].numerator * (vden // col[k].denominator)
+                       for col in cols) for k in range(m)), vden
+
+
 def laurent_interpolate_many(points, value_rows, low_degree: int,
                              width: int, den: int = 1):
     """Interpolate many sequences sampled at the same rational points, each
@@ -549,24 +565,20 @@ def laurent_interpolate_many(points, value_rows, low_degree: int,
 
     The P points fix a Laurent polynomial on [low_degree, low_degree + P -
     1]; the inverse Vandermonde matrix, cleared to ints over one
-    denominator, makes each coefficient one int dot product with a row.
-    Coefficients above low_degree + width must vanish, else the assumed
-    support is wrong and InconsistentSamples is raised.
+    denominator and memoised per point set, makes each coefficient one int
+    dot product with a row.  Coefficients above low_degree + width must
+    vanish, else the assumed support is wrong and InconsistentSamples is
+    raised.
     """
     m = len(points)
     if m < width + 1:
         raise ValueError(f"need at least {width + 1} samples, got {m}")
-    points = [as_rat(p) for p in points]
+    points = tuple(as_rat(p) for p in points)
     if not all(points):
         raise SingularSystem("sample point zero is not allowed")
     if len(set(points)) != m:
         raise SingularSystem("sample points must be pairwise distinct")
-    cols = solve_exact([[p ** (low_degree + k) for k in range(m)]
-                        for p in points], [[int(r == c) for r in range(m)]
-                                           for c in range(m)])
-    vden = lcm(*(x.denominator for col in cols for x in col))
-    inverse = [[col[k].numerator * (vden // col[k].denominator)
-                for col in cols] for k in range(m)]
+    inverse, vden = _inverse_vandermonde(points, low_degree)
     polys = []
     for row in value_rows:
         coeffs = [sum(map(mul, vk, row)) for vk in inverse]

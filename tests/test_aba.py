@@ -385,26 +385,38 @@ def test_asymptotic_relations():
 
 
 def test_asymptotic_directions_share_the_sample_vectors(monkeypatch):
+    """Both directions read one set of N + 2 sample vectors (the larger
+    parity class's N powers of w_j and two surplus samples), and both
+    parity classes of both directions one inverse Vandermonde solve."""
     from collections import Counter
 
-    from bethelab import aba
+    from bethelab import aba, field
 
     calls = Counter()
     build = aba.renormalised_vector
+    solve = field.solve_exact
+    solves = []
 
     def counting(params):
         calls[params.w] += 1
         return build(params)
 
+    def counting_solve(matrix, rhs_columns):
+        solves.append(len(matrix))
+        return solve(matrix, rhs_columns)
+
     monkeypatch.setattr(aba, "renormalised_vector", counting)
+    monkeypatch.setattr(field, "solve_exact", counting_solve)
+    field._inverse_vandermonde.cache_clear()
     rng = random.Random(2025)
     q = draw_q(rng)
     p = ModelParams(3, q, draw_w(rng, 3, q))
     assert asymptotic_check(1, "inf", p)
     assert asymptotic_check(1, "zero", p)
     samples = [w for w in calls if len(w) == 3 and w[1:] == p.w[1:]]
-    assert len(samples) == 2 * (3 - 1) + 3
+    assert len(samples) == 3 + 2
     assert all(calls[w] == 1 for w in samples)
+    assert solves == [3 + 2]
     # the reduced (N-1)-site vector at w = (w2, w3) is built once too
     assert calls[p.w[1:]] == 1
 

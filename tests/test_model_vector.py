@@ -181,12 +181,12 @@ def test_support_too_small_raises_on_both_paths():
     assert poly == LaurentPoly(-1, [-1, 0, 1, 1])
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_vector_coefficients_match_scalar_interpolation(n):
-    """Every component of the renormalised vector, interpolated in w_j on
-    ints, equals the Scalar interpolation of the same samples; one degree
-    less of support leaves a top coefficient that the surplus samples
-    expose."""
+    """Every component of the renormalised vector, interpolated on ints
+    in w_j^2 one parity class at a time, equals the full-width Scalar
+    interpolation in w_j from 2N + 1 samples; one degree less of support
+    leaves a top coefficient that the surplus samples expose."""
     rng = random.Random(760 + n)
     p = params_for(rng, n, "pi")
     low, width = -(n - 1), 2 * (n - 1)
@@ -204,3 +204,28 @@ def test_vector_coefficients_match_scalar_interpolation(n):
             assert poly.low == want[key].low
         with pytest.raises(InconsistentSamples):
             vector_laurent_coefficients(p, j, low, width - 1)
+
+
+def test_a_power_of_the_wrong_parity_raises(monkeypatch):
+    """A term w_j of odd power planted in a component whose powers of w_j
+    are all even lies inside the window [-(N-1), N-1], so a full-width
+    interpolation would accept it; each parity class's surplus samples
+    reject it."""
+    from bethelab import aba
+
+    rng = random.Random(770)
+    p = params_for(rng, 3, "pi")
+    j = 1
+    key = next(k for k in renormalised_vector(p).entries if k[j - 1] == 1)
+    build = aba.renormalised_vector
+
+    def planted(params):
+        v = build(params)
+        if params.n != p.n or params.w == p.w:
+            return v
+        t = params.w[j - 1]
+        return v + aba.basis_vector(params, key).scale(t)
+
+    monkeypatch.setattr(aba, "renormalised_vector", planted)
+    with pytest.raises(InconsistentSamples):
+        vector_laurent_coefficients(p, j, -(p.n - 1), 2 * (p.n - 1))
