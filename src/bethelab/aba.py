@@ -16,11 +16,11 @@ model computes is one rational times one of the units 1, s, i, s i, so a
 vector is one unit (its grade) times ints over one common denominator.
 Every operator here has rational weights stored as ints over one
 denominator, so it maps the ints and its denominator joins the vector's.
-For the mixed R-matrix, whose four spin-flip weights carry s =
-sqrt([q][q^2]), that takes the gauge K = diag(1, s) on its auxiliary
-factor, in which the entries read A, B/s, s C and D.  Rescaling by a
-rational times a unit multiplies numerators and denominator and moves the
-grade; Scalars are built only to read a value out.
+The mixed R-matrix is rational in the gauge K = diag(1, s) on its
+auxiliary factor, in which `rmatrix.r12` returns it (see that module), and
+in which the entries read A, B/s, s C and D.  Rescaling by a rational
+times a unit multiplies numerators and denominator and moves the grade;
+Scalars are built only to read a value out.
 
 With twist angle pi the transfer matrices are
 
@@ -151,22 +151,12 @@ class ModelVector:
         return ModelVector(self.d, self.den * den, fn(self.part), self.grade)
 
     def scale(self, c) -> "ModelVector":
-        """c times the vector, c an int, rational or Scalar r u_h: the
-        grade moves to grade xor h, and the numerators take r, times d
-        where both units carry s and -1 where both carry i."""
-        if isinstance(c, Scalar):
-            if c.d != self.d:
-                raise SessionMismatch(
-                    f"session constants differ: {c.d} vs {self.d}")
-            r, h = c.r, c.g
-        else:
-            r, h = as_rat(c), 0
-        if self.grade & h & 1:
-            r = r * self.d
-        if self.grade & h & 2:
-            r = -r
-        return ModelVector(self.d, self.den * r.denominator,
-                           self.part.scale(r.numerator), self.grade ^ h)
+        """c times the vector, c an int, rational or Scalar: the vector's
+        unit times c, a Scalar r u_h, takes the numerators to r and the
+        grade to h."""
+        c = Scalar.graded(RAT(1), self.grade, self.d) * c
+        return ModelVector(self.d, self.den * c.r.denominator,
+                           self.part.scale(c.r.numerator), c.g)
 
     def __add__(self, other: "ModelVector") -> "ModelVector":
         _check_model(other, self.n, self.d)
@@ -253,15 +243,13 @@ class ModelParams:
         return t
 
     def r12_table(self, u: RAT):
-        """(table, D): the transition table of K r12(u) K^-1, with K =
-        diag(1, s) on the auxiliary factor, as ints over one denominator
-        D.  The flip weights <0 .|R|1 .> = s and <1 .|R|0 .> = s become 1
-        and [q][q^2]; every other weight is rational already."""
+        """(table, D): the transition table of r12(u), in the gauge K =
+        diag(1, s) on the auxiliary factor, as ints over one denominator D."""
         return self._table("r12", u,
-                           lambda: r12(u, self.vw).int_column_map(self.d))
+                           lambda: r12(u, self.vw).int_column_map())
 
     def r22_table(self, u: RAT):
-        """(table, D) for r22(u), whose weights are rational already."""
+        """(table, D) for r22(u) as ints over one denominator D."""
         return self._table("r22", u,
                            lambda: r22(u, self.vw).int_column_map())
 

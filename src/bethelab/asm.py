@@ -32,7 +32,7 @@ from functools import cache, reduce
 from itertools import accumulate, combinations, product
 from operator import mul
 
-from bethelab.field import RAT, brk, inv
+from bethelab.field import RAT, brk, inv, unpack
 from bethelab.rmatrix import VertexWeights
 
 class InvalidConfig(ValueError):
@@ -190,15 +190,15 @@ def gen_poly(n: int) -> GenPoly:
     """A_n(t): coefficient k counts the ASMs with exactly k entries -1.
 
     The row a -> b holds |a - b| entries -1.  The row transfer runs over
-    integers at t = 2^bits, wide enough that no coefficient (below
-    3^(n^2), the number of {-1, 0, 1} matrices) spills into the next.
+    integers at t = 2^bits, unpacked by `field.unpack`: a coefficient is
+    at most the number of ASMs, below 3^((n-1)^2) (the last row and
+    column follow from the rest) and so below 2^(bits-1).
     """
     _check_size(n)
     bits = 2 * n * n
     total = _row_transfer(
         n, lambda i, a, b: 1 << bits * len(set(a) - set(b)), 1)
-    mask = (1 << bits) - 1
-    return GenPoly(n, [(total >> bits * k) & mask for k in range(n * n)])
+    return GenPoly(n, unpack(total, bits))
 
 
 # -- the ASM <-> DWBC bijection -----------------------------------------

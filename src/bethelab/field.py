@@ -1,8 +1,9 @@
 """Exact scalar arithmetic for the vertex-model engine.
 
-Spectral parameters, their brackets [z] = z - 1/z (`brk`) and the closed
-forms built from them are rationals.  What can carry a square root or i
-(R-matrix weights, the model's vectors) lives in the ring
+Spectral parameters, their brackets [z] = z - 1/z (`brk`), the closed
+forms built from them and the R-matrix weights (the mixed one in the
+gauge of `rmatrix`) are rationals.  What can carry a square root or i
+(the model's vectors) lives in the ring
 
     Q(s, i),   s**2 = d,   i**2 = -1,
 

@@ -4,11 +4,11 @@ Dense matrices are plain lists of rows of ints, rationals or Scalars;
 they stay small (the int 9x9 matrices of the Hamiltonian bond and the
 rational Bareiss inputs of `detform`).  `StateVector` is the sparse vector
 every operator of `aba` and `spinchain` acts on.  The R-matrix identities
-on pair and triple tensor spaces multiply sparse dict-of-rows matrices
-with `sp_mul`, so the 27-dimensional Yang-Baxter space costs nothing;
-`rmatrix.RMat.embedded` writes a pair operator in that form.  Determinants
-use fraction-free Bareiss elimination over any field; exact row
-reduction, for solves and kernel dimensions, is `field.row_reduce`.
+on pair and triple tensor spaces multiply sparse dict-of-rows matrices of
+rationals with `sp_mul`, so the 27-dimensional Yang-Baxter space costs
+nothing; `rmatrix.RMat.embedded` writes a pair operator in that form.
+Determinants use fraction-free Bareiss elimination over any field; exact
+row reduction, for solves and kernel dimensions, is `field.row_reduce`.
 """
 
 from __future__ import annotations
@@ -129,7 +129,7 @@ def sp_mul(a: dict, b: dict) -> dict:
                     acc[j] = acc[j] + v
                 else:
                     acc[j] = v
-        acc = {j: v for j, v in acc.items() if not v.is_zero()}
+        acc = {j: v for j, v in acc.items() if v}
         if acc:
             out[i] = acc
     return out

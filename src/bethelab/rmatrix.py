@@ -12,6 +12,15 @@ Basis conventions (fixed for the whole package):
   embeddings of `RMat.embedded`, the dense Hamiltonian bond) the index is
   dim_right * left + right.
 
+Every weight is a rational, built from brackets [z] = z - 1/z (`brk`).
+The mixed R-matrix carries s = sqrt([q][q^2]) on its four spin-flip
+weights, so it is returned in the gauge K = diag(1, s) on its spin-1/2
+factor: `r12` is K R12 K^-1, whose flips weigh 1 for 0 <- 1 and d =
+[q][q^2] for 1 <- 0, and K^-1 r12 K is the physical matrix.  `r21`
+carries the same gauge on its right factor.  K x K commutes with `r11`,
+which conserves magnetisation, so every identity below is the physical
+one conjugated by K on each spin-1/2 factor and holds on rationals.
+
 The nineteen-vertex weight table of R(z) = r22(z), with U/0/D for the
 spin components and entries <aux' site'|R|aux site>:
 
@@ -26,9 +35,9 @@ spin components and entries <aux' site'|R|aux site>:
       = (U D | 0 0) = (D U | 0 0)             = [q^2][z]
     (0 0 | 0 0)                               = [z][qz] + [q][q^2]
 
-with [z] = z - 1/z.  These nineteen entries conserve magnetisation and
-form a symmetric matrix; r22(1) = [q][q^2] P (permutation) and r22(1/q)
-= [q][q^2] |s><s| with |s> = |UD> + |DU> - |00> (rank one).
+These nineteen entries conserve magnetisation and form a symmetric
+matrix; r22(1) = [q][q^2] P (permutation) and r22(1/q) = [q][q^2] |s><s|
+with |s> = |UD> + |DU> - |00> (rank one).
 
 The fused-product identity relating two mixed R-matrices to r22 is
 checked without adjoining the radicals 1/sqrt([q^2]), 1/sqrt(2[q]) of the
@@ -47,7 +56,10 @@ the equivalent statements verified by check_fusion_r22 are
     (v)    P- (R13(z/q) R23(z)) P- = [z/q][q^2 z] P-,
 
 which together are the block-triangular decomposition with upper block
-r22(z) and lower scalar [z/q][q^2 z].
+r22(z) and lower scalar [z/q][q^2 z].  K x K on the fused pair is s^kappa
+d^[D] on iota and pi, so the gauged product C~ gives C = s^(kappa(col) -
+kappa(row)) d^([col = D] - [row = D]) C~, and each statement is read on
+rationals.
 """
 
 from __future__ import annotations
@@ -58,11 +70,13 @@ from math import lcm, prod
 from bethelab import linalg
 from bethelab.field import (
     RAT,
+    RAT_ZERO,
     Scalar,
     SessionMismatch,
     ZeroInverse,
     as_rat,
     brk,
+    inv,
     validate_session_constant,
 )
 
@@ -71,82 +85,47 @@ UP, ZERO, DOWN = 0, 1, 2  # spin-1 components U, 0, D
 
 class VertexWeights:
     """Session data for one rational anisotropy q: the constant d = [q][q^2],
-    scalar constructors and bracket helpers shared by all R-matrices, and
-    `tables`, the memo of transition tables built for this q."""
+    the units s and i of the model's values, and `tables`, the memo of
+    transition tables built for this q."""
 
     def __init__(self, q):
         q = as_rat(q)
         if q == 0 or q * q == 1:
             raise ValueError("q must satisfy q != 0 and q^4 != 1")
-        qq = brk(q) * brk(q * q)
         self.q = q
-        self.d = validate_session_constant(qq)
-        self.zero = Scalar(0, d=self.d)
-        self.one = Scalar(1, d=self.d)
+        self.d = validate_session_constant(brk(q) * brk(q * q))
         self.s = Scalar(0, 1, d=self.d)
         self.i = Scalar(0, 0, 1, d=self.d)
-        self.bq = self.sc(brk(q))
-        self.bq2 = self.sc(brk(q * q))
         self.tables = {}
 
     def sc(self, r) -> Scalar:
         return Scalar.graded(as_rat(r), 0, self.d)
-
-    def coerce(self, z) -> Scalar:
-        if isinstance(z, Scalar):
-            if z.d != self.d:
-                raise SessionMismatch(
-                    f"session constants differ: {z.d} vs {self.d}")
-            return z
-        return self.sc(z)
-
-    def bracket(self, z: Scalar) -> Scalar:
-        if not z.g:  # zero included: brk raises ZeroInverse
-            return self.sc(brk(z.r))
-        return z - z.inv()
-
-    def bqz(self, k: int, z: Scalar) -> Scalar:
-        """[q^k z] as a Scalar."""
-        return self.bracket(z * self.sc(self.q ** k) if k else z)
 
     def rat(self, z) -> RAT:
         """The spectral parameter z (an int, "p/q", a rational or a Scalar
         of this session, else SessionMismatch) as a rational."""
         if not isinstance(z, Scalar):
             return as_rat(z)
-        if self.coerce(z).g:
+        if z.d != self.d:
+            raise SessionMismatch(
+                f"session constants differ: {z.d} vs {self.d}")
+        if z.g:
             raise IrrationalWeight(f"spectral parameter {z!r} is not rational")
         return z.r
 
 
 class IrrationalWeight(ArithmeticError):
-    """A spectral parameter with an s- or i-part, or a transition weight
-    that is not rational in the gauge of the sweeps."""
-
-
-def _gauged(w: Scalar, ao: int, ai: int, d):
-    """The weight w = <ao .|R|ai .> as a rational: w itself, or with d
-    given and ao != ai, the gauged flip weight (w = b s becomes b for
-    0 <- 1 and b d for 1 <- 0)."""
-    if d is None or ao == ai:
-        if not w.g:
-            return w.r
-    elif w.g == 1:
-        return w.r if ao == 0 else w.r * d
-    raise IrrationalWeight(f"<{ao} .|R|{ai} .> = {w!r}")
+    """A spectral parameter with an s- or i-part."""
 
 
 class RMat:
     """Operator on a pair of sites V_left x V_right, stored as its nonzero
-    weights {(lo, ro, li, ri): <lo ro| R |li ri>} in ascending key order.
+    rational weights {(lo, ro, li, ri): <lo ro| R |li ri>} in ascending key
+    order; a key that is not stored is a zero weight."""
 
-    A key that is not stored is a zero weight, and `entry` then returns
-    `zero`.  The weights are Scalars.
-    """
+    __slots__ = ("dim_left", "dim_right", "weights")
 
-    __slots__ = ("dim_left", "dim_right", "weights", "zero")
-
-    def __init__(self, dim_left: int, dim_right: int, weights: dict, zero):
+    def __init__(self, dim_left: int, dim_right: int, weights: dict):
         if not all(0 <= lo < dim_left and 0 <= li < dim_left
                    and 0 <= ro < dim_right and 0 <= ri < dim_right
                    for lo, ro, li, ri in weights):
@@ -155,14 +134,13 @@ class RMat:
         self.dim_left = dim_left
         self.dim_right = dim_right
         self.weights = {k: weights[k] for k in sorted(weights) if weights[k]}
-        self.zero = zero
 
     def entry(self, lo, ro, li, ri):
-        return self.weights.get((lo, ro, li, ri), self.zero)
+        return self.weights.get((lo, ro, li, ri), RAT_ZERO)
 
     def _relabelled(self, dim_left, dim_right, key) -> "RMat":
         return RMat(dim_left, dim_right,
-                    {key(*k): w for k, w in self.weights.items()}, self.zero)
+                    {key(*k): w for k, w in self.weights.items()})
 
     def swapped(self) -> "RMat":
         """P R P: the same operator with the tensor factors exchanged."""
@@ -190,12 +168,10 @@ class RMat:
             table[(li, ri)].append((lo, ro, w))
         return table
 
-    def int_column_map(self, d=None):
-        """(table, D): `column_map`, gauged by K = diag(1, s), s^2 = d, on
-        the left factor when d is given, with every weight an int over
-        their least common denominator D."""
-        cols = {key: [(ao, so, _gauged(w, ao, key[0], d)) for ao, so, w in col]
-                for key, col in self.column_map().items()}
+    def int_column_map(self):
+        """(table, D): `column_map` with every weight an int over their
+        least common denominator D."""
+        cols = self.column_map()
         den = lcm(*(r.denominator for col in cols.values() for *_, r in col))
         return {key: [(ao, so, r.numerator * (den // r.denominator))
                       for ao, so, r in col] for key, col in cols.items()}, den
@@ -227,41 +203,45 @@ def r11(z, q) -> RMat:
     to -2[q] P- at z = 1/q.
     """
     vw = _session(q)
-    z = vw.coerce(z)
-    bz, bqz, bq = vw.bqz(0, z), vw.bqz(1, z), vw.bq
+    z = vw.rat(z)
+    bz, bqz, bq = brk(z), brk(vw.q * z), brk(vw.q)
     return RMat(2, 2, {
         (0, 0, 0, 0): bqz, (1, 1, 1, 1): bqz,
         (0, 1, 0, 1): bz, (1, 0, 1, 0): bz,
         (0, 1, 1, 0): bq, (1, 0, 0, 1): bq,
-    }, vw.zero)
+    })
 
 
 def r12(z, q) -> RMat:
-    """Mixed R-matrix on C^2 x C^3, symmetric, with the square roots of
-    [q][q^2] carried by the extension symbol s."""
+    """Mixed R-matrix on C^2 x C^3, symmetric up to the gauge: K R12 K^-1
+    with K = diag(1, s) on the spin-1/2 factor, whose flips s become 1
+    (auxiliary 0 <- 1) and d = [q][q^2] (1 <- 0)."""
     vw = _session(q)
-    z = vw.coerce(z)
-    bz, bqz, bq2z, s = vw.bqz(0, z), vw.bqz(1, z), vw.bqz(2, z), vw.s
+    z = vw.rat(z)
+    bz, bqz, bq2z = brk(z), brk(vw.q * z), brk(vw.q ** 2 * z)
+    d, one = vw.d, RAT(1)
     U, Z, D = UP, ZERO, DOWN
     return RMat(2, 3, {
         (0, U, 0, U): bq2z, (1, D, 1, D): bq2z,
         (0, Z, 0, Z): bqz, (1, Z, 1, Z): bqz,
         (0, D, 0, D): bz, (1, U, 1, U): bz,
-        (0, Z, 1, U): s, (1, U, 0, Z): s,
-        (0, D, 1, Z): s, (1, Z, 0, D): s,
-    }, vw.zero)
+        (0, Z, 1, U): one, (1, U, 0, Z): d,
+        (0, D, 1, Z): one, (1, Z, 0, D): d,
+    })
 
 
 def r22(z, q) -> RMat:
     """Nineteen-vertex R-matrix on C^3 x C^3 from the weight table above."""
     vw = _session(q)
-    z = vw.coerce(z)
-    w1 = vw.bqz(1, z) * vw.bqz(2, z)      # [qz][q^2 z]
-    w2 = vw.bqz(-1, z) * vw.bqz(0, z)     # [z/q][z]
-    w3 = vw.bq * vw.bq2                   # [q][q^2]
-    w4 = vw.bqz(0, z) * vw.bqz(1, z)      # [z][qz]
-    w5 = vw.bq2 * vw.bqz(1, z)            # [q^2][qz]
-    w6 = vw.bq2 * vw.bqz(0, z)            # [q^2][z]
+    z = vw.rat(z)
+    q = vw.q
+    bq2 = brk(q * q)
+    w1 = brk(q * z) * brk(q * q * z)      # [qz][q^2 z]
+    w2 = brk(z / q) * brk(z)              # [z/q][z]
+    w3 = vw.d                             # [q][q^2]
+    w4 = brk(z) * brk(q * z)              # [z][qz]
+    w5 = bq2 * brk(q * z)                 # [q^2][qz]
+    w6 = bq2 * brk(z)                     # [q^2][z]
     w7 = w4 + w3                          # [z][qz] + [q][q^2]
     U, Z, D = UP, ZERO, DOWN
     return RMat(3, 3, {
@@ -275,7 +255,7 @@ def r22(z, q) -> RMat:
         (Z, Z, D, U): w6, (Z, Z, U, D): w6,
         (U, D, Z, Z): w6, (D, U, Z, Z): w6,
         (Z, Z, Z, Z): w7,
-    }, vw.zero)
+    })
 
 
 def r_mn(m: int, n: int, z, q) -> RMat:
@@ -292,7 +272,7 @@ def r_mn(m: int, n: int, z, q) -> RMat:
         return r12(z, q)
     if (m, n) == (2, 1):
         vw = _session(q)
-        return r12(vw.coerce(z) / vw.sc(vw.q), vw).swapped()
+        return r12(vw.rat(z) / vw.q, vw).swapped()
     if (m, n) == (2, 2):
         return r22(z, q)
     raise ValueError("m, n must be 1 or 2")
@@ -304,9 +284,9 @@ def check_ybe(m: int, n: int, p: int, z, w, q) -> bool:
     R12(z/w) R13(z) R23(w) = R23(w) R13(z) R12(z/w).
     """
     vw = VertexWeights(q)
-    z = vw.coerce(z)
-    w = vw.coerce(w)
-    if z.is_zero() or w.is_zero():
+    z = vw.rat(z)
+    w = vw.rat(w)
+    if not z or not w:
         raise ZeroInverse("spectral parameters must be nonzero")
     dims = [m + 1, n + 1, p + 1]
     r12_ = r_mn(m, n, z / w, vw).embedded(dims, 0, 1)
@@ -320,18 +300,16 @@ def check_ybe(m: int, n: int, p: int, z, w, q) -> bool:
 def inversion_check(z, q) -> bool:
     """R(z) R(1/z) = [q/z][q^2 z] [qz][q^2/z] Id on C^3 x C^3."""
     vw = VertexWeights(q)
-    z = vw.coerce(z)
+    z, q = vw.rat(z), vw.q
     lhs = linalg.sp_mul(r22(z, vw).embedded([3, 3], 0, 1),
-                        r22(z.inv(), vw).embedded([3, 3], 0, 1))
-    rz = vw.bracket(vw.sc(vw.q) / z) * vw.bqz(2, z)
-    rzi = vw.bqz(1, z) * vw.bracket(vw.sc(vw.q * vw.q) / z)
-    c = rz * rzi
+                        r22(inv(z), vw).embedded([3, 3], 0, 1))
+    c = brk(q / z) * brk(q * q * z) * brk(q * z) * brk(q * q / z)
     return lhs == {k: {k: c} for k in range(9) if c}
 
 
-def singlet_pair_vector(vw: VertexWeights) -> dict:
+def singlet_pair_vector() -> dict:
     """|s> = |UD> + |DU> - |00> on C^3 x C^3, as {(left, right): coeff}."""
-    return {(UP, DOWN): vw.one, (ZERO, ZERO): -vw.one, (DOWN, UP): vw.one}
+    return {(UP, DOWN): 1, (ZERO, ZERO): -1, (DOWN, UP): 1}
 
 
 def rank_one_check(q) -> bool:
@@ -341,10 +319,10 @@ def rank_one_check(q) -> bool:
     vector |s> with itself has rank one, so no minor is evaluated.
     """
     vw = VertexWeights(q)
-    s = singlet_pair_vector(vw)
-    w3 = vw.bq * vw.bq2
-    want = {o + i: w3 * so * si for o, so in s.items() for i, si in s.items()}
-    return r22(vw.sc(vw.q).inv(), vw).weights == want
+    s = singlet_pair_vector()
+    want = {o + i: vw.d * so * si for o, so in s.items()
+            for i, si in s.items()}
+    return r22(1 / vw.q, vw).weights == want
 
 
 def magnetisation_pattern_check(z, q) -> bool:
@@ -358,9 +336,8 @@ def magnetisation_pattern_check(z, q) -> bool:
 def permutation_check(z, q) -> bool:
     """r22(1) = [q][q^2] P."""
     vw = VertexWeights(q)
-    w3 = vw.bq * vw.bq2
-    return r22(vw.one, vw).weights == {(a, b, b, a): w3 for a in range(3)
-                                       for b in range(3)}
+    return r22(1, vw).weights == {(a, b, b, a): vw.d for a in range(3)
+                                  for b in range(3)}
 
 
 # -- fusion of two mixed R-matrices into the nineteen-vertex one -------
@@ -369,17 +346,17 @@ def permutation_check(z, q) -> bool:
 def check_fusion_r22(z, q) -> bool:
     """Gauge-free equivalent of the fusion decomposition (see module doc)."""
     vw = VertexWeights(q)
-    z = vw.coerce(z)
+    z, q, d = vw.rat(z), vw.q, vw.d
     # Y = R13(z/q) R23(z) on C^2 x C^2 x C^3, row 3 * pair + alpha with
     # pair = 2 * (first spin) + (second spin)
     dims = [2, 2, 3]
-    y = linalg.sp_mul(r12(z / vw.sc(vw.q), vw).embedded(dims, 0, 2),
+    y = linalg.sp_mul(r12(z / q, vw).embedded(dims, 0, 2),
                       r12(z, vw).embedded(dims, 1, 2))
-    one, half = vw.one, vw.sc(RAT(1, 2))
+    half = RAT(1, 2)
 
     def block(rows, cols, alpha, beta):
         """sum of wr wc <pr alpha| Y |pc beta> over weighted pairs pr, pc."""
-        acc = vw.zero
+        acc = RAT_ZERO
         for pr, wr in rows:
             y_row = y.get(3 * pr + alpha, {})
             for pc, wc in cols:
@@ -390,30 +367,30 @@ def check_fusion_r22(z, q) -> bool:
 
     # unnormalised symmetric embedding iota and projection pi on C^2 x C^2
     # (first two factors); sym labels U, 0, D with parity kappa(0) = 1
-    iota = {UP: [(0, one)], ZERO: [(1, one), (2, one)], DOWN: [(3, one)]}
-    pi = {UP: [(0, one)], ZERO: [(1, half), (2, half)], DOWN: [(3, one)]}
+    iota = {UP: [(0, 1)], ZERO: [(1, 1), (2, 1)], DOWN: [(3, 1)]}
+    pi = {UP: [(0, 1)], ZERO: [(1, half), (2, half)], DOWN: [(3, 1)]}
     kappa = {UP: 0, ZERO: 1, DOWN: 0}
+    # with dk = kappa(i) - kappa(j), C = s^-dk d^([j = D] - [i = D]) C~:
+    # (i)-(iii) read d^([j = D] - [i = D] + [dk = -1]) C~ = factor[dk] r22
+    factor = {0: 1, 1: brk(q), -1: brk(q * q)}
 
     target = r22(z, vw)
     for i, alpha, j, beta in product((UP, ZERO, DOWN), range(3), repeat=2):
-        c = block(pi[i], iota[j], alpha, beta)
-        t = target.entry(i, alpha, j, beta)
         dk = kappa[i] - kappa[j]
-        if dk == 0:
-            if c != t:
-                return False
-        elif vw.s * c != (vw.bq if dk == 1 else vw.bq2) * t:
+        c = block(pi[i], iota[j], alpha, beta) * d ** (
+            (j == DOWN) - (i == DOWN) + (dk == -1))
+        if c != factor[dk] * target.entry(i, alpha, j, beta):
             return False
 
     # antisymmetric row: P- Y P+ = 0 and P- Y P- = [z/q][q^2 z] P-
-    scalar = vw.bqz(-1, z) * vw.bqz(2, z)
+    scalar = brk(z / q) * brk(q * q * z)
     anti_row = [(1, half), (2, -half)]  # <ud - du| with the 1/2 normalisation
-    anti_col = [(1, one), (2, -one)]    # |ud - du>, unnormalised
+    anti_col = [(1, 1), (2, -1)]        # |ud - du>, unnormalised
     for alpha, beta in product(range(3), repeat=2):
         if any(block(anti_row, iota[j], alpha, beta) for j in iota):
             return False
         if block(anti_row, anti_col, alpha, beta) != (
-                scalar if beta == alpha else vw.zero):
+                scalar if beta == alpha else 0):
             return False
     return True
 
@@ -426,14 +403,17 @@ def crossing_transpose_check(z, q) -> bool:
 
     where t_right transposes the spin-1 factor and sigma2 is the second
     Pauli matrix on the auxiliary spin-1/2 factor.  Equivalent to the
-    monodromy relation B(1/z | 1/w)^t = (-1)^(N-1) C(z | w).
+    monodromy relation B(1/z | 1/w)^t = (-1)^(N-1) C(z | w).  In the gauge
+    sigma2 becomes M = K sigma2 K^-1 and - M X M = L X R with L = [[0, -1],
+    [d, 0]] and R = [[0, -1/d], [1, 0]]: the block X_ab of X goes to
+    -X_11, X_10 / d, d X_01 and -X_00.
     """
     vw = VertexWeights(q)
-    z = vw.coerce(z)
+    z, d = vw.rat(z), vw.d
     lhs = r12(z, vw).transpose_right().embedded([2, 3], 0, 1)
-    inner = r12((z * vw.sc(vw.q * vw.q)).inv(), vw).embedded([2, 3], 0, 1)
-    # sigma2 x 1 = [[0, -i], [i, 0]] x 1 on C^2 x C^3, and its negative
-    conj = {3 * a + k: {3 * (1 - a) + k: vw.i if a else -vw.i}
+    inner = r12(inv(z * vw.q ** 2), vw).embedded([2, 3], 0, 1)
+    left = {3 * a + k: {3 * (1 - a) + k: d if a else -1}
             for a in range(2) for k in range(3)}
-    neg = {r: {c: -w for c, w in row.items()} for r, row in conj.items()}
-    return lhs == linalg.sp_mul(linalg.sp_mul(conj, inner), neg)
+    right = {3 * a + k: {3 * (1 - a) + k: 1 if a else -1 / d}
+             for a in range(2) for k in range(3)}
+    return lhs == linalg.sp_mul(linalg.sp_mul(left, inner), right)

@@ -33,21 +33,21 @@ distinguished component reproduce the weighted counts of alternating
 sign matrices.
 
 The singlet, its norm and the symbolic H v run on packed ints (Kronecker
-substitution): an integer polynomial sum_k c_k u^k becomes sum_k c_k
+substitution): an integer polynomial sum_k c_k x^k becomes sum_k c_k
 2^(bits k), and the unchanged sweep and gate code multiply and add plain
-ints.  The singlet packs at u = x; the norm and H v take any
-HalfPowerPoly vector at u = y, with H's bond tables, in x = y^2, at
-2^(2 bits).  Balanced base-2^bits digits unpack a result exactly when
-every |c_k| < 2^(bits-1); each function derives its bits from an l1
-bound (the sum of |c| over all coefficients) and states it.  The tables
-are int lists in x; HalfPowerPoly is only the form of inputs and results.
+ints.  The norm and H v take vectors of integer polynomials in x, the
+singlet's own form, and raise NonIntegerCoefficient on any other.
+Balanced base-2^bits digits unpack a result exactly when every |c_k| <
+2^(bits-1); each function derives its bits from an l1 bound (the sum of
+|c| over all coefficients) and states it.  The tables are int lists in x;
+HalfPowerPoly is only the form of inputs and results.
 """
 
 from __future__ import annotations
 
 from functools import cache
 from itertools import product
-from math import factorial, lcm
+from math import factorial
 
 from bethelab.aba import (
     OMEGA,
@@ -76,7 +76,8 @@ from bethelab.rmatrix import DOWN, UP, ZERO, VertexWeights, r12
 
 
 class NonIntegerCoefficient(ArithmeticError):
-    """A table weight that must be an integer polynomial is not one."""
+    """A table weight or a vector component that must be an integer
+    polynomial in x is not one."""
 
 
 # R_1, R_2, R_3 on (U, 0, D), 2 c_a and the couplings 2 J_a and 2 A_ab as
@@ -138,17 +139,17 @@ def _apply_gates(v: StateVector, bulk, boundary) -> StateVector:
 
 
 def hamiltonian_apply_poly(v: StateVector) -> StateVector:
-    """H v, exact in x, for half-power polynomial entries, on ints over one
-    common denominator packed at y = 2^bits.  Bound: a bond multiplies
-    the l1 norm by at most G, the largest column l1 weight of the bond
-    tables, and H sums N bonds, so every coefficient is at most N G |v|_1."""
-    ints, den = _integer_vector(v)
+    """H v, exact in x, for integer polynomials in x, packed with the bond
+    tables at x = 2^bits.  Bound: a bond multiplies the l1 norm by at most
+    G, the largest column l1 weight of the bond tables, and H sums N
+    bonds, so every coefficient is at most N G |v|_1."""
+    ints = _x_ints(v)
     tables = _bond_tables()
     norm = sum(abs(c) for cs in ints.values() for c in cs)
     bits = (v.n * max(map(_column_l1, tables)) * norm).bit_length() + 1
     packed = StateVector(v.n, {k: pack(cs, bits) for k, cs in ints.items()})
-    out = _apply_gates(packed, *(_packed(t, 2 * bits) for t in tables))
-    return StateVector(v.n, {key: _unpacked(x, bits, den)
+    out = _apply_gates(packed, *(_packed(t, bits) for t in tables))
+    return StateVector(v.n, {key: HalfPowerPoly.x_poly(unpack(x, bits))
                              for key, x in out.entries.items()})
 
 
@@ -164,13 +165,14 @@ def twisted_translation_apply(v: StateVector) -> StateVector:
 @cache
 def _rho_table():
     """K rho(x) K^-1 as int lists in x: [1] or [-1] for a bracket weight
-    w/[q]; for a flip, w/[q] = (w/s) y, [0, w/s] where it raises the
-    auxiliary index, else [w/s].  Every valid q gives this table; q = 2."""
+    w/[q]; for a flip, w/[q] = b y with b = w/s, which the gauged r12(1/q)
+    holds as b d where the flip raises the auxiliary index and as b where
+    it lowers it: [0, b] and [b].  Every valid q gives this table; q = 2."""
     vw = VertexWeights(RAT(2))
-    table = r12(vw.sc(vw.q).inv(), vw).column_map()
+    table = r12(1 / vw.q, vw).column_map()
     for (ai, _), col in table.items():
         for k, (ao, so, w) in enumerate(col):
-            r = (w / (vw.s if ao != ai else vw.bq)).to_rat()
+            r = w / (vw.d if ao > ai else 1 if ao < ai else brk(vw.q))
             if r.denominator != 1:
                 raise NonIntegerCoefficient(f"<{ao} .|rho|{ai} .> weighs {r}")
             col[k] = (ao, so, [0, r.numerator] if ao > ai else [r.numerator])
@@ -190,17 +192,15 @@ def _packed(table, bits: int) -> dict:
             for key, col in table.items()}
 
 
-def _integer_vector(v: StateVector):
-    """({key: [int, ...]}, den): v's coefficients over their lcm."""
-    den = lcm(*(c.denominator for p in v.entries.values() for c in p.coeffs))
-    return {key: [c.numerator * (den // c.denominator) for c in p.coeffs]
-            for key, p in v.entries.items()}, den
-
-
-def _unpacked(value: int, bits: int, den: int) -> HalfPowerPoly:
-    """The packed polynomial over den; a whole coefficient stays an int."""
-    return HalfPowerPoly([c // den if c % den == 0 else RAT(c, den)
-                          for c in unpack(value, bits)])
+def _x_ints(v: StateVector) -> dict:
+    """{key: [int, ...]}: the coefficients in x of v's components, which
+    must be integer polynomials in x, else NonIntegerCoefficient."""
+    for key, p in v.entries.items():
+        if not (p.is_even_support() and p.has_integer_coeffs()):
+            raise NonIntegerCoefficient(
+                f"component {key} is {p!r}, not an integer polynomial in x")
+    return {key: [int(c) for c in p.x_coeffs()]
+            for key, p in v.entries.items()}
 
 
 @cache
@@ -238,15 +238,15 @@ def singlet(n: int) -> StateVector:
 
 def singlet_norm(state: StateVector) -> HalfPowerPoly:
     """Square norm under the real pairing: the sum of squared components,
-    packed at y = 2^bits.  Bound: over the common denominator, K components
-    of at most l coefficients, each at most M in absolute value, give
+    integer polynomials in x packed at x = 2^bits.  Bound: K components of
+    at most l coefficients, each at most M in absolute value, give
     coefficients that sum at most K l products, so at most K l M^2."""
-    ints, den = _integer_vector(state)
+    ints = _x_ints(state)
     top = max((abs(c) for cs in ints.values() for c in cs), default=0)
     bound = len(ints) * max(map(len, ints.values()), default=0) * top * top
     bits = bound.bit_length() + 1
-    return _unpacked(sum(pack(cs, bits) ** 2 for cs in ints.values()), bits,
-                     den * den)
+    return HalfPowerPoly.x_poly(
+        unpack(sum(pack(cs, bits) ** 2 for cs in ints.values()), bits))
 
 
 def distinguished_component_key(n: int):

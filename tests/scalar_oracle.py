@@ -17,6 +17,8 @@ by evaluating the interpolant.
 
 from math import lcm
 
+import dense_rmatrix_oracle as dense
+
 from bethelab.aba import ModelVector, StateVector
 from bethelab.field import (
     RAT,
@@ -30,7 +32,6 @@ from bethelab.field import (
     as_rat,
     solve_exact,
 )
-from bethelab.rmatrix import r22
 
 
 class FourPart:
@@ -188,23 +189,22 @@ def model(v: StateVector, params) -> ModelVector:
     """The ModelVector of params' model with the Scalar entries of v, all
     of one grade."""
     for x in v.entries.values():
-        params.vw.coerce(x)  # raises SessionMismatch for another session
+        dense.coerce(params.vw, x)  # SessionMismatch for another session
     den, grade, nums = split(v)
     return ModelVector(params.d, den, StateVector(v.n, nums), grade)
 
 
 def gate(u, params, v: StateVector, i: int, j: int) -> StateVector:
     """P R22(u) on site positions i, j (0-based, i the left factor),
-    weight by weight from the braided matrix's stored Scalar weights."""
-    weights = r22(params.vw.coerce(u), params.vw).braided().weights
+    weight by weight from the braided dense matrix's Scalar weights."""
+    table = dense.r22(u, params.vw).braided().column_map()
     out = {}
     for key, amp in v.entries.items():
-        for (lo, ro, li, ri), w in weights.items():
-            if (li, ri) == (key[i], key[j]):
-                nk = list(key)
-                nk[i], nk[j] = lo, ro
-                nk = tuple(nk)
-                out[nk] = out.get(nk, 0) + amp * w
+        for lo, ro, w in table[key[i], key[j]]:
+            nk = list(key)
+            nk[i], nk[j] = lo, ro
+            nk = tuple(nk)
+            out[nk] = out.get(nk, 0) + amp * w
     return StateVector(v.n, out)
 
 

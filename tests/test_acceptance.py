@@ -11,6 +11,7 @@ import math
 import random
 import time
 
+import dense_rmatrix_oracle as dense
 from helpers import (
     degree_width,
     draw_distinct,
@@ -103,10 +104,12 @@ def test_criterion_03_fusion_identity():
             z = params.sc(draw_z(rng))
             lhs = aba.transfer1_apply(
                 z, params, aba.transfer1_apply(z * params.sc(q), params, v))
-            scal = params.vw.one
+            scal = params.vw.sc(1)
             for w in params.w:
-                scal = scal * params.vw.bracket(params.sc(q * w) * z.inv())
-                scal = scal * params.vw.bracket(z * params.sc(q * q / w))
+                scal = scal * dense.bracket(params.vw,
+                                            params.sc(q * w) * z.inv())
+                scal = scal * dense.bracket(params.vw,
+                                            z * params.sc(q * q / w))
             if n % 2 == 0:
                 scal = -scal
             assert lhs + v.scale(scal) == aba.transfer2_apply(z, params, v)

@@ -5,6 +5,7 @@ import textwrap
 
 import pytest
 
+import dense_rmatrix_oracle as dense
 from helpers import draw_q, draw_distinct, eval_at
 
 from bethelab import asm
@@ -43,23 +44,23 @@ def asm_total_product_formula(n: int) -> int:
 def dwbc_partition_enumerated(zeta, w, vw):
     """The domain-wall partition function summed ASM by ASM, each through
     its vertex configuration: the oracle for the row transfer."""
-    zs = [vw.coerce(z) for z in zeta]
-    ws = [vw.coerce(x) for x in w]
+    zs = [dense.coerce(vw, z) for z in zeta]
+    ws = [dense.coerce(vw, x) for x in w]
     n = len(zs)
     qs = vw.sc(vw.q)
-    total = vw.zero
+    total = vw.sc(0)
     for a in generate_asms(n):
         config = asm_to_dwbc(a)
-        term = vw.one
+        term = vw.sc(1)
         for i in range(n):
             for j in range(n):
                 t = config.types[i][j]
                 if t in A_CLASS:
-                    term = term * vw.bracket(qs * zs[i] * ws[j].inv())
+                    term = term * dense.bracket(vw, qs * zs[i] * ws[j].inv())
                 elif t in B_CLASS:
-                    term = term * vw.bracket(qs * ws[j] * zs[i].inv())
+                    term = term * dense.bracket(vw, qs * ws[j] * zs[i].inv())
                 else:
-                    term = term * vw.bq2
+                    term = term * dense.bq2(vw)
         total = total + term
     return total
 
@@ -192,7 +193,7 @@ def test_invalid_config_rejected():
 def test_partition_n1():
     vw = VertexWeights(RAT(2))
     z = dwbc_partition_brute([RAT(3)], [RAT(5)], vw)
-    assert z == vw.bq2
+    assert z == dense.bq2(vw)
 
 
 @pytest.mark.parametrize("zeta, w, error, message", [
@@ -226,11 +227,12 @@ def test_per_configuration_homogeneous_weight():
         for a in generate_asms(n):
             k = a.minus_count()
             config = asm_to_dwbc(a)
-            term = vw.one
+            term = vw.sc(1)
             for i in range(n):
                 for j in range(n):
                     t = config.types[i][j]
-                    term = term * (vw.bq2 if t in (5, 6) else vw.bq)
+                    term = term * (dense.bq2(vw) if t in (5, 6)
+                                   else dense.bq(vw))
             assert term == vw.sc(brk(q) ** (n * n - n - 2 * k)
                                  * brk(q * q) ** (n + 2 * k))
 

@@ -274,7 +274,7 @@ def _sum_of_two_grades():
     from bethelab.rmatrix import VertexWeights
 
     vw = VertexWeights(RAT(2))
-    return vw.one + vw.s
+    return vw.sc(1) + vw.s
 
 
 def test_mixed_grades_exits_4(monkeypatch, capsys):

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import dense_rmatrix_oracle as dense
 from helpers import draw_q, draw_w, draw_distinct, eval_at
 
 from bethelab.aba import (
@@ -78,7 +79,7 @@ def test_slavnov_n1_explicit():
     p = ModelParams(1, RAT(2), [RAT(1)])
     for z in (RAT(3), RAT(7, 2)):
         got = slavnov([p.sc(p.w[0])], [p.sc(z)], p)
-        assert got == p.vw.bq * p.vw.bq2
+        assert got == dense.bq(p.vw) * dense.bq2(p.vw)
         assert got == brute_scalar_product([p.sc(p.w[0])], [p.sc(z)], p)
 
 
@@ -133,7 +134,7 @@ def test_slavnov_zero_divisor_f():
 
 def test_ik_n1_is_c_weight():
     p = ModelParams(1, RAT(2), [RAT(3)])
-    assert ik_determinant([RAT(7)], [RAT(3)], p) == p.vw.bq2
+    assert ik_determinant([RAT(7)], [RAT(3)], p) == dense.bq2(p.vw)
 
 
 def test_ik_matches_brute():
@@ -173,7 +174,7 @@ def test_ik_coincident_raises_and_fallback_agrees():
 
 def test_partition_n1_is_one():
     p = ModelParams(1, RAT(2), [RAT(4, 7)])
-    assert partition_Z(p) == p.vw.one
+    assert partition_Z(p) == p.vw.sc(1)
 
 
 def test_partition_matches_ik_route():
@@ -259,7 +260,7 @@ def component_from_b_reduction(params):
     amp = v.entries.get((DOWN,) * n)
     if amp is None:
         amp = Scalar(0, d=params.d)
-    num = vw.one
+    num = vw.sc(1)
     for j in range(2 * n):
         for k in range(n):
             num = num * vw.sc(brk(w[j] / (params.q * w[k])))
@@ -330,10 +331,22 @@ def test_left_kernel_orthogonality():
 def test_closed_forms_make_no_scalar_products(n, monkeypatch):
     """The vacuum eigenvalues, theta2, the determinants, the DWBC oracle
     and the sum-rule and simple-component closed forms multiply and divide
-    rationals only.  Each runs once first, so that the session's R-matrix
-    tables (whose weights are Scalars) are built outside the count."""
-    from bethelab.aba import theta2, vacuum_a, vacuum_d
+    rationals only.  Each runs once first, so that the renormalised
+    vectors the sum rule pairs are built outside the count: `aba` builds
+    them, and each of its rescalings multiplies the vector's unit by a
+    Scalar (one product), on a new ModelParams for 1/w at every call."""
+    from bethelab import detform
+    from bethelab.aba import renormalised_vector, theta2, vacuum_a, vacuum_d
 
+    vectors = {}
+
+    def built_once(params):
+        key = (params.w, params.twist)
+        if key not in vectors:
+            vectors[key] = renormalised_vector(params)
+        return vectors[key]
+
+    monkeypatch.setattr(detform, "renormalised_vector", built_once)
     rng = random.Random(626 + n)
     p = draw_params(rng, n)
     zeta = draw_zeta(rng, p)

@@ -65,7 +65,7 @@ def factors(rng, params):
     """Rescaling factors: ints, rationals, every unit times a rational,
     zero and the graded summands of random four-part values."""
     vw = params.vw
-    units = [vw.one, vw.s, vw.i, vw.s * vw.i]
+    units = [vw.sc(1), vw.s, vw.i, vw.s * vw.i]
     return ([-1, 3, random_rat(rng), 0]
             + [u * params.sc(random_rat(rng)) for u in units]
             + [c for _ in range(3)

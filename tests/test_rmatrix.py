@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 import dense_rmatrix_oracle as dense
 
-from bethelab import linalg
-from bethelab.field import RAT, Scalar, SessionMismatch
+from bethelab import linalg, rmatrix
+from bethelab.field import RAT, Scalar, SessionMismatch, brk
 from bethelab.rmatrix import (
     DOWN,
     UP,
@@ -29,6 +29,7 @@ from bethelab.rmatrix import (
     rank_one_check,
     singlet_pair_vector,
 )
+from bethelab.spinchain import _rho_table
 
 Q = RAT(2)
 VW = VertexWeights(Q)
@@ -41,34 +42,39 @@ def is_symmetric(rmat) -> bool:
 
 
 def test_r11_at_z_one():
-    m = r11(VW.one, VW)
-    assert m.entry(0, 0, 0, 0) == VW.sc(RAT(3, 2))  # [q] at q=2
-    assert m.entry(0, 1, 0, 1).is_zero()            # [1] = 0
-    assert (0, 1, 0, 1) not in m.weights            # and is not stored
-    assert m.entry(0, 1, 1, 0) == VW.bq
+    m = r11(1, VW)
+    assert type(m.entry(0, 0, 0, 0)) is RAT
+    assert m.entry(0, 0, 0, 0) == RAT(3, 2)  # [q] at q=2
+    assert m.entry(0, 1, 0, 1) == 0          # [1] = 0
+    assert (0, 1, 0, 1) not in m.weights     # and is not stored
+    assert m.entry(0, 1, 1, 0) == brk(Q)
 
 
 def test_r11_symmetric_projector_point():
     # z = q: B P+ with B = diag([q^2], 2[q], 2[q], [q^2])
     m = r11(VW.sc(Q), VW)
-    bq2 = VW.bq2
-    bq = VW.bq
+    bq2 = brk(Q * Q)
+    bq = brk(Q)
     assert m.entry(0, 0, 0, 0) == bq2
     assert m.entry(1, 1, 1, 1) == bq2
     for out, in_ in itertools.product(((0, 1), (1, 0)), repeat=2):
         assert m.entry(*out, *in_) == bq
     # z = 1/q: (-2[q]) P-
     m = r11(VW.sc(Q).inv(), VW)
-    assert m.entry(0, 0, 0, 0).is_zero() and m.entry(1, 1, 1, 1).is_zero()
+    assert m.entry(0, 0, 0, 0) == 0 and m.entry(1, 1, 1, 1) == 0
     assert m.entry(0, 1, 0, 1) == -bq and m.entry(1, 0, 1, 0) == -bq
     assert m.entry(0, 1, 1, 0) == bq and m.entry(1, 0, 0, 1) == bq
 
 
 def test_r12_flip_entry_is_s():
-    # <up 0| R(z/q) |down U> = s for any z (the entry is constant)
+    # <up 0| R(z/q) |down U> = s for any z (the entry is constant); in the
+    # gauge K = diag(1, s) the flips read 1 for 0 <- 1 and d for 1 <- 0
     z = VW.sc(RAT(7, 3))
+    assert dense.r12(z / VW.sc(Q), VW).entry(0, ZERO, 1, UP) == VW.s
     m = r12(z / VW.sc(Q), VW)
-    assert m.entry(0, ZERO, 1, UP) == VW.s
+    assert m.entry(0, ZERO, 1, UP) == 1 and m.entry(0, DOWN, 1, ZERO) == 1
+    assert m.entry(1, UP, 0, ZERO) == m.entry(1, ZERO, 0, DOWN) == VW.d
+    assert all(type(w) is RAT for w in m.weights.values())
 
 
 def test_r12_first_entry_at_inverse_q():
@@ -78,8 +84,15 @@ def test_r12_first_entry_at_inverse_q():
 
 
 def test_r12_symmetric():
+    """K^-1 r12 K is symmetric: with K^2 = diag(1, d), <lo ro|r12|li ri>
+    K^2[li] = <li ri|r12|lo ro> K^2[lo]."""
+    k2 = (1, VW.d)
     for zr in (RAT(3), RAT(5, 7), RAT(1, 4)):
-        assert is_symmetric(r12(VW.sc(zr), VW))
+        m = r12(VW.sc(zr), VW)
+        assert not is_symmetric(m)
+        assert {k: w * k2[k[2]] for k, w in m.weights.items()} == \
+            {(li, ri, lo, ro): w * k2[li]
+             for (lo, ro, li, ri), w in m.weights.items()}
 
 
 def test_r22_is_symmetric_and_conserving():
@@ -92,22 +105,21 @@ def test_r22_entry_from_weight_table():
     # <0 U| R(z) |U 0> = [q^2][qz]
     z = VW.sc(RAT(5, 3))
     m = r22(z, VW)
-    assert m.entry(ZERO, UP, UP, ZERO) == VW.bq2 * VW.bqz(1, z)
+    assert m.entry(ZERO, UP, UP, ZERO) == dense.bq2(VW) * dense.bqz(VW, 1, z)
     assert m.entry(ZERO, ZERO, ZERO, ZERO) == \
-        VW.bqz(0, z) * VW.bqz(1, z) + VW.bq * VW.bq2
+        dense.bqz(VW, 0, z) * dense.bqz(VW, 1, z) + VW.d
 
 
 def test_r22_permutation_point():
-    assert permutation_check(VW.one, Q)
+    assert permutation_check(VW.sc(1), Q)
 
 
 def test_r22_rank_one_point():
     assert rank_one_check(Q)
     # and the image is spanned by |s>
     m = r22(VW.sc(Q).inv(), VW)
-    s = singlet_pair_vector(VW)
-    w3 = VW.bq * VW.bq2
-    assert m.entry(UP, DOWN, ZERO, ZERO) == -w3 * s[UP, DOWN]
+    s = singlet_pair_vector()
+    assert m.entry(UP, DOWN, ZERO, ZERO) == -VW.d * s[UP, DOWN]
 
 
 def test_inversion_relation():
@@ -156,6 +168,37 @@ def test_crossing():
     assert crossing_transpose_check(RAT(1, 2), Q)  # z = 1/q
 
 
+def _identities_hold(q, z, w) -> bool:
+    """The identity checks on the weights, at one point, cheapest first."""
+    checks = [lambda: permutation_check(1, q), lambda: rank_one_check(q),
+              lambda: inversion_check(z, q),
+              lambda: crossing_transpose_check(z, q),
+              lambda: check_fusion_r22(z, q)]
+    checks += [lambda mnp=mnp: check_ybe(*mnp, z, w, q)
+               for mnp in itertools.product((1, 2), repeat=3)]
+    return all(check() for check in checks)
+
+
+def test_every_weight_is_pinned_by_an_identity(monkeypatch):
+    """One added to any one weight of r11, the gauged r12 or r22 (every
+    call of that matrix mutated alike) breaks at least one identity."""
+    q, z, w = RAT(2), RAT(3), RAT(5, 2)
+    assert _identities_hold(q, z, w)
+    survivors = []
+    for build in (r11, r12, r22):
+        for key in build(RAT(7, 3), q).weights:
+            def mutant(u, vw, build=build, key=key):
+                m = build(u, vw)
+                return RMat(m.dim_left, m.dim_right,
+                            {**m.weights, key: m.entry(*key) + 1})
+
+            monkeypatch.setattr(rmatrix, build.__name__, mutant)
+            if _identities_hold(q, z, w):
+                survivors.append((build.__name__, key))
+            monkeypatch.undo()
+    assert survivors == []
+
+
 def test_bad_q_rejected():
     with pytest.raises(ValueError):
         VertexWeights(1)
@@ -165,19 +208,18 @@ def test_bad_q_rejected():
 
 def test_shape_guards_raise():
     with pytest.raises(ValueError):
-        RMat(2, 3, r22(RAT(3), VW).weights, VW.zero)  # spin-1 left factor
+        RMat(2, 3, r22(RAT(3), VW).weights)  # spin-1 left factor
     with pytest.raises(ValueError):
         r12(RAT(3), VW).braided()  # factors C^2 and C^3
     with pytest.raises(ValueError):
-        linalg.mat_mul([[VW.one] * 2], [[VW.one] * 2])  # 1x2 times 1x2
+        linalg.mat_mul([[VW.sc(1)] * 2], [[VW.sc(1)] * 2])  # 1x2 times 1x2
 
 
 def test_coerce_rejects_a_scalar_of_another_session():
     other = VertexWeights(RAT(3))
-    with pytest.raises(SessionMismatch):
-        VW.coerce(other.one)
-    with pytest.raises(SessionMismatch):
-        r22(other.sc(RAT(5)), VW)
+    for build in (r11, r12, r22):
+        with pytest.raises(SessionMismatch):
+            build(other.sc(RAT(5)), VW)
 
 
 def test_rat_takes_a_rational_spectral_parameter():
@@ -247,30 +289,58 @@ def sessions_and_points(draw):
 
 
 def _dense_pairs(vw, z):
-    pairs = [(r11(z, vw), dense.r11(z, vw)),
-             (r12(z, vw), dense.r12(z, vw)),
-             (r22(z, vw), dense.r22(z, vw)),
-             (r_mn(2, 1, z, vw), dense.r21(z, vw))]
-    pairs += [(sparse.swapped(), ref.swapped()) for sparse, ref in pairs[:3]]
-    pairs += [(sparse.transpose_right(), ref.transpose_right())
-              for sparse, ref in pairs[:4]]
-    pairs += [(sparse.braided(), ref.braided())
-              for sparse, ref in (pairs[0], pairs[2])]
-    return pairs
+    """(sparse, K ref K^-1) for every sparse operator and its dense
+    reference, K = diag(1, s) on each spin-1/2 factor of r11, r12 and r21
+    and the identity on a spin-1 factor; a right partial transpose turns
+    the gauge of its factor into K^-1."""
+    def gauged(ref, pl, pr):
+        return ref.gauged(dense.gauge_units(vw, ref.dim_left, pl),
+                          dense.gauge_units(vw, ref.dim_right, pr))
+
+    pairs = [(r11(z, vw), dense.r11(z, vw), 1, 1),
+             (r12(z, vw), dense.r12(z, vw), 1, 1),
+             (r22(z, vw), dense.r22(z, vw), 1, 1),
+             (r_mn(2, 1, z, vw), dense.r21(z, vw), 1, 1)]
+    pairs += [(sparse.swapped(), ref.swapped(), pr, pl)
+              for sparse, ref, pl, pr in pairs[:3]]
+    pairs += [(sparse.transpose_right(), ref.transpose_right(), pl, -pr)
+              for sparse, ref, pl, pr in pairs[:4]]
+    pairs += [(sparse.braided(), ref.braided(), pl, pr)
+              for sparse, ref, pl, pr in (pairs[0], pairs[2])]
+    return [(sparse, gauged(ref, pl, pr)) for sparse, ref, pl, pr in pairs]
+
+
+def _rho_from_the_oracle(vw):
+    """K rho K^-1, K = diag(1, y), as `spinchain._rho_table` builds it,
+    from the ungauged Scalar r12(1/q): a bracket weight w is [w/[q]], a
+    flip w = b s is [0, b] where it raises the auxiliary index, else [b]."""
+    table = {}
+    for (ai, si), col in dense.r12(1 / vw.q, vw).column_map().items():
+        table[ai, si] = [
+            (ao, so, [(w / dense.bq(vw)).to_rat()] if ao == ai
+             else [0, (w / vw.s).to_rat()] if ao > ai
+             else [(w / vw.s).to_rat()]) for ao, so, w in col]
+    return table
 
 
 @settings(deadline=None, derandomize=True, database=None, max_examples=60)
 @given(sessions_and_points())
 def test_sparse_weights_match_the_dense_grids(point):
+    """The sparse rational weights are K R K^-1 of the dense Scalar
+    grids, entry by entry and column by column, and the gauged rho of
+    `spinchain` is the one every session's ungauged r12(1/q) gives."""
     vw, z = point
     for sparse, ref in _dense_pairs(vw, z):
         assert (sparse.dim_left, sparse.dim_right) == \
             (ref.dim_left, ref.dim_right)
         for lo, li in itertools.product(range(ref.dim_left), repeat=2):
             for ro, ri in itertools.product(range(ref.dim_right), repeat=2):
-                assert sparse.entry(lo, ro, li, ri) == \
+                assert vw.sc(sparse.entry(lo, ro, li, ri)) == \
                     ref.entry(lo, ro, li, ri), (lo, ro, li, ri)
         assert all(sparse.weights.values())
+        assert all(type(w) is RAT for w in sparse.weights.values())
         # same columns, same weights, in the same order
-        assert list(sparse.column_map().items()) == \
+        assert [(key, [(lo, ro, vw.sc(w)) for lo, ro, w in col])
+                for key, col in sparse.column_map().items()] == \
             list(ref.column_map().items())
+    assert _rho_from_the_oracle(vw) == _rho_table()

@@ -51,10 +51,23 @@ def test_every_module_level_definition_has_a_user():
 
 
 def test_determinant_modules_name_no_scalar():
-    """The determinants, the DWBC oracle and the dense helpers compute on
-    rationals: only values that can carry s or i are Scalars."""
+    """The determinants, the DWBC oracle, the dense helpers and the
+    R-matrices compute on rationals: only values that can carry s or i
+    are Scalars.  In `rmatrix` only `VertexWeights`, which holds the units
+    s and i and turns a spectral parameter into a rational (`sc`, `rat`),
+    names Scalar, apart from the import that it uses."""
     root = Path(bethelab.__file__).parent
     found = [name for name in ("linalg", "detform", "asm")
              if "Scalar" in set(_names(ast.parse(
                  (root / f"{name}.py").read_text())))]
+    rmatrix = ast.parse((root / "rmatrix.py").read_text())
+    weights = [node for node in rmatrix.body
+               if isinstance(node, ast.ClassDef)
+               and node.name == "VertexWeights"]
+    assert len(weights) == 1 and "Scalar" in set(_names(weights[0]))
+    found += [f"rmatrix:{getattr(node, 'name', node.lineno)}"
+              for node in rmatrix.body
+              if node is not weights[0] and "Scalar" in set(_names(node))
+              and not (isinstance(node, ast.ImportFrom)
+                       and node.module == "bethelab.field")]
     assert found == []

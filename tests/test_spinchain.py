@@ -66,7 +66,7 @@ def doubled_spin_matrices(vw):
     Commutators rescale accordingly: [S1, S2] = 2i S3, [S2, S3] = i S1,
     [S3, S1] = i S2.
     """
-    o, one, i = vw.zero, vw.one, vw.i
+    o, one, i = vw.sc(0), vw.sc(1), vw.i
     s1 = [[o, one, o], [one, o, one], [o, one, o]]
     s2 = [[o, -i, o], [i, o, -i], [o, i, o]]
     s3 = [[one, o, o], [o, o, o], [o, o, -one]]
@@ -82,7 +82,7 @@ def gaussian_gate_oracle():
     vw = ORACLE_VW
     s1, s2, s3 = doubled_spin_matrices(vw)
     half = vw.sc(RAT(1, 2))
-    eye = [[vw.one if i == j else vw.zero for j in range(3)] for i in range(3)]
+    eye = [[vw.sc(int(i == j)) for j in range(3)] for i in range(3)]
 
     t_pair = {1: mat_scale(kron(s1, s1), half),
               2: mat_scale(kron(s2, s2), half),
@@ -164,7 +164,7 @@ def test_real_spin_matrices_reproduce_doubled_ones():
     # for a = 1, 2 and c_3 = 1
     vw = ORACLE_VW
     real = [[[vw.sc(c) for c in row] for row in m] for m in spinchain._SPIN]
-    phases = (vw.one, vw.i, vw.one)
+    phases = (vw.sc(1), vw.i, vw.sc(1))
     halves = (RAT(1, 2), RAT(1, 2), RAT(1))
     for r, phase, half, c2, s in zip(real, phases, halves, spinchain._C2,
                                      doubled_spin_matrices(vw)):
@@ -352,9 +352,18 @@ def test_singlet_coefficients_are_ints(n):
 
 
 def test_norm_of_rational_components():
-    v = StateVector(2, {(UP, DOWN): HalfPowerPoly((RAT(1, 2), 0, -3)),
-                        (DOWN, UP): HalfPowerPoly((0, RAT(-2, 3)))})
-    assert singlet_norm(v) == oracle.norm(v)
+    """The norm and H v take integer polynomials in x only: a rational
+    coefficient or an odd power of y raises."""
+    for p in (HalfPowerPoly((RAT(1, 2), 0, -3)), HalfPowerPoly((0, -2)),
+              HalfPowerPoly((3, 0, 1, 5))):
+        v = StateVector(2, {(UP, DOWN): HalfPowerPoly.x_poly([1, 2]),
+                            (DOWN, UP): p})
+        for apply in (singlet_norm, hamiltonian_apply_poly):
+            with pytest.raises(NonIntegerCoefficient):
+                apply(v)
+    v = StateVector(2, {(UP, DOWN): HalfPowerPoly((RAT(4, 2), 0, -3))})
+    assert singlet_norm(v) == oracle.norm(v) == \
+        HalfPowerPoly.x_poly([4, -12, 9])
     assert singlet_norm(StateVector(2)) == HalfPowerPoly()
 
 
@@ -371,7 +380,7 @@ def test_singlet_guards_are_typed(monkeypatch):
         def halved(z, vw, flips=flips):
             weights = r12(z, vw).weights
             return RMat(2, 3, {k: w * RAT(1, 2) if (k[0] != k[2]) == flips
-                               else w for k, w in weights.items()}, vw.zero)
+                               else w for k, w in weights.items()})
 
         monkeypatch.setattr(spinchain, "r12", halved)
         with pytest.raises(NonIntegerCoefficient):
@@ -436,17 +445,22 @@ def test_packed_hamiltonian_matches_the_halfpower_gates(n):
 
 
 def test_packed_hamiltonian_on_wide_and_rational_coefficients():
+    """Wide integer coefficients in x unpack exactly; a rational one
+    raises."""
     rng = random.Random(50)
     for n in (2, 3, 4):
-        for den in (1, 7, 12):
+        for width in (10 ** 6, 10 ** 30):
             v = StateVector(n, {
-                tuple(rng.randint(0, 2) for _ in range(n)): HalfPowerPoly(
-                    [RAT(rng.randint(-10 ** 6, 10 ** 6), den)
-                     for _ in range(rng.randint(1, 6))])
+                tuple(rng.randint(0, 2) for _ in range(n)):
+                HalfPowerPoly.x_poly([rng.randint(-width, width)
+                                      for _ in range(rng.randint(1, 6))])
                 for _ in range(5)})
             want = oracle.hamiltonian(v)
             assert not want.is_zero()
             assert hamiltonian_apply_poly(v) == want
+        with pytest.raises(NonIntegerCoefficient):
+            hamiltonian_apply_poly(StateVector(n, {
+                (UP,) * n: HalfPowerPoly.x_poly([RAT(1, 7)])}))
 
 
 def test_hamiltonian_annihilates_singlet_numeric():

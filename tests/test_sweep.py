@@ -13,17 +13,20 @@ restored by s^k and s^-k.  The random vectors carry all four parts: each
 is the sum of up to four single-grade vectors, and the operators are
 linear, so each summand is compared with the Scalar oracle on its own,
 which covers every grade and the s^k factor; the gauged table itself is
-checked against K r12 K^-1.  The same sweep is also run here on the
-Scalar tables themselves, and `beta_apply` runs it on polynomials in x
-packed into Python ints, in the gauge K = diag(1, y) of `spinchain`:
-its image is checked against the per-key contraction of the ungauged
-rho on HalfPowerPoly entries, divided by y once for each sweep.
+checked against K R12 K^-1, R12 the ungauged Scalar matrix of
+`dense_rmatrix_oracle`, whose Scalar tables the oracle sweeps.  The same
+sweep is also run here on those Scalar tables themselves, and
+`beta_apply` runs it on polynomials in x packed into Python ints, in the
+gauge K = diag(1, y) of `spinchain`: its image is checked against the
+per-key contraction of the ungauged rho on HalfPowerPoly entries,
+divided by y once for each sweep.
 """
 
 import random
 
 import pytest
 
+import dense_rmatrix_oracle as dense
 import halfpower_oracle
 from helpers import draw_q, draw_w
 from scalar_oracle import FourPart, summands
@@ -41,7 +44,7 @@ from bethelab.aba import (
     vacuum,
 )
 from bethelab.field import RAT, HalfPowerPoly, SessionMismatch
-from bethelab.rmatrix import UP, ZERO, IrrationalWeight, RMat, r12, r22
+from bethelab.rmatrix import IrrationalWeight
 from bethelab.spinchain import _packed_rho, _rho_table, beta_apply
 
 RHO = halfpower_oracle.rho_table()  # rho in y = x^(1/2), without the gauge
@@ -72,14 +75,15 @@ def per_key_sweep(tables, v, a_in, a_out):
 
 
 def oracle_monodromy(which, z, params, v):
-    tables = [r12(z / params.sc(params.q * w), params.vw).column_map()
-              for w in params.w]
+    tables = [dense.r12(z / params.sc(params.q * w), params.vw)
+              .column_map() for w in params.w]
     return model_vector(
         StateVector(v.n, per_key_sweep(tables, v, *AUX[which])), params)
 
 
 def oracle_transfer2(z, params, v):
-    tables = [r22(z / params.sc(w), params.vw).column_map() for w in params.w]
+    tables = [dense.r22(z / params.sc(w), params.vw).column_map()
+              for w in params.w]
     omega = (-1, 1, -1) if params.twist == "pi" else (1, 1, 1)
     out = StateVector(v.n)
     for a0, sign in enumerate(omega):
@@ -168,9 +172,10 @@ def test_monodromy_matches_per_key_oracle(n):
         if twist == "pi":
             vecs.append(bethe_vector(p))
         for which, (a_in, _) in AUX.items():
-            tables = [r12(z / p.sc(p.q * w), p.vw).column_map() for w in p.w]
+            tables = [dense.r12(z / p.sc(p.q * w), p.vw).column_map()
+                      for w in p.w]
             cancel = ([model_vector(cancelling_vector(rng, tables, n, a_in,
-                                                      p.vw.one), p)]
+                                                      p.vw.sc(1)), p)]
                       if n >= 2 else [])
             for v in vecs + cancel:
                 got = monodromy_apply(which, z, p, v)
@@ -185,8 +190,9 @@ def test_scalar_sweep_matches_per_key_oracle(n):
     rng = random.Random(400 + n)
     p = model(rng, n)
     z = p.sc(RAT(rng.randint(1, 97), rng.randint(1, 97)))
-    rows = {2: [r12(z / p.sc(p.q * w), p.vw).column_map() for w in p.w],
-            3: [r22(z / p.sc(w), p.vw).column_map() for w in p.w]}
+    rows = {2: [dense.r12(z / p.sc(p.q * w), p.vw).column_map()
+                for w in p.w],
+            3: [dense.r22(z / p.sc(w), p.vw).column_map() for w in p.w]}
     vecs = [v for count in (3, 8) for v in random_vectors(rng, p, count)]
     for dim, tables in rows.items():
         for a_in in range(dim):
@@ -249,14 +255,15 @@ def test_auxiliary_boundary_outside_two_bits_raises(a_in, a_out):
 
 @pytest.mark.parametrize("sign", [1, -1])
 def test_r12_table_is_r12_in_the_rational_gauge(sign):
-    """r12_table(u) over its D is K r12(u) K^-1, K = diag(1, s) on the
-    auxiliary factor, weight by weight, at seeded rational u, for the
-    session constant d of either sign (q < 0 flips the sign of d)."""
+    """r12_table(u) over its D is K R12(u) K^-1, K = diag(1, s) on the
+    auxiliary factor and R12 the dense Scalar oracle, weight by weight, at
+    seeded rational u, for the session constant d of either sign (q < 0
+    flips the sign of d)."""
     rng = random.Random(600 + sign)
     for _ in range(4):
         p = ModelParams(1, sign * draw_q(rng), [RAT(1)])
         assert (p.d > 0) == (sign > 0)
-        k = [p.vw.one, p.vw.s]
+        k = [p.vw.sc(1), p.vw.s]
         for _ in range(3):
             u = p.sc(RAT(rng.choice((-1, 1)) * rng.randint(1, 97),
                          rng.randint(1, 97)))
@@ -266,33 +273,24 @@ def test_r12_table_is_r12_in_the_rational_gauge(sign):
             got = {(lo, ro, li, ri): p.sc(RAT(x, den))
                    for (li, ri), col in table.items() for lo, ro, x in col}
             assert got == {(lo, ro, li, ri): k[lo] * w * k[li].inv()
-                           for (lo, ro, li, ri), w
-                           in r12(u, p.vw).weights.items()}
+                           for (li, ri), col
+                           in dense.r12(u, p.vw).column_map().items()
+                           for lo, ro, w in col}
 
 
-def test_weights_that_are_not_rational_in_the_gauge_raise(monkeypatch):
+def test_weights_that_are_not_rational_in_the_gauge_raise():
     p = ModelParams(2, RAT(2), [RAT(1), RAT(3)])
     # an s in the spectral argument makes the diagonal weights irrational
     with pytest.raises(IrrationalWeight):
         monodromy_apply("A", p.vw.s, p, vacuum(p))
     with pytest.raises(IrrationalWeight):
         transfer2_apply(p.vw.s, p, vacuum(p))
-    # a flip weight must be a multiple of s, a diagonal weight rational:
-    # a flip of grade 1, i or s i, or a diagonal of grade s, i or s i
-    vw = p.vw
-    wrong = ([{(0, ZERO, 1, UP): x} for x in (vw.one, vw.i, vw.s * vw.i)]
-             + [{(0, UP, 0, UP): x} for x in (vw.s, vw.i, vw.s * vw.i)])
-    for weights in wrong:
-        monkeypatch.setattr(aba, "r12", lambda u, vw, weights=weights: RMat(
-            2, 3, {**r12(u, vw).weights, **weights}, vw.zero))
-        with pytest.raises(IrrationalWeight):
-            p.r12_table(p.sc(RAT(5, 3)))
 
 
 def test_vector_from_another_session_is_rejected():
     p = ModelParams(2, RAT(2), [RAT(1), RAT(3)])
     other = ModelParams(2, RAT(3), [RAT(1), RAT(3)])
-    v = model_vector(StateVector(2, {(0, 0): other.vw.one}), other)
+    v = model_vector(StateVector(2, {(0, 0): other.vw.sc(1)}), other)
     with pytest.raises(SessionMismatch):
         monodromy_apply("B", p.sc(RAT(5, 3)), p, v)
     with pytest.raises(SessionMismatch):
@@ -305,9 +303,10 @@ def test_cancelling_vector_really_cancels():
     rng = random.Random(7)
     p = model(rng, 3)
     z = p.sc(RAT(5, 3))
-    tables = [r12(z / p.sc(p.q * w), p.vw).column_map() for w in p.w]
+    tables = [dense.r12(z / p.sc(p.q * w), p.vw).column_map()
+              for w in p.w]
     for a_in in (0, 1):
-        v = cancelling_vector(rng, tables, 3, a_in, p.vw.one)
+        v = cancelling_vector(rng, tables, 3, a_in, p.vw.sc(1))
         merged = {}
         for key, amp in v.entries.items():
             for k, wgt in partial_states(tables, key[:2], a_in).items():
@@ -341,11 +340,12 @@ def test_transfer2_matches_per_key_oracle(n, twist):
     for _ in range(2):
         p = model(rng, n, twist)
         z = p.sc(RAT(rng.randint(1, 97), rng.randint(1, 97)))
-        tables = [r22(z / p.sc(w), p.vw).column_map() for w in p.w]
+        tables = [dense.r22(z / p.sc(w), p.vw).column_map()
+                  for w in p.w]
         vecs = [v for count in (3, 8) for v in random_vectors(rng, p, count)]
         if n >= 2:
             vecs += [model_vector(cancelling_vector(rng, tables, n, a0,
-                                                    p.vw.one), p)
+                                                    p.vw.sc(1)), p)
                      for a0 in range(3)]
         if twist == "pi":
             vecs.append(bethe_vector(p))
