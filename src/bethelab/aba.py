@@ -76,8 +76,10 @@ from bethelab.field import (
     brk,
     laurent_interpolate_many,
     rat_str,
+    spread,
 )
-from bethelab.linalg import DimensionMismatch, StateVector
+from bethelab.linalg import SPIN_CHARS  # noqa: F401 - re-exported
+from bethelab.linalg import DimensionMismatch, StateVector, state_str
 from bethelab.rmatrix import DOWN, UP, ZERO, _session, r12, r22
 
 
@@ -94,18 +96,18 @@ class IrrationalComponent(ArithmeticError):
     """A renormalised component kept an s- or i-part (bug guard)."""
 
 
-SPIN_CHARS = "U0D"
 OMEGA = (-1, 1, -1)  # the diagonal twist at angle pi on (U, 0, D)
 _SURPLUS_SAMPLES = 2  # samples beyond the larger parity class's size
-
-
-def state_str(key) -> str:
-    return "".join(SPIN_CHARS[c] for c in key)
 
 
 def magnetisation(key) -> int:
     """#up - #down for a spin string with codes U=0, 0=1, D=2."""
     return len(key) - sum(key)
+
+
+def distinguished_component_key(n: int):
+    """U^(n/2) D^(n/2), with a 0 between the halves for odd n."""
+    return (UP,) * (n // 2) + (ZERO,) * (n % 2) + (DOWN,) * (n // 2)
 
 
 class ModelVector:
@@ -618,8 +620,8 @@ def vector_laurent_coefficients(params: ModelParams, j: int, low: int,
                     for k in group]
             for k, poly in zip(group, laurent_interpolate_many(
                     squares, rows, 0, size - 1, den)):
-                polys[k] = LaurentPoly(lo + 2 * poly.low, [
-                    c for x in poly.coeffs for c in (x, 0)])
+                polys[k] = LaurentPoly(lo + 2 * poly.low,
+                                       spread(poly.coeffs, 2))
         params._laurent_cache[memo] = {k: polys[k] for k in keys}
     return params._laurent_cache[memo]
 

@@ -23,7 +23,8 @@ is checked once per edge (the whole-matrix maps stay as the reference).
 The partition function, weighted at spectral parameter
 z = zeta_row / w_col, is the independent oracle for the Izergin-Korepin
 determinant; at the homogeneous point it reduces to
-[q]^(n(n-1)) [q^2]^n A_n(x^2), A_n the minus-weight generating polynomial.
+[q]^(n(n-1)) [q^2]^n A_n(x^2), A_n the minus-weight generating polynomial
+(`gen_poly`, a `field.LaurentPoly` from degree 0; `cli` writes its text).
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from functools import cache, reduce
 from itertools import accumulate, combinations, product
 from operator import mul
 
-from bethelab.field import RAT, brk, inv, unpack
+from bethelab.field import RAT, LaurentPoly, brk, inv, unpack
 from bethelab.rmatrix import VertexWeights
 
 class InvalidConfig(ValueError):
@@ -150,44 +151,9 @@ def count_asms_by_columns(n: int) -> int:
     return counts.get((1,) * n, 0)
 
 
-class GenPoly:
-    """Coefficients of the minus-weight generating polynomial A_n(t)."""
-
-    __slots__ = ("n", "coeffs")
-
-    def __init__(self, n: int, coeffs):
-        self.n = n
-        cs = list(coeffs)
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(cs)
-
-    def total(self) -> int:
-        return sum(self.coeffs)
-
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __eq__(self, other):
-        return (isinstance(other, GenPoly) and self.n == other.n
-                and self.coeffs == other.coeffs)
-
-    def __str__(self):
-        if not self.coeffs:
-            return "0"
-        terms = []
-        for k, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if k == 0:
-                terms.append(str(c))
-            else:
-                var = "t" if k == 1 else f"t^{k}"
-                terms.append(var if c == 1 else f"{c}{var}")
-        return "+".join(terms)
-
-def gen_poly(n: int) -> GenPoly:
-    """A_n(t): coefficient k counts the ASMs with exactly k entries -1.
+def gen_poly(n: int) -> LaurentPoly:
+    """A_n(t) as a LaurentPoly from degree 0 with int coefficients:
+    coefficient k counts the ASMs with exactly k entries -1.
 
     The row a -> b holds |a - b| entries -1.  The row transfer runs over
     integers at t = 2^bits, unpacked by `field.unpack`: a coefficient is
@@ -198,7 +164,7 @@ def gen_poly(n: int) -> GenPoly:
     bits = 2 * n * n
     total = _row_transfer(
         n, lambda i, a, b: 1 << bits * len(set(a) - set(b)), 1)
-    return GenPoly(n, unpack(total, bits))
+    return LaurentPoly(0, unpack(total, bits))
 
 
 # -- the ASM <-> DWBC bijection -----------------------------------------

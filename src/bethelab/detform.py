@@ -28,6 +28,7 @@ from functools import cache
 from bethelab.aba import (
     ModelParams,
     PoleEncountered,
+    distinguished_component_key,
     monodromy_apply,
     renormalised_vector,
     vacuum,
@@ -38,7 +39,6 @@ from bethelab.asm import dwbc_partition_brute
 from bethelab.field import RAT, DivisionByZero, brk, inv
 from bethelab.linalg import det_bareiss
 from bethelab.rmatrix import UP
-from bethelab.spinchain import distinguished_component_key
 
 
 class CoincidentParameters(ZeroDivisionError):

@@ -21,10 +21,12 @@ grade.
 The module also provides the half-power polynomial ring Q[y], y = x^(1/2)
 (the form of `spinchain`'s homogeneous-limit inputs and results), Kronecker
 packing of integer polynomials into one int at 2^bits (`pack`, `unpack`),
-Gauss-Jordan row reduction (`row_reduce`), centred Laurent polynomials, and
-exact Laurent interpolation on ints from samples at rational points (one int
-dot product a coefficient), which is how degree widths and asymptotic
-coefficients are extracted without a symbolic algebra system.
+the substitution v -> v^k on coefficient lists (`spread`), Gauss-Jordan row
+reduction (`row_reduce`), Laurent polynomials (centred ones for the model,
+and the ASM polynomial A_n(t) from degree 0), and exact Laurent
+interpolation on ints from samples at rational points (one int dot product
+a coefficient), which is how degree widths and asymptotic coefficients are
+extracted without a symbolic algebra system.
 """
 
 from __future__ import annotations
@@ -308,6 +310,14 @@ def unpack(value: int, bits: int) -> list:
     return out
 
 
+def spread(coeffs, k: int) -> list:
+    """The coefficients of p(v^k) from those of p(v), lowest first: c_i
+    moves to k i and int zeros fill the gaps."""
+    out = [0] * (k * (len(coeffs) - 1) + 1)  # [] when there are none
+    out[::k] = coeffs
+    return out
+
+
 def brk(r) -> RAT:
     """Rational bracket [r] = r - 1/r."""
     r = as_rat(r)
@@ -349,10 +359,7 @@ class HalfPowerPoly:
     @staticmethod
     def x_poly(x_coeffs) -> "HalfPowerPoly":
         """Build from coefficients in x (placed at even y powers)."""
-        cs = []
-        for c in x_coeffs:
-            cs += (c, 0)
-        return HalfPowerPoly(cs)
+        return HalfPowerPoly(spread(x_coeffs, 2))
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -447,8 +454,8 @@ class HalfPowerPoly:
 
 
 class LaurentPoly:
-    """Laurent polynomial with exact coefficients (rationals or Scalars)
-    and explicit low degree.
+    """Laurent polynomial with exact coefficients (ints, rationals or
+    Scalars) and explicit low degree.
 
     Normalized so the first and last stored coefficients are nonzero;
     the zero polynomial stores no coefficients.

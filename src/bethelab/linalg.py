@@ -14,6 +14,13 @@ row reduction, for solves and kernel dimensions, is `field.row_reduce`.
 from __future__ import annotations
 
 
+SPIN_CHARS = "U0D"  # the letters of the spin codes 0, 1, 2
+
+
+def state_str(key) -> str:
+    return "".join(SPIN_CHARS[c] for c in key)
+
+
 class DimensionMismatch(ValueError):
     """Vector length does not match the model size."""
 
@@ -54,7 +61,7 @@ class StateVector:
         return self.n == other.n and self.entries == other.entries
 
     def __repr__(self):
-        parts = [f"{''.join('U0D'[c] for c in k)}: {v!r}"
+        parts = [f"{state_str(k)}: {v!r}"
                  for k, v in sorted(self.entries.items())]
         return f"StateVector(n={self.n}, {{{', '.join(parts)}}})"
 

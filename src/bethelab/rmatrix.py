@@ -333,7 +333,7 @@ def magnetisation_pattern_check(z, q) -> bool:
     return all(lo + ro == li + ri for lo, ro, li, ri in r22(z, q).weights)
 
 
-def permutation_check(z, q) -> bool:
+def permutation_check(q) -> bool:
     """r22(1) = [q][q^2] P."""
     vw = VertexWeights(q)
     return r22(1, vw).weights == {(a, b, b, a): vw.d for a in range(3)

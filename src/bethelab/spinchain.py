@@ -55,6 +55,7 @@ from bethelab.aba import (
     StateVector,
     apply_two_site,
     basis_vector,
+    distinguished_component_key,
     magnetisation,
     renormalised_vector,
     s_prime_apply,
@@ -69,10 +70,11 @@ from bethelab.field import (
     brk,
     pack,
     row_reduce,
+    spread,
     unpack,
 )
-from bethelab.linalg import kron, mat_add, mat_mul, mat_scale
-from bethelab.rmatrix import DOWN, UP, ZERO, VertexWeights, r12
+from bethelab.linalg import kron, mat_add, mat_mul, mat_scale, state_str
+from bethelab.rmatrix import UP, VertexWeights, r12
 
 
 class NonIntegerCoefficient(ArithmeticError):
@@ -249,29 +251,22 @@ def singlet_norm(state: StateVector) -> HalfPowerPoly:
         unpack(sum(pack(cs, bits) ** 2 for cs in ints.values()), bits))
 
 
-def distinguished_component_key(n: int):
-    if n % 2 == 0:
-        return (UP,) * (n // 2) + (DOWN,) * (n // 2)
-    return (UP,) * (n // 2) + (ZERO,) + (DOWN,) * (n // 2)
-
-
 def singlet_normalisation_audit(state: StateVector) -> dict:
     """Check the distinguished component against the weighted ASM count:
     it must equal A_m(x^2) for m = floor(n/2), with constant term m! and
     degree floor((m-1)^2/4) in x^2."""
     n = state.n
     m = n // 2
-    comp = state.entries.get(distinguished_component_key(n), HalfPowerPoly())
-    want = gen_poly(m)
+    key = distinguished_component_key(n)
+    comp = state.entries.get(key, HalfPowerPoly())
+    want = HalfPowerPoly(spread(gen_poly(m).coeffs, 4))  # t = x^2 = y^4
     x_coeffs = comp.x_coeffs()
-    got_t = tuple(x_coeffs[0::2])  # even x powers = powers of t = x^2
     t_degree = len(x_coeffs) // 2  # an odd top power of x rounds up
     report = {
         "n": n,
-        "component": "".join("U0D"[c] for c in distinguished_component_key(n)),
+        "component": state_str(key),
         "constant_term_ok": bool(x_coeffs and x_coeffs[0] == factorial(m)),
-        "matches_genpoly": got_t == tuple(RAT(c) for c in want.coeffs)
-        and all(c == 0 for c in x_coeffs[1::2]),
+        "matches_genpoly": comp == want,
         "degree_ok": t_degree <= ((m - 1) ** 2) // 4 if m else True,
         "integer_ok": comp.has_integer_coeffs(),
     }

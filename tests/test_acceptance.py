@@ -24,7 +24,7 @@ from helpers import (
 )
 from scalar_oracle import model
 
-from bethelab import aba, asm, detform, spinchain
+from bethelab import aba, asm, cli, detform, spinchain
 from bethelab.aba import ModelParams, StateVector
 from bethelab.field import RAT, HalfPowerPoly
 from bethelab.rmatrix import (
@@ -59,7 +59,7 @@ def test_criterion_01_rmatrix_structure():
         z, w = draw_z(rng), draw_z(rng)
         for m, n, p in itertools.product((1, 2), repeat=3):
             assert check_ybe(m, n, p, z, w, q), (m, n, p)
-        assert permutation_check(RAT(1), q)
+        assert permutation_check(q)
         assert rank_one_check(q)
         assert inversion_check(z, q)
         assert crossing_transpose_check(z, q)
@@ -197,11 +197,11 @@ def test_criterion_07_simple_components():
 
 
 def test_criterion_08_asm_combinatorics():
-    assert str(asm.gen_poly(3)) == "6+t"
+    assert cli.genpoly_str(asm.gen_poly(3)) == "6+t"
     for n in range(1, 9):
         poly = asm.gen_poly(n)
-        assert poly.total() == asm.count_asms_by_columns(n)
-        assert poly.degree() <= ((n - 1) ** 2) // 4
+        assert sum(poly.coeffs) == asm.count_asms_by_columns(n)
+        assert poly.top() <= ((n - 1) ** 2) // 4
         assert asm.bijection_by_rows(n) == (True, True)
     for n in range(1, 6):
         for a in asm.generate_asms(n):
@@ -229,7 +229,7 @@ def test_criterion_09_homogeneous_singlet():
         phi = spinchain.singlet(n)  # integer coefficients asserted inside
         norm = spinchain.singlet_norm(phi)
         want = asm.gen_poly(n)
-        coeffs = [0] * (4 * want.degree() + 1)
+        coeffs = [0] * (4 * want.top() + 1)
         for k, c in enumerate(want.coeffs):
             coeffs[4 * k] = c
         assert norm == HalfPowerPoly(coeffs)  # A_N at t = x^2

@@ -7,7 +7,8 @@ from pathlib import Path
 import pytest
 
 import bethelab
-from bethelab.cli import main
+from bethelab.cli import genpoly_str, main
+from bethelab.field import LaurentPoly
 
 
 def run_cli(args, capsys):
@@ -142,6 +143,14 @@ def test_asm_count_and_genpoly(capsys):
     assert body["poly"] == "24+16t+2t^2"
 
 
+def test_genpoly_text_form():
+    assert genpoly_str(LaurentPoly(0, [1])) == "1"
+    assert genpoly_str(LaurentPoly(0, [6, 1])) == "6+t"
+    assert genpoly_str(LaurentPoly(0, [2, 0, 1])) == "2+t^2"  # 0 t skipped
+    assert genpoly_str(LaurentPoly(0, [24, 16, 2])) == "24+16t+2t^2"
+    assert genpoly_str(LaurentPoly(0, [])) == "0"
+
+
 def test_csv_format(capsys, tmp_path):
     path = tmp_path / "report.csv"
     code, _ = run_cli(["verify", "--suite", "asm", "--n", "2",
@@ -158,6 +167,19 @@ def test_out_file_and_emit_alias(capsys, tmp_path):
     assert code == 0
     body = json.loads(path.read_text())
     assert body["n"] == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--suite", "asm", "--n", "3"],
+    ["asm", "count", "--n", "3"],
+])
+def test_unwritable_out_path_is_a_config_error(argv, capsys, tmp_path):
+    path = tmp_path / "missing" / "x.json"
+    assert main(argv + ["--out", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"config error: cannot write {path}: "
+                            "No such file or directory\n")
 
 
 def test_console_script_entry_point():

@@ -22,6 +22,7 @@ from bethelab.field import (
     rat_str,
     row_reduce,
     solve_exact,
+    spread,
     unpack,
     validate_session_constant,
 )
@@ -261,6 +262,15 @@ def test_halfpoly_x_coeffs_and_json():
     p = HalfPowerPoly.x_poly([6, 0, 1])  # 6 + x^2
     assert p.x_coeffs() == (6, 0, 1)
     assert p.to_json_dict() == {"var": "x", "coeffs": ["6", "0", "1"]}
+
+
+def test_spread_substitutes_a_power():
+    assert spread([], 1) == []
+    assert spread([], 4) == []
+    assert spread((6, 1), 1) == [6, 1]
+    assert spread([6, 1], 2) == [6, 0, 1]
+    assert spread((24, 16, 2), 4) == [24, 0, 0, 0, 16, 0, 0, 0, 2]
+    assert HalfPowerPoly(spread((6, 1), 2)) == HalfPowerPoly.x_poly([6, 1])
 
 
 def test_halfpoly_integer_detection():

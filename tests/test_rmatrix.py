@@ -111,7 +111,7 @@ def test_r22_entry_from_weight_table():
 
 
 def test_r22_permutation_point():
-    assert permutation_check(VW.sc(1), Q)
+    assert permutation_check(Q)
 
 
 def test_r22_rank_one_point():
@@ -170,7 +170,7 @@ def test_crossing():
 
 def _identities_hold(q, z, w) -> bool:
     """The identity checks on the weights, at one point, cheapest first."""
-    checks = [lambda: permutation_check(1, q), lambda: rank_one_check(q),
+    checks = [lambda: permutation_check(q), lambda: rank_one_check(q),
               lambda: inversion_check(z, q),
               lambda: crossing_transpose_check(z, q),
               lambda: check_fusion_r22(z, q)]

@@ -50,6 +50,27 @@ def test_every_module_level_definition_has_a_user():
     assert unused == []
 
 
+def _imported_modules(tree):
+    """The full names of the modules that a module imports."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module == "bethelab":
+            yield from (f"bethelab.{alias.name}" for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            yield node.module
+
+
+def test_only_the_front_end_imports_spinchain():
+    """`spinchain` sits on top of `aba` and `asm`: the determinants and
+    the layers below them must not reach up into it."""
+    root = Path(bethelab.__file__).parent
+    importers = [path.stem for path in sorted(root.glob("*.py"))
+                 if "bethelab.spinchain"
+                 in set(_imported_modules(ast.parse(path.read_text())))]
+    assert importers == ["cli"]
+
+
 def test_determinant_modules_name_no_scalar():
     """The determinants, the DWBC oracle, the dense helpers and the
     R-matrices compute on rationals: only values that can carry s or i

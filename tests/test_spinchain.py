@@ -406,7 +406,7 @@ def test_singlet_norm_matches_genpoly():
         norm = singlet_norm(singlet(n))
         want = gen_poly(n)
         # A_n(t) at t = x^2: coefficient k sits at x^(2k), i.e. y^(4k)
-        coeffs = [0] * (4 * want.degree() + 1)
+        coeffs = [0] * (4 * want.top() + 1)
         for k, c in enumerate(want.coeffs):
             coeffs[4 * k] = c
         assert norm == HalfPowerPoly(coeffs)
