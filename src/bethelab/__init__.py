@@ -1,7 +1,8 @@
 """Exact-arithmetic lab for the twisted inhomogeneous nineteen-vertex model.
 
-Everything runs over the exact extension ring Q(s, i) with s**2 = [q][q^2];
-no floating point anywhere.  Submodules:
+No floating point anywhere.  The closed forms, the determinants and the
+R-matrix weights are rationals; only the model's vectors carry a unit of
+the extension ring Q(s, i), s**2 = [q][q^2], i**2 = -1.  Submodules:
 
 - field:     rationals, the quadratic+Gaussian extension, half-power and
              Laurent polynomials, exact interpolation

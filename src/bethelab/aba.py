@@ -179,7 +179,7 @@ class ModelVector:
     def to_json_dict(self, params: "ModelParams") -> dict:
         comps = [{"state": state_str(k), "value": v.to_json_dict()}
                  for k, v in sorted(self.entries.items())]
-        return {"n": self.n, "q": rat_str(params.q), "twist": params.twist,
+        return {"n": self.n, "q": rat_str(params.q), "twist": "pi",
                 "w": [rat_str(w) for w in params.w], "components": comps}
 
 
@@ -197,19 +197,27 @@ def basis_vector(params: "ModelParams", key) -> ModelVector:
     return ModelVector(params.d, 1, StateVector(params.n, {tuple(key): 1}))
 
 
+def _memo(store: dict, key, build):
+    """store[key], built by build() on first use."""
+    value = store.get(key)
+    if value is None:
+        value = store[key] = build()
+    return value
+
+
 class ModelParams:
-    """Chain size, anisotropy q, inhomogeneities w and the twist.
+    """The paper's parameters: chain size N, anisotropy q and the
+    inhomogeneities w (the twist is OMEGA, at angle pi).
 
     Carries the scalar session (d = [q][q^2]); q may be given as that
     session, a VertexWeights, whose memo then holds the transition tables
-    of every ModelParams that shares it.
+    of every ModelParams that shares it.  `memo` holds the vectors built
+    for these parameters.
     """
 
-    def __init__(self, n: int, q, w, twist: str = "pi"):
+    def __init__(self, n: int, q, w):
         if n < 1:
             raise ValueError("n must be at least 1")
-        if twist not in ("pi", "0"):
-            raise ValueError("twist must be 'pi' or '0'")
         w = tuple(as_rat(x) for x in w)
         if len(w) != n:
             raise ValueError("need exactly n inhomogeneities")
@@ -219,15 +227,14 @@ class ModelParams:
         self.vw = _session(q)
         self.q = self.vw.q
         self.w = w
-        self.twist = twist
-        self._bethe_cache = None
-        self._renorm_cache = None
-        self._laurent_cache = {}
-        self._reduced_cache = {}
+        self._vectors = {}
 
-    def with_w(self, w, twist=None) -> "ModelParams":
-        return ModelParams(len(tuple(w)), self.vw, w,
-                           twist if twist is not None else self.twist)
+    def with_w(self, w) -> "ModelParams":
+        return ModelParams(len(tuple(w)), self.vw, w)
+
+    def memo(self, key, build):
+        """These parameters' memo of build(), keyed by key."""
+        return _memo(self._vectors, key, build)
 
     def sc(self, r) -> Scalar:
         return self.vw.sc(r)
@@ -238,11 +245,7 @@ class ModelParams:
 
     def _table(self, kind: str, u: RAT, build):
         """The session's memo of build(), keyed by kind and u."""
-        key = (kind, u)
-        t = self.vw.tables.get(key)
-        if t is None:
-            t = self.vw.tables[key] = build()
-        return t
+        return _memo(self.vw.tables, (kind, u), build)
 
     def r12_table(self, u: RAT):
         """(table, D): the transition table of r12(u), in the gauge K =
@@ -379,35 +382,28 @@ def monodromy_apply(which: str, z, params: ModelParams, v: ModelVector):
 
 def bethe_vector(params: ModelParams) -> ModelVector:
     """prod_{j=1..N} B(w_j) |all-up>: the eigenvector at the explicit
-    Bethe roots z_k = w_k (twist pi); lives in the zero-magnetisation
-    sector."""
-    if params.twist != "pi":
-        raise ValueError("the explicit Bethe vector exists at twist pi")
-    if params._bethe_cache is None:
-        params._bethe_cache = monodromy_apply(
-            "B", list(params.w), params, vacuum(params))
-    return params._bethe_cache
+    Bethe roots z_k = w_k; lives in the zero-magnetisation sector."""
+    return params.memo("bethe", lambda: monodromy_apply(
+        "B", list(params.w), params, vacuum(params)))
 
 
 def transfer1_apply(z, params: ModelParams, v: ModelVector) -> ModelVector:
-    """Twisted six-vertex-auxiliary transfer matrix: i(A - D) at twist pi,
-    A + D at twist 0, as one signed trace of the monodromy row."""
-    zero_twist = params.twist == "0"
+    """Twisted six-vertex-auxiliary transfer matrix i(A - D), as one
+    signed trace of the monodromy row."""
     out = _signed_sweeps(_monodromy_rows(z, params), v, params,
-                         [(0, 0, 1), (1, 1, 1 if zero_twist else -1)])
-    return out if zero_twist else out.scale(params.vw.i)
+                         [(0, 0, 1), (1, 1, -1)])
+    return out.scale(params.vw.i)
 
 
 def transfer2_apply(z, params: ModelParams, v: ModelVector) -> ModelVector:
     """Nineteen-vertex transfer matrix with the diagonal twist
-    Omega = diag(-1, 1, -1) (twist pi) or the identity (twist 0)."""
+    Omega = diag(-1, 1, -1)."""
     z = params.vw.rat(z)
     if not z:
         raise ZeroInverse("spectral parameter must be nonzero")
     tables = [params.r22_table(z / w) for w in params.w]
-    omega = OMEGA if params.twist == "pi" else (1, 1, 1)
     return _signed_sweeps([tables], v, params,
-                          [(a0, a0, sign) for a0, sign in enumerate(omega)])
+                          [(a0, a0, sign) for a0, sign in enumerate(OMEGA)])
 
 
 def theta2(z, params: ModelParams) -> RAT:
@@ -421,8 +417,8 @@ def theta2(z, params: ModelParams) -> RAT:
 
 
 def bethe_equations_residual(roots, params: ModelParams):
-    """LHS - RHS of each Bethe equation at the given roots (n = N roots,
-    twist read from params: the right side carries e^{-i phi})."""
+    """LHS - RHS of each Bethe equation at the given roots (n = N roots;
+    the right side carries the twist's e^{-i pi} = -1)."""
     zs = [params.vw.rat(z) for z in roots]
     if not all(zs):
         raise ZeroInverse("roots must be nonzero")
@@ -435,7 +431,7 @@ def bethe_equations_residual(roots, params: ModelParams):
             if not den:
                 raise PoleEncountered("denominator bracket [z_k/(q w_j)] = 0")
             lhs = lhs * brk(q * zk / w) / den
-        rhs = RAT(1 if params.twist == "0" else -1)
+        rhs = RAT(-1)
         for j, zj in enumerate(zs):
             if j == k:
                 continue
@@ -465,11 +461,12 @@ def renorm_divisor(params: ModelParams) -> Scalar:
 def renormalised_vector(params: ModelParams) -> ModelVector:
     """Bethe vector divided by its redundant overall factor; components
     are rational (s- and i-free), which is checked."""
-    if params._renorm_cache is None:
+    def build():
         v = bethe_vector(params).scale(renorm_divisor(params).inv())
         v.rational()
-        params._renorm_cache = v
-    return params._renorm_cache
+        return v
+
+    return params.memo("renorm", build)
 
 
 # -- local gates and the twisted shift ---------------------------------
@@ -506,12 +503,12 @@ def rhat22_apply(u, params, v: ModelVector, i: int, j: int) -> ModelVector:
     return v.map(lambda part: apply_two_site(table, part, i, j), den)
 
 
-def s_prime_apply(v: StateVector, twist: str = "pi") -> StateVector:
+def s_prime_apply(v: StateVector) -> StateVector:
     """Twisted translation S' = S Omega_N: apply Omega on the last site,
     then shift every site one step to the right (site N wraps to 1)."""
     out = {}
     for key, amp in v.entries.items():
-        if twist == "pi" and OMEGA[key[-1]] == -1:
+        if OMEGA[key[-1]] == -1:
             amp = -amp
         out[(key[-1],) + key[:-1]] = amp
     return StateVector(v.n, out)
@@ -586,23 +583,19 @@ def admissible_points(params: ModelParams, j: int, count: int):
                         if t not in excluded), count))
 
 
-def vector_laurent_coefficients(params: ModelParams, j: int, low: int,
-                                width: int):
+def vector_laurent_coefficients(params: ModelParams, j: int):
     """Interpolate every component of |psi~> as a Laurent polynomial in
-    w_j on the assumed support [low, low + width]; a component missing
-    from a sample is zero there.  By the parity lemma (module docstring) a
-    component of parity class e is w_j^lo_e times a polynomial in w_j^2,
-    lo_e the lowest power of parity e in the support: each class is
-    interpolated in w_j^2 from its size + 1 samples at positive w_j, and
-    the surplus ones verify the support and the parity.  Returns {key:
-    LaurentPoly} with rational coefficients over the sorted union of the
-    sampled keys, memoised."""
-    memo = (j, low, width)
-    if memo not in params._laurent_cache:
-        classes = [(lo, (low + width - lo) // 2 + 1)
-                   for lo in (low + (low - e) % 2 for e in (0, 1))]
-        pts = admissible_points(params, j, max(size for _, size in classes)
-                                + _SURPLUS_SAMPLES)
+    w_j on the proven window [-(N-1), N-1]; a component missing from a
+    sample is zero there.  By the parity lemma (module docstring) a
+    component with sigma_j = 0 is w_j^-(N-1) times a polynomial of N terms
+    in w_j^2, and one with sigma_j != 0 is w_j^-(N-2) times one of N - 1
+    terms: each class is interpolated in w_j^2 from N samples at positive
+    w_j, and the surplus ones verify the window and the parity.  Returns
+    {key: LaurentPoly} with rational coefficients over the sorted union of
+    the sampled keys, memoised by j."""
+    def build():
+        n = params.n
+        pts = admissible_points(params, j, n + _SURPLUS_SAMPLES)
         vecs = [renormalised_vector(params.with_w(
             params.w[:j - 1] + (t,) + params.w[j:])) for t in pts]
         den = lcm(*(v.den for v in vecs))
@@ -610,23 +603,23 @@ def vector_laurent_coefficients(params: ModelParams, j: int, low: int,
         keys = sorted(set().union(*(ints for ints, _ in nums)))
         squares = [t * t for t in pts]
         polys = {}
-        for e, (lo, size) in enumerate(classes):
+        for at_zero, lo, size in ((True, 1 - n, n), (False, 2 - n, n - 1)):
             lifts = [t ** -lo * f for t, (_, f) in zip(pts, nums)]
-            # ints wherever lo <= 0, as on every window that reaches w_j^-1
+            # ints: lo <= 0 in every class but the keyless sigma_j != 0 at N = 1
             lifts = [c.numerator if c.denominator == 1 else c for c in lifts]
-            group = [k for k in keys
-                     if (params.n - 1 + (k[j - 1] != ZERO)) % 2 == e]
+            group = [k for k in keys if (k[j - 1] == ZERO) == at_zero]
             rows = [[ints.get(k, 0) * c for (ints, _), c in zip(nums, lifts)]
                     for k in group]
             for k, poly in zip(group, laurent_interpolate_many(
                     squares, rows, 0, size - 1, den)):
                 polys[k] = LaurentPoly(lo + 2 * poly.low,
                                        spread(poly.coeffs, 2))
-        params._laurent_cache[memo] = {k: polys[k] for k in keys}
-    return params._laurent_cache[memo]
+        return {k: polys[k] for k in keys}
+
+    return params.memo(("laurent", j), build)
 
 
-def asymptotic_check(j: int, direction, params: ModelParams) -> bool:
+def asymptotic_check(j: int, direction: str, params: ModelParams) -> bool:
     """Leading Laurent coefficient of |psi~> in w_j against the (N-1)-site
     vector: at order w_j^(N-1) (direction 'inf') the coefficient is
     (-1)^(N-j) delta_{sigma_j, 0} prod_{k != j} w_k^(-1) times the reduced
@@ -637,18 +630,15 @@ def asymptotic_check(j: int, direction, params: ModelParams) -> bool:
         raise ValueError("site index out of range")
     if params.n < 2:
         raise ValueError("need N >= 2")
-    direction = str(direction)
-    if direction not in ("inf", "zero", "0"):
+    if direction not in ("inf", "zero"):
         raise ValueError("direction must be 'inf' or 'zero'")
     to_inf = direction == "inf"
     n = params.n
-    width = 2 * (n - 1)
-    polys = vector_laurent_coefficients(params, j, -(n - 1), width)
+    polys = vector_laurent_coefficients(params, j)
     order = n - 1 if to_inf else -(n - 1)
     others = [w for k, w in enumerate(params.w) if k != j - 1]
-    if j not in params._reduced_cache:
-        params._reduced_cache[j] = renormalised_vector(params.with_w(others))
-    sub = params._reduced_cache[j]
+    sub = params.memo(("reduced", j),
+                      lambda: renormalised_vector(params.with_w(others)))
     factor = prod((1 / w if to_inf else w for w in others),
                   start=RAT((-1) ** (n - j if to_inf else j - 1), sub.den))
     want = sub.rational().entries
@@ -679,7 +669,7 @@ def scattering_check(j: int, params: ModelParams) -> bool:
     cur = psi
     for k in range(j, params.n):  # Rhat_{k,k+1}(w_j / w_{k+1}), ascending k
         cur = rhat22_apply(wj / params.w[k], params, cur, k - 1, k)
-    cur = cur.map(lambda part: s_prime_apply(part, params.twist))
+    cur = cur.map(s_prime_apply)
     for k in range(1, j):
         cur = rhat22_apply(wj / params.w[k - 1], params, cur, k - 1, k)
     rhs = cur.scale(params.d)

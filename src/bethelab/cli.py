@@ -141,6 +141,10 @@ def resolve_params(args):
     n = check_n(args.n)
     rng = random.Random(args.seed)
     q = parse_rat(args.q) if args.q else draw_q(rng)
+    try:
+        vw = VertexWeights(q)  # before draw_w, which divides by q
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     if args.w:
         w = parse_w_list(args.w)
         if len(w) != n:
@@ -148,7 +152,7 @@ def resolve_params(args):
     else:
         w = draw_w(rng, n, q)
     try:
-        return aba.ModelParams(n, q, w), rng
+        return aba.ModelParams(n, vw, w), rng
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 

@@ -72,10 +72,10 @@ def _divide(a, b) -> RAT:
 def slavnov(roots, zeta, params: ModelParams) -> RAT:
     """Slavnov determinant for <vac| prod C(roots) prod B(zeta) |vac>.
 
-    `roots` must solve the Bethe equations at the twist of `params`
-    (the explicit solution roots = w is the intended use); `zeta` is
-    arbitrary but entrywise distinct from the roots.  A zero determinant
-    is a legitimate value (orthogonal states), not an error.
+    `roots` must solve the Bethe equations (the explicit solution roots =
+    w is the intended use); `zeta` is arbitrary but entrywise distinct
+    from the roots.  A zero determinant is a legitimate value (orthogonal
+    states), not an error.
     """
     zs = [params.vw.rat(z) for z in roots]
     cs = [params.vw.rat(z) for z in zeta]
@@ -85,7 +85,6 @@ def slavnov(roots, zeta, params: ModelParams) -> RAT:
     args = zs + cs  # f, g memo keys: root j is j, zeta_k is n + k
     f = cache(lambda a, b: f_fn(args[a], args[b], params.q))
     g = cache(lambda a, b: g_fn(args[a], args[b], params.q))
-    phase = -1 if params.twist == "pi" else 1
     ds = [vacuum_d(c, params) for c in cs]
     pref = RAT(1)
     for j in range(n):
@@ -110,7 +109,7 @@ def slavnov(roots, zeta, params: ModelParams) -> RAT:
         for k in range(n):
             gjk = g(j, n + k)
             gkj = g(n + k, j)
-            row.append(phase * gjk * gjk / f(j, n + k)
+            row.append(-gjk * gjk / f(j, n + k)
                        - _divide(gkj * gkj, f(n + k, j)) * ratio[k])
         matrix.append(row)
     return pref * det_bareiss(matrix)
@@ -173,9 +172,11 @@ def ik_or_asm_sum(zeta, w, params: ModelParams) -> RAT:
 
 def partition_Z(params: ModelParams) -> RAT:
     """Square norm Z(w) = sum_sigma psi~_sigma(1/w) psi~_sigma(w) of the
-    renormalised vector under the real (bilinear) pairing."""
+    renormalised vector under the real (bilinear) pairing; the vector at
+    1/w is memoised on params."""
     v = renormalised_vector(params)
-    vi = renormalised_vector(params.with_w(tuple(1 / x for x in params.w)))
+    vi = params.memo("inverse", lambda: renormalised_vector(
+        params.with_w(tuple(1 / x for x in params.w))))
     other = vi.rational().entries
     acc = sum(x * other.get(key, 0) for key, x in v.rational().entries.items())
     return RAT(acc, v.den * vi.den)

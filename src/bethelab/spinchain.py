@@ -158,7 +158,7 @@ def hamiltonian_apply_poly(v: StateVector) -> StateVector:
 def twisted_translation_apply(v: StateVector) -> StateVector:
     """S' = S Omega_N: the sign of the twist rides on the spin that wraps
     from site N to site 1."""
-    return s_prime_apply(v, "pi")
+    return s_prime_apply(v)
 
 
 # -- the homogeneous-limit singlet --------------------------------------
@@ -259,7 +259,8 @@ def singlet_normalisation_audit(state: StateVector) -> dict:
     m = n // 2
     key = distinguished_component_key(n)
     comp = state.entries.get(key, HalfPowerPoly())
-    want = HalfPowerPoly(spread(gen_poly(m).coeffs, 4))  # t = x^2 = y^4
+    # t = x^2 = y^4; A_0 = 1 counts the empty ASM
+    want = HalfPowerPoly(spread(gen_poly(m).coeffs, 4) if m else [1])
     x_coeffs = comp.x_coeffs()
     t_degree = len(x_coeffs) // 2  # an odd top power of x rounds up
     report = {

@@ -36,10 +36,10 @@ def eval_at(genpoly, t):
     return acc
 
 
-def s_prime_inverse_apply(v: StateVector, twist: str = "pi") -> StateVector:
+def s_prime_inverse_apply(v: StateVector) -> StateVector:
     out = {}
     for key, amp in v.entries.items():
-        if twist == "pi" and OMEGA[key[0]] == -1:
+        if OMEGA[key[0]] == -1:
             amp = -amp
         out[key[1:] + (key[0],)] = amp
     return StateVector(v.n, out)
@@ -85,7 +85,7 @@ def log_derivative_hamiltonian_apply(v: StateVector, q) -> StateVector:
         for k, c in enumerate(poly.coeffs, poly.low):
             acc = acc + params.sc(k) * c
         deriv[key] = acc
-    dv = s_prime_inverse_apply(StateVector(n, deriv), "pi")
+    dv = s_prime_inverse_apply(StateVector(n, deriv))
     bq, bq2 = brk(q), brk(q * q)
     scale = params.sc(bq2 / (2 * (bq * bq2) ** n))
     return v.scale(params.sc(n)) + dv.scale(scale)

@@ -40,10 +40,10 @@ from bethelab.field import RAT, Scalar, brk
 from bethelab.rmatrix import RMat, r22
 
 
-def params_n(n, q=RAT(2), w=None, twist="pi"):
+def params_n(n, q=RAT(2), w=None):
     if w is None:
         w = [RAT(k + 2, 1) for k in range(n)]
-    return ModelParams(n, q, w, twist)
+    return ModelParams(n, q, w)
 
 
 def random_vector(rng, params, n_terms=4):
@@ -243,7 +243,8 @@ def test_renormalised_divisor_zero_raises():
 
 def test_renormalised_irrational_component_raises():
     p = params_n(2)
-    p._bethe_cache = model(StateVector(2, {state_from_str("UD"): p.vw.s}), p)
+    p.memo("bethe", lambda: model(
+        StateVector(2, {state_from_str("UD"): p.vw.s}), p))
     with pytest.raises(IrrationalComponent):  # the divisor is rational
         renormalised_vector(p)
 
@@ -270,13 +271,6 @@ def test_transfer_eigen_relations():
             z = p.sc(draw_z(rng))
             assert transfer2_apply(z, p, psi) == psi.scale(theta2(z, p))
             assert transfer1_apply(z, p, psi).is_zero()
-
-
-def test_transfer1_untwisted_vacuum():
-    p = params_n(2, twist="0")
-    z = p.sc(RAT(5, 3))
-    got = transfer1_apply(z, p, vacuum(p))
-    assert got == vacuum(p).scale(vacuum_a(z, p) + vacuum_d(z, p))
 
 
 def test_fusion_identity_on_random_vectors():
@@ -422,6 +416,13 @@ def test_asymptotic_directions_share_the_sample_vectors(monkeypatch):
     assert calls[p.w[1:]] == 1
 
 
+def test_asymptotic_direction_has_one_spelling():
+    p = params_n(2)
+    for direction in ("0", 0, "infinity"):
+        with pytest.raises(ValueError, match="'inf' or 'zero'"):
+            asymptotic_check(1, direction, p)
+
+
 def test_scattering_relation():
     rng = random.Random(2024)
     for n in (2, 3):
@@ -442,7 +443,7 @@ def test_degree_width_bound_and_attainment():
         q = draw_q(rng)
         p = ModelParams(n, q, draw_w(rng, n, q))
         for j in range(1, n + 1):
-            polys = vector_laurent_coefficients(p, j, -(n - 1), 2 * (n - 1))
+            polys = vector_laurent_coefficients(p, j)
             widths = [degree_width(poly) for poly in polys.values()
                       if not poly.is_zero()]
             assert max(widths) == 2 * (n - 1)

@@ -147,8 +147,7 @@ def test_criterion_05_degree_width():
         for j in range(1, n + 1):
             # interpolation succeeds on the window [-(N-1), N-1] with two
             # surplus samples per parity class: support is contained in it
-            polys = aba.vector_laurent_coefficients(
-                params, j, -(n - 1), 2 * (n - 1))
+            polys = aba.vector_laurent_coefficients(params, j)
             widths = []
             for poly in polys.values():
                 if poly.is_zero():

@@ -182,6 +182,16 @@ def test_unwritable_out_path_is_a_config_error(argv, capsys, tmp_path):
                             "No such file or directory\n")
 
 
+@pytest.mark.parametrize("command", ["verify", "vector", "ikdet"])
+def test_zero_q_is_a_config_error(command, capsys):
+    """q = 0 is refused before w is drawn, whose lattices divide by q."""
+    assert main([command, "--n", "2", "--q", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("config error: q must satisfy q != 0 and "
+                            "q^4 != 1\n")
+
+
 def test_console_script_entry_point():
     # the child imports the same bethelab as this process
     src = str(Path(bethelab.__file__).resolve().parents[1])

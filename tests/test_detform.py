@@ -32,9 +32,9 @@ from bethelab.field import RAT, DivisionByZero, Scalar, brk
 from bethelab.rmatrix import DOWN
 
 
-def draw_params(rng, n, twist="pi"):
+def draw_params(rng, n):
     q = draw_q(rng)
-    return ModelParams(n, q, draw_w(rng, n, q), twist)
+    return ModelParams(n, q, draw_w(rng, n, q))
 
 
 def draw_zeta(rng, params):
@@ -184,6 +184,25 @@ def test_partition_matches_ik_route():
         assert partition_Z(p) == partition_Z_via_ik(p)
 
 
+def test_partition_builds_its_vectors_once(monkeypatch):
+    """The vectors at w and at 1/w are memoised on params: three sums make
+    the two Bethe vectors' monodromy sweeps once."""
+    from bethelab import aba
+
+    calls = []
+    apply = aba.monodromy_apply
+
+    def counting(*args):
+        calls.append(args[0])
+        return apply(*args)
+
+    monkeypatch.setattr(aba, "monodromy_apply", counting)
+    p = draw_params(random.Random(627), 4)
+    values = [partition_Z(p) for _ in range(3)]
+    assert values[0] == values[1] == values[2] == partition_Z_via_ik(p)
+    assert calls == ["B", "B"]
+
+
 def test_partition_homogeneous_sum_rule():
     # w = 1: Z = A_N(x^2) since psi~ = [q]^(N(N-1)/2) Phi and the square
     # norm of Phi is the ASM generating polynomial at t = x^2
@@ -253,7 +272,7 @@ def component_from_b_reduction(params):
     n = params.n // 2
     vw = params.vw
     w = params.w
-    small = ModelParams(n, params.q, w[n:], params.twist)
+    small = ModelParams(n, params.q, w[n:])
     v = vacuum(small)
     for z in w:
         v = monodromy_apply("B", small.sc(z), small, v)
@@ -332,21 +351,11 @@ def test_closed_forms_make_no_scalar_products(n, monkeypatch):
     """The vacuum eigenvalues, theta2, the determinants, the DWBC oracle
     and the sum-rule and simple-component closed forms multiply and divide
     rationals only.  Each runs once first, so that the renormalised
-    vectors the sum rule pairs are built outside the count: `aba` builds
-    them, and each of its rescalings multiplies the vector's unit by a
-    Scalar (one product), on a new ModelParams for 1/w at every call."""
-    from bethelab import detform
-    from bethelab.aba import renormalised_vector, theta2, vacuum_a, vacuum_d
+    vectors the sum rule pairs are built, and memoised, outside the count:
+    `aba` builds them, and each of its rescalings multiplies the vector's
+    unit by a Scalar (one product)."""
+    from bethelab.aba import theta2, vacuum_a, vacuum_d
 
-    vectors = {}
-
-    def built_once(params):
-        key = (params.w, params.twist)
-        if key not in vectors:
-            vectors[key] = renormalised_vector(params)
-        return vectors[key]
-
-    monkeypatch.setattr(detform, "renormalised_vector", built_once)
     rng = random.Random(626 + n)
     p = draw_params(rng, n)
     zeta = draw_zeta(rng, p)

@@ -3,8 +3,8 @@
 `aba.ModelVector` keeps a vector as one grade (the unit 1, s, i or s i)
 times ints over one denominator, and `field` interpolates on ints.
 `scalar_oracle` is the same algebra on Scalar entries, as the package
-computed it before.  For N <= 5, at both twists and on random vectors
-carrying all four parts, every int operation must agree with the oracle
+computed it before.  For N <= 5, on random vectors carrying all four
+parts, every int operation must agree with the oracle
 exactly: reading the ints back as Scalars, rescaling, sums, the braided
 two-site gate, the twisted shift and Laurent interpolation.  A random
 four-part vector is the sum of up to four single-grade vectors, and the
@@ -20,6 +20,7 @@ from helpers import draw_q, draw_w
 from scalar_oracle import FourPart, model, summands
 
 from bethelab.aba import (
+    ZERO,
     ModelParams,
     StateVector,
     admissible_points,
@@ -39,9 +40,9 @@ from bethelab.field import (
 SIZES = [1, 2, 3, 4, 5]
 
 
-def params_for(rng, n, twist):
+def params_for(rng, n):
     q = draw_q(rng)
-    return ModelParams(n, q, draw_w(rng, n, q), twist)
+    return ModelParams(n, q, draw_w(rng, n, q))
 
 
 def random_rat(rng):
@@ -75,7 +76,7 @@ def factors(rng, params):
 @pytest.mark.parametrize("n", SIZES)
 def test_parts_read_back_as_the_scalars_in_lowest_terms(n):
     rng = random.Random(700 + n)
-    p = params_for(rng, n, "pi")
+    p = params_for(rng, n)
     for _ in range(4):
         for g, v in random_vector(rng, p).items():
             got = model(v, p)
@@ -85,11 +86,10 @@ def test_parts_read_back_as_the_scalars_in_lowest_terms(n):
             assert got.grade == grade == g
 
 
-@pytest.mark.parametrize("twist", ["pi", "0"])
 @pytest.mark.parametrize("n", SIZES)
-def test_rescaling_matches_scalar_rescaling(n, twist):
+def test_rescaling_matches_scalar_rescaling(n):
     rng = random.Random(710 + n)
-    p = params_for(rng, n, twist)
+    p = params_for(rng, n)
     for _ in range(3):
         vs = random_vector(rng, p).values()
         for c in factors(rng, p):
@@ -102,7 +102,7 @@ def test_rescaling_matches_scalar_rescaling(n, twist):
 @pytest.mark.parametrize("n", SIZES)
 def test_sums_match_scalar_sums(n):
     rng = random.Random(720 + n)
-    p = params_for(rng, n, "pi")
+    p = params_for(rng, n)
     for _ in range(4):
         a, b = random_vector(rng, p), random_vector(rng, p)
         for g in set(a) & set(b):
@@ -115,17 +115,15 @@ def test_sums_match_scalar_sums(n):
                     model(v, p) + model(b[h], p)
 
 
-@pytest.mark.parametrize("twist", ["pi", "0"])
 @pytest.mark.parametrize("n", SIZES[1:])
-def test_gate_matches_scalar_gate(n, twist):
+def test_gate_matches_scalar_gate(n):
     """P R22(u) on every adjacent pair and on the wrapped pair (N, 1), on
-    the summands of random four-part vectors and, at twist pi, the
-    renormalised vector."""
+    the summands of random four-part vectors and the renormalised
+    vector."""
     rng = random.Random(730 + n)
-    p = params_for(rng, n, twist)
+    p = params_for(rng, n)
     vecs = [v for _ in range(2) for v in random_vector(rng, p, 8).values()]
-    if twist == "pi":
-        vecs.append(StateVector(n, renormalised_vector(p).entries))
+    vecs.append(StateVector(n, renormalised_vector(p).entries))
     pairs = [(i, i + 1) for i in range(n - 1)] + [(n - 1, 0)]
     for v in vecs:
         for i, j in pairs:
@@ -134,14 +132,13 @@ def test_gate_matches_scalar_gate(n, twist):
             assert got.entries == scalar_oracle.gate(u, p, v, i, j).entries
 
 
-@pytest.mark.parametrize("twist", ["pi", "0"])
 @pytest.mark.parametrize("n", SIZES)
-def test_shift_on_parts_matches_shift_on_scalars(n, twist):
+def test_shift_on_parts_matches_shift_on_scalars(n):
     rng = random.Random(740 + n)
-    p = params_for(rng, n, twist)
+    p = params_for(rng, n)
     for v in random_vector(rng, p).values():
-        got = model(v, p).map(lambda part: s_prime_apply(part, twist))
-        assert got.entries == s_prime_apply(v, twist).entries
+        got = model(v, p).map(s_prime_apply)
+        assert got.entries == s_prime_apply(v).entries
 
 
 def test_int_interpolation_matches_scalar_interpolation():
@@ -185,25 +182,45 @@ def test_support_too_small_raises_on_both_paths():
 def test_vector_coefficients_match_scalar_interpolation(n):
     """Every component of the renormalised vector, interpolated on ints
     in w_j^2 one parity class at a time, equals the full-width Scalar
-    interpolation in w_j from 2N + 1 samples; one degree less of support
-    leaves a top coefficient that the surplus samples expose."""
+    interpolation in w_j from 2N + 1 samples."""
     rng = random.Random(760 + n)
-    p = params_for(rng, n, "pi")
+    p = params_for(rng, n)
     low, width = -(n - 1), 2 * (n - 1)
     for j in range(1, n + 1):
         def sample(t, j=j):
             return renormalised_vector(
                 p.with_w(p.w[:j - 1] + (t,) + p.w[j:]))
 
-        got = vector_laurent_coefficients(p, j, low, width)
+        got = vector_laurent_coefficients(p, j)
         want = scalar_oracle.laurent_components(
             sample, admissible_points(p, j, width + 3), p, low, width)
         assert set(got) == set(want)
         for key, poly in got.items():
             assert [p.sc(c) for c in poly.coeffs] == list(want[key].coeffs)
             assert poly.low == want[key].low
-        with pytest.raises(InconsistentSamples):
-            vector_laurent_coefficients(p, j, low, width - 1)
+
+
+def planted(monkeypatch, at_zero, power):
+    """Sample vectors of a drawn N = 3 model, w_j^power (j = 1) added to a
+    component with sigma_j = 0 or sigma_j != 0 at every sample point."""
+    from bethelab import aba
+
+    rng = random.Random(770)
+    p = params_for(rng, 3)
+    j = 1
+    key = next(k for k in renormalised_vector(p).entries
+               if (k[j - 1] == ZERO) == at_zero)
+    build = aba.renormalised_vector
+
+    def plant(params):
+        v = build(params)
+        if params.n != p.n or params.w == p.w:
+            return v
+        t = params.w[j - 1]
+        return v + aba.basis_vector(params, key).scale(t ** power)
+
+    monkeypatch.setattr(aba, "renormalised_vector", plant)
+    return p, j
 
 
 def test_a_power_of_the_wrong_parity_raises(monkeypatch):
@@ -211,21 +228,18 @@ def test_a_power_of_the_wrong_parity_raises(monkeypatch):
     are all even lies inside the window [-(N-1), N-1], so a full-width
     interpolation would accept it; each parity class's surplus samples
     reject it."""
-    from bethelab import aba
-
-    rng = random.Random(770)
-    p = params_for(rng, 3, "pi")
-    j = 1
-    key = next(k for k in renormalised_vector(p).entries if k[j - 1] == 1)
-    build = aba.renormalised_vector
-
-    def planted(params):
-        v = build(params)
-        if params.n != p.n or params.w == p.w:
-            return v
-        t = params.w[j - 1]
-        return v + aba.basis_vector(params, key).scale(t)
-
-    monkeypatch.setattr(aba, "renormalised_vector", planted)
+    p, j = planted(monkeypatch, True, 1)
     with pytest.raises(InconsistentSamples):
-        vector_laurent_coefficients(p, j, -(p.n - 1), 2 * (p.n - 1))
+        vector_laurent_coefficients(p, j)
+
+
+@pytest.mark.parametrize("at_zero, power", [(True, 4), (False, 3)],
+                         ids=["sigma_zero_w^(N+1)", "sigma_nonzero_w^N"])
+def test_a_power_outside_the_window_raises(monkeypatch, at_zero, power):
+    """A term of the component's own parity just beyond the window's top,
+    w_j^(N+1) where sigma_j = 0 and w_j^N where sigma_j != 0, is left over
+    by the class's N or N - 1 interpolated powers, and the surplus samples
+    reject it."""
+    p, j = planted(monkeypatch, at_zero, power)
+    with pytest.raises(InconsistentSamples):
+        vector_laurent_coefficients(p, j)

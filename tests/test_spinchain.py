@@ -413,7 +413,8 @@ def test_singlet_norm_matches_genpoly():
 
 
 def test_singlet_normalisation_audit():
-    for n in (2, 3, 4, 5):
+    # n = 1: the singlet {"0": 1} is A_0(x^2) = 1, the empty ASM
+    for n in (1, 2, 3, 4, 5):
         report = singlet_normalisation_audit(singlet(n))
         assert report["pass"], report
 

@@ -84,9 +84,8 @@ def oracle_monodromy(which, z, params, v):
 def oracle_transfer2(z, params, v):
     tables = [dense.r22(z / params.sc(w), params.vw).column_map()
               for w in params.w]
-    omega = (-1, 1, -1) if params.twist == "pi" else (1, 1, 1)
     out = StateVector(v.n)
-    for a0, sign in enumerate(omega):
+    for a0, sign in enumerate((-1, 1, -1)):
         part = StateVector(v.n, per_key_sweep(tables, v, a0, a0))
         out = out + part.scale(sign)
     return model_vector(out, params)
@@ -156,21 +155,20 @@ def cancelling_vector(rng, tables, n, a_in, one):
     raise AssertionError("no pair of states shares a partial state")
 
 
-def model(rng, n, twist="pi"):
+def model(rng, n):
     q = draw_q(rng)
-    return ModelParams(n, q, draw_w(rng, n, q), twist)
+    return ModelParams(n, q, draw_w(rng, n, q))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_monodromy_matches_per_key_oracle(n):
     rng = random.Random(100 + n)
-    for twist in ("pi", "0", "pi"):
-        p = model(rng, n, twist)
+    for _ in range(3):
+        p = model(rng, n)
         z = p.sc(RAT(rng.randint(1, 97), rng.randint(1, 97)))
         vecs = [v for count in (2, 5, 9)
                 for v in random_vectors(rng, p, count)]
-        if twist == "pi":
-            vecs.append(bethe_vector(p))
+        vecs.append(bethe_vector(p))
         for which, (a_in, _) in AUX.items():
             tables = [dense.r12(z / p.sc(p.q * w), p.vw).column_map()
                       for w in p.w]
@@ -333,12 +331,11 @@ def test_signed_sweeps_compile_each_row_once(monkeypatch):
         assert rows == [3]
 
 
-@pytest.mark.parametrize("twist", ["pi", "0"])
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_transfer2_matches_per_key_oracle(n, twist):
+def test_transfer2_matches_per_key_oracle(n):
     rng = random.Random(200 + n)
     for _ in range(2):
-        p = model(rng, n, twist)
+        p = model(rng, n)
         z = p.sc(RAT(rng.randint(1, 97), rng.randint(1, 97)))
         tables = [dense.r22(z / p.sc(w), p.vw).column_map()
                   for w in p.w]
@@ -347,8 +344,7 @@ def test_transfer2_matches_per_key_oracle(n, twist):
             vecs += [model_vector(cancelling_vector(rng, tables, n, a0,
                                                     p.vw.sc(1)), p)
                      for a0 in range(3)]
-        if twist == "pi":
-            vecs.append(bethe_vector(p))
+        vecs.append(bethe_vector(p))
         for v in vecs:
             assert transfer2_apply(z, p, v) == oracle_transfer2(z, p, v)
 
@@ -380,17 +376,15 @@ def test_beta_matches_per_key_oracle(n):
             packed = got
 
 
-@pytest.mark.parametrize("twist", ["pi", "0"])
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_bethe_vector_is_the_chain_of_b(n, twist):
-    """bethe_vector sweeps all its B on one integer vector; B does not
-    see the twist, so the chain of single B applications at either twist
-    must give the same vector."""
+def test_bethe_vector_is_the_chain_of_b(n):
+    """bethe_vector sweeps all its B on one integer vector, which must
+    give the vector of the chain of single B applications."""
     rng = random.Random(500 + n)
     for _ in range(2):
-        p = model(rng, n, twist)
+        p = model(rng, n)
         v = vacuum(p)
         for w in p.w:
             v = monodromy_apply("B", p.sc(w), p, v)
-        assert bethe_vector(p.with_w(p.w, "pi")) == v
+        assert bethe_vector(p) == v
         assert monodromy_apply("B", [p.sc(w) for w in p.w], p, vacuum(p)) == v
