@@ -18,6 +18,12 @@ from bethelab.rmatrix import VertexWeights
 from bethelab.spinchain import _apply_gates, _bond_tables
 
 
+def at_pi(n) -> str:
+    """Case id of a chain of n sites: n and the twist angle, pi, so the ids
+    read as those of the model's one twist."""
+    return f"{n}-pi"
+
+
 def state_from_str(s: str):
     return tuple(SPIN_CHARS.index(ch) for ch in s)
 

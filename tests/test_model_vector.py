@@ -16,7 +16,7 @@ import random
 import pytest
 
 import scalar_oracle
-from helpers import draw_q, draw_w
+from helpers import at_pi, draw_q, draw_w
 from scalar_oracle import FourPart, model, summands
 
 from bethelab.aba import (
@@ -86,7 +86,7 @@ def test_parts_read_back_as_the_scalars_in_lowest_terms(n):
             assert got.grade == grade == g
 
 
-@pytest.mark.parametrize("n", SIZES)
+@pytest.mark.parametrize("n", SIZES, ids=at_pi)
 def test_rescaling_matches_scalar_rescaling(n):
     rng = random.Random(710 + n)
     p = params_for(rng, n)
@@ -115,7 +115,7 @@ def test_sums_match_scalar_sums(n):
                     model(v, p) + model(b[h], p)
 
 
-@pytest.mark.parametrize("n", SIZES[1:])
+@pytest.mark.parametrize("n", SIZES[1:], ids=at_pi)
 def test_gate_matches_scalar_gate(n):
     """P R22(u) on every adjacent pair and on the wrapped pair (N, 1), on
     the summands of random four-part vectors and the renormalised
@@ -132,7 +132,7 @@ def test_gate_matches_scalar_gate(n):
             assert got.entries == scalar_oracle.gate(u, p, v, i, j).entries
 
 
-@pytest.mark.parametrize("n", SIZES)
+@pytest.mark.parametrize("n", SIZES, ids=at_pi)
 def test_shift_on_parts_matches_shift_on_scalars(n):
     rng = random.Random(740 + n)
     p = params_for(rng, n)

@@ -28,7 +28,7 @@ import pytest
 
 import dense_rmatrix_oracle as dense
 import halfpower_oracle
-from helpers import draw_q, draw_w
+from helpers import at_pi, draw_q, draw_w
 from scalar_oracle import FourPart, summands
 from scalar_oracle import model as model_vector
 
@@ -331,7 +331,7 @@ def test_signed_sweeps_compile_each_row_once(monkeypatch):
         assert rows == [3]
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 4], ids=at_pi)
 def test_transfer2_matches_per_key_oracle(n):
     rng = random.Random(200 + n)
     for _ in range(2):
@@ -376,7 +376,7 @@ def test_beta_matches_per_key_oracle(n):
             packed = got
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 4], ids=at_pi)
 def test_bethe_vector_is_the_chain_of_b(n):
     """bethe_vector sweeps all its B on one integer vector, which must
     give the vector of the chain of single B applications."""
