@@ -69,9 +69,9 @@ from bethelab.field import (
     RAT,
     LaurentPoly,
     MixedGrades,
+    PoleEncountered,
     Scalar,
     SessionMismatch,
-    ZeroInverse,
     as_rat,
     brk,
     laurent_interpolate_many,
@@ -80,14 +80,18 @@ from bethelab.field import (
 )
 from bethelab.linalg import SPIN_CHARS  # noqa: F401 - re-exported
 from bethelab.linalg import DimensionMismatch, StateVector, state_str
-from bethelab.rmatrix import DOWN, UP, ZERO, _session, r12, r22
+from bethelab.rmatrix import (
+    DOWN,
+    UP,
+    ZERO,
+    _session,
+    r12,
+    r22,
+    singlet_pair_vector,
+)
 
 
-class PoleEncountered(ZeroDivisionError):
-    """A denominator bracket vanished at the requested parameters."""
-
-
-class RedundantFactorZero(ZeroDivisionError):
+class RedundantFactorZero(PoleEncountered):
     """A factor [q w_j / w_k] of the common divisor vanishes
     (inhomogeneities sit on the singular lattice q * w_k)."""
 
@@ -179,8 +183,7 @@ class ModelVector:
     def to_json_dict(self, params: "ModelParams") -> dict:
         comps = [{"state": state_str(k), "value": v.to_json_dict()}
                  for k, v in sorted(self.entries.items())]
-        return {"n": self.n, "q": rat_str(params.q), "twist": "pi",
-                "w": [rat_str(w) for w in params.w], "components": comps}
+        return {**params.to_json_dict(), "twist": "pi", "components": comps}
 
 
 def _check_model(v: ModelVector, n: int, d):
@@ -238,6 +241,10 @@ class ModelParams:
 
     def sc(self, r) -> Scalar:
         return self.vw.sc(r)
+
+    def to_json_dict(self) -> dict:
+        return {"n": self.n, "q": rat_str(self.q),
+                "w": [rat_str(x) for x in self.w]}
 
     @property
     def d(self):
@@ -357,7 +364,7 @@ def _monodromy_rows(z, params: ModelParams) -> list:
     """The row of gauged r12 tables of z, or of each z of a list."""
     zs = [params.vw.rat(x) for x in (z if isinstance(z, list) else [z])]
     if not all(zs):
-        raise ZeroInverse("spectral parameter must be nonzero")
+        raise PoleEncountered("spectral parameter must be nonzero")
     return [[params.r12_table(x / (params.q * w)) for w in params.w]
             for x in zs]
 
@@ -400,7 +407,7 @@ def transfer2_apply(z, params: ModelParams, v: ModelVector) -> ModelVector:
     Omega = diag(-1, 1, -1)."""
     z = params.vw.rat(z)
     if not z:
-        raise ZeroInverse("spectral parameter must be nonzero")
+        raise PoleEncountered("spectral parameter must be nonzero")
     tables = [params.r22_table(z / w) for w in params.w]
     return _signed_sweeps([tables], v, params,
                           [(a0, a0, sign) for a0, sign in enumerate(OMEGA)])
@@ -410,7 +417,7 @@ def theta2(z, params: ModelParams) -> RAT:
     """(-1)^(N+1) prod_j [q w_j / z][q^2 z / w_j], the simple eigenvalue."""
     z = params.vw.rat(z)
     if not z:
-        raise ZeroInverse("spectral parameter must be nonzero")
+        raise PoleEncountered("spectral parameter must be nonzero")
     q = params.q
     acc = prod(brk(q * w / z) * brk(q * q * z / w) for w in params.w)
     return acc if params.n % 2 == 1 else -acc
@@ -421,7 +428,7 @@ def bethe_equations_residual(roots, params: ModelParams):
     the right side carries the twist's e^{-i pi} = -1)."""
     zs = [params.vw.rat(z) for z in roots]
     if not all(zs):
-        raise ZeroInverse("roots must be nonzero")
+        raise PoleEncountered("roots must be nonzero")
     q = params.q
     residuals = []
     for k, zk in enumerate(zs):
@@ -515,13 +522,10 @@ def s_prime_apply(v: StateVector) -> StateVector:
 
 
 def singlet_pair_tensor(v: StateVector) -> StateVector:
-    """|s> (x) v with |s> = |UD> + |DU> - |00> prepended on two new sites."""
-    out = {}
-    for key, amp in v.entries.items():
-        out[(UP, DOWN) + key] = amp
-        out[(DOWN, UP) + key] = amp
-        out[(ZERO, ZERO) + key] = -amp
-    return StateVector(v.n + 2, out)
+    """|s> (x) v, the pair state |s> of `rmatrix` on two new sites."""
+    return StateVector(v.n + 2, {
+        pair + key: c * amp for pair, c in singlet_pair_vector().items()
+        for key, amp in v.entries.items()})
 
 
 # -- exchange / cyclic / recurrence / asymptotics ----------------------

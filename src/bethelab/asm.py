@@ -34,7 +34,7 @@ from itertools import accumulate, combinations, product
 from operator import mul
 
 from bethelab.field import RAT, LaurentPoly, brk, inv, unpack
-from bethelab.rmatrix import VertexWeights
+from bethelab.rmatrix import _session
 
 class InvalidConfig(ValueError):
     """Vertex configuration violates edge consistency or the boundary."""
@@ -309,7 +309,7 @@ def dwbc_partition_brute(zeta, w, q) -> RAT:
     The vertex in row i, column j carries spectral parameter
     z = zeta_i / w_j and weight [q z], [q / z] or [q^2] by class.
     """
-    vw = q if isinstance(q, VertexWeights) else VertexWeights(q)
+    vw = _session(q)
     zs = [vw.rat(z) for z in zeta]
     ws = [vw.rat(x) for x in w]
     n = len(zs)

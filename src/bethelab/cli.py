@@ -9,7 +9,8 @@ Subcommands:
     asm      {count,genpoly} --n  ASM counts
 
 Rationals are written p/r on the command line (e.g. --q 5/2,
---w 1/1,3/2,7/3).  Random parameters are drawn with numerators and
+--w 1/1,3/2,7/3); a negative one needs the = form, --q=-2/1, or argparse
+reads it as a flag.  Random parameters are drawn with numerators and
 denominators uniform in [1, 97], retried until they avoid the excluded
 sets (q^4 = 1, squares that would degenerate the scalar extension,
 coincident w, the singular lattices w_j = q^{+-1,+-2} w_k, and for the
@@ -58,11 +59,15 @@ class ConfigError(ValueError):
 # -- seeded rational draws ----------------------------------------------
 
 
+def draw_z(rng: random.Random) -> RAT:
+    return RAT(rng.randint(1, 97), rng.randint(1, 97))
+
+
 def draw_q(rng: random.Random) -> RAT:
     """q that VertexWeights accepts: [q], [q^2] != 0 and a valid scalar
     session constant."""
     while True:
-        q = RAT(rng.randint(1, 97), rng.randint(1, 97))
+        q = draw_z(rng)
         try:
             VertexWeights(q)
         except ValueError:
@@ -73,7 +78,7 @@ def draw_q(rng: random.Random) -> RAT:
 def draw_w(rng: random.Random, n: int, q: RAT):
     """Pairwise distinct w avoiding the singular lattices q^{+-1,+-2} w_k."""
     while True:
-        w = [RAT(rng.randint(1, 97), rng.randint(1, 97)) for _ in range(n)]
+        w = [draw_z(rng) for _ in range(n)]
         ok = len(set(w)) == n
         if ok:
             for a in w:
@@ -82,10 +87,6 @@ def draw_w(rng: random.Random, n: int, q: RAT):
                         ok = False
         if ok:
             return tuple(w)
-
-
-def draw_z(rng: random.Random) -> RAT:
-    return RAT(rng.randint(1, 97), rng.randint(1, 97))
 
 
 def _pole_lattice(xs, q):
@@ -98,7 +99,7 @@ def draw_distinct(rng: random.Random, n: int, avoid=()):
     avoid = set(avoid)
     out = []
     while len(out) < n:
-        z = RAT(rng.randint(1, 97), rng.randint(1, 97))
+        z = draw_z(rng)
         if z not in avoid and z not in out:
             out.append(z)
     return tuple(out)
@@ -166,11 +167,6 @@ def _record(name, params, passed, **extra):
     return rec
 
 
-def _param_str(params: "aba.ModelParams"):
-    return {"n": params.n, "q": rat_str(params.q),
-            "w": [rat_str(x) for x in params.w]}
-
-
 def checks_rmatrix(params, rng):
     q = params.q
     out = []
@@ -202,7 +198,7 @@ def checks_rmatrix(params, rng):
 
 def checks_aba(params, rng):
     out = []
-    ps = _param_str(params)
+    ps = params.to_json_dict()
     zs = [draw_z(rng) for _ in range(3)]
 
     def eigen_t2():
@@ -242,7 +238,7 @@ def checks_aba(params, rng):
 
 def checks_detform(params, rng):
     out = []
-    ps = _param_str(params)
+    ps = params.to_json_dict()
     zeta = draw_distinct(rng, params.n,
                          avoid=_pole_lattice(params.w, params.q))
     slavnov = cache(lambda: detform.slavnov(params.w, zeta, params))
@@ -432,7 +428,7 @@ def cmd_singlet(args) -> int:
     phi = spinchain.singlet(n)
     comps = [{"state": aba.state_str(k), "value": v.to_json_dict()}
              for k, v in sorted(phi.entries.items())]
-    emit({"n": n, "components": comps}, "json", args.out or args.emit)
+    emit({"n": n, "components": comps}, "json", args.out)
     return 0
 
 
@@ -491,7 +487,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     ps = sub.add_parser("singlet", help="dump the homogeneous singlet")
     common(ps, drawn=False)
-    ps.add_argument("--emit", default=None, help="output path (alias of --out)")
     ps.set_defaults(fn=cmd_singlet)
 
     pik = sub.add_parser("ikdet", help="determinant vs. brute partition sum")

@@ -15,8 +15,9 @@ oracle) to
 
 where Z_IK is the Izergin-Korepin determinant for the six-vertex model
 with domain-wall boundaries and weights fa(z) = [q z], fb(z) = [q / z],
-fc(z) = [q^2].  Coincident parameters make the determinant singular; those
-points are evaluated through the alternating-sign-matrix sum instead
+fc(z) = [q^2].  Where the determinant formula divides by zero (coincident
+parameters, or a vanishing fa or fb) the partition function, which has no
+pole there, is evaluated through the alternating-sign-matrix sum instead
 (never by a limit).  Spectral parameters are anything `VertexWeights.rat`
 takes, and every value here is a rational.
 """
@@ -27,7 +28,6 @@ from functools import cache
 
 from bethelab.aba import (
     ModelParams,
-    PoleEncountered,
     distinguished_component_key,
     monodromy_apply,
     renormalised_vector,
@@ -36,14 +36,9 @@ from bethelab.aba import (
     vacuum_d,
 )
 from bethelab.asm import dwbc_partition_brute
-from bethelab.field import RAT, DivisionByZero, brk, inv
+from bethelab.field import RAT, PoleEncountered, brk, inv
 from bethelab.linalg import det_bareiss
 from bethelab.rmatrix import UP
-
-
-class CoincidentParameters(ZeroDivisionError):
-    """Repeated spectral parameters make the determinant formula singular;
-    the ASM-sum route must be used instead."""
 
 
 def f_fn(z, w, q) -> RAT:
@@ -60,13 +55,6 @@ def g_fn(z, w, q) -> RAT:
     if not den:
         raise PoleEncountered("g(z, w) has a pole at w = +-z")
     return brk(q) / den
-
-
-def _divide(a, b) -> RAT:
-    """a / b; b = 0 is a pole of Slavnov's formula (zeta_k = +-q^(+-1) z_m)."""
-    if not b:
-        raise DivisionByZero("division by zero scalar")
-    return a / b
 
 
 def slavnov(roots, zeta, params: ModelParams) -> RAT:
@@ -101,7 +89,7 @@ def slavnov(roots, zeta, params: ModelParams) -> RAT:
             raise PoleEncountered("d(zeta_k) = 0")
         r = vacuum_a(cs[k], params) / ds[k]
         for m in range(n):
-            r = _divide(r * f(n + k, m), f(m, n + k))
+            r = r * f(n + k, m) * inv(f(m, n + k))
         ratio.append(r)
     matrix = []
     for j in range(n):
@@ -110,7 +98,7 @@ def slavnov(roots, zeta, params: ModelParams) -> RAT:
             gjk = g(j, n + k)
             gkj = g(n + k, j)
             row.append(-gjk * gjk / f(j, n + k)
-                       - _divide(gkj * gkj, f(n + k, j)) * ratio[k])
+                       - gkj * gkj * inv(f(n + k, j)) * ratio[k])
         matrix.append(row)
     return pref * det_bareiss(matrix)
 
@@ -142,7 +130,7 @@ def ik_determinant(zeta, w, params: ModelParams) -> RAT:
             bz = brk(zs[j] * inv(zs[k]))
             bw = brk(ws[k] * inv(ws[j]))
             if not bz or not bw:
-                raise CoincidentParameters(
+                raise PoleEncountered(
                     "coincident zeta or w; use the ASM-sum route")
             den = den * bz * bw
     fc = brk(q * q)
@@ -162,11 +150,11 @@ def ik_determinant(zeta, w, params: ModelParams) -> RAT:
 
 
 def ik_or_asm_sum(zeta, w, params: ModelParams) -> RAT:
-    """Z_IK through the determinant, or the exact ASM sum when parameters
-    coincide (the determinant formula is singular there)."""
+    """Z_IK through the determinant, or the exact ASM sum at a zero divisor
+    of the determinant formula."""
     try:
         return ik_determinant(zeta, w, params)
-    except CoincidentParameters:
+    except PoleEncountered:
         return dwbc_partition_brute(zeta, w, params.vw)
 
 

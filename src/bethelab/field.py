@@ -47,12 +47,9 @@ class SessionMismatch(ValueError):
     """Scalars with different session constants d were combined."""
 
 
-class ZeroInverse(ZeroDivisionError):
-    """Inversion of zero (e.g. bracket of a non-invertible argument)."""
-
-
-class DivisionByZero(ZeroDivisionError):
-    """Exact division by a zero scalar."""
+class PoleEncountered(ZeroDivisionError):
+    """A zero divisor at the requested parameters: a vanishing bracket or
+    denominator, or the inverse of zero."""
 
 
 class MixedGrades(ArithmeticError):
@@ -157,11 +154,6 @@ class Scalar:
     def __bool__(self) -> bool:
         return bool(self.r)
 
-    def to_rat(self) -> RAT:
-        if self.g:
-            raise ValueError(f"{self!r} is not rational")
-        return self.r
-
     def parts(self) -> tuple:
         """The coefficients (a, b, c, e) of 1, s, i and s i."""
         return tuple(self.r if g == self.g else RAT_ZERO for g in range(4))
@@ -223,7 +215,7 @@ class Scalar:
     def inv(self) -> "Scalar":
         """1 / (r s^k i^l) = r^-1 d^-k (-1)^l s^k i^l."""
         if not self.r:
-            raise DivisionByZero("inverse of zero scalar")
+            raise PoleEncountered("inverse of zero scalar")
         r = 1 / self.r
         if self.g & 1:
             r = r / self.d
@@ -236,7 +228,7 @@ class Scalar:
         if o is NotImplemented:
             return o
         if not o.r:
-            raise DivisionByZero("division by zero scalar")
+            raise PoleEncountered("division by zero scalar")
         r, only = self.r / o.r, o.g & ~self.g  # x * o.inv() in one step
         if only & 1:
             r = r / self.d
@@ -322,14 +314,14 @@ def brk(r) -> RAT:
     """Rational bracket [r] = r - 1/r."""
     r = as_rat(r)
     if r == 0:
-        raise ZeroInverse("bracket of zero spectral parameter")
+        raise PoleEncountered("bracket of zero spectral parameter")
     return r - 1 / r
 
 
 def inv(r) -> RAT:
-    """1 / r for a rational r, raising DivisionByZero as Scalar.inv does."""
+    """1 / r for a rational r, raising PoleEncountered as Scalar.inv does."""
     if not r:
-        raise DivisionByZero("inverse of zero scalar")
+        raise PoleEncountered("inverse of zero scalar")
     return 1 / r
 
 

@@ -71,9 +71,9 @@ from bethelab import linalg
 from bethelab.field import (
     RAT,
     RAT_ZERO,
+    PoleEncountered,
     Scalar,
     SessionMismatch,
-    ZeroInverse,
     as_rat,
     brk,
     inv,
@@ -283,11 +283,11 @@ def check_ybe(m: int, n: int, p: int, z, w, q) -> bool:
 
     R12(z/w) R13(z) R23(w) = R23(w) R13(z) R12(z/w).
     """
-    vw = VertexWeights(q)
+    vw = _session(q)
     z = vw.rat(z)
     w = vw.rat(w)
     if not z or not w:
-        raise ZeroInverse("spectral parameters must be nonzero")
+        raise PoleEncountered("spectral parameters must be nonzero")
     dims = [m + 1, n + 1, p + 1]
     r12_ = r_mn(m, n, z / w, vw).embedded(dims, 0, 1)
     r13_ = r_mn(m, p, z, vw).embedded(dims, 0, 2)
@@ -299,7 +299,7 @@ def check_ybe(m: int, n: int, p: int, z, w, q) -> bool:
 
 def inversion_check(z, q) -> bool:
     """R(z) R(1/z) = [q/z][q^2 z] [qz][q^2/z] Id on C^3 x C^3."""
-    vw = VertexWeights(q)
+    vw = _session(q)
     z, q = vw.rat(z), vw.q
     lhs = linalg.sp_mul(r22(z, vw).embedded([3, 3], 0, 1),
                         r22(inv(z), vw).embedded([3, 3], 0, 1))
@@ -318,7 +318,7 @@ def rank_one_check(q) -> bool:
     The entries settle the rank too: an outer product of the nonzero
     vector |s> with itself has rank one, so no minor is evaluated.
     """
-    vw = VertexWeights(q)
+    vw = _session(q)
     s = singlet_pair_vector()
     want = {o + i: vw.d * so * si for o, so in s.items()
             for i, si in s.items()}
@@ -335,7 +335,7 @@ def magnetisation_pattern_check(z, q) -> bool:
 
 def permutation_check(q) -> bool:
     """r22(1) = [q][q^2] P."""
-    vw = VertexWeights(q)
+    vw = _session(q)
     return r22(1, vw).weights == {(a, b, b, a): vw.d for a in range(3)
                                   for b in range(3)}
 
@@ -345,7 +345,7 @@ def permutation_check(q) -> bool:
 
 def check_fusion_r22(z, q) -> bool:
     """Gauge-free equivalent of the fusion decomposition (see module doc)."""
-    vw = VertexWeights(q)
+    vw = _session(q)
     z, q, d = vw.rat(z), vw.q, vw.d
     # Y = R13(z/q) R23(z) on C^2 x C^2 x C^3, row 3 * pair + alpha with
     # pair = 2 * (first spin) + (second spin)
@@ -408,7 +408,7 @@ def crossing_transpose_check(z, q) -> bool:
     [d, 0]] and R = [[0, -1/d], [1, 0]]: the block X_ab of X goes to
     -X_11, X_10 / d, d X_01 and -X_00.
     """
-    vw = VertexWeights(q)
+    vw = _session(q)
     z, d = vw.rat(z), vw.d
     lhs = r12(z, vw).transpose_right().embedded([2, 3], 0, 1)
     inner = r12(inv(z * vw.q ** 2), vw).embedded([2, 3], 0, 1)

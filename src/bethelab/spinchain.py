@@ -74,7 +74,7 @@ from bethelab.field import (
     unpack,
 )
 from bethelab.linalg import kron, mat_add, mat_mul, mat_scale, state_str
-from bethelab.rmatrix import UP, VertexWeights, r12
+from bethelab.rmatrix import DOWN, UP, ZERO
 
 
 class NonIntegerCoefficient(ArithmeticError):
@@ -164,21 +164,13 @@ def twisted_translation_apply(v: StateVector) -> StateVector:
 # -- the homogeneous-limit singlet --------------------------------------
 
 
-@cache
-def _rho_table():
-    """K rho(x) K^-1 as int lists in x: [1] or [-1] for a bracket weight
-    w/[q]; for a flip, w/[q] = b y with b = w/s, which the gauged r12(1/q)
-    holds as b d where the flip raises the auxiliary index and as b where
-    it lowers it: [0, b] and [b].  Every valid q gives this table; q = 2."""
-    vw = VertexWeights(RAT(2))
-    table = r12(1 / vw.q, vw).column_map()
-    for (ai, _), col in table.items():
-        for k, (ao, so, w) in enumerate(col):
-            r = w / (vw.d if ao > ai else 1 if ao < ai else brk(vw.q))
-            if r.denominator != 1:
-                raise NonIntegerCoefficient(f"<{ao} .|rho|{ai} .> weighs {r}")
-            col[k] = (ao, so, [0, r.numerator] if ao > ai else [r.numerator])
-    return table
+# K rho(x) K^-1 (module docstring) as int lists in x, keyed (aux, site)
+_RHO = {(0, UP): [(0, UP, [1])],
+        (0, ZERO): [(1, UP, [0, 1])],
+        (0, DOWN): [(0, DOWN, [-1]), (1, ZERO, [0, 1])],
+        (1, UP): [(0, ZERO, [1]), (1, UP, [-1])],
+        (1, ZERO): [(0, DOWN, [1])],
+        (1, DOWN): [(1, DOWN, [1])]}
 
 
 def _column_l1(table) -> int:
@@ -209,11 +201,10 @@ def _x_ints(v: StateVector) -> dict:
 def _packed_rho(n: int):
     """(table, bits): rho packed at x = 2^bits for the n-site singlet.
     Bound: each site of a sweep multiplies a vector's l1 norm by at most
-    L = _column_l1(rho), so the n sweeps of n sites take |all-up> to a
+    L = _column_l1(_RHO), so the n sweeps of n sites take |all-up> to a
     vector whose every coefficient is at most L^(n^2) in absolute value."""
-    rho = _rho_table()
-    bits = (_column_l1(rho) ** (n * n)).bit_length() + 1
-    return _packed(rho, bits), bits
+    bits = (_column_l1(_RHO) ** (n * n)).bit_length() + 1
+    return _packed(_RHO, bits), bits
 
 
 def beta_apply(v: StateVector) -> StateVector:

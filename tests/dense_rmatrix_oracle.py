@@ -22,10 +22,16 @@ def coerce(vw: VertexWeights, z) -> Scalar:
     return vw.sc(z)
 
 
+def rational(x: Scalar):
+    """The rational r of a Scalar x = r of grade 0."""
+    assert not x.g, f"{x!r} is not rational"
+    return x.r
+
+
 def bracket(vw: VertexWeights, z) -> Scalar:
     """[z] = z - 1/z as a Scalar."""
     z = coerce(vw, z)
-    if not z.g:  # zero included: brk raises ZeroInverse
+    if not z.g:  # zero included: brk raises PoleEncountered
         return vw.sc(brk(z.r))
     return z - z.inv()
 

@@ -29,7 +29,7 @@ def rho_table():
     vw = VertexWeights(RAT(2))
     y = HalfPowerPoly((0, 1))
     return {key: [(lo, ro, y if w == vw.s
-                   else HalfPowerPoly.const((w / dense.bq(vw)).to_rat()))
+                   else HalfPowerPoly.const(dense.rational(w / dense.bq(vw))))
                   for lo, ro, w in col]
             for key, col in dense.r12(1 / vw.q, vw).column_map().items()}
 

@@ -22,10 +22,10 @@ import dense_rmatrix_oracle as dense
 from bethelab.aba import ModelVector, StateVector
 from bethelab.field import (
     RAT,
-    DivisionByZero,
     InconsistentSamples,
     LaurentPoly,
     MixedGrades,
+    PoleEncountered,
     Scalar,
     SessionMismatch,
     SingularSystem,
@@ -115,13 +115,13 @@ class FourPart:
         """1/x = conj_i(x) (u - v s) / (u^2 - v^2 d), where x conj_i(x) =
         u + v s lies in Q(s)."""
         if self.is_zero():
-            raise DivisionByZero("inverse of zero scalar")
+            raise PoleEncountered("inverse of zero scalar")
         ci = self.conj_i()
         n = self * ci
         u, v = n.a, n.b
         norm = u * u - v * v * self.d
         if norm == 0:
-            raise DivisionByZero("zero norm; d admits zero divisors")
+            raise PoleEncountered("zero norm; d admits zero divisors")
         return ci * FourPart(u / norm, -v / norm, d=self.d)
 
     def __truediv__(self, other):

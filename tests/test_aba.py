@@ -12,7 +12,6 @@ from bethelab.aba import (
     ZERO,
     IrrationalComponent,
     ModelParams,
-    PoleEncountered,
     RedundantFactorZero,
     StateVector,
     asymptotic_check,
@@ -36,7 +35,7 @@ from bethelab.aba import (
     vacuum_d,
     vector_laurent_coefficients,
 )
-from bethelab.field import RAT, Scalar, brk
+from bethelab.field import RAT, PoleEncountered, Scalar, brk
 from bethelab.rmatrix import RMat, r22
 
 

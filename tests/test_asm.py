@@ -24,7 +24,7 @@ from bethelab.asm import (
     generate_asms,
     vertex_count_audit,
 )
-from bethelab.field import RAT, DivisionByZero, LaurentPoly, ZeroInverse, brk
+from bethelab.field import RAT, LaurentPoly, PoleEncountered, brk
 from bethelab.rmatrix import VertexWeights
 
 
@@ -195,14 +195,14 @@ def test_partition_n1():
     assert z == dense.bq2(vw)
 
 
-@pytest.mark.parametrize("zeta, w, error, message", [
-    ([0, 2], [1, 3], ZeroInverse, "bracket of zero spectral parameter"),
-    ([1, 2], [0, 3], DivisionByZero, "inverse of zero scalar"),
+@pytest.mark.parametrize("zeta, w, message", [
+    ([0, 2], [1, 3], "bracket of zero spectral parameter"),
+    ([1, 2], [0, 3], "inverse of zero scalar"),
 ])
-def test_partition_zero_parameter_names_itself(zeta, w, error, message):
-    with pytest.raises(error) as err:
+def test_partition_zero_parameter_names_itself(zeta, w, message):
+    with pytest.raises(PoleEncountered) as err:
         dwbc_partition_brute(zeta, w, RAT(2))
-    assert type(err.value) is error and str(err.value) == message
+    assert type(err.value) is PoleEncountered and str(err.value) == message
 
 
 def test_partition_homogeneous_matches_genpoly():
@@ -266,7 +266,7 @@ def test_partition_transfer_matches_enumeration(n):
     zeta = draw_distinct(rng, n)
     w = draw_distinct(rng, n, avoid=zeta)
     ones = [RAT(1)] * n
-    # a repeated zeta, where ik_determinant raises CoincidentParameters
+    # a repeated zeta, where ik_determinant raises PoleEncountered
     # and ik_or_asm_sum falls back here, with one zeta equal to a w
     coincident = ([zeta[0]] * n, [zeta[0]] + list(w[1:]))
     for z, x in ((zeta, w), (ones, ones), coincident):

@@ -80,6 +80,18 @@ def test_bad_rational_exits_2(capsys):
     assert code == 2
 
 
+def test_negative_rationals_take_the_equals_form(capsys):
+    """argparse reads "-2/1" after a space as a flag; --q=-2/1 is a value."""
+    assert main(["vector", "--n", "2", "--q", "-2/1"]) == 2
+    assert ("argument --q: expected one argument"
+            in capsys.readouterr().err)
+    code, out = run_cli(["verify", "--n", "3", "--q=-2/1",
+                         "--w=-1/1,3/2,5/7"], capsys)
+    body = json.loads(out)
+    assert code == 0 and body["pass"] is True and len(body["checks"]) == 39
+    assert body["checks"][0]["params"]["q"] == "-2/1"
+
+
 def test_seed_determinism(capsys):
     _, out1 = run_cli(["verify", "--suite", "detform", "--n", "2",
                        "--seed", "11"], capsys)
@@ -161,12 +173,14 @@ def test_csv_format(capsys, tmp_path):
     assert all(",true," in ln or ",false," in ln for ln in lines[1:])
 
 
-def test_out_file_and_emit_alias(capsys, tmp_path):
+def test_out_file_and_no_emit_alias(capsys, tmp_path):
     path = tmp_path / "phi.json"
-    code, _ = run_cli(["singlet", "--n", "2", "--emit", str(path)], capsys)
+    code, _ = run_cli(["singlet", "--n", "2", "--out", str(path)], capsys)
     assert code == 0
     body = json.loads(path.read_text())
     assert body["n"] == 2
+    assert main(["singlet", "--n", "2", "--emit", str(path)]) == 2
+    assert "unrecognized arguments: --emit" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [
@@ -269,18 +283,37 @@ def test_failed_check_records_elapsed_time(monkeypatch):
     assert rec["elapsed_ms"] >= 20.0
 
 
-def test_pole_in_input_exits_3(capsys):
-    # zeta_1 = w_1 / q is a pole of the Izergin-Korepin determinant
-    code = main(["ikdet", "--n", "2", "--q", "2/1", "--w", "1/1,3/1",
-                 "--zeta", "1/2,5/1"])
-    err = capsys.readouterr().err
-    assert code == 3
-    assert err.startswith("singular input: ")
+@pytest.mark.parametrize("argv, z_ik", [
+    # fb(zeta_1 / w_1) = [q w_1 / zeta_1] = [1]: Z is the c-weight [q^2]
+    (["--n", "1", "--w", "1/1", "--zeta", "2/1"], "15/4"),
+    # zeta_1 = w_1 / q, so fa(zeta_1 / w_1) = [1]: Z = [q^2]^2 ([1/3][10]
+    # + [4][6/5]) over the two DWBC configurations, summed by hand
+    (["--n", "2", "--w", "1/1,3/1", "--zeta", "1/2,5/1"], "-45045/128"),
+], ids=["n1", "n2"])
+def test_ikdet_takes_the_asm_route_at_a_zero_divisor(argv, z_ik, capsys):
+    """The determinant formula divides by zero where fa or fb vanishes,
+    but the partition function has no pole there."""
+    code, out = run_cli(["ikdet", "--q", "2/1"] + argv, capsys)
+    assert code == 0
+    body = json.loads(out)
+    assert body["match"] is True and body["Z_IK"]["a"] == z_ik
+
+
+def test_verify_simple_component_at_a_zero_divisor(capsys):
+    """w_1 = q w_2 puts a zero fb in Z_IK(w_1; w_2), yet the renormalised
+    vector and its simple component exist."""
+    code, out = run_cli(["verify", "--suite", "detform", "--n", "2",
+                         "--q", "2/1", "--w", "2/1,1/1"], capsys)
+    rec = {r["check"]: r for r in json.loads(out)["checks"]}
+    assert rec["detform.simple_component_even"]["pass"] is True
+    assert "error" not in rec["detform.simple_component_even"]
 
 
 @pytest.mark.parametrize("zeta, message", [
-    ("0/1,2/1", "bracket of zero spectral parameter"),  # [zeta_1 / zeta_2]
-    ("2/1,0/1", "inverse of zero scalar"),  # zeta_1 / zeta_2
+    # Z_IK's zero divisor sends ikdet to the ASM sum, whose [q zeta_k / w_j]
+    # is a bracket of zero
+    ("0/1,2/1", "bracket of zero spectral parameter"),
+    ("2/1,0/1", "bracket of zero spectral parameter"),
 ])
 def test_zero_spectral_parameter_exits_3(zeta, message, capsys):
     code = main(["ikdet", "--n", "2", "--seed", "1", "--zeta", zeta])

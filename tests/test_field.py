@@ -6,15 +6,14 @@ from hypothesis import strategies as st
 
 from bethelab.field import (
     RAT,
-    DivisionByZero,
     HalfPowerPoly,
     InconsistentSamples,
     LaurentPoly,
     MixedGrades,
+    PoleEncountered,
     Scalar,
     SessionMismatch,
     SingularSystem,
-    ZeroInverse,
     brk,
     is_rational_square,
     laurent_interpolate,
@@ -57,7 +56,7 @@ def test_bracket_two():
 
 
 def test_bracket_zero_raises():
-    with pytest.raises(ZeroInverse):
+    with pytest.raises(PoleEncountered):
         brk(0)
 
 
@@ -100,9 +99,9 @@ def test_session_mismatch_raises():
 
 
 def test_division_by_zero_raises():
-    with pytest.raises(DivisionByZero):
+    with pytest.raises(PoleEncountered):
         _ = sc(1) / sc(0)
-    with pytest.raises(DivisionByZero):
+    with pytest.raises(PoleEncountered):
         sc(0).inv()
 
 
@@ -135,13 +134,11 @@ def test_pow():
 
 def test_rational_roundtrip_and_reality():
     x = sc(RAT(5, 3))
-    assert not x.g and x.to_rat() == RAT(5, 3)
+    assert not x.g and x.r == RAT(5, 3)
     y = fp(1, 2)
     assert not (y.c or y.e) and not y.is_rational()  # in Q(s), not Q
     with pytest.raises(ValueError):
         y.to_rat()
-    with pytest.raises(ValueError):
-        sc(0, 2).to_rat()
 
 
 def test_json_roundtrip():
@@ -194,7 +191,7 @@ def test_graded_arithmetic_matches_four_part_oracle(case):
         with pytest.raises(MixedGrades):
             _ = x - y
     if y.is_zero():
-        with pytest.raises(DivisionByZero):
+        with pytest.raises(PoleEncountered):
             _ = x / y
     else:
         assert FourPart.of(x / y) == ox / oy

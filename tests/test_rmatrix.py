@@ -29,7 +29,7 @@ from bethelab.rmatrix import (
     rank_one_check,
     singlet_pair_vector,
 )
-from bethelab.spinchain import _rho_table
+from bethelab.spinchain import _RHO
 
 Q = RAT(2)
 VW = VertexWeights(Q)
@@ -206,6 +206,12 @@ def test_bad_q_rejected():
         VertexWeights(0)
 
 
+def test_identity_checks_take_a_session():
+    """Every identity check, like every R-matrix, takes q as a rational or
+    as its session."""
+    assert _identities_hold(VW, RAT(3), RAT(5, 2))
+
+
 def test_shape_guards_raise():
     with pytest.raises(ValueError):
         RMat(2, 3, r22(RAT(3), VW).weights)  # spin-1 left factor
@@ -311,15 +317,15 @@ def _dense_pairs(vw, z):
 
 
 def _rho_from_the_oracle(vw):
-    """K rho K^-1, K = diag(1, y), as `spinchain._rho_table` builds it,
+    """K rho K^-1, K = diag(1, y), as `spinchain._RHO` writes it,
     from the ungauged Scalar r12(1/q): a bracket weight w is [w/[q]], a
     flip w = b s is [0, b] where it raises the auxiliary index, else [b]."""
     table = {}
     for (ai, si), col in dense.r12(1 / vw.q, vw).column_map().items():
         table[ai, si] = [
-            (ao, so, [(w / dense.bq(vw)).to_rat()] if ao == ai
-             else [0, (w / vw.s).to_rat()] if ao > ai
-             else [(w / vw.s).to_rat()]) for ao, so, w in col]
+            (ao, so, [dense.rational(w / dense.bq(vw))] if ao == ai
+             else [0, dense.rational(w / vw.s)] if ao > ai
+             else [dense.rational(w / vw.s)]) for ao, so, w in col]
     return table
 
 
@@ -343,4 +349,4 @@ def test_sparse_weights_match_the_dense_grids(point):
         assert [(key, [(lo, ro, vw.sc(w)) for lo, ro, w in col])
                 for key, col in sparse.column_map().items()] == \
             list(ref.column_map().items())
-    assert _rho_from_the_oracle(vw) == _rho_table()
+    assert _rho_from_the_oracle(vw) == _RHO

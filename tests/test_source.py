@@ -33,21 +33,71 @@ def _names(tree):
                 yield from qualname.split(".")
 
 
+def _statements():
+    """(path, node, names) for each top-level statement of the package
+    and the benchmark, and the package's root."""
+    root = Path(bethelab.__file__).parent
+    bench = root.parent.parent / "perfbench"
+    paths = sorted(root.rglob("*.py")) + sorted(bench.glob("*.py"))
+    return [(path, node, set(_names(node))) for path in paths
+            for node in ast.parse(path.read_text()).body], root
+
+
+def _unused(units, defs, root):
+    """The package's definitions among defs that no unit names, outside
+    their own unit."""
+    users = Counter(name for *_, names in units for name in names)
+    return [f"{path.name}:{node.name}" for path, node, names in defs
+            if path.parent == root
+            and users[node.name] == (node.name in names)]
+
+
 def test_every_module_level_definition_has_a_user():
     """A function or class of the package that nothing in the package or
     the benchmark names, outside its own body, is dead code or a
     test-only helper."""
+    statements, root = _statements()
+    defs = [s for s in statements
+            if isinstance(s[1], (ast.FunctionDef, ast.ClassDef))]
+    assert _unused(statements, defs, root) == []
+
+
+def test_every_method_has_a_user():
+    """The same for a class's methods other than dunders: each class body
+    statement is a unit of its own, so a method that only its own body
+    names has no user."""
+    statements, root = _statements()
+    units = [s for s in statements if not isinstance(s[1], ast.ClassDef)]
+    methods = []
+    for path, node, _ in statements:
+        if isinstance(node, ast.ClassDef):
+            header = node.bases + node.keywords + node.decorator_list
+            units.append((path, node, {n for h in header for n in _names(h)}))
+            members = [(path, item, set(_names(item))) for item in node.body]
+            units += members
+            methods += [m for m in members if isinstance(m[1], ast.FunctionDef)
+                        and not m[1].name.startswith("__")]
+    assert _unused(units, methods, root) == []
+
+
+def test_one_zero_divisor_error():
+    """Every "zero divisor at these parameters" is one class, raised from
+    `field` up and reported with exit 3; RedundantFactorZero refines it."""
     root = Path(bethelab.__file__).parent
-    bench = root.parent.parent / "perfbench"
-    paths = sorted(root.rglob("*.py")) + sorted(bench.glob("*.py"))
-    statements = [(path, node, set(_names(node))) for path in paths
-                  for node in ast.parse(path.read_text()).body]
-    users = Counter(name for *_, names in statements for name in names)
-    unused = [f"{path.name}:{node.name}" for path, node, names in statements
-              if path.parent == root
-              and isinstance(node, (ast.FunctionDef, ast.ClassDef))
-              and users[node.name] == (node.name in names)]
-    assert unused == []
+    found = [f"{path.stem}.{node.name}" for path in sorted(root.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.ClassDef)
+             and "ZeroDivisionError" in {n for b in node.bases
+                                         for n in _names(b)}]
+    assert found == ["field.PoleEncountered"]
+
+
+def test_spinchain_writes_its_own_rho():
+    """`spinchain` holds rho as its own table, not derived from the gauged
+    r12 of `rmatrix`, whose gauge it then need not know."""
+    root = Path(bethelab.__file__).parent
+    names = set(_names(ast.parse((root / "spinchain.py").read_text())))
+    assert not names & {"r12", "VertexWeights"}
 
 
 def _imported_modules(tree):

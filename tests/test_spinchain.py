@@ -15,7 +15,7 @@ from bethelab.aba import StateVector, magnetisation
 from bethelab import cli, spinchain
 from bethelab.field import RAT, HalfPowerPoly, Scalar
 from bethelab.linalg import kron, mat_add, mat_mul, mat_scale
-from bethelab.rmatrix import DOWN, UP, ZERO, RMat, VertexWeights, r12
+from bethelab.rmatrix import DOWN, UP, ZERO, VertexWeights
 from bethelab.spinchain import (
     NonIntegerCoefficient,
     beta_apply,
@@ -130,7 +130,7 @@ def gaussian_gate_oracle():
     out = []
     for m in (h0, h1, h2, t0, cross, h2):
         assert all(not x.g for row in m for x in row)
-        out.append([[x.to_rat() for x in row] for row in m])
+        out.append([[x.r for x in row] for row in m])
     return tuple(out)
 
 
@@ -211,7 +211,6 @@ def test_bond_and_hamiltonian_make_no_halfpower_products(monkeypatch,
     monkeypatch.setattr(HalfPowerPoly, "__mul__", counting)
     monkeypatch.setattr(HalfPowerPoly, "__rmul__", counting)
     spinchain._bond_tables.__wrapped__()
-    spinchain._rho_table.__wrapped__()
     hamiltonian_apply_poly(singlet(4))
     assert cli.main(["verify", "--suite", "spinchain", "--n", "4"]) == 0
     assert '"pass": true' in capsys.readouterr().out
@@ -368,23 +367,12 @@ def test_norm_of_rational_components():
 
 
 def test_singlet_guards_are_typed(monkeypatch):
-    """An entry of 8 h(x) not divisible by 8 raises, and so does a weight
-    of rho that is not an integer (polynomial): halving the bracket
-    weights, or the flip weights, of r12."""
+    """An entry of 8 h(x) not divisible by 8 raises."""
     hs = bond_gate()
     hs[1][3][1] += 4  # 8 h(x) would carry x/2 at <0U|h|U0>
     monkeypatch.setattr(spinchain, "bond_gate", lambda: hs)
     with pytest.raises(NonIntegerCoefficient):
         spinchain._bond_tables.__wrapped__()
-    for flips in (False, True):
-        def halved(z, vw, flips=flips):
-            weights = r12(z, vw).weights
-            return RMat(2, 3, {k: w * RAT(1, 2) if (k[0] != k[2]) == flips
-                               else w for k, w in weights.items()})
-
-        monkeypatch.setattr(spinchain, "r12", halved)
-        with pytest.raises(NonIntegerCoefficient):
-            spinchain._rho_table.__wrapped__()
 
 
 def test_singlet_magnetisation_zero():

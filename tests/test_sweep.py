@@ -45,7 +45,7 @@ from bethelab.aba import (
 )
 from bethelab.field import RAT, HalfPowerPoly, SessionMismatch
 from bethelab.rmatrix import IrrationalWeight
-from bethelab.spinchain import _packed_rho, _rho_table, beta_apply
+from bethelab.spinchain import _RHO, _packed_rho, beta_apply
 
 RHO = halfpower_oracle.rho_table()  # rho in y = x^(1/2), without the gauge
 
@@ -355,7 +355,7 @@ def test_beta_matches_per_key_oracle(n):
     whatever the size of the coefficients: after k gauged sweeps of
     polynomials in x, the oracle's k ungauged ones divided by y^k."""
     rng = random.Random(300 + n)
-    rho = halfpower_oracle.x_table(_rho_table())
+    rho = halfpower_oracle.x_table(_RHO)
     bits = _packed_rho(n)[1]
     one = HalfPowerPoly.const(1)
     vecs = [StateVector(n, {(0,) * n: one})]
