@@ -137,8 +137,7 @@ class ModelVector:
     def entries(self) -> dict:
         """{key: Scalar} of the nonzero components, built on first use."""
         if self._entries is None:
-            self._entries = {key: Scalar.graded(RAT(x, self.den), self.grade,
-                                                self.d)
+            self._entries = {key: Scalar(RAT(x, self.den), self.grade, self.d)
                              for key, x in self.part.entries.items()}
         return self._entries
 
@@ -160,7 +159,7 @@ class ModelVector:
         """c times the vector, c an int, rational or Scalar: the vector's
         unit times c, a Scalar r u_h, takes the numerators to r and the
         grade to h."""
-        c = Scalar.graded(RAT(1), self.grade, self.d) * c
+        c = Scalar(RAT(1), self.grade, self.d) * c
         return ModelVector(self.d, self.den * c.r.denominator,
                            self.part.scale(c.r.numerator), c.g)
 
@@ -462,7 +461,7 @@ def renorm_divisor(params: ModelParams) -> Scalar:
                 raise RedundantFactorZero(
                     f"[q w_{j + 1}/w_{k + 1}] = 0: w on the singular lattice")
             acc = acc * f
-    return Scalar.graded(acc, n % 2, params.d)
+    return Scalar(acc, n % 2, params.d)
 
 
 def renormalised_vector(params: ModelParams) -> ModelVector:

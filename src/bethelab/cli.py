@@ -17,12 +17,14 @@ coincident w, the singular lattices w_j = q^{+-1,+-2} w_k, and for the
 determinant checks the pole lattices zeta = q^{-1,0,1} w).  With a fixed
 seed and configuration the JSON output is byte-identical across runs;
 checks always appear sorted by name.  Exit codes: 0 all checks pass,
-1 at least one failed, 2 configuration error (including a size beyond
-the cap and an --out path that cannot be written), 3 singular input (a
-pole or a singular linear system at the requested parameters), 4
-internal failure (the traceback goes to stderr).  The environment
-variable BETHE_LAB_MAX_N, a positive integer (default 8), is the one cap
-on --n, checked before any work starts.
+1 at least one failed (in `verify` any exception a check raises, a pole
+or an internal error such as MixedGrades, fails that check, its repr
+under "error"), 2 configuration error (a size beyond the cap, an --out
+path that cannot be written); outside a check (parameter setup, the
+dump commands) 3 singular input (a pole or a singular linear system at
+the requested parameters), 4 internal failure (traceback to stderr).
+The environment variable BETHE_LAB_MAX_N, a positive integer (default
+8), is the one cap on --n, checked before any work starts.
 `verify` writes its report as JSON, CSV or text (--format); the other
 subcommands always write JSON.
 """
@@ -162,9 +164,7 @@ def resolve_params(args):
 
 
 def _record(name, params, passed, **extra):
-    rec = {"check": name, "params": params, "pass": bool(passed)}
-    rec.update(extra)
-    return rec
+    return {"check": name, "params": params, "pass": bool(passed), **extra}
 
 
 def checks_rmatrix(params, rng):

@@ -11,11 +11,12 @@ where the session constant d is a fixed rational (in model computations
 d = [q][q^2], so that the square roots appearing in the mixed R-matrix
 become the symbol s).  Every such value is homogeneous, one rational times
 one of the units 1, s, i, s*i, so a Scalar is stored as r * s^k * i^l
-with rational r and grade g = k + 2 l in 0..3.  A sum of nonzero values
-of different grades raises MixedGrades, an internal error (exit 4 in the
-CLI).  For d that is not a rational square (and -d not one either) this
-is a field and the grades are independent, so every nonzero element is
-invertible, all divisions are exact and equality is decided grade by
+with rational r and grade g = k + 2 l in 0..3.  Scalars multiply, invert
+and raise to powers but never add: sums are taken on the ints of
+`aba.ModelVector`, where nonzero vectors of different grades raise
+MixedGrades, an internal error.  For d that is not a rational square (and
+-d not one either) Q(s, i) is a field and the grades are independent, so
+every nonzero element is invertible and equality is decided grade by
 grade.
 
 The module also provides the half-power polynomial ring Q[y], y = x^(1/2)
@@ -53,8 +54,8 @@ class PoleEncountered(ZeroDivisionError):
 
 
 class MixedGrades(ArithmeticError):
-    """A sum of nonzero values of different grades, or a Scalar built from
-    two nonzero parts: never computed by the package, so a bug."""
+    """A sum of nonzero ModelVectors of different grades: never computed by
+    the package, so a bug."""
 
 
 class SingularSystem(ValueError):
@@ -113,40 +114,25 @@ def validate_session_constant(d) -> RAT:
 
 
 class Scalar:
-    """Homogeneous element r * s^k * i^l of Q(s, i), s**2 = d, stored as
-    the rational r and the grade g = k + 2 l in 0..3 (zero has grade 0).
+    """Homogeneous element r * u_g of Q(s, i), s**2 = d, over the units
+    u_g = 1, s, i, s i: the rational r of the rational type, the grade g in
+    0..3 (g = k + 2 l for s^k i^l; zero has grade 0) and a session constant
+    d validated already.
 
-    Immutable.  The four-argument constructor takes the coefficients of 1,
-    s, i and s i, at most one of them nonzero.  Binary operations require
-    equal session constants; ints and rationals coerce to the constant of
-    the other operand.
+    Immutable.  A graded rational with product, power, inverse and
+    read-out: a product with another Scalar requires an equal session
+    constant, and ints and rationals coerce to grade 0 of this session.
     """
 
     __slots__ = ("r", "g", "d")
 
-    def __init__(self, a=0, b=0, c=0, e=0, *, d):
-        parts = [(g, x) for g, x in enumerate((a, b, c, e)) if x]
-        if len(parts) > 1:
-            raise MixedGrades(f"parts of grades {[g for g, _ in parts]}")
-        g, r = parts[0] if parts else (0, 0)
-        _set_r(self, as_rat(r))
-        _set_g(self, g)
-        _set_d(self, as_rat(d))
+    def __init__(self, r, g: int, d):
+        _set_r(self, r)
+        _set_g(self, g if r else 0)
+        _set_d(self, d)
 
     def __setattr__(self, *_):
         raise AttributeError("Scalar is immutable")
-
-    @staticmethod
-    def graded(r, g: int, d) -> "Scalar":
-        """r * u_g over the units u_g = 1, s, i, s i, for a rational r
-        of the rational type and a session constant d validated already."""
-        x = _new(Scalar)
-        _set_r(x, r)
-        _set_g(x, g if r else 0)
-        _set_d(x, d)
-        return x
-
-    # -- predicates ---------------------------------------------------
 
     def is_zero(self) -> bool:
         return not self.r
@@ -158,57 +144,22 @@ class Scalar:
         """The coefficients (a, b, c, e) of 1, s, i and s i."""
         return tuple(self.r if g == self.g else RAT_ZERO for g in range(4))
 
-    # -- arithmetic ---------------------------------------------------
-
-    def _coerce(self, other):
+    def __mul__(self, other):
         if type(other) is Scalar:
             if self.d is not other.d and self.d != other.d:
                 raise SessionMismatch(
                     f"session constants differ: {self.d} vs {other.d}")
-            return other
-        if isinstance(other, (int, RAT)):
-            return Scalar.graded(as_rat(other), 0, self.d)
-        return NotImplemented
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        if self.g == o.g:
-            return Scalar.graded(self.r + o.r, self.g, self.d)
-        if not o.r:
-            return self
-        if not self.r:
-            return o
-        raise MixedGrades(f"{self!r} + {o!r}")
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Scalar.graded(-self.r, self.g, self.d)
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        if self.g == o.g:
-            return Scalar.graded(self.r - o.r, self.g, self.d)
-        return self + -o
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        r = self.r * o.r
-        both = self.g & o.g
+        elif isinstance(other, (int, RAT)):
+            other = Scalar(as_rat(other), 0, self.d)
+        else:
+            return NotImplemented
+        r = self.r * other.r
+        both = self.g & other.g
         if both & 1:
             r = r * self.d
         if both & 2:
             r = -r
-        return Scalar.graded(r, self.g ^ o.g, self.d)
+        return Scalar(r, self.g ^ other.g, self.d)
 
     __rmul__ = __mul__
 
@@ -221,26 +172,7 @@ class Scalar:
             r = r / self.d
         if self.g & 2:
             r = -r
-        return Scalar.graded(r, self.g, self.d)
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        if not o.r:
-            raise PoleEncountered("division by zero scalar")
-        r, only = self.r / o.r, o.g & ~self.g  # x * o.inv() in one step
-        if only & 1:
-            r = r / self.d
-        if only & 2:
-            r = -r
-        return Scalar.graded(r, self.g ^ o.g, self.d)
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return o / self
+        return Scalar(r, self.g, self.d)
 
     def __pow__(self, n: int) -> "Scalar":
         """x^n = r^n d^(k m) (-1)^(l m) u_g^(n mod 2), m = n // 2."""
@@ -251,9 +183,7 @@ class Scalar:
             r = r * x.d ** (n // 2)
         if x.g & 2 and n & 2:
             r = -r
-        return Scalar.graded(r, x.g if n & 1 else 0, x.d)
-
-    # -- comparison / hashing ------------------------------------------
+        return Scalar(r, x.g if n & 1 else 0, x.d)
 
     def __eq__(self, other):
         if isinstance(other, (int, RAT)):
@@ -265,9 +195,6 @@ class Scalar:
                 f"session constants differ: {self.d} vs {other.d}")
         return self.g == other.g and self.r == other.r
 
-    def __hash__(self):
-        return hash((self.r, self.g, self.d))
-
     def __repr__(self):
         unit = ("", "*s", "*i", "*s*i")[self.g]
         return f"Scalar({self.r}{unit} | d={self.d})"
@@ -277,7 +204,6 @@ class Scalar:
                 "d": rat_str(self.d)}
 
 
-_new = object.__new__
 _set_r, _set_g, _set_d = Scalar.r.__set__, Scalar.g.__set__, Scalar.d.__set__
 
 
@@ -446,8 +372,8 @@ class HalfPowerPoly:
 
 
 class LaurentPoly:
-    """Laurent polynomial with exact coefficients (ints, rationals or
-    Scalars) and explicit low degree.
+    """Laurent polynomial with exact coefficients (ints or rationals in the
+    package) and explicit low degree.
 
     Normalized so the first and last stored coefficients are nonzero;
     the zero polynomial stores no coefficients.
@@ -491,9 +417,10 @@ class LaurentPoly:
 
 
 def row_reduce(rows):
-    """Gauss-Jordan elimination with exact division over Q or Q(s, i):
-    (the reduced rows, the pivot column of each nonzero row), every
-    pivot 1 and the only nonzero entry of its column."""
+    """Gauss-Jordan elimination with exact division over a field (the
+    package's rationals; the tests also run it on FourPart): (the reduced
+    rows, the pivot column of each nonzero row), every pivot 1 and the only
+    nonzero entry of its column."""
     m = [list(row) for row in rows]
     pivots = []
     for col in range(len(m[0]) if m else 0):
@@ -515,7 +442,8 @@ def row_reduce(rows):
 
 
 def solve_exact(matrix, rhs_columns):
-    """Solve A x = b over Q or Q(s, i) for several right-hand sides at once.
+    """Solve A x = b over a field, as `row_reduce`, for several right-hand
+    sides at once.
 
     Reduces [A | B]; raises SingularSystem, naming the first column
     without a pivot, when A is singular.  `rhs_columns` is a list of

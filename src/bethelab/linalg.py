@@ -1,10 +1,10 @@
 """Exact dense and sparse matrix helpers.
 
-Dense matrices are plain lists of rows of ints, rationals or Scalars;
-they stay small (the int 9x9 matrices of the Hamiltonian bond and the
-rational Bareiss inputs of `detform`).  `StateVector` is the sparse vector
-every operator of `aba` and `spinchain` acts on.  The R-matrix identities
-on pair and triple tensor spaces multiply sparse dict-of-rows matrices of
+Dense matrices are plain lists of rows of ints or rationals; they stay
+small (the int 9x9 matrices of the Hamiltonian bond and the rational
+Bareiss inputs of `detform`).  `StateVector` is the sparse vector every
+operator of `aba` and `spinchain` acts on.  The R-matrix identities on
+pair and triple tensor spaces multiply sparse dict-of-rows matrices of
 rationals with `sp_mul`, so the 27-dimensional Yang-Baxter space costs
 nothing; `rmatrix.RMat.embedded` writes a pair operator in that form.
 Determinants use fraction-free Bareiss elimination over any field; exact
@@ -28,8 +28,8 @@ class DimensionMismatch(ValueError):
 class StateVector:
     """Sparse state on N spin-1 sites, keyed by spin strings (codes 0, 1, 2
     for U, 0, D), over any ring: ints (the parts of an `aba.ModelVector`,
-    packed polynomials), half-power polynomials or Scalars.  Zero values
-    are never stored."""
+    packed polynomials) or half-power polynomials.  Zero values are never
+    stored."""
 
     __slots__ = ("n", "entries")
 
@@ -95,8 +95,8 @@ def kron(a, b):
 
 
 def det_bareiss(a):
-    """Fraction-free determinant of a square matrix over a field (rationals
-    or Scalars): every division by the previous pivot is exact."""
+    """Fraction-free determinant of a square matrix over a field (the
+    package's rationals): every division by the previous pivot is exact."""
     n = len(a)
     if n == 0:
         raise ValueError("empty matrix")

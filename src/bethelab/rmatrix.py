@@ -94,12 +94,12 @@ class VertexWeights:
             raise ValueError("q must satisfy q != 0 and q^4 != 1")
         self.q = q
         self.d = validate_session_constant(brk(q) * brk(q * q))
-        self.s = Scalar(0, 1, d=self.d)
-        self.i = Scalar(0, 0, 1, d=self.d)
+        self.s = Scalar(RAT(1), 1, self.d)
+        self.i = Scalar(RAT(1), 2, self.d)
         self.tables = {}
 
     def sc(self, r) -> Scalar:
-        return Scalar.graded(as_rat(r), 0, self.d)
+        return Scalar(as_rat(r), 0, self.d)
 
     def rat(self, z) -> RAT:
         """The spectral parameter z (an int, "p/q", a rational or a Scalar

@@ -1,59 +1,63 @@
-"""The R-matrices as dense grids of Scalars, with their dense relabelling
-loops: the reference the sparse `rmatrix.RMat` is tested against.
+"""The R-matrices as dense grids of FourParts, with their dense
+relabelling loops: the reference the sparse `rmatrix.RMat` is tested
+against.
 
 This is the form `rmatrix` built before it stored only the nonzero
 weights, on rationals, with the mixed matrix in the gauge K = diag(1, s):
-here every weight is a Scalar built from Scalar brackets, and the mixed
-matrix carries s itself on its flips.  Entries are read as <lo ro| R |li
-ri> at row dim_right * lo + ro and column dim_right * li + ri.
+here every weight is a FourPart built from FourPart brackets, and the
+mixed matrix carries s itself on its flips.  Entries are read as <lo ro|
+R |li ri> at row dim_right * lo + ro and column dim_right * li + ri.
+`gate` applies the braided r22 weight by weight to a vector, the
+reference for `aba.rhat22_apply`.
 """
 
-from bethelab.field import Scalar, SessionMismatch, brk
+from scalar_oracle import FourPart
+
+from bethelab.field import brk
+from bethelab.linalg import StateVector
 from bethelab.rmatrix import DOWN, UP, ZERO, VertexWeights
 
 
-def coerce(vw: VertexWeights, z) -> Scalar:
-    """z as a Scalar of the session vw; SessionMismatch for another's."""
-    if isinstance(z, Scalar):
-        if z.d != vw.d:
-            raise SessionMismatch(
-                f"session constants differ: {z.d} vs {vw.d}")
-        return z
-    return vw.sc(z)
+def coerce(vw: VertexWeights, z) -> FourPart:
+    """z (an int, rational, Scalar or FourPart) as a FourPart of the
+    session vw; SessionMismatch for another's."""
+    return FourPart.coerce(z, vw.d)
 
 
-def rational(x: Scalar):
-    """The rational r of a Scalar x = r of grade 0."""
-    assert not x.g, f"{x!r} is not rational"
-    return x.r
+def unit_s(vw: VertexWeights) -> FourPart:
+    return FourPart(0, 1, d=vw.d)
 
 
-def bracket(vw: VertexWeights, z) -> Scalar:
-    """[z] = z - 1/z as a Scalar."""
+def unit_i(vw: VertexWeights) -> FourPart:
+    return FourPart(0, 0, 1, d=vw.d)
+
+
+def bracket(vw: VertexWeights, z) -> FourPart:
+    """[z] = z - 1/z as a FourPart."""
     z = coerce(vw, z)
-    if not z.g:  # zero included: brk raises PoleEncountered
-        return vw.sc(brk(z.r))
+    if z.is_rational():  # zero included: brk raises PoleEncountered
+        return coerce(vw, brk(z.a))
     return z - z.inv()
 
 
-def bqz(vw: VertexWeights, k: int, z) -> Scalar:
-    """[q^k z] as a Scalar."""
-    z = coerce(vw, z)
-    return bracket(vw, z * vw.sc(vw.q ** k) if k else z)
+def bqz(vw: VertexWeights, k: int, z) -> FourPart:
+    """[q^k z] as a FourPart."""
+    return bracket(vw, coerce(vw, z) * vw.q ** k if k else z)
 
 
-def bq(vw: VertexWeights) -> Scalar:
-    return vw.sc(brk(vw.q))
+def bq(vw: VertexWeights) -> FourPart:
+    return coerce(vw, brk(vw.q))
 
 
-def bq2(vw: VertexWeights) -> Scalar:
-    return vw.sc(brk(vw.q ** 2))
+def bq2(vw: VertexWeights) -> FourPart:
+    return coerce(vw, brk(vw.q ** 2))
 
 
 def gauge_units(vw: VertexWeights, dim: int, power: int) -> list:
     """K^power on a factor of dimension dim: diag(1, s^power) on C^2, the
     identity on C^3."""
-    return [vw.sc(1), vw.s ** power] if dim == 2 else [vw.sc(1)] * 3
+    one = coerce(vw, 1)
+    return [one, unit_s(vw) ** power] if dim == 2 else [one] * 3
 
 
 class DenseRMat:
@@ -101,16 +105,11 @@ class DenseRMat:
 
     def gauged(self, kl, kr) -> "DenseRMat":
         """(Kl x Kr) R (Kl x Kr)^-1 for diagonal Kl, Kr given as lists."""
-        dl, dr = self.dim_left, self.dim_right
-        out = [[None] * (dl * dr) for _ in range(dl * dr)]
-        for lo in range(dl):
-            for ro in range(dr):
-                for li in range(dl):
-                    for ri in range(dr):
-                        out[self.idx(lo, ro)][self.idx(li, ri)] = (
-                            kl[lo] * kr[ro] * self.entry(lo, ro, li, ri)
-                            / (kl[li] * kr[ri]))
-        return DenseRMat(dl, dr, out)
+        rows = [x * y for x in kl for y in kr]  # at index idx(left, right)
+        cols = [r.inv() for r in rows]
+        return DenseRMat(self.dim_left, self.dim_right, [
+            [rows[r] * w * cols[c] if w else w for c, w in enumerate(row)]
+            for r, row in enumerate(self.entries)])
 
     def column_map(self) -> dict:
         table = {}
@@ -128,7 +127,7 @@ class DenseRMat:
 
 
 def r11(z, vw: VertexWeights) -> DenseRMat:
-    o = vw.sc(0)
+    o = coerce(vw, 0)
     bz = bqz(vw, 0, z)
     bqz_ = bqz(vw, 1, z)
     bq_ = bq(vw)
@@ -142,8 +141,8 @@ def r11(z, vw: VertexWeights) -> DenseRMat:
 
 def r12(z, vw: VertexWeights) -> DenseRMat:
     """The physical mixed R-matrix: `rmatrix.r12` is K r12 K^-1."""
-    o = vw.sc(0)
-    s = vw.s
+    o = coerce(vw, 0)
+    s = unit_s(vw)
     bz = bqz(vw, 0, z)
     bqz_ = bqz(vw, 1, z)
     bq2z = bqz(vw, 2, z)
@@ -178,7 +177,7 @@ def r22(z, vw: VertexWeights) -> DenseRMat:
         ((U, D), (Z, Z)): w6, ((D, U), (Z, Z)): w6,
         ((Z, Z), (Z, Z)): w7,
     }
-    o = vw.sc(0)
+    o = coerce(vw, 0)
     mat = [[o] * 9 for _ in range(9)]
     for (out_pair, in_pair), wgt in ent.items():
         mat[3 * out_pair[0] + out_pair[1]][3 * in_pair[0] + in_pair[1]] = wgt
@@ -186,4 +185,18 @@ def r22(z, vw: VertexWeights) -> DenseRMat:
 
 
 def r21(z, vw: VertexWeights) -> DenseRMat:
-    return r12(coerce(vw, z) / vw.sc(vw.q), vw).swapped()
+    return r12(coerce(vw, z) / vw.q, vw).swapped()
+
+
+def gate(u, params, v: StateVector, i: int, j: int) -> StateVector:
+    """P R22(u) on site positions i, j (0-based, i the left factor),
+    weight by weight from the braided dense matrix's FourPart weights."""
+    table = r22(u, params.vw).braided().column_map()
+    out = {}
+    for key, amp in v.entries.items():
+        for lo, ro, w in table[key[i], key[j]]:
+            nk = list(key)
+            nk[i], nk[j] = lo, ro
+            nk = tuple(nk)
+            out[nk] = out.get(nk, 0) + amp * w
+    return StateVector(v.n, out)

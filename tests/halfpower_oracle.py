@@ -23,13 +23,13 @@ from bethelab.spinchain import _apply_gates, _bond_tables
 @cache
 def rho_table():
     """Transition table of rho(x) = R12(1/q)/[q] in half-power form, from
-    the ungauged Scalar R12 of `dense_rmatrix_oracle`: the bracket entries
+    the ungauged FourPart R12 of `dense_rmatrix_oracle`: the bracket entries
     become 1, -1 and the flips carry y = x^(1/2).  Any valid scalar
     session gives the same table; q = 2 is used."""
     vw = VertexWeights(RAT(2))
     y = HalfPowerPoly((0, 1))
     return {key: [(lo, ro, y if w == vw.s
-                   else HalfPowerPoly.const(dense.rational(w / dense.bq(vw))))
+                   else HalfPowerPoly.const((w / dense.bq(vw)).to_rat()))
                   for lo, ro, w in col]
             for key, col in dense.r12(1 / vw.q, vw).column_map().items()}
 

@@ -1,6 +1,6 @@
 """Shared test utilities: the seeded admissible-parameter draws are the
 canonical ones from the CLI module; the rest are small readers of package
-objects and the Scalar form of the twisted Hamiltonian, which only tests
+objects and the rational form of the twisted Hamiltonian, which only tests
 use."""
 
 from scalar_oracle import laurent_components, model
@@ -13,8 +13,7 @@ from bethelab.aba import (
     transfer2_apply,
 )
 from bethelab.cli import draw_distinct, draw_q, draw_w, draw_z  # noqa: F401
-from bethelab.field import RAT, Scalar, as_rat, brk
-from bethelab.rmatrix import VertexWeights
+from bethelab.field import RAT, as_rat, brk
 from bethelab.spinchain import _apply_gates, _bond_tables
 
 
@@ -51,24 +50,22 @@ def s_prime_inverse_apply(v: StateVector) -> StateVector:
     return StateVector(v.n, out)
 
 
-def evaluated(table, x, d):
+def evaluated(table, x):
     """A transition table of int coefficient lists in x at the rational
-    point x, as Scalars."""
+    point x, as rationals."""
     out = {}
     for key, col in table.items():
         vals = [(lo, ro, sum(c * x ** k for k, c in enumerate(w)))
                 for lo, ro, w in col]
-        out[key] = [(lo, ro, Scalar(c, d=d)) for lo, ro, c in vals if c]
+        out[key] = [(lo, ro, c) for lo, ro, c in vals if c]
     return out
 
 
 def hamiltonian_apply(v: StateVector, q) -> StateVector:
     """Apply the twisted Hamiltonian at rational anisotropy x = q + 1/q
-    to a vector with Scalar entries."""
+    to a vector with rational entries."""
     q = as_rat(q)
-    sample = next(iter(v.entries.values()), None)
-    d = sample.d if sample is not None else VertexWeights(q).d
-    bulk, boundary = (evaluated(t, q + 1 / q, d) for t in _bond_tables())
+    bulk, boundary = (evaluated(t, q + 1 / q) for t in _bond_tables())
     return _apply_gates(v, bulk, boundary)
 
 
@@ -84,14 +81,9 @@ def log_derivative_hamiltonian_apply(v: StateVector, q) -> StateVector:
     pts = [RAT(t) for t in range(2, 2 + width + 3)]
     polys = laurent_components(
         lambda t: transfer2_apply(params.sc(t), params, model(v, params)),
-        pts, params, -2 * n, width)
-    deriv = {}
-    for key, poly in polys.items():
-        acc = Scalar(0, d=params.d)
-        for k, c in enumerate(poly.coeffs, poly.low):
-            acc = acc + params.sc(k) * c
-        deriv[key] = acc
+        pts, -2 * n, width)
+    deriv = {key: sum(k * c for k, c in enumerate(poly.coeffs, poly.low))
+             for key, poly in polys.items()}
     dv = s_prime_inverse_apply(StateVector(n, deriv))
     bq, bq2 = brk(q), brk(q * q)
-    scale = params.sc(bq2 / (2 * (bq * bq2) ** n))
-    return v.scale(params.sc(n)) + dv.scale(scale)
+    return v.scale(n) + dv.scale(bq2 / (2 * (bq * bq2) ** n))

@@ -11,7 +11,6 @@ import math
 import random
 import time
 
-import dense_rmatrix_oracle as dense
 from helpers import (
     degree_width,
     draw_distinct,
@@ -26,7 +25,7 @@ from scalar_oracle import model
 
 from bethelab import aba, asm, cli, detform, spinchain
 from bethelab.aba import ModelParams, StateVector
-from bethelab.field import RAT, HalfPowerPoly
+from bethelab.field import RAT, HalfPowerPoly, brk
 from bethelab.rmatrix import (
     check_fusion_r22,
     check_ybe,
@@ -47,7 +46,7 @@ def random_sparse_vector(rng, params, terms=4):
     entries = {}
     for _ in range(terms):
         key = tuple(rng.randint(0, 2) for _ in range(params.n))
-        entries[key] = params.sc(RAT(rng.randint(-9, 9), rng.randint(1, 9)))
+        entries[key] = RAT(rng.randint(-9, 9), rng.randint(1, 9))
     return StateVector(params.n, entries)
 
 
@@ -101,18 +100,17 @@ def test_criterion_03_fusion_identity():
         params = ModelParams(n, q, draw_w(rng, n, q))
         for _ in range(3):
             v = model(random_sparse_vector(rng, params), params)
-            z = params.sc(draw_z(rng))
+            z = draw_z(rng)
             lhs = aba.transfer1_apply(
-                z, params, aba.transfer1_apply(z * params.sc(q), params, v))
-            scal = params.vw.sc(1)
+                params.sc(z), params,
+                aba.transfer1_apply(params.sc(z * q), params, v))
+            scal = RAT(1)
             for w in params.w:
-                scal = scal * dense.bracket(params.vw,
-                                            params.sc(q * w) * z.inv())
-                scal = scal * dense.bracket(params.vw,
-                                            z * params.sc(q * q / w))
+                scal = scal * brk(q * w / z) * brk(z * q * q / w)
             if n % 2 == 0:
                 scal = -scal
-            assert lhs + v.scale(scal) == aba.transfer2_apply(z, params, v)
+            assert lhs + v.scale(scal) == \
+                aba.transfer2_apply(params.sc(z), params, v)
     report(3, "fusion identity T2 = T1 T1(qz) + theta-term exact on random "
               "sparse vectors, N <= 3")
 

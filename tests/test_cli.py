@@ -335,11 +335,12 @@ def test_internal_failure_exits_4(monkeypatch, capsys):
 
 
 def _sum_of_two_grades():
+    """|U> + s |U>: a sum of vectors of grades 0 and 1."""
+    from bethelab.aba import ModelParams, basis_vector
     from bethelab.field import RAT
-    from bethelab.rmatrix import VertexWeights
 
-    vw = VertexWeights(RAT(2))
-    return vw.sc(1) + vw.s
+    p = ModelParams(1, RAT(2), [RAT(1)])
+    return basis_vector(p, (0,)) + basis_vector(p, (0,)).scale(p.vw.s)
 
 
 def test_mixed_grades_exits_4(monkeypatch, capsys):

@@ -6,9 +6,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import dense_rmatrix_oracle as dense
+from scalar_oracle import FourPart
 
 from bethelab import linalg, rmatrix
-from bethelab.field import RAT, Scalar, SessionMismatch, brk
+from bethelab.field import RAT, SessionMismatch, brk
 from bethelab.rmatrix import (
     DOWN,
     UP,
@@ -70,8 +71,8 @@ def test_r12_flip_entry_is_s():
     # <up 0| R(z/q) |down U> = s for any z (the entry is constant); in the
     # gauge K = diag(1, s) the flips read 1 for 0 <- 1 and d for 1 <- 0
     z = VW.sc(RAT(7, 3))
-    assert dense.r12(z / VW.sc(Q), VW).entry(0, ZERO, 1, UP) == VW.s
-    m = r12(z / VW.sc(Q), VW)
+    assert dense.r12(z * VW.sc(Q).inv(), VW).entry(0, ZERO, 1, UP) == VW.s
+    m = r12(z * VW.sc(Q).inv(), VW)
     assert m.entry(0, ZERO, 1, UP) == 1 and m.entry(0, DOWN, 1, ZERO) == 1
     assert m.entry(1, UP, 0, ZERO) == m.entry(1, ZERO, 0, DOWN) == VW.d
     assert all(type(w) is RAT for w in m.weights.values())
@@ -252,7 +253,7 @@ def _cofactor(a):
 
 
 def test_bareiss_determinant_matches_cofactor():
-    """On random rational matrices, with RAT and with Scalar entries, on
+    """On random rational matrices, with RAT and with FourPart entries, on
     a matrix whose zero leading pivot forces a row swap, and on two
     singular ones."""
     rng = random.Random(5)
@@ -266,9 +267,9 @@ def test_bareiss_determinant_matches_cofactor():
     for m in mats:
         want = _cofactor(m)
         assert linalg.det_bareiss(m) == want
-        sm = [[VW.sc(x) for x in row] for row in m]
-        got = linalg.det_bareiss(sm)
-        assert isinstance(got, Scalar) and got == VW.sc(want)
+        got = linalg.det_bareiss([[FourPart(x, d=VW.d) for x in row]
+                                  for row in m])
+        assert isinstance(got, FourPart) and got == want
     assert linalg.det_bareiss(mats[-3]) == RAT(5, 2)
     assert linalg.det_bareiss(mats[-2]) == 0
     assert linalg.det_bareiss(mats[-1]) == 0
@@ -318,21 +319,21 @@ def _dense_pairs(vw, z):
 
 def _rho_from_the_oracle(vw):
     """K rho K^-1, K = diag(1, y), as `spinchain._RHO` writes it,
-    from the ungauged Scalar r12(1/q): a bracket weight w is [w/[q]], a
+    from the ungauged FourPart r12(1/q): a bracket weight w is [w/[q]], a
     flip w = b s is [0, b] where it raises the auxiliary index, else [b]."""
     table = {}
     for (ai, si), col in dense.r12(1 / vw.q, vw).column_map().items():
         table[ai, si] = [
-            (ao, so, [dense.rational(w / dense.bq(vw))] if ao == ai
-             else [0, dense.rational(w / vw.s)] if ao > ai
-             else [dense.rational(w / vw.s)]) for ao, so, w in col]
+            (ao, so, [(w / dense.bq(vw)).to_rat()] if ao == ai
+             else [0, (w / vw.s).to_rat()] if ao > ai
+             else [(w / vw.s).to_rat()]) for ao, so, w in col]
     return table
 
 
 @settings(deadline=None, derandomize=True, database=None, max_examples=60)
 @given(sessions_and_points())
 def test_sparse_weights_match_the_dense_grids(point):
-    """The sparse rational weights are K R K^-1 of the dense Scalar
+    """The sparse rational weights are K R K^-1 of the dense FourPart
     grids, entry by entry and column by column, and the gauged rho of
     `spinchain` is the one every session's ungauged r12(1/q) gives."""
     vw, z = point

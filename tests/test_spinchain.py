@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+import dense_rmatrix_oracle as dense
 import halfpower_oracle as oracle
 from helpers import (
     draw_q,
@@ -13,7 +14,7 @@ from helpers import (
 
 from bethelab.aba import StateVector, magnetisation
 from bethelab import cli, spinchain
-from bethelab.field import RAT, HalfPowerPoly, Scalar
+from bethelab.field import RAT, HalfPowerPoly
 from bethelab.linalg import kron, mat_add, mat_mul, mat_scale
 from bethelab.rmatrix import DOWN, UP, ZERO, VertexWeights
 from bethelab.spinchain import (
@@ -45,11 +46,11 @@ def random_poly_vector(rng, n, terms=4):
     return StateVector(n, entries)
 
 
-def random_scalar_vector(rng, n, d, terms=4):
+def random_rational_vector(rng, n, terms=4):
     entries = {}
     for _ in range(terms):
         key = tuple(rng.randint(0, 2) for _ in range(n))
-        entries[key] = Scalar(RAT(rng.randint(-5, 5), rng.randint(1, 5)), d=d)
+        entries[key] = RAT(rng.randint(-5, 5), rng.randint(1, 5))
     return StateVector(n, entries)
 
 
@@ -66,7 +67,7 @@ def doubled_spin_matrices(vw):
     Commutators rescale accordingly: [S1, S2] = 2i S3, [S2, S3] = i S1,
     [S3, S1] = i S2.
     """
-    o, one, i = vw.sc(0), vw.sc(1), vw.i
+    o, one, i = dense.coerce(vw, 0), dense.coerce(vw, 1), dense.unit_i(vw)
     s1 = [[o, one, o], [one, o, one], [o, one, o]]
     s2 = [[o, -i, o], [i, o, -i], [o, i, o]]
     s3 = [[one, o, o], [o, o, o], [o, o, -one]]
@@ -129,8 +130,7 @@ def gaussian_gate_oracle():
                  mat_scale(cross, minus_one))
     out = []
     for m in (h0, h1, h2, t0, cross, h2):
-        assert all(not x.g for row in m for x in row)
-        out.append([[x.r for x in row] for row in m])
+        out.append([[x.to_rat() for x in row] for row in m])
     return tuple(out)
 
 
@@ -153,10 +153,10 @@ def test_doubled_spin_commutators():
     vw = ORACLE_VW
     s1, s2, s3 = doubled_spin_matrices(vw)
 
-    i2 = vw.i + vw.i
-    assert mat_comm(s1, s2) == mat_scale(s3, i2)
-    assert mat_comm(s2, s3) == mat_scale(s1, vw.i)
-    assert mat_comm(s3, s1) == mat_scale(s2, vw.i)
+    i = dense.unit_i(vw)
+    assert mat_comm(s1, s2) == mat_scale(s3, i + i)
+    assert mat_comm(s2, s3) == mat_scale(s1, i)
+    assert mat_comm(s3, s1) == mat_scale(s2, i)
 
 
 def test_real_spin_matrices_reproduce_doubled_ones():
@@ -221,14 +221,11 @@ def test_bond_and_hamiltonian_make_no_halfpower_products(monkeypatch,
 
 def hamiltonian_dense(n: int, q):
     """H as an exact dense matrix on all 3^n states (small n only)."""
-    d = VertexWeights(q).d
     basis = list(itertools.product((0, 1, 2), repeat=n))
     index = {key: i for i, key in enumerate(basis)}
-    zero = Scalar(0, d=d)
-    mat = [[zero] * len(basis) for _ in basis]
-    one = Scalar(1, d=d)
+    mat = [[RAT(0)] * len(basis) for _ in basis]
     for j, key in enumerate(basis):
-        image = hamiltonian_apply(StateVector(n, {key: one}), q)
+        image = hamiltonian_apply(StateVector(n, {key: RAT(1)}), q)
         for k, val in image.entries.items():
             mat[index[k]][j] = val
     return mat
@@ -243,10 +240,9 @@ def test_hamiltonian_symmetric_small():
 def test_hamiltonian_conserves_magnetisation():
     rng = random.Random(42)
     q = RAT(2)
-    d = VertexWeights(q).d
     for _ in range(3):
         key = tuple(rng.randint(0, 2) for _ in range(3))
-        v = StateVector(3, {key: Scalar(1, d=d)})
+        v = StateVector(3, {key: RAT(1)})
         hv = hamiltonian_apply(v, q)
         assert all(magnetisation(k) == magnetisation(key)
                    for k in hv.entries)
@@ -255,9 +251,8 @@ def test_hamiltonian_conserves_magnetisation():
 def test_hamiltonian_commutes_with_twisted_translation():
     rng = random.Random(43)
     q = RAT(7, 4)
-    d = VertexWeights(q).d
     for n in (2, 3):
-        v = random_scalar_vector(rng, n, d)
+        v = random_rational_vector(rng, n)
         a = twisted_translation_apply(hamiltonian_apply(v, q))
         b = hamiltonian_apply(twisted_translation_apply(v), q)
         assert a == b
@@ -456,11 +451,9 @@ def test_hamiltonian_annihilates_singlet_numeric():
     rng = random.Random(45)
     for n in (2, 3):
         q = draw_q(rng)
-        d = VertexWeights(q).d
         x = q + 1 / q
         phi = singlet(n)
-        v = StateVector(n, {k: Scalar(p.eval_x(x), d=d)
-                            for k, p in phi.entries.items()})
+        v = StateVector(n, {k: p.eval_x(x) for k, p in phi.entries.items()})
         assert hamiltonian_apply(v, q).is_zero()
 
 
@@ -475,13 +468,11 @@ def test_twisted_translation_eigenvector():
 def test_twisted_translation_order_n_on_singlet_sector():
     from itertools import product
 
-    q = RAT(2)
-    d = VertexWeights(q).d
     for n in (2, 3):
         for key in product((0, 1, 2), repeat=n):
             if magnetisation(key) != 0:
                 continue
-            v = StateVector(n, {key: Scalar(1, d=d)})
+            v = StateVector(n, {key: RAT(1)})
             w = v
             for _ in range(n):
                 w = twisted_translation_apply(w)
@@ -492,8 +483,7 @@ def test_log_derivative_matches_hamiltonian():
     rng = random.Random(46)
     for n in (2, 3):
         q = draw_q(rng)
-        d = VertexWeights(q).d
-        v = random_scalar_vector(rng, n, d, terms=3)
+        v = random_rational_vector(rng, n, terms=3)
         assert log_derivative_hamiltonian_apply(v, q) == \
             hamiltonian_apply(v, q)
 

@@ -2,20 +2,20 @@
 
 The oracle is the per-key contraction the sweep replaced: each basis
 state is carried through the chain on its own, with its own auxiliary
-index, and only the finished states are summed, all on Scalars with
-Scalar transition tables.  The sweep instead advances every state one
-site at a time and merges equal partial states after each site, so
-vectors are chosen whose partial states merge and cancel.
-`monodromy_apply` and `transfer2_apply` run the sweep on plain ints:
-on tables gauged by K = diag(1, s) on the auxiliary factor, on the ints
-of a vector of one grade (the unit 1, s, i or s i), with B and C
-restored by s^k and s^-k.  The random vectors carry all four parts: each
-is the sum of up to four single-grade vectors, and the operators are
-linear, so each summand is compared with the Scalar oracle on its own,
-which covers every grade and the s^k factor; the gauged table itself is
-checked against K R12 K^-1, R12 the ungauged Scalar matrix of
-`dense_rmatrix_oracle`, whose Scalar tables the oracle sweeps.  The same
-sweep is also run here on those Scalar tables themselves, and
+index, and only the finished states are summed, all on FourParts (values
+of Q(s, i) with four rational parts) with FourPart transition tables.
+The sweep instead advances every state one site at a time and merges
+equal partial states after each site, so vectors are chosen whose partial
+states merge and cancel.  `monodromy_apply` and `transfer2_apply` run the
+sweep on plain ints: on tables gauged by K = diag(1, s) on the auxiliary
+factor, on the ints of a vector of one grade (the unit 1, s, i or s i),
+with B and C restored by s^k and s^-k.  The random vectors carry all four
+parts: each is the sum of up to four single-grade vectors, and the
+operators are linear, so each summand is compared with the oracle on its
+own, which covers every grade and the s^k factor; the gauged table itself
+is checked against K R12 K^-1, R12 the ungauged FourPart matrix of
+`dense_rmatrix_oracle`, whose tables the oracle sweeps.  The same sweep
+is also run here on those FourPart tables themselves, and
 `beta_apply` runs it on polynomials in x packed into Python ints, in the
 gauge K = diag(1, y) of `spinchain`: its image is checked against the
 per-key contraction of the ungauged rho on HalfPowerPoly entries,
@@ -36,6 +36,7 @@ from bethelab import aba
 from bethelab.aba import (
     ModelParams,
     StateVector,
+    basis_vector,
     bethe_vector,
     magnetisation,
     monodromy_apply,
@@ -75,14 +76,14 @@ def per_key_sweep(tables, v, a_in, a_out):
 
 
 def oracle_monodromy(which, z, params, v):
-    tables = [dense.r12(z / params.sc(params.q * w), params.vw)
+    tables = [dense.r12(z * (1 / (params.q * w)), params.vw)
               .column_map() for w in params.w]
     return model_vector(
         StateVector(v.n, per_key_sweep(tables, v, *AUX[which])), params)
 
 
 def oracle_transfer2(z, params, v):
-    tables = [dense.r22(z / params.sc(w), params.vw).column_map()
+    tables = [dense.r22(z * (1 / w), params.vw).column_map()
               for w in params.w]
     out = StateVector(v.n)
     for a0, sign in enumerate((-1, 1, -1)):
@@ -116,12 +117,18 @@ def random_keys(rng, n, count):
     return {(rng.randint(0, 2),) + rng.choice(tails) for _ in range(count)}
 
 
+def random_summands(rng, params, count):
+    """The single-grade summands of a vector of four-part values."""
+    return summands(StateVector(params.n, {
+        k: random_four_part(rng, params)
+        for k in random_keys(rng, params.n, count)})).values()
+
+
 def random_vectors(rng, params, count):
     """The single-grade summands, as ModelVectors, of a vector of
     four-part values."""
-    return [model_vector(v, params) for v in summands(StateVector(
-        params.n, {k: random_four_part(rng, params)
-                   for k in random_keys(rng, params.n, count)})).values()]
+    return [model_vector(v, params)
+            for v in random_summands(rng, params, count)]
 
 
 def partial_states(tables, head, a_in):
@@ -137,7 +144,7 @@ def partial_states(tables, head, a_in):
     return cur
 
 
-def cancelling_vector(rng, tables, n, a_in, one):
+def cancelling_vector(rng, tables, n, a_in):
     """Two states, differing in sites 1 and 2, whose contributions to one
     partial state after site 2 cancel exactly; needs n >= 2."""
     tail = tuple(rng.randint(0, 2) for _ in range(n - 2))
@@ -149,7 +156,7 @@ def cancelling_vector(rng, tables, n, a_in, one):
             p2 = partial_states(tables, h2, a_in)
             common = sorted(set(p1) & set(p2)) if h1 != h2 else []
             if common:
-                c = one * rng.randint(1, 9)
+                c = rng.randint(1, 9)
                 return StateVector(n, {h1 + tail: c * p2[common[0]],
                                        h2 + tail: -c * p1[common[0]]})
     raise AssertionError("no pair of states shares a partial state")
@@ -170,11 +177,10 @@ def test_monodromy_matches_per_key_oracle(n):
                 for v in random_vectors(rng, p, count)]
         vecs.append(bethe_vector(p))
         for which, (a_in, _) in AUX.items():
-            tables = [dense.r12(z / p.sc(p.q * w), p.vw).column_map()
+            tables = [dense.r12(z * (1 / (p.q * w)), p.vw).column_map()
                       for w in p.w]
-            cancel = ([model_vector(cancelling_vector(rng, tables, n, a_in,
-                                                      p.vw.sc(1)), p)]
-                      if n >= 2 else [])
+            cancel = ([model_vector(cancelling_vector(rng, tables, n, a_in),
+                                    p)] if n >= 2 else [])
             for v in vecs + cancel:
                 got = monodromy_apply(which, z, p, v)
                 assert got == oracle_monodromy(which, z, p, v)
@@ -183,15 +189,15 @@ def test_monodromy_matches_per_key_oracle(n):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_scalar_sweep_matches_per_key_oracle(n):
-    """The one kernel on Scalar entries and Scalar tables, for every
+    """The one kernel on FourPart entries and FourPart tables, for every
     auxiliary boundary pair of both rows."""
     rng = random.Random(400 + n)
     p = model(rng, n)
     z = p.sc(RAT(rng.randint(1, 97), rng.randint(1, 97)))
-    rows = {2: [dense.r12(z / p.sc(p.q * w), p.vw).column_map()
+    rows = {2: [dense.r12(z * (1 / (p.q * w)), p.vw).column_map()
                 for w in p.w],
-            3: [dense.r22(z / p.sc(w), p.vw).column_map() for w in p.w]}
-    vecs = [v for count in (3, 8) for v in random_vectors(rng, p, count)]
+            3: [dense.r22(z * (1 / w), p.vw).column_map() for w in p.w]}
+    vecs = [v for count in (3, 8) for v in random_summands(rng, p, count)]
     for dim, tables in rows.items():
         for a_in in range(dim):
             for a_out in range(dim):
@@ -207,9 +213,9 @@ def test_int_coded_sweep_matches_per_key_oracle_on_long_chains(n):
     auxiliary boundary pair."""
     rng = random.Random(700 + n)
     p = model(rng, n)
-    z = p.sc(RAT(rng.randint(1, 97), rng.randint(1, 97)))
-    rows = {2: [p.r12_table(z / p.sc(p.q * w))[0] for w in p.w],
-            3: [p.r22_table(z / p.sc(w))[0] for w in p.w]}
+    z = RAT(rng.randint(1, 97), rng.randint(1, 97))
+    rows = {2: [p.r12_table(z / (p.q * w))[0] for w in p.w],
+            3: [p.r22_table(z / w)[0] for w in p.w]}
     v = StateVector(n, {k: rng.choice((-1, 1)) * rng.randint(1, 99)
                         for k in random_keys(rng, n, 12)})
     for dim, tables in rows.items():
@@ -254,7 +260,7 @@ def test_auxiliary_boundary_outside_two_bits_raises(a_in, a_out):
 @pytest.mark.parametrize("sign", [1, -1])
 def test_r12_table_is_r12_in_the_rational_gauge(sign):
     """r12_table(u) over its D is K R12(u) K^-1, K = diag(1, s) on the
-    auxiliary factor and R12 the dense Scalar oracle, weight by weight, at
+    auxiliary factor and R12 the dense FourPart oracle, weight by weight, at
     seeded rational u, for the session constant d of either sign (q < 0
     flips the sign of d)."""
     rng = random.Random(600 + sign)
@@ -263,8 +269,8 @@ def test_r12_table_is_r12_in_the_rational_gauge(sign):
         assert (p.d > 0) == (sign > 0)
         k = [p.vw.sc(1), p.vw.s]
         for _ in range(3):
-            u = p.sc(RAT(rng.choice((-1, 1)) * rng.randint(1, 97),
-                         rng.randint(1, 97)))
+            u = RAT(rng.choice((-1, 1)) * rng.randint(1, 97),
+                    rng.randint(1, 97))
             table, den = p.r12_table(u)
             assert all(type(x) is int for col in table.values()
                        for *_, x in col)
@@ -288,7 +294,7 @@ def test_weights_that_are_not_rational_in_the_gauge_raise():
 def test_vector_from_another_session_is_rejected():
     p = ModelParams(2, RAT(2), [RAT(1), RAT(3)])
     other = ModelParams(2, RAT(3), [RAT(1), RAT(3)])
-    v = model_vector(StateVector(2, {(0, 0): other.vw.sc(1)}), other)
+    v = basis_vector(other, (0, 0))
     with pytest.raises(SessionMismatch):
         monodromy_apply("B", p.sc(RAT(5, 3)), p, v)
     with pytest.raises(SessionMismatch):
@@ -301,10 +307,10 @@ def test_cancelling_vector_really_cancels():
     rng = random.Random(7)
     p = model(rng, 3)
     z = p.sc(RAT(5, 3))
-    tables = [dense.r12(z / p.sc(p.q * w), p.vw).column_map()
+    tables = [dense.r12(z * (1 / (p.q * w)), p.vw).column_map()
               for w in p.w]
     for a_in in (0, 1):
-        v = cancelling_vector(rng, tables, 3, a_in, p.vw.sc(1))
+        v = cancelling_vector(rng, tables, 3, a_in)
         merged = {}
         for key, amp in v.entries.items():
             for k, wgt in partial_states(tables, key[:2], a_in).items():
@@ -337,12 +343,11 @@ def test_transfer2_matches_per_key_oracle(n):
     for _ in range(2):
         p = model(rng, n)
         z = p.sc(RAT(rng.randint(1, 97), rng.randint(1, 97)))
-        tables = [dense.r22(z / p.sc(w), p.vw).column_map()
+        tables = [dense.r22(z * (1 / w), p.vw).column_map()
                   for w in p.w]
         vecs = [v for count in (3, 8) for v in random_vectors(rng, p, count)]
         if n >= 2:
-            vecs += [model_vector(cancelling_vector(rng, tables, n, a0,
-                                                    p.vw.sc(1)), p)
+            vecs += [model_vector(cancelling_vector(rng, tables, n, a0), p)
                      for a0 in range(3)]
         vecs.append(bethe_vector(p))
         for v in vecs:
@@ -364,7 +369,7 @@ def test_beta_matches_per_key_oracle(n):
             k: HalfPowerPoly.x_poly([rng.randint(-5, 5) for _ in range(4)])
             for k in random_keys(rng, n, count)}))
     if n >= 2:
-        vecs += [cancelling_vector(rng, [rho] * n, n, a_in, one)
+        vecs += [cancelling_vector(rng, [rho] * n, n, a_in)
                  for a_in in (0, 1)]
     for v in vecs:
         packed = halfpower_oracle.x_packed(v, bits)
