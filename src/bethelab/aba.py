@@ -30,7 +30,13 @@ With twist angle pi the transfer matrices are
 and the explicit Bethe roots z_k = w_k make the state prod_j B(w_j)|all-up>
 an exact eigenvector: T1 annihilates it and T2 has eigenvalue
 
-    theta2(z) = (-1)^(N+1) prod_j [q w_j / z][q^2 z / w_j].
+    theta2(z) = -d(z) a(q z),
+
+with a(z) = prod_j [q z / w_j] and d(z) = prod_j [z / (q w_j)] the
+eigenvalues of A and D on |all-up>.  The roots solve the Bethe equations,
+checked cleared of division, so that they are defined for every w:
+
+    a(z_k) prod_{j!=k} [z_k / (q z_j)] + d(z_k) prod_{j!=k} [q z_k / z_j] = 0.
 
 The renormalised vector divides out the common factor
 ([q][q^2])^(N/2) prod_{j<k} [q w_j / w_k]; its components are rational
@@ -413,39 +419,23 @@ def transfer2_apply(z, params: ModelParams, v: ModelVector) -> ModelVector:
 
 
 def theta2(z, params: ModelParams) -> RAT:
-    """(-1)^(N+1) prod_j [q w_j / z][q^2 z / w_j], the simple eigenvalue."""
+    """The simple eigenvalue -d(z) a(q z)."""
     z = params.vw.rat(z)
-    if not z:
-        raise PoleEncountered("spectral parameter must be nonzero")
-    q = params.q
-    acc = prod(brk(q * w / z) * brk(q * q * z / w) for w in params.w)
-    return acc if params.n % 2 == 1 else -acc
+    return -vacuum_d(z, params) * vacuum_a(params.q * z, params)
 
 
 def bethe_equations_residual(roots, params: ModelParams):
-    """LHS - RHS of each Bethe equation at the given roots (n = N roots;
-    the right side carries the twist's e^{-i pi} = -1)."""
+    """Each Bethe equation at the given roots (n = N roots) in cleared form,
+    a(z_k) prod_{j!=k} [z_k/(q z_j)] + d(z_k) prod_{j!=k} [q z_k/z_j]; the
+    sign is the twist's e^{-i pi} = -1."""
     zs = [params.vw.rat(z) for z in roots]
-    if not all(zs):
-        raise PoleEncountered("roots must be nonzero")
     q = params.q
     residuals = []
     for k, zk in enumerate(zs):
-        lhs = RAT(1)
-        for w in params.w:
-            den = brk(zk / (q * w))
-            if not den:
-                raise PoleEncountered("denominator bracket [z_k/(q w_j)] = 0")
-            lhs = lhs * brk(q * zk / w) / den
-        rhs = RAT(-1)
-        for j, zj in enumerate(zs):
-            if j == k:
-                continue
-            den = brk(zk / (q * zj))
-            if not den:
-                raise PoleEncountered("denominator bracket [z_k/(q z_j)] = 0")
-            rhs = rhs * brk(q * zk / zj) / den
-        residuals.append(params.sc(lhs - rhs))
+        others = zs[:k] + zs[k + 1:]
+        residuals.append(params.sc(
+            vacuum_a(zk, params) * prod(brk(zk / (q * z)) for z in others)
+            + vacuum_d(zk, params) * prod(brk(q * zk / z) for z in others)))
     return residuals
 
 
@@ -567,12 +557,10 @@ def recurrence_check(params: ModelParams) -> bool:
     w = params.w
     pinned = (w[0], w[0] / params.q) + w[2:]
     lhs = renormalised_vector(params.with_w(pinned))
-    q = params.q
-    factor = -brk(q) if params.n % 2 == 1 else brk(q)
-    for wj in w[2:]:
-        factor = factor * brk(q * w[0] / wj) * brk(q * q * wj / w[0])
-    sub = renormalised_vector(params.with_w(w[2:]))
-    return lhs == sub.map(singlet_pair_tensor).scale(factor)
+    sub = params.with_w(w[2:])
+    factor = -brk(params.q) * theta2(w[0] / params.q, sub)
+    return lhs == renormalised_vector(sub).map(
+        singlet_pair_tensor).scale(factor)
 
 
 def admissible_points(params: ModelParams, j: int, count: int):
@@ -624,10 +612,11 @@ def vector_laurent_coefficients(params: ModelParams, j: int):
 
 def asymptotic_check(j: int, direction: str, params: ModelParams) -> bool:
     """Leading Laurent coefficient of |psi~> in w_j against the (N-1)-site
-    vector: at order w_j^(N-1) (direction 'inf') the coefficient is
-    (-1)^(N-j) delta_{sigma_j, 0} prod_{k != j} w_k^(-1) times the reduced
-    component; at order w_j^-(N-1) (direction 'zero') it is
-    (-1)^(j-1) delta_{sigma_j, 0} prod_{k != j} w_k.
+    vector with a 0 inserted at site j: at order w_j^(N-1) (direction
+    'inf') it is (-1)^(N-j) prod_{k != j} w_k^(-1) times the reduced
+    vector; at order w_j^-(N-1) (direction 'zero') it is (-1)^(j-1)
+    prod_{k != j} w_k times it.  The nonzero coefficients are compared as
+    one dict, so a component missing on either side fails.
     """
     if not 1 <= j <= params.n:
         raise ValueError("site index out of range")
@@ -644,15 +633,10 @@ def asymptotic_check(j: int, direction: str, params: ModelParams) -> bool:
                       lambda: renormalised_vector(params.with_w(others)))
     factor = prod((1 / w if to_inf else w for w in others),
                   start=RAT((-1) ** (n - j if to_inf else j - 1), sub.den))
-    want = sub.rational().entries
-    for key, poly in polys.items():
-        coeff = poly.coefficient(order)
-        if key[j - 1] != ZERO:
-            if coeff:
-                return False
-        elif coeff != factor * want.get(key[:j - 1] + key[j:], 0):
-            return False
-    return True
+    got = {key: c for key, poly in polys.items()
+           if (c := poly.coefficient(order))}
+    return got == {key[:j - 1] + (ZERO,) + key[j - 1:]: factor * x
+                   for key, x in sub.rational().entries.items()}
 
 
 def scattering_check(j: int, params: ModelParams) -> bool:

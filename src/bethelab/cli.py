@@ -41,7 +41,7 @@ import traceback
 from functools import cache
 
 from bethelab import aba, asm, detform, spinchain
-from bethelab.field import RAT, HalfPowerPoly, SingularSystem, rat_str, spread
+from bethelab.field import RAT, SingularSystem, rat_str
 from bethelab.rmatrix import (
     VertexWeights,
     check_fusion_r22,
@@ -295,7 +295,7 @@ def checks_spinchain(params, rng):
 
     def sum_rule():
         norm = spinchain.singlet_norm(phi())
-        want = HalfPowerPoly(spread(asm.gen_poly(n).coeffs, 4))  # t = y^4
+        want = spinchain.genpoly_in_y(n)
         return norm == want, {"value": norm.to_json_dict()}
 
     def audit():

@@ -39,27 +39,20 @@ These nineteen entries conserve magnetisation and form a symmetric
 matrix; r22(1) = [q][q^2] P (permutation) and r22(1/q) = [q][q^2] |s><s|
 with |s> = |UD> + |DU> - |00> (rank one).
 
-The fused-product identity relating two mixed R-matrices to r22 is
-checked without adjoining the radicals 1/sqrt([q^2]), 1/sqrt(2[q]) of the
-symmetrising gauge: with the unnormalised symmetric embedding
-iota(U)=uu, iota(0)=ud+du, iota(D)=dd, projection pi = (iota^T with the
-middle rows halved), parity kappa(U)=kappa(D)=0, kappa(0)=1, and
+The fusion of two mixed R-matrices into r22 is checked on the gauged
+weights, with no radical adjoined: with the unnormalised symmetric
+embedding iota(U) = uu, iota(0) = ud + du, iota(D) = dd, the projection
+pi = (iota^T with the middle row halved) and P- = |ud - du>,
+check_fusion_r22 verifies
 
-    C(z) = (pi x 1) R13(z/q) R23(z) (iota x 1),
+    (pi x 1) r13(z/q) r23(z) (iota x 1) = G r22(z) G^-1,
+    G = diag(1, [q], [q][q^2]) on U, 0, D,
+    P- r13(z/q) r23(z) P+ = 0,  P- r13(z/q) r23(z) P- = [z/q][q^2 z] P-:
 
-the equivalent statements verified by check_fusion_r22 are
-
-    (i)    C = r22(z) entrywise where kappa(row) = kappa(col),
-    (ii)   s * C = [q]   * r22(z) where kappa(row) - kappa(col) = +1,
-    (iii)  s * C = [q^2] * r22(z) where kappa(row) - kappa(col) = -1,
-    (iv)   P- (R13(z/q) R23(z)) P+ = 0 on the fused pair,
-    (v)    P- (R13(z/q) R23(z)) P- = [z/q][q^2 z] P-,
-
-which together are the block-triangular decomposition with upper block
-r22(z) and lower scalar [z/q][q^2 z].  K x K on the fused pair is s^kappa
-d^[D] on iota and pi, so the gauged product C~ gives C = s^(kappa(col) -
-kappa(row)) d^([col = D] - [row = D]) C~, and each statement is read on
-rationals.
+the block-triangular decomposition with upper block r22(z) and lower
+scalar [z/q][q^2 z].  K x K is diag(1, s, [q][q^2]) on iota, so the
+physical upper block is r22(z) conjugated by diag(1, [q]/s, 1), the
+normalisation of the symmetric state ud + du.
 """
 
 from __future__ import annotations
@@ -70,7 +63,6 @@ from math import lcm, prod
 from bethelab import linalg
 from bethelab.field import (
     RAT,
-    RAT_ZERO,
     PoleEncountered,
     Scalar,
     SessionMismatch,
@@ -134,9 +126,6 @@ class RMat:
         self.dim_left = dim_left
         self.dim_right = dim_right
         self.weights = {k: weights[k] for k in sorted(weights) if weights[k]}
-
-    def entry(self, lo, ro, li, ri):
-        return self.weights.get((lo, ro, li, ri), RAT_ZERO)
 
     def _relabelled(self, dim_left, dim_right, key) -> "RMat":
         return RMat(dim_left, dim_right,
@@ -344,55 +333,37 @@ def permutation_check(q) -> bool:
 
 
 def check_fusion_r22(z, q) -> bool:
-    """Gauge-free equivalent of the fusion decomposition (see module doc)."""
+    """The fusion decomposition (see module doc) as one comparison of
+    weights: Y = r13(z/q) r23(z) in the fused labels, all but its block
+    P+ Y P- above the diagonal, against G r22(z) G^-1 and the scalar
+    [z/q][q^2 z] on A = ud - du."""
     vw = _session(q)
-    z, q, d = vw.rat(z), vw.q, vw.d
-    # Y = R13(z/q) R23(z) on C^2 x C^2 x C^3, row 3 * pair + alpha with
+    z, q = vw.rat(z), vw.q
+    # Y on C^2 x C^2 x C^3, row 3 * pair + alpha with
     # pair = 2 * (first spin) + (second spin)
     dims = [2, 2, 3]
     y = linalg.sp_mul(r12(z / q, vw).embedded(dims, 0, 2),
                       r12(z, vw).embedded(dims, 1, 2))
-    half = RAT(1, 2)
-
-    def block(rows, cols, alpha, beta):
-        """sum of wr wc <pr alpha| Y |pc beta> over weighted pairs pr, pc."""
-        acc = RAT_ZERO
-        for pr, wr in rows:
-            y_row = y.get(3 * pr + alpha, {})
-            for pc, wc in cols:
-                x = y_row.get(3 * pc + beta)
-                if x is not None:
-                    acc = acc + wr * wc * x
-        return acc
-
-    # unnormalised symmetric embedding iota and projection pi on C^2 x C^2
-    # (first two factors); sym labels U, 0, D with parity kappa(0) = 1
-    iota = {UP: [(0, 1)], ZERO: [(1, 1), (2, 1)], DOWN: [(3, 1)]}
-    pi = {UP: [(0, 1)], ZERO: [(1, half), (2, half)], DOWN: [(3, 1)]}
-    kappa = {UP: 0, ZERO: 1, DOWN: 0}
-    # with dk = kappa(i) - kappa(j), C = s^-dk d^([j = D] - [i = D]) C~:
-    # (i)-(iii) read d^([j = D] - [i = D] + [dk = -1]) C~ = factor[dk] r22
-    factor = {0: 1, 1: brk(q), -1: brk(q * q)}
-
-    target = r22(z, vw)
-    for i, alpha, j, beta in product((UP, ZERO, DOWN), range(3), repeat=2):
-        dk = kappa[i] - kappa[j]
-        c = block(pi[i], iota[j], alpha, beta) * d ** (
-            (j == DOWN) - (i == DOWN) + (dk == -1))
-        if c != factor[dk] * target.entry(i, alpha, j, beta):
-            return False
-
-    # antisymmetric row: P- Y P+ = 0 and P- Y P- = [z/q][q^2 z] P-
+    # the fused labels U, 0, D and A = ud - du of each pair, weighted: in
+    # a row by pi and P-/2, in a column by iota and P-; G is 1 on A
+    half, anti = RAT(1, 2), DOWN + 1
+    rows = [[(UP, 1)], [(ZERO, half), (anti, half)],
+            [(ZERO, half), (anti, -half)], [(DOWN, 1)]]
+    cols = [[(UP, 1)], [(ZERO, 1), (anti, 1)], [(ZERO, 1), (anti, -1)],
+            [(DOWN, 1)]]
+    g = {UP: 1, ZERO: brk(q), DOWN: vw.d, anti: 1}
+    got = {}
+    for r, y_row in y.items():
+        for c, x in y_row.items():
+            for (i, wr), (j, wc) in product(rows[r // 3], cols[c // 3]):
+                if j != anti or i == anti:  # P+ Y P- is not constrained
+                    key = i, r % 3, j, c % 3
+                    got[key] = got.get(key, 0) + wr * wc * x
     scalar = brk(z / q) * brk(q * q * z)
-    anti_row = [(1, half), (2, -half)]  # <ud - du| with the 1/2 normalisation
-    anti_col = [(1, 1), (2, -1)]        # |ud - du>, unnormalised
-    for alpha, beta in product(range(3), repeat=2):
-        if any(block(anti_row, iota[j], alpha, beta) for j in iota):
-            return False
-        if block(anti_row, anti_col, alpha, beta) != (
-                scalar if beta == alpha else 0):
-            return False
-    return True
+    want = {(i, a, j, b): g[i] * x / g[j]
+            for (i, a, j, b), x in r22(z, vw).weights.items()}
+    want.update({(anti, a, anti, a): scalar for a in range(3) if scalar})
+    return {k: x for k, x in got.items() if x} == want
 
 
 def crossing_transpose_check(z, q) -> bool:
@@ -404,16 +375,13 @@ def crossing_transpose_check(z, q) -> bool:
     where t_right transposes the spin-1 factor and sigma2 is the second
     Pauli matrix on the auxiliary spin-1/2 factor.  Equivalent to the
     monodromy relation B(1/z | 1/w)^t = (-1)^(N-1) C(z | w).  In the gauge
-    sigma2 becomes M = K sigma2 K^-1 and - M X M = L X R with L = [[0, -1],
-    [d, 0]] and R = [[0, -1/d], [1, 0]]: the block X_ab of X goes to
-    -X_11, X_10 / d, d X_01 and -X_00.
+    sigma2 becomes M = K sigma2 K^-1, and -M X M relabels the auxiliary
+    blocks X_ab of X: blocks 00, 01, 10, 11 of the image are -X_11,
+    X_10 / d, d X_01 and -X_00, compared weight by weight.
     """
     vw = _session(q)
     z, d = vw.rat(z), vw.d
-    lhs = r12(z, vw).transpose_right().embedded([2, 3], 0, 1)
-    inner = r12(inv(z * vw.q ** 2), vw).embedded([2, 3], 0, 1)
-    left = {3 * a + k: {3 * (1 - a) + k: d if a else -1}
-            for a in range(2) for k in range(3)}
-    right = {3 * a + k: {3 * (1 - a) + k: 1 if a else -1 / d}
-             for a in range(2) for k in range(3)}
-    return lhs == linalg.sp_mul(linalg.sp_mul(left, inner), right)
+    scale = {(0, 0): -1, (0, 1): d, (1, 0): 1 / d, (1, 1): -1}  # by X_ab
+    image = {(1 - a, ro, 1 - b, ri): scale[a, b] * x for (a, ro, b, ri), x
+             in r12(inv(z * vw.q ** 2), vw).weights.items()}
+    return r12(z, vw).transpose_right().weights == image

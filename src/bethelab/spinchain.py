@@ -242,6 +242,12 @@ def singlet_norm(state: StateVector) -> HalfPowerPoly:
         unpack(sum(pack(cs, bits) ** 2 for cs in ints.values()), bits))
 
 
+def genpoly_in_y(m: int) -> HalfPowerPoly:
+    """A_m(x^2) in powers of y: t = x^2 = y^4; A_0 = 1 counts the empty
+    ASM."""
+    return HalfPowerPoly(spread(gen_poly(m).coeffs, 4) if m else [1])
+
+
 def singlet_normalisation_audit(state: StateVector) -> dict:
     """Check the distinguished component against the weighted ASM count:
     it must equal A_m(x^2) for m = floor(n/2), with constant term m! and
@@ -250,8 +256,7 @@ def singlet_normalisation_audit(state: StateVector) -> dict:
     m = n // 2
     key = distinguished_component_key(n)
     comp = state.entries.get(key, HalfPowerPoly())
-    # t = x^2 = y^4; A_0 = 1 counts the empty ASM
-    want = HalfPowerPoly(spread(gen_poly(m).coeffs, 4) if m else [1])
+    want = genpoly_in_y(m)
     x_coeffs = comp.x_coeffs()
     t_degree = len(x_coeffs) // 2  # an odd top power of x rounds up
     report = {

@@ -34,7 +34,7 @@ from bethelab.aba import (
     vacuum_d,
     vector_laurent_coefficients,
 )
-from bethelab.field import RAT, PoleEncountered, brk
+from bethelab.field import RAT, brk
 from bethelab.rmatrix import RMat, r22
 
 
@@ -144,7 +144,7 @@ def test_transfer2_single_site_against_partial_trace():
         for out in range(3):
             acc = RAT(0)
             for a in range(3):
-                term = m.entry(a, out, a, site)
+                term = m.weights.get((a, out, a, site), 0)
                 acc = acc + (term if omega[a] == 1 else -term)
             want = got.entries.get((out,))
             if want is None:
@@ -313,10 +313,15 @@ def test_bethe_residuals_nonzero_off_shell():
     assert any(not r.is_zero() for r in res)
 
 
-def test_bethe_residual_pole():
-    p = params_n(1, w=[RAT(1)])
-    with pytest.raises(PoleEncountered):
-        bethe_equations_residual([p.sc(p.q)], p)  # z = q w_1
+def test_bethe_residuals_on_the_singular_lattice():
+    """The cleared equations divide by nothing: at w = (2, 1), q = 2, where
+    [z_1/(q w_2)] = [z_1/(q z_2)] = [1] = 0, the roots z = w solve them,
+    and at z = q w_1, where d(z) = 0, the residual is a(z) != 0."""
+    p = ModelParams(2, RAT(2), [RAT(2), RAT(1)])
+    assert all(r.is_zero() for r in bethe_equations_residual(p.w, p))
+    p1 = params_n(1, w=[RAT(1)])
+    (res,) = bethe_equations_residual([p1.sc(p1.q)], p1)  # z = q w_1
+    assert not res.is_zero()
 
 
 # ---------------------------------------------------------------------
@@ -374,6 +379,23 @@ def test_asymptotic_relations():
         for j in range(1, p.n + 1):
             assert asymptotic_check(j, "inf", p)
             assert asymptotic_check(j, "zero", p)
+
+
+def test_asymptotic_check_sees_a_missing_component():
+    """A sigma_j = 0 component whose reduced component is nonzero, dropped
+    from the memoised Laurent coefficients of the full vector, fails both
+    directions."""
+    rng = random.Random(2023)
+    q = draw_q(rng)
+    p = ModelParams(3, q, draw_w(rng, 3, q))
+    j = 2
+    assert asymptotic_check(j, "inf", p) and asymptotic_check(j, "zero", p)
+    polys = vector_laurent_coefficients(p, j)
+    key = next(k for k, poly in polys.items()
+               if k[j - 1] == ZERO and poly.coefficient(p.n - 1))
+    del polys[key]
+    assert not asymptotic_check(j, "inf", p)
+    assert not asymptotic_check(j, "zero", p)
 
 
 def test_asymptotic_directions_share_the_sample_vectors(monkeypatch):

@@ -309,6 +309,20 @@ def test_verify_simple_component_at_a_zero_divisor(capsys):
     assert "error" not in rec["detform.simple_component_even"]
 
 
+def test_verify_all_on_the_singular_lattice(capsys):
+    """w_1 = q w_2: the cleared Bethe equations hold, and only the checks
+    that renormalise at w with a zero divisor [q w_a / w_b] fail."""
+    code, out = run_cli(["verify", "--suite", "all", "--n", "2",
+                         "--q", "2/1", "--w", "2/1,1/1"], capsys)
+    assert code == 1
+    rec = {r["check"]: r for r in json.loads(out)["checks"]}
+    assert rec["aba.bethe_residuals_zero"]["pass"] is True
+    failed = {name: r["error"] for name, r in rec.items() if not r["pass"]}
+    assert sorted(failed) == ["aba.cyclic_shift", "aba.exchange_1",
+                              "detform.partition_sum_rule"]
+    assert all(e.startswith("RedundantFactorZero(") for e in failed.values())
+
+
 @pytest.mark.parametrize("zeta, message", [
     # Z_IK's zero divisor sends ikdet to the ASM sum, whose [q zeta_k / w_j]
     # is a bracket of zero

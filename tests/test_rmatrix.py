@@ -44,11 +44,10 @@ def is_symmetric(rmat) -> bool:
 
 def test_r11_at_z_one():
     m = r11(1, VW)
-    assert type(m.entry(0, 0, 0, 0)) is RAT
-    assert m.entry(0, 0, 0, 0) == RAT(3, 2)  # [q] at q=2
-    assert m.entry(0, 1, 0, 1) == 0          # [1] = 0
-    assert (0, 1, 0, 1) not in m.weights     # and is not stored
-    assert m.entry(0, 1, 1, 0) == brk(Q)
+    assert type(m.weights[0, 0, 0, 0]) is RAT
+    assert m.weights[0, 0, 0, 0] == RAT(3, 2)  # [q] at q=2
+    assert (0, 1, 0, 1) not in m.weights       # [1] = 0 is not stored
+    assert m.weights[0, 1, 1, 0] == brk(Q)
 
 
 def test_r11_symmetric_projector_point():
@@ -56,15 +55,14 @@ def test_r11_symmetric_projector_point():
     m = r11(VW.sc(Q), VW)
     bq2 = brk(Q * Q)
     bq = brk(Q)
-    assert m.entry(0, 0, 0, 0) == bq2
-    assert m.entry(1, 1, 1, 1) == bq2
+    assert m.weights[0, 0, 0, 0] == m.weights[1, 1, 1, 1] == bq2
     for out, in_ in itertools.product(((0, 1), (1, 0)), repeat=2):
-        assert m.entry(*out, *in_) == bq
+        assert m.weights[(*out, *in_)] == bq
     # z = 1/q: (-2[q]) P-
     m = r11(VW.sc(Q).inv(), VW)
-    assert m.entry(0, 0, 0, 0) == 0 and m.entry(1, 1, 1, 1) == 0
-    assert m.entry(0, 1, 0, 1) == -bq and m.entry(1, 0, 1, 0) == -bq
-    assert m.entry(0, 1, 1, 0) == bq and m.entry(1, 0, 0, 1) == bq
+    assert (0, 0, 0, 0) not in m.weights and (1, 1, 1, 1) not in m.weights
+    assert m.weights[0, 1, 0, 1] == m.weights[1, 0, 1, 0] == -bq
+    assert m.weights[0, 1, 1, 0] == m.weights[1, 0, 0, 1] == bq
 
 
 def test_r12_flip_entry_is_s():
@@ -73,15 +71,15 @@ def test_r12_flip_entry_is_s():
     z = VW.sc(RAT(7, 3))
     assert dense.r12(z * VW.sc(Q).inv(), VW).entry(0, ZERO, 1, UP) == VW.s
     m = r12(z * VW.sc(Q).inv(), VW)
-    assert m.entry(0, ZERO, 1, UP) == 1 and m.entry(0, DOWN, 1, ZERO) == 1
-    assert m.entry(1, UP, 0, ZERO) == m.entry(1, ZERO, 0, DOWN) == VW.d
+    assert m.weights[0, ZERO, 1, UP] == m.weights[0, DOWN, 1, ZERO] == 1
+    assert m.weights[1, UP, 0, ZERO] == m.weights[1, ZERO, 0, DOWN] == VW.d
     assert all(type(w) is RAT for w in m.weights.values())
 
 
 def test_r12_first_entry_at_inverse_q():
     # z = 1/q, q = 2: the (1,1) entry [q^2 z] = [q] = 3/2
     m = r12(VW.sc(Q).inv(), VW)
-    assert m.entry(0, UP, 0, UP) == VW.sc(RAT(3, 2))
+    assert m.weights[0, UP, 0, UP] == VW.sc(RAT(3, 2))
 
 
 def test_r12_symmetric():
@@ -106,8 +104,8 @@ def test_r22_entry_from_weight_table():
     # <0 U| R(z) |U 0> = [q^2][qz]
     z = VW.sc(RAT(5, 3))
     m = r22(z, VW)
-    assert m.entry(ZERO, UP, UP, ZERO) == dense.bq2(VW) * dense.bqz(VW, 1, z)
-    assert m.entry(ZERO, ZERO, ZERO, ZERO) == \
+    assert m.weights[ZERO, UP, UP, ZERO] == dense.bq2(VW) * dense.bqz(VW, 1, z)
+    assert m.weights[ZERO, ZERO, ZERO, ZERO] == \
         dense.bqz(VW, 0, z) * dense.bqz(VW, 1, z) + VW.d
 
 
@@ -120,7 +118,7 @@ def test_r22_rank_one_point():
     # and the image is spanned by |s>
     m = r22(VW.sc(Q).inv(), VW)
     s = singlet_pair_vector()
-    assert m.entry(UP, DOWN, ZERO, ZERO) == -VW.d * s[UP, DOWN]
+    assert m.weights[UP, DOWN, ZERO, ZERO] == -VW.d * s[UP, DOWN]
 
 
 def test_inversion_relation():
@@ -180,24 +178,52 @@ def _identities_hold(q, z, w) -> bool:
     return all(check() for check in checks)
 
 
-def test_every_weight_is_pinned_by_an_identity(monkeypatch):
-    """One added to any one weight of r11, the gauged r12 or r22 (every
-    call of that matrix mutated alike) breaks at least one identity."""
-    q, z, w = RAT(2), RAT(3), RAT(5, 2)
-    assert _identities_hold(q, z, w)
-    survivors = []
-    for build in (r11, r12, r22):
+def _weight_mutants(builds, q):
+    """(name, key, mutant) for each weight of each matrix: the mutant
+    builds the matrix with one added to that one weight, so every call of
+    the matrix is mutated alike."""
+    for build in builds:
         for key in build(RAT(7, 3), q).weights:
             def mutant(u, vw, build=build, key=key):
                 m = build(u, vw)
                 return RMat(m.dim_left, m.dim_right,
-                            {**m.weights, key: m.entry(*key) + 1})
+                            {**m.weights, key: m.weights.get(key, 0) + 1})
 
-            monkeypatch.setattr(rmatrix, build.__name__, mutant)
-            if _identities_hold(q, z, w):
-                survivors.append((build.__name__, key))
-            monkeypatch.undo()
-    assert survivors == []
+            yield build.__name__, key, mutant
+
+
+def _survivors(builds, holds, monkeypatch) -> list:
+    """The weight mutants under which holds() is still true."""
+    survivors = []
+    for name, key, mutant in _weight_mutants(builds, RAT(2)):
+        monkeypatch.setattr(rmatrix, name, mutant)
+        if holds():
+            survivors.append((name, key))
+        monkeypatch.undo()
+    return survivors
+
+
+def test_every_weight_is_pinned_by_an_identity(monkeypatch):
+    """One added to any one weight of r11, the gauged r12 or r22 breaks
+    at least one identity."""
+    q, z, w = RAT(2), RAT(3), RAT(5, 2)
+    assert _identities_hold(q, z, w)
+    assert _survivors((r11, r12, r22), lambda: _identities_hold(q, z, w),
+                      monkeypatch) == []
+
+
+@pytest.mark.parametrize("check, builds, count", [
+    (check_fusion_r22, (r12, r22), 10 + 19),
+    (crossing_transpose_check, (r12,), 10),
+], ids=["fusion", "crossing"])
+def test_each_weight_is_pinned_by_one_check_alone(check, builds, count,
+                                                  monkeypatch):
+    """Fusion by itself breaks under one added to any one weight of r12 or
+    r22, and crossing under one added to any one weight of r12."""
+    q, z = RAT(2), RAT(3)
+    assert check(z, q)
+    assert len(list(_weight_mutants(builds, q))) == count
+    assert _survivors(builds, lambda: check(z, q), monkeypatch) == []
 
 
 def test_bad_q_rejected():
@@ -342,7 +368,7 @@ def test_sparse_weights_match_the_dense_grids(point):
             (ref.dim_left, ref.dim_right)
         for lo, li in itertools.product(range(ref.dim_left), repeat=2):
             for ro, ri in itertools.product(range(ref.dim_right), repeat=2):
-                assert vw.sc(sparse.entry(lo, ro, li, ri)) == \
+                assert vw.sc(sparse.weights.get((lo, ro, li, ri), 0)) == \
                     ref.entry(lo, ro, li, ri), (lo, ro, li, ri)
         assert all(sparse.weights.values())
         assert all(type(w) is RAT for w in sparse.weights.values())
