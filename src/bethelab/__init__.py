@@ -7,8 +7,9 @@ the extension ring Q(s, i), s**2 = [q][q^2], i**2 = -1.  Submodules:
 - field:     rationals, the quadratic+Gaussian extension, half-power and
              Laurent polynomials, exact interpolation
 - rmatrix:   the R-matrices of the six-, mixed and nineteen-vertex models
-             and their structural identities
-- aba:       monodromy matrix, Bethe vectors, transfer matrices and the
+             at a rational q, and their structural identities
+- aba:       the parameters and their ring (ModelParams), monodromy
+             matrix, Bethe vectors, transfer matrices and the
              exchange/cyclic/recurrence relations of the eigenvector
 - detform:   Slavnov and Izergin-Korepin determinants, partition-function
              sum rules, closed-form simple components

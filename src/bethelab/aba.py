@@ -11,6 +11,12 @@ kernel, `sweep`, applies a row of R-matrices to a whole sparse vector.
 The monodromy entries, the T2 trace and the singlet's beta operator in
 `spinchain` differ only in their tables and auxiliary boundary indices.
 
+ModelParams is the one parameter object: N, a rational q and w, with
+the ring Q(s, i) of d = [q][q^2] (`session_constant` validates q), its
+units s and i, and the memo of transition tables that it shares with
+every ModelParams `with_w` derives from it.  The R-matrices of `rmatrix`
+take q itself.
+
 The model's vectors (ModelVector) live on plain ints: every value the
 model computes is one rational times one of the units 1, s, i, s i, so a
 vector is one unit (its grade) times ints over one common denominator.
@@ -74,7 +80,6 @@ from math import gcd, lcm, prod
 from bethelab.field import (
     RAT,
     LaurentPoly,
-    MixedGrades,
     PoleEncountered,
     Scalar,
     SessionMismatch,
@@ -83,18 +88,11 @@ from bethelab.field import (
     laurent_interpolate_many,
     rat_str,
     spread,
+    validate_extension,
 )
 from bethelab.linalg import SPIN_CHARS  # noqa: F401 - re-exported
 from bethelab.linalg import DimensionMismatch, StateVector, state_str
-from bethelab.rmatrix import (
-    DOWN,
-    UP,
-    ZERO,
-    _session,
-    r12,
-    r22,
-    singlet_pair_vector,
-)
+from bethelab.rmatrix import DOWN, UP, ZERO, r12, r22, singlet_pair_vector
 
 
 class RedundantFactorZero(PoleEncountered):
@@ -104,6 +102,10 @@ class RedundantFactorZero(PoleEncountered):
 
 class IrrationalComponent(ArithmeticError):
     """A renormalised component kept an s- or i-part (bug guard)."""
+
+
+class IrrationalWeight(ArithmeticError):
+    """A spectral parameter with an s- or i-part."""
 
 
 OMEGA = (-1, 1, -1)  # the diagonal twist at angle pi on (U, 0, D)
@@ -126,8 +128,7 @@ class ModelVector:
     (grade 0..3, as for a Scalar), in lowest terms: equal vectors have
     equal part, den and grade, and the zero vector has den 1 and grade 0.
     Every value the model computes is homogeneous, so one grade serves a
-    whole vector; a sum of nonzero vectors of different grades raises
-    MixedGrades."""
+    whole vector."""
 
     __slots__ = ("n", "d", "den", "part", "grade", "_entries")
 
@@ -169,16 +170,6 @@ class ModelVector:
         return ModelVector(self.d, self.den * c.r.denominator,
                            self.part.scale(c.r.numerator), c.g)
 
-    def __add__(self, other: "ModelVector") -> "ModelVector":
-        _check_model(other, self.n, self.d)
-        if self.grade != other.grade and self.part and other.part:
-            raise MixedGrades(f"vectors of grades {self.grade} and "
-                              f"{other.grade} added")
-        den = lcm(self.den, other.den)
-        return ModelVector(self.d, den, self.part.scale(den // self.den)
-                           + other.part.scale(den // other.den),
-                           self.grade | other.grade)
-
     def __eq__(self, other):
         if not isinstance(other, ModelVector):
             return NotImplemented
@@ -213,14 +204,25 @@ def _memo(store: dict, key, build):
     return value
 
 
-class ModelParams:
-    """The paper's parameters: chain size N, anisotropy q and the
-    inhomogeneities w (the twist is OMEGA, at angle pi).
+def session_constant(q) -> RAT:
+    """d = [q][q^2] for a rational anisotropy q, once q != 0, q^4 != 1 and
+    neither d nor -d is a rational square, so that Q(s, i) is a field;
+    ValueError otherwise."""
+    q = as_rat(q)
+    if q == 0 or q * q == 1:
+        raise ValueError("q must satisfy q != 0 and q^4 != 1")
+    return validate_extension(brk(q) * brk(q * q))
 
-    Carries the scalar session (d = [q][q^2]); q may be given as that
-    session, a VertexWeights, whose memo then holds the transition tables
-    of every ModelParams that shares it.  `memo` holds the vectors built
-    for these parameters.
+
+class ModelParams:
+    """The paper's parameters: chain size N, a rational anisotropy q and
+    the inhomogeneities w (the twist is OMEGA, at angle pi), with the ring
+    Q(s, i) of the model's values: d = [q][q^2] (`session_constant`), the
+    units s and i, `sc` and `rat`.
+
+    `memo` holds the vectors built for these parameters; the transition
+    tables are memoised once for these parameters and every ModelParams
+    that `with_w` derives from them.
     """
 
     def __init__(self, n: int, q, w):
@@ -231,44 +233,56 @@ class ModelParams:
             raise ValueError("need exactly n inhomogeneities")
         if any(x == 0 for x in w):
             raise ValueError("inhomogeneities must be nonzero")
-        self.n = n
-        self.vw = _session(q)
-        self.q = self.vw.q
-        self.w = w
-        self._vectors = {}
+        self.n, self.q, self.w = n, as_rat(q), w
+        self.d = session_constant(self.q)
+        self.s = Scalar(RAT(1), 1, self.d)
+        self.i = Scalar(RAT(1), 2, self.d)
+        self._vectors, self._tables = {}, {}
 
     def with_w(self, w) -> "ModelParams":
-        return ModelParams(len(tuple(w)), self.vw, w)
+        """These parameters at the inhomogeneities w, sharing the table
+        memo."""
+        w = tuple(w)
+        other = ModelParams(len(w), self.q, w)
+        other._tables = self._tables
+        return other
 
     def memo(self, key, build):
         """These parameters' memo of build(), keyed by key."""
         return _memo(self._vectors, key, build)
 
     def sc(self, r) -> Scalar:
-        return self.vw.sc(r)
+        return Scalar(as_rat(r), 0, self.d)
+
+    def rat(self, z) -> RAT:
+        """The spectral parameter z (an int, "p/q", a rational or a Scalar
+        of this ring: SessionMismatch for another ring's, IrrationalWeight
+        for one with an s- or i-part) as a rational."""
+        if not isinstance(z, Scalar):
+            return as_rat(z)
+        if z.d != self.d:
+            raise SessionMismatch(
+                f"session constants differ: {z.d} vs {self.d}")
+        if z.g:
+            raise IrrationalWeight(f"spectral parameter {z!r} is not rational")
+        return z.r
 
     def to_json_dict(self) -> dict:
         return {"n": self.n, "q": rat_str(self.q),
                 "w": [rat_str(x) for x in self.w]}
 
-    @property
-    def d(self):
-        return self.vw.d
-
     def _table(self, kind: str, u: RAT, build):
-        """The session's memo of build(), keyed by kind and u."""
-        return _memo(self.vw.tables, (kind, u), build)
+        """The table memo's build(), keyed by kind and u."""
+        return _memo(self._tables, (kind, u), build)
 
     def r12_table(self, u: RAT):
         """(table, D): the transition table of r12(u), in the gauge K =
         diag(1, s) on the auxiliary factor, as ints over one denominator D."""
-        return self._table("r12", u,
-                           lambda: r12(u, self.vw).int_column_map())
+        return self._table("r12", u, lambda: r12(u, self.q).int_column_map())
 
     def r22_table(self, u: RAT):
         """(table, D) for r22(u) as ints over one denominator D."""
-        return self._table("r22", u,
-                           lambda: r22(u, self.vw).int_column_map())
+        return self._table("r22", u, lambda: r22(u, self.q).int_column_map())
 
 
 def vacuum(params: ModelParams) -> ModelVector:
@@ -278,13 +292,13 @@ def vacuum(params: ModelParams) -> ModelVector:
 
 def vacuum_a(z, params: ModelParams) -> RAT:
     """Eigenvalue of A(z) on the reference state: prod_j [q z / w_j]."""
-    z = params.vw.rat(z)
+    z = params.rat(z)
     return prod(brk(params.q * z / w) for w in params.w)
 
 
 def vacuum_d(z, params: ModelParams) -> RAT:
     """Eigenvalue of D(z) on the reference state: prod_j [z / (q w_j)]."""
-    z = params.vw.rat(z)
+    z = params.rat(z)
     return prod(brk(z / (params.q * w)) for w in params.w)
 
 
@@ -367,7 +381,7 @@ def _signed_sweeps(rows, v: ModelVector, params: ModelParams, bounds):
 
 def _monodromy_rows(z, params: ModelParams) -> list:
     """The row of gauged r12 tables of z, or of each z of a list."""
-    zs = [params.vw.rat(x) for x in (z if isinstance(z, list) else [z])]
+    zs = [params.rat(x) for x in (z if isinstance(z, list) else [z])]
     if not all(zs):
         raise PoleEncountered("spectral parameter must be nonzero")
     return [[params.r12_table(x / (params.q * w)) for w in params.w]
@@ -389,7 +403,7 @@ def monodromy_apply(which: str, z, params: ModelParams, v: ModelVector):
     a_in, a_out = _AUX[which]
     out = _signed_sweeps(rows, v, params, [(a_in, a_out, 1)])
     k = len(rows) * (a_in - a_out)
-    return out.scale(params.vw.s ** k) if k else out
+    return out.scale(params.s ** k) if k else out
 
 
 def bethe_vector(params: ModelParams) -> ModelVector:
@@ -404,13 +418,13 @@ def transfer1_apply(z, params: ModelParams, v: ModelVector) -> ModelVector:
     signed trace of the monodromy row."""
     out = _signed_sweeps(_monodromy_rows(z, params), v, params,
                          [(0, 0, 1), (1, 1, -1)])
-    return out.scale(params.vw.i)
+    return out.scale(params.i)
 
 
 def transfer2_apply(z, params: ModelParams, v: ModelVector) -> ModelVector:
     """Nineteen-vertex transfer matrix with the diagonal twist
     Omega = diag(-1, 1, -1)."""
-    z = params.vw.rat(z)
+    z = params.rat(z)
     if not z:
         raise PoleEncountered("spectral parameter must be nonzero")
     tables = [params.r22_table(z / w) for w in params.w]
@@ -420,7 +434,7 @@ def transfer2_apply(z, params: ModelParams, v: ModelVector) -> ModelVector:
 
 def theta2(z, params: ModelParams) -> RAT:
     """The simple eigenvalue -d(z) a(q z)."""
-    z = params.vw.rat(z)
+    z = params.rat(z)
     return -vacuum_d(z, params) * vacuum_a(params.q * z, params)
 
 
@@ -428,7 +442,7 @@ def bethe_equations_residual(roots, params: ModelParams):
     """Each Bethe equation at the given roots (n = N roots) in cleared form,
     a(z_k) prod_{j!=k} [z_k/(q z_j)] + d(z_k) prod_{j!=k} [q z_k/z_j]; the
     sign is the twist's e^{-i pi} = -1."""
-    zs = [params.vw.rat(z) for z in roots]
+    zs = [params.rat(z) for z in roots]
     q = params.q
     residuals = []
     for k, zk in enumerate(zs):
@@ -488,9 +502,9 @@ def apply_two_site(colmap: dict, v: StateVector, i: int,
 def rhat22_table(u, params: ModelParams):
     """(table, D): the transition table of the braided nineteen-vertex
     matrix P R(u) as ints over one denominator D."""
-    u = params.vw.rat(u)
+    u = params.rat(u)
     return params._table(
-        "rhat22", u, lambda: r22(u, params.vw).braided().int_column_map())
+        "rhat22", u, lambda: r22(u, params.q).braided().int_column_map())
 
 
 def rhat22_apply(u, params, v: ModelVector, i: int, j: int) -> ModelVector:

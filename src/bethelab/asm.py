@@ -33,8 +33,8 @@ from functools import cache, reduce
 from itertools import accumulate, combinations, product
 from operator import mul
 
-from bethelab.field import RAT, LaurentPoly, brk, inv, unpack
-from bethelab.rmatrix import _session
+from bethelab.field import RAT, LaurentPoly, as_rat, brk, inv, unpack
+
 
 class InvalidConfig(ValueError):
     """Vertex configuration violates edge consistency or the boundary."""
@@ -309,17 +309,17 @@ def dwbc_partition_brute(zeta, w, q) -> RAT:
     The vertex in row i, column j carries spectral parameter
     z = zeta_i / w_j and weight [q z], [q / z] or [q^2] by class.
     """
-    vw = _session(q)
-    zs = [vw.rat(z) for z in zeta]
-    ws = [vw.rat(x) for x in w]
+    zs = [as_rat(z) for z in zeta]
+    ws = [as_rat(x) for x in w]
     n = len(zs)
     if len(ws) != n:
         raise ValueError("zeta and w must have equal length")
     _check_size(n)
-    q, fc = vw.q, brk(vw.q * vw.q)
+    q = as_rat(q)
+    fc = brk(q * q)
 
     def cell(z):  # the weight of each vertex type at spectral parameter z
-        wa, wb = brk(q * z), brk(q / z)
+        wa, wb = brk(q * z), brk(q * inv(z))
         return {t: wa if t in A_CLASS else wb if t in B_CLASS else fc
                 for t in VERTEX_EDGES}
 

@@ -18,11 +18,12 @@ determinant checks the pole lattices zeta = q^{-1,0,1} w).  With a fixed
 seed and configuration the JSON output is byte-identical across runs;
 checks always appear sorted by name.  Exit codes: 0 all checks pass,
 1 at least one failed (in `verify` any exception a check raises, a pole
-or an internal error such as MixedGrades, fails that check, its repr
-under "error"), 2 configuration error (a size beyond the cap, an --out
-path that cannot be written); outside a check (parameter setup, the
-dump commands) 3 singular input (a pole or a singular linear system at
-the requested parameters), 4 internal failure (traceback to stderr).
+or an internal error such as IrrationalComponent, fails that check, its
+repr under "error"), 2 configuration error (a size beyond the cap, an
+--out path that cannot be written); outside a check (parameter setup,
+the dump commands) 3 singular input (PoleEncountered: a pole at the
+requested parameters), 4 internal failure (traceback to stderr), a bare
+ZeroDivisionError included.
 The environment variable BETHE_LAB_MAX_N, a positive integer (default
 8), is the one cap on --n, checked before any work starts.
 `verify` writes its report as JSON, CSV or text (--format); the other
@@ -41,9 +42,8 @@ import traceback
 from functools import cache
 
 from bethelab import aba, asm, detform, spinchain
-from bethelab.field import RAT, SingularSystem, rat_str
+from bethelab.field import RAT, PoleEncountered, rat_str
 from bethelab.rmatrix import (
-    VertexWeights,
     check_fusion_r22,
     check_ybe,
     crossing_transpose_check,
@@ -66,12 +66,12 @@ def draw_z(rng: random.Random) -> RAT:
 
 
 def draw_q(rng: random.Random) -> RAT:
-    """q that VertexWeights accepts: [q], [q^2] != 0 and a valid scalar
-    session constant."""
+    """q that `aba.session_constant` accepts: [q], [q^2] != 0 and a valid
+    scalar session constant."""
     while True:
         q = draw_z(rng)
         try:
-            VertexWeights(q)
+            aba.session_constant(q)
         except ValueError:
             continue
         return q
@@ -145,7 +145,7 @@ def resolve_params(args):
     rng = random.Random(args.seed)
     q = parse_rat(args.q) if args.q else draw_q(rng)
     try:
-        vw = VertexWeights(q)  # before draw_w, which divides by q
+        aba.session_constant(q)  # before draw_w, which divides by q
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     if args.w:
@@ -155,7 +155,7 @@ def resolve_params(args):
     else:
         w = draw_w(rng, n, q)
     try:
-        return aba.ModelParams(n, vw, w), rng
+        return aba.ModelParams(n, q, w), rng
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -230,7 +230,7 @@ def checks_aba(params, rng):
     if params.n == 1:
         out.append(("aba.bethe_vector_components", ps,
                     lambda: (aba.bethe_vector(params).entries
-                             == {(1,): params.vw.s},
+                             == {(1,): params.s},
                              {"value": aba.bethe_vector(params)
                               .to_json_dict(params)})))
     return out
@@ -256,7 +256,7 @@ def checks_detform(params, rng):
                 {"zeta": [rat_str(z) for z in zeta],
                  "w": [rat_str(x) for x in wb], "q": ps["q"]},
                 lambda: detform.ik_determinant(zeta, wb, params)
-                == asm.dwbc_partition_brute(zeta, wb, params.vw)))
+                == asm.dwbc_partition_brute(zeta, wb, params.q)))
     out.append(("detform.partition_sum_rule", ps,
                 lambda: detform.partition_Z(params)
                 == detform.partition_Z_via_ik(params)))
@@ -440,7 +440,7 @@ def cmd_ikdet(args) -> int:
     if len(zeta) != params.n:
         raise ConfigError("--zeta must list exactly n rationals")
     z_ik = detform.ik_or_asm_sum(zeta, params.w, params)
-    z_direct = asm.dwbc_partition_brute(zeta, params.w, params.vw)
+    z_direct = asm.dwbc_partition_brute(zeta, params.w, params.q)
     emit({"Z_IK": params.sc(z_ik).to_json_dict(),
           "Z_direct": params.sc(z_direct).to_json_dict(),
           "match": z_ik == z_direct}, "json", args.out)
@@ -513,7 +513,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (ZeroDivisionError, SingularSystem) as exc:
+    except PoleEncountered as exc:
         print(f"singular input: {exc}", file=sys.stderr)
         return 3
     except Exception:  # a bug, never to be reported as the user's input

@@ -15,16 +15,19 @@ oracle) to
 
 where Z_IK is the Izergin-Korepin determinant for the six-vertex model
 with domain-wall boundaries and weights fa(z) = [q z], fb(z) = [q / z],
-fc(z) = [q^2].  Where the determinant formula divides by zero (coincident
-parameters, or a vanishing fa or fb) the partition function, which has no
-pole there, is evaluated through the alternating-sign-matrix sum instead
-(never by a limit).  Spectral parameters are anything `VertexWeights.rat`
-takes, and every value here is a rational.
+fc(z) = [q^2].  The determinant is taken with each row scaled by its fa
+fb, so that it divides only by prod_{j<k} [zeta_j/zeta_k][w_k/w_j];
+where that vanishes (coincident zeta or w, up to sign) the partition
+function, which has no pole there, is evaluated through the
+alternating-sign-matrix sum instead (never by a limit).  Spectral
+parameters are anything `ModelParams.rat` takes, and every value here is
+a rational.
 """
 
 from __future__ import annotations
 
 from functools import cache
+from math import prod
 
 from bethelab.aba import (
     ModelParams,
@@ -65,8 +68,8 @@ def slavnov(roots, zeta, params: ModelParams) -> RAT:
     from the roots.  A zero determinant is a legitimate value (orthogonal
     states), not an error.
     """
-    zs = [params.vw.rat(z) for z in roots]
-    cs = [params.vw.rat(z) for z in zeta]
+    zs = [params.rat(z) for z in roots]
+    cs = [params.rat(z) for z in zeta]
     n = len(zs)
     if len(cs) != n:
         raise ValueError("roots and zeta must have equal length")
@@ -114,48 +117,36 @@ def brute_scalar_product(roots, zeta, params: ModelParams) -> RAT:
 def ik_determinant(zeta, w, params: ModelParams) -> RAT:
     """Izergin-Korepin determinant Z_IK(zeta; w):
 
-        prod_{j,k} fa(zeta_j/w_k) fb(zeta_j/w_k)
-        / prod_{j<k} [zeta_j/zeta_k][w_k/w_j]
-        * det( fc / (fa fb) (zeta_j/w_k) ).
+        prod_{j,k} fa fb (zeta_j/w_k) / prod_{j<k} [zeta_j/zeta_k][w_k/w_j]
+        * det( fc / (fa fb) (zeta_j/w_k) ),
+
+    taken with row j scaled by prod_l fa fb (zeta_j/w_l): every entry is
+    fc prod_{l!=k} fa fb (zeta_j/w_l), and the one division is by the
+    brackets, which vanish only at coincident zeta or w up to sign.
     """
-    zs = [params.vw.rat(z) for z in zeta]
-    ws = [params.vw.rat(x) for x in w]
+    zs = [params.rat(z) for z in zeta]
+    ws = [params.rat(x) for x in w]
     n = len(zs)
     if len(ws) != n:
         raise ValueError("zeta and w must have equal length")
     q = params.q
-    den = RAT(1)
-    for j in range(n):
-        for k in range(j + 1, n):
-            bz = brk(zs[j] * inv(zs[k]))
-            bw = brk(ws[k] * inv(ws[j]))
-            if not bz or not bw:
-                raise PoleEncountered(
-                    "coincident zeta or w; use the ASM-sum route")
-            den = den * bz * bw
+    den = prod((brk(zs[j] * inv(zs[k])) * brk(ws[k] * inv(ws[j]))
+                for j in range(n) for k in range(j + 1, n)), start=RAT(1))
     fc = brk(q * q)
-    pref = RAT(1)
     matrix = []
-    for j in range(n):
-        row = []
-        for k in range(n):
-            fa = brk(q * zs[j] * inv(ws[k]))
-            fb = brk(q * ws[k] / zs[j])
-            if not fa or not fb:
-                raise PoleEncountered("fa or fb vanishes where divided")
-            pref = pref * fa * fb
-            row.append(fc / (fa * fb))
-        matrix.append(row)
-    return pref / den * det_bareiss(matrix)
+    for z in zs:
+        fs = [brk(q * z * inv(x)) * brk(q * x * inv(z)) for x in ws]
+        matrix.append([fc * prod(fs[:k] + fs[k + 1:]) for k in range(n)])
+    return det_bareiss(matrix) * inv(den)
 
 
 def ik_or_asm_sum(zeta, w, params: ModelParams) -> RAT:
     """Z_IK through the determinant, or the exact ASM sum at a zero divisor
-    of the determinant formula."""
+    of the determinant formula (coincident zeta or w up to sign)."""
     try:
         return ik_determinant(zeta, w, params)
     except PoleEncountered:
-        return dwbc_partition_brute(zeta, w, params.vw)
+        return dwbc_partition_brute(zeta, w, params.q)
 
 
 def partition_Z(params: ModelParams) -> RAT:

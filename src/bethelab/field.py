@@ -13,11 +13,10 @@ become the symbol s).  Every such value is homogeneous, one rational times
 one of the units 1, s, i, s*i, so a Scalar is stored as r * s^k * i^l
 with rational r and grade g = k + 2 l in 0..3.  Scalars multiply, invert
 and raise to powers but never add: sums are taken on the ints of
-`aba.ModelVector`, where nonzero vectors of different grades raise
-MixedGrades, an internal error.  For d that is not a rational square (and
--d not one either) Q(s, i) is a field and the grades are independent, so
-every nonzero element is invertible and equality is decided grade by
-grade.
+`aba.ModelVector`, one grade a vector.  For d that is not a rational
+square (and -d not one either) Q(s, i) is a field and the grades are
+independent, so every nonzero element is invertible and equality is
+decided grade by grade.
 
 The module also provides the half-power polynomial ring Q[y], y = x^(1/2)
 (the form of `spinchain`'s homogeneous-limit inputs and results), Kronecker
@@ -51,11 +50,6 @@ class SessionMismatch(ValueError):
 class PoleEncountered(ZeroDivisionError):
     """A zero divisor at the requested parameters: a vanishing bracket or
     denominator, or the inverse of zero."""
-
-
-class MixedGrades(ArithmeticError):
-    """A sum of nonzero ModelVectors of different grades: never computed by
-    the package, so a bug."""
 
 
 class SingularSystem(ValueError):
@@ -98,7 +92,7 @@ def is_rational_square(r) -> bool:
     return sp * sp == p and sq * sq == q
 
 
-def validate_session_constant(d) -> RAT:
+def validate_extension(d) -> RAT:
     """Check that adjoining s with s**2 = d yields a field over Q(i).
 
     d must be nonzero and neither d nor -d may be a rational square,

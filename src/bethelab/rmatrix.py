@@ -12,14 +12,17 @@ Basis conventions (fixed for the whole package):
   embeddings of `RMat.embedded`, the dense Hamiltonian bond) the index is
   dim_right * left + right.
 
-Every weight is a rational, built from brackets [z] = z - 1/z (`brk`).
-The mixed R-matrix carries s = sqrt([q][q^2]) on its four spin-flip
-weights, so it is returned in the gauge K = diag(1, s) on its spin-1/2
-factor: `r12` is K R12 K^-1, whose flips weigh 1 for 0 <- 1 and d =
-[q][q^2] for 1 <- 0, and K^-1 r12 K is the physical matrix.  `r21`
-carries the same gauge on its right factor.  K x K commutes with `r11`,
-which conserves magnetisation, so every identity below is the physical
-one conjugated by K on each spin-1/2 factor and holds on rationals.
+Every function takes q and the spectral parameters as rationals
+(anything `field.as_rat` reads), and every weight is a rational, built
+from brackets [z] = z - 1/z (`brk`); the ring Q(s, i) of the model's
+values belongs to `aba.ModelParams`.  The mixed R-matrix carries s =
+sqrt([q][q^2]) on its four spin-flip weights, so it is returned in the
+gauge K = diag(1, s) on its spin-1/2 factor: `r12` is K R12 K^-1, whose
+flips weigh 1 for 0 <- 1 and d = [q][q^2] for 1 <- 0, and K^-1 r12 K is
+the physical matrix.  `r21` carries the same gauge on its right factor.
+K x K commutes with `r11`, which conserves magnetisation, so every
+identity below is the physical one conjugated by K on each spin-1/2
+factor and holds on rationals.
 
 The nineteen-vertex weight table of R(z) = r22(z), with U/0/D for the
 spin components and entries <aux' site'|R|aux site>:
@@ -61,53 +64,9 @@ from itertools import product
 from math import lcm, prod
 
 from bethelab import linalg
-from bethelab.field import (
-    RAT,
-    PoleEncountered,
-    Scalar,
-    SessionMismatch,
-    as_rat,
-    brk,
-    inv,
-    validate_session_constant,
-)
+from bethelab.field import RAT, PoleEncountered, as_rat, brk, inv
 
 UP, ZERO, DOWN = 0, 1, 2  # spin-1 components U, 0, D
-
-
-class VertexWeights:
-    """Session data for one rational anisotropy q: the constant d = [q][q^2],
-    the units s and i of the model's values, and `tables`, the memo of
-    transition tables built for this q."""
-
-    def __init__(self, q):
-        q = as_rat(q)
-        if q == 0 or q * q == 1:
-            raise ValueError("q must satisfy q != 0 and q^4 != 1")
-        self.q = q
-        self.d = validate_session_constant(brk(q) * brk(q * q))
-        self.s = Scalar(RAT(1), 1, self.d)
-        self.i = Scalar(RAT(1), 2, self.d)
-        self.tables = {}
-
-    def sc(self, r) -> Scalar:
-        return Scalar(as_rat(r), 0, self.d)
-
-    def rat(self, z) -> RAT:
-        """The spectral parameter z (an int, "p/q", a rational or a Scalar
-        of this session, else SessionMismatch) as a rational."""
-        if not isinstance(z, Scalar):
-            return as_rat(z)
-        if z.d != self.d:
-            raise SessionMismatch(
-                f"session constants differ: {z.d} vs {self.d}")
-        if z.g:
-            raise IrrationalWeight(f"spectral parameter {z!r} is not rational")
-        return z.r
-
-
-class IrrationalWeight(ArithmeticError):
-    """A spectral parameter with an s- or i-part."""
 
 
 class RMat:
@@ -181,19 +140,14 @@ class RMat:
         return out
 
 
-def _session(q) -> VertexWeights:
-    return q if isinstance(q, VertexWeights) else VertexWeights(q)
-
-
 def r11(z, q) -> RMat:
     """Six-vertex R-matrix on C^2 x C^2, spin-1/2 up = 0 and down = 1.
 
     Degenerates to B P+ at z = q (B = diag([q^2], 2[q], 2[q], [q^2])) and
     to -2[q] P- at z = 1/q.
     """
-    vw = _session(q)
-    z = vw.rat(z)
-    bz, bqz, bq = brk(z), brk(vw.q * z), brk(vw.q)
+    z, q = as_rat(z), as_rat(q)
+    bz, bqz, bq = brk(z), brk(q * z), brk(q)
     return RMat(2, 2, {
         (0, 0, 0, 0): bqz, (1, 1, 1, 1): bqz,
         (0, 1, 0, 1): bz, (1, 0, 1, 0): bz,
@@ -205,10 +159,10 @@ def r12(z, q) -> RMat:
     """Mixed R-matrix on C^2 x C^3, symmetric up to the gauge: K R12 K^-1
     with K = diag(1, s) on the spin-1/2 factor, whose flips s become 1
     (auxiliary 0 <- 1) and d = [q][q^2] (1 <- 0)."""
-    vw = _session(q)
-    z = vw.rat(z)
-    bz, bqz, bq2z = brk(z), brk(vw.q * z), brk(vw.q ** 2 * z)
-    d, one = vw.d, RAT(1)
+    z, q = as_rat(z), as_rat(q)
+    q2 = q * q
+    bz, bqz, bq2z = brk(z), brk(q * z), brk(q2 * z)
+    d, one = brk(q) * brk(q2), RAT(1)
     U, Z, D = UP, ZERO, DOWN
     return RMat(2, 3, {
         (0, U, 0, U): bq2z, (1, D, 1, D): bq2z,
@@ -221,16 +175,14 @@ def r12(z, q) -> RMat:
 
 def r22(z, q) -> RMat:
     """Nineteen-vertex R-matrix on C^3 x C^3 from the weight table above."""
-    vw = _session(q)
-    z = vw.rat(z)
-    q = vw.q
-    bq2 = brk(q * q)
-    w1 = brk(q * z) * brk(q * q * z)      # [qz][q^2 z]
-    w2 = brk(z / q) * brk(z)              # [z/q][z]
-    w3 = vw.d                             # [q][q^2]
-    w4 = brk(z) * brk(q * z)              # [z][qz]
-    w5 = bq2 * brk(q * z)                 # [q^2][qz]
-    w6 = bq2 * brk(z)                     # [q^2][z]
+    z, q = as_rat(z), as_rat(q)
+    bz, bqz, bq2 = brk(z), brk(q * z), brk(q * q)
+    w1 = bqz * brk(q * q * z)             # [qz][q^2 z]
+    w2 = brk(z / q) * bz                  # [z/q][z]
+    w3 = brk(q) * bq2                     # [q][q^2]
+    w4 = bz * bqz                         # [z][qz]
+    w5 = bq2 * bqz                        # [q^2][qz]
+    w6 = bq2 * bz                         # [q^2][z]
     w7 = w4 + w3                          # [z][qz] + [q][q^2]
     U, Z, D = UP, ZERO, DOWN
     return RMat(3, 3, {
@@ -260,8 +212,7 @@ def r_mn(m: int, n: int, z, q) -> RMat:
     if (m, n) == (1, 2):
         return r12(z, q)
     if (m, n) == (2, 1):
-        vw = _session(q)
-        return r12(vw.rat(z) / vw.q, vw).swapped()
+        return r12(as_rat(z) / as_rat(q), q).swapped()
     if (m, n) == (2, 2):
         return r22(z, q)
     raise ValueError("m, n must be 1 or 2")
@@ -272,15 +223,13 @@ def check_ybe(m: int, n: int, p: int, z, w, q) -> bool:
 
     R12(z/w) R13(z) R23(w) = R23(w) R13(z) R12(z/w).
     """
-    vw = _session(q)
-    z = vw.rat(z)
-    w = vw.rat(w)
+    z, w = as_rat(z), as_rat(w)
     if not z or not w:
         raise PoleEncountered("spectral parameters must be nonzero")
     dims = [m + 1, n + 1, p + 1]
-    r12_ = r_mn(m, n, z / w, vw).embedded(dims, 0, 1)
-    r13_ = r_mn(m, p, z, vw).embedded(dims, 0, 2)
-    r23_ = r_mn(n, p, w, vw).embedded(dims, 1, 2)
+    r12_ = r_mn(m, n, z / w, q).embedded(dims, 0, 1)
+    r13_ = r_mn(m, p, z, q).embedded(dims, 0, 2)
+    r23_ = r_mn(n, p, w, q).embedded(dims, 1, 2)
     lhs = linalg.sp_mul(linalg.sp_mul(r12_, r13_), r23_)
     rhs = linalg.sp_mul(linalg.sp_mul(r23_, r13_), r12_)
     return lhs == rhs
@@ -288,10 +237,9 @@ def check_ybe(m: int, n: int, p: int, z, w, q) -> bool:
 
 def inversion_check(z, q) -> bool:
     """R(z) R(1/z) = [q/z][q^2 z] [qz][q^2/z] Id on C^3 x C^3."""
-    vw = _session(q)
-    z, q = vw.rat(z), vw.q
-    lhs = linalg.sp_mul(r22(z, vw).embedded([3, 3], 0, 1),
-                        r22(inv(z), vw).embedded([3, 3], 0, 1))
+    z, q = as_rat(z), as_rat(q)
+    lhs = linalg.sp_mul(r22(z, q).embedded([3, 3], 0, 1),
+                        r22(inv(z), q).embedded([3, 3], 0, 1))
     c = brk(q / z) * brk(q * q * z) * brk(q * z) * brk(q * q / z)
     return lhs == {k: {k: c} for k in range(9) if c}
 
@@ -307,11 +255,10 @@ def rank_one_check(q) -> bool:
     The entries settle the rank too: an outer product of the nonzero
     vector |s> with itself has rank one, so no minor is evaluated.
     """
-    vw = _session(q)
-    s = singlet_pair_vector()
-    want = {o + i: vw.d * so * si for o, so in s.items()
-            for i, si in s.items()}
-    return r22(1 / vw.q, vw).weights == want
+    q = as_rat(q)
+    d, s = brk(q) * brk(q * q), singlet_pair_vector()
+    want = {o + i: d * so * si for o, so in s.items() for i, si in s.items()}
+    return r22(inv(q), q).weights == want
 
 
 def magnetisation_pattern_check(z, q) -> bool:
@@ -324,9 +271,10 @@ def magnetisation_pattern_check(z, q) -> bool:
 
 def permutation_check(q) -> bool:
     """r22(1) = [q][q^2] P."""
-    vw = _session(q)
-    return r22(1, vw).weights == {(a, b, b, a): vw.d for a in range(3)
-                                  for b in range(3)}
+    q = as_rat(q)
+    d = brk(q) * brk(q * q)
+    return r22(1, q).weights == {(a, b, b, a): d for a in range(3)
+                                 for b in range(3)}
 
 
 # -- fusion of two mixed R-matrices into the nineteen-vertex one -------
@@ -337,13 +285,12 @@ def check_fusion_r22(z, q) -> bool:
     weights: Y = r13(z/q) r23(z) in the fused labels, all but its block
     P+ Y P- above the diagonal, against G r22(z) G^-1 and the scalar
     [z/q][q^2 z] on A = ud - du."""
-    vw = _session(q)
-    z, q = vw.rat(z), vw.q
+    z, q = as_rat(z), as_rat(q)
     # Y on C^2 x C^2 x C^3, row 3 * pair + alpha with
     # pair = 2 * (first spin) + (second spin)
     dims = [2, 2, 3]
-    y = linalg.sp_mul(r12(z / q, vw).embedded(dims, 0, 2),
-                      r12(z, vw).embedded(dims, 1, 2))
+    y = linalg.sp_mul(r12(z / q, q).embedded(dims, 0, 2),
+                      r12(z, q).embedded(dims, 1, 2))
     # the fused labels U, 0, D and A = ud - du of each pair, weighted: in
     # a row by pi and P-/2, in a column by iota and P-; G is 1 on A
     half, anti = RAT(1, 2), DOWN + 1
@@ -351,7 +298,7 @@ def check_fusion_r22(z, q) -> bool:
             [(ZERO, half), (anti, -half)], [(DOWN, 1)]]
     cols = [[(UP, 1)], [(ZERO, 1), (anti, 1)], [(ZERO, 1), (anti, -1)],
             [(DOWN, 1)]]
-    g = {UP: 1, ZERO: brk(q), DOWN: vw.d, anti: 1}
+    g = {UP: 1, ZERO: brk(q), DOWN: brk(q) * brk(q * q), anti: 1}
     got = {}
     for r, y_row in y.items():
         for c, x in y_row.items():
@@ -361,7 +308,7 @@ def check_fusion_r22(z, q) -> bool:
                     got[key] = got.get(key, 0) + wr * wc * x
     scalar = brk(z / q) * brk(q * q * z)
     want = {(i, a, j, b): g[i] * x / g[j]
-            for (i, a, j, b), x in r22(z, vw).weights.items()}
+            for (i, a, j, b), x in r22(z, q).weights.items()}
     want.update({(anti, a, anti, a): scalar for a in range(3) if scalar})
     return {k: x for k, x in got.items() if x} == want
 
@@ -379,9 +326,9 @@ def crossing_transpose_check(z, q) -> bool:
     blocks X_ab of X: blocks 00, 01, 10, 11 of the image are -X_11,
     X_10 / d, d X_01 and -X_00, compared weight by weight.
     """
-    vw = _session(q)
-    z, d = vw.rat(z), vw.d
+    z, q = as_rat(z), as_rat(q)
+    d = brk(q) * brk(q * q)
     scale = {(0, 0): -1, (0, 1): d, (1, 0): 1 / d, (1, 1): -1}  # by X_ab
     image = {(1 - a, ro, 1 - b, ri): scale[a, b] * x for (a, ro, b, ri), x
-             in r12(inv(z * vw.q ** 2), vw).weights.items()}
-    return r12(z, vw).transpose_right().weights == image
+             in r12(inv(z * q * q), q).weights.items()}
+    return r12(z, q).transpose_right().weights == image

@@ -286,16 +286,14 @@ def homogeneous_consistency_check(n: int, q) -> bool:
         ints[key] == scale * p.eval_x(x) for key, p in phi.entries.items())
 
 
-def transfer1_zero_kernel_dimension(n: int, q, z=None) -> int:
-    """Dimension of the kernel of T1(z) on the zero-magnetisation sector
+def transfer1_zero_kernel_dimension(n: int, q) -> int:
+    """Dimension of the kernel of T1(3/2) on the zero-magnetisation sector
     of the homogeneous twisted chain (the uniqueness probe; expected 1)."""
-    q = as_rat(q)
     params = ModelParams(n, q, [RAT(1)] * n)
-    z = z if z is not None else RAT(3, 2)
     basis = [key for key in product((0, 1, 2), repeat=n)
              if magnetisation(key) == 0]
     # i times ints over a denominator: column scalings keep the rank
-    images = [transfer1_apply(z, params, basis_vector(params, key))
+    images = [transfer1_apply(RAT(3, 2), params, basis_vector(params, key))
               .part.entries for key in basis]
     _, pivots = row_reduce([[RAT(image.get(k, 0)) for image in images]
                             for k in basis])

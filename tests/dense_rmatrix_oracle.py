@@ -15,49 +15,50 @@ from scalar_oracle import FourPart
 
 from bethelab.field import brk
 from bethelab.linalg import StateVector
-from bethelab.rmatrix import DOWN, UP, ZERO, VertexWeights
+from bethelab.aba import ModelParams
+from bethelab.rmatrix import DOWN, UP, ZERO
 
 
-def coerce(vw: VertexWeights, z) -> FourPart:
-    """z (an int, rational, Scalar or FourPart) as a FourPart of the
-    session vw; SessionMismatch for another's."""
-    return FourPart.coerce(z, vw.d)
+def coerce(p: ModelParams, z) -> FourPart:
+    """z (an int, rational, Scalar or FourPart) as a FourPart of p's
+    ring; SessionMismatch for another's."""
+    return FourPart.coerce(z, p.d)
 
 
-def unit_s(vw: VertexWeights) -> FourPart:
-    return FourPart(0, 1, d=vw.d)
+def unit_s(p: ModelParams) -> FourPart:
+    return FourPart(0, 1, d=p.d)
 
 
-def unit_i(vw: VertexWeights) -> FourPart:
-    return FourPart(0, 0, 1, d=vw.d)
+def unit_i(p: ModelParams) -> FourPart:
+    return FourPart(0, 0, 1, d=p.d)
 
 
-def bracket(vw: VertexWeights, z) -> FourPart:
+def bracket(p: ModelParams, z) -> FourPart:
     """[z] = z - 1/z as a FourPart."""
-    z = coerce(vw, z)
+    z = coerce(p, z)
     if z.is_rational():  # zero included: brk raises PoleEncountered
-        return coerce(vw, brk(z.a))
+        return coerce(p, brk(z.a))
     return z - z.inv()
 
 
-def bqz(vw: VertexWeights, k: int, z) -> FourPart:
+def bqz(p: ModelParams, k: int, z) -> FourPart:
     """[q^k z] as a FourPart."""
-    return bracket(vw, coerce(vw, z) * vw.q ** k if k else z)
+    return bracket(p, coerce(p, z) * p.q ** k if k else z)
 
 
-def bq(vw: VertexWeights) -> FourPart:
-    return coerce(vw, brk(vw.q))
+def bq(p: ModelParams) -> FourPart:
+    return coerce(p, brk(p.q))
 
 
-def bq2(vw: VertexWeights) -> FourPart:
-    return coerce(vw, brk(vw.q ** 2))
+def bq2(p: ModelParams) -> FourPart:
+    return coerce(p, brk(p.q ** 2))
 
 
-def gauge_units(vw: VertexWeights, dim: int, power: int) -> list:
+def gauge_units(p: ModelParams, dim: int, power: int) -> list:
     """K^power on a factor of dimension dim: diag(1, s^power) on C^2, the
     identity on C^3."""
-    one = coerce(vw, 1)
-    return [one, unit_s(vw) ** power] if dim == 2 else [one] * 3
+    one = coerce(p, 1)
+    return [one, unit_s(p) ** power] if dim == 2 else [one] * 3
 
 
 class DenseRMat:
@@ -126,11 +127,11 @@ class DenseRMat:
         return table
 
 
-def r11(z, vw: VertexWeights) -> DenseRMat:
-    o = coerce(vw, 0)
-    bz = bqz(vw, 0, z)
-    bqz_ = bqz(vw, 1, z)
-    bq_ = bq(vw)
+def r11(z, p: ModelParams) -> DenseRMat:
+    o = coerce(p, 0)
+    bz = bqz(p, 0, z)
+    bqz_ = bqz(p, 1, z)
+    bq_ = bq(p)
     return DenseRMat(2, 2, [
         [bqz_, o, o, o],
         [o, bz, bq_, o],
@@ -139,13 +140,13 @@ def r11(z, vw: VertexWeights) -> DenseRMat:
     ])
 
 
-def r12(z, vw: VertexWeights) -> DenseRMat:
+def r12(z, p: ModelParams) -> DenseRMat:
     """The physical mixed R-matrix: `rmatrix.r12` is K r12 K^-1."""
-    o = coerce(vw, 0)
-    s = unit_s(vw)
-    bz = bqz(vw, 0, z)
-    bqz_ = bqz(vw, 1, z)
-    bq2z = bqz(vw, 2, z)
+    o = coerce(p, 0)
+    s = unit_s(p)
+    bz = bqz(p, 0, z)
+    bqz_ = bqz(p, 1, z)
+    bq2z = bqz(p, 2, z)
     return DenseRMat(2, 3, [
         [bq2z, o, o, o, o, o],
         [o, bqz_, o, s, o, o],
@@ -156,13 +157,13 @@ def r12(z, vw: VertexWeights) -> DenseRMat:
     ])
 
 
-def r22(z, vw: VertexWeights) -> DenseRMat:
-    w1 = bqz(vw, 1, z) * bqz(vw, 2, z)
-    w2 = bqz(vw, -1, z) * bqz(vw, 0, z)
-    w3 = bq(vw) * bq2(vw)
-    w4 = bqz(vw, 0, z) * bqz(vw, 1, z)
-    w5 = bq2(vw) * bqz(vw, 1, z)
-    w6 = bq2(vw) * bqz(vw, 0, z)
+def r22(z, p: ModelParams) -> DenseRMat:
+    w1 = bqz(p, 1, z) * bqz(p, 2, z)
+    w2 = bqz(p, -1, z) * bqz(p, 0, z)
+    w3 = bq(p) * bq2(p)
+    w4 = bqz(p, 0, z) * bqz(p, 1, z)
+    w5 = bq2(p) * bqz(p, 1, z)
+    w6 = bq2(p) * bqz(p, 0, z)
     w7 = w4 + w3
     U, Z, D = UP, ZERO, DOWN
     ent = {
@@ -177,21 +178,21 @@ def r22(z, vw: VertexWeights) -> DenseRMat:
         ((U, D), (Z, Z)): w6, ((D, U), (Z, Z)): w6,
         ((Z, Z), (Z, Z)): w7,
     }
-    o = coerce(vw, 0)
+    o = coerce(p, 0)
     mat = [[o] * 9 for _ in range(9)]
     for (out_pair, in_pair), wgt in ent.items():
         mat[3 * out_pair[0] + out_pair[1]][3 * in_pair[0] + in_pair[1]] = wgt
     return DenseRMat(3, 3, mat)
 
 
-def r21(z, vw: VertexWeights) -> DenseRMat:
-    return r12(coerce(vw, z) / vw.q, vw).swapped()
+def r21(z, p: ModelParams) -> DenseRMat:
+    return r12(coerce(p, z) / p.q, p).swapped()
 
 
 def gate(u, params, v: StateVector, i: int, j: int) -> StateVector:
     """P R22(u) on site positions i, j (0-based, i the left factor),
     weight by weight from the braided dense matrix's FourPart weights."""
-    table = r22(u, params.vw).braided().column_map()
+    table = r22(u, params).braided().column_map()
     out = {}
     for key, amp in v.entries.items():
         for lo, ro, w in table[key[i], key[j]]:

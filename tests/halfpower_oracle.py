@@ -13,10 +13,11 @@ code are the same.
 from functools import cache
 
 import dense_rmatrix_oracle as dense
+from helpers import ring
 
 from bethelab.aba import StateVector, sweep
 from bethelab.field import HalfPowerPoly, RAT, pack, unpack
-from bethelab.rmatrix import UP, VertexWeights
+from bethelab.rmatrix import UP
 from bethelab.spinchain import _apply_gates, _bond_tables
 
 
@@ -26,12 +27,12 @@ def rho_table():
     the ungauged FourPart R12 of `dense_rmatrix_oracle`: the bracket entries
     become 1, -1 and the flips carry y = x^(1/2).  Any valid scalar
     session gives the same table; q = 2 is used."""
-    vw = VertexWeights(RAT(2))
+    p = ring(RAT(2))
     y = HalfPowerPoly((0, 1))
-    return {key: [(lo, ro, y if w == vw.s
-                   else HalfPowerPoly.const((w / dense.bq(vw)).to_rat()))
+    return {key: [(lo, ro, y if w == p.s
+                   else HalfPowerPoly.const((w / dense.bq(p)).to_rat()))
                   for lo, ro, w in col]
-            for key, col in dense.r12(1 / vw.q, vw).column_map().items()}
+            for key, col in dense.r12(1 / p.q, p).column_map().items()}
 
 
 def x_table(table):

@@ -3,18 +3,37 @@ canonical ones from the CLI module; the rest are small readers of package
 objects and the rational form of the twisted Hamiltonian, which only tests
 use."""
 
+from math import lcm
+
 from scalar_oracle import laurent_components, model
 
 from bethelab.aba import (
     OMEGA,
     SPIN_CHARS,
     ModelParams,
+    ModelVector,
     StateVector,
     transfer2_apply,
 )
 from bethelab.cli import draw_distinct, draw_q, draw_w, draw_z  # noqa: F401
 from bethelab.field import RAT, as_rat, brk
 from bethelab.spinchain import _apply_gates, _bond_tables
+
+
+def ring(q) -> ModelParams:
+    """The parameters of a one-site chain at q, for a test that needs only
+    q's ring: d, the units s and i, `sc` and `rat`."""
+    return ModelParams(1, q, [RAT(1)])
+
+
+def model_sum(a: ModelVector, b: ModelVector) -> ModelVector:
+    """a + b for vectors of one grade (or a zero one), summed on their int
+    parts over a common denominator."""
+    if a.part and b.part and a.grade != b.grade:
+        raise ValueError(f"vectors of grades {a.grade} and {b.grade}")
+    den = lcm(a.den, b.den)
+    return ModelVector(a.d, den, a.part.scale(den // a.den)
+                       + b.part.scale(den // b.den), a.grade | b.grade)
 
 
 def at_pi(n) -> str:

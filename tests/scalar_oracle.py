@@ -27,7 +27,6 @@ from bethelab.field import (
     RAT_ZERO,
     InconsistentSamples,
     LaurentPoly,
-    MixedGrades,
     PoleEncountered,
     Scalar,
     SessionMismatch,
@@ -35,6 +34,11 @@ from bethelab.field import (
     as_rat,
     solve_exact,
 )
+
+
+class MixedGrades(ArithmeticError):
+    """A value or a vector with nonzero parts of two grades, which no
+    Scalar or ModelVector holds."""
 
 
 # The multiplication table of the units u = 1, s, i, s i, written out from

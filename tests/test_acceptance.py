@@ -19,6 +19,7 @@ from helpers import (
     draw_z,
     hamiltonian_apply,
     log_derivative_hamiltonian_apply,
+    model_sum,
     state_from_str,
 )
 from scalar_oracle import model
@@ -109,7 +110,7 @@ def test_criterion_03_fusion_identity():
                 scal = scal * brk(q * w / z) * brk(z * q * q / w)
             if n % 2 == 0:
                 scal = -scal
-            assert lhs + v.scale(scal) == \
+            assert model_sum(lhs, v.scale(scal)) == \
                 aba.transfer2_apply(params.sc(z), params, v)
     report(3, "fusion identity T2 = T1 T1(qz) + theta-term exact on random "
               "sparse vectors, N <= 3")
@@ -167,7 +168,7 @@ def test_criterion_06_determinant_identities():
                              | {-x for x in params.w})
         wb = draw_distinct(rng, n, avoid=zeta)
         assert detform.ik_determinant(zeta, wb, params) == \
-            asm.dwbc_partition_brute(zeta, wb, params.vw)
+            asm.dwbc_partition_brute(zeta, wb, params.q)
         if n <= 4:
             roots = [params.sc(x) for x in params.w]
             zs = [params.sc(z) for z in zeta]

@@ -283,20 +283,40 @@ def test_failed_check_records_elapsed_time(monkeypatch):
     assert rec["elapsed_ms"] >= 20.0
 
 
-@pytest.mark.parametrize("argv, z_ik", [
+ZERO_FA_FB = [
     # fb(zeta_1 / w_1) = [q w_1 / zeta_1] = [1]: Z is the c-weight [q^2]
     (["--n", "1", "--w", "1/1", "--zeta", "2/1"], "15/4"),
     # zeta_1 = w_1 / q, so fa(zeta_1 / w_1) = [1]: Z = [q^2]^2 ([1/3][10]
     # + [4][6/5]) over the two DWBC configurations, summed by hand
     (["--n", "2", "--w", "1/1,3/1", "--zeta", "1/2,5/1"], "-45045/128"),
-], ids=["n1", "n2"])
-def test_ikdet_takes_the_asm_route_at_a_zero_divisor(argv, z_ik, capsys):
-    """The determinant formula divides by zero where fa or fb vanishes,
-    but the partition function has no pole there."""
+]
+
+
+@pytest.mark.parametrize("argv, z_ik", ZERO_FA_FB, ids=["n1", "n2"])
+def test_ikdet_determinant_where_fa_or_fb_vanishes(argv, z_ik, capsys):
+    """The determinant formula, with each row scaled by its fa fb, divides
+    only by [zeta_j/zeta_k][w_k/w_j], so a vanishing fa or fb is no pole
+    and the ASM sum agrees with it."""
     code, out = run_cli(["ikdet", "--q", "2/1"] + argv, capsys)
     assert code == 0
     body = json.loads(out)
     assert body["match"] is True and body["Z_IK"]["a"] == z_ik
+
+
+@pytest.mark.parametrize("argv, z_ik", ZERO_FA_FB, ids=["n1", "n2"])
+def test_ikdet_match_compares_two_routes(argv, z_ik, monkeypatch, capsys):
+    """A wrong ASM sum, planted at every binding, is caught: Z_IK comes
+    from the determinant, not from the ASM sum that gives Z_direct."""
+    from bethelab import asm, detform
+
+    brute = asm.dwbc_partition_brute
+    for mod in (asm, detform):
+        monkeypatch.setattr(mod, "dwbc_partition_brute",
+                            lambda zeta, w, q: brute(zeta, w, q) + 1)
+    code, out = run_cli(["ikdet", "--q", "2/1"] + argv, capsys)
+    body = json.loads(out)
+    assert code == 0 and body["Z_IK"]["a"] == z_ik
+    assert body["match"] is False
 
 
 def test_verify_simple_component_at_a_zero_divisor(capsys):
@@ -348,37 +368,51 @@ def test_internal_failure_exits_4(monkeypatch, capsys):
     assert "Traceback" in err and "KeyError: 'internal'" in err
 
 
-def _sum_of_two_grades():
-    """|U> + s |U>: a sum of vectors of grades 0 and 1."""
+def _irrational_read_out():
+    """The rational numerators of s |U>, a vector of grade 1."""
     from bethelab.aba import ModelParams, basis_vector
     from bethelab.field import RAT
 
     p = ModelParams(1, RAT(2), [RAT(1)])
-    return basis_vector(p, (0,)) + basis_vector(p, (0,)).scale(p.vw.s)
+    return basis_vector(p, (0,)).scale(p.s).rational()
 
 
-def test_mixed_grades_exits_4(monkeypatch, capsys):
-    """A value outside the homogeneous elements is a bug: exit 4 with the
-    traceback, never a config error (2) or a singular input (3)."""
+def test_irrational_component_exits_4(monkeypatch, capsys):
+    """A bug guard that trips is exit 4 with the traceback, never a config
+    error (2) or a singular input (3)."""
     from bethelab import cli
 
-    monkeypatch.setattr(cli, "cmd_vector", lambda args: _sum_of_two_grades())
+    monkeypatch.setattr(cli, "cmd_vector", lambda args: _irrational_read_out())
     code = main(["vector", "--n", "1", "--q", "2/1", "--w", "1/1"])
     err = capsys.readouterr().err
     assert code == 4
-    assert "Traceback" in err and "MixedGrades" in err
+    assert "Traceback" in err and "IrrationalComponent" in err
 
 
-def test_mixed_grades_in_a_check_fails_that_check(monkeypatch):
+def test_bare_zero_division_exits_4(monkeypatch, capsys):
+    """Exit 3 is PoleEncountered alone: a ZeroDivisionError that no zero
+    divisor of the model names is a bug."""
+    from bethelab import cli
+
+    monkeypatch.setattr(cli, "cmd_vector", lambda args: 1 // 0)
+    code = main(["vector", "--n", "1", "--q", "2/1", "--w", "1/1"])
+    err = capsys.readouterr().err
+    assert code == 4
+    assert "Traceback" in err and "ZeroDivisionError" in err
+
+
+def test_irrational_component_in_a_check_fails_that_check(monkeypatch):
     from bethelab import cli
 
     monkeypatch.setitem(cli.SUITES, "asm", lambda params, rng: [
-        ("asm.mixed", {}, _sum_of_two_grades), ("asm.fine", {}, lambda: True)])
+        ("asm.irrational", {}, _irrational_read_out),
+        ("asm.fine", {}, lambda: True)])
     params, rng = cli.resolve_params(cli.build_parser().parse_args(
         ["verify", "--suite", "asm", "--n", "2"]))
-    fine, mixed = cli.run_suite("asm", params, rng)  # sorted by name
-    assert mixed["check"] == "asm.mixed" and mixed["pass"] is False
-    assert mixed["error"].startswith("MixedGrades(")
+    fine, irrational = cli.run_suite("asm", params, rng)  # sorted by name
+    assert irrational["check"] == "asm.irrational"
+    assert irrational["pass"] is False
+    assert irrational["error"].startswith("IrrationalComponent(")
     assert fine["pass"] is True
 
 

@@ -77,7 +77,7 @@ def test_slavnov_n1_explicit():
     p = ModelParams(1, RAT(2), [RAT(1)])
     for z in (RAT(3), RAT(7, 2)):
         got = slavnov([p.sc(p.w[0])], [p.sc(z)], p)
-        assert got == dense.bq(p.vw) * dense.bq2(p.vw)
+        assert got == dense.bq(p) * dense.bq2(p)
         assert got == brute_scalar_product([p.sc(p.w[0])], [p.sc(z)], p)
 
 
@@ -132,7 +132,7 @@ def test_slavnov_zero_divisor_f():
 
 def test_ik_n1_is_c_weight():
     p = ModelParams(1, RAT(2), [RAT(3)])
-    assert ik_determinant([RAT(7)], [RAT(3)], p) == dense.bq2(p.vw)
+    assert ik_determinant([RAT(7)], [RAT(3)], p) == dense.bq2(p)
 
 
 def test_ik_matches_brute():
@@ -142,7 +142,7 @@ def test_ik_matches_brute():
         zeta = draw_distinct(rng, n)
         w = draw_distinct(rng, n, avoid=zeta)
         got = ik_determinant(zeta, w, p)
-        assert got == dwbc_partition_brute(zeta, w, p.vw)
+        assert got == dwbc_partition_brute(zeta, w, p.q)
 
 
 def test_ik_symmetric_in_each_family():
@@ -159,11 +159,11 @@ def test_ik_symmetric_in_each_family():
 
 def test_ik_coincident_raises_and_fallback_agrees():
     p = ModelParams(2, RAT(2), [RAT(3), RAT(5)])
-    with pytest.raises(PoleEncountered, match="coincident zeta or w"):
+    with pytest.raises(PoleEncountered, match="inverse of zero scalar"):
         ik_determinant([RAT(3), RAT(3)], [RAT(3), RAT(5)], p)
     got = ik_or_asm_sum([RAT(3), RAT(3)], [RAT(3), RAT(5)], p)
     assert got == dwbc_partition_brute([RAT(3), RAT(3)], [RAT(3), RAT(5)],
-                                       p.vw)
+                                       p.q)
 
 
 # ---------------------------------------------------------------------
@@ -172,7 +172,7 @@ def test_ik_coincident_raises_and_fallback_agrees():
 
 def test_partition_n1_is_one():
     p = ModelParams(1, RAT(2), [RAT(4, 7)])
-    assert partition_Z(p) == p.vw.sc(1)
+    assert partition_Z(p) == p.sc(1)
 
 
 def test_partition_matches_ik_route():
@@ -362,7 +362,7 @@ def test_closed_forms_make_no_scalar_products(n, monkeypatch):
             lambda: ik_determinant(zeta, p.w, p),
             lambda: ik_or_asm_sum(zeta, p.w, p),
             lambda: ik_or_asm_sum(coincident, p.w, p),
-            lambda: dwbc_partition_brute(zeta, p.w, p.vw),
+            lambda: dwbc_partition_brute(zeta, p.w, p.q),
             lambda: partition_Z(p), lambda: partition_Z_via_ik(p),
             lambda: simple(p)]
     for run in runs:

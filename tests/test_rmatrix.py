@@ -8,15 +8,16 @@ from hypothesis import strategies as st
 import dense_rmatrix_oracle as dense
 from scalar_oracle import FourPart
 
+from helpers import ring
+
 from bethelab import linalg, rmatrix
+from bethelab.aba import IrrationalWeight, ModelParams, session_constant
 from bethelab.field import RAT, SessionMismatch, brk
 from bethelab.rmatrix import (
     DOWN,
     UP,
     ZERO,
-    IrrationalWeight,
     RMat,
-    VertexWeights,
     check_fusion_r22,
     check_ybe,
     crossing_transpose_check,
@@ -33,7 +34,7 @@ from bethelab.rmatrix import (
 from bethelab.spinchain import _RHO
 
 Q = RAT(2)
-VW = VertexWeights(Q)
+P = ring(Q)
 
 
 def is_symmetric(rmat) -> bool:
@@ -43,7 +44,7 @@ def is_symmetric(rmat) -> bool:
 
 
 def test_r11_at_z_one():
-    m = r11(1, VW)
+    m = r11(1, Q)
     assert type(m.weights[0, 0, 0, 0]) is RAT
     assert m.weights[0, 0, 0, 0] == RAT(3, 2)  # [q] at q=2
     assert (0, 1, 0, 1) not in m.weights       # [1] = 0 is not stored
@@ -52,14 +53,14 @@ def test_r11_at_z_one():
 
 def test_r11_symmetric_projector_point():
     # z = q: B P+ with B = diag([q^2], 2[q], 2[q], [q^2])
-    m = r11(VW.sc(Q), VW)
+    m = r11(Q, Q)
     bq2 = brk(Q * Q)
     bq = brk(Q)
     assert m.weights[0, 0, 0, 0] == m.weights[1, 1, 1, 1] == bq2
     for out, in_ in itertools.product(((0, 1), (1, 0)), repeat=2):
         assert m.weights[(*out, *in_)] == bq
     # z = 1/q: (-2[q]) P-
-    m = r11(VW.sc(Q).inv(), VW)
+    m = r11(1 / Q, Q)
     assert (0, 0, 0, 0) not in m.weights and (1, 1, 1, 1) not in m.weights
     assert m.weights[0, 1, 0, 1] == m.weights[1, 0, 1, 0] == -bq
     assert m.weights[0, 1, 1, 0] == m.weights[1, 0, 0, 1] == bq
@@ -68,26 +69,26 @@ def test_r11_symmetric_projector_point():
 def test_r12_flip_entry_is_s():
     # <up 0| R(z/q) |down U> = s for any z (the entry is constant); in the
     # gauge K = diag(1, s) the flips read 1 for 0 <- 1 and d for 1 <- 0
-    z = VW.sc(RAT(7, 3))
-    assert dense.r12(z * VW.sc(Q).inv(), VW).entry(0, ZERO, 1, UP) == VW.s
-    m = r12(z * VW.sc(Q).inv(), VW)
+    z = RAT(7, 3)
+    assert dense.r12(z / Q, P).entry(0, ZERO, 1, UP) == P.s
+    m = r12(z / Q, Q)
     assert m.weights[0, ZERO, 1, UP] == m.weights[0, DOWN, 1, ZERO] == 1
-    assert m.weights[1, UP, 0, ZERO] == m.weights[1, ZERO, 0, DOWN] == VW.d
+    assert m.weights[1, UP, 0, ZERO] == m.weights[1, ZERO, 0, DOWN] == P.d
     assert all(type(w) is RAT for w in m.weights.values())
 
 
 def test_r12_first_entry_at_inverse_q():
     # z = 1/q, q = 2: the (1,1) entry [q^2 z] = [q] = 3/2
-    m = r12(VW.sc(Q).inv(), VW)
-    assert m.weights[0, UP, 0, UP] == VW.sc(RAT(3, 2))
+    m = r12(1 / Q, Q)
+    assert m.weights[0, UP, 0, UP] == RAT(3, 2)
 
 
 def test_r12_symmetric():
     """K^-1 r12 K is symmetric: with K^2 = diag(1, d), <lo ro|r12|li ri>
     K^2[li] = <li ri|r12|lo ro> K^2[lo]."""
-    k2 = (1, VW.d)
+    k2 = (1, P.d)
     for zr in (RAT(3), RAT(5, 7), RAT(1, 4)):
-        m = r12(VW.sc(zr), VW)
+        m = r12(zr, Q)
         assert not is_symmetric(m)
         assert {k: w * k2[k[2]] for k, w in m.weights.items()} == \
             {(li, ri, lo, ro): w * k2[li]
@@ -96,17 +97,17 @@ def test_r12_symmetric():
 
 def test_r22_is_symmetric_and_conserving():
     for zr in (RAT(3), RAT(4, 5)):
-        assert is_symmetric(r22(VW.sc(zr), VW))
-        assert magnetisation_pattern_check(VW.sc(zr), VW.q)
+        assert is_symmetric(r22(zr, Q))
+        assert magnetisation_pattern_check(zr, Q)
 
 
 def test_r22_entry_from_weight_table():
     # <0 U| R(z) |U 0> = [q^2][qz]
-    z = VW.sc(RAT(5, 3))
-    m = r22(z, VW)
-    assert m.weights[ZERO, UP, UP, ZERO] == dense.bq2(VW) * dense.bqz(VW, 1, z)
+    z = RAT(5, 3)
+    m = r22(z, Q)
+    assert m.weights[ZERO, UP, UP, ZERO] == dense.bq2(P) * dense.bqz(P, 1, z)
     assert m.weights[ZERO, ZERO, ZERO, ZERO] == \
-        dense.bqz(VW, 0, z) * dense.bqz(VW, 1, z) + VW.d
+        dense.bqz(P, 0, z) * dense.bqz(P, 1, z) + P.d
 
 
 def test_r22_permutation_point():
@@ -116,9 +117,9 @@ def test_r22_permutation_point():
 def test_r22_rank_one_point():
     assert rank_one_check(Q)
     # and the image is spanned by |s>
-    m = r22(VW.sc(Q).inv(), VW)
+    m = r22(1 / Q, Q)
     s = singlet_pair_vector()
-    assert m.weights[UP, DOWN, ZERO, ZERO] == -VW.d * s[UP, DOWN]
+    assert m.weights[UP, DOWN, ZERO, ZERO] == -P.d * s[UP, DOWN]
 
 
 def test_inversion_relation():
@@ -184,8 +185,8 @@ def _weight_mutants(builds, q):
     the matrix is mutated alike."""
     for build in builds:
         for key in build(RAT(7, 3), q).weights:
-            def mutant(u, vw, build=build, key=key):
-                m = build(u, vw)
+            def mutant(u, q, build=build, key=key):
+                m = build(u, q)
                 return RMat(m.dim_left, m.dim_right,
                             {**m.weights, key: m.weights.get(key, 0) + 1})
 
@@ -227,44 +228,50 @@ def test_each_weight_is_pinned_by_one_check_alone(check, builds, count,
 
 
 def test_bad_q_rejected():
-    with pytest.raises(ValueError):
-        VertexWeights(1)
-    with pytest.raises(ValueError):
-        VertexWeights(0)
+    for q in (1, -1, 0):
+        with pytest.raises(ValueError, match="q != 0 and q"):
+            session_constant(q)
+        with pytest.raises(ValueError, match="q != 0 and q"):
+            ModelParams(1, q, [RAT(1)])
 
 
-def test_identity_checks_take_a_session():
-    """Every identity check, like every R-matrix, takes q as a rational or
-    as its session."""
-    assert _identities_hold(VW, RAT(3), RAT(5, 2))
+def test_identity_checks_take_q_in_any_rational_form():
+    """Every identity check, like every R-matrix, takes q and the spectral
+    parameters as anything `as_rat` reads: an int, "p/q" or a rational."""
+    assert _identities_hold(2, "3", RAT(5, 2))
+    assert _identities_hold("2/1", 3, "5/2")
 
 
 def test_shape_guards_raise():
     with pytest.raises(ValueError):
-        RMat(2, 3, r22(RAT(3), VW).weights)  # spin-1 left factor
+        RMat(2, 3, r22(RAT(3), Q).weights)  # spin-1 left factor
     with pytest.raises(ValueError):
-        r12(RAT(3), VW).braided()  # factors C^2 and C^3
+        r12(RAT(3), Q).braided()  # factors C^2 and C^3
     with pytest.raises(ValueError):
-        linalg.mat_mul([[VW.sc(1)] * 2], [[VW.sc(1)] * 2])  # 1x2 times 1x2
+        linalg.mat_mul([[P.sc(1)] * 2], [[P.sc(1)] * 2])  # 1x2 times 1x2
 
 
 def test_coerce_rejects_a_scalar_of_another_session():
-    other = VertexWeights(RAT(3))
+    """The R-matrices read rationals only; a Scalar spectral parameter is
+    read by `ModelParams.rat`, which rejects one of another session."""
+    other = ring(RAT(3))
     for build in (r11, r12, r22):
-        with pytest.raises(SessionMismatch):
-            build(other.sc(RAT(5)), VW)
+        with pytest.raises(TypeError):
+            build(P.sc(RAT(5)), Q)
+    with pytest.raises(SessionMismatch):
+        P.rat(other.sc(RAT(5)))
 
 
 def test_rat_takes_a_rational_spectral_parameter():
     for z, want in ((3, RAT(3)), ("3/4", RAT(3, 4)), (RAT(3, 4), RAT(3, 4)),
-                    (VW.sc(RAT(3, 4)), RAT(3, 4))):
-        got = VW.rat(z)
+                    (P.sc(RAT(3, 4)), RAT(3, 4))):
+        got = P.rat(z)
         assert type(got) is RAT and got == want
-    for unit in (VW.s, VW.i, VW.s * VW.i):
+    for unit in (P.s, P.i, P.s * P.i):
         with pytest.raises(IrrationalWeight):
-            VW.rat(RAT(3, 4) * unit)
+            P.rat(RAT(3, 4) * unit)
     with pytest.raises(SessionMismatch):
-        VW.rat(VertexWeights(RAT(3)).sc(RAT(3, 4)))
+        P.rat(ring(RAT(3)).sc(RAT(3, 4)))
 
 
 def _cofactor(a):
@@ -293,7 +300,7 @@ def test_bareiss_determinant_matches_cofactor():
     for m in mats:
         want = _cofactor(m)
         assert linalg.det_bareiss(m) == want
-        got = linalg.det_bareiss([[FourPart(x, d=VW.d) for x in row]
+        got = linalg.det_bareiss([[FourPart(x, d=P.d) for x in row]
                                   for row in m])
         assert isinstance(got, FourPart) and got == want
     assert linalg.det_bareiss(mats[-3]) == RAT(5, 2)
@@ -307,33 +314,33 @@ def test_bareiss_determinant_matches_cofactor():
 
 @st.composite
 def sessions_and_points(draw):
-    """A valid rational q with its session, and a nonzero rational z that
+    """The parameters of a valid rational q, and a nonzero rational z that
     is often 1, q or 1/q, where some weights vanish."""
     q = RAT(draw(st.integers(-9, 9).filter(bool)), draw(st.integers(1, 9)))
     try:
-        vw = VertexWeights(q)
+        p = ring(q)
     except ValueError:  # q^4 = 1, or [q][q^2] a square in Q(i)
         assume(False)
     z = draw(st.one_of(
         st.sampled_from([RAT(1), q, 1 / q, q * q, 1 / (q * q)]),
         st.builds(RAT, st.integers(-12, 12).filter(bool),
                   st.integers(1, 12))))
-    return vw, vw.sc(z)
+    return p, z
 
 
-def _dense_pairs(vw, z):
+def _dense_pairs(p, z):
     """(sparse, K ref K^-1) for every sparse operator and its dense
     reference, K = diag(1, s) on each spin-1/2 factor of r11, r12 and r21
     and the identity on a spin-1 factor; a right partial transpose turns
     the gauge of its factor into K^-1."""
     def gauged(ref, pl, pr):
-        return ref.gauged(dense.gauge_units(vw, ref.dim_left, pl),
-                          dense.gauge_units(vw, ref.dim_right, pr))
+        return ref.gauged(dense.gauge_units(p, ref.dim_left, pl),
+                          dense.gauge_units(p, ref.dim_right, pr))
 
-    pairs = [(r11(z, vw), dense.r11(z, vw), 1, 1),
-             (r12(z, vw), dense.r12(z, vw), 1, 1),
-             (r22(z, vw), dense.r22(z, vw), 1, 1),
-             (r_mn(2, 1, z, vw), dense.r21(z, vw), 1, 1)]
+    pairs = [(r11(z, p.q), dense.r11(z, p), 1, 1),
+             (r12(z, p.q), dense.r12(z, p), 1, 1),
+             (r22(z, p.q), dense.r22(z, p), 1, 1),
+             (r_mn(2, 1, z, p.q), dense.r21(z, p), 1, 1)]
     pairs += [(sparse.swapped(), ref.swapped(), pr, pl)
               for sparse, ref, pl, pr in pairs[:3]]
     pairs += [(sparse.transpose_right(), ref.transpose_right(), pl, -pr)
@@ -343,16 +350,16 @@ def _dense_pairs(vw, z):
     return [(sparse, gauged(ref, pl, pr)) for sparse, ref, pl, pr in pairs]
 
 
-def _rho_from_the_oracle(vw):
+def _rho_from_the_oracle(p):
     """K rho K^-1, K = diag(1, y), as `spinchain._RHO` writes it,
     from the ungauged FourPart r12(1/q): a bracket weight w is [w/[q]], a
     flip w = b s is [0, b] where it raises the auxiliary index, else [b]."""
     table = {}
-    for (ai, si), col in dense.r12(1 / vw.q, vw).column_map().items():
+    for (ai, si), col in dense.r12(1 / p.q, p).column_map().items():
         table[ai, si] = [
-            (ao, so, [(w / dense.bq(vw)).to_rat()] if ao == ai
-             else [0, (w / vw.s).to_rat()] if ao > ai
-             else [(w / vw.s).to_rat()]) for ao, so, w in col]
+            (ao, so, [(w / dense.bq(p)).to_rat()] if ao == ai
+             else [0, (w / p.s).to_rat()] if ao > ai
+             else [(w / p.s).to_rat()]) for ao, so, w in col]
     return table
 
 
@@ -362,18 +369,18 @@ def test_sparse_weights_match_the_dense_grids(point):
     """The sparse rational weights are K R K^-1 of the dense FourPart
     grids, entry by entry and column by column, and the gauged rho of
     `spinchain` is the one every session's ungauged r12(1/q) gives."""
-    vw, z = point
-    for sparse, ref in _dense_pairs(vw, z):
+    p, z = point
+    for sparse, ref in _dense_pairs(p, z):
         assert (sparse.dim_left, sparse.dim_right) == \
             (ref.dim_left, ref.dim_right)
         for lo, li in itertools.product(range(ref.dim_left), repeat=2):
             for ro, ri in itertools.product(range(ref.dim_right), repeat=2):
-                assert vw.sc(sparse.weights.get((lo, ro, li, ri), 0)) == \
+                assert p.sc(sparse.weights.get((lo, ro, li, ri), 0)) == \
                     ref.entry(lo, ro, li, ri), (lo, ro, li, ri)
         assert all(sparse.weights.values())
         assert all(type(w) is RAT for w in sparse.weights.values())
         # same columns, same weights, in the same order
-        assert [(key, [(lo, ro, vw.sc(w)) for lo, ro, w in col])
+        assert [(key, [(lo, ro, p.sc(w)) for lo, ro, w in col])
                 for key, col in sparse.column_map().items()] == \
             list(ref.column_map().items())
-    assert _rho_from_the_oracle(vw) == _RHO
+    assert _rho_from_the_oracle(p) == _RHO

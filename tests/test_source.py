@@ -97,7 +97,7 @@ def test_spinchain_writes_its_own_rho():
     r12 of `rmatrix`, whose gauge it then need not know."""
     root = Path(bethelab.__file__).parent
     names = set(_names(ast.parse((root / "spinchain.py").read_text())))
-    assert not names & {"r12", "VertexWeights"}
+    assert "r12" not in names
 
 
 def _imported_modules(tree):
@@ -122,28 +122,30 @@ def test_only_the_front_end_imports_spinchain():
 
 
 def test_determinant_modules_name_no_scalar():
-    """The determinants, the DWBC oracle, the dense helpers, the
-    R-matrices, the spin chain and the front end compute on rationals and
+    """The R-matrices, the determinants, the DWBC oracle, the dense
+    helpers, the spin chain and the front end compute on rationals and
     ints: only values that can carry s or i are Scalars.  So only `field`,
-    `aba`, the package's re-export and, in `rmatrix`, `VertexWeights`,
-    which holds the units s and i and turns a spectral parameter into a
-    rational (`sc`, `rat`), name Scalar, apart from the import that it
-    uses."""
+    `aba` (whose ModelParams holds the units s and i and reads a spectral
+    parameter as a rational) and the package's re-export name Scalar."""
     root = Path(bethelab.__file__).parent
     modules = sorted(path.stem for path in root.glob("*.py"))
-    assert {"linalg", "detform", "asm", "spinchain", "cli"} <= set(modules)
+    assert {"rmatrix", "linalg", "detform", "asm", "spinchain",
+            "cli"} <= set(modules)
     found = [name for name in modules
-             if name not in ("field", "aba", "__init__", "rmatrix")
+             if name not in ("field", "aba", "__init__")
              and "Scalar" in set(_names(ast.parse(
                  (root / f"{name}.py").read_text())))]
-    rmatrix = ast.parse((root / "rmatrix.py").read_text())
-    weights = [node for node in rmatrix.body
-               if isinstance(node, ast.ClassDef)
-               and node.name == "VertexWeights"]
-    assert len(weights) == 1 and "Scalar" in set(_names(weights[0]))
-    found += [f"rmatrix:{getattr(node, 'name', node.lineno)}"
-              for node in rmatrix.body
-              if node is not weights[0] and "Scalar" in set(_names(node))
-              and not (isinstance(node, ast.ImportFrom)
-                       and node.module == "bethelab.field")]
+    assert found == []
+
+
+def test_no_module_imports_another_modules_private_name():
+    """A name with a leading underscore belongs to its module: what
+    another module needs is public."""
+    root = Path(bethelab.__file__).parent
+    found = [f"{path.stem}:{alias.name}"
+             for path in sorted(root.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.ImportFrom)
+             and (node.module or "").startswith("bethelab")
+             for alias in node.names if alias.name.startswith("_")]
     assert found == []

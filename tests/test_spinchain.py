@@ -9,6 +9,7 @@ from helpers import (
     draw_q,
     hamiltonian_apply,
     log_derivative_hamiltonian_apply,
+    ring,
     state_from_str,
 )
 
@@ -16,7 +17,7 @@ from bethelab.aba import StateVector, magnetisation
 from bethelab import cli, spinchain
 from bethelab.field import RAT, HalfPowerPoly
 from bethelab.linalg import kron, mat_add, mat_mul, mat_scale
-from bethelab.rmatrix import DOWN, UP, ZERO, VertexWeights
+from bethelab.rmatrix import DOWN, UP, ZERO
 from bethelab.spinchain import (
     NonIntegerCoefficient,
     beta_apply,
@@ -58,16 +59,16 @@ def random_rational_vector(rng, n, terms=4):
 # spin operators and the gate
 # ---------------------------------------------------------------------
 
-ORACLE_VW = VertexWeights(RAT(2))
+ORACLE_RING = ring(RAT(2))
 
 
-def doubled_spin_matrices(vw):
+def doubled_spin_matrices(p):
     """sqrt(2) s^1, sqrt(2) s^2 and s^3 over the Gaussian rationals.
 
     Commutators rescale accordingly: [S1, S2] = 2i S3, [S2, S3] = i S1,
     [S3, S1] = i S2.
     """
-    o, one, i = dense.coerce(vw, 0), dense.coerce(vw, 1), dense.unit_i(vw)
+    o, one, i = dense.coerce(p, 0), dense.coerce(p, 1), dense.unit_i(p)
     s1 = [[o, one, o], [one, o, one], [o, one, o]]
     s2 = [[o, -i, o], [i, o, -i], [o, i, o]]
     s3 = [[one, o, o], [o, o, o], [o, o, -one]]
@@ -80,10 +81,10 @@ def gaussian_gate_oracle():
     assembled over the Gaussian rationals from the doubled spin matrices
     with the boundary bond typed out on its own; the imaginary parts must
     cancel entrywise."""
-    vw = ORACLE_VW
-    s1, s2, s3 = doubled_spin_matrices(vw)
-    half = vw.sc(RAT(1, 2))
-    eye = [[vw.sc(int(i == j)) for j in range(3)] for i in range(3)]
+    p = ORACLE_RING
+    s1, s2, s3 = doubled_spin_matrices(p)
+    half = p.sc(RAT(1, 2))
+    eye = [[p.sc(int(i == j)) for j in range(3)] for i in range(3)]
 
     t_pair = {1: mat_scale(kron(s1, s1), half),
               2: mat_scale(kron(s2, s2), half),
@@ -97,15 +98,15 @@ def gaussian_gate_oracle():
     for a in (1, 2, 3):
         for b in (1, 2, 3):
             sab = mat_mul((s1, s2, s3)[a - 1], (s1, s2, s3)[b - 1])
-            quart[(a, b)] = mat_scale(kron(sab, sab), vw.sc(fsq[a] * fsq[b]))
+            quart[(a, b)] = mat_scale(kron(sab, sab), p.sc(fsq[a] * fsq[b]))
 
     cross = mat_add(quart[(1, 3)], quart[(3, 1)], quart[(2, 3)], quart[(3, 2)])
-    minus_one = vw.sc(-1)
+    minus_one = p.sc(-1)
     # bulk: J3 = x^2/2 - 1, A13 = A23 = x - 1
-    h0 = mat_add(t_pair[1], mat_scale(onsite[1], vw.sc(2)),
-                 t_pair[2], mat_scale(onsite[2], vw.sc(2)),
+    h0 = mat_add(t_pair[1], mat_scale(onsite[1], p.sc(2)),
+                 t_pair[2], mat_scale(onsite[2], p.sc(2)),
                  mat_scale(t_pair[3], minus_one),
-                 mat_scale(onsite[3], vw.sc(-2)),
+                 mat_scale(onsite[3], p.sc(-2)),
                  mat_scale(quart[(1, 1)], minus_one),
                  mat_scale(quart[(2, 2)], minus_one),
                  quart[(3, 3)],
@@ -114,14 +115,14 @@ def gaussian_gate_oracle():
                  cross)
     h1 = mat_scale(cross, minus_one)
     h2 = mat_add(mat_scale(t_pair[3], half), onsite[3],
-                 mat_scale(quart[(3, 3)], vw.sc(RAT(-1, 2))))
+                 mat_scale(quart[(3, 3)], p.sc(RAT(-1, 2))))
     # boundary: s^1, s^2 on the wrapped site flip sign
     t0 = mat_add(mat_scale(t_pair[1], minus_one),
-                 mat_scale(onsite[1], vw.sc(2)),
+                 mat_scale(onsite[1], p.sc(2)),
                  mat_scale(t_pair[2], minus_one),
-                 mat_scale(onsite[2], vw.sc(2)),
+                 mat_scale(onsite[2], p.sc(2)),
                  mat_scale(t_pair[3], minus_one),
-                 mat_scale(onsite[3], vw.sc(-2)),
+                 mat_scale(onsite[3], p.sc(-2)),
                  mat_scale(quart[(1, 1)], minus_one),
                  mat_scale(quart[(2, 2)], minus_one),
                  quart[(3, 3)],
@@ -150,10 +151,10 @@ def table_as_dense(table):
 
 
 def test_doubled_spin_commutators():
-    vw = ORACLE_VW
-    s1, s2, s3 = doubled_spin_matrices(vw)
+    p = ORACLE_RING
+    s1, s2, s3 = doubled_spin_matrices(p)
 
-    i = dense.unit_i(vw)
+    i = dense.unit_i(p)
     assert mat_comm(s1, s2) == mat_scale(s3, i + i)
     assert mat_comm(s2, s3) == mat_scale(s1, i)
     assert mat_comm(s3, s1) == mat_scale(s2, i)
@@ -162,15 +163,15 @@ def test_doubled_spin_commutators():
 def test_real_spin_matrices_reproduce_doubled_ones():
     # R_1 = S_1, i R_2 = S_2, R_3 = S_3; c_a = (S_a (x) S_a)/(2 R_a (x) R_a)
     # for a = 1, 2 and c_3 = 1
-    vw = ORACLE_VW
-    real = [[[vw.sc(c) for c in row] for row in m] for m in spinchain._SPIN]
-    phases = (vw.sc(1), vw.i, vw.sc(1))
+    p = ORACLE_RING
+    real = [[[p.sc(c) for c in row] for row in m] for m in spinchain._SPIN]
+    phases = (p.sc(1), p.i, p.sc(1))
     halves = (RAT(1, 2), RAT(1, 2), RAT(1))
     for r, phase, half, c2, s in zip(real, phases, halves, spinchain._C2,
-                                     doubled_spin_matrices(vw)):
+                                     doubled_spin_matrices(p)):
         assert mat_scale(r, phase) == s
-        assert (mat_scale(kron(s, s), vw.sc(half))
-                == mat_scale(kron(r, r), vw.sc(RAT(c2, 2))))
+        assert (mat_scale(kron(s, s), p.sc(half))
+                == mat_scale(kron(r, r), p.sc(RAT(c2, 2))))
 
 
 def test_gate_assembly_is_real():

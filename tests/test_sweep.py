@@ -34,6 +34,7 @@ from scalar_oracle import model as model_vector
 
 from bethelab import aba
 from bethelab.aba import (
+    IrrationalWeight,
     ModelParams,
     StateVector,
     basis_vector,
@@ -45,7 +46,6 @@ from bethelab.aba import (
     vacuum,
 )
 from bethelab.field import RAT, HalfPowerPoly, SessionMismatch
-from bethelab.rmatrix import IrrationalWeight
 from bethelab.spinchain import _RHO, _packed_rho, beta_apply
 
 RHO = halfpower_oracle.rho_table()  # rho in y = x^(1/2), without the gauge
@@ -76,14 +76,14 @@ def per_key_sweep(tables, v, a_in, a_out):
 
 
 def oracle_monodromy(which, z, params, v):
-    tables = [dense.r12(z * (1 / (params.q * w)), params.vw)
+    tables = [dense.r12(z * (1 / (params.q * w)), params)
               .column_map() for w in params.w]
     return model_vector(
         StateVector(v.n, per_key_sweep(tables, v, *AUX[which])), params)
 
 
 def oracle_transfer2(z, params, v):
-    tables = [dense.r22(z * (1 / w), params.vw).column_map()
+    tables = [dense.r22(z * (1 / w), params).column_map()
               for w in params.w]
     out = StateVector(v.n)
     for a0, sign in enumerate((-1, 1, -1)):
@@ -177,7 +177,7 @@ def test_monodromy_matches_per_key_oracle(n):
                 for v in random_vectors(rng, p, count)]
         vecs.append(bethe_vector(p))
         for which, (a_in, _) in AUX.items():
-            tables = [dense.r12(z * (1 / (p.q * w)), p.vw).column_map()
+            tables = [dense.r12(z * (1 / (p.q * w)), p).column_map()
                       for w in p.w]
             cancel = ([model_vector(cancelling_vector(rng, tables, n, a_in),
                                     p)] if n >= 2 else [])
@@ -194,9 +194,9 @@ def test_scalar_sweep_matches_per_key_oracle(n):
     rng = random.Random(400 + n)
     p = model(rng, n)
     z = p.sc(RAT(rng.randint(1, 97), rng.randint(1, 97)))
-    rows = {2: [dense.r12(z * (1 / (p.q * w)), p.vw).column_map()
+    rows = {2: [dense.r12(z * (1 / (p.q * w)), p).column_map()
                 for w in p.w],
-            3: [dense.r22(z * (1 / w), p.vw).column_map() for w in p.w]}
+            3: [dense.r22(z * (1 / w), p).column_map() for w in p.w]}
     vecs = [v for count in (3, 8) for v in random_summands(rng, p, count)]
     for dim, tables in rows.items():
         for a_in in range(dim):
@@ -267,7 +267,7 @@ def test_r12_table_is_r12_in_the_rational_gauge(sign):
     for _ in range(4):
         p = ModelParams(1, sign * draw_q(rng), [RAT(1)])
         assert (p.d > 0) == (sign > 0)
-        k = [p.vw.sc(1), p.vw.s]
+        k = [p.sc(1), p.s]
         for _ in range(3):
             u = RAT(rng.choice((-1, 1)) * rng.randint(1, 97),
                     rng.randint(1, 97))
@@ -278,7 +278,7 @@ def test_r12_table_is_r12_in_the_rational_gauge(sign):
                    for (li, ri), col in table.items() for lo, ro, x in col}
             assert got == {(lo, ro, li, ri): k[lo] * w * k[li].inv()
                            for (li, ri), col
-                           in dense.r12(u, p.vw).column_map().items()
+                           in dense.r12(u, p).column_map().items()
                            for lo, ro, w in col}
 
 
@@ -286,9 +286,9 @@ def test_weights_that_are_not_rational_in_the_gauge_raise():
     p = ModelParams(2, RAT(2), [RAT(1), RAT(3)])
     # an s in the spectral argument makes the diagonal weights irrational
     with pytest.raises(IrrationalWeight):
-        monodromy_apply("A", p.vw.s, p, vacuum(p))
+        monodromy_apply("A", p.s, p, vacuum(p))
     with pytest.raises(IrrationalWeight):
-        transfer2_apply(p.vw.s, p, vacuum(p))
+        transfer2_apply(p.s, p, vacuum(p))
 
 
 def test_vector_from_another_session_is_rejected():
@@ -307,7 +307,7 @@ def test_cancelling_vector_really_cancels():
     rng = random.Random(7)
     p = model(rng, 3)
     z = p.sc(RAT(5, 3))
-    tables = [dense.r12(z * (1 / (p.q * w)), p.vw).column_map()
+    tables = [dense.r12(z * (1 / (p.q * w)), p).column_map()
               for w in p.w]
     for a_in in (0, 1):
         v = cancelling_vector(rng, tables, 3, a_in)
@@ -343,7 +343,7 @@ def test_transfer2_matches_per_key_oracle(n):
     for _ in range(2):
         p = model(rng, n)
         z = p.sc(RAT(rng.randint(1, 97), rng.randint(1, 97)))
-        tables = [dense.r22(z * (1 / w), p.vw).column_map()
+        tables = [dense.r22(z * (1 / w), p).column_map()
                   for w in p.w]
         vecs = [v for count in (3, 8) for v in random_vectors(rng, p, count)]
         if n >= 2:
