@@ -12,10 +12,10 @@ The monodromy entries, the T2 trace and the singlet's beta operator in
 `spinchain` differ only in their tables and auxiliary boundary indices.
 
 ModelParams is the one parameter object: N, a rational q and w, with
-the ring Q(s, i) of d = [q][q^2] (`session_constant` validates q), its
-units s and i, and the memo of transition tables that it shares with
-every ModelParams `with_w` derives from it.  The R-matrices of `rmatrix`
-take q itself.
+the ring Q(s, i) of d = [q][q^2] (`field.session_constant`, which checks
+q), its units s and i, and the memo of transition tables that it shares
+with every ModelParams `with_w` derives from it.  The R-matrices of
+`rmatrix` take q itself.
 
 The model's vectors (ModelVector) live on plain ints: every value the
 model computes is one rational times one of the units 1, s, i, s i, so a
@@ -87,10 +87,9 @@ from bethelab.field import (
     brk,
     laurent_interpolate_many,
     rat_str,
+    session_constant,
     spread,
-    validate_extension,
 )
-from bethelab.linalg import SPIN_CHARS  # noqa: F401 - re-exported
 from bethelab.linalg import DimensionMismatch, StateVector, state_str
 from bethelab.rmatrix import DOWN, UP, ZERO, r12, r22, singlet_pair_vector
 
@@ -204,21 +203,12 @@ def _memo(store: dict, key, build):
     return value
 
 
-def session_constant(q) -> RAT:
-    """d = [q][q^2] for a rational anisotropy q, once q != 0, q^4 != 1 and
-    neither d nor -d is a rational square, so that Q(s, i) is a field;
-    ValueError otherwise."""
-    q = as_rat(q)
-    if q == 0 or q * q == 1:
-        raise ValueError("q must satisfy q != 0 and q^4 != 1")
-    return validate_extension(brk(q) * brk(q * q))
-
-
 class ModelParams:
     """The paper's parameters: chain size N, a rational anisotropy q and
     the inhomogeneities w (the twist is OMEGA, at angle pi), with the ring
-    Q(s, i) of the model's values: d = [q][q^2] (`session_constant`), the
-    units s and i, `sc` and `rat`.
+    Q(s, i) of the model's values: d = [q][q^2] (`field.session_constant`,
+    whose ValueError rejects q = 0 and q^4 = 1), the units s and i, `sc`
+    and `rat`.
 
     `memo` holds the vectors built for these parameters; the transition
     tables are memoised once for these parameters and every ModelParams
@@ -382,8 +372,6 @@ def _signed_sweeps(rows, v: ModelVector, params: ModelParams, bounds):
 def _monodromy_rows(z, params: ModelParams) -> list:
     """The row of gauged r12 tables of z, or of each z of a list."""
     zs = [params.rat(x) for x in (z if isinstance(z, list) else [z])]
-    if not all(zs):
-        raise PoleEncountered("spectral parameter must be nonzero")
     return [[params.r12_table(x / (params.q * w)) for w in params.w]
             for x in zs]
 
@@ -425,8 +413,6 @@ def transfer2_apply(z, params: ModelParams, v: ModelVector) -> ModelVector:
     """Nineteen-vertex transfer matrix with the diagonal twist
     Omega = diag(-1, 1, -1)."""
     z = params.rat(z)
-    if not z:
-        raise PoleEncountered("spectral parameter must be nonzero")
     tables = [params.r22_table(z / w) for w in params.w]
     return _signed_sweeps([tables], v, params,
                           [(a0, a0, sign) for a0, sign in enumerate(OMEGA)])

@@ -12,18 +12,17 @@ Rationals are written p/r on the command line (e.g. --q 5/2,
 --w 1/1,3/2,7/3); a negative one needs the = form, --q=-2/1, or argparse
 reads it as a flag.  Random parameters are drawn with numerators and
 denominators uniform in [1, 97], retried until they avoid the excluded
-sets (q^4 = 1, squares that would degenerate the scalar extension,
-coincident w, the singular lattices w_j = q^{+-1,+-2} w_k, and for the
-determinant checks the pole lattices zeta = q^{-1,0,1} w).  With a fixed
-seed and configuration the JSON output is byte-identical across runs;
-checks always appear sorted by name.  Exit codes: 0 all checks pass,
-1 at least one failed (in `verify` any exception a check raises, a pole
-or an internal error such as IrrationalComponent, fails that check, its
-repr under "error"), 2 configuration error (a size beyond the cap, an
---out path that cannot be written); outside a check (parameter setup,
-the dump commands) 3 singular input (PoleEncountered: a pole at the
-requested parameters), 4 internal failure (traceback to stderr), a bare
-ZeroDivisionError included.
+sets (q^4 = 1, coincident w, the singular lattices w_j = q^{+-1,+-2} w_k,
+and for the determinant checks the pole lattices zeta = q^{-1,0,1} w).
+With a fixed seed and configuration the JSON output is byte-identical
+across runs; checks always appear sorted by name.  Exit codes: 0 all
+checks pass, 1 at least one failed (in `verify` any exception a check
+raises, a pole or an internal error such as IrrationalComponent, fails
+that check, its repr under "error"), 2 configuration error (a size
+beyond the cap, an --out path that cannot be written); outside a check
+(parameter setup, the dump commands) 3 singular input (PoleEncountered:
+a pole at the requested parameters), 4 internal failure (traceback to
+stderr), a bare ZeroDivisionError included.
 The environment variable BETHE_LAB_MAX_N, a positive integer (default
 8), is the one cap on --n, checked before any work starts.
 `verify` writes its report as JSON, CSV or text (--format); the other
@@ -41,8 +40,8 @@ import time
 import traceback
 from functools import cache
 
-from bethelab import aba, asm, detform, spinchain
-from bethelab.field import RAT, PoleEncountered, rat_str
+from bethelab import aba, asm, detform, linalg, spinchain
+from bethelab.field import RAT, PoleEncountered, rat_str, session_constant
 from bethelab.rmatrix import (
     check_fusion_r22,
     check_ybe,
@@ -66,26 +65,26 @@ def draw_z(rng: random.Random) -> RAT:
 
 
 def draw_q(rng: random.Random) -> RAT:
-    """q that `aba.session_constant` accepts: [q], [q^2] != 0 and a valid
-    scalar session constant."""
+    """q that `field.session_constant` accepts: q^4 != 1."""
     while True:
         q = draw_z(rng)
         try:
-            aba.session_constant(q)
+            session_constant(q)
         except ValueError:
             continue
         return q
 
 
 def draw_w(rng: random.Random, n: int, q: RAT):
-    """Pairwise distinct w avoiding the singular lattices q^{+-1,+-2} w_k."""
+    """Pairwise distinct w avoiding the singular lattices q^{+-1,+-2} w_k,
+    tested by products over ordered pairs: the draw divides by nothing."""
     while True:
         w = [draw_z(rng) for _ in range(n)]
         ok = len(set(w)) == n
         if ok:
             for a in w:
                 for b in w:
-                    if a is not b and a / b in (q, 1 / q, q * q, 1 / (q * q)):
+                    if a is not b and (a == q * b or a == q * q * b):
                         ok = False
         if ok:
             return tuple(w)
@@ -144,10 +143,6 @@ def resolve_params(args):
     n = check_n(args.n)
     rng = random.Random(args.seed)
     q = parse_rat(args.q) if args.q else draw_q(rng)
-    try:
-        aba.session_constant(q)  # before draw_w, which divides by q
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
     if args.w:
         w = parse_w_list(args.w)
         if len(w) != n:
@@ -426,7 +421,7 @@ def cmd_vector(args) -> int:
 def cmd_singlet(args) -> int:
     n = check_n(args.n)
     phi = spinchain.singlet(n)
-    comps = [{"state": aba.state_str(k), "value": v.to_json_dict()}
+    comps = [{"state": linalg.state_str(k), "value": v.to_json_dict()}
              for k, v in sorted(phi.entries.items())]
     emit({"n": n, "components": comps}, "json", args.out)
     return 0

@@ -7,16 +7,25 @@ gauge of `rmatrix`) are rationals.  What can carry a square root or i
 
     Q(s, i),   s**2 = d,   i**2 = -1,
 
-where the session constant d is a fixed rational (in model computations
-d = [q][q^2], so that the square roots appearing in the mixed R-matrix
-become the symbol s).  Every such value is homogeneous, one rational times
-one of the units 1, s, i, s*i, so a Scalar is stored as r * s^k * i^l
-with rational r and grade g = k + 2 l in 0..3.  Scalars multiply, invert
-and raise to powers but never add: sums are taken on the ints of
-`aba.ModelVector`, one grade a vector.  For d that is not a rational
-square (and -d not one either) Q(s, i) is a field and the grades are
-independent, so every nonzero element is invertible and equality is
-decided grade by grade.
+where the session constant d = [q][q^2] (`session_constant`, the one
+check on q) is a fixed rational, so that the square roots appearing in
+the mixed R-matrix become the symbol s.  Every such value is homogeneous,
+one rational times one of the units 1, s, i, s*i, so a Scalar is stored
+as r * s^k * i^l with rational r and grade g = k + 2 l in 0..3.  Scalars
+multiply, invert and raise to powers but never add: sums are taken on
+the ints of `aba.ModelVector`, one grade a vector.
+
+Lemma: for rational q with q != 0 and q^4 != 1, neither d nor -d is a
+rational square, so Q(s, i) is a field, every nonzero element is
+invertible and equality is decided grade by grade.  Proof: d = (q^2 -
+1)^2 (q^2 + 1) / q^3 = ((q^2 - 1)/q^2)^2 q (q^2 + 1), so +-d is a square
+exactly when +-q (q^2 + 1) is, that is when y^2 = x^3 + x has a rational
+point with x = +-q != 0.  Write +-q = a/b in lowest terms, b > 0; then
++-q (q^2 + 1) = a (a^2 + b^2) / b^3 is a square exactly when a b (a^2 +
+b^2) is the square of an int.  Its three factors are pairwise coprime,
+so for a > 0 each is a square, a = m^2, b = n^2 and m^4 + n^4 = k^2 with
+m n != 0, which Fermat's descent rules out; for a < 0 the product is
+negative.  So no rational point of the curve has x != 0.
 
 The module also provides the half-power polynomial ring Q[y], y = x^(1/2)
 (the form of `spinchain`'s homogeneous-limit inputs and results), Kronecker
@@ -32,7 +41,7 @@ extracted without a symbolic algebra system.
 from __future__ import annotations
 
 from functools import cache
-from math import isqrt, lcm
+from math import lcm
 from operator import mul
 
 try:
@@ -83,35 +92,11 @@ def rat_str_compact(r) -> str:
     return str(r.numerator) if r.denominator == 1 else rat_str(r)
 
 
-def is_rational_square(r) -> bool:
-    r = as_rat(r)
-    if r < 0:
-        return False
-    p, q = int(r.numerator), int(r.denominator)
-    sp, sq = isqrt(p), isqrt(q)
-    return sp * sp == p and sq * sq == q
-
-
-def validate_extension(d) -> RAT:
-    """Check that adjoining s with s**2 = d yields a field over Q(i).
-
-    d must be nonzero and neither d nor -d may be a rational square,
-    otherwise Q(s, i) has zero divisors and exact division can fail.
-    """
-    d = as_rat(d)
-    if d == 0:
-        raise ValueError("session constant d must be nonzero")
-    if is_rational_square(d) or is_rational_square(-d):
-        raise ValueError(f"session constant d={d} is a square in Q(i); "
-                         "the extension would not be a field")
-    return d
-
-
 class Scalar:
     """Homogeneous element r * u_g of Q(s, i), s**2 = d, over the units
     u_g = 1, s, i, s i: the rational r of the rational type, the grade g in
     0..3 (g = k + 2 l for s^k i^l; zero has grade 0) and a session constant
-    d validated already.
+    d of `session_constant`.
 
     Immutable.  A graded rational with product, power, inverse and
     read-out: a product with another Scalar requires an equal session
@@ -236,6 +221,16 @@ def brk(r) -> RAT:
     if r == 0:
         raise PoleEncountered("bracket of zero spectral parameter")
     return r - 1 / r
+
+
+@cache
+def session_constant(q) -> RAT:
+    """d = [q][q^2] for a rational anisotropy q (anything `as_rat` reads),
+    once q != 0 and q^4 != 1; ValueError otherwise.  Memoised per q."""
+    q = as_rat(q)
+    if q == 0 or q * q == 1:
+        raise ValueError("q must satisfy q != 0 and q^4 != 1")
+    return brk(q) * brk(q * q)
 
 
 def inv(r) -> RAT:

@@ -19,7 +19,9 @@ values belongs to `aba.ModelParams`.  The mixed R-matrix carries s =
 sqrt([q][q^2]) on its four spin-flip weights, so it is returned in the
 gauge K = diag(1, s) on its spin-1/2 factor: `r12` is K R12 K^-1, whose
 flips weigh 1 for 0 <- 1 and d = [q][q^2] for 1 <- 0, and K^-1 r12 K is
-the physical matrix.  `r21` carries the same gauge on its right factor.
+the physical matrix.  `r12` and `r22` read d from
+`field.session_constant`, so q = 0 and q^4 = 1 raise its ValueError
+there.  `r21` carries the same gauge on its right factor.
 K x K commutes with `r11`, which conserves magnetisation, so every
 identity below is the physical one conjugated by K on each spin-1/2
 factor and holds on rationals.
@@ -64,7 +66,7 @@ from itertools import product
 from math import lcm, prod
 
 from bethelab import linalg
-from bethelab.field import RAT, PoleEncountered, as_rat, brk, inv
+from bethelab.field import RAT, as_rat, brk, inv, session_constant
 
 UP, ZERO, DOWN = 0, 1, 2  # spin-1 components U, 0, D
 
@@ -160,9 +162,8 @@ def r12(z, q) -> RMat:
     with K = diag(1, s) on the spin-1/2 factor, whose flips s become 1
     (auxiliary 0 <- 1) and d = [q][q^2] (1 <- 0)."""
     z, q = as_rat(z), as_rat(q)
-    q2 = q * q
-    bz, bqz, bq2z = brk(z), brk(q * z), brk(q2 * z)
-    d, one = brk(q) * brk(q2), RAT(1)
+    d, one = session_constant(q), RAT(1)
+    bz, bqz, bq2z = brk(z), brk(q * z), brk(q * q * z)
     U, Z, D = UP, ZERO, DOWN
     return RMat(2, 3, {
         (0, U, 0, U): bq2z, (1, D, 1, D): bq2z,
@@ -176,10 +177,10 @@ def r12(z, q) -> RMat:
 def r22(z, q) -> RMat:
     """Nineteen-vertex R-matrix on C^3 x C^3 from the weight table above."""
     z, q = as_rat(z), as_rat(q)
+    w3 = session_constant(q)              # [q][q^2]
     bz, bqz, bq2 = brk(z), brk(q * z), brk(q * q)
     w1 = bqz * brk(q * q * z)             # [qz][q^2 z]
     w2 = brk(z / q) * bz                  # [z/q][z]
-    w3 = brk(q) * bq2                     # [q][q^2]
     w4 = bz * bqz                         # [z][qz]
     w5 = bq2 * bqz                        # [q^2][qz]
     w6 = bq2 * bz                         # [q^2][z]
@@ -224,10 +225,8 @@ def check_ybe(m: int, n: int, p: int, z, w, q) -> bool:
     R12(z/w) R13(z) R23(w) = R23(w) R13(z) R12(z/w).
     """
     z, w = as_rat(z), as_rat(w)
-    if not z or not w:
-        raise PoleEncountered("spectral parameters must be nonzero")
     dims = [m + 1, n + 1, p + 1]
-    r12_ = r_mn(m, n, z / w, q).embedded(dims, 0, 1)
+    r12_ = r_mn(m, n, z * inv(w), q).embedded(dims, 0, 1)
     r13_ = r_mn(m, p, z, q).embedded(dims, 0, 2)
     r23_ = r_mn(n, p, w, q).embedded(dims, 1, 2)
     lhs = linalg.sp_mul(linalg.sp_mul(r12_, r13_), r23_)
@@ -256,7 +255,7 @@ def rank_one_check(q) -> bool:
     vector |s> with itself has rank one, so no minor is evaluated.
     """
     q = as_rat(q)
-    d, s = brk(q) * brk(q * q), singlet_pair_vector()
+    d, s = session_constant(q), singlet_pair_vector()
     want = {o + i: d * so * si for o, so in s.items() for i, si in s.items()}
     return r22(inv(q), q).weights == want
 
@@ -271,8 +270,7 @@ def magnetisation_pattern_check(z, q) -> bool:
 
 def permutation_check(q) -> bool:
     """r22(1) = [q][q^2] P."""
-    q = as_rat(q)
-    d = brk(q) * brk(q * q)
+    d = session_constant(q)
     return r22(1, q).weights == {(a, b, b, a): d for a in range(3)
                                  for b in range(3)}
 
@@ -298,7 +296,7 @@ def check_fusion_r22(z, q) -> bool:
             [(ZERO, half), (anti, -half)], [(DOWN, 1)]]
     cols = [[(UP, 1)], [(ZERO, 1), (anti, 1)], [(ZERO, 1), (anti, -1)],
             [(DOWN, 1)]]
-    g = {UP: 1, ZERO: brk(q), DOWN: brk(q) * brk(q * q), anti: 1}
+    g = {UP: 1, ZERO: brk(q), DOWN: session_constant(q), anti: 1}
     got = {}
     for r, y_row in y.items():
         for c, x in y_row.items():
@@ -327,7 +325,7 @@ def crossing_transpose_check(z, q) -> bool:
     X_10 / d, d X_01 and -X_00, compared weight by weight.
     """
     z, q = as_rat(z), as_rat(q)
-    d = brk(q) * brk(q * q)
+    d = session_constant(q)
     scale = {(0, 0): -1, (0, 1): d, (1, 0): 1 / d, (1, 1): -1}  # by X_ab
     image = {(1 - a, ro, 1 - b, ri): scale[a, b] * x for (a, ro, b, ri), x
              in r12(inv(z * q * q), q).weights.items()}

@@ -52,7 +52,6 @@ from math import factorial
 from bethelab.aba import (
     OMEGA,
     ModelParams,
-    StateVector,
     apply_two_site,
     basis_vector,
     distinguished_component_key,
@@ -73,7 +72,14 @@ from bethelab.field import (
     spread,
     unpack,
 )
-from bethelab.linalg import kron, mat_add, mat_mul, mat_scale, state_str
+from bethelab.linalg import (
+    StateVector,
+    kron,
+    mat_add,
+    mat_mul,
+    mat_scale,
+    state_str,
+)
 from bethelab.rmatrix import DOWN, UP, ZERO
 
 

@@ -9,7 +9,6 @@ from scalar_oracle import laurent_components, model
 
 from bethelab.aba import (
     OMEGA,
-    SPIN_CHARS,
     ModelParams,
     ModelVector,
     StateVector,
@@ -17,6 +16,7 @@ from bethelab.aba import (
 )
 from bethelab.cli import draw_distinct, draw_q, draw_w, draw_z  # noqa: F401
 from bethelab.field import RAT, as_rat, brk
+from bethelab.linalg import SPIN_CHARS
 from bethelab.spinchain import _apply_gates, _bond_tables
 
 

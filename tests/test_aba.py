@@ -41,7 +41,7 @@ from bethelab.aba import (
     vacuum_d,
     vector_laurent_coefficients,
 )
-from bethelab.field import RAT, brk
+from bethelab.field import RAT, PoleEncountered, brk
 from bethelab.rmatrix import RMat, r22
 
 
@@ -127,6 +127,20 @@ def test_operators_reject_anything_but_a_model_vector():
                   lambda: monodromy_apply("B", z, p, v)):
         with pytest.raises(TypeError, match="ModelVector"):
             apply()
+
+
+@pytest.mark.parametrize("apply", [
+    *(lambda z, p, v, x=x: monodromy_apply(x, z, p, v) for x in "ABCD"),
+    *(lambda z, p, v, x=x: monodromy_apply(x, [RAT(3), z], p, v)
+      for x in "ABCD"),
+    transfer1_apply, transfer2_apply,
+], ids=[*"ABCD", *(f"{x}_list" for x in "ABCD"), "T1", "T2"])
+def test_zero_spectral_parameter_is_a_pole(apply):
+    """z = 0 reaches the table of r12(0) or r22(0), whose bracket of zero
+    raises; no operator guards it on its own."""
+    p = params_n(2)
+    with pytest.raises(PoleEncountered, match="bracket of zero"):
+        apply(0, p, vacuum(p))
 
 
 def test_transfer2_commute_on_random_vectors():

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -7,8 +8,8 @@ from pathlib import Path
 import pytest
 
 import bethelab
-from bethelab.cli import genpoly_str, main
-from bethelab.field import LaurentPoly
+from bethelab.cli import draw_w, draw_z, genpoly_str, main
+from bethelab.field import RAT, LaurentPoly
 
 
 def run_cli(args, capsys):
@@ -198,12 +199,52 @@ def test_unwritable_out_path_is_a_config_error(argv, capsys, tmp_path):
 
 @pytest.mark.parametrize("command", ["verify", "vector", "ikdet"])
 def test_zero_q_is_a_config_error(command, capsys):
-    """q = 0 is refused before w is drawn, whose lattices divide by q."""
-    assert main([command, "--n", "2", "--q", "0"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == ("config error: q must satisfy q != 0 and "
-                            "q^4 != 1\n")
+    """q = 0 and q^4 = 1 are refused once, by ModelParams through
+    `field.session_constant`; the w drawn before it divides by nothing."""
+    for q in ("0", "1/1", "-1/1"):
+        assert main([command, "--n", "2", f"--q={q}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("config error: q must satisfy q != 0 and "
+                                "q^4 != 1\n")
+
+
+def _old_draw_w(rng, n, q):
+    """`draw_w` as it was, comparing quotients a / b with q^{+-1,+-2}."""
+    while True:
+        w = [draw_z(rng) for _ in range(n)]
+        ok = len(set(w)) == n
+        if ok:
+            for a in w:
+                for b in w:
+                    if a is not b and a / b in (q, 1 / q, q * q, 1 / (q * q)):
+                        ok = False
+        if ok:
+            return tuple(w)
+
+
+class _SmallDraws(random.Random):
+    """Numerators and denominators in 1..4, so that w often meets a
+    lattice."""
+
+    def randint(self, a, b):
+        return super().randint(1, 4)
+
+
+def test_draw_w_matches_the_division_form():
+    """The product test accepts what the quotient test accepted: over 200
+    seeded draws both return the same w and leave the stream at the same
+    point, many of them after a lattice rejection."""
+    retried = 0
+    for seed in range(200):
+        q = (RAT(2), RAT(3, 2), RAT(1, 3), RAT(4, 3))[seed % 4]
+        n = 2 + seed % 2
+        a, b, first = (_SmallDraws(seed) for _ in range(3))
+        w = draw_w(a, n, q)
+        assert w == _old_draw_w(b, n, q)
+        assert a.getstate() == b.getstate()
+        retried += w != tuple(draw_z(first) for _ in range(n))
+    assert retried > 50
 
 
 def test_console_script_entry_point():

@@ -1,4 +1,5 @@
 import random
+from math import isqrt
 
 import pytest
 from hypothesis import assume, given, settings
@@ -14,15 +15,14 @@ from bethelab.field import (
     SessionMismatch,
     SingularSystem,
     brk,
-    is_rational_square,
     laurent_interpolate,
     pack,
     rat_str,
     row_reduce,
+    session_constant,
     solve_exact,
     spread,
     unpack,
-    validate_extension,
 )
 from halfpower_oracle import is_odd_support, shift_down
 from helpers import degree_width, ring
@@ -191,16 +191,31 @@ def test_graded_arithmetic_matches_four_part_oracle(case):
     assert (x == y) == (ox == oy)
 
 
-def test_session_constant_validation():
-    validate_extension(D)
-    with pytest.raises(ValueError):
-        validate_extension(RAT(9, 4))    # = (3/2)^2
-    with pytest.raises(ValueError):
-        validate_extension(RAT(-16, 25))  # -d a square
-    with pytest.raises(ValueError):
-        validate_extension(0)
-    assert is_rational_square(RAT(49, 64))
-    assert not is_rational_square(RAT(45, 8))
+def _is_rational_square(r) -> bool:
+    return r >= 0 and all(isqrt(x) ** 2 == x
+                          for x in (r.numerator, r.denominator))
+
+
+def test_neither_d_nor_minus_d_is_a_rational_square():
+    """The lemma of the module docstring, on every q = a/b with 1 <= |a|,
+    b <= 60 and q^4 != 1: d = (q^2 - 1)^2 (q^2 + 1) / q^3, and neither d
+    nor -d is a rational square, so Q(s, i) is a field."""
+    assert _is_rational_square(RAT(49, 64))
+    assert not _is_rational_square(RAT(-49, 64))
+    assert not _is_rational_square(RAT(45, 8))
+    for a in range(-60, 61):
+        for b in range(1, 61):
+            q = RAT(a, b)
+            if a == 0 or q * q == 1:
+                continue
+            d = session_constant(q)
+            assert d == (q * q - 1) ** 2 * (q * q + 1) / q ** 3
+            assert not _is_rational_square(d)
+            assert not _is_rational_square(-d)
+
+
+def test_session_constant_is_computed_once_per_q():
+    assert session_constant(RAT(7, 3)) is session_constant(RAT(7, 3))
 
 
 # ---------------------------------------------------------------------

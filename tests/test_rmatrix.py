@@ -11,8 +11,14 @@ from scalar_oracle import FourPart
 from helpers import ring
 
 from bethelab import linalg, rmatrix
-from bethelab.aba import IrrationalWeight, ModelParams, session_constant
-from bethelab.field import RAT, SessionMismatch, brk
+from bethelab.aba import IrrationalWeight, ModelParams
+from bethelab.field import (
+    RAT,
+    PoleEncountered,
+    SessionMismatch,
+    brk,
+    session_constant,
+)
 from bethelab.rmatrix import (
     DOWN,
     UP,
@@ -228,11 +234,36 @@ def test_each_weight_is_pinned_by_one_check_alone(check, builds, count,
 
 
 def test_bad_q_rejected():
+    """`field.session_constant` rejects q = 0 and q^4 = 1, and with it
+    ModelParams, the matrices with a spin-1 factor and every identity
+    check on one; only the six-vertex r11 needs no d."""
+    z, w = RAT(3), RAT(5, 2)
     for q in (1, -1, 0):
+        for build in (session_constant, lambda q: ModelParams(1, q, [RAT(1)]),
+                      lambda q: r12(z, q), lambda q: r22(z, q)):
+            with pytest.raises(ValueError, match="q != 0 and q"):
+                build(q)
+    checks = [permutation_check, rank_one_check,
+              lambda q: inversion_check(z, q),
+              lambda q: crossing_transpose_check(z, q),
+              lambda q: check_fusion_r22(z, q),
+              lambda q: magnetisation_pattern_check(z, q)]
+    checks += [lambda q, mnp=mnp: check_ybe(*mnp, z, w, q)
+               for mnp in itertools.product((1, 2), repeat=3)
+               if 2 in mnp]
+    for q, check in itertools.product((1, -1), checks):
         with pytest.raises(ValueError, match="q != 0 and q"):
-            session_constant(q)
-        with pytest.raises(ValueError, match="q != 0 and q"):
-            ModelParams(1, q, [RAT(1)])
+            check(q)
+    assert check_ybe(1, 1, 1, z, w, 1)
+
+
+def test_zero_spectral_parameter_is_a_pole_of_check_ybe():
+    """z / w is z * inv(w): a zero on either side is a bracket of zero or
+    the inverse of zero, for every combination of spins."""
+    for mnp in itertools.product((1, 2), repeat=3):
+        for z, w in ((0, RAT(3)), (RAT(3), 0)):
+            with pytest.raises(PoleEncountered):
+                check_ybe(*mnp, z, w, Q)
 
 
 def test_identity_checks_take_q_in_any_rational_form():

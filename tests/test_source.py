@@ -149,3 +149,28 @@ def test_no_module_imports_another_modules_private_name():
              and (node.module or "").startswith("bethelab")
              for alias in node.names if alias.name.startswith("_")]
     assert found == []
+
+
+def test_no_module_imports_a_name_another_module_imported():
+    """A package name is imported from the module that defines it: no
+    module passes on what it imported itself from another package module,
+    so each name has one home."""
+    root = Path(bethelab.__file__).parent
+
+    def package_imports(path):
+        """(module, name, local name) of a module's imports from the
+        package."""
+        return [(node.module, alias.name, alias.asname or alias.name)
+                for node in ast.walk(ast.parse(path.read_text()))
+                if isinstance(node, ast.ImportFrom)
+                and (node.module or "").startswith("bethelab")
+                for alias in node.names]
+
+    paths = {f"bethelab.{path.stem}": path for path in root.glob("*.py")}
+    paths["bethelab"] = paths.pop("bethelab.__init__")
+    found = [f"{path.stem}:{name} from {module}"
+             for path in sorted(paths.values())
+             for module, name, _ in package_imports(path)
+             if name in {local for *_, local
+                         in package_imports(paths[module])}]
+    assert found == []
