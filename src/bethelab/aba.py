@@ -69,29 +69,56 @@ site columns whose weights sum to psi_sigma:
    psi~_sigma(w_j).
 
 So a component is w_j^lo times a polynomial in w_j^2, and positive
-samples of w_j interpolate it in w_j^2 (`vector_laurent_coefficients`).
+samples of w_j interpolate it in w_j^2 (the tests' Laurent oracle).
+
+Asymptotic lemma: psi~ / w_j^(N-1) tends, as w_j runs to infinity, to
+one B-chain sweep over one scalar, and likewise psi~ w_j^(N-1) as w_j
+runs to 0 (`leading_coefficient`).  Proof, on the same lattice, for
+infinity; 0 swaps the two leading monomials:
+
+1. Off the crossing, a vertex of row j or column j is a flip, of degree
+   0 in w_j, or a bracket [c u] with c = q^2, q or 1: u = w_j/(q w_l), of
+   degree +1, in row j and u = w_k/(q w_j), of degree -1, in column j.
+   So psi_sigma has degree at most 2N - 2 in w_j; its coefficient there
+   sums the configurations whose 2N - 2 vertices are all brackets, each
+   replaced by its w_j^+1 monomial: c u in row j and -1/(c u) in column
+   j (`rmatrix.r12_leading`).  That is the same sweep with those tables,
+   diagonal now, and the crossing keeps r12(1/q).
+2. The divisor is s times the (N-1)-site one without w_j times the N - 1
+   brackets of w_j, [q w_j/w_k] for k > j and [q w_k/w_j] for k < j, so
+   its top term replaces those by q w_j/w_k and -w_j/(q w_k): it is
+   nonzero, of degree N - 1.
+3. So psi~ / w_j^(N-1) tends to the ratio of the two top coefficients.
+   The limit needs no divisibility of psi by the divisor; where psi~ is
+   a Laurent polynomial in w_j (the tests' oracle interpolates it as
+   one), the limit is its coefficient of w_j^(N-1).
 """
 
 from __future__ import annotations
 
-from itertools import count as naturals, islice
-from math import gcd, lcm, prod
+from math import gcd, prod
 
 from bethelab.field import (
     RAT,
-    LaurentPoly,
     PoleEncountered,
     Scalar,
     SessionMismatch,
     as_rat,
     brk,
-    laurent_interpolate_many,
+    brk_leading,
     rat_str,
     session_constant,
-    spread,
 )
 from bethelab.linalg import DimensionMismatch, StateVector, state_str
-from bethelab.rmatrix import DOWN, UP, ZERO, r12, r22, singlet_pair_vector
+from bethelab.rmatrix import (
+    DOWN,
+    UP,
+    ZERO,
+    r12,
+    r12_leading,
+    r22,
+    singlet_pair_vector,
+)
 
 
 class RedundantFactorZero(PoleEncountered):
@@ -108,7 +135,6 @@ class IrrationalWeight(ArithmeticError):
 
 
 OMEGA = (-1, 1, -1)  # the diagonal twist at angle pi on (U, 0, D)
-_SURPLUS_SAMPLES = 2  # samples beyond the larger parity class's size
 
 
 def magnetisation(key) -> int:
@@ -563,60 +589,46 @@ def recurrence_check(params: ModelParams) -> bool:
         singlet_pair_tensor).scale(factor)
 
 
-def admissible_points(params: ModelParams, j: int, count: int):
-    """Deterministic stream of sample values for w_j that keep every
-    renormalisation factor [q w_a / w_b] nonzero: t = +-w/q and t = +-q w
-    for the other w make [q t/w] or [q w/t] a bracket of +-1."""
-    q = params.q
-    excluded = {s * f * w for k, w in enumerate(params.w) if k != j - 1
-                for f in (q, 1 / q) for s in (1, -1)}
-    return list(islice((t for t in map(RAT, naturals(1))
-                        if t not in excluded), count))
+def leading_coefficient(j: int, to_inf: bool,
+                        params: ModelParams) -> ModelVector:
+    """The coefficient of |psi~> at w_j^(N-1) (to_inf) or at w_j^-(N-1)
+    (asymptotic lemma, module docstring): the B chain whose row j and
+    column j take the leading parts of r12 off their crossing, over the
+    divisor's leading term, divided by w_j^(N-1) or by w_j^-(N-1)."""
+    n, q, w = params.n, params.q, params.w
 
+    def table(row: int, site: int):
+        """B(w_row) at site `site`: u = w_row / (q w_site) has degree
+        [row = j] - [site = j] in w_j."""
+        u = w[row - 1] / (q * w[site - 1])
+        if (row == j) == (site == j):
+            return params.r12_table(u)
+        return r12_leading(u, q, to_inf == (row == j)).int_column_map()
 
-def vector_laurent_coefficients(params: ModelParams, j: int):
-    """Interpolate every component of |psi~> as a Laurent polynomial in
-    w_j on the proven window [-(N-1), N-1]; a component missing from a
-    sample is zero there.  By the parity lemma (module docstring) a
-    component with sigma_j = 0 is w_j^-(N-1) times a polynomial of N terms
-    in w_j^2, and one with sigma_j != 0 is w_j^-(N-2) times one of N - 1
-    terms: each class is interpolated in w_j^2 from N samples at positive
-    w_j, and the surplus ones verify the window and the parity.  Returns
-    {key: LaurentPoly} with rational coefficients over the sorted union of
-    the sampled keys, memoised by j."""
-    def build():
-        n = params.n
-        pts = admissible_points(params, j, n + _SURPLUS_SAMPLES)
-        vecs = [renormalised_vector(params.with_w(
-            params.w[:j - 1] + (t,) + params.w[j:])) for t in pts]
-        den = lcm(*(v.den for v in vecs))
-        nums = [(v.rational().entries, den // v.den) for v in vecs]
-        keys = sorted(set().union(*(ints for ints, _ in nums)))
-        squares = [t * t for t in pts]
-        polys = {}
-        for at_zero, lo, size in ((True, 1 - n, n), (False, 2 - n, n - 1)):
-            lifts = [t ** -lo * f for t, (_, f) in zip(pts, nums)]
-            # ints: lo <= 0 in every class but the keyless sigma_j != 0 at N = 1
-            lifts = [c.numerator if c.denominator == 1 else c for c in lifts]
-            group = [k for k in keys if (k[j - 1] == ZERO) == at_zero]
-            rows = [[ints.get(k, 0) * c for (ints, _), c in zip(nums, lifts)]
-                    for k in group]
-            for k, poly in zip(group, laurent_interpolate_many(
-                    squares, rows, 0, size - 1, den)):
-                polys[k] = LaurentPoly(lo + 2 * poly.low,
-                                       spread(poly.coeffs, 2))
-        return {k: polys[k] for k in keys}
+    def bracket(a: int, b: int) -> RAT:
+        """The leading monomial of the divisor's [q w_a / w_b], a < b."""
+        return brk_leading(q * w[a - 1] / w[b - 1], to_inf == (a == j))
 
-    return params.memo(("laurent", j), build)
+    sites = range(1, n + 1)
+    rows = [[table(row, site) for site in sites] for row in sites]
+    psi = _signed_sweeps(rows, vacuum(params), params, [(1, 0, 1)])
+    # the divisor is s times the one without w_j times the brackets of w_j
+    divisor = params.s * renorm_divisor(params.with_w(w[:j - 1] + w[j:]))
+    divisor = divisor * prod(bracket(*sorted((j, k)))
+                             for k in sites if k != j)
+    power = w[j - 1] ** (n - 1)
+    # s^N undoes the gauge of the N B rows, as in `monodromy_apply`
+    return psi.scale(params.s ** n * divisor.inv()
+                     * (1 / power if to_inf else power))
 
 
 def asymptotic_check(j: int, direction: str, params: ModelParams) -> bool:
-    """Leading Laurent coefficient of |psi~> in w_j against the (N-1)-site
-    vector with a 0 inserted at site j: at order w_j^(N-1) (direction
-    'inf') it is (-1)^(N-j) prod_{k != j} w_k^(-1) times the reduced
-    vector; at order w_j^-(N-1) (direction 'zero') it is (-1)^(j-1)
-    prod_{k != j} w_k times it.  The nonzero coefficients are compared as
-    one dict, so a component missing on either side fails.
+    """Leading Laurent coefficient of |psi~> in w_j (`leading_coefficient`)
+    against the (N-1)-site vector with a 0 inserted at site j: at order
+    w_j^(N-1) (direction 'inf') it is (-1)^(N-j) prod_{k != j} w_k^(-1)
+    times the reduced vector; at order w_j^-(N-1) (direction 'zero') it
+    is (-1)^(j-1) prod_{k != j} w_k times it.  The nonzero coefficients
+    are compared as one dict, so a component missing on either side fails.
     """
     if not 1 <= j <= params.n:
         raise ValueError("site index out of range")
@@ -626,17 +638,15 @@ def asymptotic_check(j: int, direction: str, params: ModelParams) -> bool:
         raise ValueError("direction must be 'inf' or 'zero'")
     to_inf = direction == "inf"
     n = params.n
-    polys = vector_laurent_coefficients(params, j)
-    order = n - 1 if to_inf else -(n - 1)
-    others = [w for k, w in enumerate(params.w) if k != j - 1]
+    others = params.w[:j - 1] + params.w[j:]
     sub = params.memo(("reduced", j),
                       lambda: renormalised_vector(params.with_w(others)))
     factor = prod((1 / w if to_inf else w for w in others),
-                  start=RAT((-1) ** (n - j if to_inf else j - 1), sub.den))
-    got = {key: c for key, poly in polys.items()
-           if (c := poly.coefficient(order))}
-    return got == {key[:j - 1] + (ZERO,) + key[j - 1:]: factor * x
-                   for key, x in sub.rational().entries.items()}
+                  start=RAT((-1) ** (n - j if to_inf else j - 1)))
+    want = sub.map(lambda part: StateVector(n, {
+        key[:j - 1] + (ZERO,) + key[j - 1:]: x
+        for key, x in part.entries.items()})).scale(factor)
+    return leading_coefficient(j, to_inf, params) == want
 
 
 def scattering_check(j: int, params: ModelParams) -> bool:

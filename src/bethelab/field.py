@@ -34,8 +34,9 @@ the substitution v -> v^k on coefficient lists (`spread`), Gauss-Jordan row
 reduction (`row_reduce`), Laurent polynomials (centred ones for the model,
 and the ASM polynomial A_n(t) from degree 0), and exact Laurent
 interpolation on ints from samples at rational points (one int dot product
-a coefficient), which is how degree widths and asymptotic coefficients are
-extracted without a symbolic algebra system.
+a coefficient), which the tests' Laurent oracle uses to read whole degree
+windows without a symbolic algebra system.  A single leading coefficient
+needs no interpolation: `brk_leading` is a bracket's leading monomial.
 """
 
 from __future__ import annotations
@@ -223,6 +224,15 @@ def brk(r) -> RAT:
     return r - 1 / r
 
 
+def brk_leading(r, to_inf: bool) -> RAT:
+    """The leading monomial of [r] = r - 1/r: r as r runs to infinity
+    (to_inf), -1/r as r runs to 0."""
+    r = as_rat(r)
+    if r == 0:
+        raise PoleEncountered("bracket of zero spectral parameter")
+    return r if to_inf else -1 / r
+
+
 @cache
 def session_constant(q) -> RAT:
     """d = [q][q^2] for a rational anisotropy q (anything `as_rat` reads),
@@ -392,12 +402,6 @@ class LaurentPoly:
         if self.is_zero():
             raise ValueError("zero polynomial has no top degree")
         return self.low + len(self.coeffs) - 1
-
-    def coefficient(self, k: int):
-        """The coefficient of z^k, 0 outside the support."""
-        if self.is_zero() or not (self.low <= k <= self.top()):
-            return 0
-        return self.coeffs[k - self.low]
 
     def __eq__(self, other):
         if not isinstance(other, LaurentPoly):

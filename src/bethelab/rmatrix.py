@@ -22,6 +22,9 @@ flips weigh 1 for 0 <- 1 and d = [q][q^2] for 1 <- 0, and K^-1 r12 K is
 the physical matrix.  `r12` and `r22` read d from
 `field.session_constant`, so q = 0 and q^4 = 1 raise its ValueError
 there.  `r21` carries the same gauge on its right factor.
+`r12_leading` is the leading part of r12(z) as z runs to infinity or
+to 0 (the diagonal monomials that `aba`'s asymptotic sweep uses); it
+and r12 read the diagonal brackets [q^k z] from one table.
 K x K commutes with `r11`, which conserves magnetisation, so every
 identity below is the physical one conjugated by K on each spin-1/2
 factor and holds on rationals.
@@ -66,7 +69,14 @@ from itertools import product
 from math import lcm, prod
 
 from bethelab import linalg
-from bethelab.field import RAT, as_rat, brk, inv, session_constant
+from bethelab.field import (
+    RAT,
+    as_rat,
+    brk,
+    brk_leading,
+    inv,
+    session_constant,
+)
 
 UP, ZERO, DOWN = 0, 1, 2  # spin-1 components U, 0, D
 
@@ -157,21 +167,37 @@ def r11(z, q) -> RMat:
     })
 
 
+# the diagonal weights of r12(z), each a bracket [q^k z]: {key: k}
+_R12_DIAGONAL = {
+    (0, UP, 0, UP): 2, (1, DOWN, 1, DOWN): 2,
+    (0, ZERO, 0, ZERO): 1, (1, ZERO, 1, ZERO): 1,
+    (0, DOWN, 0, DOWN): 0, (1, UP, 1, UP): 0,
+}
+
+
 def r12(z, q) -> RMat:
     """Mixed R-matrix on C^2 x C^3, symmetric up to the gauge: K R12 K^-1
     with K = diag(1, s) on the spin-1/2 factor, whose flips s become 1
     (auxiliary 0 <- 1) and d = [q][q^2] (1 <- 0)."""
     z, q = as_rat(z), as_rat(q)
     d, one = session_constant(q), RAT(1)
-    bz, bqz, bq2z = brk(z), brk(q * z), brk(q * q * z)
+    brackets = [brk(z), brk(q * z), brk(q * q * z)]
+    weights = {key: brackets[k] for key, k in _R12_DIAGONAL.items()}
     U, Z, D = UP, ZERO, DOWN
-    return RMat(2, 3, {
-        (0, U, 0, U): bq2z, (1, D, 1, D): bq2z,
-        (0, Z, 0, Z): bqz, (1, Z, 1, Z): bqz,
-        (0, D, 0, D): bz, (1, U, 1, U): bz,
-        (0, Z, 1, U): one, (1, U, 0, Z): d,
-        (0, D, 1, Z): one, (1, Z, 0, D): d,
-    })
+    weights.update({(0, Z, 1, U): one, (1, U, 0, Z): d,
+                    (0, D, 1, Z): one, (1, Z, 0, D): d})
+    return RMat(2, 3, weights)
+
+
+def r12_leading(z, q, to_inf: bool) -> RMat:
+    """The leading part of r12(z) as z runs to infinity (to_inf) or to 0:
+    each diagonal weight [c z] becomes its leading monomial c z or
+    -1/(c z) (`field.brk_leading`), and the flips, of degree 0 in z, drop
+    out.  Checks q as r12 does."""
+    z, q = as_rat(z), as_rat(q)
+    session_constant(q)
+    return RMat(2, 3, {key: brk_leading(q ** k * z, to_inf)
+                       for key, k in _R12_DIAGONAL.items()})
 
 
 def r22(z, q) -> RMat:
@@ -213,7 +239,9 @@ def r_mn(m: int, n: int, z, q) -> RMat:
     if (m, n) == (1, 2):
         return r12(z, q)
     if (m, n) == (2, 1):
-        return r12(as_rat(z) / as_rat(q), q).swapped()
+        q = as_rat(q)
+        session_constant(q)  # before z / q can divide by zero
+        return r12(as_rat(z) / q, q).swapped()
     if (m, n) == (2, 2):
         return r22(z, q)
     raise ValueError("m, n must be 1 or 2")

@@ -51,6 +51,12 @@ def degree_width(poly) -> int:
     return 0 if poly.is_zero() else len(poly.coeffs) - 1
 
 
+def coefficient(poly, k: int):
+    """The coefficient of z^k of a LaurentPoly, 0 outside its support."""
+    i = k - poly.low
+    return poly.coeffs[i] if 0 <= i < len(poly.coeffs) else 0
+
+
 def eval_at(genpoly, t):
     """A_n(t) at the rational t."""
     t = as_rat(t)

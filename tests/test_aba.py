@@ -3,6 +3,7 @@ import random
 import pytest
 
 from helpers import (
+    coefficient,
     degree_width,
     draw_q,
     draw_w,
@@ -10,6 +11,7 @@ from helpers import (
     model_sum,
     state_from_str,
 )
+from laurent_oracle import vector_laurent_coefficients
 from scalar_oracle import model
 
 from bethelab.aba import (
@@ -26,6 +28,7 @@ from bethelab.aba import (
     bethe_vector,
     cyclic_check,
     exchange_check,
+    leading_coefficient,
     magnetisation,
     monodromy_apply,
     recurrence_check,
@@ -39,9 +42,8 @@ from bethelab.aba import (
     vacuum,
     vacuum_a,
     vacuum_d,
-    vector_laurent_coefficients,
 )
-from bethelab.field import RAT, PoleEncountered, brk
+from bethelab.field import RAT, InconsistentSamples, PoleEncountered, brk
 from bethelab.rmatrix import RMat, r22
 
 
@@ -401,27 +403,33 @@ def test_asymptotic_relations():
             assert asymptotic_check(j, "zero", p)
 
 
-def test_asymptotic_check_sees_a_missing_component():
+def test_asymptotic_check_sees_a_missing_component(monkeypatch):
     """A sigma_j = 0 component whose reduced component is nonzero, dropped
-    from the memoised Laurent coefficients of the full vector, fails both
-    directions."""
+    from the leading vector of the full vector, fails both directions."""
+    from bethelab import aba
+
     rng = random.Random(2023)
     q = draw_q(rng)
     p = ModelParams(3, q, draw_w(rng, 3, q))
     j = 2
     assert asymptotic_check(j, "inf", p) and asymptotic_check(j, "zero", p)
-    polys = vector_laurent_coefficients(p, j)
-    key = next(k for k, poly in polys.items()
-               if k[j - 1] == ZERO and poly.coefficient(p.n - 1))
-    del polys[key]
+    lead = aba.leading_coefficient
+
+    def dropped(j, to_inf, params):
+        v = lead(j, to_inf, params)
+        key = next(k for k in sorted(v.part.entries) if k[j - 1] == ZERO)
+        return v.map(lambda part: StateVector(part.n, {
+            k: x for k, x in part.entries.items() if k != key}))
+
+    monkeypatch.setattr(aba, "leading_coefficient", dropped)
     assert not asymptotic_check(j, "inf", p)
     assert not asymptotic_check(j, "zero", p)
 
 
-def test_asymptotic_directions_share_the_sample_vectors(monkeypatch):
-    """Both directions read one set of N + 2 sample vectors (the larger
-    parity class's N powers of w_j and two surplus samples), and both
-    parity classes of both directions one inverse Vandermonde solve."""
+def test_asymptotic_directions_build_only_the_reduced_vector(monkeypatch):
+    """Both directions build one vector, the reduced (N-1)-site one, once
+    between them, and solve no linear system: the leading coefficient is
+    one sweep, with no sampled vectors and no interpolation."""
     from collections import Counter
 
     from bethelab import aba, field
@@ -447,12 +455,53 @@ def test_asymptotic_directions_share_the_sample_vectors(monkeypatch):
     p = ModelParams(3, q, draw_w(rng, 3, q))
     assert asymptotic_check(1, "inf", p)
     assert asymptotic_check(1, "zero", p)
-    samples = [w for w in calls if len(w) == 3 and w[1:] == p.w[1:]]
-    assert len(samples) == 3 + 2
-    assert all(calls[w] == 1 for w in samples)
-    assert solves == [3 + 2]
-    # the reduced (N-1)-site vector at w = (w2, w3) is built once too
-    assert calls[p.w[1:]] == 1
+    assert calls == {p.w[1:]: 1}
+    assert solves == []
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_leading_coefficient_matches_the_laurent_oracle(n):
+    """At every site and in both directions, the leading-order sweep's
+    coefficient equals, key by key, the interpolated coefficient at
+    w_j^(N-1) and at w_j^-(N-1)."""
+    rng = random.Random(780 + n)
+    q = draw_q(rng)
+    p = ModelParams(n, q, draw_w(rng, n, q))
+    for j in range(1, n + 1):
+        polys = vector_laurent_coefficients(p, j)
+        for to_inf, order in ((True, n - 1), (False, 1 - n)):
+            want = {key: c for key, poly in polys.items()
+                    if (c := coefficient(poly, order))}
+            got = leading_coefficient(j, to_inf, p)
+            assert got.grade == 0 and want
+            assert {key: x.r for key, x in got.entries.items()} == want
+
+
+def test_a_constant_added_to_a_bracket_passes_the_leading_order_check(
+        monkeypatch):
+    """What the leading-order check cannot see: an r12 whose <up 0| r12(u)
+    |up 0> reads [q u] + 1/7 keeps every leading part, so at N = 3 the
+    asymptotic relations still hold, while the constant breaks the parity
+    of w_j that the Laurent oracle's surplus samples check."""
+    from bethelab import aba
+
+    exact = aba.r12
+
+    def mutant(u, q):
+        m = exact(u, q)
+        key = (0, ZERO, 0, ZERO)
+        return RMat(2, 3, {**m.weights, key: m.weights.get(key, 0)
+                           + RAT(1, 7)})
+
+    monkeypatch.setattr(aba, "r12", mutant)
+    rng = random.Random(2027)
+    q = draw_q(rng)
+    p = ModelParams(3, q, draw_w(rng, 3, q))
+    for j in range(1, 4):
+        assert asymptotic_check(j, "inf", p)
+        assert asymptotic_check(j, "zero", p)
+    with pytest.raises(InconsistentSamples):
+        vector_laurent_coefficients(p, 1)
 
 
 def test_asymptotic_direction_has_one_spelling():

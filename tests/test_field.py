@@ -25,7 +25,7 @@ from bethelab.field import (
     unpack,
 )
 from halfpower_oracle import is_odd_support, shift_down
-from helpers import degree_width, ring
+from helpers import coefficient, degree_width, ring
 from scalar_oracle import FourPart, evaluate
 
 D = RAT(45, 8)  # [q][q^2] at q = 2
@@ -341,9 +341,9 @@ def test_interpolate_recovers_bracket():
     samples = [(1, 0), (2, RAT(3, 2)), (RAT(1, 2), RAT(-3, 2))]
     p = laurent_interpolate(samples, low_degree=-1, width=2)
     assert p.low == -1 and p.top() == 1
-    assert p.coefficient(-1) == -1
-    assert p.coefficient(0) == 0
-    assert p.coefficient(1) == 1
+    assert coefficient(p, -1) == -1
+    assert coefficient(p, 0) == 0
+    assert coefficient(p, 1) == 1
 
 
 def test_interpolate_zero_and_constant():

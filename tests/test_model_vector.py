@@ -19,17 +19,16 @@ import pytest
 import dense_rmatrix_oracle as dense
 import scalar_oracle
 from helpers import at_pi, draw_q, draw_w, model_sum
+from laurent_oracle import admissible_points, vector_laurent_coefficients
 from scalar_oracle import FourPart, model, summands
 
 from bethelab.aba import (
     ZERO,
     ModelParams,
     StateVector,
-    admissible_points,
     renormalised_vector,
     rhat22_apply,
     s_prime_apply,
-    vector_laurent_coefficients,
 )
 from bethelab.field import (
     RAT,

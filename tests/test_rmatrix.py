@@ -32,6 +32,7 @@ from bethelab.rmatrix import (
     permutation_check,
     r11,
     r12,
+    r12_leading,
     r22,
     r_mn,
     rank_one_check,
@@ -255,6 +256,32 @@ def test_bad_q_rejected():
         with pytest.raises(ValueError, match="q != 0 and q"):
             check(q)
     assert check_ybe(1, 1, 1, z, w, 1)
+
+
+def test_r21_checks_q_before_dividing_by_it():
+    """R^(2,1)(z) = P r12(z/q) P checks q through `field.session_constant`
+    before it divides z by q: at q = 0 the matrix and the Yang-Baxter
+    check it opens raise that ValueError, not a bare ZeroDivisionError."""
+    with pytest.raises(ValueError, match="q != 0 and q"):
+        r_mn(2, 1, 3, 0)
+    with pytest.raises(ValueError, match="q != 0 and q"):
+        check_ybe(2, 1, 1, 3, 5, 0)
+
+
+@pytest.mark.parametrize("u", [RAT(3), RAT(-2, 7)])
+def test_leading_tables_are_the_leading_parts_of_r12(u):
+    """Key by key, each diagonal weight [c u] of r12 is L_inf(u) t +
+    L_zero(u) / t at t u, for its leading parts L_inf = c u and L_zero =
+    -1/(c u): t (r12(t u) - t L_inf(u)) = L_zero(u), and the same toward 0,
+    at two values of t.  The leading tables hold the diagonal keys alone,
+    so every flip has a leading part of 0."""
+    inf = r12_leading(u, Q, True).weights
+    zero = r12_leading(u, Q, False).weights
+    diagonal = {k for k in r12(u, Q).weights if k[:2] == k[2:]}
+    assert len(diagonal) == 6 and set(inf) == set(zero) == diagonal
+    for key, t in itertools.product(sorted(diagonal), (RAT(5), RAT(-3, 11))):
+        assert t * (r12(t * u, Q).weights[key] - t * inf[key]) == zero[key]
+        assert t * (r12(u / t, Q).weights[key] - t * zero[key]) == inf[key]
 
 
 def test_zero_spectral_parameter_is_a_pole_of_check_ybe():
