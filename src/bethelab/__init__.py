@@ -4,8 +4,9 @@ No floating point anywhere.  The closed forms, the determinants and the
 R-matrix weights are rationals; only the model's vectors carry a unit of
 the extension ring Q(s, i), s**2 = [q][q^2], i**2 = -1.  Submodules:
 
-- field:     rationals, the quadratic+Gaussian extension, half-power and
-             Laurent polynomials, exact interpolation
+- field:     rationals (RAT, which is fractions.Fraction), the
+             quadratic+Gaussian extension, half-power and Laurent
+             polynomials, exact interpolation
 - rmatrix:   the R-matrices of the six-, mixed and nineteen-vertex models
              at a rational q, and their structural identities
 - aba:       the parameters and their ring (ModelParams), monodromy

@@ -92,6 +92,36 @@ infinity; 0 swaps the two leading monomials:
    The limit needs no divisibility of psi by the divisor; where psi~ is
    a Laurent polynomial in w_j (the tests' oracle interpolates it as
    one), the limit is its coefficient of w_j^(N-1).
+
+Regularity lemma: T2(w_j) = [q][q^2] S_j as operators, with
+
+    S_j = Rhat_{j-1,j}(w_j/w_{j-1}) ... Rhat_{1,2}(w_j/w_1) S'
+          Rhat_{N-1,N}(w_j/w_N) ... Rhat_{j,j+1}(w_j/w_{j+1}),
+
+Rhat_{k,k+1}(u) = P_{k,k+1} R22_{k,k+1}(u) and S' = S Omega_N
+(`scattering_apply`).  Proof, writing R_{xk} for R22_{x,k}(w_j/w_k), x
+its left factor, and P_{xy} for the swap of factors x and y, so that
+P_{xy} X P_{xy} is X with x and y relabelled:
+
+1. R_{aj} = R22(1) = [q][q^2] P_{aj} (`rmatrix.permutation_check`), so
+   T2(w_j) = [q][q^2] tr_a(Omega_a R_{aN} ... R_{a,j+1} P_{aj} R_{a,j-1}
+   ... R_{a1}).
+2. Carried to the left, P_{aj} relabels a as j in what it passes: R_{ak}
+   P_{aj} = P_{aj} R_{jk} and Omega_a P_{aj} = P_{aj} Omega_j.  So T2(w_j)
+   is [q][q^2] tr_a(P_{aj} X Y), with X = Omega_j R_{jN} ... R_{j,j+1}
+   on sites j..N and Y = R_{a,j-1} ... R_{a1} on a and sites 1..j-1.
+3. tr_a(P_{aj} A_a B_j) = A_j B_j for one-site A and B (expand P_{aj} =
+   sum_kl E^kl_a E^lk_j), so by linearity tr_a(P_{aj} X Y) is Y with a
+   relabelled j, times X: T2(w_j) = [q][q^2] R_{j,j-1} ... R_{j1} Omega_j
+   R_{jN} ... R_{j,j+1}.
+4. Follow the content of each site through S_j.  The gates right of S'
+   meet site j's content on their left factor and sites j+1, ..., N on
+   their right, so they apply R_{j,j+1}, ..., R_{jN} and carry j's
+   content to site N, which Omega_N meets and S takes to site 1.  The
+   gates left of S' then apply R_{j1}, ..., R_{j,j-1} and carry it back
+   to site j.  Every other content moves one step left (sites j+1..N,
+   by the right gates) or right (sites 1..j-1, by S) and back, so S_j is
+   the product of step 3 with no permutation left over.
 """
 
 from __future__ import annotations
@@ -649,25 +679,26 @@ def asymptotic_check(j: int, direction: str, params: ModelParams) -> bool:
     return leading_coefficient(j, to_inf, params) == want
 
 
+def scattering_apply(j: int, params: ModelParams,
+                     v: ModelVector) -> ModelVector:
+    """S_j v = Rhat_{j-1,j}(w_j/w_{j-1}) ... Rhat_{1,2}(w_j/w_1) S'
+    Rhat_{N-1,N}(w_j/w_N) ... Rhat_{j,j+1}(w_j/w_{j+1}) v, by two-site
+    gates; [q][q^2] S_j is T2(w_j) (regularity lemma, module docstring)."""
+    wj = params.w[j - 1]
+    for k in range(j, params.n):  # Rhat_{k,k+1}(w_j / w_{k+1}), ascending k
+        v = rhat22_apply(wj / params.w[k], params, v, k - 1, k)
+    v = v.map(s_prime_apply)
+    for k in range(1, j):
+        v = rhat22_apply(wj / params.w[k - 1], params, v, k - 1, k)
+    return v
+
+
 def scattering_check(j: int, params: ModelParams) -> bool:
-    """T2(w_j) on the Bethe vector agrees with the cyclic product of
-    braided R-matrices around the twisted shift,
-
-    [q][q^2] Rhat_{j-1,j}(w_j/w_{j-1}) ... Rhat_{1,2}(w_j/w_1) S'
-        Rhat_{N-1,N}(w_j/w_N) ... Rhat_{j,j+1}(w_j/w_{j+1}),
-
-    and both equal theta2(w_j) times the vector."""
+    """The scattering relation of the Bethe vector psi, by two-site gates
+    (`scattering_apply`): [q][q^2] S_j psi = theta2(w_j) psi, which by the
+    regularity lemma is the eigenvalue relation of T2 at z = w_j."""
     if not 1 <= j <= params.n:
         raise ValueError("site index out of range")
     psi = bethe_vector(params)
-    wj = params.w[j - 1]
-    lhs = transfer2_apply(wj, params, psi)
-    eig = psi.scale(theta2(wj, params))
-    cur = psi
-    for k in range(j, params.n):  # Rhat_{k,k+1}(w_j / w_{k+1}), ascending k
-        cur = rhat22_apply(wj / params.w[k], params, cur, k - 1, k)
-    cur = cur.map(s_prime_apply)
-    for k in range(1, j):
-        cur = rhat22_apply(wj / params.w[k - 1], params, cur, k - 1, k)
-    rhs = cur.scale(params.d)
-    return lhs == rhs and lhs == eig
+    return (scattering_apply(j, params, psi).scale(params.d)
+            == psi.scale(theta2(params.w[j - 1], params)))

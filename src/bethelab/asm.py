@@ -76,6 +76,7 @@ class Asm:
     def __repr__(self):
         return f"Asm({list(map(list, self.entries))})"
 
+
 def _check_size(n: int):
     if n < 1:
         raise ValueError("n must be at least 1")

@@ -313,7 +313,7 @@ def checks_spinchain(params, rng):
         out.append(("spinchain.normalisation_audit", ps, audit))
     out.append(("spinchain.homogeneous_consistency", ps,
                 lambda: spinchain.homogeneous_consistency_check(n, q)))
-    if n <= 3 and n >= 2:
+    if 2 <= n <= 3:
         out.append(("spinchain.uniqueness_probe_logged", ps, probe))
     return out
 

@@ -2,8 +2,9 @@
 
 Spectral parameters, their brackets [z] = z - 1/z (`brk`), the closed
 forms built from them and the R-matrix weights (the mixed one in the
-gauge of `rmatrix`) are rationals.  What can carry a square root or i
-(the model's vectors) lives in the ring
+gauge of `rmatrix`) are rationals, of the one type RAT =
+`fractions.Fraction`.  What can carry a square root or i (the model's
+vectors) lives in the ring
 
     Q(s, i),   s**2 = d,   i**2 = -1,
 
@@ -41,14 +42,10 @@ needs no interpolation: `brk_leading` is a bracket's leading monomial.
 
 from __future__ import annotations
 
+from fractions import Fraction as RAT
 from functools import cache
 from math import lcm
 from operator import mul
-
-try:
-    from gmpy2 import mpq as RAT
-except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
-    from fractions import Fraction as RAT
 
 RAT_ZERO = RAT(0)
 

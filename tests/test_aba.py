@@ -4,7 +4,6 @@ import pytest
 
 from helpers import (
     coefficient,
-    degree_width,
     draw_q,
     draw_w,
     draw_z,
@@ -14,6 +13,7 @@ from helpers import (
 from laurent_oracle import vector_laurent_coefficients
 from scalar_oracle import model
 
+from bethelab import aba, cli
 from bethelab.aba import (
     DOWN,
     UP,
@@ -525,16 +525,69 @@ def test_scattering_homogeneous_reduces_to_shift():
     assert scattering_check(2, p)
 
 
-def test_degree_width_bound_and_attainment():
+def scattering_params():
     rng = random.Random(2025)
-    for n in (2, 3):
-        q = draw_q(rng)
-        p = ModelParams(n, q, draw_w(rng, n, q))
-        for j in range(1, n + 1):
-            polys = vector_laurent_coefficients(p, j)
-            widths = [degree_width(poly) for poly in polys.values()
-                      if not poly.is_zero()]
-            assert max(widths) == 2 * (n - 1)
+    q = draw_q(rng)
+    return ModelParams(4, q, draw_w(rng, 4, q))
+
+
+def test_scattering_check_sees_a_sign_error_in_s_prime(monkeypatch):
+    """S' with Omega's sign on the 0 spin instead of U and D."""
+    p = scattering_params()
+    assert all(scattering_check(j, p) for j in range(1, 5))
+
+    def wrong_sign(v):
+        return StateVector(v.n, {
+            key[-1:] + key[:-1]: -x if key[-1] == ZERO else x
+            for key, x in v.entries.items()})
+
+    monkeypatch.setattr(aba, "s_prime_apply", wrong_sign)
+    assert not any(scattering_check(j, p) for j in range(1, 5))
+
+
+@pytest.mark.parametrize("j", [1, 2, 3, 4])
+def test_scattering_check_sees_one_gate_at_the_inverse_argument(
+        j, monkeypatch):
+    """The first gate of S_j taken at 1/u, e.g. Rhat_{j,j+1}(w_{j+1}/w_j)
+    for Rhat_{j,j+1}(w_j/w_{j+1})."""
+    p = scattering_params()
+    assert scattering_check(j, p)
+    gate, calls = aba.rhat22_apply, []
+
+    def first_inverted(u, params, v, i, k):
+        calls.append(u)
+        return gate(1 / u if len(calls) == 1 else u, params, v, i, k)
+
+    monkeypatch.setattr(aba, "rhat22_apply", first_inverted)
+    assert not scattering_check(j, p)
+    assert len(calls) == 3
+
+
+def test_a_corrupted_t2_weight_fails_the_transfer2_eigenvalue_check(
+        monkeypatch):
+    """One nineteen-vertex weight off by one in the sweep's tables: the
+    gate route of the scattering checks does not read those tables, so
+    `aba.transfer2_eigenvalue` is the check that must catch it."""
+    table_of = ModelParams.r22_table
+
+    def corrupted(self, u):
+        table, den = table_of(self, u)
+        table = dict(table)
+        (ao, so, x), *rest = table[(UP, ZERO)]
+        table[(UP, ZERO)] = [(ao, so, x + den), *rest]
+        return table, den
+
+    def verdicts():
+        params, rng = cli.resolve_params(cli.build_parser().parse_args(
+            ["verify", "--suite", "aba", "--n", "4", "--seed", "3"]))
+        return {r["check"]: r["pass"]
+                for r in cli.run_suite("aba", params, rng)}
+
+    assert all(verdicts().values())
+    monkeypatch.setattr(ModelParams, "r22_table", corrupted)
+    got = verdicts()
+    assert got.pop("aba.transfer2_eigenvalue") is False
+    assert all(got.values())
 
 
 def test_spin_reversal_symmetry():

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from math import isqrt
 
 import pytest
@@ -44,6 +45,10 @@ def random_four_part(rng, d=D):
         return RAT(rng.randint(-9, 9), rng.randint(1, 9))
 
     return FourPart(r(), r(), r(), r(), d=d)
+
+
+def test_the_one_rational_type_is_fraction():
+    assert RAT is Fraction
 
 
 # ---------------------------------------------------------------------

@@ -19,7 +19,9 @@ is also run here on those FourPart tables themselves, and
 `beta_apply` runs it on polynomials in x packed into Python ints, in the
 gauge K = diag(1, y) of `spinchain`: its image is checked against the
 per-key contraction of the ungauged rho on HalfPowerPoly entries,
-divided by y once for each sweep.
+divided by y once for each sweep.  Last, the T2 sweep at z = w_j is
+compared with the two-site gates of `aba.scattering_apply` (the
+regularity lemma), the one route of the scattering check.
 """
 
 import random
@@ -41,6 +43,7 @@ from bethelab.aba import (
     bethe_vector,
     magnetisation,
     monodromy_apply,
+    scattering_apply,
     sweep,
     transfer2_apply,
     vacuum,
@@ -352,6 +355,36 @@ def test_transfer2_matches_per_key_oracle(n):
         vecs.append(bethe_vector(p))
         for v in vecs:
             assert transfer2_apply(z, p, v) == oracle_transfer2(z, p, v)
+
+
+def every_sector_vector(rng, params, per_sector=3):
+    """A seeded sparse vector with keys of every magnetisation -N..N, its
+    rational values times one of the units 1, s, i, s i."""
+    n, entries = params.n, {}
+    for m in range(-n, n + 1):
+        for _ in range(per_sector):
+            ups = rng.randint(max(m, 0), (n + m) // 2)  # m = ups - downs
+            key = [0] * ups + [2] * (ups - m) + [1] * (n - 2 * ups + m)
+            rng.shuffle(key)
+            entries[tuple(key)] = RAT(rng.choice((-1, 1)) * rng.randint(1, 99),
+                                      rng.randint(1, 99))
+    unit = rng.choice((1, params.s, params.i, params.s * params.i))
+    return model_vector(StateVector(n, entries), params).scale(unit)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5], ids=at_pi)
+def test_transfer2_at_w_j_is_the_gate_product(n):
+    """Regularity lemma (`aba` docstring): the T2 sweep at z = w_j equals
+    [q][q^2] times the gate product S_j of `scattering_apply`, on vectors
+    that are not eigenvectors and span every magnetisation sector."""
+    rng = random.Random(800 + n)
+    for _ in range(3):
+        p = model(rng, n)
+        v = every_sector_vector(rng, p)
+        assert {magnetisation(k) for k in v.entries} == set(range(-n, n + 1))
+        for j in range(1, n + 1):
+            assert transfer2_apply(p.w[j - 1], p, v) == \
+                scattering_apply(j, p, v).scale(p.d)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
