@@ -551,6 +551,7 @@ def rhat22_table(u, params: ModelParams):
 
 def rhat22_apply(u, params, v: ModelVector, i: int, j: int) -> ModelVector:
     """P R(u) on site positions i, j of v (0-based, i the left factor)."""
+    _check_model(v, params.n, params.d)
     table, den = rhat22_table(u, params)
     return v.map(lambda part: apply_two_site(table, part, i, j), den)
 

@@ -34,18 +34,17 @@ packing of integer polynomials into one int at 2^bits (`pack`, `unpack`),
 the substitution v -> v^k on coefficient lists (`spread`), Gauss-Jordan row
 reduction (`row_reduce`), Laurent polynomials (centred ones for the model,
 and the ASM polynomial A_n(t) from degree 0), and exact Laurent
-interpolation on ints from samples at rational points (one int dot product
-a coefficient), which the tests' Laurent oracle uses to read whole degree
-windows without a symbolic algebra system.  A single leading coefficient
-needs no interpolation: `brk_leading` is a bracket's leading monomial.
+interpolation from samples at rational points: one exact solve
+(`solve_exact`) per call, which only the tests' Laurent oracle makes, to
+read whole degree windows without a symbolic algebra system.  A single
+leading coefficient needs no interpolation: `brk_leading` is a bracket's
+leading monomial.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction as RAT
 from functools import cache
-from math import lcm
-from operator import mul
 
 RAT_ZERO = RAT(0)
 
@@ -104,9 +103,9 @@ class Scalar:
     __slots__ = ("r", "g", "d")
 
     def __init__(self, r, g: int, d):
-        _set_r(self, r)
-        _set_g(self, g if r else 0)
-        _set_d(self, d)
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "g", g if r else 0)
+        object.__setattr__(self, "d", d)
 
     def __setattr__(self, *_):
         raise AttributeError("Scalar is immutable")
@@ -123,7 +122,7 @@ class Scalar:
 
     def __mul__(self, other):
         if type(other) is Scalar:
-            if self.d is not other.d and self.d != other.d:
+            if self.d != other.d:
                 raise SessionMismatch(
                     f"session constants differ: {self.d} vs {other.d}")
         elif isinstance(other, (int, RAT)):
@@ -179,9 +178,6 @@ class Scalar:
     def to_json_dict(self) -> dict:
         return {**dict(zip("abce", map(rat_str, self.parts()))),
                 "d": rat_str(self.d)}
-
-
-_set_r, _set_g, _set_d = Scalar.r.__set__, Scalar.g.__set__, Scalar.d.__set__
 
 
 def pack(coeffs, bits: int) -> int:
@@ -461,48 +457,26 @@ def laurent_interpolate(samples, low_degree: int, width: int) -> LaurentPoly:
                                     low_degree, width)[0]
 
 
-@cache
-def _inverse_vandermonde(points: tuple, low_degree: int):
-    """(inverse, vden): the inverse of the Vandermonde matrix
-    [p^(low_degree + k)] of the points, cleared to int rows over one
-    denominator; one solve per point set and low degree, kept for the
-    life of the process (tuples, so no caller can alter the shared rows)."""
-    m = len(points)
-    cols = solve_exact([[p ** (low_degree + k) for k in range(m)]
-                        for p in points], [[int(r == c) for r in range(m)]
-                                           for c in range(m)])
-    vden = lcm(*(x.denominator for col in cols for x in col))
-    return tuple(tuple(col[k].numerator * (vden // col[k].denominator)
-                       for col in cols) for k in range(m)), vden
-
-
 def laurent_interpolate_many(points, value_rows, low_degree: int,
-                             width: int, den: int = 1):
-    """Interpolate many sequences sampled at the same rational points, each
-    row holding its values over den (ints, or rationals), into LaurentPolys.
+                             width: int):
+    """Interpolate many rows of rational values, sampled at the same
+    rational points, into LaurentPolys.
 
     The P points fix a Laurent polynomial on [low_degree, low_degree + P -
-    1]; the inverse Vandermonde matrix, cleared to ints over one
-    denominator and memoised per point set, makes each coefficient one int
-    dot product with a row.  Coefficients above low_degree + width must
-    vanish, else the assumed support is wrong and InconsistentSamples is
-    raised.
+    1]: one `solve_exact` of the square Vandermonde system [p^(low_degree +
+    k)] takes every row at once, and repeated points make it singular
+    (SingularSystem).  Coefficients above low_degree + width must vanish,
+    else the assumed support is wrong and InconsistentSamples is raised.
     """
     m = len(points)
     if m < width + 1:
         raise ValueError(f"need at least {width + 1} samples, got {m}")
-    points = tuple(as_rat(p) for p in points)
+    points = [as_rat(p) for p in points]
     if not all(points):
         raise SingularSystem("sample point zero is not allowed")
-    if len(set(points)) != m:
-        raise SingularSystem("sample points must be pairwise distinct")
-    inverse, vden = _inverse_vandermonde(points, low_degree)
-    polys = []
-    for row in value_rows:
-        coeffs = [sum(map(mul, vk, row)) for vk in inverse]
-        if any(coeffs[width + 1:]):
-            raise InconsistentSamples(
-                "surplus sample disagrees; assumed support is wrong")
-        polys.append(LaurentPoly(low_degree, [RAT(c, vden * den)
-                                              for c in coeffs]))
-    return polys
+    cols = solve_exact([[p ** (low_degree + k) for k in range(m)]
+                        for p in points], value_rows)
+    if any(c for col in cols for c in col[width + 1:]):
+        raise InconsistentSamples(
+            "surplus sample disagrees; assumed support is wrong")
+    return [LaurentPoly(low_degree, col) for col in cols]

@@ -1,17 +1,23 @@
 """Shared test utilities: the seeded admissible-parameter draws are the
 canonical ones from the CLI module; the rest are small readers of package
-objects and the rational form of the twisted Hamiltonian, which only tests
-use."""
+objects, the rational form of the twisted Hamiltonian and the rank proof
+that theta2(z) is a simple eigenvalue of T2(z), which only tests use."""
 
+from itertools import product
 from math import lcm
+from operator import mul
 
 from scalar_oracle import laurent_components, model
 
+from bethelab import aba
 from bethelab.aba import (
     OMEGA,
     ModelParams,
     ModelVector,
     StateVector,
+    basis_vector,
+    magnetisation,
+    theta2,
     transfer2_apply,
 )
 from bethelab.cli import draw_distinct, draw_q, draw_w, draw_z  # noqa: F401
@@ -112,3 +118,75 @@ def log_derivative_hamiltonian_apply(v: StateVector, q) -> StateVector:
     dv = s_prime_inverse_apply(StateVector(n, deriv))
     bq, bq2 = brk(q), brk(q * q)
     return v.scale(n) + dv.scale(bq2 / (2 * (bq * bq2) ** n))
+
+
+PROOF_PRIMES = (2 ** 61 - 1, 2 ** 31 - 1)
+
+
+def rank_mod(rows, p: int) -> int:
+    """The rank of a matrix of ints in [0, p) modulo the prime p."""
+    rows, rank = [list(row) for row in rows], 0
+    for col in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = pow(rows[rank][col], -1, p)
+        top = rows[rank] = [x * inv % p for x in rows[rank]]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][col]
+            if f:
+                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], top)]
+        rank += 1
+    return rank
+
+
+def eigenvalue_kernel_dimensions(params: ModelParams, z) -> tuple:
+    """Upper bounds on (dim ker M, dim ker M^2) for M = T2(z) - theta2(z),
+    summed over the magnetisation sectors, which T2 preserves.
+
+    Column k of a sector's block is T2(z) e_k - theta2(z) e_k, built by
+    `aba.transfer2_apply` on the basis vector and cleared to ints over its
+    own denominator.  Modulo a prime p that divides no denominator, M and
+    M^2 have entries in Z localised at p, so their ranks mod p are at most
+    their ranks over Q and each kernel dimension mod p bounds the one over
+    Q from above.  psi lies in ker M, so (1, 1) proves theta2(z) a simple
+    eigenvalue: geometric and algebraic multiplicity 1.  A kernel above 1
+    can come from p alone, so a second prime is tried before giving up;
+    the bounds returned are the smallest found."""
+    theta = theta2(z, params)
+    sectors = {}
+    for key in product(range(3), repeat=params.n):
+        sectors.setdefault(magnetisation(key), []).append(key)
+    blocks = []  # per sector: its columns of ints and their denominators
+    for keys in sectors.values():
+        cols, dens, members = [], [], set(keys)
+        for k, key in enumerate(keys):
+            # through the module, so that a test can plant a degeneracy
+            image = aba.transfer2_apply(z, params, basis_vector(params, key))
+            ints = image.rational().entries
+            assert set(ints) <= members, "T2 left the sector"
+            # (ints b - a den e_k) / (den b) for theta2(z) = a / b
+            col = [ints.get(x, 0) * theta.denominator for x in keys]
+            col[k] -= theta.numerator * image.den
+            cols.append(col)
+            dens.append(image.den * theta.denominator)
+        blocks.append((cols, dens))
+    best = None
+    for p in PROOF_PRIMES:
+        if any(den % p == 0 for _, dens in blocks for den in dens):
+            continue
+        dims = [0, 0]
+        for cols, dens in blocks:
+            cols = [[x * pow(den, -1, p) % p for x in col]
+                    for col, den in zip(cols, dens)]
+            kernel = len(cols) - rank_mod(cols, p)
+            if kernel:  # else the block and so its square are invertible
+                square = [[sum(map(mul, row, col)) % p for col in cols]
+                          for row in zip(*cols)]
+                dims[0] += kernel
+                dims[1] += len(cols) - rank_mod(square, p)
+        best = tuple(dims) if best is None else tuple(map(min, best, dims))
+        if best == (1, 1):
+            break
+    return best

@@ -9,7 +9,6 @@ check the window [-(N-1), N-1] and the parity.
 """
 
 from itertools import count as naturals, islice
-from math import lcm
 
 from bethelab import aba
 from bethelab.aba import ZERO, ModelParams
@@ -44,20 +43,17 @@ def vector_laurent_coefficients(params: ModelParams, j: int):
         pts = admissible_points(params, j, n + SURPLUS_SAMPLES)
         vecs = [aba.renormalised_vector(params.with_w(
             params.w[:j - 1] + (t,) + params.w[j:])) for t in pts]
-        den = lcm(*(v.den for v in vecs))
-        nums = [(v.rational().entries, den // v.den) for v in vecs]
-        keys = sorted(set().union(*(ints for ints, _ in nums)))
+        vals = [{k: RAT(x, v.den) for k, x in v.rational().entries.items()}
+                for v in vecs]
+        keys = sorted(set().union(*vals))
         squares = [t * t for t in pts]
         polys = {}
         for at_zero, lo, size in ((True, 1 - n, n), (False, 2 - n, n - 1)):
-            lifts = [t ** -lo * f for t, (_, f) in zip(pts, nums)]
-            # ints: lo <= 0 in every class but the keyless sigma_j != 0 at N = 1
-            lifts = [c.numerator if c.denominator == 1 else c for c in lifts]
             group = [k for k in keys if (k[j - 1] == ZERO) == at_zero]
-            rows = [[ints.get(k, 0) * c for (ints, _), c in zip(nums, lifts)]
+            rows = [[val.get(k, 0) * t ** -lo for t, val in zip(pts, vals)]
                     for k in group]
             for k, poly in zip(group, laurent_interpolate_many(
-                    squares, rows, 0, size - 1, den)):
+                    squares, rows, 0, size - 1)):
                 polys[k] = LaurentPoly(lo + 2 * poly.low,
                                        spread(poly.coeffs, 2))
         return {k: polys[k] for k in keys}

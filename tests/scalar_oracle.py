@@ -15,8 +15,8 @@ The rest is the model's vector algebra on FourPart entries (or rationals),
 as the package computed it on Scalars before its vectors moved to ints,
 the reference the int vectors of `aba` (ModelVector) are tested against
 for small N: the split of a single-grade vector over one common
-denominator, rescaling and exact Laurent interpolation by a generic linear
-solve, whose surplus samples are checked by evaluating the interpolant.
+denominator and rescaling.  `laurent_components` reads sampled vectors'
+components as Laurent polynomials through `field.laurent_interpolate_many`.
 """
 
 from math import lcm
@@ -25,14 +25,12 @@ from bethelab.aba import ModelVector, StateVector
 from bethelab.field import (
     RAT,
     RAT_ZERO,
-    InconsistentSamples,
     LaurentPoly,
     PoleEncountered,
     Scalar,
     SessionMismatch,
-    SingularSystem,
     as_rat,
-    solve_exact,
+    laurent_interpolate_many,
 )
 
 
@@ -265,31 +263,6 @@ def evaluate(poly: LaurentPoly, z):
     for c in reversed(poly.coeffs):
         acc = acc * z + c
     return acc * z ** poly.low
-
-
-def laurent_interpolate_many(points, value_rows, low_degree: int,
-                             width: int):
-    """Points and rows of values in one field (rationals or FourParts):
-    the first width + 1 samples fix each LaurentPoly by a generic solve,
-    the rest must agree with it."""
-    m = width + 1
-    if len(points) < m:
-        raise ValueError(f"need at least {m} samples, got {len(points)}")
-    if not all(points):
-        raise SingularSystem("sample point zero is not allowed")
-    if len(set(points)) != len(points):
-        raise SingularSystem("sample points must be pairwise distinct")
-    matrix = [[p ** (low_degree + k) for k in range(m)] for p in points[:m]]
-    sols = solve_exact(matrix, [list(row[:m]) for row in value_rows])
-    polys = []
-    for sol, row in zip(sols, value_rows):
-        poly = LaurentPoly(low_degree, sol)
-        for p, v in zip(points[m:], row[m:]):
-            if evaluate(poly, p) != v:
-                raise InconsistentSamples(
-                    "surplus sample disagrees; assumed support is wrong")
-        polys.append(poly)
-    return polys
 
 
 def laurent_components(sample, pts, low: int, width: int) -> dict:

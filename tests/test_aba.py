@@ -7,6 +7,7 @@ from helpers import (
     draw_q,
     draw_w,
     draw_z,
+    eigenvalue_kernel_dimensions,
     model_sum,
     state_from_str,
 )
@@ -293,6 +294,25 @@ def test_transfer_eigen_relations():
             assert transfer1_apply(z, p, psi).is_zero()
 
 
+def test_a_planted_second_eigenvector_fails_the_simplicity_proof(
+        monkeypatch):
+    """T2 patched to map |all-up>, alone in its magnetisation sector, to
+    theta2(z)|all-up>: a second eigenvector beside psi, which the kernel
+    dimensions of T2(z) - theta2(z) must count."""
+    rng = random.Random(921)
+    q = draw_q(rng)
+    p = ModelParams(3, q, draw_w(rng, 3, q))
+    z = p.sc(draw_z(rng))
+    assert eigenvalue_kernel_dimensions(p, z) == (1, 1)
+    up, t2 = vacuum(p), aba.transfer2_apply
+
+    def planted(z, params, v):
+        return v.scale(theta2(z, params)) if v == up else t2(z, params, v)
+
+    monkeypatch.setattr(aba, "transfer2_apply", planted)
+    assert eigenvalue_kernel_dimensions(p, z) == (2, 2)
+
+
 def test_fusion_identity_on_random_vectors():
     rng = random.Random(13)
     for n in (1, 2, 3):
@@ -449,7 +469,6 @@ def test_asymptotic_directions_build_only_the_reduced_vector(monkeypatch):
 
     monkeypatch.setattr(aba, "renormalised_vector", counting)
     monkeypatch.setattr(field, "solve_exact", counting_solve)
-    field._inverse_vandermonde.cache_clear()
     rng = random.Random(2025)
     q = draw_q(rng)
     p = ModelParams(3, q, draw_w(rng, 3, q))

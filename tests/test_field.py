@@ -17,6 +17,7 @@ from bethelab.field import (
     SingularSystem,
     brk,
     laurent_interpolate,
+    laurent_interpolate_many,
     pack,
     rat_str,
     row_reduce,
@@ -374,6 +375,31 @@ def test_interpolate_roundtrip_random():
             k += 1
         samples = [(z, evaluate(p, z)) for z in pts]
         assert laurent_interpolate(samples, low, width) == p
+
+
+def test_interpolate_many_roundtrip_random():
+    """Three rows at once, at points of both signs, with surplus samples."""
+    rng = random.Random(750)
+    for _ in range(10):
+        low, width = rng.randint(-4, 0), rng.randint(0, 6)
+        points = [RAT(t) for t in rng.sample(
+            [t for t in range(-12, 13) if t], width + 3)]
+        polys = [LaurentPoly(low, [RAT(rng.randint(-9, 9), rng.randint(1, 9))
+                                   for _ in range(width + 1)])
+                 for _ in range(3)]
+        values = [[evaluate(poly, t) for t in points] for poly in polys]
+        assert laurent_interpolate_many(points, values, low, width) == polys
+
+
+def test_interpolate_many_support_too_small_raises():
+    """z - 1/z + z^2 sampled at five points cannot live on [-1, 1]."""
+    points = [RAT(t) for t in (1, 2, 3, 5, 7)]
+    values = [t - 1 / t + t * t for t in points]
+    with pytest.raises(InconsistentSamples):
+        laurent_interpolate_many(points, [values], -1, 2)
+    # the whole support [-1, 2] is found from the same samples
+    poly = laurent_interpolate_many(points, [values], -1, 3)[0]
+    assert poly == LaurentPoly(-1, [-1, 0, 1, 1])
 
 
 def test_interpolate_repeated_points_raise():

@@ -49,6 +49,7 @@ from bethelab.aba import (
     vacuum,
 )
 from bethelab.field import RAT, HalfPowerPoly, SessionMismatch
+from bethelab.linalg import DimensionMismatch
 from bethelab.spinchain import _RHO, _packed_rho, beta_apply
 
 RHO = halfpower_oracle.rho_table()  # rho in y = x^(1/2), without the gauge
@@ -302,6 +303,29 @@ def test_vector_from_another_session_is_rejected():
         monodromy_apply("B", p.sc(RAT(5, 3)), p, v)
     with pytest.raises(SessionMismatch):
         transfer2_apply(p.sc(RAT(5, 3)), p, v)
+
+
+def test_gate_route_rejects_a_vector_from_another_session():
+    """The two-site gates check their vector as the sweeps do, so the
+    scattering product does not return a vector carrying another q's d."""
+    p = ModelParams(2, RAT(2), [RAT(1), RAT(3)])
+    other = ModelParams(2, RAT(3), [RAT(1), RAT(3)])
+    psi = bethe_vector(other)
+    with pytest.raises(SessionMismatch):
+        scattering_apply(1, p, psi)
+    with pytest.raises(SessionMismatch):
+        transfer2_apply(p.w[0], p, psi)
+
+
+def test_gate_route_rejects_a_vector_of_another_length():
+    """A 2-site vector on a 3-site model: DimensionMismatch on both routes
+    to T2(w_j), not an IndexError from inside the gate."""
+    p = ModelParams(3, RAT(2), [RAT(1), RAT(3), RAT(5)])
+    psi = bethe_vector(ModelParams(2, RAT(2), [RAT(1), RAT(3)]))
+    with pytest.raises(DimensionMismatch):
+        scattering_apply(1, p, psi)
+    with pytest.raises(DimensionMismatch):
+        transfer2_apply(p.w[0], p, psi)
 
 
 def test_cancelling_vector_really_cancels():
