@@ -7,9 +7,17 @@ chain,
 
 a 2x2 matrix in the auxiliary spin-1/2 space with operator entries A, B,
 C, D.  Operators are never materialised as 3^N x 3^N matrices: one
-kernel, `sweep`, applies a row of R-matrices to a whole sparse vector.
-The monodromy entries, the T2 trace and the singlet's beta operator in
-`spinchain` differ only in their tables and auxiliary boundary indices.
+kernel, `sweeps`, applies rows of R-matrices to a whole sparse vector,
+site by site, merging equal partial states after each site.  Keys are
+coded as ints once per operator product (a chain of rows, each traced
+over signed auxiliary bounds) and decoded once on exit; zeros are dropped
+at the end of each row; and the last site of a row emits only the
+transitions whose auxiliary index leaves as the bound's a_out: with
+column key c = aux | spin << 2 and the site part of the code change
+delta a multiple of 4, (c + delta) & 3 is the outgoing index.  The
+monodromy entries, the T1 and T2 traces and the singlet's beta operator
+in `spinchain` (through `sweep`, one row and one bound) differ only in
+their tables and auxiliary bounds.
 
 ModelParams is the one parameter object: N, a rational q and w, with
 the ring Q(s, i) of d = [q][q^2] (`field.session_constant`, which checks
@@ -371,58 +379,71 @@ def _compiled(tables) -> list:
 
 
 def sweep(tables, v: StateVector, a_in: int, a_out: int) -> dict:
-    """Contract a row of R-matrices against every state of v at once.
-
-    Starts from {(a_in, key): amp}; for j = 1..N applies the transition
-    table tables[j-1] {(aux, site): [(aux', site', weight), ...]} to site
-    j of every partial state, merging equal (aux, key) entries and
-    dropping zeros after each site.  Returns {key: amp} over the entries
-    whose auxiliary index leaves as a_out.  A partial state is coded as
-    one int, aux in bits 0-1 and the spin of site j in bits 2j, 2j+1, so
-    a transition adds an int (`_compiled`); keys are decoded on exit.
-    """
-    return _compiled_sweep(_compiled(tables), v, a_in, a_out)
+    """Contract a row of R-matrices against every state of v at once:
+    {key: amp}, the nonzero amplitudes of the states whose auxiliary index
+    enters as a_in and leaves as a_out.  Table tables[j-1] {(aux, site):
+    [(aux', site', weight), ...]} acts on site j of every partial state.
+    The row runs as one `sweeps` row with the one bound (a_in, a_out, 1):
+    keys coded once, equal partial states merged after each site, zeros
+    dropped at the row's end, and only transitions to a_out emitted at
+    the last site.  A code outside 0..3 raises ValueError."""
+    return sweeps([_compiled(tables)], v, [(a_in, a_out, 1)]).entries
 
 
-def _compiled_sweep(row, v: StateVector, a_in: int, a_out: int) -> dict:
-    """`sweep` on a row compiled by `_compiled`."""
-    if not 0 <= a_in | a_out < 4:
-        raise ValueError(f"auxiliary codes {a_in}, {a_out} not in 0..3")
-    cur = {sum(s << 2 * j for j, s in enumerate(key)) << 2 | a_in: amp
+def sweeps(rows, v: StateVector, bounds) -> StateVector:
+    """Apply compiled rows (`_compiled`) to v in turn, replacing v at each
+    row by the sum of sign times the row's image with the auxiliary index
+    entering as a_in and leaving as a_out, over the (a_in, a_out, sign) of
+    bounds.  A partial state is one int, aux in bits 0-1 and the spin of
+    site j in bits 2j, 2j+1, so a transition adds an int: v's keys are
+    coded once on entry and decoded once on exit, and between rows the
+    auxiliary bits are cleared.  Equal partial states merge after each
+    site; zeros are dropped at the end of each row.  An auxiliary code
+    outside 0..3 raises ValueError."""
+    if not all(0 <= a_in | a_out < 4 for a_in, a_out, _ in bounds):
+        raise ValueError(f"auxiliary codes not in 0..3: {bounds!r}")
+    cur = {sum(s << 2 * j for j, s in enumerate(key)) << 2: amp
            for key, amp in v.entries.items()}
+    for row in rows:
+        out = {}
+        for a_in, a_out, sign in bounds:
+            _sweep_row(row, cur, a_in, a_out, sign, out)
+        cur = {code: x for code, x in out.items() if x}
+    shifts = range(2, 2 * v.n + 2, 2)
+    return StateVector(v.n, {tuple(code >> s & 3 for s in shifts): x
+                             for code, x in cur.items()})
+
+
+def _sweep_row(row, cur: dict, a_in: int, a_out: int, sign: int, out: dict):
+    """Add sign times the image of cur {code: amp} under one compiled row,
+    entering as a_in and leaving as a_out, into out; codes in and out have
+    their aux bits clear.  The first site's deltas add a_in, and the last
+    site emits only the transitions that leave as a_out: its column key c
+    is aux | spin << 2 and the site part of a delta is a multiple of 4, so
+    (c + delta) & 3 is the outgoing aux, which delta - a_out clears."""
+    row = [{c ^ a_in: [(delta + a_in, wgt) for delta, wgt in col]
+            for c, col in row[0].items() if c & 3 == a_in}, *row[1:]]
+    row[-1] = {c: [(delta - a_out, sign * wgt) for delta, wgt in col
+                   if (c + delta) & 3 == a_out] for c, col in row[-1].items()}
     for j, cols in enumerate(row):
-        shift = 2 * j
-        nxt = {}
+        shift, nxt = 2 * j, out if j == len(row) - 1 else {}
         for code, val in cur.items():
             for delta, wgt in cols[code >> shift & 12 | code & 3]:
                 nk = code + delta
                 nv = val * wgt
                 acc = nxt.get(nk)
                 nxt[nk] = nv if acc is None else acc + nv
-        cur = {k: x for k, x in nxt.items() if x}
-    shifts = range(2, 2 * v.n + 2, 2)
-    return {tuple(code >> s & 3 for s in shifts): val
-            for code, val in cur.items() if code & 3 == a_out}
+        cur = nxt
 
 
 def _signed_sweeps(rows, v: ModelVector, params: ModelParams, bounds):
-    """For each row of (table, D) pairs in turn, compiled once, replace v
-    by the sum of sign * sweep(v, a_in, a_out) over the (a_in, a_out,
-    sign) in bounds.  The tables are rational, so v's ints go through
-    every row and v's denominator gains the product of every D."""
+    """`sweeps` of rows of (table, D) pairs, compiled once, over v's ints:
+    the tables are rational, so v's denominator gains the product of
+    every D."""
     _check_model(v, params.n, params.d)
     compiled = [_compiled([t for t, _ in tables]) for tables in rows]
-
-    def run(part: StateVector) -> StateVector:
-        for row in compiled:
-            cur = {}
-            for a_in, a_out, sign in bounds:
-                for key, x in _compiled_sweep(row, part, a_in, a_out).items():
-                    cur[key] = cur.get(key, 0) + sign * x
-            part = StateVector(part.n, cur)
-        return part
-
-    return v.map(run, prod(d_j for tables in rows for _, d_j in tables))
+    return v.map(lambda part: sweeps(compiled, part, bounds),
+                 prod(d_j for tables in rows for _, d_j in tables))
 
 
 def _monodromy_rows(z, params: ModelParams) -> list:
@@ -685,6 +706,7 @@ def scattering_apply(j: int, params: ModelParams,
     """S_j v = Rhat_{j-1,j}(w_j/w_{j-1}) ... Rhat_{1,2}(w_j/w_1) S'
     Rhat_{N-1,N}(w_j/w_N) ... Rhat_{j,j+1}(w_j/w_{j+1}) v, by two-site
     gates; [q][q^2] S_j is T2(w_j) (regularity lemma, module docstring)."""
+    _check_model(v, params.n, params.d)
     wj = params.w[j - 1]
     for k in range(j, params.n):  # Rhat_{k,k+1}(w_j / w_{k+1}), ascending k
         v = rhat22_apply(wj / params.w[k], params, v, k - 1, k)

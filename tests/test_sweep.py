@@ -4,9 +4,13 @@ The oracle is the per-key contraction the sweep replaced: each basis
 state is carried through the chain on its own, with its own auxiliary
 index, and only the finished states are summed, all on FourParts (values
 of Q(s, i) with four rational parts) with FourPart transition tables.
-The sweep instead advances every state one site at a time and merges
-equal partial states after each site, so vectors are chosen whose partial
-states merge and cancel.  `monodromy_apply` and `transfer2_apply` run the
+The sweep instead advances every state one site at a time, merges
+equal partial states after each site and drops zeros only at the end of
+a row, so vectors are chosen whose partial states merge and cancel
+within a row.  `sweeps` runs several rows, each traced over signed
+auxiliary bounds, on one int coding; it is compared with the per-key
+contraction composed row after row, on ints and on HalfPowerPoly
+values.  `monodromy_apply` and `transfer2_apply` run the
 sweep on plain ints: on tables gauged by K = diag(1, s) on the auxiliary
 factor, on the ints of a vector of one grade (the unit 1, s, i or s i),
 with B and C restored by s^k and s^-k.  The random vectors carry all four
@@ -244,6 +248,70 @@ def test_int_coded_sweep_on_halfpower_entries():
             per_key_sweep(tables, v, a_in, a_out)
 
 
+T1_BOUNDS = [(0, 0, 1), (1, 1, -1)]  # tr_a of A - D
+T2_BOUNDS = [(a0, a0, sign) for a0, sign in enumerate((-1, 1, -1))]
+
+
+def per_key_rows(rows, v, bounds):
+    """Reference for `sweeps`: each row in turn, v replaced by the sum of
+    sign times the per-key contraction over the bounds."""
+    for tables in rows:
+        out = StateVector(v.n)
+        for a_in, a_out, sign in bounds:
+            part = StateVector(v.n, per_key_sweep(tables, v, a_in, a_out))
+            out = out + part.scale(sign)
+        v = out
+    return v
+
+
+def poly_table(table):
+    """An int transition table's pattern with small constant HalfPowerPoly
+    weights, w -> w mod 5 - 2 or 3: the kernel is ring-generic, so the
+    weights need not be the model's, and small ones keep the oracle
+    quick."""
+    return {key: [(lo, ro, HalfPowerPoly.const(w % 5 - 2 or 3))
+                  for lo, ro, w in col]
+            for key, col in table.items()}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("ring", ["int", "halfpower"])
+def test_multi_row_sweeps_match_composed_per_key_sweeps(n, ring):
+    """`sweeps` over 2 and 3 rows with T1's and T2's signed bounds equals
+    the per-key contraction applied row after row, on int entries over int
+    tables and on HalfPowerPoly entries over polynomial tables; an input
+    whose two keys cancel after site 2 of the first row checks that the
+    zeros the sweep keeps within a row never reach its output."""
+    rng = random.Random(900 + n)
+    p = model(rng, n)
+    zs = [RAT(rng.randint(1, 97), rng.randint(1, 97)) for _ in range(3)]
+    rows = {2: [[p.r12_table(z / (p.q * w))[0] for w in p.w] for z in zs],
+            3: [[p.r22_table(z / w)[0] for w in p.w] for z in zs]}
+    few = ring != "int"  # HalfPowerPoly products are slow: fewer vectors
+    if few:
+        rows = {dim: [[poly_table(t) for t in r] for r in rs]
+                for dim, rs in rows.items()}
+        rows[2][0] = [RHO] * n
+
+    def value():
+        if few:
+            return HalfPowerPoly([rng.randint(-5, 5) for _ in range(3)])
+        return rng.choice((-1, 1)) * rng.randint(1, 99)
+
+    for dim, bounds in ((2, T1_BOUNDS), (3, T2_BOUNDS)):
+        vecs = [StateVector(n, {k: value() for k in random_keys(rng, n, c)})
+                for c in ((3,) if few else (3, 9))]
+        if n >= 2:
+            vecs += [cancelling_vector(rng, rows[dim][0], n, a_in)
+                     for a_in in ((1,) if few else range(dim))]
+        for count in (2, 3):
+            compiled = [aba._compiled(t) for t in rows[dim][:count]]
+            for v in vecs:
+                got = aba.sweeps(compiled, v, bounds)
+                assert got == per_key_rows(rows[dim][:count], v, bounds)
+                assert all(got.entries.values())
+
+
 @pytest.mark.parametrize("column, transitions", [
     ((4, 0), []), ((0, 4), [(0, 0, 1)]), ((0, 0), [(4, 0, 1)]),
     ((0, 0), [(0, 5, 1)]), ((-1, 0), [(0, 0, 1)]), ((0, 0), [(0, -1, 1)])])
@@ -328,9 +396,32 @@ def test_gate_route_rejects_a_vector_of_another_length():
         transfer2_apply(p.w[0], p, psi)
 
 
+def test_gate_route_rejects_a_vector_from_another_session_at_one_site():
+    """At N = 1 the scattering product is S' alone, with no gate, so its
+    own guard must reject a vector carrying another q's d."""
+    p = ModelParams(1, RAT(2), [RAT(3)])
+    v = basis_vector(ModelParams(1, RAT(3), [RAT(3)]), (0,))
+    with pytest.raises(SessionMismatch):
+        scattering_apply(1, p, v)
+    with pytest.raises(SessionMismatch):
+        transfer2_apply(p.w[0], p, v)
+
+
+def test_gate_route_rejects_a_vector_of_another_length_at_one_site():
+    """A 2-site vector on a 1-site model: DimensionMismatch on both routes
+    to T2(w_1), not a 2-site vector back from S'."""
+    p = ModelParams(1, RAT(2), [RAT(3)])
+    v = basis_vector(ModelParams(2, RAT(2), [RAT(1), RAT(3)]), (0, 2))
+    with pytest.raises(DimensionMismatch):
+        scattering_apply(1, p, v)
+    with pytest.raises(DimensionMismatch):
+        transfer2_apply(p.w[0], p, v)
+
+
 def test_cancelling_vector_really_cancels():
     """The constructed pair loses a partial state to cancellation after
-    site 2, so the merge-and-drop step of the sweep is exercised."""
+    site 2, so the sweep carries a zero within the row, which it must
+    drop by the row's end."""
     rng = random.Random(7)
     p = model(rng, 3)
     z = p.sc(RAT(5, 3))
