@@ -16,8 +16,10 @@ transitions whose auxiliary index leaves as the bound's a_out: with
 column key c = aux | spin << 2 and the site part of the code change
 delta a multiple of 4, (c + delta) & 3 is the outgoing index.  The
 monodromy entries, the T1 and T2 traces and the singlet's beta operator
-in `spinchain` (through `sweep`, one row and one bound) differ only in
-their tables and auxiliary bounds.
+in `spinchain` (one row and one bound) differ only in their tables and
+auxiliary bounds.  `sweeps` takes the tables as they are, plain
+transition tables {(aux, site): [(aux', site', weight), ...]}, and
+compiles each row itself.
 
 ModelParams is the one parameter object: N, a rational q and w, with
 the ring Q(s, i) of d = [q][q^2] (`field.session_constant`, which checks
@@ -378,34 +380,24 @@ def _compiled(tables) -> list:
     return row
 
 
-def sweep(tables, v: StateVector, a_in: int, a_out: int) -> dict:
-    """Contract a row of R-matrices against every state of v at once:
-    {key: amp}, the nonzero amplitudes of the states whose auxiliary index
-    enters as a_in and leaves as a_out.  Table tables[j-1] {(aux, site):
-    [(aux', site', weight), ...]} acts on site j of every partial state.
-    The row runs as one `sweeps` row with the one bound (a_in, a_out, 1):
-    keys coded once, equal partial states merged after each site, zeros
-    dropped at the row's end, and only transitions to a_out emitted at
-    the last site.  A code outside 0..3 raises ValueError."""
-    return sweeps([_compiled(tables)], v, [(a_in, a_out, 1)]).entries
-
-
 def sweeps(rows, v: StateVector, bounds) -> StateVector:
-    """Apply compiled rows (`_compiled`) to v in turn, replacing v at each
+    """Apply rows of transition tables to v in turn, replacing v at each
     row by the sum of sign times the row's image with the auxiliary index
     entering as a_in and leaving as a_out, over the (a_in, a_out, sign) of
-    bounds.  A partial state is one int, aux in bits 0-1 and the spin of
-    site j in bits 2j, 2j+1, so a transition adds an int: v's keys are
-    coded once on entry and decoded once on exit, and between rows the
-    auxiliary bits are cleared.  Equal partial states merge after each
-    site; zeros are dropped at the end of each row.  An auxiliary code
-    outside 0..3 raises ValueError."""
+    bounds.  Table j - 1 of a row, {(aux, site): [(aux', site', weight),
+    ...]}, acts on site j, and each row is compiled once (`_compiled`).
+    A partial state is one int, aux in bits 0-1 and the spin of site j in
+    bits 2j, 2j+1, so a transition adds an int: v's keys are coded once on
+    entry and decoded once on exit, and between rows the auxiliary bits
+    are cleared.  Equal partial states merge after each site; zeros are
+    dropped at the end of each row.  A table or auxiliary code outside
+    0..3 raises ValueError."""
     if not all(0 <= a_in | a_out < 4 for a_in, a_out, _ in bounds):
         raise ValueError(f"auxiliary codes not in 0..3: {bounds!r}")
     cur = {sum(s << 2 * j for j, s in enumerate(key)) << 2: amp
            for key, amp in v.entries.items()}
-    for row in rows:
-        out = {}
+    for tables in rows:
+        row, out = _compiled(tables), {}
         for a_in, a_out, sign in bounds:
             _sweep_row(row, cur, a_in, a_out, sign, out)
         cur = {code: x for code, x in out.items() if x}
@@ -437,13 +429,12 @@ def _sweep_row(row, cur: dict, a_in: int, a_out: int, sign: int, out: dict):
 
 
 def _signed_sweeps(rows, v: ModelVector, params: ModelParams, bounds):
-    """`sweeps` of rows of (table, D) pairs, compiled once, over v's ints:
-    the tables are rational, so v's denominator gains the product of
-    every D."""
+    """`sweeps` of rows of (table, D) pairs over v's ints: the tables are
+    rational, so v's denominator gains the product of every D."""
     _check_model(v, params.n, params.d)
-    compiled = [_compiled([t for t, _ in tables]) for tables in rows]
-    return v.map(lambda part: sweeps(compiled, part, bounds),
-                 prod(d_j for tables in rows for _, d_j in tables))
+    tables = [[t for t, _ in row] for row in rows]
+    return v.map(lambda part: sweeps(tables, part, bounds),
+                 prod(d_j for row in rows for _, d_j in row))
 
 
 def _monodromy_rows(z, params: ModelParams) -> list:
@@ -548,7 +539,10 @@ def renormalised_vector(params: ModelParams) -> ModelVector:
 def apply_two_site(colmap: dict, v: StateVector, i: int,
                    j: int) -> StateVector:
     """Apply a two-site gate (column transition table) on site positions
-    i, j (0-based, i is the gate's left factor)."""
+    i, j (0-based, i is the gate's left factor): two distinct sites of v,
+    else ValueError."""
+    if not (0 <= i < v.n and 0 <= j < v.n and i != j):
+        raise ValueError(f"gate sites {i}, {j} are not two sites of {v.n}")
     out = {}
     for key, amp in v.entries.items():
         for ao, bo, wgt in colmap[(key[i], key[j])]:
@@ -646,8 +640,11 @@ def leading_coefficient(j: int, to_inf: bool,
     """The coefficient of |psi~> at w_j^(N-1) (to_inf) or at w_j^-(N-1)
     (asymptotic lemma, module docstring): the B chain whose row j and
     column j take the leading parts of r12 off their crossing, over the
-    divisor's leading term, divided by w_j^(N-1) or by w_j^-(N-1)."""
+    divisor's leading term, divided by w_j^(N-1) or by w_j^-(N-1).  j
+    must lie in 1..N."""
     n, q, w = params.n, params.q, params.w
+    if not 1 <= j <= n:
+        raise ValueError("site index out of range")
 
     def table(row: int, site: int):
         """B(w_row) at site `site`: u = w_row / (q w_site) has degree
@@ -705,8 +702,11 @@ def scattering_apply(j: int, params: ModelParams,
                      v: ModelVector) -> ModelVector:
     """S_j v = Rhat_{j-1,j}(w_j/w_{j-1}) ... Rhat_{1,2}(w_j/w_1) S'
     Rhat_{N-1,N}(w_j/w_N) ... Rhat_{j,j+1}(w_j/w_{j+1}) v, by two-site
-    gates; [q][q^2] S_j is T2(w_j) (regularity lemma, module docstring)."""
+    gates; [q][q^2] S_j is T2(w_j) (regularity lemma, module docstring).
+    j must lie in 1..N."""
     _check_model(v, params.n, params.d)
+    if not 1 <= j <= params.n:
+        raise ValueError("site index out of range")
     wj = params.w[j - 1]
     for k in range(j, params.n):  # Rhat_{k,k+1}(w_j / w_{k+1}), ascending k
         v = rhat22_apply(wj / params.w[k], params, v, k - 1, k)
@@ -720,8 +720,6 @@ def scattering_check(j: int, params: ModelParams) -> bool:
     """The scattering relation of the Bethe vector psi, by two-site gates
     (`scattering_apply`): [q][q^2] S_j psi = theta2(w_j) psi, which by the
     regularity lemma is the eigenvalue relation of T2 at z = w_j."""
-    if not 1 <= j <= params.n:
-        raise ValueError("site index out of range")
     psi = bethe_vector(params)
     return (scattering_apply(j, params, psi).scale(params.d)
             == psi.scale(theta2(params.w[j - 1], params)))

@@ -40,7 +40,7 @@ import time
 import traceback
 from functools import cache
 
-from bethelab import aba, asm, detform, linalg, spinchain
+from bethelab import aba, asm, detform, field, linalg, spinchain
 from bethelab.field import RAT, PoleEncountered, rat_str, session_constant
 from bethelab.rmatrix import (
     check_fusion_r22,
@@ -142,8 +142,8 @@ def resolve_params(args):
     """Build ModelParams from flags, drawing anything missing from the seed."""
     n = check_n(args.n)
     rng = random.Random(args.seed)
-    q = parse_rat(args.q) if args.q else draw_q(rng)
-    if args.w:
+    q = parse_rat(args.q) if args.q is not None else draw_q(rng)
+    if args.w is not None:
         w = parse_w_list(args.w)
         if len(w) != n:
             raise ConfigError("--w must list exactly n rationals")
@@ -290,8 +290,8 @@ def checks_spinchain(params, rng):
 
     def sum_rule():
         norm = spinchain.singlet_norm(phi())
-        want = spinchain.genpoly_in_y(n)
-        return norm == want, {"value": norm.to_json_dict()}
+        want = field.spread(asm.gen_poly(n).coeffs, 2)  # A_n(x^2) in x
+        return list(norm.x_coeffs()) == want, {"value": norm.to_json_dict()}
 
     def audit():
         report = spinchain.singlet_normalisation_audit(phi())
@@ -429,7 +429,7 @@ def cmd_singlet(args) -> int:
 
 def cmd_ikdet(args) -> int:
     params, rng = resolve_params(args)
-    zeta = (parse_w_list(args.zeta) if args.zeta
+    zeta = (parse_w_list(args.zeta) if args.zeta is not None
             else draw_distinct(rng, params.n,
                                avoid=_pole_lattice(params.w, params.q)))
     if len(zeta) != params.n:

@@ -34,9 +34,12 @@ sign matrices.
 
 The singlet, its norm and the symbolic H v run on packed ints (Kronecker
 substitution): an integer polynomial sum_k c_k x^k becomes sum_k c_k
-2^(bits k), and the unchanged sweep and gate code multiply and add plain
-ints.  The norm and H v take vectors of integer polynomials in x, the
-singlet's own form, and raise NonIntegerCoefficient on any other.
+2^(bits k), and `aba`'s code multiplies and adds plain ints: beta is one
+row of packed rho tables, which `aba.sweeps` takes as they are, under
+the one bound <up| ... |down>, and H applies the packed bond tables as
+two-site gates (`aba.apply_two_site`).  The norm and H v take vectors of
+integer polynomials in x, the singlet's own form, and raise
+NonIntegerCoefficient on any other.
 Balanced base-2^bits digits unpack a result exactly when every |c_k| <
 2^(bits-1); each function derives its bits from an l1 bound (the sum of
 |c| over all coefficients) and states it.  The tables are int lists in x;
@@ -58,7 +61,7 @@ from bethelab.aba import (
     magnetisation,
     renormalised_vector,
     s_prime_apply,
-    sweep,
+    sweeps,
     transfer1_apply,
 )
 from bethelab.asm import gen_poly
@@ -194,9 +197,11 @@ def _packed(table, bits: int) -> dict:
 
 def _x_ints(v: StateVector) -> dict:
     """{key: [int, ...]}: the coefficients in x of v's components, which
-    must be integer polynomials in x, else NonIntegerCoefficient."""
+    must be integer polynomials in x (HalfPowerPolys), else
+    NonIntegerCoefficient."""
     for key, p in v.entries.items():
-        if not (p.is_even_support() and p.has_integer_coeffs()):
+        if not (isinstance(p, HalfPowerPoly) and p.is_even_support()
+                and p.has_integer_coeffs()):
             raise NonIntegerCoefficient(
                 f"component {key} is {p!r}, not an integer polynomial in x")
     return {key: [int(c) for c in p.x_coeffs()]
@@ -215,10 +220,10 @@ def _packed_rho(n: int):
 
 def beta_apply(v: StateVector) -> StateVector:
     """y^-1 beta(x) on components packed at x = 2^bits as by
-    `_packed_rho(v.n)`: one sweep of the gauged rho with auxiliary
+    `_packed_rho(v.n)`: one `sweeps` row of the gauged rho with auxiliary
     boundary <up| ... |down>, lowering the magnetisation by one."""
     # the auxiliary enters as down (1) and leaves as up (0)
-    return StateVector(v.n, sweep([_packed_rho(v.n)[0]] * v.n, v, 1, 0))
+    return sweeps([[_packed_rho(v.n)[0]] * v.n], v, [(1, 0, 1)])
 
 
 def singlet(n: int) -> StateVector:
@@ -248,12 +253,6 @@ def singlet_norm(state: StateVector) -> HalfPowerPoly:
         unpack(sum(pack(cs, bits) ** 2 for cs in ints.values()), bits))
 
 
-def genpoly_in_y(m: int) -> HalfPowerPoly:
-    """A_m(x^2) in powers of y: t = x^2 = y^4; A_0 = 1 counts the empty
-    ASM."""
-    return HalfPowerPoly(spread(gen_poly(m).coeffs, 4) if m else [1])
-
-
 def singlet_normalisation_audit(state: StateVector) -> dict:
     """Check the distinguished component against the weighted ASM count:
     it must equal A_m(x^2) for m = floor(n/2), with constant term m! and
@@ -262,14 +261,15 @@ def singlet_normalisation_audit(state: StateVector) -> dict:
     m = n // 2
     key = distinguished_component_key(n)
     comp = state.entries.get(key, HalfPowerPoly())
-    want = genpoly_in_y(m)
+    # A_m(x^2) in powers of x; A_0 = 1 counts the empty ASM
+    want = spread(gen_poly(m).coeffs, 2) if m else [1]
     x_coeffs = comp.x_coeffs()
     t_degree = len(x_coeffs) // 2  # an odd top power of x rounds up
     report = {
         "n": n,
         "component": state_str(key),
         "constant_term_ok": bool(x_coeffs and x_coeffs[0] == factorial(m)),
-        "matches_genpoly": comp == want,
+        "matches_genpoly": list(x_coeffs) == want,
         "degree_ok": t_degree <= ((m - 1) ** 2) // 4 if m else True,
         "integer_ok": comp.has_integer_coeffs(),
     }

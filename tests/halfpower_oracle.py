@@ -15,7 +15,7 @@ from functools import cache
 import dense_rmatrix_oracle as dense
 from helpers import ring
 
-from bethelab.aba import StateVector, sweep
+from bethelab.aba import StateVector, sweeps
 from bethelab.field import HalfPowerPoly, RAT, pack, unpack
 from bethelab.rmatrix import UP
 from bethelab.spinchain import _apply_gates, _bond_tables
@@ -59,7 +59,7 @@ def is_odd_support(p: HalfPowerPoly) -> bool:
 
 
 def beta(v: StateVector) -> StateVector:
-    return StateVector(v.n, sweep([rho_table()] * v.n, v, 1, 0))
+    return sweeps([[rho_table()] * v.n], v, [(1, 0, 1)])
 
 
 @cache

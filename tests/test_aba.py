@@ -530,6 +530,36 @@ def test_asymptotic_direction_has_one_spelling():
             asymptotic_check(1, direction, p)
 
 
+@pytest.mark.parametrize("j", [0, -1, 4])
+def test_site_index_outside_the_chain_is_refused(j):
+    """j runs over 1..N in the scattering product and the leading
+    coefficient as in the checks that call them: w[j - 1] must not wrap
+    around to another site, nor run off the chain."""
+    p = params_n(3)
+    psi = bethe_vector(p)
+    for call in (lambda: aba.scattering_apply(j, p, psi),
+                 lambda: leading_coefficient(j, True, p),
+                 lambda: leading_coefficient(j, False, p),
+                 lambda: scattering_check(j, p),
+                 lambda: asymptotic_check(j, "inf", p)):
+        with pytest.raises(ValueError, match="site index out of range"):
+            call()
+
+
+@pytest.mark.parametrize("i, j", [(-1, 0), (0, -1), (0, 0), (2, 2), (3, 0),
+                                  (0, 3)])
+def test_gate_sites_must_be_two_sites_of_the_vector(i, j):
+    """A two-site gate acts on two distinct sites 0..N-1: a negative index
+    would wrap around, and i = j would apply the gate to one site twice."""
+    p = params_n(3)
+    psi = bethe_vector(p)
+    with pytest.raises(ValueError, match="not two sites"):
+        aba.rhat22_apply(RAT(5, 3), p, psi, i, j)
+    table, _ = aba.rhat22_table(RAT(5, 3), p)
+    with pytest.raises(ValueError, match="not two sites"):
+        aba.apply_two_site(table, psi.part, i, j)
+
+
 def test_scattering_relation():
     rng = random.Random(2024)
     for n in (2, 3):

@@ -81,6 +81,31 @@ def test_bad_rational_exits_2(capsys):
     assert code == 2
 
 
+def assert_empty_value_exits_2(argv, capsys):
+    """An empty value (an unset shell variable) is a bad rational, never
+    a cue to draw the parameter from the seed."""
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "config error: bad rational ''\n"
+
+
+def test_empty_q_is_a_config_error(capsys):
+    assert_empty_value_exits_2(["vector", "--n", "2", "--q=", "--seed", "3"],
+                               capsys)
+
+
+@pytest.mark.parametrize("command", ["vector", "verify"])
+def test_empty_w_is_a_config_error(command, capsys):
+    assert_empty_value_exits_2([command, "--n", "2", "--w=", "--seed", "3"],
+                               capsys)
+
+
+def test_empty_zeta_is_a_config_error(capsys):
+    assert_empty_value_exits_2(["ikdet", "--n", "2", "--zeta=", "--seed", "3"],
+                               capsys)
+
+
 def test_negative_rationals_take_the_equals_form(capsys):
     """argparse reads "-2/1" after a space as a flag; --q=-2/1 is a value."""
     assert main(["vector", "--n", "2", "--q", "-2/1"]) == 2

@@ -1,7 +1,10 @@
 """Rules on the package source itself."""
 
 import ast
+import importlib
+import re
 from collections import Counter
+from functools import reduce
 from pathlib import Path
 
 import bethelab
@@ -192,3 +195,33 @@ def test_no_module_imports_a_name_another_module_imported():
              if name in {local for *_, local
                          in package_imports(paths[module])}]
     assert found == []
+
+
+def test_dotted_names_in_the_docs_resolve():
+    """Every backticked `module.name` or `module.Class.attr` of a package
+    module, in the README and in the package's docstrings, names a live
+    attribute: a renamed or deleted definition leaves no stale mention."""
+    root = Path(bethelab.__file__).parent
+    modules = {path.stem: importlib.import_module(f"bethelab.{path.stem}")
+               for path in root.glob("*.py") if path.stem != "__init__"}
+    assert len(modules) == 8
+    pattern = re.compile(r"`(%s)((?:\.\w+)+)`" % "|".join(modules))
+    texts = [("README.md", (root.parent.parent / "README.md").read_text())]
+    texts += [(path.name, ast.get_docstring(node))
+              for path in sorted(root.glob("*.py"))
+              for node in ast.walk(ast.parse(path.read_text()))
+              if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef))
+              and ast.get_docstring(node)]
+
+    def resolves(module, attrs):
+        try:
+            reduce(getattr, attrs.split(".")[1:], modules[module])
+        except AttributeError:
+            return False
+        return True
+
+    found = [(where, module, attrs) for where, text in texts
+             for module, attrs in pattern.findall(text)]
+    assert len(found) >= 15
+    assert [f"{where}: {module}{attrs}" for where, module, attrs in found
+            if not resolves(module, attrs)] == []

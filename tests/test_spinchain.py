@@ -362,6 +362,20 @@ def test_norm_of_rational_components():
     assert singlet_norm(StateVector(2)) == HalfPowerPoly()
 
 
+@pytest.mark.parametrize("value", [3, RAT(1, 2), RAT(4, 2)],
+                         ids=["int", "fraction", "whole_fraction"])
+def test_a_component_that_is_no_polynomial_raises(value):
+    """An int or a rational component is not an integer polynomial in x
+    either: the norm and H v raise NonIntegerCoefficient for it, as
+    documented, and accept no wider input."""
+    for v in (StateVector(2, {(UP, DOWN): value}),
+              StateVector(2, {(UP, DOWN): HalfPowerPoly.x_poly([1, 2]),
+                              (DOWN, UP): value})):
+        for apply in (singlet_norm, hamiltonian_apply_poly):
+            with pytest.raises(NonIntegerCoefficient):
+                apply(v)
+
+
 def test_singlet_guards_are_typed(monkeypatch):
     """An entry of 8 h(x) not divisible by 8 raises."""
     hs = bond_gate()
@@ -410,6 +424,21 @@ def test_normalisation_audit_rejects_excess_degree():
     report = singlet_normalisation_audit(bad)
     assert report["degree_ok"] is False
     assert report["pass"] is False
+
+
+def test_normalisation_audit_compares_with_a_m_in_x():
+    """matches_genpoly compares the distinguished component's coefficients
+    in x with A_m(x^2), and with A_0 = 1 at m = 0."""
+    assert singlet_normalisation_audit(singlet(1))["matches_genpoly"]
+    key = distinguished_component_key(1)
+    two = StateVector(1, {key: HalfPowerPoly.const(2)})
+    assert singlet_normalisation_audit(two)["matches_genpoly"] is False
+    phi, key = singlet(6), distinguished_component_key(6)
+    assert singlet_normalisation_audit(phi)["matches_genpoly"]
+    for x_coeffs in ([6, 0, 2], [6, 0, 1, 0, 1], [6, 1, 1]):
+        bad = StateVector(6, {**phi.entries,
+                              key: HalfPowerPoly.x_poly(x_coeffs)})
+        assert singlet_normalisation_audit(bad)["matches_genpoly"] is False
 
 
 def test_hamiltonian_annihilates_singlet_symbolic():

@@ -48,7 +48,7 @@ from bethelab.aba import (
     magnetisation,
     monodromy_apply,
     scattering_apply,
-    sweep,
+    sweeps,
     transfer2_apply,
     vacuum,
 )
@@ -210,8 +210,8 @@ def test_scalar_sweep_matches_per_key_oracle(n):
         for a_in in range(dim):
             for a_out in range(dim):
                 for v in vecs:
-                    assert sweep(tables, v, a_in, a_out) == \
-                        per_key_sweep(tables, v, a_in, a_out)
+                    got = sweeps([tables], v, [(a_in, a_out, 1)])
+                    assert got.entries == per_key_sweep(tables, v, a_in, a_out)
 
 
 @pytest.mark.parametrize("n", [5, 6, 7, 8])
@@ -229,7 +229,7 @@ def test_int_coded_sweep_matches_per_key_oracle_on_long_chains(n):
     for dim, tables in rows.items():
         for a_in in range(dim):
             for a_out in range(dim):
-                got = sweep(tables, v, a_in, a_out)
+                got = sweeps([tables], v, [(a_in, a_out, 1)]).entries
                 assert got == per_key_sweep(tables, v, a_in, a_out)
                 assert got and all(type(x) is int for x in got.values())
 
@@ -242,9 +242,9 @@ def test_int_coded_sweep_on_halfpower_entries():
     v = StateVector(n, {k: HalfPowerPoly([rng.randint(-5, 5)
                                           for _ in range(3)])
                         for k in random_keys(rng, n, 10)})
-    v = StateVector(n, sweep(tables, v, 1, 0))
+    v = sweeps([tables], v, [(1, 0, 1)])
     for a_in, a_out in ((1, 0), (0, 0), (1, 1), (0, 1)):
-        assert sweep(tables, v, a_in, a_out) == \
+        assert sweeps([tables], v, [(a_in, a_out, 1)]).entries == \
             per_key_sweep(tables, v, a_in, a_out)
 
 
@@ -305,9 +305,8 @@ def test_multi_row_sweeps_match_composed_per_key_sweeps(n, ring):
             vecs += [cancelling_vector(rng, rows[dim][0], n, a_in)
                      for a_in in ((1,) if few else range(dim))]
         for count in (2, 3):
-            compiled = [aba._compiled(t) for t in rows[dim][:count]]
             for v in vecs:
-                got = aba.sweeps(compiled, v, bounds)
+                got = sweeps(rows[dim][:count], v, bounds)
                 assert got == per_key_rows(rows[dim][:count], v, bounds)
                 assert all(got.entries.values())
 
@@ -319,14 +318,14 @@ def test_table_code_outside_two_bits_raises(column, transitions):
     table = {(a, s): [(a, s, 1)] for a in range(2) for s in range(3)}
     table[column] = transitions
     with pytest.raises(ValueError):
-        sweep([table, table], StateVector(2, {(0, 0): 1}), 0, 0)
+        sweeps([[table, table]], StateVector(2, {(0, 0): 1}), [(0, 0, 1)])
 
 
 @pytest.mark.parametrize("a_in, a_out", [(4, 0), (0, 4), (-1, 0)])
 def test_auxiliary_boundary_outside_two_bits_raises(a_in, a_out):
     table = {(a, s): [(a, s, 1)] for a in range(2) for s in range(3)}
     with pytest.raises(ValueError):
-        sweep([table], StateVector(1, {(0,): 1}), a_in, a_out)
+        sweeps([[table]], StateVector(1, {(0,): 1}), [(a_in, a_out, 1)])
 
 
 @pytest.mark.parametrize("sign", [1, -1])
