@@ -1,8 +1,10 @@
 """Exact-arithmetic lab for the twisted inhomogeneous nineteen-vertex model.
 
 No floating point anywhere.  The closed forms, the determinants and the
-R-matrix weights are rationals; only the model's vectors carry a unit of
-the extension ring Q(s, i), s**2 = [q][q^2], i**2 = -1.  Submodules:
+R-matrix weights are rationals (the weights evaluated from integer
+Laurent polynomials in q and z as ints over one denominator); only the
+model's vectors carry a unit of the extension ring Q(s, i),
+s**2 = [q][q^2], i**2 = -1.  Submodules:
 
 - field:     rationals (RAT, which is fractions.Fraction), the
              quadratic+Gaussian extension, half-power and Laurent

@@ -334,11 +334,16 @@ class ModelParams:
     def r12_table(self, u: RAT):
         """(table, D): the transition table of r12(u), in the gauge K =
         diag(1, s) on the auxiliary factor, as ints over one denominator D."""
-        return self._table("r12", u, lambda: r12(u, self.q).int_column_map())
+        return self._table("r12", u, lambda: _int_table(r12(u, self.q)))
 
     def r22_table(self, u: RAT):
         """(table, D) for r22(u) as ints over one denominator D."""
-        return self._table("r22", u, lambda: r22(u, self.q).int_column_map())
+        return self._table("r22", u, lambda: _int_table(r22(u, self.q)))
+
+
+def _int_table(rmat):
+    """(table, D): the transition table of rmat, ints over D = rmat.den."""
+    return rmat.column_map(), rmat.den
 
 
 def vacuum(params: ModelParams) -> ModelVector:
@@ -561,7 +566,7 @@ def rhat22_table(u, params: ModelParams):
     matrix P R(u) as ints over one denominator D."""
     u = params.rat(u)
     return params._table(
-        "rhat22", u, lambda: r22(u, params.q).braided().int_column_map())
+        "rhat22", u, lambda: _int_table(r22(u, params.q).braided()))
 
 
 def rhat22_apply(u, params, v: ModelVector, i: int, j: int) -> ModelVector:
@@ -641,10 +646,12 @@ def leading_coefficient(j: int, to_inf: bool,
     (asymptotic lemma, module docstring): the B chain whose row j and
     column j take the leading parts of r12 off their crossing, over the
     divisor's leading term, divided by w_j^(N-1) or by w_j^-(N-1).  j
-    must lie in 1..N."""
+    must lie in 1..N, and N be at least 2."""
     n, q, w = params.n, params.q, params.w
     if not 1 <= j <= n:
         raise ValueError("site index out of range")
+    if n < 2:
+        raise ValueError("need N >= 2")
 
     def table(row: int, site: int):
         """B(w_row) at site `site`: u = w_row / (q w_site) has degree
@@ -652,7 +659,7 @@ def leading_coefficient(j: int, to_inf: bool,
         u = w[row - 1] / (q * w[site - 1])
         if (row == j) == (site == j):
             return params.r12_table(u)
-        return r12_leading(u, q, to_inf == (row == j)).int_column_map()
+        return _int_table(r12_leading(u, q, to_inf == (row == j)))
 
     def bracket(a: int, b: int) -> RAT:
         """The leading monomial of the divisor's [q w_a / w_b], a < b."""
@@ -679,13 +686,10 @@ def asymptotic_check(j: int, direction: str, params: ModelParams) -> bool:
     is (-1)^(j-1) prod_{k != j} w_k times it.  The nonzero coefficients
     are compared as one dict, so a component missing on either side fails.
     """
-    if not 1 <= j <= params.n:
-        raise ValueError("site index out of range")
-    if params.n < 2:
-        raise ValueError("need N >= 2")
     if direction not in ("inf", "zero"):
         raise ValueError("direction must be 'inf' or 'zero'")
     to_inf = direction == "inf"
+    got = leading_coefficient(j, to_inf, params)  # checks j and N
     n = params.n
     others = params.w[:j - 1] + params.w[j:]
     sub = params.memo(("reduced", j),
@@ -695,7 +699,7 @@ def asymptotic_check(j: int, direction: str, params: ModelParams) -> bool:
     want = sub.map(lambda part: StateVector(n, {
         key[:j - 1] + (ZERO,) + key[j - 1:]: x
         for key, x in part.entries.items()})).scale(factor)
-    return leading_coefficient(j, to_inf, params) == want
+    return got == want
 
 
 def scattering_apply(j: int, params: ModelParams,

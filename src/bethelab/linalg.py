@@ -5,8 +5,9 @@ small (the int 9x9 matrices of the Hamiltonian bond and the rational
 Bareiss inputs of `detform`).  `StateVector` is the sparse vector every
 operator of `aba` and `spinchain` acts on.  The R-matrix identities on
 pair and triple tensor spaces multiply sparse dict-of-rows matrices of
-rationals with `sp_mul`, so the 27-dimensional Yang-Baxter space costs
-nothing; `rmatrix.RMat.embedded` writes a pair operator in that form.
+int numerators with `sp_mul`, so the 27-dimensional Yang-Baxter space
+costs nothing; `rmatrix.RMat.embedded` writes a pair operator in that
+form.
 Determinants use fraction-free Bareiss elimination over any field; exact
 row reduction, for solves and kernel dimensions, is `field.row_reduce`.
 """

@@ -12,36 +12,50 @@ Basis conventions (fixed for the whole package):
   embeddings of `RMat.embedded`, the dense Hamiltonian bond) the index is
   dim_right * left + right.
 
-Every function takes q and the spectral parameters as rationals
-(anything `field.as_rat` reads), and every weight is a rational, built
-from brackets [z] = z - 1/z (`brk`); the ring Q(s, i) of the model's
-values belongs to `aba.ModelParams`.  The mixed R-matrix carries s =
-sqrt([q][q^2]) on its four spin-flip weights, so it is returned in the
-gauge K = diag(1, s) on its spin-1/2 factor: `r12` is K R12 K^-1, whose
-flips weigh 1 for 0 <- 1 and d = [q][q^2] for 1 <- 0, and K^-1 r12 K is
-the physical matrix.  `r12` and `r22` read d from
-`field.session_constant`, so q = 0 and q^4 = 1 raise its ValueError
-there.  `r21` carries the same gauge on its right factor.
-`r12_leading` is the leading part of r12(z) as z runs to infinity or
-to 0 (the diagonal monomials that `aba`'s asymptotic sweep uses); it
-and r12 read the diagonal brackets [q^k z] from one table.
-K x K commutes with `r11`, which conserves magnetisation, so every
-identity below is the physical one conjugated by K on each spin-1/2
-factor and holds on rationals.
+The weights are written once, as integer Laurent polynomials in q and
+the spectral parameter z: `R11`, `R12` and `R22` list each matrix's
+distinct weights, {(q exponent, z exponent): coefficient}, and the key
+of every nonzero entry.  Each weight is a bracket [q^k z] (brackets
+[x] = x - 1/x), a product of two, a flip 1 or d = [q][q^2], or r22's
+w7 = [z][qz] + [q][q^2].  `r11`, `r12` and `r22` evaluate that
+description at rationals q = p/r and z = a/b (anything `field.as_rat`
+reads) straight to ints: a term c q^i z^j becomes the int c p^(3+i)
+r^(3-i) a^(2+j) b^(2-j) over D = (p r)^3 (a b)^2, and the ints and D
+are divided by gcd(D, ints...) with the sign that makes D > 0.  So an
+`RMat` holds its weights as int numerators over their least common
+denominator D (`RMat.den`), and it has two read-outs: the ints over D,
+which the transition tables of `aba` and the Yang-Baxter and inversion
+products take as they are, and the rationals `RMat.weights`, which the
+other identity checks compare.  z = 0, and q = 0 in r11, make D = 0 (a
+bracket of zero) and raise `field.PoleEncountered`; the ring Q(s, i) of
+the model's values belongs to `aba.ModelParams`.
+
+The mixed R-matrix carries s = sqrt([q][q^2]) on its four spin-flip
+weights, so it is described in the gauge K = diag(1, s) on its
+spin-1/2 factor: `r12` is K R12 K^-1, whose flips weigh 1 for 0 <- 1
+and d = [q][q^2] for 1 <- 0, and K^-1 r12 K is the physical matrix.
+`r12` and `r22` read d from `field.session_constant`, so q = 0 and
+q^4 = 1 raise its ValueError there.  `r21` carries the same gauge on its
+right factor.  `r12_leading` is the leading part of r12(z) as z runs to
+infinity or to 0, the description's terms of extreme z-degree (the
+diagonal monomials that `aba`'s asymptotic sweep uses).  K x K commutes
+with `r11`, which conserves magnetisation, so every identity below is
+the physical one conjugated by K on each spin-1/2 factor and holds on
+rationals.
 
 The nineteen-vertex weight table of R(z) = r22(z), with U/0/D for the
 spin components and entries <aux' site'|R|aux site>:
 
-    (U U | U U) = (D D | D D)                 = [qz][q^2 z]
-    (U D | U D) = (D U | D U)                 = [z/q][z]
-    (D U | U D) = (U D | D U)                 = [q][q^2]
+    (U U | U U) = (D D | D D)                 = [qz][q^2 z]     w1
+    (U D | U D) = (D U | D U)                 = [z/q][z]        w2
+    (D U | U D) = (U D | D U)                 = [q][q^2]        w3
     (0 U | 0 U) = (0 D | 0 D)
-      = (U 0 | U 0) = (D 0 | D 0)             = [z][qz]
+      = (U 0 | U 0) = (D 0 | D 0)             = [z][qz]         w4
     (U 0 | 0 U) = (D 0 | 0 D)
-      = (0 D | D 0) = (0 U | U 0)             = [q^2][qz]
+      = (0 D | D 0) = (0 U | U 0)             = [q^2][qz]       w5
     (0 0 | D U) = (0 0 | U D)
-      = (U D | 0 0) = (D U | 0 0)             = [q^2][z]
-    (0 0 | 0 0)                               = [z][qz] + [q][q^2]
+      = (U D | 0 0) = (D U | 0 0)             = [q^2][z]        w6
+    (0 0 | 0 0)                               = [z][qz] + [q][q^2]  w7
 
 These nineteen entries conserve magnetisation and form a symmetric
 matrix; r22(1) = [q][q^2] P (permutation) and r22(1/q) = [q][q^2] |s><s|
@@ -66,14 +80,14 @@ normalisation of the symmetric state ud + du.
 from __future__ import annotations
 
 from itertools import product
-from math import lcm, prod
+from math import gcd, prod
 
 from bethelab import linalg
 from bethelab.field import (
     RAT,
+    PoleEncountered,
     as_rat,
     brk,
-    brk_leading,
     inv,
     session_constant,
 )
@@ -82,25 +96,35 @@ UP, ZERO, DOWN = 0, 1, 2  # spin-1 components U, 0, D
 
 
 class RMat:
-    """Operator on a pair of sites V_left x V_right, stored as its nonzero
-    rational weights {(lo, ro, li, ri): <lo ro| R |li ri>} in ascending key
+    """Operator on a pair of sites V_left x V_right, stored as the int
+    numerators of its nonzero weights over one denominator den > 0,
+    {(lo, ro, li, ri): numerator of <lo ro| R |li ri>} in ascending key
     order; a key that is not stored is a zero weight."""
 
-    __slots__ = ("dim_left", "dim_right", "weights")
+    __slots__ = ("dim_left", "dim_right", "numerators", "den")
 
-    def __init__(self, dim_left: int, dim_right: int, weights: dict):
+    def __init__(self, dim_left: int, dim_right: int, numerators: dict,
+                 den: int = 1):
         if not all(0 <= lo < dim_left and 0 <= li < dim_left
                    and 0 <= ro < dim_right and 0 <= ri < dim_right
-                   for lo, ro, li, ri in weights):
+                   for lo, ro, li, ri in numerators):
             raise ValueError(f"a weight lies outside the {dim_left}x"
                              f"{dim_right} pair space")
         self.dim_left = dim_left
         self.dim_right = dim_right
-        self.weights = {k: weights[k] for k in sorted(weights) if weights[k]}
+        self.numerators = {k: numerators[k] for k in sorted(numerators)
+                           if numerators[k]}
+        self.den = den
+
+    @property
+    def weights(self) -> dict:
+        """The rational weights {key: numerator / den}."""
+        return {k: RAT(x, self.den) for k, x in self.numerators.items()}
 
     def _relabelled(self, dim_left, dim_right, key) -> "RMat":
         return RMat(dim_left, dim_right,
-                    {key(*k): w for k, w in self.weights.items()})
+                    {key(*k): x for k, x in self.numerators.items()},
+                    self.den)
 
     def swapped(self) -> "RMat":
         """P R P: the same operator with the tensor factors exchanged."""
@@ -120,36 +144,83 @@ class RMat:
                                 lambda lo, ro, li, ri: (lo, ri, li, ro))
 
     def column_map(self) -> dict:
-        """Transition table {(li, ri): [(lo, ro, weight), ...]}: every
-        column, empty ones too, with its weights in ascending (lo, ro)."""
+        """Transition table {(li, ri): [(lo, ro, numerator), ...]} over
+        den: every column, empty ones too, with its weights in ascending
+        (lo, ro)."""
         table = {(li, ri): [] for li in range(self.dim_left)
                  for ri in range(self.dim_right)}
-        for (lo, ro, li, ri), w in self.weights.items():
-            table[(li, ri)].append((lo, ro, w))
+        for (lo, ro, li, ri), x in self.numerators.items():
+            table[(li, ri)].append((lo, ro, x))
         return table
 
-    def int_column_map(self):
-        """(table, D): `column_map` with every weight an int over their
-        least common denominator D."""
-        cols = self.column_map()
-        den = lcm(*(r.denominator for col in cols.values() for *_, r in col))
-        return {key: [(ao, so, r.numerator * (den // r.denominator))
-                      for ao, so, r in col] for key, col in cols.items()}, den
-
     def embedded(self, dims, sa: int, sb: int) -> dict:
-        """This operator on factors sa (left) and sb (right) of the tensor
-        product of spaces of dimensions `dims`, the identity on every other
-        factor, as sparse rows {row: {column: weight}} for linalg.sp_mul."""
+        """The numerators of this operator on factors sa (left) and sb
+        (right) of the tensor product of spaces of dimensions `dims`, the
+        identity times den on every other factor, as sparse rows {row:
+        {column: numerator}} for linalg.sp_mul; over den they are the
+        operator."""
         strides = [prod(dims[k + 1:]) for k in range(len(dims))]
         others = [k for k in range(len(dims)) if k not in (sa, sb)]
         sta, stb = strides[sa], strides[sb]
         out = {}
         for rest in product(*(range(dims[k]) for k in others)):
             base = sum(strides[k] * v for k, v in zip(others, rest))
-            for (lo, ro, li, ri), w in self.weights.items():
+            for (lo, ro, li, ri), x in self.numerators.items():
                 row = out.setdefault(base + sta * lo + stb * ro, {})
-                row[base + sta * li + stb * ri] = w
+                row[base + sta * li + stb * ri] = x
         return out
+
+
+# -- the weights: integer Laurent polynomials in (q, z) -----------------
+
+
+def _keys(*groups) -> dict:
+    """{key: k} for the keys in groups[k], each spelled <lo ro|R|li ri>
+    with u, d for spin-1/2 (codes 0, 1) and U, 0, D for spin 1."""
+    return {tuple(("ud" if c.islower() else "U0D").index(c) for c in key): k
+            for k, group in enumerate(groups) for key in group.split()}
+
+
+# Each matrix as ((dim_left, dim_right), its distinct weights, {key: the
+# index of its weight}), a weight sum c q^i z^j written {(i, j): c} with
+# |i| <= 3 and |j| <= 2 (the powers `_evaluate` clears); [q^k z] is
+# {(k, 1): 1, (-k, -1): -1}.
+_D = {(3, 0): 1, (1, 0): -1, (-1, 0): -1, (-3, 0): 1}  # d = [q][q^2]
+R11 = ((2, 2), [  # [qz], [z], [q]
+    {(1, 1): 1, (-1, -1): -1}, {(0, 1): 1, (0, -1): -1},
+    {(1, 0): 1, (-1, 0): -1}], _keys("uuuu dddd", "udud dudu", "uddu duud"))
+R12 = ((2, 3), [  # the diagonal [q^k z] at index k, then the flips 1, d
+    {(0, 1): 1, (0, -1): -1}, {(1, 1): 1, (-1, -1): -1},
+    {(2, 1): 1, (-2, -1): -1}, {(0, 0): 1}, _D],
+    _keys("uDuD dUdU", "u0u0 d0d0", "uUuU dDdD", "u0dU uDd0", "dUu0 d0uD"))
+R22 = ((3, 3), [  # w1..w7 of the weight table in the module docstring
+    {(3, 2): 1, (1, 0): -1, (-1, 0): -1, (-3, -2): 1},   # [qz][q^2 z]
+    {(-1, 2): 1, (-1, 0): -1, (1, 0): -1, (1, -2): 1},   # [z/q][z]
+    _D,                                                  # [q][q^2]
+    {(1, 2): 1, (-1, 0): -1, (1, 0): -1, (-1, -2): 1},   # [z][qz]
+    {(3, 1): 1, (1, -1): -1, (-1, 1): -1, (-3, -1): 1},  # [q^2][qz]
+    {(2, 1): 1, (2, -1): -1, (-2, 1): -1, (-2, -1): 1},  # [q^2][z]
+    {(1, 2): 1, (-1, -2): 1, (3, 0): 1, (1, 0): -2, (-1, 0): -2,
+     (-3, 0): 1}],                                       # [z][qz] + d
+    _keys("UUUU DDDD", "UDUD DUDU", "DUUD UDDU", "0U0U 0D0D U0U0 D0D0",
+          "U00U D00D 0DD0 0UU0", "00DU 00UD UD00 DU00", "0000"))
+
+
+def _evaluate(described, z, q) -> RMat:
+    """The matrix a description holds at rationals z and q, as ints over
+    their least common denominator D > 0 (see the module docstring)."""
+    (dim_left, dim_right), polys, keys = described
+    (p, r), (a, b) = as_rat(q).as_integer_ratio(), as_rat(z).as_integer_ratio()
+    if not p * a:
+        raise PoleEncountered("bracket of zero spectral parameter")
+    qs = [p ** (3 + i) * r ** (3 - i) for i in range(-3, 4)]
+    zs = [a ** (2 + j) * b ** (2 - j) for j in range(-2, 3)]
+    nums = [sum(c * qs[i + 3] * zs[j + 2] for (i, j), c in poly.items())
+            for poly in polys]
+    den = qs[3] * zs[2]
+    g = gcd(den, *nums) if den > 0 else -gcd(den, *nums)
+    return RMat(dim_left, dim_right,
+                {key: nums[k] // g for key, k in keys.items()}, den // g)
 
 
 def r11(z, q) -> RMat:
@@ -158,72 +229,33 @@ def r11(z, q) -> RMat:
     Degenerates to B P+ at z = q (B = diag([q^2], 2[q], 2[q], [q^2])) and
     to -2[q] P- at z = 1/q.
     """
-    z, q = as_rat(z), as_rat(q)
-    bz, bqz, bq = brk(z), brk(q * z), brk(q)
-    return RMat(2, 2, {
-        (0, 0, 0, 0): bqz, (1, 1, 1, 1): bqz,
-        (0, 1, 0, 1): bz, (1, 0, 1, 0): bz,
-        (0, 1, 1, 0): bq, (1, 0, 0, 1): bq,
-    })
-
-
-# the diagonal weights of r12(z), each a bracket [q^k z]: {key: k}
-_R12_DIAGONAL = {
-    (0, UP, 0, UP): 2, (1, DOWN, 1, DOWN): 2,
-    (0, ZERO, 0, ZERO): 1, (1, ZERO, 1, ZERO): 1,
-    (0, DOWN, 0, DOWN): 0, (1, UP, 1, UP): 0,
-}
+    return _evaluate(R11, z, q)
 
 
 def r12(z, q) -> RMat:
     """Mixed R-matrix on C^2 x C^3, symmetric up to the gauge: K R12 K^-1
     with K = diag(1, s) on the spin-1/2 factor, whose flips s become 1
     (auxiliary 0 <- 1) and d = [q][q^2] (1 <- 0)."""
-    z, q = as_rat(z), as_rat(q)
-    d, one = session_constant(q), RAT(1)
-    brackets = [brk(z), brk(q * z), brk(q * q * z)]
-    weights = {key: brackets[k] for key, k in _R12_DIAGONAL.items()}
-    U, Z, D = UP, ZERO, DOWN
-    weights.update({(0, Z, 1, U): one, (1, U, 0, Z): d,
-                    (0, D, 1, Z): one, (1, Z, 0, D): d})
-    return RMat(2, 3, weights)
+    session_constant(q)
+    return _evaluate(R12, z, q)
 
 
 def r12_leading(z, q, to_inf: bool) -> RMat:
     """The leading part of r12(z) as z runs to infinity (to_inf) or to 0:
-    each diagonal weight [c z] becomes its leading monomial c z or
-    -1/(c z) (`field.brk_leading`), and the flips, of degree 0 in z, drop
-    out.  Checks q as r12 does."""
-    z, q = as_rat(z), as_rat(q)
+    the terms of `R12` of highest or of lowest z-degree, so each diagonal
+    weight [c z] becomes c z or -1/(c z) and the flips, of degree 0 in z,
+    drop out.  Checks q as r12 does."""
+    dims, polys, keys = R12
+    degree = (max if to_inf else min)(j for poly in polys for _, j in poly)
     session_constant(q)
-    return RMat(2, 3, {key: brk_leading(q ** k * z, to_inf)
-                       for key, k in _R12_DIAGONAL.items()})
+    return _evaluate((dims, [{e: c for e, c in poly.items() if e[1] == degree}
+                             for poly in polys], keys), z, q)
 
 
 def r22(z, q) -> RMat:
     """Nineteen-vertex R-matrix on C^3 x C^3 from the weight table above."""
-    z, q = as_rat(z), as_rat(q)
-    w3 = session_constant(q)              # [q][q^2]
-    bz, bqz, bq2 = brk(z), brk(q * z), brk(q * q)
-    w1 = bqz * brk(q * q * z)             # [qz][q^2 z]
-    w2 = brk(z / q) * bz                  # [z/q][z]
-    w4 = bz * bqz                         # [z][qz]
-    w5 = bq2 * bqz                        # [q^2][qz]
-    w6 = bq2 * bz                         # [q^2][z]
-    w7 = w4 + w3                          # [z][qz] + [q][q^2]
-    U, Z, D = UP, ZERO, DOWN
-    return RMat(3, 3, {
-        (U, U, U, U): w1, (D, D, D, D): w1,
-        (U, D, U, D): w2, (D, U, D, U): w2,
-        (D, U, U, D): w3, (U, D, D, U): w3,
-        (Z, U, Z, U): w4, (Z, D, Z, D): w4,
-        (U, Z, U, Z): w4, (D, Z, D, Z): w4,
-        (U, Z, Z, U): w5, (D, Z, Z, D): w5,
-        (Z, D, D, Z): w5, (Z, U, U, Z): w5,
-        (Z, Z, D, U): w6, (Z, Z, U, D): w6,
-        (U, D, Z, Z): w6, (D, U, Z, Z): w6,
-        (Z, Z, Z, Z): w7,
-    })
+    session_constant(q)
+    return _evaluate(R22, z, q)
 
 
 def r_mn(m: int, n: int, z, q) -> RMat:
@@ -234,23 +266,20 @@ def r_mn(m: int, n: int, z, q) -> RMat:
     R^(2,1)(z) = P R^(1,2)(z/q) P; this is the unique member of the family
     that closes all eight mixed Yang-Baxter equations exactly.
     """
-    if (m, n) == (1, 1):
-        return r11(z, q)
-    if (m, n) == (1, 2):
-        return r12(z, q)
     if (m, n) == (2, 1):
-        q = as_rat(q)
         session_constant(q)  # before z / q can divide by zero
-        return r12(as_rat(z) / q, q).swapped()
-    if (m, n) == (2, 2):
-        return r22(z, q)
-    raise ValueError("m, n must be 1 or 2")
+        return r12(as_rat(z) / as_rat(q), q).swapped()
+    if (m, n) not in ((1, 1), (1, 2), (2, 2)):
+        raise ValueError("m, n must be 1 or 2")
+    return {(1, 1): r11, (1, 2): r12, (2, 2): r22}[m, n](z, q)
 
 
 def check_ybe(m: int, n: int, p: int, z, w, q) -> bool:
     """Exact Yang-Baxter equation on C^(m+1) x C^(n+1) x C^(p+1):
 
-    R12(z/w) R13(z) R23(w) = R23(w) R13(z) R12(z/w).
+    R12(z/w) R13(z) R23(w) = R23(w) R13(z) R12(z/w),
+
+    on the numerators: both sides carry the same D12 D13 D23.
     """
     z, w = as_rat(z), as_rat(w)
     dims = [m + 1, n + 1, p + 1]
@@ -263,11 +292,13 @@ def check_ybe(m: int, n: int, p: int, z, w, q) -> bool:
 
 
 def inversion_check(z, q) -> bool:
-    """R(z) R(1/z) = [q/z][q^2 z] [qz][q^2/z] Id on C^3 x C^3."""
+    """R(z) R(1/z) = [q/z][q^2 z] [qz][q^2/z] Id on C^3 x C^3, on the
+    numerators: the right side is scaled by D(z) D(1/z)."""
     z, q = as_rat(z), as_rat(q)
-    lhs = linalg.sp_mul(r22(z, q).embedded([3, 3], 0, 1),
-                        r22(inv(z), q).embedded([3, 3], 0, 1))
-    c = brk(q / z) * brk(q * q * z) * brk(q * z) * brk(q * q / z)
+    a, b = r22(z, q), r22(inv(z), q)
+    lhs = linalg.sp_mul(a.embedded([3, 3], 0, 1), b.embedded([3, 3], 0, 1))
+    c = (brk(q / z) * brk(q * q * z) * brk(q * z) * brk(q * q / z)
+         * a.den * b.den)
     return lhs == {k: {k: c} for k in range(9) if c}
 
 
@@ -293,7 +324,7 @@ def magnetisation_pattern_check(z, q) -> bool:
 
     With U, 0, D coded 0, 1, 2 a site's spin is 1 minus its code, so equal
     spin is an equal sum of codes."""
-    return all(lo + ro == li + ri for lo, ro, li, ri in r22(z, q).weights)
+    return all(lo + ro == li + ri for lo, ro, li, ri in r22(z, q).numerators)
 
 
 def permutation_check(q) -> bool:
@@ -310,13 +341,15 @@ def check_fusion_r22(z, q) -> bool:
     """The fusion decomposition (see module doc) as one comparison of
     weights: Y = r13(z/q) r23(z) in the fused labels, all but its block
     P+ Y P- above the diagonal, against G r22(z) G^-1 and the scalar
-    [z/q][q^2 z] on A = ud - du."""
+    [z/q][q^2 z] on A = ud - du, all scaled by Y's denominator."""
     z, q = as_rat(z), as_rat(q)
     # Y on C^2 x C^2 x C^3, row 3 * pair + alpha with
-    # pair = 2 * (first spin) + (second spin)
+    # pair = 2 * (first spin) + (second spin), as numerators over den
     dims = [2, 2, 3]
-    y = linalg.sp_mul(r12(z / q, q).embedded(dims, 0, 2),
-                      r12(z, q).embedded(dims, 1, 2))
+    first, second = r12(z / q, q), r12(z, q)
+    y = linalg.sp_mul(first.embedded(dims, 0, 2),
+                      second.embedded(dims, 1, 2))
+    den = first.den * second.den
     # the fused labels U, 0, D and A = ud - du of each pair, weighted: in
     # a row by pi and P-/2, in a column by iota and P-; G is 1 on A
     half, anti = RAT(1, 2), DOWN + 1
@@ -332,8 +365,8 @@ def check_fusion_r22(z, q) -> bool:
                 if j != anti or i == anti:  # P+ Y P- is not constrained
                     key = i, r % 3, j, c % 3
                     got[key] = got.get(key, 0) + wr * wc * x
-    scalar = brk(z / q) * brk(q * q * z)
-    want = {(i, a, j, b): g[i] * x / g[j]
+    scalar = brk(z / q) * brk(q * q * z) * den
+    want = {(i, a, j, b): g[i] * x * den / g[j]
             for (i, a, j, b), x in r22(z, q).weights.items()}
     want.update({(anti, a, anti, a): scalar for a in range(3) if scalar})
     return {k: x for k, x in got.items() if x} == want

@@ -499,20 +499,17 @@ def test_leading_coefficient_matches_the_laurent_oracle(n):
 def test_a_constant_added_to_a_bracket_passes_the_leading_order_check(
         monkeypatch):
     """What the leading-order check cannot see: an r12 whose <up 0| r12(u)
-    |up 0> reads [q u] + 1/7 keeps every leading part, so at N = 3 the
-    asymptotic relations still hold, while the constant breaks the parity
-    of w_j that the Laurent oracle's surplus samples check."""
-    from bethelab import aba
+    |up 0> reads [q u] + 1 in the weight description keeps every leading
+    part, so at N = 3 the asymptotic relations still hold, while the
+    constant breaks the parity of w_j that the Laurent oracle's surplus
+    samples check."""
+    from bethelab import rmatrix
 
-    exact = aba.r12
-
-    def mutant(u, q):
-        m = exact(u, q)
-        key = (0, ZERO, 0, ZERO)
-        return RMat(2, 3, {**m.weights, key: m.weights.get(key, 0)
-                           + RAT(1, 7)})
-
-    monkeypatch.setattr(aba, "r12", mutant)
+    dims, polys, keys = rmatrix.R12
+    key = (0, ZERO, 0, ZERO)
+    planted = {**polys[keys[key]], (0, 0): 1}
+    monkeypatch.setattr(rmatrix, "R12", (dims, [*polys, planted],
+                                         {**keys, key: len(polys)}))
     rng = random.Random(2027)
     q = draw_q(rng)
     p = ModelParams(3, q, draw_w(rng, 3, q))
@@ -544,6 +541,18 @@ def test_site_index_outside_the_chain_is_refused(j):
                  lambda: asymptotic_check(j, "inf", p)):
         with pytest.raises(ValueError, match="site index out of range"):
             call()
+
+
+@pytest.mark.parametrize("to_inf", [True, False])
+def test_leading_coefficient_refuses_a_one_site_chain(to_inf):
+    """At N = 1 there is no reduced chain to divide by: the leading
+    coefficient refuses it by the chain length, as `asymptotic_check`
+    does, before it builds a divisor of no sites."""
+    p = ModelParams(1, 2, [3])
+    with pytest.raises(ValueError, match="need N >= 2"):
+        leading_coefficient(1, to_inf, p)
+    with pytest.raises(ValueError, match="need N >= 2"):
+        asymptotic_check(1, "inf" if to_inf else "zero", p)
 
 
 @pytest.mark.parametrize("i, j", [(-1, 0), (0, -1), (0, 0), (2, 2), (3, 0),

@@ -1,5 +1,6 @@
 import itertools
 import random
+from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings
@@ -11,7 +12,7 @@ from scalar_oracle import FourPart
 from helpers import ring
 
 from bethelab import linalg, rmatrix
-from bethelab.aba import IrrationalWeight, ModelParams
+from bethelab.aba import IrrationalWeight, ModelParams, rhat22_table
 from bethelab.field import (
     RAT,
     PoleEncountered,
@@ -234,6 +235,49 @@ def test_each_weight_is_pinned_by_one_check_alone(check, builds, count,
     assert _survivors(builds, lambda: check(z, q), monkeypatch) == []
 
 
+def _an_identity_fails(q, z, w) -> bool:
+    """Whether one of the Yang-Baxter, inversion, fusion and crossing
+    checks fails at one point."""
+    checks = [lambda: inversion_check(z, q),
+              lambda: crossing_transpose_check(z, q),
+              lambda: check_fusion_r22(z, q)]
+    checks += [lambda mnp=mnp: check_ybe(*mnp, z, w, q)
+               for mnp in itertools.product((1, 2), repeat=3)]
+    return not all(check() for check in checks)
+
+
+def _corrupted(poly: dict):
+    """The Laurent polynomial with the constant 1 added, and with each of
+    its terms dropped in turn."""
+    yield {**poly, (0, 0): poly.get((0, 0), 0) + 1}
+    for term in poly:
+        yield {e: c for e, c in poly.items() if e != term}
+
+
+@pytest.mark.parametrize("name", ["R11", "R12", "R22"])
+def test_every_corrupted_weight_of_the_description_breaks_an_identity(
+        name, monkeypatch):
+    """Each distinct weight of the description, corrupted in turn (a
+    constant added, or one term dropped) at every entry that holds it,
+    fails at least one of the Yang-Baxter, inversion, fusion and crossing
+    checks: no wrong weight of the one table the matrices and the
+    transition tables are read from goes unseen."""
+    q, z, w = RAT(2), RAT(3), RAT(5, 2)
+    assert not _an_identity_fails(q, z, w)
+    dims, polys, keys = getattr(rmatrix, name)
+    survivors, tried = [], 0
+    for k, poly in enumerate(polys):
+        for bad in _corrupted(poly):
+            monkeypatch.setattr(rmatrix, name, (
+                dims, [*polys[:k], bad, *polys[k + 1:]], keys))
+            tried += 1
+            if not _an_identity_fails(q, z, w):
+                survivors.append((k, bad))
+            monkeypatch.undo()
+    assert tried == sum(len(poly) + 1 for poly in polys)
+    assert survivors == []
+
+
 def test_bad_q_rejected():
     """`field.session_constant` rejects q = 0 and q^4 = 1, and with it
     ModelParams, the matrices with a spin-1 factor and every identity
@@ -437,8 +481,86 @@ def test_sparse_weights_match_the_dense_grids(point):
                     ref.entry(lo, ro, li, ri), (lo, ro, li, ri)
         assert all(sparse.weights.values())
         assert all(type(w) is RAT for w in sparse.weights.values())
-        # same columns, same weights, in the same order
-        assert [(key, [(lo, ro, p.sc(w)) for lo, ro, w in col])
+        # same columns, same weights (the table's ints over den), in the
+        # same order
+        assert [(key, [(lo, ro, p.sc(RAT(x, sparse.den)))
+                       for lo, ro, x in col])
                 for key, col in sparse.column_map().items()] == \
             list(ref.column_map().items())
     assert _rho_from_the_oracle(p) == _RHO
+
+
+def _grid():
+    """(session, z) on a seeded grid: q of both signs, z of both signs
+    drawn at random, and every z where a bracket of some weight vanishes,
+    z = +-1, +-1/q, +-1/q^2 and +-q, so that zero weights are dropped."""
+    rng = random.Random(30)
+    for q in (RAT(2), RAT(-3, 2), RAT(5, 7), RAT(-4, 9)):
+        p = ring(q)
+        yield from ((p, s * x) for s in (1, -1)
+                    for x in (RAT(1), 1 / q, 1 / (q * q), q))
+        yield from ((p, RAT(rng.choice((1, -1)) * rng.randint(1, 40),
+                             rng.randint(1, 40))) for _ in range(4))
+
+
+def _lowest_ints(rmat) -> bool:
+    """Int numerators over a positive denominator D with gcd(D,
+    numerators) = 1, so that D is their least common denominator."""
+    return (type(rmat.den) is int and rmat.den > 0
+            and all(type(x) is int for x in rmat.numerators.values())
+            and gcd(rmat.den, *rmat.numerators.values()) == 1)
+
+
+def _tabled(p, table, den) -> list:
+    """A transition table of ints over den as the ring's scalars."""
+    return [(key, [(lo, ro, p.sc(RAT(x, den))) for lo, ro, x in col])
+            for key, col in table.items()]
+
+
+def test_description_matches_the_dense_oracle_on_a_grid():
+    """r11, r12, r21, r22 and the braided r22 evaluated from the weight
+    description, with their swaps and partial transposes, equal K R K^-1
+    of the dense FourPart grids: the rational weights, and the int
+    numerators over their least denominator D, column by column; so do
+    the transition tables that `aba` memoises."""
+    cases = 0
+    for p, z in _grid():
+        for sparse, ref in _dense_pairs(p, z):
+            want = {(lo, ro, li, ri): x
+                    for (li, ri), col in ref.column_map().items()
+                    for lo, ro, x in col}
+            assert {k: p.sc(w) for k, w in sparse.weights.items()} == want
+            assert _lowest_ints(sparse)
+            assert _tabled(p, sparse.column_map(), sparse.den) == \
+                list(ref.column_map().items())
+            cases += 1
+        gauged12 = dense.r12(z, p).gauged(dense.gauge_units(p, 2, 1),
+                                          dense.gauge_units(p, 3, 1))
+        for (table, den), ref in ((p.r12_table(z), gauged12),
+                                  (p.r22_table(z), dense.r22(z, p)),
+                                  (rhat22_table(z, p),
+                                   dense.r22(z, p).braided())):
+            assert den > 0 and gcd(den, *(x for col in table.values()
+                                          for *_, x in col)) == 1
+            assert _tabled(p, table, den) == list(ref.column_map().items())
+    assert cases == 48 * 13
+
+
+@pytest.mark.parametrize("build", [
+    r12, lambda z, q: r_mn(2, 1, z, q), r22,
+    lambda z, q: r12_leading(z, q, True),
+    lambda z, q: r12_leading(z, q, False),
+], ids=["r12", "r21", "r22", "r12_leading_inf", "r12_leading_zero"])
+def test_description_poles_and_bad_q(build):
+    """z = 0 is a bracket of zero, a pole of every matrix with a spin-1
+    factor, and q = 0, 1 and -1 (q^4 = 1) raise the ValueError of
+    `field.session_constant`; the six-vertex r11 reads no d, so there
+    z = 0 and q = 0 are both brackets of zero."""
+    with pytest.raises(PoleEncountered, match="bracket of zero"):
+        build(0, Q)
+    for q in (0, 1, -1):
+        with pytest.raises(ValueError, match="q != 0 and q"):
+            build(RAT(3), q)
+    for z, q in ((0, Q), (RAT(3), 0)):
+        with pytest.raises(PoleEncountered, match="bracket of zero"):
+            r11(z, q)
