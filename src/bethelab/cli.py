@@ -286,16 +286,20 @@ def checks_spinchain(params, rng):
     q = params.q
     out = []
     ps = {"n": n, "q": rat_str(q)}
-    phi = cache(lambda: spinchain.singlet(n))
 
     def sum_rule():
-        norm = spinchain.singlet_norm(phi())
+        norm = spinchain.singlet_norm(spinchain.singlet(n))
         want = field.spread(asm.gen_poly(n).coeffs, 2)  # A_n(x^2) in x
         return list(norm.x_coeffs()) == want, {"value": norm.to_json_dict()}
 
     def audit():
-        report = spinchain.singlet_normalisation_audit(phi())
+        report = spinchain.singlet_normalisation_audit(spinchain.singlet(n))
         return report["pass"], {"value": report}
+
+    def translation():
+        phi = spinchain.singlet(n)
+        return spinchain.twisted_translation_apply(phi).entries == {
+            k: p if n % 2 else -p for k, p in phi.entries.items()}
 
     def probe():
         dim = spinchain.transfer1_zero_kernel_dimension(n, q)
@@ -304,11 +308,10 @@ def checks_spinchain(params, rng):
 
     if n >= 2:
         out.append(("spinchain.hamiltonian_annihilates_singlet", ps,
-                    lambda: spinchain.hamiltonian_apply_poly(phi()).is_zero()))
+                    lambda: spinchain.hamiltonian_apply_poly(
+                        spinchain.singlet(n)).is_zero()))
         out.append(("spinchain.twisted_translation_eigenvector", ps,
-                    lambda: spinchain.twisted_translation_apply(phi()).entries
-                    == {k: p if n % 2 else -p
-                        for k, p in phi().entries.items()}))
+                    translation))
         out.append(("spinchain.sum_rule_norm_equals_genpoly", ps, sum_rule))
         out.append(("spinchain.normalisation_audit", ps, audit))
     out.append(("spinchain.homogeneous_consistency", ps,

@@ -320,14 +320,6 @@ class HalfPowerPoly:
 
     __rmul__ = __mul__
 
-    def eval_x(self, x):
-        """Evaluate an even-support element at the rational point x."""
-        x = as_rat(x)
-        acc = RAT_ZERO
-        for c in reversed(self.x_coeffs()):
-            acc = acc * x + c
-        return acc
-
     def x_coeffs(self) -> tuple:
         """Coefficients as a polynomial in x (even support required)."""
         if not self.is_even_support():

@@ -341,7 +341,8 @@ def check_fusion_r22(z, q) -> bool:
     """The fusion decomposition (see module doc) as one comparison of
     weights: Y = r13(z/q) r23(z) in the fused labels, all but its block
     P+ Y P- above the diagonal, against G r22(z) G^-1 and the scalar
-    [z/q][q^2 z] on A = ud - du, all scaled by Y's denominator."""
+    [z/q][q^2 z] on A = ud - du, all scaled by twice Y's denominator, so
+    that Y's side sums ints."""
     z, q = as_rat(z), as_rat(q)
     # Y on C^2 x C^2 x C^3, row 3 * pair + alpha with
     # pair = 2 * (first spin) + (second spin), as numerators over den
@@ -351,10 +352,11 @@ def check_fusion_r22(z, q) -> bool:
                       second.embedded(dims, 1, 2))
     den = first.den * second.den
     # the fused labels U, 0, D and A = ud - du of each pair, weighted: in
-    # a row by pi and P-/2, in a column by iota and P-; G is 1 on A
-    half, anti = RAT(1, 2), DOWN + 1
-    rows = [[(UP, 1)], [(ZERO, half), (anti, half)],
-            [(ZERO, half), (anti, -half)], [(DOWN, 1)]]
+    # a row by 2 pi and P-, in a column by iota and P-; G is 1 on A.  The
+    # rows' factor 2 keeps got on ints, and want is doubled to match
+    anti = DOWN + 1
+    rows = [[(UP, 2)], [(ZERO, 1), (anti, 1)], [(ZERO, 1), (anti, -1)],
+            [(DOWN, 2)]]
     cols = [[(UP, 1)], [(ZERO, 1), (anti, 1)], [(ZERO, 1), (anti, -1)],
             [(DOWN, 1)]]
     g = {UP: 1, ZERO: brk(q), DOWN: session_constant(q), anti: 1}
@@ -365,8 +367,8 @@ def check_fusion_r22(z, q) -> bool:
                 if j != anti or i == anti:  # P+ Y P- is not constrained
                     key = i, r % 3, j, c % 3
                     got[key] = got.get(key, 0) + wr * wc * x
-    scalar = brk(z / q) * brk(q * q * z) * den
-    want = {(i, a, j, b): g[i] * x * den / g[j]
+    scalar = 2 * brk(z / q) * brk(q * q * z) * den
+    want = {(i, a, j, b): 2 * g[i] * x * den / g[j]
             for (i, a, j, b), x in r22(z, q).weights.items()}
     want.update({(anti, a, anti, a): scalar for a in range(3) if scalar})
     return {k: x for k, x in got.items() if x} == want

@@ -28,22 +28,25 @@ x^(1/2).  In the gauge K = diag(1, y) on rho's auxiliary index (0 = up,
 1 = down), as `aba` gauges s, a flip weighs x where it raises that index
 and 1 where it lowers it, so <up| K rho_N ... rho_1 K^-1 |down> = y^-1
 beta(x), and the singlet x^(-N/2) beta(x)^N |all-up>, integer
-polynomials in x, is N gauged sweeps of |all-up>.  Its square norm and
-distinguished component reproduce the weighted counts of alternating
-sign matrices.
+polynomials in x, is N gauged sweeps of |all-up>: one `aba.sweeps` call
+of N rows, memoised per N.  Its square norm and distinguished component
+reproduce the weighted counts of alternating sign matrices.
 
 The singlet, its norm and the symbolic H v run on packed ints (Kronecker
 substitution): an integer polynomial sum_k c_k x^k becomes sum_k c_k
-2^(bits k), and `aba`'s code multiplies and adds plain ints: beta is one
+2^(bits k), and the sweeps multiply and add plain ints: each beta is one
 row of packed rho tables, which `aba.sweeps` takes as they are, under
-the one bound <up| ... |down>, and H applies the packed bond tables as
-two-site gates (`aba.apply_two_site`).  The norm and H v take vectors of
-integer polynomials in x, the singlet's own form, and raise
+the one bound <up| ... |down>, and H v is one pass over v's keys coded
+as ints, 2 bits a site, in which the N packed bond tables, compiled at
+their two sites, add their images into one dict.  The norm and H v take
+vectors of integer polynomials in x, the singlet's own form, and raise
 NonIntegerCoefficient on any other.
 Balanced base-2^bits digits unpack a result exactly when every |c_k| <
 2^(bits-1); each function derives its bits from an l1 bound (the sum of
 |c| over all coefficients) and states it.  The tables are int lists in x;
-HalfPowerPoly is only the form of inputs and results.
+HalfPowerPoly is only the form of inputs and results.  The regime check
+against the renormalised Bethe vector at w = 1 compares ints too: at
+q = a/b it is its rational equation cleared of the powers of ab.
 """
 
 from __future__ import annotations
@@ -51,11 +54,11 @@ from __future__ import annotations
 from functools import cache
 from itertools import product
 from math import factorial
+from operator import mul
 
 from bethelab.aba import (
     OMEGA,
     ModelParams,
-    apply_two_site,
     basis_vector,
     distinguished_component_key,
     magnetisation,
@@ -69,7 +72,6 @@ from bethelab.field import (
     RAT,
     HalfPowerPoly,
     as_rat,
-    brk,
     pack,
     row_reduce,
     spread,
@@ -141,12 +143,33 @@ def _bond_tables():
 
 
 def _apply_gates(v: StateVector, bulk, boundary) -> StateVector:
-    if v.n < 2:
+    """The bulk bond on sites (j, j + 1) and the boundary bond on (N, 1),
+    summed in one pass: v's keys are coded once as ints, site j at bits
+    2j, 2j + 1 (as in `aba.sweeps`, with no auxiliary bits), each bond is
+    compiled to columns {left | right << 2: [(delta, weight), ...]} at its
+    two sites, every bond's image goes into one dict, and keys are decoded
+    once.  Weights and values may lie in any ring."""
+    n = v.n
+    if n < 2:
         raise ValueError("the twisted chain needs at least two sites")
-    out = apply_two_site(bulk, v, 0, 1)
-    for j in range(1, v.n - 1):
-        out = out + apply_two_site(bulk, v, j, j + 1)
-    return out + apply_two_site(boundary, v, v.n - 1, 0)
+    bonds = [(bulk, j, j + 1) for j in range(n - 1)] + [(boundary, n - 1, 0)]
+    cur = {sum(s << 2 * j for j, s in enumerate(key)): amp
+           for key, amp in v.entries.items()}
+    out = {}
+    for table, i, j in bonds:
+        i, j = 2 * i, 2 * j
+        cols = {li | ri << 2: [((lo - li << i) + (ro - ri << j), w)
+                               for lo, ro, w in col]
+                for (li, ri), col in table.items()}
+        for code, amp in cur.items():
+            for delta, wgt in cols[code >> i & 3 | (code >> j & 3) << 2]:
+                nk = code + delta
+                nv = amp * wgt
+                acc = out.get(nk)
+                out[nk] = nv if acc is None else acc + nv
+    shifts = range(0, 2 * n, 2)
+    return StateVector(n, {tuple(code >> s & 3 for s in shifts): x
+                           for code, x in out.items()})
 
 
 def hamiltonian_apply_poly(v: StateVector) -> StateVector:
@@ -218,23 +241,24 @@ def _packed_rho(n: int):
     return _packed(_RHO, bits), bits
 
 
-def beta_apply(v: StateVector) -> StateVector:
-    """y^-1 beta(x) on components packed at x = 2^bits as by
-    `_packed_rho(v.n)`: one `sweeps` row of the gauged rho with auxiliary
-    boundary <up| ... |down>, lowering the magnetisation by one."""
+def beta_apply(v: StateVector, k: int = 1) -> StateVector:
+    """(y^-1 beta(x))^k on components packed at x = 2^bits as by
+    `_packed_rho(v.n)`: one `sweeps` call of k rows of the gauged rho with
+    auxiliary boundary <up| ... |down>, each lowering the magnetisation by
+    one."""
     # the auxiliary enters as down (1) and leaves as up (0)
-    return sweeps([[_packed_rho(v.n)[0]] * v.n], v, [(1, 0, 1)])
+    return sweeps([[_packed_rho(v.n)[0]] * v.n] * k, v, [(1, 0, 1)])
 
 
+@cache
 def singlet(n: int) -> StateVector:
     """The zero-energy state x^(-N/2) beta(x)^N |all-up> = (y^-1
-    beta(x))^N |all-up>, swept on ints packed at x = 2^bits and unpacked
-    once into integer polynomials in x."""
+    beta(x))^N |all-up>, swept on ints packed at x = 2^bits in one
+    `beta_apply` call and unpacked once into integer polynomials in x.
+    Memoised: callers must not mutate it."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    v = StateVector(n, {(UP,) * n: 1})
-    for _ in range(n):
-        v = beta_apply(v)
+    v = beta_apply(StateVector(n, {(UP,) * n: 1}), n)
     bits = _packed_rho(n)[1]
     return StateVector(n, {key: HalfPowerPoly.x_poly(unpack(val, bits))
                            for key, val in v.entries.items()})
@@ -279,17 +303,25 @@ def singlet_normalisation_audit(state: StateVector) -> dict:
 
 
 def homogeneous_consistency_check(n: int, q) -> bool:
-    """The renormalised vector at w = (1, ..., 1) equals
-    [q]^(N(N-1)/2) times the singlet evaluated at x = q + 1/q."""
+    """The renormalised vector at w = (1, ..., 1) equals [q]^m times the
+    singlet evaluated at x = q + 1/q, m = N(N-1)/2.  With q = a/b, [q] =
+    (a^2 - b^2)/ab and x = (a^2 + b^2)/ab, so for v's ints over den and a
+    singlet component sum_k c_k x^k of x-degree at most D this is, times
+    (ab)^(D+m), the int equation ints (ab)^(D+m) = (a^2 - b^2)^m den
+    sum_k c_k (a^2 + b^2)^k (ab)^(D-k)."""
     q = as_rat(q)
     params = ModelParams(n, q, [RAT(1)] * n)
     v = renormalised_vector(params)
     ints = v.rational().entries
-    phi = singlet(n)
-    x = q + 1 / q
-    scale = brk(q) ** (n * (n - 1) // 2) * v.den
-    return set(ints) == set(phi.entries) and all(
-        ints[key] == scale * p.eval_x(x) for key, p in phi.entries.items())
+    phi = {key: p.x_coeffs() for key, p in singlet(n).entries.items()}
+    a, b = q.numerator, q.denominator
+    m, deg = n * (n - 1) // 2, max(map(len, phi.values())) - 1
+    powers = [(a * a + b * b) ** k * (a * b) ** (deg - k)
+              for k in range(deg + 1)]
+    lhs, rhs = (a * b) ** (deg + m), (a * a - b * b) ** m * v.den
+    return set(ints) == set(phi) and all(
+        ints[key] * lhs == rhs * sum(map(mul, cs, powers))
+        for key, cs in phi.items())
 
 
 def transfer1_zero_kernel_dimension(n: int, q) -> int:

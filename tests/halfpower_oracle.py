@@ -6,19 +6,19 @@ Every step is polynomial arithmetic over Q[y], y = x^(1/2), with no
 gauge: rho carries y on its flips, so beta(x) maps polynomials in x to y
 times polynomials in x, and the singlet is beta(x)^n |all-up> divided by
 y^n, checked to be an integer polynomial in x.  The bond tables are the
-int ones of `spinchain`, written as polynomials in x; the sweep and gate
-code are the same.
+int ones of `spinchain`, written as polynomials in x; the sweep code is
+the same, and H is the bond-by-bond sum of `helpers.bond_sum`.
 """
 
 from functools import cache
 
 import dense_rmatrix_oracle as dense
-from helpers import ring
+from helpers import bond_sum, ring
 
 from bethelab.aba import StateVector, sweeps
-from bethelab.field import HalfPowerPoly, RAT, pack, unpack
+from bethelab.field import HalfPowerPoly, RAT, as_rat, pack, unpack
 from bethelab.rmatrix import UP
-from bethelab.spinchain import _apply_gates, _bond_tables
+from bethelab.spinchain import _bond_tables
 
 
 @cache
@@ -82,7 +82,16 @@ def norm(state: StateVector) -> HalfPowerPoly:
 
 
 def hamiltonian(v: StateVector) -> StateVector:
-    return _apply_gates(v, *map(x_table, _bond_tables()))
+    return bond_sum(v, *map(x_table, _bond_tables()))
+
+
+def eval_x(p: HalfPowerPoly, x):
+    """An even-support element at the rational point x, by Horner's scheme
+    on rationals: the oracle of the int regime check."""
+    acc = RAT(0)
+    for c in reversed(p.x_coeffs()):
+        acc = acc * as_rat(x) + c
+    return acc
 
 
 def packed(v: StateVector, bits: int) -> StateVector:

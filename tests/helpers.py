@@ -1,7 +1,8 @@
 """Shared test utilities: the seeded admissible-parameter draws are the
 canonical ones from the CLI module; the rest are small readers of package
-objects, the rational form of the twisted Hamiltonian and the rank proof
-that theta2(z) is a simple eigenvalue of T2(z), which only tests use."""
+objects, the bond-by-bond Hamiltonian (the oracle of the one-pass
+`spinchain._apply_gates`) and its rational form, and the rank proof that
+theta2(z) is a simple eigenvalue of T2(z), which only tests use."""
 
 from itertools import product
 from math import lcm
@@ -23,7 +24,7 @@ from bethelab.aba import (
 from bethelab.cli import draw_distinct, draw_q, draw_w, draw_z  # noqa: F401
 from bethelab.field import RAT, as_rat, brk
 from bethelab.linalg import SPIN_CHARS
-from bethelab.spinchain import _apply_gates, _bond_tables
+from bethelab.spinchain import _bond_tables
 
 
 def ring(q) -> ModelParams:
@@ -92,12 +93,24 @@ def evaluated(table, x):
     return out
 
 
+def bond_sum(v: StateVector, bulk, boundary) -> StateVector:
+    """The bulk bond on sites (j, j + 1) and the boundary bond on (N, 1),
+    one `aba.apply_two_site` pass each on tuple keys, summed bond by bond:
+    the oracle of the one-pass `spinchain._apply_gates`."""
+    if v.n < 2:
+        raise ValueError("the twisted chain needs at least two sites")
+    out = aba.apply_two_site(bulk, v, 0, 1)
+    for j in range(1, v.n - 1):
+        out = out + aba.apply_two_site(bulk, v, j, j + 1)
+    return out + aba.apply_two_site(boundary, v, v.n - 1, 0)
+
+
 def hamiltonian_apply(v: StateVector, q) -> StateVector:
     """Apply the twisted Hamiltonian at rational anisotropy x = q + 1/q
     to a vector with rational entries."""
     q = as_rat(q)
     bulk, boundary = (evaluated(t, q + 1 / q) for t in _bond_tables())
-    return _apply_gates(v, bulk, boundary)
+    return bond_sum(v, bulk, boundary)
 
 
 def log_derivative_hamiltonian_apply(v: StateVector, q) -> StateVector:

@@ -229,7 +229,7 @@ def test_criterion_09_homogeneous_singlet():
         state_from_str("0UD"): -one,
         state_from_str("000"): x,
     }
-    for n in range(1, 9):
+    for n in range(1, 11):
         phi = spinchain.singlet(n)  # integer coefficients asserted inside
         norm = spinchain.singlet_norm(phi)
         want = asm.gen_poly(n)
@@ -247,12 +247,12 @@ def test_criterion_09_homogeneous_singlet():
     assert elapsed < 120.0, f"runtime {elapsed:.1f}s exceeds 2min"
     report(9, f"singlet components, integrality, norm sum rule, "
               f"normalisation audit and distinguished components for "
-              f"n <= 8 ({elapsed:.2f}s)")
+              f"n <= 10 ({elapsed:.2f}s)")
 
 
 def test_criterion_10_spin_chain_closure():
     rng = random.Random(SEED + 10)
-    for n in range(2, 9):
+    for n in range(2, 11):
         phi = spinchain.singlet(n)
         assert spinchain.hamiltonian_apply_poly(phi).is_zero()
         got = spinchain.twisted_translation_apply(phi)
@@ -268,7 +268,7 @@ def test_criterion_10_spin_chain_closure():
             for n in (2, 3)}
     print(f"  [logged] zero-eigenspace dimensions (uniqueness probe): {dims}")
     report(10, "H annihilates the singlet, twisted translation eigenvalue "
-               "(-1)^(N+1) for N=2..8, log-derivative form matches for N <= 3")
+               "(-1)^(N+1) for N=2..10, log-derivative form matches for N <= 3")
 
 
 def test_criterion_11_regime_consistency():

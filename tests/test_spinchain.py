@@ -6,16 +6,23 @@ import pytest
 import dense_rmatrix_oracle as dense
 import halfpower_oracle as oracle
 from helpers import (
+    bond_sum,
     draw_q,
+    evaluated,
     hamiltonian_apply,
     log_derivative_hamiltonian_apply,
     ring,
     state_from_str,
 )
 
-from bethelab.aba import StateVector, magnetisation
+from bethelab.aba import (
+    ModelParams,
+    StateVector,
+    magnetisation,
+    renormalised_vector,
+)
 from bethelab import cli, spinchain
-from bethelab.field import RAT, HalfPowerPoly
+from bethelab.field import RAT, HalfPowerPoly, brk
 from bethelab.linalg import kron, mat_add, mat_mul, mat_scale
 from bethelab.rmatrix import DOWN, UP, ZERO
 from bethelab.spinchain import (
@@ -458,6 +465,33 @@ def test_packed_hamiltonian_matches_the_halfpower_gates(n):
         assert hamiltonian_apply_poly(v) == want
 
 
+@pytest.mark.parametrize("ring_name", ["int", "fraction", "halfpower"])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_one_pass_gates_match_the_bond_by_bond_sum(n, ring_name):
+    """The fused int-coded pass of `_apply_gates` against the oracle that
+    applies each bond by `apply_two_site` on tuple keys and adds the
+    images, on seeded random vectors in three rings.  At n = 2 the bulk
+    bond acts on sites (1, 2) and the boundary bond on (2, 1)."""
+    rng = random.Random(60 + n)
+    x = {"int": 3, "fraction": RAT(-7, 3)}.get(ring_name)
+    tables = [oracle.x_table(t) if x is None else evaluated(t, x)
+              for t in spinchain._bond_tables()]
+
+    def value():
+        if ring_name == "int":
+            return rng.randint(-9, 9)
+        if ring_name == "fraction":
+            return RAT(rng.randint(-9, 9), rng.randint(1, 9))
+        return HalfPowerPoly.x_poly([rng.randint(-3, 3) for _ in range(3)])
+
+    for terms in (1, 5, 60):
+        v = StateVector(n, {tuple(rng.randint(0, 2) for _ in range(n)): value()
+                            for _ in range(terms)})
+        want = bond_sum(v, *tables)
+        assert not want.is_zero()
+        assert spinchain._apply_gates(v, *tables) == want
+
+
 def test_packed_hamiltonian_on_wide_and_rational_coefficients():
     """Wide integer coefficients in x unpack exactly; a rational one
     raises."""
@@ -483,7 +517,8 @@ def test_hamiltonian_annihilates_singlet_numeric():
         q = draw_q(rng)
         x = q + 1 / q
         phi = singlet(n)
-        v = StateVector(n, {k: p.eval_x(x) for k, p in phi.entries.items()})
+        v = StateVector(n, {k: oracle.eval_x(p, x)
+                            for k, p in phi.entries.items()})
         assert hamiltonian_apply(v, q).is_zero()
 
 
@@ -523,6 +558,77 @@ def test_homogeneous_consistency():
     for n in (1, 2, 3, 4):
         q = draw_q(rng)
         assert homogeneous_consistency_check(n, q)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8])
+def test_singlet_is_n_single_row_beta_sweeps(n):
+    """The one k-row `beta_apply` call of `singlet` against k calls of one
+    row each, on the packed ints and after unpacking."""
+    v = StateVector(n, {(UP,) * n: 1})
+    for _ in range(n):
+        v = beta_apply(v)
+    assert beta_apply(StateVector(n, {(UP,) * n: 1}), n) == v
+    assert singlet(n) == oracle.x_unpacked(v, spinchain._packed_rho(n)[1])
+
+
+def with_coefficient(phi: StateVector, key, k: int, delta: int):
+    """phi with delta added to the coefficient of x^k of one component,
+    as a new vector (the memoised singlet is left as it is)."""
+    cs = list(phi.entries[key].x_coeffs())
+    cs += [0] * (k + 1 - len(cs))
+    cs[k] += delta
+    return StateVector(phi.n, {**phi.entries, key: HalfPowerPoly.x_poly(cs)})
+
+
+def fraction_consistency(n: int, q) -> bool:
+    """The regime check on rationals, the oracle of the int one: the
+    renormalised vector at w = 1 against [q]^(N(N-1)/2) times the singlet
+    evaluated at x = q + 1/q by Horner's scheme (`eval_x`)."""
+    v = renormalised_vector(ModelParams(n, q, [RAT(1)] * n))
+    ints, phi = v.rational().entries, spinchain.singlet(n)
+    scale = brk(q) ** (n * (n - 1) // 2) * v.den
+    return set(ints) == set(phi.entries) and all(
+        ints[key] == scale * oracle.eval_x(p, q + 1 / q)
+        for key, p in phi.entries.items())
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+def test_int_regime_check_matches_the_fraction_oracle(n, monkeypatch):
+    """The int equation, the rational one times (ab)^(D+m), gives the
+    rational check's answer at drawn q of both signs: true on the singlet,
+    false on a singlet with one coefficient moved, one component's degree
+    raised past D, or one component's sign flipped."""
+    rng = random.Random(70 + n)
+    phi = singlet(n)
+    key = sorted(phi.entries)[rng.randrange(len(phi.entries))]
+    top = len(phi.entries[key].x_coeffs())
+    flipped = StateVector(n, {**phi.entries, key: -phi.entries[key]})
+    for q in (draw_q(rng), -draw_q(rng)):
+        assert homogeneous_consistency_check(n, q) is True
+        assert fraction_consistency(n, q) is True
+        for bad in (with_coefficient(phi, key, 0, 1),
+                    with_coefficient(phi, key, top, -1), flipped):
+            monkeypatch.setattr(spinchain, "singlet", lambda m, bad=bad: bad)
+            assert homogeneous_consistency_check(n, q) is False
+            assert fraction_consistency(n, q) is False
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_every_singlet_coefficient_moved_by_one_fails_the_regime_check(
+        n, monkeypatch):
+    """The gate of the homogeneous-limit claim: each coefficient of each
+    singlet component, moved by +1 or -1, makes the regime check fail."""
+    rng = random.Random(80 + n)
+    q = draw_q(rng)
+    phi = singlet(n)
+    assert homogeneous_consistency_check(n, q)
+    for key, p in phi.entries.items():
+        for k in range(len(p.x_coeffs())):
+            for delta in (1, -1):
+                bad = with_coefficient(phi, key, k, delta)
+                monkeypatch.setattr(spinchain, "singlet", lambda m: bad)
+                assert not homogeneous_consistency_check(n, q), (key, k, delta)
 
 
 def test_transfer1_kernel_dimension_is_one():
