@@ -146,6 +146,7 @@ from bethelab.field import (
     as_rat,
     brk,
     brk_leading,
+    brk_ratio,
     rat_str,
     session_constant,
 )
@@ -351,16 +352,18 @@ def vacuum(params: ModelParams) -> ModelVector:
     return basis_vector(params, (UP,) * params.n)
 
 
-def vacuum_a(z, params: ModelParams) -> RAT:
-    """Eigenvalue of A(z) on the reference state: prod_j [q z / w_j]."""
+def vacuum_pair(z, k: int, params: ModelParams) -> tuple:
+    """prod_j [q^k z / w_j] as an unreduced int pair (num, den): the
+    eigenvalue a(z) of A(z) on the reference state for k = 1, d(z) of D(z)
+    for k = -1, and a(q z) for k = 2."""
+    p, r = params.q.as_integer_ratio()
+    c = (p ** k, r ** k) if k >= 0 else (r ** -k, p ** -k)
     z = params.rat(z)
-    return prod(brk(params.q * z / w) for w in params.w)
-
-
-def vacuum_d(z, params: ModelParams) -> RAT:
-    """Eigenvalue of D(z) on the reference state: prod_j [z / (q w_j)]."""
-    z = params.rat(z)
-    return prod(brk(z / (params.q * w)) for w in params.w)
+    num = den = 1
+    for w in params.w:
+        x, y = brk_ratio(z, w, c)
+        num, den = num * x, den * y
+    return num, den
 
 
 _AUX = {"A": (0, 0), "B": (1, 0), "C": (0, 1), "D": (1, 1)}  # (a_in, a_out)
@@ -493,38 +496,40 @@ def transfer2_apply(z, params: ModelParams, v: ModelVector) -> ModelVector:
 
 def theta2(z, params: ModelParams) -> RAT:
     """The simple eigenvalue -d(z) a(q z)."""
-    z = params.rat(z)
-    return -vacuum_d(z, params) * vacuum_a(params.q * z, params)
+    (dn, dd), (an, ad) = vacuum_pair(z, -1, params), vacuum_pair(z, 2, params)
+    return RAT(-dn * an, dd * ad)
 
 
 def bethe_equations_residual(roots, params: ModelParams):
     """Each Bethe equation at the given roots (n = N roots) in cleared form,
     a(z_k) prod_{j!=k} [z_k/(q z_j)] + d(z_k) prod_{j!=k} [q z_k/z_j]; the
-    sign is the twist's e^{-i pi} = -1."""
+    sign is the twist's e^{-i pi} = -1.  Each is summed on int pairs."""
     zs = [params.rat(z) for z in roots]
-    q = params.q
+    q = params.q.as_integer_ratio()
     residuals = []
     for k, zk in enumerate(zs):
-        others = zs[:k] + zs[k + 1:]
-        residuals.append(params.sc(
-            vacuum_a(zk, params) * prod(brk(zk / (q * z)) for z in others)
-            + vacuum_d(zk, params) * prod(brk(q * zk / z) for z in others)))
+        (an, ad), (dn, dd) = vacuum_pair(zk, 1, params), vacuum_pair(
+            zk, -1, params)
+        for z in zs[:k] + zs[k + 1:]:
+            (x, y), (u, v) = brk_ratio(zk, z, q[::-1]), brk_ratio(zk, z, q)
+            an, ad, dn, dd = an * x, ad * y, dn * u, dd * v
+        residuals.append(params.sc(RAT(an * dd + dn * ad, ad * dd)))
     return residuals
 
 
 def renorm_divisor(params: ModelParams) -> Scalar:
     """([q][q^2])^(N/2) prod_{j<k} [q w_j / w_k] as an exact scalar; for
     odd N the half-integer power is s^N = ([q][q^2])^((N-1)/2) s."""
-    n = params.n
-    acc = params.d ** (n // 2)
+    n, w, q = params.n, params.w, params.q.as_integer_ratio()
+    num, den = params.d.numerator ** (n // 2), params.d.denominator ** (n // 2)
     for j in range(n):
         for k in range(j + 1, n):
-            f = brk(params.q * params.w[j] / params.w[k])
-            if f == 0:
+            x, y = brk_ratio(w[j], w[k], q)
+            if not x:
                 raise RedundantFactorZero(
                     f"[q w_{j + 1}/w_{k + 1}] = 0: w on the singular lattice")
-            acc = acc * f
-    return Scalar(acc, n % 2, params.d)
+            num, den = num * x, den * y
+    return Scalar(RAT(num, den), n % 2, params.d)
 
 
 def renormalised_vector(params: ModelParams) -> ModelVector:

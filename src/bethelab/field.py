@@ -3,7 +3,10 @@
 Spectral parameters, their brackets [z] = z - 1/z (`brk`), the closed
 forms built from them and the R-matrix weights (the mixed one in the
 gauge of `rmatrix`) are rationals, of the one type RAT =
-`fractions.Fraction`.  What can carry a square root or i (the model's
+`fractions.Fraction`.  The closed forms are computed on ints: a bracket
+of c x / y is the unreduced int pair (a^2 - b^2, a b) with a / b = c x / y
+(`brk_ratio`), products of brackets multiply the pairs, and one RAT is
+built per returned value.  What can carry a square root or i (the model's
 vectors) lives in the ring
 
     Q(s, i),   s**2 = d,   i**2 = -1,
@@ -215,6 +218,20 @@ def brk(r) -> RAT:
     if r == 0:
         raise PoleEncountered("bracket of zero spectral parameter")
     return r - 1 / r
+
+
+def brk_ratio(x, y, c=(1, 1)) -> tuple:
+    """[c x / y] for rationals (or ints) x, y and a constant c = (num, den)
+    of nonzero ints, as the unreduced int pair (a^2 - b^2, a b) with a / b
+    = c x / y, raising as brk(c * x * inv(y)) does: the inverse of zero
+    for y = 0, the bracket of zero for x = 0."""
+    a = c[0] * x.numerator * y.denominator
+    b = c[1] * x.denominator * y.numerator
+    if not b:
+        raise PoleEncountered("inverse of zero scalar")
+    if not a:
+        raise PoleEncountered("bracket of zero spectral parameter")
+    return a * a - b * b, a * b
 
 
 def brk_leading(r, to_inf: bool) -> RAT:

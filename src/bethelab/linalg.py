@@ -1,15 +1,14 @@
-"""Exact dense and sparse matrix helpers.
+"""Exact sparse vectors, sparse products and the integer determinant.
 
-Dense matrices are plain lists of rows of ints or rationals; they stay
-small (the int 9x9 matrices of the Hamiltonian bond and the rational
-Bareiss inputs of `detform`).  `StateVector` is the sparse vector every
-operator of `aba` and `spinchain` acts on.  The R-matrix identities on
-pair and triple tensor spaces multiply sparse dict-of-rows matrices of
-int numerators with `sp_mul`, so the 27-dimensional Yang-Baxter space
-costs nothing; `rmatrix.RMat.embedded` writes a pair operator in that
-form.
-Determinants use fraction-free Bareiss elimination over any field; exact
-row reduction, for solves and kernel dimensions, is `field.row_reduce`.
+`StateVector` is the sparse vector every operator of `aba` and
+`spinchain` acts on.  The R-matrix identities on pair and triple tensor
+spaces multiply sparse dict-of-rows matrices of int numerators with
+`sp_mul`, so the 27-dimensional Yang-Baxter space costs nothing;
+`rmatrix.RMat.embedded` writes a pair operator in that form.  The one
+dense matrix is the int matrix of a determinant, which `detform`
+clears row by row and hands to fraction-free Bareiss elimination
+(`det_bareiss`); exact row reduction, for solves and kernel dimensions, is
+`field.row_reduce`.
 """
 
 from __future__ import annotations
@@ -67,37 +66,10 @@ class StateVector:
         return f"StateVector(n={self.n}, {{{', '.join(parts)}}})"
 
 
-def mat_mul(a, b):
-    if len(a[0]) != len(b):
-        raise ValueError(f"inner dimensions differ: {len(a[0])} vs {len(b)}")
-    zero = a[0][0] * 0
-    return [[sum((x * y for x, y in zip(row, col) if x and y), zero)
-             for col in zip(*b)] for row in a]
-
-
-def mat_add(*ms):
-    """Entrywise sum of one or more equally shaped matrices."""
-    out = ms[0]
-    for m in ms[1:]:
-        out = [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(out, m)]
-    return out
-
-
-def mat_scale(a, c):
-    return [[c * x for x in row] for row in a]
-
-
-def kron(a, b):
-    out = []
-    for ra in a:
-        for rb in b:
-            out.append([x * y for x in ra for y in rb])
-    return out
-
-
-def det_bareiss(a):
-    """Fraction-free determinant of a square matrix over a field (the
-    package's rationals): every division by the previous pivot is exact."""
+def det_bareiss(a) -> int:
+    """Determinant of a square int matrix by fraction-free Bareiss
+    elimination: each step's division by the previous pivot is exact, so
+    `//` keeps every entry an int."""
     n = len(a)
     if n == 0:
         raise ValueError("empty matrix")
@@ -107,13 +79,16 @@ def det_bareiss(a):
         if not m[k][k]:
             piv = next((r for r in range(k + 1, n) if m[r][k]), None)
             if piv is None:
-                return m[k][k]
+                return 0
             m[k], m[piv] = m[piv], m[k]
             sign = -sign
+        top, pivot = m[k], m[k][k]
         for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) / prev
-        prev = m[k][k]
+            row = m[i]
+            lead = row[k]
+            m[i][k + 1:] = [(x * pivot - lead * y) // prev
+                            for x, y in zip(row[k + 1:], top[k + 1:])]
+        prev = pivot
     det = m[n - 1][n - 1]
     return det if sign == 1 else -det
 

@@ -10,14 +10,17 @@ A_13 = A_23 = x - 1, and anisotropy x = q + 1/q.  The boundary bond is
 twisted by the rotation diag(-1, 1, -1) about the 3-axis: s^1 and s^2 at
 site N+1 = 1 flip sign.
 
-The bond is built on ints from the real matrices R_1 = sqrt(2) s^1,
-R_2 = -i sqrt(2) s^2 and R_3 = s^3.  Every bond term carries its spin
-factors in pairs, so s^a (x) s^a = c_a R_a (x) R_a, (s^a)^2 = c_a R_a^2
-and (s^a s^b) (x) (s^a s^b) = c_a c_b (R_a R_b) (x) (R_a R_b) with
-c = (1/2, -1/2, 1).  As 2c, 2J and 2A are integral, 8 h(x) = H_0 + H_1 x
-+ H_2 x^2 with three int 9 x 9 matrices H_k.  The boundary bond is the
-bulk bond conjugated by Omega = diag(-1, 1, -1) on its wrapped right-hand
-site: its entry <lo ro|h|li ri> flips sign where Omega[ro] != Omega[ri].
+In the real matrices R_1 = sqrt(2) s^1, R_2 = -i sqrt(2) s^2 and R_3 =
+s^3 every bond term carries its spin factors in pairs, so s^a (x) s^a =
+c_a R_a (x) R_a, (s^a)^2 = c_a R_a^2 and (s^a s^b) (x) (s^a s^b) = c_a c_b
+(R_a R_b) (x) (R_a R_b) with c = (1/2, -1/2, 1).  As 2c, 2J and 2A are
+integral, 8 h(x) is an int matrix polynomial in x, and every entry turns
+out divisible by 8: h(x) has nineteen nonzero entries, each an integer
+polynomial of degree at most 2 in x, written out as the table `_BOND`
+(the tests rebuild it from the spin matrices as its oracle).  The
+boundary bond is the bulk bond conjugated by Omega = diag(-1, 1, -1) on
+its wrapped right-hand site: its entry <lo ro|h|li ri> flips sign where
+Omega[ro] != Omega[ri].
 
 The zero-energy state is built from the single spin-flip operator
 
@@ -77,69 +80,41 @@ from bethelab.field import (
     spread,
     unpack,
 )
-from bethelab.linalg import (
-    StateVector,
-    kron,
-    mat_add,
-    mat_mul,
-    mat_scale,
-    state_str,
-)
+from bethelab.linalg import StateVector, state_str
 from bethelab.rmatrix import DOWN, UP, ZERO
 
 
 class NonIntegerCoefficient(ArithmeticError):
-    """A table weight or a vector component that must be an integer
-    polynomial in x is not one."""
+    """A vector component that must be an integer polynomial in x is not
+    one."""
 
 
-# R_1, R_2, R_3 on (U, 0, D), 2 c_a and the couplings 2 J_a and 2 A_ab as
-# int coefficients in x: 2 J_3 = x^2 - 2, 2 A_13 = 2 A_23 = 2x - 2
-_SPIN = (((0, 1, 0), (1, 0, 1), (0, 1, 0)),
-         ((0, -1, 0), (1, 0, -1), (0, 1, 0)),
-         ((1, 0, 0), (0, 0, 0), (0, 0, -1)))
-_C2 = (1, -1, 2)
-_J2 = ((2,), (2,), (-2, 0, 1))
-_A2 = ((_J2[0], (2,), (-2, 2)),
-       ((2,), _J2[1], (-2, 2)),
-       ((-2, 2), (-2, 2), _J2[2]))
-
-
-def bond_gate():
-    """[H_0, H_1, H_2], the int 9 x 9 matrices of 8 h(x) = H_0 + H_1 x +
-    H_2 x^2 for the bulk bond, indexed by 3 * left + right: each term of
-    8 h(x) is an int matrix times an int polynomial."""
-    eye = [[int(i == j) for j in range(3)] for i in range(3)]
-    terms = []
-    for a, ra in enumerate(_SPIN):
-        pair = mat_add(kron(ra, ra), mat_scale(kron(mat_mul(ra, ra), eye), 2))
-        terms.append((mat_scale(pair, 2 * _C2[a]), _J2[a]))
-        for b, rb in enumerate(_SPIN):
-            rab = mat_mul(ra, rb)
-            terms.append((mat_scale(kron(rab, rab), -_C2[a] * _C2[b]),
-                          _A2[a][b]))
-    return [mat_add(*(mat_scale(m, cs[k]) for m, cs in terms if k < len(cs)))
-            for k in range(3)]
+# h(x) on the bulk bond, keyed (left, right) in, as int lists in x: the
+# nineteen nonzero entries of the module docstring's h, each column
+# ascending in (left, right) out
+_BOND = {(UP, UP): [(UP, UP, [0, 0, 1])],
+         (UP, ZERO): [(UP, ZERO, [-1, 0, 1]), (ZERO, UP, [1, 0, 0])],
+         (UP, DOWN): [(UP, DOWN, [1, 0, 0]), (ZERO, ZERO, [0, 1, 0]),
+                      (DOWN, UP, [-1, 0, 0])],
+         (ZERO, UP): [(UP, ZERO, [1, 0, 0]), (ZERO, UP, [3, 0, 0])],
+         (ZERO, ZERO): [(UP, DOWN, [0, 1, 0]), (ZERO, ZERO, [2, 0, 0]),
+                        (DOWN, UP, [0, 1, 0])],
+         (ZERO, DOWN): [(ZERO, DOWN, [3, 0, 0]), (DOWN, ZERO, [1, 0, 0])],
+         (DOWN, UP): [(UP, DOWN, [-1, 0, 0]), (ZERO, ZERO, [0, 1, 0]),
+                      (DOWN, UP, [1, 0, 0])],
+         (DOWN, ZERO): [(ZERO, DOWN, [1, 0, 0]), (DOWN, ZERO, [-1, 0, 1])],
+         (DOWN, DOWN): [(DOWN, DOWN, [0, 0, 1])]}
 
 
 @cache
 def _bond_tables():
-    """Transition tables of the bulk bond and of the boundary bond, the
-    bulk bond conjugated by Omega on its wrapped right-hand site, every
+    """Transition tables of the bulk bond `_BOND` and of the boundary bond,
+    the bulk bond conjugated by Omega on its wrapped right-hand site, every
     weight the ints [c_0, c_1, c_2] of h(x) = c_0 + c_1 x + c_2 x^2."""
-    hs = bond_gate()
-    if any(c % 8 for h in hs for row in h for c in row):
-        raise NonIntegerCoefficient("8 h(x) has an entry not divisible by 8")
-    pairs = list(product(range(3), repeat=2))  # ascending, as in column_map
-    bulk = {}
-    for li, ri in pairs:
-        col = [(lo, ro, [h[3 * lo + ro][3 * li + ri] // 8 for h in hs])
-               for lo, ro in pairs]
-        bulk[li, ri] = [(lo, ro, cs) for lo, ro, cs in col if any(cs)]
     boundary = {(li, ri): [(lo, ro, cs if OMEGA[ro] == OMEGA[ri]
                             else [-c for c in cs]) for lo, ro, cs in col]
-                for (li, ri), col in bulk.items()}
-    return bulk, boundary
+                for (li, ri), col in _BOND.items()}
+    return _BOND, boundary
 
 
 def _apply_gates(v: StateVector, bulk, boundary) -> StateVector:

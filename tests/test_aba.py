@@ -41,8 +41,7 @@ from bethelab.aba import (
     transfer1_apply,
     transfer2_apply,
     vacuum,
-    vacuum_a,
-    vacuum_d,
+    vacuum_pair,
 )
 from bethelab.field import RAT, InconsistentSamples, PoleEncountered, brk
 from bethelab.rmatrix import RMat, r22
@@ -103,9 +102,9 @@ def test_vacuum_eigenvalues_and_c_annihilation():
         p = ModelParams(n, q, draw_w(rng, n, q))
         z = p.sc(draw_z(rng))
         av = monodromy_apply("A", z, p, vacuum(p))
-        assert av == vacuum(p).scale(vacuum_a(z, p))
+        assert av == vacuum(p).scale(RAT(*vacuum_pair(z, 1, p)))
         dv = monodromy_apply("D", z, p, vacuum(p))
-        assert dv == vacuum(p).scale(vacuum_d(z, p))
+        assert dv == vacuum(p).scale(RAT(*vacuum_pair(z, -1, p)))
         assert monodromy_apply("C", z, p, vacuum(p)).is_zero()
 
 

@@ -3,8 +3,11 @@ import random
 import pytest
 
 import dense_rmatrix_oracle as dense
+import detform_oracle as oracle
+from detform_oracle import f_fn, g_fn
 from helpers import draw_q, draw_w, draw_distinct, eval_at
 
+from bethelab import aba, detform
 from bethelab.aba import (
     ModelParams,
     monodromy_apply,
@@ -14,8 +17,6 @@ from bethelab.aba import (
 from bethelab.asm import dwbc_partition_brute
 from bethelab.detform import (
     brute_scalar_product,
-    f_fn,
-    g_fn,
     ik_determinant,
     ik_or_asm_sum,
     partition_Z,
@@ -299,7 +300,8 @@ def test_component_from_b_reduction():
 def test_orthogonality_on_ik_variety():
     # frozen rational point of the N=2 variety Z_IK(zeta; w) = 0 (found by
     # an exact grid search over small rationals): the off-shell state at
-    # this zeta is orthogonal to the Bethe state, through all three routes
+    # this zeta is orthogonal to the Bethe state, through every route and
+    # through the Fraction oracle
     p = ModelParams(2, RAT(2), [RAT(1), RAT(1, 5)])
     zeta = [RAT(2, 9), RAT(31, 82)]
     roots = [p.sc(w) for w in p.w]
@@ -307,6 +309,9 @@ def test_orthogonality_on_ik_variety():
     assert ik_determinant(zeta, p.w, p) == 0
     assert slavnov(roots, zs, p) == 0
     assert brute_scalar_product(roots, zs, p) == 0
+    assert scalar_product_reduction_rhs(zeta, p) == 0
+    assert oracle.slavnov(roots, zs, p) == oracle.ik_determinant(
+        zeta, p.w, p) == 0
 
 
 def test_left_kernel_orthogonality():
@@ -344,20 +349,20 @@ def test_left_kernel_orthogonality():
 @pytest.mark.parametrize("n", [4, 5])
 def test_closed_forms_make_no_scalar_products(n, monkeypatch):
     """The vacuum eigenvalues, theta2, the determinants, the DWBC oracle
-    and the sum-rule and simple-component closed forms multiply and divide
+    and the sum-rule and simple-component closed forms compute on ints and
     rationals only, and no Scalar product, power or inverse runs.  Each runs
     once first, so that the renormalised vectors the sum rule pairs are
     built, and memoised, outside the count: `aba` builds them, and each of
     its rescalings multiplies the vector's unit by a Scalar (one product)."""
-    from bethelab.aba import theta2, vacuum_a, vacuum_d
+    from bethelab.aba import theta2, vacuum_pair
 
     rng = random.Random(626 + n)
     p = draw_params(rng, n)
     zeta = draw_zeta(rng, p)
     coincident = (zeta[0],) + zeta[:-1]
     simple = simple_component_even if n % 2 == 0 else simple_component_odd
-    runs = [lambda: theta2(zeta[0], p), lambda: vacuum_a(zeta[0], p),
-            lambda: vacuum_d(zeta[0], p),
+    runs = [lambda: theta2(zeta[0], p), lambda: vacuum_pair(zeta[0], 1, p),
+            lambda: vacuum_pair(zeta[0], -1, p),
             lambda: slavnov(p.w, zeta, p),
             lambda: ik_determinant(zeta, p.w, p),
             lambda: ik_or_asm_sum(zeta, p.w, p),
@@ -382,3 +387,136 @@ def test_closed_forms_make_no_scalar_products(n, monkeypatch):
     values = [run() for run in runs]
     assert calls == []
     assert not any(isinstance(v, Scalar) for v in values)
+
+
+# ---------------------------------------------------------------------
+# the int-pair formulas against the Fraction oracle
+# ---------------------------------------------------------------------
+
+SLAVNOV_POLES = {"bracket of zero spectral parameter",
+                 "g(z, w) has a pole at w = +-z",
+                 "f(z, w) has a pole at w = +-z",
+                 "d(zeta_k) = 0", "inverse of zero scalar"}
+
+
+def signed_rat(rng, low, top):
+    """A rational of either sign, numerator in low..top, denominator in
+    1..top."""
+    return RAT(rng.choice((-1, 1)) * rng.randint(low, top),
+               rng.randint(1, top))
+
+
+def signed_draws(n, count=60):
+    """count seeded (params, zeta, roots) at N = n: q, w and zeta of either
+    sign, and off-shell roots for the algebraic identity of Slavnov's
+    formula.  Every other draw takes numerators and denominators up to 7,
+    and zeta and the roots sometimes 0, so that it often meets a pole; the
+    rest take them up to 60, and rarely do."""
+    rng = random.Random(700 + n)
+    draws = []
+    while len(draws) < count:
+        top, low = (7, 0) if len(draws) % 2 else (60, 1)
+        q = signed_rat(rng, 1, top)
+        w = [signed_rat(rng, 1, top) for _ in range(n)]
+        if q * q == 1:
+            continue
+        zeta = [signed_rat(rng, low, top) for _ in range(n)]
+        roots = [signed_rat(rng, low, top) for _ in range(n)]
+        draws.append((ModelParams(n, q, w), zeta, roots))
+    return draws
+
+
+def outcome(fn):
+    """fn()'s value, or the class and message of the pole it raised."""
+    try:
+        return fn()
+    except PoleEncountered as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _routes(p, zeta, roots):
+    """(name, args) of every determinant route: Slavnov's formula at roots
+    = w and off shell, the IK determinant with w and with a second drawn
+    family, the sum-rule and reduction routes and the simple component."""
+    simple = ("simple_component_even" if p.n % 2 == 0
+              else "simple_component_odd")
+    return [("slavnov", (p.w, zeta, p)), ("slavnov", (roots, zeta, p)),
+            ("ik_determinant", (zeta, p.w, p)),
+            ("ik_determinant", (zeta, roots, p)),
+            ("partition_Z_via_ik", (p,)),
+            ("scalar_product_reduction_rhs", (zeta, p)), (simple, (p,))]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_determinant_routes_match_the_fraction_oracle(n):
+    """Every route of `_routes` equals the Fraction code it replaced on 60
+    seeded draws at N = n with q, w and zeta of either sign: the same
+    rational, or the same pole with the same message.  Each route gives a
+    value on at least 20 draws."""
+    values = [0] * 7
+    for p, zeta, roots in signed_draws(n):
+        for k, (name, args) in enumerate(_routes(p, zeta, roots)):
+            got = outcome(lambda: getattr(detform, name)(*args))
+            assert got == outcome(lambda: getattr(oracle, name)(*args)), (
+                name, args)
+            values[k] += isinstance(got, RAT)
+    assert min(values) >= 20, values
+
+
+def test_slavnov_meets_every_pole_in_the_oracle_order():
+    """Across the seeded draws the int-pair Slavnov formula raises each of
+    its pole messages, each time the one the Fraction code raises first."""
+    seen = set()
+    for n in (1, 2, 3, 4, 5):
+        for p, zeta, roots in signed_draws(n):
+            for args in ((p.w, zeta, p), (roots, zeta, p)):
+                got = outcome(lambda: detform.slavnov(*args))
+                assert got == outcome(lambda: oracle.slavnov(*args))
+                if isinstance(got, tuple):
+                    seen.add(got[1])
+    assert seen == SLAVNOV_POLES
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_aba_closed_forms_match_the_fraction_oracle(n):
+    """a(z), d(z) and a(q z) as int pairs, theta2, the cleared Bethe
+    equations and the renormalisation divisor equal their Fraction forms
+    on the same draws, poles and RedundantFactorZero included."""
+    for p, zeta, roots in signed_draws(n):
+        for z in zeta:
+            for k, want in ((1, lambda: oracle.vacuum_a(z, p)),
+                            (-1, lambda: oracle.vacuum_d(z, p)),
+                            (2, lambda: oracle.vacuum_a(p.q * z, p))):
+                got = outcome(lambda: RAT(*aba.vacuum_pair(z, k, p)))
+                assert got == outcome(want)
+            assert (outcome(lambda: aba.theta2(z, p))
+                    == outcome(lambda: oracle.theta2(z, p)))
+        for zs in (p.w, [r or 1 for r in roots]):
+            assert (aba.bethe_equations_residual(zs, p)
+                    == oracle.bethe_equations_residual(zs, p))
+        assert (outcome(lambda: aba.renorm_divisor(p))
+                == outcome(lambda: oracle.renorm_divisor(p)))
+
+
+def test_a_sign_flip_in_one_slavnov_entry_fails_the_oracle_check(
+        monkeypatch):
+    """The differential check has teeth: with the sign of entry (1, N) of
+    the cleared Slavnov matrix flipped before the determinant, Slavnov's
+    formula disagrees with the oracle on at least 3 in 4 of the draws with
+    a nonzero value, at every N >= 2."""
+    det = detform.det_bareiss
+
+    def flipped(rows):
+        rows = [list(row) for row in rows]
+        rows[0][-1] = -rows[0][-1]
+        return det(rows)
+
+    monkeypatch.setattr(detform, "det_bareiss", flipped)
+    for n in (2, 3, 4, 5):
+        tried = caught = 0
+        for p, zeta, roots in signed_draws(n):
+            want = outcome(lambda: oracle.slavnov(p.w, zeta, p))
+            if isinstance(want, RAT) and want:
+                tried += 1
+                caught += detform.slavnov(p.w, zeta, p) != want
+        assert tried >= 20 and caught >= tried * 3 // 4, (n, tried, caught)

@@ -1,12 +1,14 @@
 import itertools
 import random
-from math import gcd
+from math import gcd, prod
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import bond_oracle
 import dense_rmatrix_oracle as dense
+import detform_oracle
 from scalar_oracle import FourPart
 
 from helpers import ring
@@ -350,7 +352,7 @@ def test_shape_guards_raise():
     with pytest.raises(ValueError):
         r12(RAT(3), Q).braided()  # factors C^2 and C^3
     with pytest.raises(ValueError):
-        linalg.mat_mul([[P.sc(1)] * 2], [[P.sc(1)] * 2])  # 1x2 times 1x2
+        bond_oracle.mat_mul([[P.sc(1)] * 2], [[P.sc(1)] * 2])  # 1x2, 1x2
 
 
 def test_coerce_rejects_a_scalar_of_another_session():
@@ -387,9 +389,19 @@ def _cofactor(a):
     return acc
 
 
+def _cleared(m):
+    """(ints, factor): each row of a rational matrix times the product of
+    its entries' denominators, and the product of those row factors."""
+    factors = [prod(x.denominator for x in row) for row in m]
+    return [[int(x * f) for x in row] for row, f in zip(m, factors)], prod(
+        factors)
+
+
 def test_bareiss_determinant_matches_cofactor():
-    """On random rational matrices, with RAT and with FourPart entries, on
-    a matrix whose zero leading pivot forces a row swap, and on two
+    """On random rational matrices cleared to ints row by row, where the
+    int determinant over the product of the row factors is the rational
+    one; with FourPart entries through the oracle's Bareiss over a field;
+    on a matrix whose zero leading pivot forces a row swap, and on two
     singular ones."""
     rng = random.Random(5)
     mats = [[[RAT(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n)]
@@ -399,15 +411,17 @@ def test_bareiss_determinant_matches_cofactor():
     for rows in ([[1, 2, 3], [2, 4, 6], [-1, RAT(1, 2), 7]],
                  [[1, 2, 3], [2, 4, 5], [3, 6, 1]]):  # no pivot in column 2
         mats.append([[RAT(x) for x in row] for row in rows])
+    dets = []
     for m in mats:
         want = _cofactor(m)
-        assert linalg.det_bareiss(m) == want
-        got = linalg.det_bareiss([[FourPart(x, d=P.d) for x in row]
-                                  for row in m])
+        ints, factor = _cleared(m)
+        got = linalg.det_bareiss(ints)
+        assert type(got) is int and RAT(got, factor) == want
+        dets.append(RAT(got, factor))
+        got = detform_oracle.det_bareiss([[FourPart(x, d=P.d) for x in row]
+                                          for row in m])
         assert isinstance(got, FourPart) and got == want
-    assert linalg.det_bareiss(mats[-3]) == RAT(5, 2)
-    assert linalg.det_bareiss(mats[-2]) == 0
-    assert linalg.det_bareiss(mats[-1]) == 0
+    assert dets[-3:] == [RAT(5, 2), 0, 0]
 
 
 # ---------------------------------------------------------------------

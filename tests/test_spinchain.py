@@ -3,8 +3,10 @@ import random
 
 import pytest
 
+import bond_oracle
 import dense_rmatrix_oracle as dense
 import halfpower_oracle as oracle
+from bond_oracle import bond_gate, kron, mat_add, mat_mul, mat_scale
 from helpers import (
     bond_sum,
     draw_q,
@@ -23,12 +25,10 @@ from bethelab.aba import (
 )
 from bethelab import cli, spinchain
 from bethelab.field import RAT, HalfPowerPoly, brk
-from bethelab.linalg import kron, mat_add, mat_mul, mat_scale
 from bethelab.rmatrix import DOWN, UP, ZERO
 from bethelab.spinchain import (
     NonIntegerCoefficient,
     beta_apply,
-    bond_gate,
     distinguished_component_key,
     hamiltonian_apply_poly,
     homogeneous_consistency_check,
@@ -171,10 +171,10 @@ def test_real_spin_matrices_reproduce_doubled_ones():
     # R_1 = S_1, i R_2 = S_2, R_3 = S_3; c_a = (S_a (x) S_a)/(2 R_a (x) R_a)
     # for a = 1, 2 and c_3 = 1
     p = ORACLE_RING
-    real = [[[p.sc(c) for c in row] for row in m] for m in spinchain._SPIN]
+    real = [[[p.sc(c) for c in row] for row in m] for m in bond_oracle.SPIN]
     phases = (p.sc(1), p.i, p.sc(1))
     halves = (RAT(1, 2), RAT(1, 2), RAT(1))
-    for r, phase, half, c2, s in zip(real, phases, halves, spinchain._C2,
+    for r, phase, half, c2, s in zip(real, phases, halves, bond_oracle.C2,
                                      doubled_spin_matrices(p)):
         assert mat_scale(r, phase) == s
         assert (mat_scale(kron(s, s), p.sc(half))
@@ -195,6 +195,8 @@ def test_bulk_bond_table_is_the_gate():
     bulk, _ = spinchain._bond_tables()
     assert set(bulk) == {(li, ri) for li in range(3) for ri in range(3)}
     assert table_as_dense(bulk) == [h0, h1, h2]
+    # the literal is the table the spin-matrix derivation gives, in order
+    assert list(bulk.items()) == list(bond_oracle.bulk_table().items())
 
 
 def test_boundary_bond_is_omega_conjugate():
@@ -384,12 +386,13 @@ def test_a_component_that_is_no_polynomial_raises(value):
 
 
 def test_singlet_guards_are_typed(monkeypatch):
-    """An entry of 8 h(x) not divisible by 8 raises."""
+    """An entry of 8 h(x) not divisible by 8 raises in the derivation of
+    the bond table from spin matrices, the oracle of the literal."""
     hs = bond_gate()
     hs[1][3][1] += 4  # 8 h(x) would carry x/2 at <0U|h|U0>
-    monkeypatch.setattr(spinchain, "bond_gate", lambda: hs)
+    monkeypatch.setattr(bond_oracle, "bond_gate", lambda: hs)
     with pytest.raises(NonIntegerCoefficient):
-        spinchain._bond_tables.__wrapped__()
+        bond_oracle.bulk_table()
 
 
 def test_singlet_magnetisation_zero():
