@@ -7,19 +7,28 @@ chain,
 
 a 2x2 matrix in the auxiliary spin-1/2 space with operator entries A, B,
 C, D.  Operators are never materialised as 3^N x 3^N matrices: one
-kernel, `sweeps`, applies rows of R-matrices to a whole sparse vector,
-site by site, merging equal partial states after each site.  Keys are
-coded as ints once per operator product (a chain of rows, each traced
-over signed auxiliary bounds) and decoded once on exit; zeros are dropped
-at the end of each row; and the last site of a row emits only the
-transitions whose auxiliary index leaves as the bound's a_out: with
-column key c = aux | spin << 2 and the site part of the code change
-delta a multiple of 4, (c + delta) & 3 is the outgoing index.  The
-monodromy entries, the T1 and T2 traces and the singlet's beta operator
-in `spinchain` (one row and one bound) differ only in their tables and
-auxiliary bounds.  `sweeps` takes the tables as they are, plain
-transition tables {(aux, site): [(aux', site', weight), ...]}, and
-compiles each row itself.
+int-coded kernel applies local tables to a whole sparse vector.  A key is
+one int, site k (0-based) at bits 2k + 2, 2k + 3 above the auxiliary
+index's bits 0-1 (`_encode`, `_decode`); a two-factor table compiles to
+columns at its factors' two bit offsets, keyed by code & mask, so a
+transition adds an int (`_columns`); and one loop merges a vector's
+image into a dict (`_merge`).  `sweeps` applies rows of R-matrices site
+by site, the auxiliary index and site j the two factors of table j,
+merging equal partial states after each site.  Keys are coded once per
+operator product (a chain of rows, each traced over signed auxiliary
+bounds) and decoded once on exit; zeros are dropped at the end of each
+row; and the last site of a row emits only the transitions whose
+auxiliary index leaves as the bound's a_out: the site part of a column
+key c and of the code change delta are multiples of 4, so (c + delta) &
+3 is the outgoing index.  The monodromy entries, the T1 and T2 traces
+and the singlet's beta operator in `spinchain` (one row and one bound)
+differ only in their tables and auxiliary bounds.  `sweeps` takes the
+tables as they are, plain transition tables {(aux, site): [(aux',
+site', weight), ...]}, and compiles each row itself.  `apply_gates`
+sums the images of two-site gates on the same coding, with the
+auxiliary bits left clear: the Hamiltonian's N bonds in `spinchain`.  A
+single gate (`apply_two_site`) patches tuple keys instead, since for one
+gate the coding costs more than it saves.
 
 ModelParams is the one parameter object: N, a rational q and w, with
 the ring Q(s, i) of d = [q][q^2] (`field.session_constant`, which checks
@@ -369,23 +378,46 @@ def vacuum_pair(z, k: int, params: ModelParams) -> tuple:
 _AUX = {"A": (0, 0), "B": (1, 0), "C": (0, 1), "D": (1, 1)}  # (a_in, a_out)
 
 
-def _compiled(tables) -> list:
-    """A row's tables, table j - 1 as its columns for site j at bits 2j,
-    2j + 1 of an int-coded state: {aux | spin << 2: [(delta, weight), ...]},
-    delta the change of the code; a code outside 0..3 raises ValueError."""
-    row = []
-    for j, table in enumerate(tables, 1):
-        out, codes = {}, 0
-        for (a, s), col in table.items():
-            codes |= a | s
-            out[a | s << 2] = pairs = []
-            for ao, so, w in col:
-                codes |= ao | so
-                pairs.append((ao - a + (so - s << 2 * j), w))
-        if not 0 <= codes < 4:  # the or of ints in 0..3 stays in 0..3
-            raise ValueError(f"a table code is not in 0..3: {table!r}")
-        row.append(out)
-    return row
+def _encode(v: StateVector) -> dict:
+    """v's entries keyed by int codes: site k (0-based) at bits 2k + 2,
+    2k + 3, above the auxiliary index's bits 0-1, here clear."""
+    return {sum(s << 2 * k for k, s in enumerate(key)) << 2: amp
+            for key, amp in v.entries.items()}
+
+
+def _decode(n: int, codes: dict) -> StateVector:
+    """The n-site StateVector of {code: amp}, aux bits clear."""
+    shifts = range(2, 2 * n + 2, 2)
+    return StateVector(n, {tuple(code >> s & 3 for s in shifts): x
+                           for code, x in codes.items()})
+
+
+def _columns(table, lo: int, hi: int):
+    """(cols, mask): a two-factor transition table {(x, y): [(x', y',
+    weight), ...]} as columns on codes holding x at bits lo, lo + 1 and y
+    at bits hi, hi + 1, {code & mask: [(delta, weight), ...]}, delta the
+    change of the code; a code outside 0..3 raises ValueError."""
+    cols, codes = {}, 0
+    for (x, y), col in table.items():
+        codes |= x | y
+        cols[x << lo | y << hi] = pairs = []
+        for xo, yo, w in col:
+            codes |= xo | yo
+            pairs.append(((xo - x << lo) + (yo - y << hi), w))
+    if not 0 <= codes < 4:  # the or of ints in 0..3 stays in 0..3
+        raise ValueError(f"a table code is not in 0..3: {table!r}")
+    return cols, 3 << lo | 3 << hi
+
+
+def _merge(cur: dict, cols: dict, mask: int, out: dict):
+    """Add the image of cur {code: amp} under compiled columns into out,
+    merging equal codes."""
+    for code, val in cur.items():
+        for delta, wgt in cols[code & mask]:
+            nk = code + delta
+            nv = val * wgt
+            acc = out.get(nk)
+            out[nk] = nv if acc is None else acc + nv
 
 
 def sweeps(rows, v: StateVector, bounds) -> StateVector:
@@ -393,25 +425,21 @@ def sweeps(rows, v: StateVector, bounds) -> StateVector:
     row by the sum of sign times the row's image with the auxiliary index
     entering as a_in and leaving as a_out, over the (a_in, a_out, sign) of
     bounds.  Table j - 1 of a row, {(aux, site): [(aux', site', weight),
-    ...]}, acts on site j, and each row is compiled once (`_compiled`).
-    A partial state is one int, aux in bits 0-1 and the spin of site j in
-    bits 2j, 2j+1, so a transition adds an int: v's keys are coded once on
-    entry and decoded once on exit, and between rows the auxiliary bits
-    are cleared.  Equal partial states merge after each site; zeros are
-    dropped at the end of each row.  A table or auxiliary code outside
-    0..3 raises ValueError."""
+    ...]}, acts on the auxiliary index and site j, its two factors, and is
+    compiled once per row (`_columns`).  v's keys are coded once on entry
+    (`_encode`) and decoded once on exit, so a transition adds an int;
+    between rows the auxiliary bits are clear.  Equal partial states
+    merge after each site; zeros are dropped at the end of each row.  A
+    table or auxiliary code outside 0..3 raises ValueError."""
     if not all(0 <= a_in | a_out < 4 for a_in, a_out, _ in bounds):
         raise ValueError(f"auxiliary codes not in 0..3: {bounds!r}")
-    cur = {sum(s << 2 * j for j, s in enumerate(key)) << 2: amp
-           for key, amp in v.entries.items()}
+    cur = _encode(v)
     for tables in rows:
-        row, out = _compiled(tables), {}
+        row, out = [_columns(t, 0, 2 * j) for j, t in enumerate(tables, 1)], {}
         for a_in, a_out, sign in bounds:
             _sweep_row(row, cur, a_in, a_out, sign, out)
         cur = {code: x for code, x in out.items() if x}
-    shifts = range(2, 2 * v.n + 2, 2)
-    return StateVector(v.n, {tuple(code >> s & 3 for s in shifts): x
-                             for code, x in cur.items()})
+    return _decode(v.n, cur)
 
 
 def _sweep_row(row, cur: dict, a_in: int, a_out: int, sign: int, out: dict):
@@ -419,21 +447,34 @@ def _sweep_row(row, cur: dict, a_in: int, a_out: int, sign: int, out: dict):
     entering as a_in and leaving as a_out, into out; codes in and out have
     their aux bits clear.  The first site's deltas add a_in, and the last
     site emits only the transitions that leave as a_out: its column key c
-    is aux | spin << 2 and the site part of a delta is a multiple of 4, so
-    (c + delta) & 3 is the outgoing aux, which delta - a_out clears."""
-    row = [{c ^ a_in: [(delta + a_in, wgt) for delta, wgt in col]
-            for c, col in row[0].items() if c & 3 == a_in}, *row[1:]]
-    row[-1] = {c: [(delta - a_out, sign * wgt) for delta, wgt in col
-                   if (c + delta) & 3 == a_out] for c, col in row[-1].items()}
-    for j, cols in enumerate(row):
-        shift, nxt = 2 * j, out if j == len(row) - 1 else {}
-        for code, val in cur.items():
-            for delta, wgt in cols[code >> shift & 12 | code & 3]:
-                nk = code + delta
-                nv = val * wgt
-                acc = nxt.get(nk)
-                nxt[nk] = nv if acc is None else acc + nv
+    holds aux in bits 0-1 and the site part of a delta is a multiple of 4,
+    so (c + delta) & 3 is the outgoing aux, which delta - a_out clears."""
+    (cols, mask), *rest = row
+    row = [({c ^ a_in: [(delta + a_in, wgt) for delta, wgt in col]
+             for c, col in cols.items() if c & 3 == a_in}, mask), *rest]
+    cols, mask = row[-1]
+    row[-1] = ({c: [(delta - a_out, sign * wgt) for delta, wgt in col
+                    if (c + delta) & 3 == a_out]
+                for c, col in cols.items()}, mask)
+    for j, (cols, mask) in enumerate(row):
+        nxt = out if j == len(row) - 1 else {}
+        _merge(cur, cols, mask, nxt)
         cur = nxt
+
+
+def apply_gates(v: StateVector, gates) -> StateVector:
+    """The sum of the images of v under the two-site gates (table, i, j)
+    of gates, table a transition table {(left, right): [(left', right',
+    weight), ...]} on site positions i, j (0-based, i the left factor), in
+    one pass on v's int codes: each gate is compiled at its two sites
+    (`_columns`) and merges its image into one dict.  Every gate's sites
+    must be two distinct sites of v, else ValueError before any work."""
+    for _, i, j in gates:
+        _check_sites(v.n, i, j)
+    cur, out = _encode(v), {}
+    for table, i, j in gates:
+        _merge(cur, *_columns(table, 2 * i + 2, 2 * j + 2), out)
+    return _decode(v.n, out)
 
 
 def _signed_sweeps(rows, v: ModelVector, params: ModelParams, bounds):
@@ -546,13 +587,22 @@ def renormalised_vector(params: ModelParams) -> ModelVector:
 # -- local gates and the twisted shift ---------------------------------
 
 
+def _check_sites(n: int, i: int, j: int):
+    """ValueError unless i, j are two distinct sites 0..n-1."""
+    if not (0 <= i < n and 0 <= j < n and i != j):
+        raise ValueError(f"gate sites {i}, {j} are not two sites of {n}")
+
+
 def apply_two_site(colmap: dict, v: StateVector, i: int,
                    j: int) -> StateVector:
     """Apply a two-site gate (column transition table) on site positions
     i, j (0-based, i is the gate's left factor): two distinct sites of v,
-    else ValueError."""
-    if not (0 <= i < v.n and 0 <= j < v.n and i != j):
-        raise ValueError(f"gate sites {i}, {j} are not two sites of {v.n}")
+    else ValueError.  One gate patches tuple keys instead of coding them
+    as `apply_gates` does, since coding and decoding every key costs more
+    than the gate: four rhat22 gates on the N = 5 renormalised vector take
+    about twice as long through the int coding (2-core x86_64, CPython
+    3.11)."""
+    _check_sites(v.n, i, j)
     out = {}
     for key, amp in v.entries.items():
         for ao, bo, wgt in colmap[(key[i], key[j])]:

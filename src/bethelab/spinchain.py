@@ -39,11 +39,11 @@ The singlet, its norm and the symbolic H v run on packed ints (Kronecker
 substitution): an integer polynomial sum_k c_k x^k becomes sum_k c_k
 2^(bits k), and the sweeps multiply and add plain ints: each beta is one
 row of packed rho tables, which `aba.sweeps` takes as they are, under
-the one bound <up| ... |down>, and H v is one pass over v's keys coded
-as ints, 2 bits a site, in which the N packed bond tables, compiled at
-their two sites, add their images into one dict.  The norm and H v take
-vectors of integer polynomials in x, the singlet's own form, and raise
-NonIntegerCoefficient on any other.
+the one bound <up| ... |down>, and H v is one `aba.apply_gates` pass of
+the N packed bonds, on the same int coding of keys.  `spinchain` codes no
+keys itself: its operators are `aba`'s and its packing `field`'s.  The
+norm and H v take vectors of integer polynomials in x, the singlet's own
+form, and raise NonIntegerCoefficient on any other.
 Balanced base-2^bits digits unpack a result exactly when every |c_k| <
 2^(bits-1); each function derives its bits from an l1 bound (the sum of
 |c| over all coefficients) and states it.  The tables are int lists in x;
@@ -62,6 +62,7 @@ from operator import mul
 from bethelab.aba import (
     OMEGA,
     ModelParams,
+    apply_gates,
     basis_vector,
     distinguished_component_key,
     magnetisation,
@@ -117,49 +118,23 @@ def _bond_tables():
     return _BOND, boundary
 
 
-def _apply_gates(v: StateVector, bulk, boundary) -> StateVector:
-    """The bulk bond on sites (j, j + 1) and the boundary bond on (N, 1),
-    summed in one pass: v's keys are coded once as ints, site j at bits
-    2j, 2j + 1 (as in `aba.sweeps`, with no auxiliary bits), each bond is
-    compiled to columns {left | right << 2: [(delta, weight), ...]} at its
-    two sites, every bond's image goes into one dict, and keys are decoded
-    once.  Weights and values may lie in any ring."""
-    n = v.n
-    if n < 2:
-        raise ValueError("the twisted chain needs at least two sites")
-    bonds = [(bulk, j, j + 1) for j in range(n - 1)] + [(boundary, n - 1, 0)]
-    cur = {sum(s << 2 * j for j, s in enumerate(key)): amp
-           for key, amp in v.entries.items()}
-    out = {}
-    for table, i, j in bonds:
-        i, j = 2 * i, 2 * j
-        cols = {li | ri << 2: [((lo - li << i) + (ro - ri << j), w)
-                               for lo, ro, w in col]
-                for (li, ri), col in table.items()}
-        for code, amp in cur.items():
-            for delta, wgt in cols[code >> i & 3 | (code >> j & 3) << 2]:
-                nk = code + delta
-                nv = amp * wgt
-                acc = out.get(nk)
-                out[nk] = nv if acc is None else acc + nv
-    shifts = range(0, 2 * n, 2)
-    return StateVector(n, {tuple(code >> s & 3 for s in shifts): x
-                           for code, x in out.items()})
-
-
 def hamiltonian_apply_poly(v: StateVector) -> StateVector:
     """H v, exact in x, for integer polynomials in x, packed with the bond
     tables at x = 2^bits.  Bound: a bond multiplies the l1 norm by at most
     G, the largest column l1 weight of the bond tables, and H sums N
-    bonds, so every coefficient is at most N G |v|_1."""
+    bonds, so every coefficient is at most N G |v|_1.  The bulk bond acts
+    on sites (j, j + 1) and the boundary bond on (N, 1), all N in one
+    `aba.apply_gates` pass; N < 2 raises ValueError."""
     ints = _x_ints(v)
-    tables = _bond_tables()
+    n, tables = v.n, _bond_tables()
     norm = sum(abs(c) for cs in ints.values() for c in cs)
-    bits = (v.n * max(map(_column_l1, tables)) * norm).bit_length() + 1
-    packed = StateVector(v.n, {k: pack(cs, bits) for k, cs in ints.items()})
-    out = _apply_gates(packed, *(_packed(t, bits) for t in tables))
-    return StateVector(v.n, {key: HalfPowerPoly.x_poly(unpack(x, bits))
-                             for key, x in out.entries.items()})
+    bits = (n * max(map(_column_l1, tables)) * norm).bit_length() + 1
+    packed = StateVector(n, {k: pack(cs, bits) for k, cs in ints.items()})
+    bulk, boundary = (_packed(t, bits) for t in tables)
+    out = apply_gates(packed, [(bulk, j, j + 1) for j in range(n - 1)]
+                      + [(boundary, n - 1, 0)])
+    return StateVector(n, {key: HalfPowerPoly.x_poly(unpack(x, bits))
+                           for key, x in out.entries.items()})
 
 
 def twisted_translation_apply(v: StateVector) -> StateVector:

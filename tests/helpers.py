@@ -1,8 +1,9 @@
 """Shared test utilities: the seeded admissible-parameter draws are the
 canonical ones from the CLI module; the rest are small readers of package
-objects, the bond-by-bond Hamiltonian (the oracle of the one-pass
-`spinchain._apply_gates`) and its rational form, and the rank proof that
-theta2(z) is a simple eigenvalue of T2(z), which only tests use."""
+objects, the gate-by-gate sum on tuple keys (the oracle of the one-pass
+`aba.apply_gates`), the bond-by-bond Hamiltonian built on it and its
+rational form, and the rank proof that theta2(z) is a simple eigenvalue
+of T2(z), which only tests use."""
 
 from itertools import product
 from math import lcm
@@ -93,16 +94,29 @@ def evaluated(table, x):
     return out
 
 
+def gate_sum(v: StateVector, gates) -> StateVector:
+    """The sum of the images of v under the two-site gates (table, i, j),
+    one `aba.apply_two_site` pass each on tuple keys, added gate by gate:
+    the oracle of the one-pass `aba.apply_gates`."""
+    out = StateVector(v.n)
+    for table, i, j in gates:
+        out = out + aba.apply_two_site(table, v, i, j)
+    return out
+
+
+def bond_gates(n: int, bulk, boundary) -> list:
+    """The N gates (table, i, j) of the twisted chain: the bulk bond on
+    sites (j, j + 1), 0-based, and the boundary bond on (N - 1, 0)."""
+    return [(bulk, j, j + 1) for j in range(n - 1)] + [(boundary, n - 1, 0)]
+
+
 def bond_sum(v: StateVector, bulk, boundary) -> StateVector:
     """The bulk bond on sites (j, j + 1) and the boundary bond on (N, 1),
-    one `aba.apply_two_site` pass each on tuple keys, summed bond by bond:
-    the oracle of the one-pass `spinchain._apply_gates`."""
+    summed bond by bond by `gate_sum`: the oracle of the N bonds that
+    `spinchain.hamiltonian_apply_poly` hands to `aba.apply_gates`."""
     if v.n < 2:
         raise ValueError("the twisted chain needs at least two sites")
-    out = aba.apply_two_site(bulk, v, 0, 1)
-    for j in range(1, v.n - 1):
-        out = out + aba.apply_two_site(bulk, v, j, j + 1)
-    return out + aba.apply_two_site(boundary, v, v.n - 1, 0)
+    return gate_sum(v, bond_gates(v.n, bulk, boundary))
 
 
 def hamiltonian_apply(v: StateVector, q) -> StateVector:

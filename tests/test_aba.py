@@ -558,7 +558,10 @@ def test_leading_coefficient_refuses_a_one_site_chain(to_inf):
                                   (0, 3)])
 def test_gate_sites_must_be_two_sites_of_the_vector(i, j):
     """A two-site gate acts on two distinct sites 0..N-1: a negative index
-    would wrap around, and i = j would apply the gate to one site twice."""
+    would wrap around (in `apply_gates`, site -1 would shift into the
+    auxiliary bits), and i = j would apply the gate to one site twice.
+    `apply_gates` checks every gate before any work: its first gate, on
+    valid sites, has no table, which compiling it would trip over."""
     p = params_n(3)
     psi = bethe_vector(p)
     with pytest.raises(ValueError, match="not two sites"):
@@ -566,6 +569,10 @@ def test_gate_sites_must_be_two_sites_of_the_vector(i, j):
     table, _ = aba.rhat22_table(RAT(5, 3), p)
     with pytest.raises(ValueError, match="not two sites"):
         aba.apply_two_site(table, psi.part, i, j)
+    with pytest.raises(ValueError, match="not two sites"):
+        aba.apply_gates(psi.part, [(table, i, j)])
+    with pytest.raises(ValueError, match="not two sites"):
+        aba.apply_gates(psi.part, [(None, 0, 1), (table, i, j)])
 
 
 def test_scattering_relation():

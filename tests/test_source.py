@@ -121,6 +121,24 @@ def test_spinchain_writes_its_own_rho():
     assert "r12" not in names
 
 
+def test_spinchain_codes_no_keys():
+    """`spinchain` holds no shift operator, so it codes no keys and packs
+    no ints itself: its operators are `aba`'s one int-coded kernel
+    (`sweeps` for beta, `apply_gates` for the N bonds of H) and its
+    packing is `field`'s."""
+    root = Path(bethelab.__file__).parent
+    tree = ast.parse((root / "spinchain.py").read_text())
+    shifts = [node.lineno for node in ast.walk(tree)
+              if isinstance(node, (ast.BinOp, ast.AugAssign))
+              and isinstance(node.op, (ast.LShift, ast.RShift))]
+    assert shifts == []
+    imported = {(node.module, alias.name) for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert {("bethelab.aba", "sweeps"), ("bethelab.aba", "apply_gates"),
+            ("bethelab.field", "pack"),
+            ("bethelab.field", "unpack")} <= imported
+
+
 def _imported_modules(tree):
     """The full names of the modules that a module imports."""
     for node in ast.walk(tree):

@@ -8,6 +8,7 @@ import dense_rmatrix_oracle as dense
 import halfpower_oracle as oracle
 from bond_oracle import bond_gate, kron, mat_add, mat_mul, mat_scale
 from helpers import (
+    bond_gates,
     bond_sum,
     draw_q,
     evaluated,
@@ -20,6 +21,7 @@ from helpers import (
 from bethelab.aba import (
     ModelParams,
     StateVector,
+    apply_gates,
     magnetisation,
     renormalised_vector,
 )
@@ -471,10 +473,11 @@ def test_packed_hamiltonian_matches_the_halfpower_gates(n):
 @pytest.mark.parametrize("ring_name", ["int", "fraction", "halfpower"])
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_one_pass_gates_match_the_bond_by_bond_sum(n, ring_name):
-    """The fused int-coded pass of `_apply_gates` against the oracle that
-    applies each bond by `apply_two_site` on tuple keys and adds the
-    images, on seeded random vectors in three rings.  At n = 2 the bulk
-    bond acts on sites (1, 2) and the boundary bond on (2, 1)."""
+    """`aba.apply_gates` on the N bonds, the one pass of
+    `hamiltonian_apply_poly`, against the oracle that applies each bond by
+    `apply_two_site` on tuple keys and adds the images, on seeded random
+    vectors in three rings.  At n = 2 the bulk bond acts on sites (1, 2)
+    and the boundary bond on (2, 1)."""
     rng = random.Random(60 + n)
     x = {"int": 3, "fraction": RAT(-7, 3)}.get(ring_name)
     tables = [oracle.x_table(t) if x is None else evaluated(t, x)
@@ -492,7 +495,7 @@ def test_one_pass_gates_match_the_bond_by_bond_sum(n, ring_name):
                             for _ in range(terms)})
         want = bond_sum(v, *tables)
         assert not want.is_zero()
-        assert spinchain._apply_gates(v, *tables) == want
+        assert apply_gates(v, bond_gates(n, *tables)) == want
 
 
 def test_packed_hamiltonian_on_wide_and_rational_coefficients():

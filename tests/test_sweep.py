@@ -25,7 +25,10 @@ gauge K = diag(1, y) of `spinchain`: its image is checked against the
 per-key contraction of the ungauged rho on HalfPowerPoly entries,
 divided by y once for each sweep.  Last, the T2 sweep at z = w_j is
 compared with the two-site gates of `aba.scattering_apply` (the
-regularity lemma), the one route of the scattering check.
+regularity lemma), the one route of the scattering check.  The same
+int coding, column compiler and merge loop sum the images of two-site
+gates (`apply_gates`); that sum is compared with `apply_two_site` on
+tuple keys, gate by gate, on seeded random tables in four rings.
 """
 
 import random
@@ -34,7 +37,7 @@ import pytest
 
 import dense_rmatrix_oracle as dense
 import halfpower_oracle
-from helpers import at_pi, draw_q, draw_w
+from helpers import at_pi, draw_q, draw_w, gate_sum
 from scalar_oracle import FourPart, summands
 from scalar_oracle import model as model_vector
 
@@ -43,6 +46,7 @@ from bethelab.aba import (
     IrrationalWeight,
     ModelParams,
     StateVector,
+    apply_gates,
     basis_vector,
     bethe_vector,
     magnetisation,
@@ -52,7 +56,7 @@ from bethelab.aba import (
     transfer2_apply,
     vacuum,
 )
-from bethelab.field import RAT, HalfPowerPoly, SessionMismatch
+from bethelab.field import RAT, HalfPowerPoly, SessionMismatch, pack
 from bethelab.linalg import DimensionMismatch
 from bethelab.spinchain import _RHO, _packed_rho, beta_apply
 
@@ -319,6 +323,61 @@ def test_table_code_outside_two_bits_raises(column, transitions):
     table[column] = transitions
     with pytest.raises(ValueError):
         sweeps([[table, table]], StateVector(2, {(0, 0): 1}), [(0, 0, 1)])
+    with pytest.raises(ValueError, match="not in 0..3"):
+        apply_gates(StateVector(2, {(0, 0): 1}), [(table, 0, 1)])
+
+
+GATE_RINGS = {
+    "int": lambda rng: rng.choice((-1, 1)) * rng.randint(1, 9),
+    "fraction": lambda rng: RAT(rng.choice((-1, 1)) * rng.randint(1, 9),
+                                rng.randint(1, 9)),
+    "halfpower": lambda rng: HalfPowerPoly(
+        [rng.randint(-3, 3) for _ in range(2)] + [rng.randint(1, 3)]),
+    # integer polynomials packed at 2^16, as spinchain packs its bonds
+    "packed": lambda rng: pack([rng.randint(-99, 99) for _ in range(3)], 16),
+}
+
+
+def random_gate_table(rng, value):
+    """A two-site transition table on spins 0..2, each column one to three
+    distinct transitions with nonzero weights."""
+    outs = [(a, b) for a in range(3) for b in range(3)]
+    return {key: [(a, b, value(rng))
+                  for a, b in rng.sample(outs, rng.randint(1, 3))]
+            for key in outs}
+
+
+def gate_site_lists(rng, n):
+    """Site pairs of gate lists on n sites: none, one adjacent pair each
+    way, all adjacent pairs, the two ends each way (not adjacent for n >
+    2), one pair twice, and five random pairs."""
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    twice = rng.choice(pairs)
+    return [[], [(0, 1)], [(1, 0)], [(k, k + 1) for k in range(n - 1)],
+            [(0, n - 1), (n - 1, 0)], [twice, twice],
+            [rng.choice(pairs) for _ in range(5)]]
+
+
+@pytest.mark.parametrize("ring", list(GATE_RINGS))
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_apply_gates_matches_the_gate_by_gate_sum(n, ring):
+    """One pass of `apply_gates` against `apply_two_site` on tuple keys,
+    gate by gate, added up (`helpers.gate_sum`): on seeded random tables,
+    a fresh table per gate except the repeated gate, which is one table
+    twice; the empty list gives the zero vector."""
+    rng = random.Random(700 + 10 * n + list(GATE_RINGS).index(ring))
+    value = GATE_RINGS[ring]
+    for sites in gate_site_lists(rng, n):
+        tables = [random_gate_table(rng, value) for _ in sites]
+        if len(sites) == 2 and sites[0] == sites[1]:
+            tables[1] = tables[0]
+        gates = [(t, i, j) for t, (i, j) in zip(tables, sites)]
+        for terms in (1, 6, 3 ** n):
+            v = StateVector(n, {k: value(rng)
+                                for k in random_keys(rng, n, terms)})
+            want = gate_sum(v, gates)
+            assert apply_gates(v, gates) == want
+            assert want.is_zero() == (not gates)
 
 
 @pytest.mark.parametrize("a_in, a_out", [(4, 0), (0, 4), (-1, 0)])
@@ -437,21 +496,22 @@ def test_cancelling_vector_really_cancels():
 
 def test_signed_sweeps_compile_each_row_once(monkeypatch):
     """T2 traces three auxiliary bounds and T1 two, each on one compiled
-    row: one compilation of the N-site row per call."""
-    rows = []
-    compiled = aba._compiled
+    row: one compilation per site of the N-site row per call, not one per
+    bound."""
+    offsets = []
+    columns = aba._columns
 
-    def counting(tables):
-        rows.append(len(tables))
-        return compiled(tables)
+    def counting(table, lo, hi):
+        offsets.append((lo, hi))
+        return columns(table, lo, hi)
 
     p = ModelParams(3, RAT(5, 2), [RAT(3), RAT(7, 5), RAT(11, 4)])
     psi = bethe_vector(p)
-    monkeypatch.setattr(aba, "_compiled", counting)
+    monkeypatch.setattr(aba, "_columns", counting)
     for apply in (transfer2_apply, aba.transfer1_apply):
-        rows.clear()
+        offsets.clear()
         apply(p.sc(RAT(2)), p, psi)
-        assert rows == [3]
+        assert offsets == [(0, 2), (0, 4), (0, 6)]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4], ids=at_pi)
