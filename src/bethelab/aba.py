@@ -26,15 +26,20 @@ differ only in their tables and auxiliary bounds.  `sweeps` takes the
 tables as they are, plain transition tables {(aux, site): [(aux',
 site', weight), ...]}, and compiles each row itself.  `apply_gates`
 sums the images of two-site gates on the same coding, with the
-auxiliary bits left clear: the Hamiltonian's N bonds in `spinchain`.  A
-single gate (`apply_two_site`) patches tuple keys instead, since for one
-gate the coding costs more than it saves.
+auxiliary bits left clear, and drops the zeros before it decodes: the
+Hamiltonian's N bonds in `spinchain`, whose image of the singlet decodes
+nothing.  A single gate (`apply_two_site`) patches tuple keys instead,
+since for one gate the coding costs more than it saves.
 
 ModelParams is the one parameter object: N, a rational q and w, with
 the ring Q(s, i) of d = [q][q^2] (`field.session_constant`, which checks
 q), its units s and i, and the memo of transition tables that it shares
-with every ModelParams `with_w` derives from it.  The R-matrices of
-`rmatrix` take q itself.
+with every ModelParams `with_w` derives from it.  The memo is keyed by
+the table's kind and the reduced int pair (a, b), b > 0, of its argument
+a / b, formed from the int ratios of z, q and w, and a table is built by
+`rmatrix.r12_at` or `r22_at` from that pair and q's: no rational is
+built, hashed or compared on the way.  The identity checks of `rmatrix`
+take q itself.
 
 The model's vectors (ModelVector) live on plain ints: every value the
 model computes is one rational times one of the units 1, s, i, s i, so a
@@ -164,9 +169,9 @@ from bethelab.rmatrix import (
     DOWN,
     UP,
     ZERO,
-    r12,
+    r12_at,
     r12_leading,
-    r22,
+    r22_at,
     singlet_pair_vector,
 )
 
@@ -288,7 +293,10 @@ class ModelParams:
 
     `memo` holds the vectors built for these parameters; the transition
     tables are memoised once for these parameters and every ModelParams
-    that `with_w` derives from them.
+    that `with_w` derives from them, keyed by their kind and the reduced
+    int pair (a, b) of their argument a / b (b > 0), which the callers
+    form from the int ratios of z, q and w (`_over`) with no rational
+    product, quotient or hash.
     """
 
     def __init__(self, n: int, q, w):
@@ -301,6 +309,10 @@ class ModelParams:
             raise ValueError("inhomogeneities must be nonzero")
         self.n, self.q, self.w = n, as_rat(q), w
         self.d = session_constant(self.q)
+        # the int pairs of q, of each w_j and of each q w_j (`_over`)
+        self._q = p, r = self.q.as_integer_ratio()
+        self._w = [x.as_integer_ratio() for x in w]
+        self._qw = [(p * a, r * b) for a, b in self._w]
         self.s = Scalar(RAT(1), 1, self.d)
         self.i = Scalar(RAT(1), 2, self.d)
         self._vectors, self._tables = {}, {}
@@ -337,18 +349,35 @@ class ModelParams:
         return {"n": self.n, "q": rat_str(self.q),
                 "w": [rat_str(x) for x in self.w]}
 
-    def _table(self, kind: str, u: RAT, build):
-        """The table memo's build(), keyed by kind and u."""
-        return _memo(self._tables, (kind, u), build)
+    def _table(self, kind: str, u: tuple, build):
+        """The table memo's build(), keyed by kind and the int pair u."""
+        return _memo(self._tables, (kind, *u), build)
 
-    def r12_table(self, u: RAT):
-        """(table, D): the transition table of r12(u), in the gauge K =
-        diag(1, s) on the auxiliary factor, as ints over one denominator D."""
-        return self._table("r12", u, lambda: _int_table(r12(u, self.q)))
+    def r12_table(self, u: tuple):
+        """(table, D): the transition table of r12 at a / b, u = (a, b)
+        reduced with b > 0, in the gauge K = diag(1, s) on the auxiliary
+        factor, as ints over one denominator D."""
+        return self._table("r12", u, lambda: _int_table(r12_at(u, self._q)))
 
-    def r22_table(self, u: RAT):
-        """(table, D) for r22(u) as ints over one denominator D."""
-        return self._table("r22", u, lambda: _int_table(r22(u, self.q)))
+    def r22_table(self, u: tuple):
+        """(table, D) for r22 at a / b, u = (a, b) reduced with b > 0, as
+        ints over one denominator D."""
+        return self._table("r22", u, lambda: _int_table(r22_at(u, self._q)))
+
+
+def _over(z: tuple, divisors) -> list:
+    """z / c for z = (a, b) and each nonzero int pair c of divisors, as
+    reduced int pairs with a positive denominator: the table memo's
+    keys."""
+    a, b = z
+    return [_ratio(a * y, b * x) for x, y in divisors]
+
+
+def _ratio(a: int, b: int) -> tuple:
+    """a / b, b nonzero, as its reduced int pair with a positive
+    denominator."""
+    g = gcd(a, b)
+    return (a // g, b // g) if b > 0 else (-a // g, -b // g)
 
 
 def _int_table(rmat):
@@ -467,14 +496,16 @@ def apply_gates(v: StateVector, gates) -> StateVector:
     of gates, table a transition table {(left, right): [(left', right',
     weight), ...]} on site positions i, j (0-based, i the left factor), in
     one pass on v's int codes: each gate is compiled at its two sites
-    (`_columns`) and merges its image into one dict.  Every gate's sites
-    must be two distinct sites of v, else ValueError before any work."""
+    (`_columns`) and merges its image into one dict, whose zeros are
+    dropped before `_decode`, as `sweeps` drops them at the end of a row.
+    Every gate's sites must be two distinct sites of v, else ValueError
+    before any work."""
     for _, i, j in gates:
         _check_sites(v.n, i, j)
     cur, out = _encode(v), {}
     for table, i, j in gates:
         _merge(cur, *_columns(table, 2 * i + 2, 2 * j + 2), out)
-    return _decode(v.n, out)
+    return _decode(v.n, {code: x for code, x in out.items() if x})
 
 
 def _signed_sweeps(rows, v: ModelVector, params: ModelParams, bounds):
@@ -489,8 +520,8 @@ def _signed_sweeps(rows, v: ModelVector, params: ModelParams, bounds):
 def _monodromy_rows(z, params: ModelParams) -> list:
     """The row of gauged r12 tables of z, or of each z of a list."""
     zs = [params.rat(x) for x in (z if isinstance(z, list) else [z])]
-    return [[params.r12_table(x / (params.q * w)) for w in params.w]
-            for x in zs]
+    return [[params.r12_table(u) for u in _over(x.as_integer_ratio(),
+                                                 params._qw)] for x in zs]
 
 
 def monodromy_apply(which: str, z, params: ModelParams, v: ModelVector):
@@ -529,8 +560,8 @@ def transfer1_apply(z, params: ModelParams, v: ModelVector) -> ModelVector:
 def transfer2_apply(z, params: ModelParams, v: ModelVector) -> ModelVector:
     """Nineteen-vertex transfer matrix with the diagonal twist
     Omega = diag(-1, 1, -1)."""
-    z = params.rat(z)
-    tables = [params.r22_table(z / w) for w in params.w]
+    tables = [params.r22_table(u) for u in _over(
+        params.rat(z).as_integer_ratio(), params._w)]
     return _signed_sweeps([tables], v, params,
                           [(a0, a0, sign) for a0, sign in enumerate(OMEGA)])
 
@@ -616,18 +647,18 @@ def apply_two_site(colmap: dict, v: StateVector, i: int,
     return StateVector(v.n, out)
 
 
-def rhat22_table(u, params: ModelParams):
+def rhat22_table(u: tuple, params: ModelParams):
     """(table, D): the transition table of the braided nineteen-vertex
-    matrix P R(u) as ints over one denominator D."""
-    u = params.rat(u)
+    matrix P R(a / b), u = (a, b) reduced with b > 0, as ints over one
+    denominator D."""
     return params._table(
-        "rhat22", u, lambda: _int_table(r22(u, params.q).braided()))
+        "rhat22", u, lambda: _int_table(r22_at(u, params._q).braided()))
 
 
 def rhat22_apply(u, params, v: ModelVector, i: int, j: int) -> ModelVector:
     """P R(u) on site positions i, j of v (0-based, i the left factor)."""
     _check_model(v, params.n, params.d)
-    table, den = rhat22_table(u, params)
+    table, den = rhat22_table(params.rat(u).as_integer_ratio(), params)
     return v.map(lambda part: apply_two_site(table, part, i, j), den)
 
 
@@ -708,20 +739,20 @@ def leading_coefficient(j: int, to_inf: bool,
     if n < 2:
         raise ValueError("need N >= 2")
 
-    def table(row: int, site: int):
+    def table(row: int, site: int, u: tuple):
         """B(w_row) at site `site`: u = w_row / (q w_site) has degree
         [row = j] - [site = j] in w_j."""
-        u = w[row - 1] / (q * w[site - 1])
         if (row == j) == (site == j):
             return params.r12_table(u)
-        return _int_table(r12_leading(u, q, to_inf == (row == j)))
+        return _int_table(r12_leading(RAT(*u), q, to_inf == (row == j)))
 
     def bracket(a: int, b: int) -> RAT:
         """The leading monomial of the divisor's [q w_a / w_b], a < b."""
         return brk_leading(q * w[a - 1] / w[b - 1], to_inf == (a == j))
 
     sites = range(1, n + 1)
-    rows = [[table(row, site) for site in sites] for row in sites]
+    rows = [[table(row, site, u) for site, u in zip(
+        sites, _over(params._w[row - 1], params._qw))] for row in sites]
     psi = _signed_sweeps(rows, vacuum(params), params, [(1, 0, 1)])
     # the divisor is s times the one without w_j times the brackets of w_j
     divisor = params.s * renorm_divisor(params.with_w(w[:j - 1] + w[j:]))

@@ -15,13 +15,20 @@ Basis conventions (fixed for the whole package):
 The weights are written once, as integer Laurent polynomials in q and
 the spectral parameter z: `R11`, `R12` and `R22` list each matrix's
 distinct weights, {(q exponent, z exponent): coefficient}, and the key
-of every nonzero entry.  Each weight is a bracket [q^k z] (brackets
-[x] = x - 1/x), a product of two, a flip 1 or d = [q][q^2], or r22's
-w7 = [z][qz] + [q][q^2].  `r11`, `r12` and `r22` evaluate that
-description at rationals q = p/r and z = a/b (anything `field.as_rat`
-reads) straight to ints: a term c q^i z^j becomes the int c p^(3+i)
-r^(3-i) a^(2+j) b^(2-j) over D = (p r)^3 (a b)^2, and the ints and D
-are divided by gcd(D, ints...) with the sign that makes D > 0.  So an
+of every nonzero entry, in ascending key order.  Each weight is a
+bracket [q^k z] (brackets [x] = x - 1/x), a product of two, a flip 1 or
+d = [q][q^2], or r22's w7 = [z][qz] + [q][q^2].  `r11`, `r12` and `r22`
+evaluate that description at rationals q = p/r and z = a/b (anything
+`field.as_rat` reads) straight to ints: a term c q^i z^j becomes the
+int c p^(3+i) r^(3-i) a^(2+j) b^(2-j) over D = (p r)^3 (a b)^2, and the
+ints and D are divided by gcd(D, ints...) with the sign that makes D >
+0.  `r12_at` and `r22_at` take z and q as those int pairs (a, b) and
+(p, r), b, r > 0, and leave q's check to the caller (`aba.ModelParams`
+holds a checked q): `aba` keys its table memo by the pair, so no
+rational is built on the way.  Every evaluation reads the description
+when it runs, takes its keys as they stand (in the pair space and in
+ascending order, as `_keys` builds them) and drops the zero weights, so
+the RMat is stored with no further check or sort.  So an
 `RMat` holds its weights as int numerators over their least common
 denominator D (`RMat.den`), and it has two read-outs: the ints over D,
 which the transition tables of `aba` and the Yang-Baxter and inversion
@@ -116,6 +123,16 @@ class RMat:
                            if numerators[k]}
         self.den = den
 
+    @classmethod
+    def _stored(cls, dim_left: int, dim_right: int, numerators: dict,
+                den: int) -> "RMat":
+        """An RMat of numerators that are already nonzero, in the pair
+        space and in ascending key order, stored as they are."""
+        rmat = cls.__new__(cls)
+        rmat.dim_left, rmat.dim_right = dim_left, dim_right
+        rmat.numerators, rmat.den = numerators, den
+        return rmat
+
     @property
     def weights(self) -> dict:
         """The rational weights {key: numerator / den}."""
@@ -175,10 +192,12 @@ class RMat:
 
 
 def _keys(*groups) -> dict:
-    """{key: k} for the keys in groups[k], each spelled <lo ro|R|li ri>
-    with u, d for spin-1/2 (codes 0, 1) and U, 0, D for spin 1."""
-    return {tuple(("ud" if c.islower() else "U0D").index(c) for c in key): k
-            for k, group in enumerate(groups) for key in group.split()}
+    """{key: k} in ascending key order for the keys in groups[k], each
+    spelled <lo ro|R|li ri> with u, d for spin-1/2 (codes 0, 1) and U, 0,
+    D for spin 1."""
+    return dict(sorted(
+        (tuple(("ud" if c.islower() else "U0D").index(c) for c in key), k)
+        for k, group in enumerate(groups) for key in group.split()))
 
 
 # Each matrix as ((dim_left, dim_right), its distinct weights, {key: the
@@ -206,11 +225,12 @@ R22 = ((3, 3), [  # w1..w7 of the weight table in the module docstring
           "U00U D00D 0DD0 0UU0", "00DU 00UD UD00 DU00", "0000"))
 
 
-def _evaluate(described, z, q) -> RMat:
-    """The matrix a description holds at rationals z and q, as ints over
-    their least common denominator D > 0 (see the module docstring)."""
+def _evaluate(described, u, q) -> RMat:
+    """The matrix a description holds at z = a/b and q = p/r, given as
+    int pairs u = (a, b) and q = (p, r) with b, r > 0, as ints over their
+    least common denominator D > 0 (see the module docstring)."""
     (dim_left, dim_right), polys, keys = described
-    (p, r), (a, b) = as_rat(q).as_integer_ratio(), as_rat(z).as_integer_ratio()
+    (a, b), (p, r) = u, q
     if not p * a:
         raise PoleEncountered("bracket of zero spectral parameter")
     qs = [p ** (3 + i) * r ** (3 - i) for i in range(-3, 4)]
@@ -219,8 +239,15 @@ def _evaluate(described, z, q) -> RMat:
             for poly in polys]
     den = qs[3] * zs[2]
     g = gcd(den, *nums) if den > 0 else -gcd(den, *nums)
-    return RMat(dim_left, dim_right,
-                {key: nums[k] // g for key, k in keys.items()}, den // g)
+    nums = [x // g for x in nums]
+    return RMat._stored(dim_left, dim_right, {
+        key: nums[k] for key, k in keys.items() if nums[k]}, den // g)
+
+
+def _pair(x) -> tuple:
+    """The rational x (anything `field.as_rat` reads) as its reduced int
+    pair (a, b), b > 0."""
+    return as_rat(x).as_integer_ratio()
 
 
 def r11(z, q) -> RMat:
@@ -229,7 +256,7 @@ def r11(z, q) -> RMat:
     Degenerates to B P+ at z = q (B = diag([q^2], 2[q], 2[q], [q^2])) and
     to -2[q] P- at z = 1/q.
     """
-    return _evaluate(R11, z, q)
+    return _evaluate(R11, _pair(z), _pair(q))
 
 
 def r12(z, q) -> RMat:
@@ -237,7 +264,13 @@ def r12(z, q) -> RMat:
     with K = diag(1, s) on the spin-1/2 factor, whose flips s become 1
     (auxiliary 0 <- 1) and d = [q][q^2] (1 <- 0)."""
     session_constant(q)
-    return _evaluate(R12, z, q)
+    return r12_at(_pair(z), _pair(q))
+
+
+def r12_at(u, q) -> RMat:
+    """r12 at z = a/b for int pairs u = (a, b) and q = (p, r), b, r > 0,
+    with q already checked as `r12` checks it."""
+    return _evaluate(R12, u, q)
 
 
 def r12_leading(z, q, to_inf: bool) -> RMat:
@@ -249,13 +282,19 @@ def r12_leading(z, q, to_inf: bool) -> RMat:
     degree = (max if to_inf else min)(j for poly in polys for _, j in poly)
     session_constant(q)
     return _evaluate((dims, [{e: c for e, c in poly.items() if e[1] == degree}
-                             for poly in polys], keys), z, q)
+                             for poly in polys], keys), _pair(z), _pair(q))
 
 
 def r22(z, q) -> RMat:
     """Nineteen-vertex R-matrix on C^3 x C^3 from the weight table above."""
     session_constant(q)
-    return _evaluate(R22, z, q)
+    return r22_at(_pair(z), _pair(q))
+
+
+def r22_at(u, q) -> RMat:
+    """r22 at z = a/b for int pairs u = (a, b) and q = (p, r), b, r > 0,
+    with q already checked as `r22` checks it."""
+    return _evaluate(R22, u, q)
 
 
 def r_mn(m: int, n: int, z, q) -> RMat:

@@ -43,7 +43,11 @@ the one bound <up| ... |down>, and H v is one `aba.apply_gates` pass of
 the N packed bonds, on the same int coding of keys.  `spinchain` codes no
 keys itself: its operators are `aba`'s and its packing `field`'s.  The
 norm and H v take vectors of integer polynomials in x, the singlet's own
-form, and raise NonIntegerCoefficient on any other.
+form, and raise NonIntegerCoefficient on any other, checked in one pass
+a component (`_x_ints`): a nonzero coefficient on an odd power of y
+raises, a component of ints is taken as it is, and a component holding
+a rational has each coefficient read, a whole one becoming its int and
+any other raising.
 Balanced base-2^bits digits unpack a result exactly when every |c_k| <
 2^(bits-1); each function derives its bits from an l1 bound (the sum of
 |c| over all coefficients) and states it.  The tables are int lists in x;
@@ -55,7 +59,7 @@ q = a/b it is its rational equation cleared of the powers of ab.
 from __future__ import annotations
 
 from functools import cache
-from itertools import product
+from itertools import product, repeat
 from math import factorial
 from operator import mul
 
@@ -171,14 +175,23 @@ def _packed(table, bits: int) -> dict:
 def _x_ints(v: StateVector) -> dict:
     """{key: [int, ...]}: the coefficients in x of v's components, which
     must be integer polynomials in x (HalfPowerPolys), else
-    NonIntegerCoefficient."""
+    NonIntegerCoefficient.  One pass a component: `any` over the odd
+    powers of y rejects odd support, a component of ints is taken as it
+    is, and only one holding a rational reads each coefficient, a whole
+    one becoming its int."""
+    out = {}
     for key, p in v.entries.items():
-        if not (isinstance(p, HalfPowerPoly) and p.is_even_support()
-                and p.has_integer_coeffs()):
-            raise NonIntegerCoefficient(
-                f"component {key} is {p!r}, not an integer polynomial in x")
-    return {key: [int(c) for c in p.x_coeffs()]
-            for key, p in v.entries.items()}
+        if isinstance(p, HalfPowerPoly) and not any(p.coeffs[1::2]):
+            cs = p.coeffs[::2]
+            if all(map(isinstance, cs, repeat(int))):
+                out[key] = list(cs)
+                continue
+            if all(c.denominator == 1 for c in cs):
+                out[key] = [c.numerator for c in cs]
+                continue
+        raise NonIntegerCoefficient(
+            f"component {key} is {p!r}, not an integer polynomial in x")
+    return out
 
 
 @cache

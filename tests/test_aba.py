@@ -1,4 +1,5 @@
 import random
+from math import gcd
 
 import pytest
 
@@ -14,7 +15,7 @@ from helpers import (
 from laurent_oracle import vector_laurent_coefficients
 from scalar_oracle import model
 
-from bethelab import aba, cli
+from bethelab import aba, cli, rmatrix
 from bethelab.aba import (
     DOWN,
     UP,
@@ -566,7 +567,7 @@ def test_gate_sites_must_be_two_sites_of_the_vector(i, j):
     psi = bethe_vector(p)
     with pytest.raises(ValueError, match="not two sites"):
         aba.rhat22_apply(RAT(5, 3), p, psi, i, j)
-    table, _ = aba.rhat22_table(RAT(5, 3), p)
+    table, _ = aba.rhat22_table((5, 3), p)
     with pytest.raises(ValueError, match="not two sites"):
         aba.apply_two_site(table, psi.part, i, j)
     with pytest.raises(ValueError, match="not two sites"):
@@ -652,6 +653,118 @@ def test_a_corrupted_t2_weight_fails_the_transfer2_eigenvalue_check(
     got = verdicts()
     assert got.pop("aba.transfer2_eigenvalue") is False
     assert all(got.values())
+
+
+# ---------------------------------------------------------------------
+# the table memo, keyed by reduced int pairs
+# ---------------------------------------------------------------------
+
+_BUILDERS = {"r12": rmatrix.r12, "r22": rmatrix.r22,
+             "rhat22": lambda z, q: rmatrix.r22(z, q).braided()}
+
+
+def _keys_are_reduced_pairs(p) -> bool:
+    """Every key of p's table memo is a kind and two coprime ints, the
+    denominator positive."""
+    return all(kind in _BUILDERS and type(a) is int and type(b) is int
+               and b > 0 and gcd(a, b) == 1 for kind, a, b in p._tables)
+
+
+def _counted_column_maps(monkeypatch) -> list:
+    """The (dim_left, dim_right) of each `RMat.column_map` call from now
+    on, each a table build."""
+    builds, column_map = [], RMat.column_map
+
+    def counted(rmat):
+        builds.append((rmat.dim_left, rmat.dim_right))
+        return column_map(rmat)
+
+    monkeypatch.setattr(RMat, "column_map", counted)
+    return builds
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_pair_keyed_tables_equal_the_matrices_at_their_rational(sign):
+    """Each table memoised under (kind, a, b) by the monodromy, T2,
+    rhat22 and leading-coefficient sweeps equals `_int_table` of
+    `rmatrix.r12`, `r22` or the braided `r22` at RAT(a, b), D included,
+    for q of either sign and x and w of both signs; the keys are the
+    reduced pairs of the rationals x / (q w_j), x / w_j and x."""
+    rng = random.Random(3400 + sign)
+    for _ in range(3):
+        q = sign * draw_q(rng)
+        w = [rng.choice((-1, 1)) * x for x in draw_w(rng, 3, q)]
+        p = ModelParams(3, q, w)
+        xs = [RAT(rng.choice((-1, 1)) * rng.randint(1, 97),
+                  rng.randint(1, 97)) for _ in range(2)]
+        psi = bethe_vector(p)
+        for x in xs:
+            monodromy_apply("C", x, p, psi)
+            transfer2_apply(x, p, psi)
+            aba.rhat22_apply(x, p, psi, 0, 1)
+        leading_coefficient(2, True, p)
+        want = {("r12", *(x / (q * y)).as_integer_ratio())
+                for x in xs + w for y in w}
+        want |= {("r22", *(x / y).as_integer_ratio()) for x in xs for y in w}
+        want |= {("rhat22", *x.as_integer_ratio()) for x in xs}
+        assert set(p._tables) == want
+        assert _keys_are_reduced_pairs(p)
+        for (kind, a, b), table in p._tables.items():
+            assert table == aba._int_table(_BUILDERS[kind](RAT(a, b), q))
+
+
+def test_arguments_of_one_value_share_one_table(monkeypatch):
+    """z / (q w_j) at z = 2, 4 and w = 3, 6 forms 4 / (6 q) from other
+    ints than 2 / (3 q): the two reduce to one pair, so four lookups
+    build three tables."""
+    builds = _counted_column_maps(monkeypatch)
+    p = ModelParams(2, RAT(5, 7), [RAT(3), RAT(6)])
+    monodromy_apply("A", [RAT(2), RAT(4)], p, vacuum(p))
+    # 2 / (3 q) = 4 / (6 q) = 14/15, 2 / (6 q) = 7/15, 4 / (3 q) = 28/15
+    assert sorted(p._tables) == [("r12", 7, 15), ("r12", 14, 15),
+                                 ("r12", 28, 15)]
+    assert builds == [(2, 3)] * 3
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_exchange_and_cyclic_checks_build_no_further_r12_table(
+        n, monkeypatch):
+    """The swapped and rotated w of the exchange and cyclic checks form
+    the arguments w_k / (q w_j) of `bethe_vector(p)` again from other
+    ints: after it, the checks hit its r12 tables and build the rhat22
+    tables of w_j / w_{j+1} only."""
+    rng = random.Random(3430 + n)
+    q = draw_q(rng)
+    p = ModelParams(n, q, draw_w(rng, n, q))
+    bethe_vector(p)
+    r12_keys = set(p._tables)
+    builds = _counted_column_maps(monkeypatch)
+    assert all(exchange_check(j, p) for j in range(1, n))
+    assert cyclic_check(p)
+    ratios = {p.w[j - 1] / p.w[j] for j in range(1, n)}
+    assert builds == [(3, 3)] * len(ratios)
+    assert {k for k in p._tables if k[0] == "r12"} == r12_keys
+    assert _keys_are_reduced_pairs(p)
+
+
+def test_a_zero_argument_raises_the_bracket_pole():
+    """A zero spectral parameter makes every memoised table a bracket of
+    zero: the PoleEncountered that `rmatrix.r12(0, q)` raises, with its
+    message, and nothing is memoised."""
+    p = params_n(3)
+    with pytest.raises(PoleEncountered) as want:
+        rmatrix.r12(0, p.q)
+    for call in (lambda: monodromy_apply("A", 0, p, vacuum(p)),
+                 lambda: transfer1_apply(0, p, vacuum(p)),
+                 lambda: transfer2_apply(0, p, vacuum(p)),
+                 lambda: aba.rhat22_apply(0, p, vacuum(p), 0, 1),
+                 lambda: p.r12_table((0, 1)),
+                 lambda: p.r22_table((0, 1))):
+        with pytest.raises(PoleEncountered) as got:
+            call()
+        assert type(got.value) is PoleEncountered
+        assert str(got.value) == str(want.value)
+    assert p._tables == {}
 
 
 def test_spin_reversal_symmetry():

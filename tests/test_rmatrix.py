@@ -280,6 +280,28 @@ def test_every_corrupted_weight_of_the_description_breaks_an_identity(
     assert survivors == []
 
 
+@pytest.mark.parametrize("name", ["R11", "R12", "R22"])
+def test_description_keys_are_ascending_and_in_the_pair_space(name):
+    """An evaluation stores the description's keys as they stand, with no
+    check or sort (`RMat._stored`), so each description lists its keys in
+    ascending order, inside its pair space, each naming one of its
+    weights; the matrices it gives equal the checked and sorted RMat of
+    the same numerators, in order."""
+    (dim_left, dim_right), polys, keys = getattr(rmatrix, name)
+    assert list(keys) == sorted(keys)
+    assert all(0 <= lo < dim_left and 0 <= li < dim_left
+               and 0 <= ro < dim_right and 0 <= ri < dim_right
+               for lo, ro, li, ri in keys)
+    assert set(keys.values()) == set(range(len(polys)))
+    build = getattr(rmatrix, name.lower())
+    for z in (RAT(7, 3), RAT(-1), RAT(1, 2)):  # z = 1/q zeroes [qz]
+        m = build(z, RAT(2))
+        checked = RMat(m.dim_left, m.dim_right, m.numerators, m.den)
+        assert list(m.numerators.items()) == \
+            list(checked.numerators.items())
+        assert all(m.numerators.values())
+
+
 def test_bad_q_rejected():
     """`field.session_constant` rejects q = 0 and q^4 = 1, and with it
     ModelParams, the matrices with a spin-1 factor and every identity
@@ -550,9 +572,10 @@ def test_description_matches_the_dense_oracle_on_a_grid():
             cases += 1
         gauged12 = dense.r12(z, p).gauged(dense.gauge_units(p, 2, 1),
                                           dense.gauge_units(p, 3, 1))
-        for (table, den), ref in ((p.r12_table(z), gauged12),
-                                  (p.r22_table(z), dense.r22(z, p)),
-                                  (rhat22_table(z, p),
+        u = z.as_integer_ratio()
+        for (table, den), ref in ((p.r12_table(u), gauged12),
+                                  (p.r22_table(u), dense.r22(z, p)),
+                                  (rhat22_table(u, p),
                                    dense.r22(z, p).braided())):
             assert den > 0 and gcd(den, *(x for col in table.values()
                                           for *_, x in col)) == 1

@@ -12,6 +12,7 @@ from helpers import (
     bond_sum,
     draw_q,
     evaluated,
+    gate_sum,
     hamiltonian_apply,
     log_derivative_hamiltonian_apply,
     ring,
@@ -25,7 +26,7 @@ from bethelab.aba import (
     magnetisation,
     renormalised_vector,
 )
-from bethelab import cli, spinchain
+from bethelab import aba, cli, spinchain
 from bethelab.field import RAT, HalfPowerPoly, brk
 from bethelab.rmatrix import DOWN, UP, ZERO
 from bethelab.spinchain import (
@@ -387,6 +388,58 @@ def test_a_component_that_is_no_polynomial_raises(value):
                 apply(v)
 
 
+def test_x_ints_reads_whole_fractions_as_plain_ints():
+    """A whole-fraction coefficient, alone or among ints, is read as its
+    int: `field.pack` shifts ints, so the norm and H v of such a vector
+    equal the oracle's.  The zero polynomial, which a StateVector does
+    not store, and the empty vector have no components to read."""
+    alone = HalfPowerPoly((RAT(4, 2),))
+    mixed = HalfPowerPoly((RAT(4, 2), 0, -3, 0, RAT(-6, 3), 0, 5))
+    assert all(type(c) is not int for c in alone.coeffs + mixed.coeffs[:1])
+    v = StateVector(2, {(UP, DOWN): alone, (DOWN, UP): mixed,
+                        (ZERO, ZERO): HalfPowerPoly.x_poly([1, 0, 2])})
+    got = spinchain._x_ints(v)
+    assert got == {(UP, DOWN): [2], (DOWN, UP): [2, -3, -2, 5],
+                   (ZERO, ZERO): [1, 0, 2]}
+    assert all(type(cs) is list and all(type(c) is int for c in cs)
+               for cs in got.values())
+    assert singlet_norm(v) == oracle.norm(v)
+    assert hamiltonian_apply_poly(v) == oracle.hamiltonian(v)
+    for empty in (StateVector(2, {(UP, DOWN): HalfPowerPoly()}),
+                  StateVector(3)):
+        assert spinchain._x_ints(empty) == {}
+        assert singlet_norm(empty) == HalfPowerPoly()
+        assert hamiltonian_apply_poly(empty) == StateVector(empty.n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+def test_x_ints_of_the_singlet_are_its_x_coefficients(n):
+    """The singlet's components hold ints only, so `_x_ints` takes each as
+    it stands: its x coefficients, as plain int lists."""
+    phi = singlet(n)
+    got = spinchain._x_ints(phi)
+    assert got == {key: list(p.x_coeffs()) for key, p in phi.entries.items()}
+    assert all(type(c) is int for cs in got.values() for c in cs)
+
+
+def test_h_on_the_singlet_decodes_no_zero(monkeypatch):
+    """H annihilates the singlet, so `apply_gates` drops every image
+    before `_decode`: H Phi is the empty vector for n = 2..7, and
+    `_decode` is handed no code at all."""
+    phis = [singlet(n) for n in range(2, 8)]  # swept, and decoded, first
+    seen = []
+    decode = aba._decode
+
+    def recorded(n, codes):
+        seen.append(dict(codes))
+        return decode(n, codes)
+
+    monkeypatch.setattr(aba, "_decode", recorded)
+    for phi in phis:
+        assert hamiltonian_apply_poly(phi) == StateVector(phi.n)
+    assert seen == [{}] * 6
+
+
 def test_singlet_guards_are_typed(monkeypatch):
     """An entry of 8 h(x) not divisible by 8 raises in the derivation of
     the bond table from spin matrices, the oracle of the literal."""
@@ -496,6 +549,39 @@ def test_one_pass_gates_match_the_bond_by_bond_sum(n, ring_name):
         want = bond_sum(v, *tables)
         assert not want.is_zero()
         assert apply_gates(v, bond_gates(n, *tables)) == want
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_apply_gates_hands_decode_no_zero(n, monkeypatch):
+    """`apply_gates` drops the zeros of its image before `_decode`: on
+    seeded int vectors its N bonds equal the bond-by-bond `bond_sum`, one
+    bulk bond and its negation on the same sites cancel to the empty
+    vector, and the N bonds with that negation added equal `gate_sum`;
+    no code `_decode` receives carries a zero."""
+    rng = random.Random(3470 + n)
+    bulk, boundary = (evaluated(t, 3) for t in spinchain._bond_tables())
+    negated = {key: [(lo, ro, -x) for lo, ro, x in col]
+               for key, col in bulk.items()}
+    seen = []
+    decode = aba._decode
+
+    def recorded(n, codes):
+        seen.append(dict(codes))
+        return decode(n, codes)
+
+    monkeypatch.setattr(aba, "_decode", recorded)
+    for terms in (1, 5, 40):
+        v = StateVector(n, {tuple(rng.randint(0, 2) for _ in range(n)):
+                            rng.choice((-1, 1)) * rng.randint(1, 9)
+                            for _ in range(terms)})
+        assert apply_gates(v, bond_gates(n, bulk, boundary)) == \
+            bond_sum(v, bulk, boundary)
+        assert apply_gates(v, [(bulk, 0, 1), (negated, 0, 1)]) == \
+            StateVector(n)
+        gates = bond_gates(n, bulk, boundary) + [(negated, 0, 1)]
+        assert apply_gates(v, gates) == gate_sum(v, gates)
+    assert len(seen) == 9 and {} in seen
+    assert all(all(codes.values()) for codes in seen)
 
 
 def test_packed_hamiltonian_on_wide_and_rational_coefficients():

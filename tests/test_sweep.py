@@ -226,8 +226,9 @@ def test_int_coded_sweep_matches_per_key_oracle_on_long_chains(n):
     rng = random.Random(700 + n)
     p = model(rng, n)
     z = RAT(rng.randint(1, 97), rng.randint(1, 97))
-    rows = {2: [p.r12_table(z / (p.q * w))[0] for w in p.w],
-            3: [p.r22_table(z / w)[0] for w in p.w]}
+    rows = {2: [p.r12_table((z / (p.q * w)).as_integer_ratio())[0]
+                for w in p.w],
+            3: [p.r22_table((z / w).as_integer_ratio())[0] for w in p.w]}
     v = StateVector(n, {k: rng.choice((-1, 1)) * rng.randint(1, 99)
                         for k in random_keys(rng, n, 12)})
     for dim, tables in rows.items():
@@ -289,8 +290,10 @@ def test_multi_row_sweeps_match_composed_per_key_sweeps(n, ring):
     rng = random.Random(900 + n)
     p = model(rng, n)
     zs = [RAT(rng.randint(1, 97), rng.randint(1, 97)) for _ in range(3)]
-    rows = {2: [[p.r12_table(z / (p.q * w))[0] for w in p.w] for z in zs],
-            3: [[p.r22_table(z / w)[0] for w in p.w] for z in zs]}
+    rows = {2: [[p.r12_table((z / (p.q * w)).as_integer_ratio())[0]
+                 for w in p.w] for z in zs],
+            3: [[p.r22_table((z / w).as_integer_ratio())[0] for w in p.w]
+                for z in zs]}
     few = ring != "int"  # HalfPowerPoly products are slow: fewer vectors
     if few:
         rows = {dim: [[poly_table(t) for t in r] for r in rs]
@@ -401,7 +404,7 @@ def test_r12_table_is_r12_in_the_rational_gauge(sign):
         for _ in range(3):
             u = RAT(rng.choice((-1, 1)) * rng.randint(1, 97),
                     rng.randint(1, 97))
-            table, den = p.r12_table(u)
+            table, den = p.r12_table(u.as_integer_ratio())
             assert all(type(x) is int for col in table.values()
                        for *_, x in col)
             got = {(lo, ro, li, ri): p.sc(RAT(x, den))
