@@ -5,7 +5,9 @@ row and column the nonzero entries alternate in sign and sum to 1.
 The ASMs are the chains of states () -> ... -> (0, ..., n-1) in the
 monotone-triangle graph, which has (3^n - 1)/2 edges: after row i the
 columns whose partial sum is 1 form a state, and consecutive states
-interlace.
+interlace.  Each edge a -> b is generated directly, b entry by entry in
+the gaps of a, together with its count of -1 entries: the a_i strictly
+between b_i and b_{i+1}, the columns of a that b leaves.
 
 Each N x N ASM corresponds to exactly one configuration of the six-vertex
 model with domain-wall boundary conditions (arrows in on the left/right
@@ -84,12 +86,18 @@ def _check_size(n: int):
 
 @cache
 def _successors(a, n: int):
-    """The states after a, in increasing order: strictly increasing
-    tuples b over range(n), one longer than a, interlacing it as
-    b_1 <= a_1 <= b_2 <= ... <= a_k <= b_{k+1}."""
-    ranges = (range(lo, hi + 1) for lo, hi in zip((0,) + a, a + (n - 1,)))
-    return tuple(b for b in product(*ranges)
-                 if all(x < y for x, y in zip(b, b[1:])))
+    """The states after a, in increasing order, each with its count of -1
+    entries: (b, k) for the strictly increasing tuples b over range(n),
+    one longer than a, interlacing it as b_1 <= a_1 <= b_2 <= ... <= a_k
+    <= b_{k+1}, and k the number of a_i with b_i < a_i < b_{i+1}.  b is
+    built entry by entry: b_1 runs over [0, a_1] and each next b_{i+1}
+    over [a_i, a_{i+1}], a_{k+1} read as n - 1, from a_i + 1 where b_i =
+    a_i, so every b is strictly increasing and comes out in order."""
+    edges = [((x,), 0) for x in range(a[0] + 1 if a else n)]
+    for ai, hi in zip(a, a[1:] + (n - 1,)):
+        edges = [(b + (x,), k + (b[-1] < ai < x)) for b, k in edges
+                 for x in range(ai + (b[-1] == ai), hi + 1)]
+    return tuple(edges)
 
 
 def generate_asms(n: int):
@@ -105,29 +113,31 @@ def generate_asms(n: int):
             yield Asm([[(j in b) - (j in a) for j in range(n)]
                        for a, b in zip(chain, chain[1:])])
             return
-        for b in _successors(chain[-1], n):
+        for b, _ in _successors(chain[-1], n):
             yield from walk(chain + [b])
 
     yield from walk([()])
 
 
 def _transitions(n: int):
-    """Each edge (i, a, b) once, row by row: row i goes from a state a of
-    i columns to a successor b.  Adding any one column to a state gives a
-    successor, so every state lies on a chain from () to (0, ..., n-1)."""
+    """Each edge (i, a, b, k) once, row by row: row i goes from a state a
+    of i columns to a successor b and holds k entries -1.  Adding any one
+    column to a state gives a successor, so every state lies on a chain
+    from () to (0, ..., n-1)."""
     for i in range(n):
         for a in combinations(range(n), i):
-            for b in _successors(a, n):
-                yield i, a, b
+            for b, k in _successors(a, n):
+                yield i, a, b, k
 
 
 def _row_transfer(n: int, row_weight, one):
     """Sum, over the chains of states () -> ... -> (0, ..., n-1), that is
-    over the n x n ASMs, of the product of row_weight(i, a, b) over the
-    rows i: a -> b, keeping one running sum per state."""
+    over the n x n ASMs, of the product of row_weight(i, a, b, k) over the
+    rows i: a -> b with k entries -1, keeping one running sum per
+    state."""
     acc = {(): one}
-    for i, a, b in _transitions(n):
-        term = acc[a] * row_weight(i, a, b)
+    for i, a, b, k in _transitions(n):
+        term = acc[a] * row_weight(i, a, b, k)
         acc[b] = acc[b] + term if b in acc else term
     return acc[tuple(range(n))]
 
@@ -156,15 +166,15 @@ def gen_poly(n: int) -> LaurentPoly:
     """A_n(t) as a LaurentPoly from degree 0 with int coefficients:
     coefficient k counts the ASMs with exactly k entries -1.
 
-    The row a -> b holds |a - b| entries -1.  The row transfer runs over
-    integers at t = 2^bits, unpacked by `field.unpack`: a coefficient is
-    at most the number of ASMs, below 3^((n-1)^2) (the last row and
-    column follow from the rest) and so below 2^(bits-1).
+    The row a -> b holds k entries -1, counted as it is generated.  The
+    row transfer runs over integers at t = 2^bits, unpacked by
+    `field.unpack`: a coefficient is at most the number of ASMs, below
+    3^((n-1)^2) (the last row and column follow from the rest) and so
+    below 2^(bits-1).
     """
     _check_size(n)
     bits = 2 * n * n
-    total = _row_transfer(
-        n, lambda i, a, b: 1 << bits * len(set(a) - set(b)), 1)
+    total = _row_transfer(n, lambda i, a, b, k: 1 << bits * k, 1)
     return LaurentPoly(0, unpack(total, bits))
 
 
@@ -288,10 +298,11 @@ def bijection_by_rows(n: int):
     () to (0, ..., n-1) are exactly the ASMs, and each edge lies on one;
     the top, bottom and vertical edges follow from the chain's end states
     and the states that adjacent rows share; the counts add up along a
-    chain."""
+    chain.  The -1 entries of a row are counted here as |a - b|, by a set
+    difference, not read from the edge generator's count."""
     _check_size(n)
     roundtrip = audit = True
-    for _i, a, b in _transitions(n):
+    for _i, a, b, _k in _transitions(n):
         types = _row_types(a, b, n)
         west, south, east, north = zip(*(VERTEX_EDGES[t] for t in types))
         fits = (("r",) + east == west + ("l",)
@@ -325,5 +336,5 @@ def dwbc_partition_brute(zeta, w, q) -> RAT:
                 for t in VERTEX_EDGES}
 
     cells = [[cell(zi * inv(wj)) for wj in ws] for zi in zs]
-    return _row_transfer(n, lambda i, a, b: reduce(mul, (
+    return _row_transfer(n, lambda i, a, b, _k: reduce(mul, (
         cells[i][j][t] for j, t in enumerate(_row_types(a, b, n)))), RAT(1))

@@ -32,7 +32,9 @@ m n != 0, which Fermat's descent rules out; for a < 0 the product is
 negative.  So no rational point of the curve has x != 0.
 
 The module also provides the half-power polynomial ring Q[y], y = x^(1/2)
-(the form of `spinchain`'s homogeneous-limit inputs and results), Kronecker
+(the form of `spinchain`'s homogeneous-limit inputs and results;
+`HalfPowerPoly.__neg__` stores the negated coefficients with no
+per-coefficient check), Kronecker
 packing of integer polynomials into one int at 2^bits (`pack`, `unpack`),
 the substitution v -> v^k on coefficient lists (`spread`), Gauss-Jordan row
 reduction (`row_reduce`), Laurent polynomials (centred ones for the model,
@@ -48,6 +50,7 @@ from __future__ import annotations
 
 from fractions import Fraction as RAT
 from functools import cache
+from operator import neg
 
 RAT_ZERO = RAT(0)
 
@@ -311,7 +314,10 @@ class HalfPowerPoly:
         return HalfPowerPoly(a)
 
     def __neg__(self):
-        return HalfPowerPoly(tuple(-c for c in self.coeffs))
+        # negating keeps each coefficient's type and the last one nonzero
+        p = object.__new__(HalfPowerPoly)
+        object.__setattr__(p, "coeffs", tuple(map(neg, self.coeffs)))
+        return p
 
     def _coerce(self, other):
         if isinstance(other, HalfPowerPoly):

@@ -47,7 +47,10 @@ form, and raise NonIntegerCoefficient on any other, checked in one pass
 a component (`_x_ints`): a nonzero coefficient on an odd power of y
 raises, a component of ints is taken as it is, and a component holding
 a rational has each coefficient read, a whole one becoming its int and
-any other raising.
+any other raising.  The regime check reads the singlet the same way.
+Results are built from the unpacked int lists by `HalfPowerPoly.x_poly`,
+which keeps ints as ints, so the twisted translation of the singlet is a
+sign flip of int tuples.
 Balanced base-2^bits digits unpack a result exactly when every |c_k| <
 2^(bits-1); each function derives its bits from an l1 bound (the sum of
 |c| over all coefficients) and states it.  The tables are int lists in x;
@@ -59,7 +62,7 @@ q = a/b it is its rational equation cleared of the powers of ab.
 from __future__ import annotations
 
 from functools import cache
-from itertools import product, repeat
+from itertools import chain, product
 from math import factorial
 from operator import mul
 
@@ -131,7 +134,7 @@ def hamiltonian_apply_poly(v: StateVector) -> StateVector:
     `aba.apply_gates` pass; N < 2 raises ValueError."""
     ints = _x_ints(v)
     n, tables = v.n, _bond_tables()
-    norm = sum(abs(c) for cs in ints.values() for c in cs)
+    norm = sum(map(abs, chain.from_iterable(ints.values())))
     bits = (n * max(map(_column_l1, tables)) * norm).bit_length() + 1
     packed = StateVector(n, {k: pack(cs, bits) for k, cs in ints.items()})
     bulk, boundary = (_packed(t, bits) for t in tables)
@@ -183,7 +186,7 @@ def _x_ints(v: StateVector) -> dict:
     for key, p in v.entries.items():
         if isinstance(p, HalfPowerPoly) and not any(p.coeffs[1::2]):
             cs = p.coeffs[::2]
-            if all(map(isinstance, cs, repeat(int))):
+            if {int}.issuperset(map(type, cs)):
                 out[key] = list(cs)
                 continue
             if all(c.denominator == 1 for c in cs):
@@ -233,7 +236,7 @@ def singlet_norm(state: StateVector) -> HalfPowerPoly:
     at most l coefficients, each at most M in absolute value, give
     coefficients that sum at most K l products, so at most K l M^2."""
     ints = _x_ints(state)
-    top = max((abs(c) for cs in ints.values() for c in cs), default=0)
+    top = max(map(abs, chain.from_iterable(ints.values())), default=0)
     bound = len(ints) * max(map(len, ints.values()), default=0) * top * top
     bits = bound.bit_length() + 1
     return HalfPowerPoly.x_poly(
@@ -276,7 +279,7 @@ def homogeneous_consistency_check(n: int, q) -> bool:
     params = ModelParams(n, q, [RAT(1)] * n)
     v = renormalised_vector(params)
     ints = v.rational().entries
-    phi = {key: p.x_coeffs() for key, p in singlet(n).entries.items()}
+    phi = _x_ints(singlet(n))
     a, b = q.numerator, q.denominator
     m, deg = n * (n - 1) // 2, max(map(len, phi.values())) - 1
     powers = [(a * a + b * b) ** k * (a * b) ** (deg - k)

@@ -35,6 +35,12 @@ def rho_table():
             for key, col in dense.r12(1 / p.q, p).column_map().items()}
 
 
+def checked_neg(p: HalfPowerPoly) -> HalfPowerPoly:
+    """-p through the checked constructor: the oracle of
+    `HalfPowerPoly.__neg__`."""
+    return HalfPowerPoly(tuple(-c for c in p.coeffs))
+
+
 def x_table(table):
     """An int-list transition table with its weights as polynomials in x."""
     return {key: [(lo, ro, HalfPowerPoly.x_poly(w)) for lo, ro, w in col]

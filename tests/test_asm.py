@@ -2,6 +2,8 @@ import inspect
 import math
 import random
 import textwrap
+from collections import Counter
+from itertools import combinations, product
 
 import pytest
 
@@ -293,7 +295,7 @@ def test_bijection_by_rows_matches_the_whole_asm_checks():
 
 def test_row_transitions_are_the_rows_of_the_asms():
     for n in range(1, 9):
-        edges = [(a, b) for _i, a, b in asm._transitions(n)]
+        edges = [(a, b) for _i, a, b, _k in asm._transitions(n)]
         assert len(edges) == len(set(edges)) == (3 ** n - 1) // 2
         if n <= 5:
             rows = set()
@@ -305,6 +307,50 @@ def test_row_transitions_are_the_rows_of_the_asms():
                     rows.add((state, nxt))
                     state = nxt
             assert rows == set(edges)
+
+
+def product_successors(a, n):
+    """The states after a by filtering the Cartesian product of the
+    interlacing ranges for strictly increasing tuples: the oracle of the
+    direct generator `asm._successors`."""
+    ranges = (range(lo, hi + 1) for lo, hi in zip((0,) + a, a + (n - 1,)))
+    return [b for b in product(*ranges)
+            if all(x < y for x, y in zip(b, b[1:]))]
+
+
+def product_gen_poly(n):
+    """A_n(t) as its coefficient list, by a row transfer of -1 count
+    histograms over the product-filtered edges, each row's -1 entries
+    counted as |a - b| by a set difference."""
+    acc = {(): Counter({0: 1})}
+    for _ in range(n):
+        nxt = {}
+        for a, hist in acc.items():
+            for b in product_successors(a, n):
+                minus, out = len(set(a) - set(b)), nxt.setdefault(b, Counter())
+                for k, m in hist.items():
+                    out[k + minus] += m
+        acc = nxt
+    hist = acc[tuple(range(n))]
+    return [hist[k] for k in range(max(hist) + 1)]
+
+
+def test_direct_edges_match_the_product_filter():
+    """The edges a -> b come out of `asm._successors` as the product
+    filter gives them, in the same order, for every state a up to n = 7,
+    and each one's -1 count is len(set(a) - set(b))."""
+    for n in range(1, 8):
+        for i in range(n):
+            for a in combinations(range(n), i):
+                got = asm._successors(a, n)
+                assert [b for b, _ in got] == product_successors(a, n)
+                assert [k for _, k in got] == [len(set(a) - set(b))
+                                               for b, _ in got]
+
+
+def test_gen_poly_matches_the_product_filter_transfer():
+    for n in range(1, 9):
+        assert list(gen_poly(n).coeffs) == product_gen_poly(n)
 
 
 ROW_TYPES = asm._row_types

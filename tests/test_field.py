@@ -26,7 +26,12 @@ from bethelab.field import (
     spread,
     unpack,
 )
-from halfpower_oracle import eval_x, is_odd_support, shift_down
+from halfpower_oracle import (
+    checked_neg,
+    eval_x,
+    is_odd_support,
+    shift_down,
+)
 from helpers import coefficient, degree_width, ring
 from scalar_oracle import FourPart, evaluate
 
@@ -282,6 +287,45 @@ def test_spread_substitutes_a_power():
 def test_halfpoly_integer_detection():
     assert HalfPowerPoly((1, 2, 3)).has_integer_coeffs()
     assert not HalfPowerPoly((1, RAT(1, 2))).has_integer_coeffs()
+
+
+def same_poly(got, want):
+    """got and want agree as values and as stored: coefficients and their
+    types, equality both ways and hash."""
+    assert type(got) is HalfPowerPoly
+    assert got.coeffs == want.coeffs
+    assert list(map(type, got.coeffs)) == list(map(type, want.coeffs))
+    assert got == want and want == got and hash(got) == hash(want)
+
+
+def test_x_poly_keeps_ints_and_coerces_the_rest():
+    """Ints stay ints and trailing zeros go; a Fraction, a bool or a
+    string is coerced to the rational type, coefficient by coefficient."""
+    for xs, want in (([], ()), ([0, 0], ()), ([-3, 0], (-3,)),
+                     ([0, 0, 7, 0], (0, 0, 0, 0, 7)),
+                     ([RAT(4, 2), 0, -3], (RAT(2), 0, 0, 0, -3)),
+                     ([2, 0, RAT(0)], (2,)), ([True, 2], (RAT(1), 0, 2)),
+                     (["1/2", 3], (RAT(1, 2), 0, 3))):
+        got = HalfPowerPoly.x_poly(xs)
+        assert got.coeffs == want
+        assert [type(c) for c in got.coeffs] == [type(c) for c in want]
+
+
+def test_negation_matches_the_checked_constructor():
+    """-p stores the negated coefficients as they are, each keeping its
+    type: the checked negation on int, Fraction, mixed and zero polys."""
+    rng = random.Random(36)
+    polys = [HalfPowerPoly(), HalfPowerPoly((0, 1)),
+             HalfPowerPoly((RAT(4, 2),)),
+             HalfPowerPoly((RAT(1, 2), 0, -3, RAT(-7, 5)))]
+    polys += [HalfPowerPoly([rng.choice([rng.randint(-9, 9),
+                                         RAT(rng.randint(-9, 9),
+                                             rng.randint(1, 4))])
+                             for _ in range(rng.randint(0, 8))])
+              for _ in range(200)]
+    for p in polys:
+        same_poly(-p, checked_neg(p))
+        same_poly(-(-p), p)
 
 
 # ---------------------------------------------------------------------

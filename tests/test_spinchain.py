@@ -723,6 +723,30 @@ def test_every_singlet_coefficient_moved_by_one_fails_the_regime_check(
                 assert not homogeneous_consistency_check(n, q), (key, k, delta)
 
 
+@pytest.mark.parametrize("n", [2, 4, 5])
+def test_a_planted_coefficient_in_the_singlet_raises(n, monkeypatch):
+    """The singlet with one component given a non-integer coefficient, in
+    x or on an odd power of y, raises NonIntegerCoefficient in the norm,
+    in H v and in the regime check, which reads the singlet through
+    `_x_ints` too."""
+    rng = random.Random(90 + n)
+    phi = singlet(n)
+    key = sorted(phi.entries)[rng.randrange(len(phi.entries))]
+    xs, ys = list(phi.entries[key].x_coeffs()), phi.entries[key].coeffs
+    for bad in (HalfPowerPoly.x_poly([RAT(1, 2)] + xs[1:]),
+                HalfPowerPoly.x_poly(xs[:-1] + [xs[-1] + RAT(1, 3)]),
+                HalfPowerPoly(ys + (3,)),
+                HalfPowerPoly((ys[0], RAT(-1, 7)) + ys[2:])):
+        planted = StateVector(n, {**phi.entries, key: bad})
+        for apply in (singlet_norm, hamiltonian_apply_poly):
+            with pytest.raises(NonIntegerCoefficient):
+                apply(planted)
+        monkeypatch.setattr(spinchain, "singlet", lambda m, v=planted: v)
+        with pytest.raises(NonIntegerCoefficient):
+            homogeneous_consistency_check(n, RAT(7, 3))
+        monkeypatch.undo()
+
+
 def test_transfer1_kernel_dimension_is_one():
     rng = random.Random(48)
     for n in (2, 3):
