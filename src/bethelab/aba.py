@@ -14,22 +14,33 @@ columns at its factors' two bit offsets, keyed by code & mask, so a
 transition adds an int (`_columns`); and one loop merges a vector's
 image into a dict (`_merge`).  `sweeps` applies rows of R-matrices site
 by site, the auxiliary index and site j the two factors of table j,
-merging equal partial states after each site.  Keys are coded once per
-operator product (a chain of rows, each traced over signed auxiliary
-bounds) and decoded once on exit; zeros are dropped at the end of each
-row; and the last site of a row emits only the transitions whose
-auxiliary index leaves as the bound's a_out: the site part of a column
-key c and of the code change delta are multiples of 4, so (c + delta) &
-3 is the outgoing index.  The monodromy entries, the T1 and T2 traces
-and the singlet's beta operator in `spinchain` (one row and one bound)
-differ only in their tables and auxiliary bounds.  `sweeps` takes the
-tables as they are, plain transition tables {(aux, site): [(aux',
-site', weight), ...]}, and compiles each row itself.  `apply_gates`
-sums the images of two-site gates on the same coding, with the
-auxiliary bits left clear, and drops the zeros before it decodes: the
-Hamiltonian's N bonds in `spinchain`, whose image of the singlet decodes
-nothing.  A single gate (`apply_two_site`) patches tuple keys instead,
-since for one gate the coding costs more than it saves.
+merging equal partial states after each site.  Sites pair as (1, 2),
+(3, 4), ...; a pair whose two tables recur, the same objects at the same
+sites in more than one row of a call, is compiled once per call into
+fused columns on (aux, site, site), summed over the auxiliary index
+between the sites (`_fused`), and one merge carries the vector across
+both.  The homogeneous rows fuse: the singlet's n rows of one rho table
+and the B chain at w = 1, every table one memoised r12(1/q), each make
+ceil(n/2) merges a row; the gain grows with n, and at n <= 4 it is a
+loss: the fused compile costs more than the merges it saves.  A pair
+that does not recur keeps its per-site columns: at distinct w all N^2
+tables of the B chain differ, and fusing them would cost more to compile
+than the merges it saves.  Keys are coded once per operator product (a
+chain of rows, each traced over signed auxiliary bounds) and decoded
+once on exit; zeros are dropped at the end of each row; and the last
+site or pair of a row emits only the transitions whose auxiliary index
+leaves as the bound's a_out: the site part of a column key c and of the
+code change delta are multiples of 4, so (c + delta) & 3 is the outgoing
+index.  The monodromy entries, the T1 and T2 traces and the singlet's
+beta operator in `spinchain` (one row and one bound) differ only in
+their tables and auxiliary bounds.  `sweeps` takes the tables as they
+are, plain transition tables {(aux, site): [(aux', site', weight),
+...]}, and compiles each row itself.  `apply_gates` sums the images of
+two-site gates on the same coding, with the auxiliary bits left clear,
+and drops the zeros before it decodes: the Hamiltonian's N bonds in
+`spinchain`, whose image of the singlet decodes nothing.  A single gate
+(`apply_two_site`) patches tuple keys instead, since for one gate the
+coding costs more than it saves.
 
 ModelParams is the one parameter object: N, a rational q and w, with
 the ring Q(s, i) of d = [q][q^2] (`field.session_constant`, which checks
@@ -150,6 +161,8 @@ P_{xy} X P_{xy} is X with x and y relabelled:
 
 from __future__ import annotations
 
+from collections import Counter
+from itertools import islice
 from math import gcd, prod
 
 from bethelab.field import (
@@ -449,26 +462,78 @@ def _merge(cur: dict, cols: dict, mask: int, out: dict):
             out[nk] = nv if acc is None else acc + nv
 
 
+def _fused(first, second, lo: int):
+    """(cols, mask): the tables of the sites at bits lo and lo + 2 as one
+    set of columns on (aux, site, site), summed over the auxiliary index
+    between them and built from their `_columns`, so a code outside 0..3
+    still raises ValueError.  Weights that cancel are dropped, and a
+    column whose weights all cancel stays, empty."""
+    one, mask = _columns(first, 0, lo)
+    two, high = _columns(second, 0, lo + 2)
+    cols, sites = {}, {c & ~3 for c in two}
+    for c, col in one.items():
+        for s in sites:
+            acc = {}
+            for d1, w1 in col:
+                for d2, w2 in two[(c + d1) & 3 | s]:
+                    w, x = w1 * w2, acc.get(d1 + d2)
+                    acc[d1 + d2] = w if x is None else x + w
+            cols[c | s] = [(d, w) for d, w in acc.items() if w]
+    return cols, mask | high
+
+
 def sweeps(rows, v: StateVector, bounds) -> StateVector:
     """Apply rows of transition tables to v in turn, replacing v at each
     row by the sum of sign times the row's image with the auxiliary index
     entering as a_in and leaving as a_out, over the (a_in, a_out, sign) of
     bounds.  Table j - 1 of a row, {(aux, site): [(aux', site', weight),
     ...]}, acts on the auxiliary index and site j, its two factors, and is
-    compiled once per row (`_columns`).  v's keys are coded once on entry
+    compiled once per row (`_columns`).  Sites pair as (1, 2), (3, 4),
+    ...: a pair whose two tables, the same objects, recur at its sites in
+    another row of the call is compiled once per call into fused columns
+    (`_fused`), so the vector moves across both sites in one merge.  A
+    pair found in one row only keeps its two per-site columns, since
+    fusing it would cost more to compile than that row's merges save: a
+    single row (T1, T2) and the B chain at distinct w fuse nothing, the
+    singlet's rows of one table and the B chain at w = 1 every pair.  Rows
+    are sequences of tables.  v's keys are coded once on entry
     (`_encode`) and decoded once on exit, so a transition adds an int;
     between rows the auxiliary bits are clear.  Equal partial states
-    merge after each site; zeros are dropped at the end of each row.  A
-    table or auxiliary code outside 0..3 raises ValueError."""
+    merge after each site or pair; zeros are dropped at the end of each
+    row.  A table or auxiliary code outside 0..3 raises ValueError."""
     if not all(0 <= a_in | a_out < 4 for a_in, a_out, _ in bounds):
         raise ValueError(f"auxiliary codes not in 0..3: {bounds!r}")
+    rows, recur, fused = list(rows), set(), {}
+    # a pair (j, j + 1) can recur only where the table of site j does
+    if len(rows) > 1 and any(len(set(map(id, site))) < len(rows)
+                             for site in islice(zip(*rows), 0, None, 2)):
+        seen = Counter((j, id(t[j - 1]), id(t[j]))
+                       for t in rows for j in range(1, len(t), 2))
+        recur = {key for key, c in seen.items() if c > 1}
     cur = _encode(v)
     for tables in rows:
-        row, out = [_columns(t, 0, 2 * j) for j, t in enumerate(tables, 1)], {}
+        row = (_fused_row(tables, recur, fused) if recur else
+               [_columns(t, 0, 2 * j) for j, t in enumerate(tables, 1)])
+        out = {}
         for a_in, a_out, sign in bounds:
             _sweep_row(row, cur, a_in, a_out, sign, out)
         cur = {code: x for code, x in out.items() if x}
     return _decode(v.n, cur)
+
+
+def _fused_row(tables, recur, fused) -> list:
+    """One row compiled: each site pair (j, j + 1) whose key (j, id, id)
+    is in recur as fused columns, built once per call into fused, and
+    every other site as its own columns."""
+    row = []
+    for j in range(1, len(tables) + 1, 2):
+        pair = tables[j - 1:j + 1]
+        key = (j, *map(id, pair))
+        if key in recur:
+            row.append(_memo(fused, key, lambda: _fused(*pair, 2 * j)))
+        else:
+            row += [_columns(t, 0, 2 * i) for i, t in enumerate(pair, j)]
+    return row
 
 
 def _sweep_row(row, cur: dict, a_in: int, a_out: int, sign: int, out: dict):

@@ -267,7 +267,9 @@ class HalfPowerPoly:
     """Polynomial in y over Q, read through y**2 = x.
 
     Coefficients are stored ascending in powers of y, an int as that int
-    and any other value as a rational; trailing zeros are stripped.
+    and any other value as a rational, so sums and products of int
+    polynomials, or of one and an int, keep int coefficients; trailing
+    zeros are stripped.
     Elements supported on even powers only are ordinary polynomials in x.
     """
 
@@ -284,7 +286,7 @@ class HalfPowerPoly:
 
     @staticmethod
     def const(r) -> "HalfPowerPoly":
-        return HalfPowerPoly((as_rat(r),))
+        return HalfPowerPoly((r,))
 
     @staticmethod
     def x_poly(x_coeffs) -> "HalfPowerPoly":
@@ -308,7 +310,7 @@ class HalfPowerPoly:
         if other is NotImplemented:
             return other
         n = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [RAT_ZERO] * (n - len(self.coeffs))
+        a = list(self.coeffs) + [0] * (n - len(self.coeffs))
         for k, c in enumerate(other.coeffs):
             a[k] = a[k] + c
         return HalfPowerPoly(a)
@@ -332,7 +334,7 @@ class HalfPowerPoly:
             return other
         if not self.coeffs or not other.coeffs:
             return HalfPowerPoly()
-        out = [RAT_ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
+        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for j, cj in enumerate(self.coeffs):
             if cj == 0:
                 continue

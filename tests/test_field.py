@@ -490,3 +490,19 @@ def test_row_reduce_rank_and_pivots():
                if k != pivots.index(c))
     assert not any(reduced[2])
     assert row_reduce([]) == ([], [])
+
+
+def test_sums_and_products_of_int_polys_keep_ints():
+    """Ints in, ints out: a sum or product of int polynomials, or of one
+    and an int, stores int coefficients, and a rational one still makes
+    its coefficients rational."""
+    for got, want in (
+            (HalfPowerPoly((1,)) + HalfPowerPoly((1, 2)), (2, 2)),
+            (HalfPowerPoly((1, 2)) * HalfPowerPoly((3,)), (3, 6)),
+            (HalfPowerPoly((1, 0, -2)) + 3, (4, 0, -2)),
+            (2 * HalfPowerPoly((1, 0, -2)), (2, 0, -4)),
+            (HalfPowerPoly((0, 1)) * HalfPowerPoly((0, 0, 1)), (0, 0, 0, 1)),
+            (HalfPowerPoly.const(5), (5,)),
+            (HalfPowerPoly((RAT(1, 2),)) + HalfPowerPoly((1, 2)),
+             (RAT(3, 2), 2))):
+        same_poly(got, HalfPowerPoly(want))

@@ -28,7 +28,12 @@ compared with the two-site gates of `aba.scattering_apply` (the
 regularity lemma), the one route of the scattering check.  The same
 int coding, column compiler and merge loop sum the images of two-site
 gates (`apply_gates`); that sum is compared with `apply_two_site` on
-tuple keys, gate by gate, on seeded random tables in four rings.
+tuple keys, gate by gate, on seeded random tables in four rings.  A site
+pair whose tables recur across the rows of one `sweeps` call is fused
+into two-site columns; that path is compared with the same rows swept
+one call a row, where nothing recurs, on seeded random tables with int
+and HalfPowerPoly weights, and a count of `aba._merge` calls pins where
+pairs fuse.
 """
 
 import random
@@ -322,10 +327,15 @@ def test_multi_row_sweeps_match_composed_per_key_sweeps(n, ring):
     ((4, 0), []), ((0, 4), [(0, 0, 1)]), ((0, 0), [(4, 0, 1)]),
     ((0, 0), [(0, 5, 1)]), ((-1, 0), [(0, 0, 1)]), ((0, 0), [(0, -1, 1)])])
 def test_table_code_outside_two_bits_raises(column, transitions):
+    """On per-site columns, in a pair that recurs and so is fused, with
+    the bad table on either side of the pair, and in a gate."""
     table = {(a, s): [(a, s, 1)] for a in range(2) for s in range(3)}
     table[column] = transitions
     with pytest.raises(ValueError):
         sweeps([[table, table]], StateVector(2, {(0, 0): 1}), [(0, 0, 1)])
+    for pair in ([table, table], [dict(table), table], [table, dict(table)]):
+        with pytest.raises(ValueError, match="not in 0..3"):
+            sweeps([pair] * 2, StateVector(2, {(0, 0): 1}), [(0, 0, 1)])
     with pytest.raises(ValueError, match="not in 0..3"):
         apply_gates(StateVector(2, {(0, 0): 1}), [(table, 0, 1)])
 
@@ -603,3 +613,120 @@ def test_bethe_vector_is_the_chain_of_b(n):
             v = monodromy_apply("B", p.sc(w), p, v)
         assert bethe_vector(p) == v
         assert monodromy_apply("B", [p.sc(w) for w in p.w], p, vacuum(p)) == v
+
+
+def random_table(rng, dim, value):
+    """A transition table on auxiliary codes 0..dim-1 and spins 0..2:
+    every column present, some empty, the rest one to three distinct
+    transitions with nonzero weights."""
+    outs = [(a, s) for a in range(dim) for s in range(3)]
+    return {key: [(a, s, value(rng))
+                  for a, s in sorted(rng.sample(outs, rng.randint(0, 3)))]
+            for key in outs}
+
+
+FUSE_RINGS = {
+    "int": lambda rng: rng.choice((-1, 1)) * rng.randint(1, 9),
+    "halfpower": lambda rng: HalfPowerPoly(
+        [rng.randint(-2, 2), rng.choice((-1, 1))]),
+}
+
+
+def rows_with_recurring_pairs(rng, n, dim, value, count):
+    """count rows of n tables: each site holds one table shared by every
+    row or a fresh table per row, so some site pairs (1, 2), (3, 4), ...
+    recur across the rows and others do not."""
+    shared = [random_table(rng, dim, value) if rng.random() < 0.6 else None
+              for _ in range(n)]
+    shared[0] = shared[0] or random_table(rng, dim, value)
+    shared[1] = shared[1] or random_table(rng, dim, value)
+    shared[-1] = None if n > 2 else shared[-1]
+    return [[t or random_table(rng, dim, value) for t in shared]
+            for _ in range(count)]
+
+
+def per_site_rows(rows, v, bounds):
+    """`sweeps` one row a call: no pair recurs within a call, so every
+    site keeps its own columns."""
+    for tables in rows:
+        v = sweeps([tables], v, bounds)
+    return v
+
+
+@pytest.mark.parametrize("ring", list(FUSE_RINGS))
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_fused_pairs_match_per_site_sweeps(n, ring):
+    """Rows whose recurring pairs fuse against the same rows swept one
+    call a row, on seeded random tables with int and HalfPowerPoly
+    weights, odd and even n, and one to three signed auxiliary bounds."""
+    rng = random.Random(1000 + 10 * n + list(FUSE_RINGS).index(ring))
+    value = FUSE_RINGS[ring]
+    few = ring != "int"  # HalfPowerPoly products are slow: fewer cases
+    for dim in (2, 3):
+        for count in (2, 3):
+            rows = rows_with_recurring_pairs(rng, n, dim, value, count)
+            bounds = [(rng.randrange(dim), rng.randrange(dim),
+                       rng.choice((-1, 1)))
+                      for _ in range(rng.randint(1, 3))]
+            for terms in ((6,) if few else (1, 6, 3 ** n)):
+                v = StateVector(n, {k: value(rng)
+                                    for k in random_keys(rng, n, terms)})
+                got = sweeps(rows, v, bounds)
+                assert got == per_site_rows(rows, v, bounds)
+                if not few:
+                    assert got == per_key_rows(rows, v, bounds)
+
+
+def cancelling_pair():
+    """Two tables whose fused column at (aux, spin, spin) = (0, 0, 0)
+    cancels: the first splits (0, 0) into both auxiliary codes, which the
+    second takes to one state with opposite weights."""
+    ident = {(a, s): [(a, s, 1)] for a in range(2) for s in range(3)}
+    first = {**ident, (0, 0): [(0, 1, 1), (1, 1, 1)]}
+    second = {**ident, (0, 0): [(0, 2, 1)], (1, 0): [(0, 2, -1)]}
+    return first, second
+
+
+def test_fused_column_that_cancels_stays_empty():
+    """A fused column whose weights all cancel is kept as an empty list,
+    so a state that reaches it vanishes instead of raising KeyError."""
+    first, second = cancelling_pair()
+    cols, mask = aba._fused(first, second, 2)
+    assert cols[0] == [] and mask == 3 | 3 << 2 | 3 << 4
+    assert len(cols) == 2 * 3 * 3  # every (aux, spin, spin) column
+    rows = [[first, second]] * 2
+    for v in (StateVector(2, {(0, 0): 1}),
+              StateVector(2, {(0, 0): 1, (1, 0): 5, (0, 2): -3})):
+        got = sweeps(rows, v, [(0, 0, 1), (0, 1, 1)])
+        assert got == per_site_rows(rows, v, [(0, 0, 1), (0, 1, 1)])
+    assert sweeps(rows, StateVector(2, {(0, 0): 1}), [(0, 0, 1)]).is_zero()
+
+
+def count_merges(monkeypatch):
+    """The list that records one entry per `aba._merge` call from now."""
+    calls, merge = [], aba._merge
+
+    def counting(*args):
+        calls.append(1)
+        return merge(*args)
+
+    monkeypatch.setattr(aba, "_merge", counting)
+    return calls
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+def test_merges_a_row_pin_where_pairs_fuse(n, monkeypatch):
+    """The n-site singlet's n rows of one table fuse every site pair:
+    ceil(n/2) merges a row; so does the B chain at w = 1, whose tables
+    are one memoised r12(1/q).  The B chain at distinct w fuses nothing:
+    N merges a row."""
+    calls = count_merges(monkeypatch)
+    beta_apply(StateVector(n, {(0,) * n: 1}), n)
+    assert len(calls) == n * -(-n // 2)
+    rng = random.Random(1100 + n)
+    for p, per_row in ((model(rng, n), n),
+                       (ModelParams(n, draw_q(rng), [RAT(1)] * n),
+                        -(-n // 2))):
+        calls.clear()
+        bethe_vector(p)
+        assert len(calls) == n * per_row
