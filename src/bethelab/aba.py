@@ -21,13 +21,12 @@ fused columns on (aux, site, site), summed over the auxiliary index
 between the sites (`_fused`), and one merge carries the vector across
 both.  The homogeneous rows fuse: the singlet's n rows of one rho table
 and the B chain at w = 1, every table one memoised r12(1/q), each make
-ceil(n/2) merges a row; the gain grows with n, and at n <= 4 it is a
-loss: the fused compile costs more than the merges it saves.  A pair
-that does not recur keeps its per-site columns: at distinct w all N^2
-tables of the B chain differ, and fusing them would cost more to compile
-than the merges it saves.  Keys are coded once per operator product (a
-chain of rows, each traced over signed auxiliary bounds) and decoded
-once on exit; zeros are dropped at the end of each row; and the last
+ceil(n/2) merges a row.  Fusing pays only where the merges it saves
+outweigh its compile, so nothing fuses below five sites, where the
+merges are small, and a pair that does not recur keeps its per-site
+columns: at distinct w all N^2 tables of the B chain differ.  Keys are
+coded once per operator product (a chain of rows, each traced over
+signed auxiliary bounds) and decoded once on exit; zeros are dropped at the end of each row; and the last
 site or pair of a row emits only the transitions whose auxiliary index
 leaves as the bound's a_out: the site part of a column key c and of the
 code change delta are multiples of 4, so (c + delta) & 3 is the outgoing
@@ -161,8 +160,6 @@ P_{xy} X P_{xy} is X with x and y relabelled:
 
 from __future__ import annotations
 
-from collections import Counter
-from itertools import islice
 from math import gcd, prod
 
 from bethelab.field import (
@@ -462,6 +459,11 @@ def _merge(cur: dict, cols: dict, mask: int, out: dict):
             out[nk] = nv if acc is None else acc + nv
 
 
+# Recurring pairs fuse from five sites on: timed, the n-row singlet sweep
+# and the B chain at w = 1 are faster fused at n = 5 and slower at n = 4.
+_FUSE_FROM_SITES = 5
+
+
 def _fused(first, second, lo: int):
     """(cols, mask): the tables of the sites at bits lo and lo + 2 as one
     set of columns on (aux, site, site), summed over the auxiliary index
@@ -489,29 +491,32 @@ def sweeps(rows, v: StateVector, bounds) -> StateVector:
     bounds.  Table j - 1 of a row, {(aux, site): [(aux', site', weight),
     ...]}, acts on the auxiliary index and site j, its two factors, and is
     compiled once per row (`_columns`).  Sites pair as (1, 2), (3, 4),
-    ...: a pair whose two tables, the same objects, recur at its sites in
-    another row of the call is compiled once per call into fused columns
-    (`_fused`), so the vector moves across both sites in one merge.  A
-    pair found in one row only keeps its two per-site columns, since
-    fusing it would cost more to compile than that row's merges save: a
-    single row (T1, T2) and the B chain at distinct w fuse nothing, the
-    singlet's rows of one table and the B chain at w = 1 every pair.  Rows
-    are sequences of tables.  v's keys are coded once on entry
-    (`_encode`) and decoded once on exit, so a transition adds an int;
-    between rows the auxiliary bits are clear.  Equal partial states
-    merge after each site or pair; zeros are dropped at the end of each
-    row.  A table or auxiliary code outside 0..3 raises ValueError."""
+    ...: on five sites or more, a pair whose two tables, the same objects,
+    recur at its sites in another row of the call is compiled once per
+    call into fused columns (`_fused`), so the vector moves across both
+    sites in one merge.  Elsewhere fusing would cost more to compile than
+    the merges save, so a pair found in one row only, or on fewer than
+    five sites, keeps its two per-site columns: a single row (T1, T2) and
+    the B chain at distinct w fuse nothing, the singlet's rows of one
+    table and the B chain at w = 1 every pair.  Rows are sequences of
+    tables.  v's keys are coded once on entry (`_encode`) and decoded once
+    on exit, so a transition adds an int; between rows the auxiliary bits
+    are clear.  Equal partial states merge after each site or pair; zeros
+    are dropped at the end of each row.  A table or auxiliary code outside
+    0..3 raises ValueError."""
     if not all(0 <= a_in | a_out < 4 for a_in, a_out, _ in bounds):
         raise ValueError(f"auxiliary codes not in 0..3: {bounds!r}")
     rows, recur, fused = list(rows), set(), {}
-    # a pair (j, j + 1) can recur only where the table of site j does
-    if len(rows) > 1 and any(len(set(map(id, site))) < len(rows)
-                             for site in islice(zip(*rows), 0, None, 2)):
-        seen = Counter((j, id(t[j - 1]), id(t[j]))
-                       for t in rows for j in range(1, len(t), 2))
-        recur = {key for key, c in seen.items() if c > 1}
+    if len(rows) > 1 and v.n >= _FUSE_FROM_SITES:
+        seen = set()  # not a Counter, whose first call costs about 60 us
+        for t in rows:
+            for j in range(1, len(t), 2):
+                key = j, id(t[j - 1]), id(t[j])
+                (recur if key in seen else seen).add(key)
     cur = _encode(v)
     for tables in rows:
+        # nothing recurs (T1, T2, the B chain at distinct w): per-site
+        # columns here, since `_fused_row`'s per-pair loop costs more
         row = (_fused_row(tables, recur, fused) if recur else
                [_columns(t, 0, 2 * j) for j, t in enumerate(tables, 1)])
         out = {}

@@ -33,13 +33,13 @@ and 1 where it lowers it, so <up| K rho_N ... rho_1 K^-1 |down> = y^-1
 beta(x), and the singlet x^(-N/2) beta(x)^N |all-up>, integer
 polynomials in x, is N gauged sweeps of |all-up>: one `aba.sweeps` call
 of N rows, memoised per N.  Every row holds the one packed rho table, so
-every site pair recurs across the rows and `sweeps` fuses it: the pair's
-two-site columns are compiled once per call and each row makes ceil(N/2)
-merges, not N.  A sweep whose pairs do not recur, such as `aba`'s B
-chain at distinct w, keeps per-site columns, since there fusing costs
-more to compile than it saves.  The singlet's square norm and
-distinguished component reproduce the weighted counts of alternating
-sign matrices.
+every site pair recurs across the rows and, from N = 5 on, `sweeps`
+fuses it: the pair's two-site columns are compiled once per call and
+each row makes ceil(N/2) merges, not N.  A sweep whose pairs do not
+recur, such as `aba`'s B chain at distinct w, keeps per-site columns,
+since there fusing costs more to compile than it saves, as it does at
+N <= 4.  The singlet's square norm and distinguished component
+reproduce the weighted counts of alternating sign matrices.
 
 The singlet, its norm and the symbolic H v run on packed ints (Kronecker
 substitution): an integer polynomial sum_k c_k x^k becomes sum_k c_k
@@ -217,7 +217,8 @@ def beta_apply(v: StateVector, k: int = 1) -> StateVector:
     """(y^-1 beta(x))^k on components packed at x = 2^bits as by
     `_packed_rho(v.n)`: one `sweeps` call of k rows of the gauged rho with
     auxiliary boundary <up| ... |down>, each lowering the magnetisation by
-    one; for k >= 2 the rows recur, so every site pair is fused."""
+    one; for k >= 2 the rows recur, so on five sites or more every site
+    pair is fused."""
     # the auxiliary enters as down (1) and leaves as up (0)
     return sweeps([[_packed_rho(v.n)[0]] * v.n] * k, v, [(1, 0, 1)])
 

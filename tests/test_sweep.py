@@ -327,15 +327,18 @@ def test_multi_row_sweeps_match_composed_per_key_sweeps(n, ring):
     ((4, 0), []), ((0, 4), [(0, 0, 1)]), ((0, 0), [(4, 0, 1)]),
     ((0, 0), [(0, 5, 1)]), ((-1, 0), [(0, 0, 1)]), ((0, 0), [(0, -1, 1)])])
 def test_table_code_outside_two_bits_raises(column, transitions):
-    """On per-site columns, in a pair that recurs and so is fused, with
-    the bad table on either side of the pair, and in a gate."""
+    """On per-site columns, in a pair that recurs on five sites and so is
+    fused, with the bad table on either side of the pair, and in a
+    gate."""
     table = {(a, s): [(a, s, 1)] for a in range(2) for s in range(3)}
     table[column] = transitions
     with pytest.raises(ValueError):
         sweeps([[table, table]], StateVector(2, {(0, 0): 1}), [(0, 0, 1)])
-    for pair in ([table, table], [dict(table), table], [table, dict(table)]):
+    ident = {(a, s): [(a, s, 1)] for a in range(2) for s in range(3)}
+    for pair in ([table, table], [table, ident], [ident, table]):
         with pytest.raises(ValueError, match="not in 0..3"):
-            sweeps([pair] * 2, StateVector(2, {(0, 0): 1}), [(0, 0, 1)])
+            sweeps([pair + [ident] * 3] * 2, StateVector(5, {(0,) * 5: 1}),
+                   [(0, 0, 1)])
     with pytest.raises(ValueError, match="not in 0..3"):
         apply_gates(StateVector(2, {(0, 0): 1}), [(table, 0, 1)])
 
@@ -654,11 +657,12 @@ def per_site_rows(rows, v, bounds):
 
 
 @pytest.mark.parametrize("ring", list(FUSE_RINGS))
-@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
 def test_fused_pairs_match_per_site_sweeps(n, ring):
-    """Rows whose recurring pairs fuse against the same rows swept one
-    call a row, on seeded random tables with int and HalfPowerPoly
-    weights, odd and even n, and one to three signed auxiliary bounds."""
+    """Rows whose recurring pairs fuse (n >= 5) against the same rows
+    swept one call a row, on seeded random tables with int and
+    HalfPowerPoly weights, odd and even n, and one to three signed
+    auxiliary bounds; below five sites nothing fuses and both agree."""
     rng = random.Random(1000 + 10 * n + list(FUSE_RINGS).index(ring))
     value = FUSE_RINGS[ring]
     few = ring != "int"  # HalfPowerPoly products are slow: fewer cases
@@ -694,12 +698,14 @@ def test_fused_column_that_cancels_stays_empty():
     cols, mask = aba._fused(first, second, 2)
     assert cols[0] == [] and mask == 3 | 3 << 2 | 3 << 4
     assert len(cols) == 2 * 3 * 3  # every (aux, spin, spin) column
-    rows = [[first, second]] * 2
-    for v in (StateVector(2, {(0, 0): 1}),
-              StateVector(2, {(0, 0): 1, (1, 0): 5, (0, 2): -3})):
+    ident = {(a, s): [(a, s, 1)] for a in range(2) for s in range(3)}
+    rows, rest = [[first, second, ident, ident, ident]] * 2, (0,) * 3
+    for v in (StateVector(5, {(0, 0, *rest): 1}),
+              StateVector(5, {(0, 0, *rest): 1, (1, 0, *rest): 5,
+                              (0, 2, 1, 0, 2): -3})):
         got = sweeps(rows, v, [(0, 0, 1), (0, 1, 1)])
         assert got == per_site_rows(rows, v, [(0, 0, 1), (0, 1, 1)])
-    assert sweeps(rows, StateVector(2, {(0, 0): 1}), [(0, 0, 1)]).is_zero()
+    assert sweeps(rows, StateVector(5, {(0,) * 5: 1}), [(0, 0, 1)]).is_zero()
 
 
 def count_merges(monkeypatch):
@@ -716,17 +722,17 @@ def count_merges(monkeypatch):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
 def test_merges_a_row_pin_where_pairs_fuse(n, monkeypatch):
-    """The n-site singlet's n rows of one table fuse every site pair:
-    ceil(n/2) merges a row; so does the B chain at w = 1, whose tables
-    are one memoised r12(1/q).  The B chain at distinct w fuses nothing:
-    N merges a row."""
+    """From five sites on, the n-site singlet's n rows of one table fuse
+    every site pair: ceil(n/2) merges a row; so does the B chain at w = 1,
+    whose tables are one memoised r12(1/q).  Below five sites neither
+    fuses, and the B chain at distinct w never does: n merges a row."""
+    fused = -(-n // 2) if n >= 5 else n
     calls = count_merges(monkeypatch)
     beta_apply(StateVector(n, {(0,) * n: 1}), n)
-    assert len(calls) == n * -(-n // 2)
+    assert len(calls) == n * fused
     rng = random.Random(1100 + n)
     for p, per_row in ((model(rng, n), n),
-                       (ModelParams(n, draw_q(rng), [RAT(1)] * n),
-                        -(-n // 2))):
+                       (ModelParams(n, draw_q(rng), [RAT(1)] * n), fused)):
         calls.clear()
         bethe_vector(p)
         assert len(calls) == n * per_row
